@@ -11,6 +11,11 @@ two runs on the same inputs differ only in the timing field. --format
 csv prints the results alone as comma-separated rows. Exact rationals
 are rendered as strings like "15/4".
 
+Float flags and number lists accept finite values only: NaN and
+infinities are bad input. Results never hold NaN or Infinity, which are
+not JSON; a diagnostic with no finite value, such as the condition
+estimate of a singular matrix, is written as null.
+
 Exit codes: 0 success, 2 bad input (parse or validation failure),
 3 undefined magnitude (the mag command only), 4 internal failure,
 including a refinement sweep that should be monotone but is not.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -52,10 +58,26 @@ def _rat(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag; NaN and infinities are bad input."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-    except ValueError as exc:
+        return [_finite_float(tok) for tok in text.replace(";", ",").split(",")
+                if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
         raise BadSpec(f"cannot parse number list {text!r}: {exc}") from None
 
 
@@ -157,7 +179,7 @@ def _emit(args, command, inputs, results, t0) -> None:
         "timing_seconds": round(time.perf_counter() - t0, 6),
         "version": __version__,
     }
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
 
 
 def _emit_csv(results) -> None:
@@ -198,7 +220,7 @@ def _cmd_mag(args, command, t0) -> int:
         "t": args.t,
         "magnitude": res.magnitude,
         "status": res.status,
-        "condition_estimate": res.condition_estimate,
+        "condition_estimate": _finite_or_none(res.condition_estimate),
         "residual": res.residual,
         "n_points": space.n_points,
     }
@@ -210,6 +232,8 @@ def _cmd_magfn(args, command, t0) -> int:
     space, inputs = _space_inputs(args)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
+    if args.steps < 1:
+        raise BadSpec("need --steps >= 1")
     ts = (np.geomspace if args.log else np.linspace)(
         args.tmin, args.tmax, args.steps
     )
@@ -234,7 +258,7 @@ def _cmd_weights(args, command, t0) -> int:
         "t": args.t,
         "status": res.status,
         "magnitude": res.magnitude,
-        "condition_estimate": res.condition_estimate,
+        "condition_estimate": _finite_or_none(res.condition_estimate),
         "residual": res.residual,
         "weighting": None if res.weighting is None else [float(x) for x in res.weighting],
         "coweighting": None if res.coweighting is None else [float(x) for x in res.coweighting],
@@ -564,14 +588,15 @@ def _add_space_inputs(sub) -> None:
     g.add_argument("--spec", help="space spec as JSON text or a file path")
     sub.add_argument("--p", type=int, default=2, choices=(1, 2),
                      help="lp exponent for grid/ball inputs")
-    sub.add_argument("--spacing", type=float, default=1.0)
-    sub.add_argument("--length", type=float, default=1.0)
+    sub.add_argument("--spacing", type=_finite_float, default=1.0)
+    sub.add_argument("--length", type=_finite_float, default=1.0)
     sub.add_argument("--seed", type=int, default=None)
 
 
 def _common(sub, t_default=1.0) -> None:
-    sub.add_argument("--t", type=float, default=t_default, help="scale factor")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--t", type=_finite_float, default=t_default,
+                     help="scale factor")
+    sub.add_argument("--tol", type=_finite_float, default=1e-9)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -596,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_space_inputs(sub)
         _common(sub)
         if name == "magfn":
-            sub.add_argument("--tmin", type=float, required=True)
-            sub.add_argument("--tmax", type=float, required=True)
+            sub.add_argument("--tmin", type=_finite_float, required=True)
+            sub.add_argument("--tmax", type=_finite_float, required=True)
             sub.add_argument("--steps", type=int, default=32)
             sub.add_argument("--log", action="store_true",
                              help="log-spaced scales (default linear)")
@@ -606,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="support enumeration (up to 15 points)")
             sub.add_argument("--max-iters", type=int, default=100_000)
         if name == "dim":
-            sub.add_argument("--tmin", type=float, required=True)
-            sub.add_argument("--tmax", type=float, required=True)
+            sub.add_argument("--tmin", type=_finite_float, required=True)
+            sub.add_argument("--tmax", type=_finite_float, required=True)
             sub.add_argument("--samples", type=int, default=12)
             sub.add_argument("--method", default="diversity_growth",
                              choices=("diversity_growth", "covering_growth"))
@@ -640,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--compact", help="disjoint closed intervals 'a,b;c,d'")
     sub.add_argument("--cantor", action="store_true",
                      help="middle-thirds limit set")
-    sub.add_argument("--length", type=float, default=1.0)
+    sub.add_argument("--length", type=_finite_float, default=1.0)
     sub.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 5")
     sub.add_argument("--sphere", help="'n,R' Euclidean sphere, n even")
     sub.add_argument("--residual", help="'n,R' sphere minus polynomial part")
@@ -656,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cantor-depths", help="endpoint sets, e.g. '1,2,3'")
     sub.add_argument("--ball-counts", help="sample sizes, needs --ball and --seed")
     sub.add_argument("--ball", help="'n,R' for --ball-counts")
-    sub.add_argument("--length", type=float, default=1.0)
+    sub.add_argument("--length", type=_finite_float, default=1.0)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p", type=int, default=2, choices=(1, 2))
     _common(sub)

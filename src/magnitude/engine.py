@@ -16,16 +16,19 @@ undefined: slightly conservative, never silently wrong.
 
 Homogeneous spaces (all rows of Z share one sum) admit the shortcut
 N / (row sum), used as a cross-check rather than a fast path.
+
+scipy.linalg is imported inside the two functions that factor Z
+(solve_weighting and is_positive_definite), not at module level: it costs
+about 0.3 s, and commands that never factor a matrix should not pay it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg import lapack as _lapack
 
 from .spaces import (
     FiniteMetricSpace,
@@ -102,9 +105,11 @@ class DefinitenessReport:
 
 def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> SimilarityMatrix:
     t = float(t)
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t!r}")
-    return SimilarityMatrix(np.exp(-t * space.distances), t)
+    if not 0 < t < math.inf:
+        raise NonpositiveScale(f"scale must be positive and finite, got {t!r}")
+    # t d may overflow to inf, where exp(-inf) = 0 is the exact limit
+    with np.errstate(over="ignore"):
+        return SimilarityMatrix(np.exp(-t * space.distances), t)
 
 
 def _one_norm(a: np.ndarray) -> float:
@@ -120,6 +125,9 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below 1e-9.
     """
+    from scipy.linalg import (LinAlgError, LinAlgWarning, cho_factor,
+                              cho_solve, lapack, lu_factor, lu_solve)
+
     z = similarity_matrix(space, t).entries
     n = z.shape[0]
     ones = np.ones(n)
@@ -130,15 +138,18 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     rcond = 0.0
     try:
         c, low = cho_factor(z, check_finite=False)
-        rcond, info = _lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
+        rcond, info = lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
         if info != 0:
             raise LinAlgError("dpocon failed")
         status = STATUS_PD
         solve = lambda rhs: cho_solve((c, low), rhs, check_finite=False)
     except LinAlgError:
         try:
-            lu, piv = lu_factor(z, check_finite=False)
-            rcond, info = _lapack.dgecon(lu, anorm, norm="1")
+            with warnings.catch_warnings():
+                # an exactly singular factor shows as rcond = 0 below
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu, piv = lu_factor(z, check_finite=False)
+            rcond, info = lapack.dgecon(lu, anorm, norm="1")
             if info != 0:
                 raise LinAlgError("dgecon failed")
             status = STATUS_INVERTIBLE
@@ -261,6 +272,8 @@ def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
+    from scipy.linalg import LinAlgError, cho_factor
+
     try:
         cho_factor(similarity_matrix(space, t).entries, check_finite=False)
         return True

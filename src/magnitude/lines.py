@@ -71,6 +71,13 @@ def _sorted_points(points) -> np.ndarray:
     return x
 
 
+def _half_tanh(t: float, gaps) -> np.ndarray:
+    """tanh(t gap / 2) per gap; t gap may overflow to inf, where tanh is
+    exactly 1."""
+    with np.errstate(over="ignore"):
+        return np.tanh(t * np.asarray(gaps, dtype=float) / 2.0)
+
+
 def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact weighting of a finite subset of R at scale t.
 
@@ -81,7 +88,7 @@ def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n == 1:
         return x, np.ones(1)
-    half = np.tanh(t * np.diff(x) / 2.0)  # one term per gap
+    half = _half_tanh(t, np.diff(x))  # one term per gap
     w = np.empty(n)
     w[0] = (1.0 + half[0]) / 2.0
     w[-1] = (1.0 + half[-1]) / 2.0
@@ -94,7 +101,7 @@ def line_magnitude(points, t: float) -> float:
     """1 + sum of tanh(t gap / 2) over consecutive gaps."""
     t = _check_scale(t)
     x = _sorted_points(points)
-    return 1.0 + float(np.tanh(t * np.diff(x) / 2.0).sum())
+    return 1.0 + float(_half_tanh(t, np.diff(x)).sum())
 
 
 def interval_magnitude(a: float, b: float, t: float) -> float:
@@ -143,8 +150,8 @@ def compact_magnitude(components, t: float) -> float:
     t = _check_scale(t)
     comp = _checked_components(components)
     vol = sum(b - a for a, b in comp)
-    gaps = np.array([a2 - b1 for (_, b1), (a2, _) in zip(comp, comp[1:])])
-    return 1.0 + t * vol / 2.0 + float(np.tanh(t * gaps / 2.0).sum())
+    gaps = [a2 - b1 for (_, b1), (a2, _) in zip(comp, comp[1:])]
+    return 1.0 + t * vol / 2.0 + float(_half_tanh(t, gaps).sum())
 
 
 def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> float:

@@ -1,10 +1,14 @@
 """Command-line surface: envelopes, exit codes, pinned examples."""
 
+import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnitude import cli
 
@@ -17,9 +21,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
-    report = json.loads(out)
+    report = strict_loads(out)
     assert set(report) == ENVELOPE_KEYS
     return code, report, err
 
@@ -121,6 +134,52 @@ def test_exit_two_on_bad_input(capsys):
 
     code, _, err = run(capsys, "pixel", "--ascii", "#?#")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--points-1d", "0,1", "--t", "inf"),
+    ("mag", "--points-1d", "0,1", "--tol", "nan"),
+    ("mag", "--points-1d", "0,1", "--t", "1e999"),
+    ("diversity", "--points-1d", "0,1,2", "--t", "inf"),
+    ("magfn", "--points-1d", "0,1", "--tmin", "1", "--tmax", "inf"),
+    ("dim", "--grid", "11", "--tmin", "-inf", "--tmax", "2"),
+    ("approx", "--grid-sizes", "11,21", "--length", "nan"),
+    ("oracle", "--interval", "0,2", "--t", "-inf"),
+])
+def test_non_finite_flag_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--ball", "3,nan"),
+    ("oracle", "--interval", "0,inf"),
+    ("mag", "--points-1d", "0,nan"),
+])
+def test_non_finite_number_list_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadSpec"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_magfn_needs_a_step(capsys, fmt):
+    code, out, err = run(capsys, "magfn", "--points-1d", "0,1", "--tmin", "1",
+                         "--tmax", "2", "--steps", "0", "--format", fmt)
+    assert code == 2
+    assert json.loads(err)["error"] == "BadSpec"
+
+
+def test_singular_condition_estimate_is_null(capsys):
+    for cmd, want in [("mag", 3), ("weights", 0)]:
+        code, rep, err = run_json(capsys, cmd, "--points-1d", "0,1e-300",
+                                  "--t", "1")
+        assert code == want
+        assert rep["results"]["status"] == "Undefined"
+        assert rep["results"]["condition_estimate"] is None
+        assert err == ""
 
 
 def test_version_flag(capsys):
@@ -321,3 +380,69 @@ def test_pixel_mode_conflicts(capsys):
     assert code == 2
     code, _, _ = run(capsys, "pixel", "--bounds")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# flag values, finite or not, never yield invalid JSON or stray warnings
+
+
+FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "-1e999",
+                     "5e-324", "1e-300", "1e300", "1e308", "1.5e308",
+                     "0", "-0.0"]),
+)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the flag
+                code = exc.code
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from([
+        ["mag", "--points-1d", "0,1,3"],
+        ["weights", "--graph", "k32"],
+        ["diversity", "--points-1d", "0,1,3", "--max-iters", "300"],
+        ["oracle", "--interval", "0,4"],
+        ["oracle", "--points", "0,1,3"],
+        ["oracle", "--compact", "0,1;2,3"],
+    ]),
+    t=FLOAT_TEXT,
+    tol=FLOAT_TEXT,
+)
+def test_scale_and_tolerance_flags_property(command, t, tol):
+    argv = command + ["--t", t] + ([] if command[0] == "oracle" else ["--tol", tol])
+    code, out, err, caught = _call(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    if out:
+        strict_loads(out)
+    if code != 2:
+        assert out, argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert "Warning" not in err, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(tmin=FLOAT_TEXT, tmax=FLOAT_TEXT,
+       steps=st.one_of(st.integers(-3, 40).map(str),
+                       st.sampled_from(["0", "-0", "1.5", "nan"])),
+       log=st.booleans())
+def test_sweep_flags_property(tmin, tmax, steps, log):
+    argv = ["magfn", "--points-1d", "0,1,3", "--tmin", tmin, "--tmax", tmax,
+            "--steps", steps] + (["--log"] if log else [])
+    code, out, err, caught = _call(argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        samples = strict_loads(out)["results"]["samples"]
+        assert len(samples) == int(steps) >= 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert "Warning" not in err, argv

@@ -27,6 +27,7 @@ from magnitude.engine import (
     speyer_magnitude,
 )
 from magnitude.spaces import (
+    NonpositiveScale,
     SpaceSpec,
     ball_sample,
     generate_space,
@@ -55,6 +56,13 @@ def k32_closed_form(t: float) -> float:
 def test_two_point_magnitude():
     sp = points_on_line([0.0, 1.0])
     assert magnitude(sp, 1.0) == pytest.approx(2.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+
+
+def test_similarity_matrix_refuses_bad_scales():
+    sp = points_on_line([0.0, 1.0])
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(NonpositiveScale):
+            similarity_matrix(sp, bad)
 
 
 def test_three_point_line_magnitude():
