@@ -16,7 +16,9 @@ infinities are bad input. Results never hold NaN or Infinity, which are
 not JSON; a diagnostic with no finite value, such as the condition
 estimate of a singular matrix, is written as null.
 
-Exit codes: 0 success, 2 bad input (parse or validation failure),
+Exit codes: 0 success, 2 bad input (parse or validation failure, the
+package's own input errors and unreadable files only; a generated space
+or closed-form value beyond the double range counts as bad input),
 3 undefined magnitude (the mag command only), 4 internal failure,
 including a refinement sweep that should be monotone but is not.
 """
@@ -39,6 +41,8 @@ from .spaces import (
     BadSpec,
     MatrixParseError,
     MetricError,
+    NonpositiveScale,
+    ResultOverflow,
     SpaceSpec,
     generate_space,
     graph_metric,
@@ -47,10 +51,12 @@ from .spaces import (
     validate_metric,
 )
 
+# the package's own input errors, plus unreadable files; any other
+# exception is an internal failure (exit 4)
 INPUT_ERRORS = (
-    MetricError, BadSpec, MatrixParseError, pixels.PixelError,
-    lines.LineError, euclid.EuclidError, dv.TooLarge, dv.WindowTooNarrow,
-    ValueError, OSError,
+    MetricError, BadSpec, MatrixParseError, NonpositiveScale, ResultOverflow,
+    pixels.PixelError, lines.LineError, euclid.EuclidError, dv.TooLarge,
+    dv.WindowTooNarrow, OSError,
 )
 
 
@@ -101,6 +107,14 @@ def _parse_pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadSpec(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _space_inputs(args):
     """Build the metric space selected by the input flags; also return a
     plain dict describing the inputs for the digest."""
@@ -126,8 +140,7 @@ def _space_inputs(args):
         return validate_metric(load_distance_csv(text)), \
             {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
     if src == "matrix":
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.matrix)
         return validate_metric(load_distance_csv(text)), \
             {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
     if src == "points_1d":
@@ -137,7 +150,10 @@ def _space_inputs(args):
         edges = named_graph_edges(args.graph)
         return graph_metric(edges), {"kind": "graph", "name": args.graph}
     elif src == "grid":
-        shape = [int(s) for s in args.grid.lower().split("x")]
+        try:
+            shape = [int(s) for s in args.grid.lower().split("x")]
+        except ValueError:
+            raise BadSpec(f"cannot parse grid shape {args.grid!r}") from None
         spec = SpaceSpec("lp_grid", {"shape": shape, "p": args.p,
                                      "spacing": args.spacing})
     elif src == "cantor":
@@ -158,8 +174,7 @@ def _space_inputs(args):
         if text.strip().startswith("{"):
             spec = SpaceSpec.from_json(text)
         else:
-            with open(text, "r", encoding="utf-8") as fh:
-                spec = SpaceSpec.from_json(fh.read())
+            spec = SpaceSpec.from_json(_read_text(text))
     return generate_space(spec), json.loads(spec.to_json())
 
 
@@ -293,7 +308,7 @@ def _cmd_diversity(args, command, t0) -> int:
     if args.exact:
         res = dv.max_diversity_exact(space, args.t)
         results = {
-            "t": args.t, "method": "support_enumeration",
+            "t": args.t, "method": res.method,
             "value": res.value, "support": list(res.optimizer.support),
             "kkt_gap": res.kkt_gap, "supports_checked": res.iterations,
         }
@@ -306,7 +321,7 @@ def _cmd_diversity(args, command, t0) -> int:
             _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
             return 0
         results = {
-            "t": args.t, "method": "frank_wolfe", "converged": True,
+            "t": args.t, "method": res.method, "converged": True,
             "value": res.value, "support": list(res.optimizer.support),
             "kkt_gap": res.kkt_gap, "iterations": res.iterations,
         }
@@ -346,8 +361,7 @@ def _pixel_input(args) -> pixels.PixelSet:
         art = args.ascii.replace("\\n", "\n")
         return pixels.parse_ascii(art, args.scale, dim=args.dim)
     if args.pixel_file:
-        with open(args.pixel_file, "r", encoding="utf-8") as fh:
-            return pixels.parse_pixel_file(fh.read())
+        return pixels.parse_pixel_file(_read_text(args.pixel_file))
     raise BadSpec("pixel needs --ascii, --pixel-file, or a --body-* option")
 
 

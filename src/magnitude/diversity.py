@@ -7,10 +7,24 @@ over the probability simplex; for positive definite Z the optimum is
 unique and never exceeds the magnitude, with equality exactly when the
 weighting is nonnegative (subsets of the real line, for instance).
 
-The optimizer is Frank-Wolfe with away steps on min mu' Z mu (see
-_backend): sparse iterates, linear convergence on PD instances, and a
-duality gap certificate. An independent oracle enumerates all supports
-for small N and solves the stationarity system on each.
+max_diversity climbs a ladder of three rungs, each certified by the same
+measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
+
+1. Frank-Wolfe with away steps on min mu' Z mu (see _backend) from the
+   uniform start, for at most n iterations: about the cost of one dense
+   factorisation, and enough on spaces whose optimum is near uniform.
+2. When numpy's Cholesky accepts Z, a Lawson-Hanson active set on
+   min (1/2) y' Z y - 1' y over y >= 0. Maximum diversity is the largest
+   magnitude of a subset carrying a nonnegative weighting, so the optimum
+   solves Z_S y = 1 on its support S and mu = y / sum(y). The set starts
+   from the weighting Z^-1 1 on the full support, drops nonpositive
+   entries until the solve is positive, then adds the most violated index
+   with the usual feasibility inner loop, for at most 3n passes.
+3. Otherwise (Z not positive definite, as K_{3,2} below t = log 2 / 2),
+   or when the active set does not certify, Frank-Wolfe up to max_iters.
+
+An independent oracle enumerates all supports for small N and solves the
+stationarity system on each.
 
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
@@ -31,6 +45,8 @@ from .spaces import FiniteMetricSpace
 
 EXACT_DIVERSITY_LIMIT = 15
 EXACT_COVERING_LIMIT = 25
+# Lawson-Hanson pass bound per point, as in scipy's nnls
+ACTIVE_SET_PASSES_PER_POINT = 3
 
 
 class DiversityError(Exception):
@@ -69,7 +85,8 @@ class DiversityResult:
     value: float
     optimizer: SimplexDistribution
     kkt_gap: float
-    iterations: int
+    iterations: int  # FW iterations, active-set passes or supports checked
+    method: str      # "frank_wolfe", "active_set" or "support_enumeration"
 
 
 @dataclass(frozen=True)
@@ -88,20 +105,98 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
                   tol: float = 1e-9, max_iters: int = 100_000) -> DiversityResult:
-    """Maximum diversity at scale t via away-step Frank-Wolfe.
+    """Maximum diversity at scale t, certified by kkt_gap <= tol.
 
-    Raises NonConvergence if the duality gap is still above tol after
-    max_iters iterations. On spaces whose similarity matrix is not
-    positive semidefinite the returned point is stationary but the global
-    certificate is void.
+    Short Frank-Wolfe, then the active set when Z is positive definite,
+    then Frank-Wolfe up to max_iters (see the module docstring). Raises
+    NonConvergence if the last Frank-Wolfe run still misses tol. On spaces
+    whose similarity matrix is not positive semidefinite the returned
+    point is stationary but the global certificate is void.
     """
     z = similarity_matrix(space, t).entries
-    mu, f, gap, iters, nonconvex, status = fw_away_qp(z, tol, max_iters)
+    budget = min(z.shape[0], max_iters)
+    mu, f, gap, iters, _, status = fw_away_qp(z, tol, budget)
     if status != FW_CONVERGED:
-        raise NonConvergence(iters, gap)
+        found = _active_set(z, tol)
+        if found is not None:
+            return found
+        if budget < max_iters:
+            mu, f, gap, iters, _, status = fw_away_qp(z, tol, max_iters)
+        if status != FW_CONVERGED:
+            raise NonConvergence(iters, gap)
+    return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
+
+
+def _result(mu, value, gap, iterations, method) -> DiversityResult:
     support = tuple(int(i) for i in np.flatnonzero(mu > 0))
-    return DiversityResult(1.0 / f, SimplexDistribution(mu, support),
-                           gap, iters)
+    return DiversityResult(float(value), SimplexDistribution(mu, support),
+                           float(gap), int(iterations), method)
+
+
+def _solve_ones(chol: np.ndarray) -> np.ndarray:
+    """y with L L' y = 1 by forward and back substitution on the Cholesky
+    factor L; numpy has no triangular solve, and a general one would
+    refactor."""
+    n = chol.shape[0]
+    upper = np.ascontiguousarray(chol.T)
+    u = np.empty(n)
+    for i in range(n):
+        u[i] = (1.0 - chol[i, :i] @ u[:i]) / chol[i, i]
+    y = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        y[i] = (u[i] - upper[i, i + 1:] @ y[i + 1:]) / upper[i, i]
+    return y
+
+
+def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
+    """Lawson-Hanson active set on min (1/2) y'Zy - 1'y, y >= 0.
+
+    None when Cholesky rejects Z (or a principal block of it), when no
+    index violates optimality yet the gap exceeds tol, when an added index
+    stalls, or when the pass bound runs out; the caller then falls back to
+    Frank-Wolfe.
+    """
+    n = z.shape[0]
+    try:
+        chol = np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        return None
+    idx = np.arange(n)
+    ys = _solve_ones(chol)      # the weighting, on the full support
+    y = None                    # feasible iterate once a solve is positive
+    for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
+        if ys.min() > 0:
+            y = np.zeros(n)
+            y[idx] = ys
+            mu = y / y.sum()
+            gap = kkt_gap(z, mu)
+            if gap <= tol:
+                return _result(mu, 1.0 / (mu @ z @ mu), gap, passes,
+                               "active_set")
+            w = 1.0 - z @ y     # negative gradient; positive = violated
+            w[idx] = -np.inf
+            j = int(np.argmax(w))
+            if w[j] <= 0:
+                return None
+            idx = np.sort(np.append(idx, j))
+        elif y is None:
+            idx = idx[ys > 0]   # seeding: drop nonpositive weights
+        else:
+            # move from y toward ys until the first coordinate hits zero
+            cur = y[idx]
+            neg = ys <= 0
+            if not (cur[neg] > 0).all():
+                return None     # the index just added would leave at once
+            ratios = cur[neg] / (cur[neg] - ys[neg])
+            k = int(np.argmin(ratios))
+            y[idx] = cur + ratios[k] * (ys - cur)
+            y[idx[neg][k]] = 0.0
+            idx = idx[y[idx] > 0]
+        try:
+            ys = _solve_ones(np.linalg.cholesky(z[np.ix_(idx, idx)]))
+        except np.linalg.LinAlgError:
+            return None
+    return None
 
 
 def max_diversity_exact(space: FiniteMetricSpace, t: float = 1.0,
@@ -146,7 +241,7 @@ def max_diversity_exact(space: FiniteMetricSpace, t: float = 1.0,
         raise DiversityError("no feasible stationary support found")
     total, mu, sub = best
     return DiversityResult(total, SimplexDistribution(mu, sub),
-                           kkt_gap(z, mu), checked)
+                           kkt_gap(z, mu), checked, "support_enumeration")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .spaces import finite_result
+
 
 class EuclidError(ValueError):
     pass
@@ -55,6 +57,7 @@ def ball_magnitude_exact(n: int, radius) -> Fraction:
     raise UnsupportedDimension(f"ball forms implemented for n in (1, 3, 5), got {n}")
 
 
+@finite_result
 def ball_magnitude(n: int, radius: float) -> float:
     """Float version of ball_magnitude_exact."""
     r = float(radius)
@@ -79,6 +82,7 @@ def _sphere_poly(n: int, radius: float) -> float:
     return out
 
 
+@finite_result
 def sphere_magnitude(n: int, radius: float) -> float:
     """Magnitude of the even-dimensional geodesic sphere S^n, radius R:
 
@@ -94,6 +98,7 @@ def sphere_magnitude(n: int, radius: float) -> float:
     return 2.0 / (1.0 + math.exp(-math.pi * r)) * _sphere_poly(n, r)
 
 
+@finite_result
 def sphere_polynomial_part(n: int, radius: float) -> float:
     """The polynomial the sphere magnitude approaches from below:
     2 * prod over odd j < n of (1 + (R/j)^2)."""
@@ -104,6 +109,7 @@ def sphere_polynomial_part(n: int, radius: float) -> float:
     return 2.0 * _sphere_poly(n, float(radius))
 
 
+@finite_result
 def sphere_residual(n: int, radius: float) -> float:
     """sphere_magnitude - sphere_polynomial_part, computed analytically:
 
@@ -120,7 +126,12 @@ def sphere_residual(n: int, radius: float) -> float:
     if r < 0:
         raise EuclidError("radius must be >= 0")
     x = math.exp(-math.pi * r)
-    return -2.0 * x / (1.0 + x) * _sphere_poly(n, r)
+    if x > 0.0:
+        return -2.0 * x / (1.0 + x) * _sphere_poly(n, r)
+    # e^(-pi R) underflows: form the product in logs, where the polynomial
+    # cannot overflow
+    log_poly = sum(2.0 * math.log(math.hypot(1.0, r / j)) for j in range(1, n, 2))
+    return -2.0 * math.exp(log_poly - math.pi * r)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +145,7 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+@finite_result
 def ball_volume(n: int, radius: float) -> float:
     return unit_ball_volume(n) * float(radius) ** n
 
@@ -152,6 +164,7 @@ def magnitude_leading_coefficient(n: int, p: int = 2) -> float:
     raise EuclidError(f"p must be 1 or 2, got {p}")
 
 
+@finite_result
 def asymptotic_magnitude(n: int, volume: float, t: float, p: int = 2) -> float:
     return magnitude_leading_coefficient(n, p) * float(volume) * float(t) ** n
 
@@ -160,6 +173,7 @@ def asymptotic_magnitude(n: int, volume: float, t: float, p: int = 2) -> float:
 # the intrinsic-volume guess
 
 
+@finite_result
 def ball_intrinsic_volume(n: int, i: int, radius: float) -> float:
     """V_i(B^n_R) = binom(n, i) * omega_n / omega_(n-i) * R^i."""
     if not 0 <= i <= n:
@@ -171,6 +185,7 @@ def ball_intrinsic_volume(n: int, i: int, radius: float) -> float:
     )
 
 
+@finite_result
 def conjectured_ball_magnitude(n: int, radius: float) -> float:
     """sum_i V_i(B^n_R) / (i! omega_i): exact in dimensions 1 and 3,
     provably wrong in dimension 5."""
@@ -181,6 +196,7 @@ def conjectured_ball_magnitude(n: int, radius: float) -> float:
     )
 
 
+@finite_result
 def conjecture_compare(n: int, radius: float) -> tuple[float, float, float]:
     """(exact, conjectured, conjectured - exact) for the n-ball of the
     given radius. The difference vanishes for n in {1, 3} and is visibly

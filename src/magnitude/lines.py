@@ -25,7 +25,11 @@ import math
 
 import numpy as np
 
-from .spaces import NonpositiveScale
+from .spaces import NonpositiveScale, finite_result
+
+# above this t L / 2 the Cantor series would form 3^i beyond the double
+# range; tanh(h / 3) is exactly 1.0 for every h the reduction skips
+CANTOR_SERIES_LIMIT = 1e50
 
 
 class LineError(ValueError):
@@ -65,10 +69,17 @@ def _sorted_points(points) -> np.ndarray:
     x = np.sort(np.asarray(list(points), dtype=float))
     if x.size == 0:
         raise LineError("need at least one point")
-    eq = np.flatnonzero(np.diff(x) == 0)
+    eq = np.flatnonzero(_gaps(x) == 0)
     if eq.size:
         raise DuplicatePoints(float(x[eq[0]]))
     return x
+
+
+def _gaps(x: np.ndarray) -> np.ndarray:
+    """Consecutive gaps of sorted points; one beyond the double range is
+    inf, where tanh(t gap / 2) is exactly 1."""
+    with np.errstate(over="ignore"):
+        return np.diff(x)
 
 
 def _half_tanh(t: float, gaps) -> np.ndarray:
@@ -88,7 +99,7 @@ def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n == 1:
         return x, np.ones(1)
-    half = _half_tanh(t, np.diff(x))  # one term per gap
+    half = _half_tanh(t, _gaps(x))  # one term per gap
     w = np.empty(n)
     w[0] = (1.0 + half[0]) / 2.0
     w[-1] = (1.0 + half[-1]) / 2.0
@@ -101,9 +112,10 @@ def line_magnitude(points, t: float) -> float:
     """1 + sum of tanh(t gap / 2) over consecutive gaps."""
     t = _check_scale(t)
     x = _sorted_points(points)
-    return 1.0 + float(_half_tanh(t, np.diff(x)).sum())
+    return 1.0 + float(_half_tanh(t, _gaps(x)).sum())
 
 
+@finite_result
 def interval_magnitude(a: float, b: float, t: float) -> float:
     t = _check_scale(t)
     a, b = float(a), float(b)
@@ -112,6 +124,7 @@ def interval_magnitude(a: float, b: float, t: float) -> float:
     return 1.0 + t * (b - a) / 2.0
 
 
+@finite_result
 def interval_weight_measure(a: float, b: float, t: float) -> dict:
     """Weight measure of [a, b]: endpoint atoms and interior density."""
     t = _check_scale(t)
@@ -140,6 +153,7 @@ def _checked_components(components) -> list[tuple[float, float]]:
     return comp
 
 
+@finite_result
 def compact_magnitude(components, t: float) -> float:
     """Magnitude of a finite union of disjoint closed intervals.
 
@@ -154,6 +168,7 @@ def compact_magnitude(components, t: float) -> float:
     return 1.0 + t * vol / 2.0 + float(_half_tanh(t, gaps).sum())
 
 
+@finite_result
 def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> float:
     """Magnitude of A union B when B sits a distance `gap` right of A.
 
@@ -167,6 +182,7 @@ def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> flo
     return float(mag_a) + float(mag_b) - 1.0 + math.tanh(t * gap / 2.0)
 
 
+@finite_result
 def cantor_magnitude(t: float, length: float = 1.0, tol: float = 1e-14,
                      max_terms: int = 100_000) -> float:
     """Magnitude of the middle-thirds set on [0, length] at scale t.
@@ -175,16 +191,25 @@ def cantor_magnitude(t: float, length: float = 1.0, tol: float = 1e-14,
     tail bound (t L / 2) (2/3)^k drops below tol. tanh is bounded by its
     argument, so the tail after k terms is at most
     sum_{i>k} 2^(i-1) t L / (2 3^i) = (t L / 2)(2/3)^k.
+
+    Above t L / 2 = CANTOR_SERIES_LIMIT the self-similarity
+    C(h) = 2 C(h / 3) - 1 + tanh(h / 3), whose tanh is then exactly 1.0,
+    gives C(h) = 2^k C(h / 3^k) with h / 3^k below the limit, so no power
+    leaves the double range unless the value itself does.
     """
     t = _check_scale(t)
-    if not length > 0:
-        raise LineError("length must be positive")
+    if not 0 < length < math.inf:
+        raise LineError("length must be positive and finite")
+    doublings = 0
+    while t * length / 2.0 > CANTOR_SERIES_LIMIT:
+        t /= 3.0
+        doublings += 1
     total = 1.0
     half_tl = t * length / 2.0
     for i in range(1, max_terms + 1):
         total += 2.0 ** (i - 1) * math.tanh(half_tl / 3.0**i)
         if half_tl * (2.0 / 3.0) ** i < tol:
-            return total
+            return math.ldexp(total, doublings)
     raise LineError("series did not meet tolerance within max_terms")
 
 

@@ -36,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, finite_result
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 IE_CELL_LIMIT = 20
@@ -277,6 +277,7 @@ class FaceMeasure:
             Fraction(0),
         )
 
+    @finite_result
     def magnitude_at(self, t: float) -> float:
         lam = float(self.scale)
         return float(sum(
@@ -531,6 +532,7 @@ class SteinerPolynomial:
             Fraction(0),
         )
 
+    @finite_result
     def magnitude_at(self, t: float) -> float:
         return float(sum(
             float(v) * (float(t) / 2.0) ** i
@@ -724,8 +726,14 @@ def build_body(spec: ConvexBodySpec) -> ConvexBody:
     n = spec.dim
     if n not in (1, 2, 3):
         raise PixelError(f"dim must be 1, 2 or 3, got {n!r}")
+    try:
+        if spec.kind == "box":
+            ls = tuple(Fraction(x) for x in spec.lengths)
+        else:
+            vertices = tuple(tuple(Fraction(x) for x in v) for v in spec.vertices)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PixelError(f"cannot read body coordinates: {exc}") from None
     if spec.kind == "box":
-        ls = tuple(Fraction(x) for x in spec.lengths)
         if len(ls) != n or any(l <= 0 for l in ls):
             raise DegenerateBody(f"box needs {n} positive lengths")
         vertices = tuple(
@@ -733,7 +741,6 @@ def build_body(spec: ConvexBodySpec) -> ConvexBody:
             for bits in _iterproduct((0, 1), repeat=n)
         )
     elif spec.kind in ("simplex_vertices", "polytope_vertices"):
-        vertices = tuple(tuple(Fraction(x) for x in v) for v in spec.vertices)
         if any(len(v) != n for v in vertices):
             raise PixelError("vertex arity does not match dim")
         if spec.kind == "simplex_vertices" and len(vertices) != n + 1:

@@ -10,13 +10,20 @@ Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
-reproduces the same matrix bit for bit on any platform.
+reproduces the same matrix bit for bit on any platform. Generated matrices
+skip validate_metric, so the generators reject non-finite distances
+themselves.
+
+The module also holds the errors the closed-form modules share:
+NonpositiveScale, and ResultOverflow with its finite_result guard.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
@@ -78,6 +85,31 @@ class TriangleViolation(MetricError):
 
 class NonpositiveScale(ValueError):
     pass
+
+
+class ResultOverflow(OverflowError):
+    """A float result, or the arithmetic that forms it, leaves the double
+    range: the inputs are too large for the closed form."""
+
+
+def finite_result(fn):
+    """Raise ResultOverflow when fn overflows float arithmetic or returns a
+    non-finite float (alone, or as a tuple item or dict value)."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:  # float ** and math functions raise it
+            out = math.inf
+        items = out.values() if isinstance(out, dict) else \
+            out if isinstance(out, tuple) else (out,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ResultOverflow(
+                f"{fn.__qualname__} overflows the double range") from None
+        return out
+
+    return checked
 
 
 class BadSpec(ValueError):
@@ -235,13 +267,29 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
 # generators
 
 
+def _distances(pts: np.ndarray, p: int) -> np.ndarray:
+    """lp distances between the rows of pts (p in 1, 2). A coordinate or
+    distance outside the double range raises BadSpec: every generator
+    builds its matrix here and skips validate_metric, so this is where
+    non-finite entries are caught."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        if p == 1:
+            d = np.abs(diff).sum(axis=2)
+        else:
+            d = np.sqrt((diff * diff).sum(axis=2))
+    if not np.isfinite(d).all():
+        raise BadSpec("coordinates give distances outside the double range")
+    return d
+
+
 def points_on_line(coordinates) -> FiniteMetricSpace:
     x = np.asarray(list(coordinates), dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise BadSpec("points_1d needs a nonempty 1-d coordinate list")
     if len(np.unique(x)) != len(x):
         raise BadSpec("points_1d coordinates must be distinct")
-    d = np.abs(x[:, None] - x[None, :])
+    d = _distances(x[:, None], 1)
     return FiniteMetricSpace(d, labels=tuple(float(v) for v in x))
 
 
@@ -280,12 +328,9 @@ def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
     if not spacing > 0:
         raise BadSpec("spacing must be positive")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
-    pts *= spacing
-    diff = pts[:, None, :] - pts[None, :, :]
-    if p == 1:
-        d = np.abs(diff).sum(axis=2)
-    else:
-        d = np.sqrt((diff * diff).sum(axis=2))
+    with np.errstate(over="ignore"):
+        pts *= spacing
+    d = _distances(pts, p)
     return FiniteMetricSpace(d, labels=tuple(map(tuple, pts)))
 
 
@@ -337,10 +382,13 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     """
     if n < 1 or count < 1:
         raise BadSpec("need n >= 1 and count >= 1")
-    if not radius > 0:
-        raise BadSpec("radius must be positive")
     if p not in (1, 2):
         raise BadSpec("p must be 1 or 2")
+    # the largest sum the norms and distances form must stay finite, or
+    # rejection would refuse every candidate forever
+    span = 2.0 * radius * n if p == 1 else 4.0 * radius * radius * n
+    if not (radius > 0 and math.isfinite(span)):
+        raise BadSpec("radius must be positive and give finite distances")
     if seed is None:
         raise BadSpec("ball_sample requires a seed")
     gen = np.random.Generator(np.random.Philox(int(seed)))
@@ -356,11 +404,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         chunks.append(keep)
         have += len(keep)
     pts = np.concatenate(chunks)[:count]
-    diff = pts[:, None, :] - pts[None, :, :]
-    if p == 1:
-        d = np.abs(diff).sum(axis=2)
-    else:
-        d = np.sqrt((diff * diff).sum(axis=2))
+    d = _distances(pts, p)
     # rejection can in principle repeat a point; the chance is 0 for
     # continuous draws, but validate separation anyway
     off = d.copy()
@@ -392,6 +436,10 @@ def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
             return validate_metric(p["matrix"])
     except KeyError as exc:
         raise BadSpec(f"{kind} spec missing parameter {exc}") from None
+    except (BadSpec, MetricError):
+        raise
+    except (TypeError, ValueError) as exc:  # parameters of the wrong type
+        raise BadSpec(f"{kind} spec has a malformed parameter: {exc}") from None
     raise BadSpec(f"unknown kind {kind!r}; expected one of {SpaceSpec.KINDS}")
 
 
@@ -407,8 +455,10 @@ def named_graph_edges(name: str) -> list[tuple[int, int]]:
     """
     s = name.strip().lower()
     if s.startswith("k") and "," in s:
-        a, b = s[1:].split(",")
-        a, b = int(a), int(b)
+        try:
+            a, b = (int(v) for v in s[1:].split(","))
+        except ValueError:
+            raise BadSpec(f"unknown graph name {name!r}") from None
         return [(i, a + j) for i in range(a) for j in range(b)]
     if s.startswith("k") and len(s) == 3 and s[1:].isdigit() and "0" not in s[1:]:
         # two nonzero digits: complete bipartite shorthand, k32 = K_{3,2}

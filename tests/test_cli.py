@@ -164,6 +164,94 @@ def test_non_finite_number_list_exits_two(capsys, argv):
     assert json.loads(err)["error"] == "BadSpec"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mag", "--points-1d", "0,1e308,-1e308"),
+    ("mag", "--grid", "3", "--spacing", "1e308"),
+    ("mag", "--ball", "2,1e200,5", "--seed", "1"),
+    ("diversity", "--spec",
+     '{"kind": "points_1d", "params": {"coordinates": [0, Infinity]}}'),
+])
+def test_non_finite_generated_distance_exits_two(argv):
+    code, out, err, caught = _call(list(argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadSpec"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--ball", "3,1e200"),
+    ("oracle", "--sphere", "4,1e200"),
+    ("oracle", "--interval", "0,4", "--t", "1e308"),
+    ("pixel", "--ascii", "##", "--t", "1e308"),
+    ("pixel", "--body-box", "1,1", "--t", "1e308"),
+])
+def test_overflowing_result_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ResultOverflow"
+
+
+def test_cantor_oracle_at_huge_scale_is_representable(capsys):
+    code, rep, err = run_json(capsys, "oracle", "--cantor", "--t", "1e200")
+    assert code == 0 and err == ""
+    assert rep["results"]["magnitude"] == pytest.approx(1.8496296876131087e126,
+                                                        rel=1e-13)
+
+
+def test_residual_that_underflows_is_zero(capsys):
+    code, rep, _ = run_json(capsys, "oracle", "--residual", "4,1e150")
+    assert code == 0
+    assert rep["results"]["residual"] == 0.0
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("mag", "--grid", "3xa"), "BadSpec"),
+    (("mag", "--graph", "k3,x"), "BadSpec"),
+    (("mag", "--spec", '{"kind": "lp_grid", "params": {"shape": "ab"}}'), "BadSpec"),
+    (("pixel", "--body-box", "1,x"), "PixelError"),
+    (("pixel", "--body-simplex", "0,0;1,0;0,1/0"), "PixelError"),
+])
+def test_malformed_values_are_typed_input_errors(capsys, argv, error):
+    # bare ValueError no longer maps to exit 2, so each parser raises its
+    # own type
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--spec"])
+def test_undecodable_file_is_bad_input(capsys, tmp_path, flag):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "mag", flag, str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "BadSpec"
+
+
+def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli.engine, "solve_weighting", broken)
+    code, _, err = run(capsys, "mag", "--points-1d", "0,1")
+    assert code == 4
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, method", [
+    (("diversity", "--graph", "k32", "--t", "0.1"), "frank_wolfe"),
+    (("diversity", "--ball", "3,1,300", "--seed", "3", "--t", "4"), "active_set"),
+    (("diversity", "--graph", "k32", "--t", "1", "--exact"), "support_enumeration"),
+])
+def test_diversity_reports_its_method(capsys, argv, method):
+    _, rep1, _ = run_json(capsys, *argv)
+    _, rep2, _ = run_json(capsys, *argv)
+    assert rep1["results"]["method"] == method
+    assert _strip_timing(rep1) == _strip_timing(rep2)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_magfn_needs_a_step(capsys, fmt):
     code, out, err = run(capsys, "magfn", "--points-1d", "0,1", "--tmin", "1",

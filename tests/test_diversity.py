@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnitude.diversity import (
     EXACT_COVERING_LIMIT,
@@ -23,6 +25,7 @@ from magnitude.spaces import (
     ball_sample,
     cantor_endpoints,
     graph_metric,
+    lp_grid,
     named_graph_edges,
     points_on_line,
 )
@@ -111,11 +114,72 @@ def test_kkt_gap_zero_at_optimum_positive_elsewhere():
 
 
 def test_nonconvergence_carries_iterations_and_gap():
-    sp = ball_sample(3, 1.0, 30, seed=55)
+    # Z of K_{3,2} is not positive definite at t = 0.1, so only
+    # Frank-Wolfe runs; a positive definite Z would go to the active set
+    assert not is_positive_definite(K32, 0.1)
     with pytest.raises(NonConvergence) as err:
-        max_diversity(sp, 1.0, tol=1e-15, max_iters=3)
+        max_diversity(K32, 0.1, tol=1e-15, max_iters=3)
     assert err.value.iterations == 3
     assert err.value.gap > 0
+
+
+def test_non_positive_definite_k32_stays_on_frank_wolfe():
+    for t in (0.05, 0.1, 0.2, 0.3):
+        assert not is_positive_definite(K32, t)
+        res = max_diversity(K32, t)
+        assert res.method == "frank_wolfe"
+        assert res.kkt_gap <= 1e-9
+
+
+def test_active_set_certifies_positive_definite_ball():
+    # 300 Frank-Wolfe iterations miss tol here; the active set does not
+    sp = ball_sample(3, 1.0, 300, seed=3)
+    assert is_positive_definite(sp, 4.0)
+    res = max_diversity(sp, 4.0)
+    assert res.method == "active_set"
+    assert res.kkt_gap <= 1e-12
+    assert 1 <= res.iterations <= 3 * sp.n_points
+    w = res.optimizer.weights
+    assert w.min() >= 0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.optimizer.support == tuple(np.flatnonzero(w > 0))
+    assert res.value <= magnitude(sp, 4.0) + 1e-8
+
+
+def test_result_names_its_method():
+    assert max_diversity_exact(C5, 1.0).method == "support_enumeration"
+    assert max_diversity(C5, 1.0).method == "frank_wolfe"  # uniform optimum
+
+
+def _oracle_cases():
+    """(name, space, t) with n <= 12: seeded ball samples and named graphs,
+    K_{3,2} among them on both sides of its pole at t = log 2 / 2."""
+    balls = st.builds(
+        lambda dim, count, seed: ("ball", ball_sample(dim, 1.0, count, seed=seed)),
+        st.integers(1, 3), st.integers(1, 12), st.integers(0, 10_000))
+    graphs = st.sampled_from(["k32", "c5", "c6", "k4", "p4", "k3,3"]).map(
+        lambda name: (name, graph_metric(named_graph_edges(name))))
+    return st.tuples(balls | graphs, st.floats(0.05, 6.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_oracle_cases())
+def test_solver_matches_enumeration_oracle_property(case):
+    (name, sp), t = case
+    value = max_diversity(sp, t).value
+    exact = max_diversity_exact(sp, t).value
+    assert value <= exact + 1e-7
+    # on a Z that is not positive semidefinite the gap certifies only a
+    # stationary point: Frank-Wolfe finds the optimum of K_{3,2}, not of
+    # K_{3,3} below its pole
+    if name == "k32" or is_positive_definite(sp, t):
+        assert value == pytest.approx(exact, abs=1e-7)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.34])
+def test_solver_matches_oracle_on_non_positive_definite_k32(t):
+    assert not is_positive_definite(K32, t)
+    assert max_diversity(K32, t).value == pytest.approx(
+        max_diversity_exact(K32, t).value, abs=1e-7)
 
 
 def test_exact_solver_size_limit():
@@ -185,6 +249,22 @@ def test_diversity_growth_slope_on_small_line():
     est = dimension_estimate(line, 4.0, 40.0, samples=8)
     assert 0.75 <= est.slope <= 1.1
     assert est.fit_residual < 0.2
+
+
+def test_criterion_12_rungs():
+    # the scales of acceptance criterion 12, counted rung by rung: the
+    # Cantor endpoints need the active set at every scale, the interval
+    # grid certifies within its first n Frank-Wolfe iterations
+    cant = cantor_endpoints(10)
+    for t in np.geomspace(10.0, 1000.0, 12):
+        res = max_diversity(cant, float(t), 1e-6, 300_000)
+        assert (res.method, res.iterations) == ("active_set", 1)
+        assert res.kkt_gap <= 1e-12
+    grid = lp_grid([2001], spacing=1.0 / 2000)
+    for t in np.geomspace(50.0, 1000.0, 12):
+        res = max_diversity(grid, float(t), 1e-6, 300_000)
+        assert res.method == "frank_wolfe"
+        assert res.iterations <= grid.n_points and res.kkt_gap <= 1e-6
 
 
 def test_window_and_method_validation():

@@ -23,6 +23,8 @@ from magnitude.euclid import (
     unit_ball_volume,
 )
 
+from magnitude.spaces import ResultOverflow
+
 F = Fraction
 
 
@@ -206,3 +208,26 @@ def test_conjecture_compare_triple():
         for r in (0.1, 1.0, 7.5):
             exact, conj, diff = conjecture_compare(n, r)
             assert abs(diff) <= 1e-10 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (ball_magnitude, (3, 1e200)),
+    (ball_magnitude, (5, 1e70)),
+    (sphere_magnitude, (4, 1e200)),
+    (sphere_polynomial_part, (4, 1e200)),
+    (conjecture_compare, (5, 1e100)),
+    (ball_volume, (3, 1e200)),
+    (asymptotic_magnitude, (3, 1.0, 1e200)),
+])
+def test_overflowing_values_raise_result_overflow(fn, args):
+    with pytest.raises(ResultOverflow):
+        fn(*args)
+
+
+def test_sphere_residual_underflows_to_zero_not_nan():
+    # e^(-pi R) underflows first; the polynomial is formed in logs
+    assert sphere_residual(4, 1e150) == 0.0
+    assert sphere_residual(4, 1e300) == 0.0
+    tiny = sphere_residual(2, 240.0)  # subnormal, still negative
+    assert tiny < 0 and math.isfinite(tiny)
+    assert sphere_residual(2, 230.0) < 0

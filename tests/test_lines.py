@@ -21,7 +21,13 @@ from magnitude.lines import (
     line_magnitude,
     line_weighting,
 )
-from magnitude.spaces import NonpositiveScale, cantor_gaps, cantor_intervals, points_on_line
+from magnitude.spaces import (
+    NonpositiveScale,
+    ResultOverflow,
+    cantor_gaps,
+    cantor_intervals,
+    points_on_line,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +187,45 @@ def test_cantor_input_errors():
         cantor_magnitude(0.0, 1.0)
     with pytest.raises(LineError):
         cantor_magnitude(1.0, 1.0, tol=0.0, max_terms=10)
+
+
+def _cantor_reference(t, length=1.0):
+    # 60-digit partial sum; 1500 terms leave a tail far below 1e-16 relative
+    import mpmath
+
+    with mpmath.workdps(60):
+        h = mpmath.mpf(t) * mpmath.mpf(length) / 2
+        return float(1 + mpmath.fsum(2 ** (i - 1) * mpmath.tanh(h / mpmath.mpf(3) ** i)
+                                     for i in range(1, 1500)))
+
+
+@pytest.mark.parametrize("t, length", [
+    (1e49, 1.0), (3e50, 1.0), (1e200, 1.0), (1e308, 1.0), (1e300, 1e8),
+])
+def test_cantor_series_beyond_the_power_range(t, length):
+    # 3^i and 2^(i-1) would overflow before the tail bound met tol; the
+    # self-similarity keeps the value (~1e126 at t = 1e200) representable
+    value = cantor_magnitude(t, length)
+    assert math.isfinite(value)
+    assert value == pytest.approx(_cantor_reference(t, length), rel=1e-13)
+
+
+def test_overflowing_closed_forms_raise_result_overflow():
+    with pytest.raises(ResultOverflow):
+        cantor_magnitude(1e308, 1e308)  # the value itself is ~1e378
+    with pytest.raises(ResultOverflow):
+        interval_magnitude(0.0, 4.0, 1e308)
+    with pytest.raises(ResultOverflow):
+        interval_weight_measure(0.0, 4.0, 1e308)
+    with pytest.raises(ResultOverflow):
+        compact_magnitude([(0.0, 1e308), (1.5e308, 1.7e308)], 1e300)
+    with pytest.raises(LineError):
+        cantor_magnitude(1.0, math.inf)
+
+
+def test_gaps_beyond_the_double_range_are_exact():
+    # the gap overflows to inf, where tanh(t g / 2) is exactly 1
+    with np.errstate(all="raise"):
+        assert line_magnitude([-1e308, 1e308], 1.0) == 2.0
+        _, w = line_weighting([-1e308, 1e308], 1.0)
+    assert list(w) == [1.0, 1.0]

@@ -290,6 +290,24 @@ def test_ball_sample_reproducible_and_inside():
         assert abs(pt[0]) + abs(pt[1]) <= 2.0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: points_on_line([0.0, 1e308, -1e308]),
+    lambda: points_on_line([0.0, math.nan]),
+    lambda: points_on_line([0.0, math.inf]),
+    lambda: lp_grid([3], spacing=1e308),
+    lambda: lp_grid([2, 2], spacing=1e200),  # finite coordinates, squares overflow
+    lambda: cantor_endpoints(2, math.inf),
+    lambda: ball_sample(2, 1e308, 5, seed=1),
+    lambda: ball_sample(2, 1e200, 5, seed=1),
+    lambda: ball_sample(2, math.nan, 5, seed=1),
+])
+def test_generators_reject_non_finite_distances(build):
+    # generated spaces skip validate_metric, so the generators check
+    with np.errstate(all="raise"):
+        with pytest.raises(BadSpec):
+            build()
+
+
 def test_ball_sample_input_checks():
     with pytest.raises(BadSpec):
         ball_sample(0, 1.0, 5, seed=1)
@@ -332,6 +350,15 @@ def test_generate_space_bad_inputs():
         generate_space(SpaceSpec("no_such_kind", {}))
     with pytest.raises(BadSpec):
         generate_space(SpaceSpec("points_1d", {}))  # missing parameter
+    for kind, params in [("lp_grid", {"shape": "ab"}),
+                         ("lp_grid", {"shape": [3], "spacing": "x"}),
+                         ("cantor_endpoints", {"depth": "a"}),
+                         ("graph_shortest_path", {"edges": [[0, "a"]]}),
+                         ("lp_grid", [1])]:
+        with pytest.raises(BadSpec):
+            generate_space(SpaceSpec(kind, params))
+    with pytest.raises(BadSpec):
+        named_graph_edges("k3,x")
     with pytest.raises(BadSpec):
         SpaceSpec.from_json("not json at all {")
     with pytest.raises(BadSpec):
