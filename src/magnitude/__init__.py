@@ -6,8 +6,6 @@ exact closed forms for subsets of the real line (lines), exact rational
 machinery for unions of grid cells and convex bodies in the taxicab plane
 (pixels), a maximum-diversity optimizer with growth-based dimension
 estimates (diversity), and Euclidean ball and sphere formulas (euclid).
-Hot kernels run through numba when available; set MAGNITUDE_BACKEND=numpy
-to force the pure-numpy fallback (see _backend).
 """
 
 __version__ = "0.1.0"

@@ -1,30 +1,13 @@
-"""Numerical kernels with a numba fast path and a pure-numpy fallback.
+"""The Frank-Wolfe kernel of the maximum-diversity solver, in numpy.
 
-Two kernels live here because they dominate wall time in practice:
-
-* ``fw_away_qp``: Frank-Wolfe with away steps minimizing x'Zx over the
-  probability simplex (the maximum-diversity solver core).
-* ``first_triangle_violation``: early-exit scan of all triples of a raw
-  distance matrix (metric validation of external input).
-
-Backend selection is read once at import from the environment variable
-``MAGNITUDE_BACKEND``:
-
-* unset or ``auto``: numba if importable, else numpy
-* ``numba``: require numba, raise if missing
-* ``numpy``: force the pure-numpy implementations
-
-Both implementations follow the same update equations; they may differ in
-the last few ulps because of vectorized summation order.
+``fw_away_qp``: Frank-Wolfe with away steps minimizing x'Zx over the
+probability simplex. The triangle scan of metric validation lives with
+the other metric checks in spaces.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_VAR = "MAGNITUDE_BACKEND"
 
 # status codes returned by the FW kernel
 FW_CONVERGED = 0
@@ -32,7 +15,7 @@ FW_MAX_ITERS = 1
 
 
 def _fw_away_qp_py(Z, tol, max_iters):
-    # Reference implementation. Vectorized numpy; one O(N) pass per iteration.
+    # one O(N) pass per iteration
     n = Z.shape[0]
     mu = np.full(n, 1.0 / n)
     q = Z @ mu                     # running Z @ mu
@@ -94,139 +77,9 @@ def _fw_away_qp_py(Z, tol, max_iters):
     return mu, f, gap, it, nonconvex, FW_MAX_ITERS
 
 
-def _first_triangle_violation_py(D, tol):
-    # Vectorized per intermediate point k; returns the first violating triple
-    # in (k, then i, then j) scan order, or (-1, -1, -1).
-    n = D.shape[0]
-    for k in range(n):
-        slack = D - (D[:, k, None] + D[None, k, :])
-        np.fill_diagonal(slack, -np.inf)
-        slack[:, k] = -np.inf
-        slack[k, :] = -np.inf
-        bad = np.argwhere(slack > tol)
-        if len(bad):
-            i, j = bad[0]
-            return int(i), int(j), int(k)
-    return -1, -1, -1
-
-
-def _fw_away_qp_loops(Z, tol, max_iters):
-    n = Z.shape[0]
-    mu = np.full(n, 1.0 / n)
-    q = Z @ mu
-    f = 0.0
-    for i in range(n):
-        f += mu[i] * q[i]
-    nonconvex = False
-    gap = 0.0
-    it = 0
-    while it < max_iters:
-        s = 0
-        gs = q[0]
-        a = -1
-        ga = -np.inf
-        gmu = 0.0
-        for i in range(n):
-            qi = q[i]
-            if qi < gs:
-                gs = qi
-                s = i
-            if mu[i] > 0.0:
-                gmu += mu[i] * qi
-                if qi > ga:
-                    ga = qi
-                    a = i
-        gap = 2.0 * (gmu - gs)
-        if gap <= tol:
-            return mu, f, gap, it, nonconvex, FW_CONVERGED
-        if gap >= 2.0 * (ga - gmu):
-            d_zmu = q[s] - f
-            d_zd = Z[s, s] - 2.0 * q[s] + f
-            hmax = 1.0
-            if d_zd <= 0.0:
-                if d_zd < -1e-12:
-                    nonconvex = True
-                h = hmax
-            else:
-                h = min(hmax, -d_zmu / d_zd)
-                if h < 0.0:
-                    h = 0.0
-            f = f + 2.0 * h * d_zmu + h * h * d_zd
-            for i in range(n):
-                mu[i] *= 1.0 - h
-                q[i] = (1.0 - h) * q[i] + h * Z[i, s]
-            mu[s] += h
-        else:
-            alpha = mu[a]
-            drop = False
-            hmax = alpha / (1.0 - alpha) if alpha < 1.0 else 0.0
-            d_zmu = f - q[a]
-            d_zd = f - 2.0 * q[a] + Z[a, a]
-            if d_zd <= 0.0:
-                if d_zd < -1e-12:
-                    nonconvex = True
-                h = hmax
-                drop = True
-            else:
-                h = -d_zmu / d_zd
-                if h >= hmax:
-                    h = hmax
-                    drop = True
-                if h < 0.0:
-                    h = 0.0
-            f = f + 2.0 * h * d_zmu + h * h * d_zd
-            for i in range(n):
-                mu[i] *= 1.0 + h
-                q[i] = (1.0 + h) * q[i] - h * Z[i, a]
-            mu[a] -= h
-            if drop:
-                mu[a] = 0.0
-        it += 1
-    return mu, f, gap, it, nonconvex, FW_MAX_ITERS
-
-
-def _first_triangle_violation_loops(D, tol):
-    n = D.shape[0]
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            dik = D[i, k]
-            for j in range(n):
-                if j == k or j == i:
-                    continue
-                if D[i, j] - dik - D[k, j] > tol:
-                    return i, j, k
-    return -1, -1, -1
-
-
-def _resolve():
-    requested = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy", _fw_away_qp_py, _first_triangle_violation_py
-    try:
-        from numba import njit
-    except ImportError:
-        if requested == "numba":
-            raise RuntimeError(
-                f"{_ENV_VAR}=numba but numba is not importable"
-            ) from None
-        return "numpy", _fw_away_qp_py, _first_triangle_violation_py
-    fw = njit(cache=True)(_fw_away_qp_loops)
-    tri = njit(cache=True)(_first_triangle_violation_loops)
-    return "numba", fw, tri
-
-
-_NAME, _FW, _TRI = _resolve()
-
-
 def backend_name() -> str:
-    """Active backend, 'numba' or 'numpy'."""
-    return _NAME
+    """Kernel implementation that runs: always 'numpy'."""
+    return "numpy"
 
 
 def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
@@ -240,13 +93,4 @@ def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
     when a direction of negative curvature (d'Zd < -1e-12) is encountered.
     """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
-    return _FW(Z, float(tol), int(max_iters))
-
-
-def first_triangle_violation(D: np.ndarray, tol: float):
-    """First triple (i, j, k) with D[i,j] > D[i,k] + D[k,j] + tol, else (-1,-1,-1).
-
-    Scan order is k-major, so both backends return the same triple.
-    """
-    D = np.ascontiguousarray(D, dtype=np.float64)
-    return _TRI(D, float(tol))
+    return _fw_away_qp_py(Z, float(tol), int(max_iters))

@@ -12,7 +12,8 @@ csv prints the results alone as comma-separated rows. Exact rationals
 are rendered as strings like "15/4".
 
 Float flags and number lists accept finite values only: NaN and
-infinities are bad input. Results never hold NaN or Infinity, which are
+infinities are bad input. Count flags (--steps, --max-iters) must be at
+least 1. Results never hold NaN or Infinity, which are
 not JSON; a diagnostic with no finite value, such as the condition
 estimate of a singular matrix, is written as null.
 
@@ -73,6 +74,19 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return val
+
+
+# count flags (magfn --steps, diversity and dim --max-iters): each must
+# be >= 1; checked after parsing, so a bad count is a BadSpec like any
+# other bad input value
+_COUNT_FLAGS = ("steps", "max_iters")
+
+
+def _check_counts(args) -> None:
+    for name in _COUNT_FLAGS:
+        val = getattr(args, name, None)
+        if val is not None and val < 1:
+            raise BadSpec(f"need --{name.replace('_', '-')} >= 1, got {val}")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -247,8 +261,6 @@ def _cmd_magfn(args, command, t0) -> int:
     space, inputs = _space_inputs(args)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
-    if args.steps < 1:
-        raise BadSpec("need --steps >= 1")
     ts = (np.geomspace if args.log else np.linspace)(
         args.tmin, args.tmax, args.steps
     )
@@ -722,6 +734,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_counts(args)
         return _HANDLERS[args.cmd](args, argv, t0)
     except engine.UndefinedMagnitude as exc:
         print(json.dumps({"error": "UndefinedMagnitude", "detail": str(exc)}),

@@ -298,12 +298,16 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     subspace. The verdict uses a two-sided tolerance band on the top
     eigenvalue, relative to the spectral norm of d, with an Inconclusive
     middle ground.
+
+    For symmetric d, (P d P)_ij = d_ij - (r_i + r_j) + g with r the row
+    means and g their mean, formed in place in O(N^2) and exactly
+    symmetric.
     """
     d = space.distances
-    n = space.n_points
-    p = np.eye(n) - np.ones((n, n)) / n
-    centered = p @ d @ p
-    centered = (centered + centered.T) / 2.0
+    r = d.mean(axis=1)
+    centered = np.add(r[:, None], r[None, :])
+    np.subtract(d, centered, out=centered)
+    centered += r.mean()
     top = float(np.linalg.eigvalsh(centered)[-1])
     dnorm = float(np.abs(np.linalg.eigvalsh((d + d.T) / 2.0)).max())
     if top <= 1e-10 * dnorm or dnorm == 0.0:

@@ -34,6 +34,14 @@ class OddDimension(EuclidError):
     """An even dimension was required."""
 
 
+class CoefficientUnderflow(EuclidError):
+    """A coefficient too small for a double: it would round to zero."""
+
+
+# log of the smallest positive (subnormal) double
+_LOG_TINY = math.log(math.ulp(0.0))
+
+
 def ball_magnitude_exact(n: int, radius) -> Fraction:
     """Exact magnitude of the odd-dimensional ball B^n of radius R.
 
@@ -153,12 +161,35 @@ def ball_volume(n: int, radius: float) -> float:
 def magnitude_leading_coefficient(n: int, p: int = 2) -> float:
     """c with |tA| ~ c vol(A) t^n as t grows, for full-dimensional A.
 
-    p = 2: 1 / (n! omega_n). p = 1: 1 / 2^n.
+    p = 2: 1 / (n! omega_n) = Gamma(n/2 + 1) / (n! pi^(n/2)). Its log,
+    from math.lgamma, screens out the n whose coefficient rounds to zero
+    (n >= 237; it is subnormal from n = 227) before any factorial is
+    formed; those raise CoefficientUnderflow. The value itself is an
+    integer ratio, rounded once, over pi^floor(n/2), accurate to ~5e-15:
+    exp of the log would not be, since its lgamma terms near 1e3 carry
+    absolute errors of ~1e-13. p = 1: 1 / 2^n.
     """
     if n < 1:
         raise UnsupportedDimension(f"n must be >= 1, got {n}")
     if p == 2:
-        return 1.0 / (math.factorial(n) * unit_ball_volume(n))
+        try:
+            log_c = (math.lgamma(n / 2 + 1) - math.lgamma(n + 1)
+                     - n / 2 * math.log(math.pi))
+        except OverflowError:  # n beyond the double range
+            log_c = -math.inf
+        c = 0.0
+        if log_c > _LOG_TINY - 1.0:
+            m = n // 2
+            if n % 2 == 0:  # Gamma(m + 1) / (n! pi^m)
+                ratio = math.factorial(m) / math.factorial(n)
+            else:  # Gamma(m + 3/2) = (2m + 2)! sqrt(pi) / (4^(m+1) (m + 1)!)
+                ratio = math.factorial(n + 1) // math.factorial(m + 1) / (
+                    4 ** (m + 1) * math.factorial(n))
+            c = ratio / math.pi ** m
+        if c == 0.0:
+            raise CoefficientUnderflow(
+                f"the n = {n} coefficient rounds to zero in double precision")
+        return c
     if p == 1:
         return 0.5**n
     raise EuclidError(f"p must be 1 or 2, got {p}")

@@ -36,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, finite_result
+from .spaces import FiniteMetricSpace, _distances, finite_result
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 IE_CELL_LIMIT = 20
@@ -622,9 +622,7 @@ def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
             pts.add(tuple(Fraction(ci * k + gi, k) for ci, gi in zip(c, g)))
     lam = float(p.scale)
     arr = np.array(sorted(pts), dtype=float) * lam
-    diff = arr[:, None, :] - arr[None, :, :]
-    d = np.abs(diff).sum(axis=2)
-    return FiniteMetricSpace(d, labels=tuple(map(tuple, arr)))
+    return FiniteMetricSpace(_distances(arr, 1), labels=tuple(map(tuple, arr)))
 
 
 def pixel_magnitude(p: PixelSet, t: float = 1.0):

@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._backend import first_triangle_violation
-
 TRIANGLE_TOL_FACTOR = 1e-12
+# rows of the distance matrix formed at once by _distances
+_ROW_BLOCK = 64
 
 
 class MetricError(ValueError):
@@ -81,6 +81,10 @@ class TriangleViolation(MetricError):
         super().__init__(
             f"d[{i},{j}] > d[{i},{k}] + d[{k},{j}] by {excess:.3e}"
         )
+
+
+class BadTolerance(ValueError):
+    """A triangle tolerance factor that is negative or not finite."""
 
 
 class NonpositiveScale(ValueError):
@@ -203,14 +207,42 @@ class SpaceSpec:
         return cls(obj["kind"], obj.get("params", {}), obj.get("seed"))
 
 
+def first_triangle_violation(d: np.ndarray, tol: float):
+    """First triple (i, j, k) with d[i,j] - (d[i,k] + d[k,j]) > tol, else
+    (-1, -1, -1), in k-major, then i, then j order.
+
+    Needs a zero diagonal, nonnegative entries and tol >= 0, which
+    validate_metric checks first: then the slack is exactly 0 where i = k
+    or j = k and at most 0 where i = j, so no triple with a repeated index
+    is ever reported and none needs masking. Each k reuses one n x n float
+    and one n x n bool buffer; argwhere runs only for the k that violates.
+    """
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    n = d.shape[0]
+    slack = np.empty((n, n))
+    bad = np.empty((n, n), dtype=bool)
+    for k in range(n):
+        np.add(d[:, k, None], d[None, k, :], out=slack)
+        np.subtract(d, slack, out=slack)
+        np.greater(slack, tol, out=bad)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return int(i), int(j), k
+    return -1, -1, -1
+
+
 def validate_metric(raw, tol_factor: float = TRIANGLE_TOL_FACTOR,
                     labels: tuple | None = None) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
     Check order: shape/finiteness, diagonal, symmetry, nonnegativity,
     separation, triangle inequality. The triangle witness (i, j, k) means
-    d(i,j) > d(i,k) + d(k,j).
+    d(i,j) > d(i,k) + d(k,j). tol_factor, a multiple of the largest
+    entry, must be finite and >= 0 (BadTolerance otherwise).
     """
+    if not (math.isfinite(tol_factor) and tol_factor >= 0):
+        raise BadTolerance(
+            f"tol_factor must be finite and >= 0, got {tol_factor!r}")
     d = np.array(raw, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {d.shape}")
@@ -271,15 +303,26 @@ def _distances(pts: np.ndarray, p: int) -> np.ndarray:
     """lp distances between the rows of pts (p in 1, 2). A coordinate or
     distance outside the double range raises BadSpec: every generator
     builds its matrix here and skips validate_metric, so this is where
-    non-finite entries are caught."""
+    non-finite entries are caught.
+
+    Rows are formed _ROW_BLOCK at a time, so the temporaries hold
+    _ROW_BLOCK * n * dim floats rather than n * n * dim; each entry is
+    the same expression over the same coordinates as a whole-matrix
+    broadcast, so the matrix is bit-identical to it."""
+    n = len(pts)
+    d = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = pts[:, None, :] - pts[None, :, :]
-        if p == 1:
-            d = np.abs(diff).sum(axis=2)
-        else:
-            d = np.sqrt((diff * diff).sum(axis=2))
-    if not np.isfinite(d).all():
-        raise BadSpec("coordinates give distances outside the double range")
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = d[lo:lo + _ROW_BLOCK]
+            diff = pts[lo:lo + _ROW_BLOCK, None, :] - pts[None, :, :]
+            if p == 1:
+                np.abs(diff, out=diff).sum(axis=2, out=rows)
+            else:
+                np.multiply(diff, diff, out=diff).sum(axis=2, out=rows)
+                np.sqrt(rows, out=rows)
+            if not np.isfinite(rows).all():
+                raise BadSpec(
+                    "coordinates give distances outside the double range")
     return d
 
 
@@ -406,10 +449,12 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     pts = np.concatenate(chunks)[:count]
     d = _distances(pts, p)
     # rejection can in principle repeat a point; the chance is 0 for
-    # continuous draws, but validate separation anyway
-    off = d.copy()
-    np.fill_diagonal(off, np.inf)
-    if count > 1 and off.min() == 0.0:
+    # continuous draws, but validate separation anyway (on d itself, its
+    # diagonal lifted for the check and put back)
+    np.fill_diagonal(d, np.inf)
+    coincident = count > 1 and d.min() == 0.0
+    np.fill_diagonal(d, 0.0)
+    if coincident:
         raise BadSpec("sample produced coincident points; change the seed")
     return FiniteMetricSpace(d, labels=tuple(map(tuple, pts)))
 

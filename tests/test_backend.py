@@ -1,38 +1,15 @@
-"""Backend selection and kernel equivalence."""
-
-import os
-import subprocess
-import sys
+"""The Frank-Wolfe kernel."""
 
 import numpy as np
 import pytest
 
-from magnitude import _backend
+from magnitude import backend_name
 from magnitude._backend import (
     FW_CONVERGED,
     FW_MAX_ITERS,
-    _first_triangle_violation_loops,
-    _first_triangle_violation_py,
-    _fw_away_qp_loops,
     _fw_away_qp_py,
-    backend_name,
-    first_triangle_violation,
     fw_away_qp,
 )
-
-
-def _run_with_env(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("MAGNITUDE_BACKEND", None)
-    else:
-        env["MAGNITUDE_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c", "from magnitude import backend_name; print(backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 def _random_similarity(rng, n):
@@ -41,66 +18,12 @@ def _random_similarity(rng, n):
     return np.exp(-d)
 
 
-def _random_metric(rng, n):
-    pts = rng.uniform(0.0, 1.0, size=(n, 2))
-    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-
-
-# ---------------------------------------------------------------------------
-# selection
-
-
-def test_env_forces_numpy():
-    out = _run_with_env("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_numba_and_auto():
-    pytest.importorskip("numba")
-    out = _run_with_env("numba")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numba"
-    out = _run_with_env(None)
-    assert out.stdout.strip() == "numba"
-
-
-def test_env_rejects_unknown_value():
-    out = _run_with_env("fortran")
-    assert out.returncode != 0
-    assert "MAGNITUDE_BACKEND" in out.stderr
-
-
-def test_backend_fixed_at_import():
-    name = backend_name()
-    assert name in ("numba", "numpy")
-    old = os.environ.get("MAGNITUDE_BACKEND")
-    os.environ["MAGNITUDE_BACKEND"] = "numpy" if name == "numba" else "auto"
-    try:
-        assert backend_name() == name
-    finally:
-        if old is None:
-            os.environ.pop("MAGNITUDE_BACKEND", None)
-        else:
-            os.environ["MAGNITUDE_BACKEND"] = old
+def test_backend_name_is_numpy():
+    assert backend_name() == "numpy"
 
 
 # ---------------------------------------------------------------------------
 # QP kernel
-
-
-def test_fw_transcriptions_agree():
-    # vectorized reference vs the loop form the jit path compiles
-    rng = np.random.default_rng(7)
-    for n in (5, 12, 30):
-        Z = _random_similarity(rng, n)
-        mu1, f1, gap1, it1, nc1, st1 = _fw_away_qp_py(Z, 1e-10, 200000)
-        mu2, f2, gap2, it2, nc2, st2 = _fw_away_qp_loops(Z.copy(), 1e-10, 200000)
-        assert st1 == st2 == FW_CONVERGED
-        assert nc1 == nc2 == False  # noqa: E712
-        assert abs(f1 - f2) <= 1e-12
-        assert np.max(np.abs(mu1 - mu2)) <= 1e-9
-        assert gap1 <= 1e-10 and gap2 <= 1e-10
 
 
 def test_fw_active_backend_matches_reference():
@@ -127,7 +50,7 @@ def test_fw_simplex_invariants():
 def test_fw_flags_negative_curvature():
     # indefinite 2x2: the first toward step has d'Zd < 0, lands on a vertex
     Z = np.array([[1.0, 2.0], [2.0, 1.5]])
-    for fn in (_fw_away_qp_py, _fw_away_qp_loops, fw_away_qp):
+    for fn in (_fw_away_qp_py, fw_away_qp):
         mu, f, gap, it, nc, st = fn(Z.copy(), 1e-12, 100)
         assert st == FW_CONVERGED
         assert nc
@@ -141,64 +64,3 @@ def test_fw_max_iters_status():
     mu, f, gap, it, nc, st = fw_away_qp(Z, 1e-14, 3)
     assert st == FW_MAX_ITERS
     assert it == 3
-
-
-# ---------------------------------------------------------------------------
-# triangle scan kernel
-
-
-def _brute_first_violation(D, tol):
-    n = D.shape[0]
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            for j in range(n):
-                if j in (k, i):
-                    continue
-                if D[i, j] - D[i, k] - D[k, j] > tol:
-                    return i, j, k
-    return -1, -1, -1
-
-
-def test_triangle_scan_matches_brute_force():
-    rng = np.random.default_rng(13)
-    for n in (6, 20, 48):
-        D = _random_metric(rng, n)
-        for trial in range(4):
-            bad = D.copy()
-            i0, j0 = rng.integers(0, n, size=2)
-            if i0 != j0:
-                bump = float(bad[i0, j0] + bad.max() + 1.0)
-                bad[i0, j0] = bad[j0, i0] = bump
-            expect = _brute_first_violation(bad, 1e-9)
-            assert _first_triangle_violation_py(bad, 1e-9) == expect
-            assert tuple(_first_triangle_violation_loops(bad, 1e-9)) == expect
-            assert tuple(first_triangle_violation(bad, 1e-9)) == expect
-
-
-def test_triangle_scan_clean_metric():
-    rng = np.random.default_rng(17)
-    D = _random_metric(rng, 40)
-    assert first_triangle_violation(D, 1e-9) == (-1, -1, -1)
-    assert _first_triangle_violation_py(D, 1e-9) == (-1, -1, -1)
-
-
-def test_triangle_scan_tol_gate():
-    # violation of exactly 2*eps passes at tol 3*eps, trips at eps
-    D = np.array(
-        [
-            [0.0, 1.0, 1.0],
-            [1.0, 0.0, 2.0 + 2e-9],
-            [1.0, 2.0 + 2e-9, 0.0],
-        ]
-    )
-    assert first_triangle_violation(D, 3e-9) == (-1, -1, -1)
-    assert tuple(first_triangle_violation(D, 1e-9)) == (1, 2, 0)
-
-
-def test_module_resolved_tuple_consistent():
-    assert _backend._NAME == backend_name()
-    active = _backend._FW
-    if backend_name() == "numpy":
-        assert active is _fw_away_qp_py

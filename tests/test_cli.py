@@ -193,6 +193,38 @@ def test_overflowing_result_exits_two(capsys, argv):
     assert json.loads(err)["error"] == "ResultOverflow"
 
 
+@pytest.mark.parametrize("n, want", [
+    # 1 / (n! omega_n) by a 50-digit mpmath solve; subnormal at n = 236
+    (200, 2.2810129203640751e-267),
+    (236, 8.0825128165433876e-324),
+])
+def test_leading_coefficient_near_the_double_range(capsys, n, want):
+    code, rep, err = run_json(capsys, "oracle", "--leading", f"{n},2")
+    assert code == 0 and err == ""
+    assert rep["results"]["coefficient"] == pytest.approx(want, rel=1e-13,
+                                                          abs=math.ulp(0.0))
+
+
+@pytest.mark.parametrize("n", [237, 400])
+def test_leading_coefficient_below_the_double_range_exits_two(capsys, n):
+    code, out, err = run(capsys, "oracle", "--leading", f"{n},2")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "CoefficientUnderflow"
+
+
+@pytest.mark.parametrize("argv", [
+    ("diversity", "--points-1d", "0,1,3"),
+    ("dim", "--grid", "11", "--tmin", "1", "--tmax", "4"),
+])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_max_iters_exits_two(capsys, argv, count):
+    code, out, err = run(capsys, *argv, f"--max-iters={count}")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadSpec"
+
+
 def test_cantor_oracle_at_huge_scale_is_representable(capsys):
     code, rep, err = run_json(capsys, "oracle", "--cantor", "--t", "1e200")
     assert code == 0 and err == ""

@@ -298,6 +298,20 @@ def test_definiteness_report_k32():
     assert not rep.scattered_bound_holds
 
 
+@pytest.mark.parametrize("space", [
+    K32, ball_sample(3, 1.0, 40, seed=4), ball_sample(2, 1.0, 25, seed=5, p=1),
+    graph_metric(named_graph_edges("c7")),
+])
+def test_definiteness_report_centres_like_p_d_p(space):
+    # the O(N^2) centring against the dense P d P with P = I - J/N
+    d = space.distances
+    n = space.n_points
+    p = np.eye(n) - np.ones((n, n)) / n
+    top = np.linalg.eigvalsh(p @ d @ p)[-1]
+    got = definiteness_report(space, 1.0).cnd_max_eigenvalue
+    assert got == pytest.approx(top, abs=1e-12 * np.abs(d).sum())
+
+
 # ---------------------------------------------------------------------------
 # refinement sweeps toward a compact limit
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from magnitude.euclid import (
+    CoefficientUnderflow,
     EuclidError,
     OddDimension,
     UnsupportedDimension,
@@ -165,6 +166,23 @@ def test_leading_coefficients():
     assert magnitude_leading_coefficient(2, p=1) == pytest.approx(0.25)
     with pytest.raises(EuclidError):
         magnitude_leading_coefficient(3, p=3)
+
+
+def test_leading_coefficient_matches_mpmath():
+    # 1 / (n! omega_n) = Gamma(n/2 + 1) / (n! pi^(n/2)): to 1e-13 relative
+    # while normal, within one subnormal step from n = 227 on
+    import mpmath
+
+    with mpmath.workdps(50):
+        for n in range(1, 237):
+            half = mpmath.mpf(n) / 2
+            ref = mpmath.gamma(half + 1) / (mpmath.factorial(n) * mpmath.pi ** half)
+            got = magnitude_leading_coefficient(n)
+            assert got > 0.0
+            assert abs(got - ref) <= 1e-13 * ref + math.ulp(0.0), n
+    for n in (237, 400, 10**6, 10**400):
+        with pytest.raises(CoefficientUnderflow):
+            magnitude_leading_coefficient(n)
 
 
 def test_asymptotic_magnitude_matches_ball_growth():

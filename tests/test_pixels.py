@@ -334,6 +334,15 @@ def test_grid_sample_point_count_and_metric():
         grid_sample(UNIT, 0)
 
 
+def test_grid_sample_matches_broadcast_formula():
+    # more than one row block of the shared distance helper
+    sp = grid_sample(L_TROMINO, 6)
+    pts = np.array(sp.labels)
+    assert sp.n_points > 64
+    assert np.array_equal(
+        sp.distances, np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+
+
 # ---------------------------------------------------------------------------
 # convex bodies
 

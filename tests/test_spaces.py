@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnitude.spaces import (
     BadSpec,
+    BadTolerance,
     DisconnectedGraph,
     FiniteMetricSpace,
     MatrixParseError,
@@ -20,10 +23,12 @@ from magnitude.spaces import (
     SpaceSpec,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
+    _distances,
     ball_sample,
     cantor_endpoints,
     cantor_gaps,
     cantor_intervals,
+    first_triangle_violation,
     generate_space,
     graph_metric,
     l1_product,
@@ -120,6 +125,98 @@ def test_triangle_tolerance_scales_with_diameter():
     d[0, 3] = d[3, 0] = 7.0 + 1e-9
     with pytest.raises(TriangleViolation):
         validate_metric(d)
+
+
+@pytest.mark.parametrize("factor", [-1e-12, -math.inf, math.inf, math.nan])
+def test_rejects_negative_or_non_finite_tolerance(factor):
+    # the triangle scan is sound only for tol >= 0, and a NaN tol would
+    # accept every matrix
+    with pytest.raises(BadTolerance):
+        validate_metric(K32, tol_factor=factor)
+    validate_metric(K32, tol_factor=0.0)
+
+
+# ---------------------------------------------------------------------------
+# triangle scan
+
+
+def _random_metric(rng, n, p=1, dim=2):
+    pts = rng.uniform(0.0, 1.0, size=(n, dim))
+    return _broadcast_distances(pts, p)
+
+
+def _brute_first_violation(d, tol):
+    """The k-major triple loop: the oracle of the vectorized scan."""
+    n = d.shape[0]
+    for k in range(n):
+        for i in range(n):
+            if i == k:
+                continue
+            for j in range(n):
+                if j in (k, i):
+                    continue
+                if d[i, j] - (d[i, k] + d[k, j]) > tol:
+                    return i, j, k
+    return -1, -1, -1
+
+
+def test_triangle_scan_matches_brute_force():
+    rng = np.random.default_rng(13)
+    for n in (6, 20, 48):
+        d = _random_metric(rng, n)
+        for trial in range(4):
+            bad = d.copy()
+            i0, j0 = rng.integers(0, n, size=2)
+            if i0 != j0:
+                bump = float(bad[i0, j0] + bad.max() + 1.0)
+                bad[i0, j0] = bad[j0, i0] = bump
+            expect = _brute_first_violation(bad, 1e-9)
+            assert first_triangle_violation(bad, 1e-9) == expect
+
+
+def test_triangle_scan_clean_metric():
+    rng = np.random.default_rng(17)
+    d = _random_metric(rng, 40)
+    assert first_triangle_violation(d, 1e-9) == (-1, -1, -1)
+
+
+def test_triangle_scan_tol_gate():
+    # violation of exactly 2*eps passes at tol 3*eps, trips at eps
+    d = np.array(
+        [
+            [0.0, 1.0, 1.0],
+            [1.0, 0.0, 2.0 + 2e-9],
+            [1.0, 2.0 + 2e-9, 0.0],
+        ]
+    )
+    assert first_triangle_violation(d, 3e-9) == (-1, -1, -1)
+    assert first_triangle_violation(d, 1e-9) == (1, 2, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 24), p=st.sampled_from([1, 2]),
+       dim=st.integers(1, 3), bumps=st.integers(0, 3),
+       tol_kind=st.sampled_from(["zero", "relative", "absolute"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_validate_metric_triangle_witness_property(n, p, dim, bumps,
+                                                   tol_kind, seed):
+    # validate_metric's witness and excess equal those of the triple loop
+    rng = np.random.default_rng(seed)
+    d = _random_metric(rng, n, p, dim)
+    for _ in range(bumps if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] * rng.uniform(1.0, 3.0)
+    diam = float(d.max())
+    factor = {"zero": 0.0, "relative": 1e-12,
+              "absolute": 1e-3 / diam if diam else 0.0}[tol_kind]
+    i, j, k = _brute_first_violation(d, factor * diam if n > 1 else 0.0)
+    if i < 0:
+        validate_metric(d, tol_factor=factor)
+        return
+    with pytest.raises(TriangleViolation) as err:
+        validate_metric(d, tol_factor=factor)
+    assert err.value.witness == (i, j, k)
+    assert err.value.excess == d[i, j] - d[i, k] - d[k, j]
 
 
 def test_check_order_diagonal_before_symmetry():
@@ -288,6 +385,40 @@ def test_ball_sample_reproducible_and_inside():
     l1 = ball_sample(2, 2.0, 30, seed=1, p=1)
     for pt in l1.labels:
         assert abs(pt[0]) + abs(pt[1]) <= 2.0
+
+
+def _broadcast_distances(pts, p):
+    """The whole-matrix broadcast formula; the generators' row-blocked
+    distances must equal it bit for bit."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    if p == 1:
+        return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 10])
+def test_ball_sample_matches_broadcast_formula(dim, p):
+    # 150 points: two full row blocks and a partial one
+    if (dim, p) == (10, 1):
+        # rejection keeps 1 in 10! cube draws for the l1 ball, so check the
+        # distance helper ball_sample calls on cube points instead
+        pts = np.random.default_rng(10).uniform(-1.5, 1.5, size=(150, dim))
+        d = _distances(pts, p)
+    else:
+        sp = ball_sample(dim, 1.5, 150, seed=10 * dim + p, p=p)
+        pts, d = np.array(sp.labels), sp.distances
+    assert np.array_equal(d, _broadcast_distances(pts, p))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_lp_grid_and_line_match_broadcast_formula(p):
+    g = lp_grid((13, 11), p=p, spacing=0.37)
+    assert np.array_equal(g.distances,
+                          _broadcast_distances(np.array(g.labels), p))
+    x = np.random.default_rng(p).uniform(-5.0, 5.0, size=130)
+    line = points_on_line(x)
+    assert np.array_equal(line.distances, _broadcast_distances(x[:, None], 1))
 
 
 @pytest.mark.parametrize("build", [
