@@ -403,6 +403,8 @@ def _cmd_pixel(args, command, t0) -> int:
             kind = "simplex_vertices" if args.body_simplex else "polytope_vertices"
             verts = tuple(tuple(tok for tok in part.split(","))
                           for part in raw.split(";") if part.strip())
+            if not verts:
+                raise BadSpec("the body needs at least one vertex")
             spec = pixels.ConvexBodySpec(len(verts[0]), kind, vertices=verts)
         body = pixels.build_body(spec)
         bounds = pixels.body_magnitude_bounds(body, args.scale, args.t)

@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as _iterproduct
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, _distances, finite_result
+from .spaces import FiniteMetricSpace, NonpositiveScale, _distances, finite_result
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 IE_CELL_LIMIT = 20
@@ -85,6 +85,11 @@ def _as_scale(scale) -> Fraction:
     if lam <= 0:
         raise BadScale(f"scale must be positive, got {lam}")
     return lam
+
+
+def _check_t(t) -> None:
+    if not t > 0:
+        raise NonpositiveScale(f"scale must be positive, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -279,6 +284,7 @@ class FaceMeasure:
 
     @finite_result
     def magnitude_at(self, t: float) -> float:
+        _check_t(t)
         lam = float(self.scale)
         return float(sum(
             float(c) * (t * lam) ** len(axes)
@@ -454,7 +460,10 @@ def dilation_volume(p: PixelSet, r) -> Fraction:
 
     The expanded set is the union of boxes [lam c - r/2, lam (c+1) + r/2];
     the volume comes from per-axis interval fragmentation with a bitmask
-    per fragment recording which cells cover it.
+    per fragment recording which cells cover it. Cells sharing a
+    coordinate on an axis share their interval there, so the bits are
+    ORed once per coordinate value and each fragment takes the few values
+    whose interval covers it.
     """
     r = Fraction(r)
     if r < 0:
@@ -464,20 +473,24 @@ def dilation_volume(p: PixelSet, r) -> Fraction:
     den = 2 * lam.denominator * r.denominator
     lam_i = int(lam * den)
     r_i = int(r * den)
+    step = 2 * lam_i
     # doubled integer scale: coordinate x becomes 2 den x, so the box on
-    # axis i spans [2 lam_i c - r_i, 2 lam_i (c+1) + r_i]
+    # axis i spans [step c - r_i, step (c+1) + r_i]
     masks = []
     for i in range(n):
+        groups = {}
+        for j, c in enumerate(cells):
+            groups[c[i]] = groups.get(c[i], 0) | (1 << j)
         cuts = sorted(
-            {2 * lam_i * c[i] - r_i for c in cells}
-            | {2 * lam_i * (c[i] + 1) + r_i for c in cells}
+            {step * v - r_i for v in groups} | {step * (v + 1) + r_i for v in groups}
         )
         frag = []
         for a, b in zip(cuts, cuts[1:]):
+            # value v covers [a, b] when step v - r_i <= a and
+            # b <= step (v+1) + r_i
             bit = 0
-            for j, c in enumerate(cells):
-                if 2 * lam_i * c[i] - r_i <= a and b <= 2 * lam_i * (c[i] + 1) + r_i:
-                    bit |= 1 << j
+            for v in range(-((r_i - b) // step) - 1, (a + r_i) // step + 1):
+                bit |= groups.get(v, 0)
             if bit:
                 frag.append((b - a, bit))
         masks.append(frag)
@@ -534,6 +547,7 @@ class SteinerPolynomial:
 
     @finite_result
     def magnitude_at(self, t: float) -> float:
+        _check_t(t)
         return float(sum(
             float(v) * (float(t) / 2.0) ** i
             for i, v in enumerate(self.coefficients)
@@ -574,15 +588,51 @@ def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:
 # convexity in the taxicab sense, sampling, top-level magnitude
 
 
+def _lines_and_connected(p: PixelSet) -> bool:
+    """Every axis-parallel line of cells meets the set in an interval, and
+    the set is connected through shared (dim-1)-faces."""
+    cells = p.cells
+    for i in range(p.dim):
+        lines = {}
+        for c in cells:
+            key = c[:i] + c[i + 1:]
+            lo, hi, k = lines.get(key, (c[i], c[i], 0))
+            lines[key] = (min(lo, c[i]), max(hi, c[i]), k + 1)
+        if any(hi - lo + 1 != k for lo, hi, k in lines.values()):
+            return False
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        c = stack.pop()
+        for i in range(p.dim):
+            for s in (-1, 1):
+                nxt = c[:i] + (c[i] + s,) + c[i + 1:]
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return len(seen) == len(cells)
+
+
 def is_l1_convex(p: PixelSet, witness: bool = False):
     """True when every two cells are joined by a monotone staircase.
 
     Each step moves one axis by one unit strictly toward the target cell
-    and must stay inside the set. Equivalent to the set meeting every
-    axis-parallel segment between its points in a segment. With
-    witness=True returns (verdict, pair), pair being the first cell pair
-    (in sorted order) that no staircase joins, or None.
+    and must stay inside the set. In dim 1 and 2 this holds exactly when
+    the set is connected through shared edges and every row and column
+    meets it in an interval, a test linear in the cell count that runs
+    first. In dim 3 those two conditions are necessary but not sufficient
+    ({(0,0,0), (0,1,0), (0,1,1), (1,0,0), (1,0,1)} meets every line in an
+    interval and is connected, yet no staircase joins (0,1,1) to
+    (1,0,0)), so there the pairwise staircase search is the only test.
+    With witness=True returns (verdict, pair), pair being the first cell
+    pair (in sorted order) that no staircase joins, or None; a negative
+    verdict takes its witness from the search.
     """
+    if p.dim <= 2:
+        ok = _lines_and_connected(p)
+        if ok or not witness:
+            return (ok, None) if witness else ok
     cells = p.cells
     lst = sorted(cells)
 
@@ -776,15 +826,20 @@ def build_body(spec: ConvexBodySpec) -> ConvexBody:
     return ConvexBody(n, vertices, tuple(sorted(facets)))
 
 
-def _fm_feasible(rows, n) -> bool:
-    """Exact feasibility by variable elimination.
+def _fm_conditions(rows, n) -> list:
+    """Feasibility conditions of a system with parametric right-hand sides,
+    by Fourier-Motzkin elimination of x_1 .. x_n.
 
-    Rows are (coefficients, b, strict) for sum_i a_i x_i <= b, or < b when
-    strict. Eliminating a variable combines each positive-coefficient row
-    with each negative one; the combination is strict when either parent
-    is. Feasible when every remaining constant row holds.
+    Rows are (a, b, strict) for sum_i a_i x_i <= b(c), or < b(c) when
+    strict, where b(c) = b_0 + sum_j b_j c_j is given as (b_0, b_1, ..).
+    Eliminating a variable combines each positive-coefficient row with each
+    negative one; the combination is strict when either parent is. The
+    multipliers depend on the coefficients only, so one elimination serves
+    every c. Returns the remaining (b, strict): the system is feasible at c
+    exactly when every b(c) > 0 (strict) or b(c) >= 0 holds.
     """
-    rows = [([Fraction(c) for c in a], Fraction(b), s) for a, b, s in rows]
+    rows = [(tuple(Fraction(x) for x in a), tuple(Fraction(x) for x in b), s)
+            for a, b, s in rows]
     for var in range(n):
         pos, neg, rest = [], [], []
         for row in rows:
@@ -794,43 +849,37 @@ def _fm_feasible(rows, n) -> bool:
         for ap, bp, sp in pos:
             for an, bn, sn in neg:
                 f_p, f_n = -an[var], ap[var]
-                a = [f_p * x + f_n * y for x, y in zip(ap, an)]
-                b = f_p * bp + f_n * bn
+                a = tuple(f_p * x + f_n * y for x, y in zip(ap, an))
+                b = tuple(f_p * x + f_n * y for x, y in zip(bp, bn))
                 new.append((a, b, sp or sn))
-        # dedupe keeps the blowup tame at these sizes
-        seen, rows = set(), []
-        for a, b, s in new:
-            key = (tuple(a), b, s)
-            if key not in seen:
-                seen.add(key)
-                rows.append((a, b, s))
-    return all(b > 0 if s else b >= 0 for _, b, s in rows)
-
-
-def _box_intersects_body(body: ConvexBody, lam: Fraction, cell) -> bool:
-    """Does the OPEN box of `cell` meet the body?
-
-    Open, so that a body touching a cell only along its boundary does not
-    drag that cell into the pixelation; the closed cells of the remaining
-    set still cover a full-dimensional body.
-    """
-    n = body.dim
-    rows = [(list(a), Fraction(b), False) for a, b in body.facets]
-    for i in range(n):
-        lo = [Fraction(0)] * n
-        lo[i] = Fraction(-1)
-        rows.append((lo, -lam * cell[i], True))
-        hi = [Fraction(0)] * n
-        hi[i] = Fraction(1)
-        rows.append((hi, lam * (cell[i] + 1), True))
-    return _fm_feasible(rows, n)
+        # dedupe (order kept) keeps the blowup tame at these sizes
+        rows = list(dict.fromkeys(new))
+    return [(b, s) for _, b, s in rows]
 
 
 def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
-    """All cells whose closed box meets the body."""
+    """All cells whose open box meets the body.
+
+    Open, so that a body touching a cell only along its boundary does not
+    drag that cell into the pixelation; the closed cells of the remaining
+    set still cover a full-dimensional body. The box rows of cell c,
+    -x_i < -lam c_i and x_i < lam (c_i + 1), differ between cells only in
+    right-hand sides affine in c, so the facets and box rows are
+    eliminated once and each candidate cell is tested against the
+    resulting conditions, scaled to integers.
+    """
     lam = _as_scale(scale)
     n = body.dim
-    cells = []
+    rows = [(a, (b,) + (0,) * n, False) for a, b in body.facets]
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        rows.append((tuple(-x for x in e), (0,) + tuple(-lam * x for x in e), True))
+        rows.append((e, (lam,) + tuple(lam * x for x in e), True))
+    forms, strict = [], []
+    for b, s in _fm_conditions(rows, n):
+        den = lcm(*(x.denominator for x in b))
+        forms.append([int(x * den) for x in b])
+        strict.append(s)
     ranges = []
     for i in range(n):
         lo = min(v[i] for v in body.vertices)
@@ -838,10 +887,12 @@ def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
         c0 = (lo / lam).__floor__()
         c1 = (hi / lam).__ceil__()
         ranges.append(range(c0 - 1, c1 + 1))
-    for cell in _iterproduct(*ranges):
-        if _box_intersects_body(body, lam, cell):
-            cells.append(cell)
-    return PixelSet(n, lam, cells)
+    # object arrays keep the dot products in exact Python integers
+    cand = np.array(list(_iterproduct(*ranges)), dtype=object)
+    k = np.array(forms, dtype=object)
+    vals = k[:, 0] + cand @ k[:, 1:].T
+    keep = np.where(strict, vals > 0, vals >= 0).all(axis=1)
+    return PixelSet(n, lam, map(tuple, cand[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -862,21 +913,18 @@ def body_magnitude_bounds(body: ConvexBody, scale, t: float = 1.0) -> BodyBounds
     worst reach of the pixelation's corners. Exact rational; alpha = 1
     exactly when the pixelation equals the body.
     """
+    _check_t(t)
     pix = outer_pixelation(body, scale)
     sp = steiner_polynomial(pix)
     c = body.centroid
-    lam = pix.scale
-    corners = set()
-    for cell in pix.cells:
-        for off in _iterproduct((0, 1), repeat=body.dim):
-            corners.add(tuple(lam * (ci + oi) for ci, oi in zip(cell, off)))
     alpha = Fraction(1)
     for a, b in body.facets:
         slack = Fraction(b) - sum(ai * ci for ai, ci in zip(a, c))
-        reach = max(
-            sum(ai * (qi - ci) for ai, qi, ci in zip(a, q, c))
-            for q in corners
-        )
+        # the corners of the cells are lam * k, k integer; a . k peaks at a
+        # cell's corner with the high end on every axis where a_i > 0
+        top = max(sum(ai * ki for ai, ki in zip(a, cell)) for cell in pix.cells)
+        top += sum(ai for ai in a if ai > 0)
+        reach = pix.scale * top - sum(ai * ci for ai, ci in zip(a, c))
         if reach > 0:
             alpha = min(alpha, slack / reach)
     if alpha < 0:

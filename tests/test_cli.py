@@ -494,6 +494,96 @@ def test_pixel_weights_mode(capsys):
     assert rep["results"]["l1_convex"] is True
 
 
+@pytest.mark.parametrize("flag", ["--body-simplex=;", "--body-vertices=;"])
+def test_pixel_body_without_vertices_exits_two(capsys, flag):
+    code, out, err = run(capsys, "pixel", flag, "--bounds")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadSpec"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pixel", "--ascii", "#"),
+    ("pixel", "--body-box", "1,1", "--bounds"),
+])
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_pixel_nonpositive_t_exits_two(capsys, argv, t):
+    code, out, err = run(capsys, *argv, f"--t={t}")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NonpositiveScale"
+
+
+BOX_2X3X4 = "dim 3 scale 1/1\n" + "".join(
+    f"{x} {y} {z}\n" for x in range(2) for y in range(3) for z in range(4))
+
+# (argv, inputs_digest, results) of the exact pixel paths on the shapes the
+# diversity-pixel benchmark draws, as written before the per-body
+# elimination, the linear-time convexity test and the grouped dilation
+# masks; "BOX" stands for a pixel file holding BOX_2X3X4
+PIXEL_GOLDEN = [
+    (["--ascii", "\\n".join(["#" * 19] * 21), "--intrinsic"],
+     "03e38f50f43d422a174a195a0b36b1e29ab20333afac119addc36ee66abb48d8",
+     {"V": ["1", "40", "399"], "magnitude": "483/4"}),
+    (["--ascii", r"##...\n##...\n###..\n####.\n####.\n#####\n#####\n#####",
+      "--intrinsic"],
+     "6fd7925942898dbc17e7195c59ffc07165fddc84e61a1f5a965fbe764e9bccfe",
+     {"V": ["1", "13", "30"], "magnitude": "15"}),
+    (["--ascii", r"....#\n#####\n#####\n#####", "--intrinsic"],
+     "6e238f5e8dfac83c582b125248734bfba865b3d93d5a0549e63e7982b4ca4b6c",
+     {"V": ["1", "9", "16"], "magnitude": "19/2"}),
+    (["--ascii", r"##########\n....######\n.....#####\n.......###\n........##",
+      "--weights"],
+     "6b9ef0e853aabcd315734882682769219f125894867d2135654724fd7b2adaf8",
+     {"faces": 68, "l1_convex": True, "total_mass": "15",
+      "mass_by_dimension": {"0": "1", "1": "15/2", "2": "13/2"}}),
+    (["--ascii", r"######\n#....#\n#....#", "--convexity"],
+     "100083484c31928727e2d24f49892e8d62c006d5cfc6c63f6164fc08beb13cae",
+     {"l1_convex": False, "witness": [[0, 0], [5, 0]]}),
+    (["--pixel-file", "BOX", "--intrinsic"],
+     "e4b928fb132160bf74dbf81c955ba388315ff87978e5764f78cbba33d0bb36d1",
+     {"V": ["1", "9", "26", "24"], "magnitude": "15"}),
+    (["--body-box", "1,1,2", "--scale", "1/4", "--bounds"],
+     "c120bf5692331b6286048a1570e14be25f1593f9e51d583d8af10bc6be5f3c1f",
+     {"V": ["1", "4", "5", "2"], "alpha": "1", "lower": 4.5,
+      "pixelation_cells": 128, "t": 1.0, "upper": 4.5}),
+    (["--body-box", "2,1,1", "--scale", "1/4", "--bounds"],
+     "20541966bc1cfe95f74f6eb7fa1d2ba174023294a12b4427d9224c1f2e511870",
+     {"V": ["1", "4", "5", "2"], "alpha": "1", "lower": 4.5,
+      "pixelation_cells": 128, "t": 1.0, "upper": 4.5}),
+    (["--body-simplex=-1,0;0,0;-1,1", "--scale", "1/40", "--bounds"],
+     "4e086fc1c3077c92612d8771a6787c06d4aa7a926324dc06a555be8723317fb5",
+     {"V": ["1", "2", "41/80"], "alpha": "40/43", "lower": 2.041103299080584,
+      "pixelation_cells": 820, "t": 1.0, "upper": 2.128125}),
+    (["--body-simplex=0,0;0,1;1,0", "--scale", "1/40", "--bounds"],
+     "d6edda49c01edbd91af4b6ac6da23d807f2fd5dd9e2eb405894482d799196a6f",
+     {"V": ["1", "2", "41/80"], "alpha": "40/43", "lower": 2.041103299080584,
+      "pixelation_cells": 820, "t": 1.0, "upper": 2.128125}),
+    (["--body-simplex=0,0,2;-1,1,2;-1,0,2;-1,0,3", "--scale", "1/8", "--bounds"],
+     "3c941aea40256d7d44f152aedeaabdd36f24a34f89db92b17d708854d01e09d9",
+     {"V": ["1", "3", "27/16", "15/64"], "alpha": "1/2",
+      "lower": 1.859130859375, "pixelation_cells": 120, "t": 1.0,
+      "upper": 2.951171875}),
+    (["--body-simplex=0,0,-1;0,0,0;1,0,-1;0,1,-1", "--scale", "1/8", "--bounds"],
+     "73b4a6ab3346922e92b7a664e9a34c0576a18595ebaea3fc2b6ba51261d480f0",
+     {"V": ["1", "3", "27/16", "15/64"], "alpha": "1/2",
+      "lower": 1.859130859375, "pixelation_cells": 120, "t": 1.0,
+      "upper": 2.951171875}),
+]
+
+
+@pytest.mark.parametrize("argv, digest, results", PIXEL_GOLDEN)
+def test_pixel_outputs_on_benchmark_shapes_are_pinned(capsys, tmp_path, argv,
+                                                      digest, results):
+    box = tmp_path / "box.pix"
+    box.write_text(BOX_2X3X4)
+    argv = [str(box) if a == "BOX" else a for a in argv]
+    code, rep, _ = run_json(capsys, "pixel", *argv)
+    assert code == 0
+    assert rep["inputs_digest"] == digest
+    assert rep["results"] == results
+
+
 def test_pixel_mode_conflicts(capsys):
     code, _, err = run(capsys, "pixel", "--ascii", "##", "--weights",
                        "--convexity")

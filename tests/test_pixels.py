@@ -3,13 +3,17 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magnitude.engine import magnitude
 from magnitude.pixels import (
+    STEINER_NODES,
     BadScale,
     ConvexBody,
     ConvexBodySpec,
@@ -23,6 +27,7 @@ from magnitude.pixels import (
     TooManyCells,
     body_magnitude_bounds,
     build_body,
+    dilation_volume,
     faces_of_cell,
     format_pixel_file,
     grid_sample,
@@ -38,6 +43,7 @@ from magnitude.pixels import (
     weight_measure,
     weight_measure_ie,
 )
+from magnitude.spaces import NonpositiveScale
 
 F = Fraction
 
@@ -248,8 +254,6 @@ def test_two_by_three_box_magnitude_five():
 
 def test_expanded_volume_matches_fresh_dilation_node():
     # r = 1/5 is not a fitting node; agreement there certifies the fit
-    from magnitude.pixels import dilation_volume
-
     rng = random.Random(41)
     for _ in range(15):
         p = blob(rng, rng.choice([1, 2, 3]), max_cells=8, span=3)
@@ -259,8 +263,6 @@ def test_expanded_volume_matches_fresh_dilation_node():
 
 
 def test_unit_square_dilation():
-    from magnitude.pixels import dilation_volume
-
     assert dilation_volume(UNIT, F(1, 5)) == F(36, 25)  # (1 + r)^2
     assert steiner_polynomial(UNIT).coefficients == (F(1), F(2), F(1))
 
@@ -513,3 +515,209 @@ def test_l1_convex_witness_pair():
     assert pair == ((0, 0), (2, 0))
     ok, pair = is_l1_convex(parse_ascii("##\n#."), witness=True)
     assert ok is True and pair is None
+
+
+# ---------------------------------------------------------------------------
+# oracles: the pairwise staircase search, the per-cell Fourier-Motzkin test
+# and the per-cell fragment masks that the production paths replaced
+
+
+def staircase_witness(p):
+    """First sorted cell pair that no monotone staircase joins, or None."""
+    cells = p.cells
+
+    def reaches(a, b):
+        seen, stack = set(), [a]
+        while stack:
+            c = stack.pop()
+            if c == b:
+                return True
+            if c in seen:
+                continue
+            seen.add(c)
+            for i in range(p.dim):
+                if c[i] != b[i]:
+                    step = 1 if b[i] > c[i] else -1
+                    nxt = c[:i] + (c[i] + step,) + c[i + 1:]
+                    if nxt in cells:
+                        stack.append(nxt)
+        return False
+
+    return next(((a, b) for a, b in itertools.combinations(sorted(cells), 2)
+                 if not reaches(a, b)), None)
+
+
+def fm_feasible(rows, n):
+    rows = [([F(c) for c in a], F(b), s) for a, b, s in rows]
+    for var in range(n):
+        pos = [r for r in rows if r[0][var] > 0]
+        neg = [r for r in rows if r[0][var] < 0]
+        new = [r for r in rows if r[0][var] == 0]
+        for ap, bp, sp in pos:
+            for an, bn, sn in neg:
+                f_p, f_n = -an[var], ap[var]
+                new.append(([f_p * x + f_n * y for x, y in zip(ap, an)],
+                            f_p * bp + f_n * bn, sp or sn))
+        rows = new
+    return all(b > 0 if s else b >= 0 for _, b, s in rows)
+
+
+def per_cell_pixelation(body, lam):
+    """Cells whose open box meets the body, one elimination per cell."""
+    n = body.dim
+    ranges = [
+        range((min(v[i] for v in body.vertices) / lam).__floor__() - 1,
+              (max(v[i] for v in body.vertices) / lam).__ceil__() + 1)
+        for i in range(n)
+    ]
+    cells = set()
+    for cell in itertools.product(*ranges):
+        rows = [(a, b, False) for a, b in body.facets]
+        for i in range(n):
+            unit = [int(j == i) for j in range(n)]
+            rows.append(([-x for x in unit], -lam * cell[i], True))
+            rows.append((unit, lam * (cell[i] + 1), True))
+        if fm_feasible(rows, n):
+            cells.add(cell)
+    return frozenset(cells)
+
+
+def per_cell_dilation_volume(p, r):
+    lam, n = p.scale, p.dim
+    cells = sorted(p.cells)
+    den = 2 * lam.denominator * r.denominator
+    lam_i, r_i = int(lam * den), int(r * den)
+    masks = []
+    for i in range(n):
+        cuts = sorted({2 * lam_i * c[i] - r_i for c in cells}
+                      | {2 * lam_i * (c[i] + 1) + r_i for c in cells})
+        frag = []
+        for a, b in zip(cuts, cuts[1:]):
+            bit = 0
+            for j, c in enumerate(cells):
+                if 2 * lam_i * c[i] - r_i <= a and b <= 2 * lam_i * (c[i] + 1) + r_i:
+                    bit |= 1 << j
+            if bit:
+                frag.append((b - a, bit))
+        masks.append(frag)
+    total = 0
+    for pick in itertools.product(*masks):
+        bits = -1
+        for _, bit in pick:
+            bits &= bit
+        if bits:
+            total += math.prod(length for length, _ in pick)
+    return F(total, (2 * den) ** n)
+
+
+# ---------------------------------------------------------------------------
+# the linear-time convexity test against the search
+
+
+@pytest.mark.parametrize("width, height", [(4, 4), (3, 5)])
+def test_convexity_test_matches_search_on_every_subset(width, height):
+    box = list(itertools.product(range(width), range(height)))
+    for bits in range(1, 1 << len(box)):
+        p = PixelSet(2, 1, [c for k, c in enumerate(box) if bits >> k & 1])
+        pair = staircase_witness(p)
+        assert is_l1_convex(p) == (pair is None), sorted(p.cells)
+        assert is_l1_convex(p, witness=True) == (pair is None, pair)
+
+
+def test_convexity_in_one_dimension_is_an_interval():
+    assert is_l1_convex(PixelSet(1, 1, [(x,) for x in range(-2, 5)]))
+    p = PixelSet(1, 1, [(0,), (1,), (3,)])
+    assert is_l1_convex(p, witness=True) == (False, ((0,), (3,)))
+
+
+def test_three_d_keeps_the_search():
+    # every axis line meets it in an interval and it is face-connected,
+    # yet a staircase from (0,1,1) to (1,0,0) must leave the set
+    p = PixelSet(3, 1, [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)])
+    assert staircase_witness(p) is not None
+    assert not is_l1_convex(p)
+    assert is_l1_convex(p, witness=True) == (False, staircase_witness(p))
+
+
+def test_convexity_of_a_large_square_is_fast():
+    # the pairwise search needs C(1600, 2) staircases here
+    square = PixelSet(2, 1, itertools.product(range(40), repeat=2))
+    holed = PixelSet(2, 1, square.cells - {(20, 20)})
+    t0 = time.perf_counter()
+    assert is_l1_convex(square, witness=True) == (True, None)
+    assert not is_l1_convex(holed)
+    assert time.perf_counter() - t0 < 2.0
+
+
+# ---------------------------------------------------------------------------
+# one elimination per body against one per cell
+
+
+@st.composite
+def small_bodies(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    den = st.integers(1, 3)
+    coord = den.flatmap(lambda q: st.integers(-2 * q, 2 * q).map(lambda k: F(k, q)))
+    if draw(st.booleans()):
+        kind = "simplex_vertices"
+        verts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1,
+                              max_size=dim + 1))
+    else:
+        kind = "polytope_vertices"
+        lohi = [sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                for _ in range(dim)]
+        verts = list(itertools.product(*lohi))
+    try:
+        return build_body(ConvexBodySpec(dim, kind, vertices=tuple(verts)))
+    except PixelError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(body=small_bodies(), lam=st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+def test_outer_pixelation_matches_per_cell_elimination(body, lam):
+    assert outer_pixelation(body, lam).cells == per_cell_pixelation(body, lam)
+
+
+def test_triangle_bounds_at_fine_scale_are_fast():
+    tri = build_body(ConvexBodySpec(
+        2, "simplex_vertices", vertices=(("0", "0"), ("1", "0"), ("0", "1"))))
+    t0 = time.perf_counter()
+    bounds = body_magnitude_bounds(tri, F(1, 80))
+    assert time.perf_counter() - t0 < 2.0
+    # C(k+1, 2) cells, the cell count of a pixelated simplex
+    assert bounds.pixelation.n_cells == math.comb(81, 2)
+    assert bounds.lower <= bounds.upper
+
+
+# ---------------------------------------------------------------------------
+# grouped dilation masks against per-cell masks
+
+
+def test_dilation_volume_matches_per_cell_masks():
+    rng = random.Random(23)
+    for _ in range(40):
+        dim = rng.choice([1, 2, 3])
+        p = blob(rng, dim, max_cells=30, span=6)
+        p = PixelSet(dim, rng.choice([F(1), F(1, 2), F(2, 3)]), p.cells)
+        for node in STEINER_NODES:
+            r = p.scale * node
+            assert dilation_volume(p, r) == per_cell_dilation_volume(p, r)
+    # past the scale the fragments meet more than two coordinate values
+    for r in (F(1), F(5, 2)):
+        assert dilation_volume(L_TROMINO, r) == per_cell_dilation_volume(L_TROMINO, r)
+
+
+# ---------------------------------------------------------------------------
+# the scale t must be positive
+
+
+@pytest.mark.parametrize("t", [0, -1, 0.0, -1.0])
+def test_nonpositive_t_is_refused(t):
+    with pytest.raises(NonpositiveScale):
+        steiner_polynomial(L_TROMINO).magnitude_at(t)
+    with pytest.raises(NonpositiveScale):
+        weight_measure(L_TROMINO).magnitude_at(t)
+    box = build_body(ConvexBodySpec(2, "box", lengths=("1", "1")))
+    with pytest.raises(NonpositiveScale):
+        body_magnitude_bounds(box, 1, t)
