@@ -10,37 +10,41 @@ estimates (diversity), and Euclidean ball and sphere formulas (euclid).
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
-from .engine import (
-    DefinitenessReport,
-    MagnitudeFunctionSample,
-    MonotonicityViolation,
-    RefinementSample,
-    SimilarityMatrix,
-    UndefinedMagnitude,
-    WeightingResult,
-    approximate_compact_magnitude,
-    definiteness_report,
-    magnitude,
-    magnitude_function,
-    similarity_matrix,
-    solve_weighting,
-    speyer_magnitude,
-)
-from .spaces import (
-    FiniteMetricSpace,
-    MetricError,
-    SpaceSpec,
-    TriangleViolation,
-    cantor_endpoints,
-    generate_space,
-    graph_metric,
-    l1_product,
-    lp_grid,
-    points_on_line,
-    scale_space,
-    validate_metric,
-)
+# Every re-export resolves on first use (PEP 562), so `import magnitude`
+# loads neither numpy nor the modules that compute.
+_EXPORTS = {
+    "backend_name": "_backend",
+    **dict.fromkeys((
+        "DefinitenessReport", "MagnitudeFunctionSample", "MonotonicityViolation",
+        "RefinementSample", "SimilarityMatrix", "UndefinedMagnitude",
+        "WeightingResult", "approximate_compact_magnitude",
+        "definiteness_report", "magnitude", "magnitude_function",
+        "similarity_matrix", "solve_weighting", "speyer_magnitude",
+    ), "engine"),
+    **dict.fromkeys((
+        "FiniteMetricSpace", "MetricError", "SpaceSpec", "TriangleViolation",
+        "cantor_endpoints", "generate_space", "graph_metric", "l1_product",
+        "lp_grid", "points_on_line", "scale_space", "validate_metric",
+    ), "spaces"),
+}
+
+
+def __getattr__(name):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "__version__",

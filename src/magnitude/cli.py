@@ -17,11 +17,18 @@ least 1. Results never hold NaN or Infinity, which are
 not JSON; a diagnostic with no finite value, such as the condition
 estimate of a singular matrix, is written as null.
 
-Exit codes: 0 success, 2 bad input (parse or validation failure, the
-package's own input errors and unreadable files only; a generated space
-or closed-form value beyond the double range counts as bad input),
-3 undefined magnitude (the mag command only), 4 internal failure,
-including a refinement sweep that should be monotone but is not.
+Exit codes: 0 success, 1 output closed by its reader (a broken pipe;
+the run ends quietly), 2 bad input (parse or validation failure, the
+package's own input errors and unreadable or missing files only; a
+generated space or closed-form value beyond the double range counts as
+bad input), 3 undefined magnitude (the mag command only), 4 internal
+failure, including a refinement sweep that should be monotone but is not.
+
+Each command imports only the modules it computes with: the package
+modules that need numpy (spaces, engine, diversity, lines) are imported
+inside the handlers and branches that use them, so pixel and the
+Euclidean oracles run without numpy, and only the commands that factor a
+matrix load scipy.linalg (see engine).
 """
 
 from __future__ import annotations
@@ -30,35 +37,36 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, engine, euclid, lines, pixels
-from . import diversity as dv
-from .spaces import (
+from . import __version__
+from .errors import (
     BadSpec,
+    EuclidError,
+    LineError,
     MatrixParseError,
     MetricError,
     NonpositiveScale,
+    PixelError,
     ResultOverflow,
-    SpaceSpec,
-    generate_space,
-    graph_metric,
-    load_distance_csv,
-    named_graph_edges,
-    validate_metric,
+    TooLarge,
+    UndefinedMagnitude,
+    WindowTooNarrow,
 )
 
-# the package's own input errors, plus unreadable files; any other
-# exception is an internal failure (exit 4)
+# the package's own input errors (an unreadable file is a BadSpec); any
+# other exception is an internal failure (exit 4)
 INPUT_ERRORS = (
     MetricError, BadSpec, MatrixParseError, NonpositiveScale, ResultOverflow,
-    pixels.PixelError, lines.LineError, euclid.EuclidError, dv.TooLarge,
-    dv.WindowTooNarrow, OSError,
+    PixelError, LineError, EuclidError, TooLarge, WindowTooNarrow,
 )
+
+# oracle sources with line closed forms (numpy); the rest are Euclidean
+# (math only)
+_LINE_ORACLES = ("points", "interval", "compact", "cantor")
 
 
 def _rat(x: Fraction) -> str:
@@ -127,11 +135,16 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise BadSpec(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:  # missing, a directory, no permission
+        raise BadSpec(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _space_inputs(args):
     """Build the metric space selected by the input flags; also return a
     plain dict describing the inputs for the digest."""
+    from .spaces import (SpaceSpec, generate_space, graph_metric,
+                         load_distance_csv, named_graph_edges, validate_metric)
+
     chosen = [
         name for name, flag in [
             ("stdin_matrix", args.stdin_matrix),
@@ -243,6 +256,8 @@ def _emit_csv(results) -> None:
 
 
 def _cmd_mag(args, command, t0) -> int:
+    from . import engine
+
     space, inputs = _space_inputs(args)
     res = engine.solve_weighting(space, args.t, args.tol)
     results = {
@@ -258,6 +273,10 @@ def _cmd_mag(args, command, t0) -> int:
 
 
 def _cmd_magfn(args, command, t0) -> int:
+    import numpy as np
+
+    from . import engine
+
     space, inputs = _space_inputs(args)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
@@ -279,6 +298,8 @@ def _cmd_magfn(args, command, t0) -> int:
 
 
 def _cmd_weights(args, command, t0) -> int:
+    from . import engine
+
     space, inputs = _space_inputs(args)
     res = engine.solve_weighting(space, args.t, args.tol)
     results = {
@@ -295,6 +316,8 @@ def _cmd_weights(args, command, t0) -> int:
 
 
 def _cmd_check(args, command, t0) -> int:
+    from . import engine
+
     try:
         space, inputs = _space_inputs(args)
     except MetricError as exc:
@@ -316,6 +339,8 @@ def _cmd_check(args, command, t0) -> int:
 
 
 def _cmd_diversity(args, command, t0) -> int:
+    from . import diversity as dv
+
     space, inputs = _space_inputs(args)
     if args.exact:
         res = dv.max_diversity_exact(space, args.t)
@@ -343,6 +368,8 @@ def _cmd_diversity(args, command, t0) -> int:
 
 
 def _cmd_dim(args, command, t0) -> int:
+    from . import diversity as dv
+
     space, inputs = _space_inputs(args)
     est = dv.dimension_estimate(space, args.tmin, args.tmax, args.method,
                                 args.samples, args.tol, args.max_iters)
@@ -366,7 +393,9 @@ def _cmd_dim(args, command, t0) -> int:
     return 0
 
 
-def _pixel_input(args) -> pixels.PixelSet:
+def _pixel_input(args):
+    from . import pixels
+
     if args.ascii and args.pixel_file:
         raise BadSpec("give either --ascii or --pixel-file, not both")
     if args.ascii:
@@ -378,6 +407,10 @@ def _pixel_input(args) -> pixels.PixelSet:
 
 
 def _cmd_pixel(args, command, t0) -> int:
+    from . import pixels
+
+    # every mode refuses t <= 0, also those that never evaluate at t
+    pixels._check_t(args.t)
     body_opts = [args.body_box, args.body_simplex, args.body_vertices]
     if sum(1 for b in body_opts if b) > 1:
         raise BadSpec("give at most one --body-* option")
@@ -478,6 +511,10 @@ def _cmd_oracle(args, command, t0) -> int:
                       "--compact, --cantor, --ball, --sphere, --residual, "
                       "--conjecture, --leading")
     src = chosen[0]
+    if src in _LINE_ORACLES:
+        from . import lines
+    else:
+        from . import euclid
     if src == "points":
         pts = _parse_floats(args.points)
         xs, w = lines.line_weighting(pts, args.t)
@@ -538,6 +575,9 @@ def _cmd_oracle(args, command, t0) -> int:
 
 
 def _cmd_approx(args, command, t0) -> int:
+    from . import engine
+    from .spaces import SpaceSpec
+
     chosen = [name for name, flag in [
         ("grid_sizes", args.grid_sizes),
         ("cantor_depths", args.cantor_depths),
@@ -737,8 +777,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_counts(args)
-        return _HANDLERS[args.cmd](args, argv, t0)
-    except engine.UndefinedMagnitude as exc:
+        code = _HANDLERS[args.cmd](args, argv, t0)
+        # a closed reader shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as the signal module's notes on SIGPIPE advise: point stdout at
+        # devnull so the flush at shutdown cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UndefinedMagnitude as exc:
         print(json.dumps({"error": "UndefinedMagnitude", "detail": str(exc)}),
               file=sys.stderr)
         return 3 if args.cmd == "mag" else 4

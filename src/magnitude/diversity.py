@@ -41,34 +41,18 @@ import numpy as np
 
 from ._backend import FW_CONVERGED, fw_away_qp
 from .engine import similarity_matrix
+from .errors import (
+    DiversityError,
+    NonConvergence,
+    TooLarge,
+    WindowTooNarrow,
+)
 from .spaces import FiniteMetricSpace
 
 EXACT_DIVERSITY_LIMIT = 15
 EXACT_COVERING_LIMIT = 25
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
-
-
-class DiversityError(Exception):
-    pass
-
-
-class NonConvergence(DiversityError):
-    def __init__(self, iterations: int, gap: float):
-        self.iterations = iterations
-        self.gap = gap
-        super().__init__(
-            f"duality gap {gap:.3e} after {iterations} iterations"
-        )
-
-
-class TooLarge(DiversityError):
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"exact method supports up to {limit} points, got {n}")
-
-
-class WindowTooNarrow(DiversityError):
-    pass
 
 
 @dataclass(frozen=True)

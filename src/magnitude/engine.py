@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UndefinedMagnitude
 from .spaces import (
     FiniteMetricSpace,
     NonpositiveScale,
@@ -49,10 +50,6 @@ STATUS_UNDEFINED = "Undefined"
 VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
 VERDICT_NOT = "CertifiedNot"
 VERDICT_INCONCLUSIVE = "Inconclusive"
-
-
-class UndefinedMagnitude(ArithmeticError):
-    """Similarity matrix singular or too ill conditioned to invert."""
 
 
 class NotRowHomogeneous(ValueError):

@@ -1,0 +1,155 @@
+"""The package's shared exception types and the finite_result guard.
+
+Every error the CLI catches by type lives here, and this module imports
+neither numpy nor any other package module, so the CLI can name its
+input errors without paying for the modules that compute. Each type is
+re-exported by its home module (spaces, lines, euclid, pixels,
+diversity, engine), so spaces.BadSpec is errors.BadSpec.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+
+# ---------------------------------------------------------------------------
+# metric spaces and their specs
+
+
+class MetricError(ValueError):
+    """A matrix failed metric validation; subclasses carry the witness."""
+
+
+class NotSquare(MetricError):
+    pass
+
+
+class NonFiniteEntry(MetricError):
+    pass
+
+
+class NotSymmetric(MetricError):
+    def __init__(self, i: int, j: int, dij: float, dji: float):
+        self.witness = (i, j)
+        super().__init__(f"d[{i},{j}]={dij!r} != d[{j},{i}]={dji!r}")
+
+
+class NegativeEntry(MetricError):
+    def __init__(self, i: int, j: int, value: float):
+        self.witness = (i, j)
+        super().__init__(f"d[{i},{j}]={value!r} < 0")
+
+
+class NonzeroDiagonal(MetricError):
+    def __init__(self, i: int, value: float):
+        self.witness = (i,)
+        super().__init__(f"d[{i},{i}]={value!r} != 0")
+
+
+class ZeroDistanceDistinctPoints(MetricError):
+    def __init__(self, i: int, j: int):
+        self.witness = (i, j)
+        super().__init__(f"d[{i},{j}]=0 but {i} != {j}")
+
+
+class TriangleViolation(MetricError):
+    """d(i,j) > d(i,k) + d(k,j) beyond tolerance; witness = (i, j, k)."""
+
+    def __init__(self, i: int, j: int, k: int, excess: float):
+        self.witness = (i, j, k)
+        self.excess = excess
+        super().__init__(
+            f"d[{i},{j}] > d[{i},{k}] + d[{k},{j}] by {excess:.3e}"
+        )
+
+
+class BadTolerance(ValueError):
+    """A triangle tolerance factor that is negative or not finite."""
+
+
+class NonpositiveScale(ValueError):
+    pass
+
+
+class ResultOverflow(OverflowError):
+    """A float result, or the arithmetic that forms it, leaves the double
+    range: the inputs are too large for the closed form."""
+
+
+def finite_result(fn):
+    """Raise ResultOverflow when fn overflows float arithmetic or returns a
+    non-finite float (alone, or as a tuple item or dict value)."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:  # float ** and math functions raise it
+            out = math.inf
+        items = out.values() if isinstance(out, dict) else \
+            out if isinstance(out, tuple) else (out,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ResultOverflow(
+                f"{fn.__qualname__} overflows the double range") from None
+        return out
+
+    return checked
+
+
+class BadSpec(ValueError):
+    """Malformed SpaceSpec parameters."""
+
+
+class DisconnectedGraph(BadSpec):
+    """Graph metric undefined: some pair has no connecting path."""
+
+
+class MatrixParseError(ValueError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# the closed-form and exact modules
+
+
+class LineError(ValueError):
+    pass
+
+
+class EuclidError(ValueError):
+    pass
+
+
+class PixelError(ValueError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# solvers
+
+
+class DiversityError(Exception):
+    pass
+
+
+class NonConvergence(DiversityError):
+    def __init__(self, iterations: int, gap: float):
+        self.iterations = iterations
+        self.gap = gap
+        super().__init__(
+            f"duality gap {gap:.3e} after {iterations} iterations"
+        )
+
+
+class TooLarge(DiversityError):
+    def __init__(self, n: int, limit: int):
+        super().__init__(f"exact method supports up to {limit} points, got {n}")
+
+
+class WindowTooNarrow(DiversityError):
+    pass
+
+
+class UndefinedMagnitude(ArithmeticError):
+    """Similarity matrix singular or too ill conditioned to invert."""

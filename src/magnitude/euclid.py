@@ -19,11 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .spaces import finite_result
-
-
-class EuclidError(ValueError):
-    pass
+from .errors import EuclidError, finite_result
 
 
 class UnsupportedDimension(EuclidError):

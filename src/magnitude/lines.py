@@ -25,15 +25,11 @@ import math
 
 import numpy as np
 
-from .spaces import NonpositiveScale, finite_result
+from .errors import LineError, NonpositiveScale, finite_result
 
 # above this t L / 2 the Cantor series would form 3^i beyond the double
 # range; tanh(h / 3) is exactly 1.0 for every h the reduction skips
 CANTOR_SERIES_LIMIT = 1e50
-
-
-class LineError(ValueError):
-    pass
 
 
 class DuplicatePoints(LineError):

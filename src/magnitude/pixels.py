@@ -34,16 +34,10 @@ from fractions import Fraction
 from itertools import combinations, product as _iterproduct
 from math import gcd, lcm
 
-import numpy as np
-
-from .spaces import FiniteMetricSpace, NonpositiveScale, _distances, finite_result
+from .errors import NonpositiveScale, PixelError, finite_result
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 IE_CELL_LIMIT = 20
-
-
-class PixelError(ValueError):
-    pass
 
 
 class EmptySet(PixelError):
@@ -396,6 +390,8 @@ def probe_grid(p: PixelSet, per_cell: int = 5) -> list:
 def _exp_box_integral(a, b, c):
     # integral of e^{-|c-u|} du over [a, b], elementwise; exponents are
     # clamped at 0 so the branches np.where discards cannot overflow
+    import numpy as np
+
     span = 1.0 - np.exp(a - b)
     below = np.exp(np.minimum(c - a, 0.0)) * span
     above = np.exp(np.minimum(b - c, 0.0)) * span
@@ -412,6 +408,8 @@ def verify_weight_measure(p: PixelSet, fm: FaceMeasure, probes) -> float:
     evaluation along the fixed ones. Zero deviation characterizes a weight
     measure; non-convex sets may deviate, which is reported, not raised.
     """
+    import numpy as np
+
     if fm.dim != p.dim:
         raise PixelError(f"measure is {fm.dim}-dimensional, set is {p.dim}")
     pts = np.asarray(list(probes), dtype=float)
@@ -660,9 +658,13 @@ def is_l1_convex(p: PixelSet, witness: bool = False):
     return (True, None) if witness else True
 
 
-def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
-    """Finite taxicab space of the lattice points at spacing scale/per_unit
-    inside the closed set."""
+def grid_sample(p: PixelSet, per_unit: int):
+    """Finite taxicab space (a spaces.FiniteMetricSpace) of the lattice
+    points at spacing scale/per_unit inside the closed set."""
+    import numpy as np
+
+    from .spaces import FiniteMetricSpace, _distances
+
     if per_unit < 1:
         raise PixelError("per_unit must be >= 1")
     k = per_unit
@@ -865,8 +867,8 @@ def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
     set still cover a full-dimensional body. The box rows of cell c,
     -x_i < -lam c_i and x_i < lam (c_i + 1), differ between cells only in
     right-hand sides affine in c, so the facets and box rows are
-    eliminated once and each candidate cell is tested against the
-    resulting conditions, scaled to integers.
+    eliminated once; the resulting conditions, scaled to integers, leave
+    each row of candidate cells along the last axis one interval.
     """
     lam = _as_scale(scale)
     n = body.dim
@@ -875,11 +877,10 @@ def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
         e = tuple(int(j == i) for j in range(n))
         rows.append((tuple(-x for x in e), (0,) + tuple(-lam * x for x in e), True))
         rows.append((e, (lam,) + tuple(lam * x for x in e), True))
-    forms, strict = [], []
+    forms = []
     for b, s in _fm_conditions(rows, n):
         den = lcm(*(x.denominator for x in b))
-        forms.append([int(x * den) for x in b])
-        strict.append(s)
+        forms.append(([int(x * den) for x in b], s))
     ranges = []
     for i in range(n):
         lo = min(v[i] for v in body.vertices)
@@ -887,12 +888,26 @@ def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
         c0 = (lo / lam).__floor__()
         c1 = (hi / lam).__ceil__()
         ranges.append(range(c0 - 1, c1 + 1))
-    # object arrays keep the dot products in exact Python integers
-    cand = np.array(list(_iterproduct(*ranges)), dtype=object)
-    k = np.array(forms, dtype=object)
-    vals = k[:, 0] + cand @ k[:, 1:].T
-    keep = np.where(strict, vals > 0, vals >= 0).all(axis=1)
-    return PixelSet(n, lam, map(tuple, cand[keep].tolist()))
+    # along the last axis each condition reads base + a x >= 0 (> 0 when
+    # strict), so every row of candidates keeps one interval of x, found
+    # by exact integer floor division
+    last = ranges[-1]
+    cells = []
+    for head in _iterproduct(*ranges[:-1]):
+        lo, hi = last.start, last.stop - 1
+        for k, strict in forms:
+            base = k[0] + sum(kj * cj for kj, cj in zip(k[1:], head))
+            a = k[-1]
+            if a > 0:    # x >= -base / a
+                lo = max(lo, (-base) // a + 1 if strict else -(base // a))
+            elif a < 0:  # x <= base / -a
+                hi = min(hi, -(-base // -a) - 1 if strict else base // -a)
+            elif base < 0 or (strict and base == 0):
+                hi = lo - 1
+            if lo > hi:
+                break
+        cells.extend(head + (x,) for x in range(lo, hi + 1))
+    return PixelSet(n, lam, cells)
 
 
 @dataclass(frozen=True)

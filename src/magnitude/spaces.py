@@ -14,13 +14,14 @@ reproduces the same matrix bit for bit on any platform. Generated matrices
 skip validate_metric, so the generators reject non-finite distances
 themselves.
 
-The module also holds the errors the closed-form modules share:
-NonpositiveScale, and ResultOverflow with its finite_result guard.
+The metric and spec errors, NonpositiveScale, and ResultOverflow with its
+finite_result guard live in the numpy-free errors module, shared with the
+closed-form modules; they are re-exported here, so spaces.BadSpec is
+errors.BadSpec.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
@@ -31,101 +32,27 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
+    BadSpec,
+    BadTolerance,
+    DisconnectedGraph,
+    MatrixParseError,
+    MetricError,
+    NegativeEntry,
+    NonFiniteEntry,
+    NonpositiveScale,
+    NonzeroDiagonal,
+    NotSquare,
+    NotSymmetric,
+    ResultOverflow,
+    TriangleViolation,
+    ZeroDistanceDistinctPoints,
+    finite_result,
+)
+
 TRIANGLE_TOL_FACTOR = 1e-12
 # rows of the distance matrix formed at once by _distances
 _ROW_BLOCK = 64
-
-
-class MetricError(ValueError):
-    """A matrix failed metric validation; subclasses carry the witness."""
-
-
-class NotSquare(MetricError):
-    pass
-
-
-class NonFiniteEntry(MetricError):
-    pass
-
-
-class NotSymmetric(MetricError):
-    def __init__(self, i: int, j: int, dij: float, dji: float):
-        self.witness = (i, j)
-        super().__init__(f"d[{i},{j}]={dij!r} != d[{j},{i}]={dji!r}")
-
-
-class NegativeEntry(MetricError):
-    def __init__(self, i: int, j: int, value: float):
-        self.witness = (i, j)
-        super().__init__(f"d[{i},{j}]={value!r} < 0")
-
-
-class NonzeroDiagonal(MetricError):
-    def __init__(self, i: int, value: float):
-        self.witness = (i,)
-        super().__init__(f"d[{i},{i}]={value!r} != 0")
-
-
-class ZeroDistanceDistinctPoints(MetricError):
-    def __init__(self, i: int, j: int):
-        self.witness = (i, j)
-        super().__init__(f"d[{i},{j}]=0 but {i} != {j}")
-
-
-class TriangleViolation(MetricError):
-    """d(i,j) > d(i,k) + d(k,j) beyond tolerance; witness = (i, j, k)."""
-
-    def __init__(self, i: int, j: int, k: int, excess: float):
-        self.witness = (i, j, k)
-        self.excess = excess
-        super().__init__(
-            f"d[{i},{j}] > d[{i},{k}] + d[{k},{j}] by {excess:.3e}"
-        )
-
-
-class BadTolerance(ValueError):
-    """A triangle tolerance factor that is negative or not finite."""
-
-
-class NonpositiveScale(ValueError):
-    pass
-
-
-class ResultOverflow(OverflowError):
-    """A float result, or the arithmetic that forms it, leaves the double
-    range: the inputs are too large for the closed form."""
-
-
-def finite_result(fn):
-    """Raise ResultOverflow when fn overflows float arithmetic or returns a
-    non-finite float (alone, or as a tuple item or dict value)."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            out = fn(*args, **kwargs)
-        except OverflowError:  # float ** and math functions raise it
-            out = math.inf
-        items = out.values() if isinstance(out, dict) else \
-            out if isinstance(out, tuple) else (out,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ResultOverflow(
-                f"{fn.__qualname__} overflows the double range") from None
-        return out
-
-    return checked
-
-
-class BadSpec(ValueError):
-    """Malformed SpaceSpec parameters."""
-
-
-class DisconnectedGraph(BadSpec):
-    """Graph metric undefined: some pair has no connecting path."""
-
-
-class MatrixParseError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -337,10 +264,11 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
 
 
 def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
-    """Shortest-path metric of an undirected unit-weight graph."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import shortest_path
+    """Shortest-path metric of an undirected unit-weight graph.
 
+    One breadth-first search per vertex over adjacency lists: O(n (n + m))
+    time for n vertices and m edges, O(n^2) memory for the matrix. Hop
+    counts are small integers, so the float64 matrix is exact."""
     edges = [(int(u), int(v)) for u, v in edges]
     if not edges and not n_vertices:
         raise BadSpec("graph needs edges or an explicit vertex count")
@@ -350,15 +278,34 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
         raise BadSpec("graph has no vertices")
     if seen and max(seen) >= n:
         raise BadSpec("edge endpoint beyond vertex count")
+    if seen and min(seen) < 0:
+        raise BadSpec("negative edge endpoint")
     if any(u == v for u, v in edges):
         raise BadSpec("self-loops not allowed")
-    rows = [u for u, v in edges] + [v for u, v in edges]
-    cols = [v for u, v in edges] + [u for u, v in edges]
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    d = shortest_path(adj.tocsr(), method="D", unweighted=True, directed=False)
-    if np.isinf(d).any():
-        i, j = map(int, np.argwhere(np.isinf(d))[0])
-        raise DisconnectedGraph(f"no path between vertices {i} and {j}")
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    d = np.empty((n, n))
+    for src in range(n):
+        hops = [-1] * n
+        hops[src] = 0
+        frontier, level = [src], 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if hops[v] < 0:
+                        hops[v] = level
+                        nxt.append(v)
+            frontier = nxt
+        if -1 in hops:
+            # the graph is undirected, so src = 0 already finds the first
+            # unreachable pair in row-major order
+            raise DisconnectedGraph(
+                f"no path between vertices {src} and {hops.index(-1)}")
+        d[src] = hops
     return FiniteMetricSpace(d)
 
 

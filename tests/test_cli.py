@@ -4,14 +4,20 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magnitude
 from magnitude import cli
 
+SRC = str(Path(magnitude.__file__).resolve().parent.parent)
 ENVELOPE_KEYS = {"command", "inputs_digest", "results", "timing_seconds", "version"}
 
 
@@ -262,11 +268,44 @@ def test_undecodable_file_is_bad_input(capsys, tmp_path, flag):
     assert json.loads(err)["error"] == "BadSpec"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mag", "--matrix"), ("mag", "--spec"), ("pixel", "--pixel-file"),
+])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_path_is_bad_input(capsys, tmp_path, argv, where):
+    path = tmp_path / "absent" if where == "missing" else tmp_path
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    rep = json.loads(err)
+    assert rep["error"] == "BadSpec"
+    assert str(path) in rep["detail"]
+
+
+def test_closed_stdout_ends_quietly_with_exit_one():
+    # the reader is gone before the command writes, so its output meets
+    # EPIPE; that is neither bad input nor worth a second error at exit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "magnitude", "pixel", "--ascii", "##"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")
 
-    monkeypatch.setattr(cli.engine, "solve_weighting", broken)
+    monkeypatch.setattr("magnitude.engine.solve_weighting", broken)
     code, _, err = run(capsys, "mag", "--points-1d", "0,1")
     assert code == 4
     assert json.loads(err)["error"] == "ValueError"
@@ -505,6 +544,8 @@ def test_pixel_body_without_vertices_exits_two(capsys, flag):
 @pytest.mark.parametrize("argv", [
     ("pixel", "--ascii", "#"),
     ("pixel", "--body-box", "1,1", "--bounds"),
+    ("pixel", "--ascii", "#", "--weights"),
+    ("pixel", "--ascii", "#", "--convexity"),
 ])
 @pytest.mark.parametrize("t", ["0", "-1"])
 def test_pixel_nonpositive_t_exits_two(capsys, argv, t):

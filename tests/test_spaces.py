@@ -338,6 +338,55 @@ def test_graph_metric_input_checks():
         graph_metric([])
 
 
+def _shortest_path_reference(edges, n):
+    """scipy's all-pairs shortest paths, the oracle of the breadth-first
+    searches: the matrix, or the message of the first unreachable pair in
+    row-major order."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = [u for u, v in edges] + [v for u, v in edges]
+    cols = [v for u, v in edges] + [u for u, v in edges]
+    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    d = shortest_path(adj.tocsr(), method="D", unweighted=True, directed=False)
+    if np.isinf(d).any():
+        i, j = map(int, np.argwhere(np.isinf(d))[0])
+        return f"no path between vertices {i} and {j}"
+    return d
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 29))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v]
+    # an explicit count may add isolated vertices past the last endpoint
+    explicit = draw(st.booleans()) or not edges
+    return edges, n if explicit else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_edge_lists())
+def test_graph_metric_matches_scipy_shortest_path(case):
+    edges, n_vertices = case
+    n = n_vertices if n_vertices is not None else 1 + max(max(e) for e in edges)
+    want = _shortest_path_reference(edges, n)
+    if isinstance(want, str):
+        with pytest.raises(DisconnectedGraph) as info:
+            graph_metric(edges, n_vertices)
+        assert str(info.value) == want
+        return
+    got = graph_metric(edges, n_vertices).distances
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_graph_metric_rejects_negative_endpoints():
+    with pytest.raises(BadSpec):
+        graph_metric([(0, 1), (1, -2)])
+
+
 def test_named_graph_k10_is_complete_not_bipartite():
     edges = named_graph_edges("k10")
     assert len(edges) == 45  # C(10, 2)

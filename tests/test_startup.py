@@ -1,9 +1,12 @@
-"""Cold start: scipy is imported only by the commands that factor a matrix.
+"""Cold start: each command imports only the modules it computes with.
 
-Each case runs in a fresh interpreter, because the test process itself
-has long since imported scipy.
+The package import and the exact commands (pixel, the Euclidean oracles)
+load no numpy; scipy is imported only by the commands that factor a
+matrix. Each case runs in a fresh interpreter, because the test process
+itself has long since imported numpy and scipy.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -27,7 +30,8 @@ if argv:
         code = cli.main(argv)
 else:
     import magnitude
-print(json.dumps({"code": code, "scipy": "scipy" in sys.modules,
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "scipy": "scipy" in sys.modules,
                   "linalg": "scipy.linalg" in sys.modules}))
 """
 
@@ -42,13 +46,39 @@ def probe(*argv):
     return json.loads(out)
 
 
+@pytest.fixture(scope="module")
+def box_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pixels") / "box.txt"
+    path.write_text("dim 3 scale 1/1\n0 0 0\n0 0 1\n0 1 0\n1 0 0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("pixel", "--ascii", r"##\n#.", "--intrinsic"),
+    ("pixel", "--ascii", r"##\n#.", "--weights"),
+    ("pixel", "--ascii", r"##\n#.", "--convexity"),
+    ("pixel", "--bounds", "--body-simplex", "0,0;1,0;0,1", "--scale", "1/4"),
+    ("pixel", "--pixel-file", None),
+    ("oracle", "--ball", "5,1"),
+    ("oracle", "--sphere", "2,1"),
+    ("oracle", "--leading", "3,1"),
+], ids=["import", "intrinsic", "weights", "convexity", "bounds", "pixel-file",
+        "ball", "sphere", "leading"])
+def test_exact_command_does_not_import_numpy(argv, box_file):
+    rep = probe(*(box_file if a is None else a for a in argv))
+    assert rep["code"] in (None, 0)
+    assert rep["numpy"] is False
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("pixel", "--ascii", r"##\n#."),
     ("diversity", "--points-1d", "0,1,3"),
+    ("diversity", "--graph", "k32"),
     ("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
     ("oracle", "--ball", "3,1"),
-], ids=["import", "pixel", "diversity", "dim", "oracle"])
+], ids=["import", "pixel", "diversity", "graph", "dim", "oracle"])
 def test_command_without_a_solve_does_not_import_scipy(argv):
     rep = probe(*argv)
     assert rep["code"] in (None, 0)
@@ -56,7 +86,18 @@ def test_command_without_a_solve_does_not_import_scipy(argv):
 
 
 def test_dense_solve_imports_scipy_linalg():
-    # the probe can see the import, so the cases above are not vacuous
+    # the probe can see both imports, so the cases above are not vacuous
     rep = probe("mag", "--points-1d", "0,1")
     assert rep["code"] == 0
+    assert rep["numpy"] is True
     assert rep["linalg"] is True
+
+
+@pytest.mark.parametrize("name", magnitude.__all__)
+def test_every_export_is_its_home_modules_object(name):
+    value = getattr(magnitude, name)
+    if name == "__version__":
+        return
+    home = importlib.import_module(
+        f"magnitude.{magnitude._EXPORTS[name]}")
+    assert value is getattr(home, name)
