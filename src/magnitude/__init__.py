@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # Every re-export resolves on first use (PEP 562), so `import magnitude`
 # loads neither numpy nor the modules that compute.
 _EXPORTS = {
-    "backend_name": "_backend",
+    "backend_name": "diversity",
     **dict.fromkeys((
         "DefinitenessReport", "MagnitudeFunctionSample", "MonotonicityViolation",
         "RefinementSample", "SimilarityMatrix", "UndefinedMagnitude",

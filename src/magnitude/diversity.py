@@ -10,7 +10,7 @@ weighting is nonnegative (subsets of the real line, for instance).
 max_diversity climbs a ladder of three rungs, each certified by the same
 measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
 
-1. Frank-Wolfe with away steps on min mu' Z mu (see _backend) from the
+1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
    uniform start, for at most n iterations: about the cost of one dense
    factorisation, and enough on spaces whose optimum is near uniform.
 2. When numpy's Cholesky accepts Z, a Lawson-Hanson active set on
@@ -39,7 +39,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._backend import FW_CONVERGED, fw_away_qp
 from .engine import similarity_matrix
 from .errors import (
     DiversityError,
@@ -53,6 +52,14 @@ EXACT_DIVERSITY_LIMIT = 15
 EXACT_COVERING_LIMIT = 25
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
+# status codes returned by fw_away_qp
+FW_CONVERGED = 0
+FW_MAX_ITERS = 1
+
+
+def backend_name() -> str:
+    """Kernel implementation that runs: always 'numpy'."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,78 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
     """Frank-Wolfe duality gap of mu for min mu' Z mu on the simplex."""
     q = z @ mu
     return float(2.0 * (mu @ q - q.min()))
+
+
+def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
+    """Minimize x'Zx over the probability simplex.
+
+    Frank-Wolfe with away steps and exact line search, one O(N) pass per
+    iteration. Deterministic: uniform start, lowest-index tie break in the
+    linear minimization oracle.
+
+    Returns (x, objective, duality_gap, iterations, nonconvex_flag, status)
+    where status is FW_CONVERGED or FW_MAX_ITERS. The nonconvex flag is set
+    when a direction of negative curvature (d'Zd < -1e-12) is encountered.
+    """
+    n = Z.shape[0]
+    mu = np.full(n, 1.0 / n)
+    q = Z @ mu                     # running Z @ mu
+    f = float(mu @ q)              # running objective mu' Z mu
+    nonconvex = False
+    gap = 0.0
+    it = 0
+    while it < max_iters:
+        g = 2.0 * q
+        s = int(np.argmin(g))      # lowest index wins ties by argmin contract
+        gmu = float(g @ mu)
+        gap = gmu - g[s]
+        if gap <= tol:
+            return mu, f, gap, it, nonconvex, FW_CONVERGED
+        on_support = mu > 0.0
+        masked = np.where(on_support, g, -np.inf)
+        a = int(np.argmax(masked))
+        if gap >= g[a] - gmu:
+            # toward step: d = e_s - mu
+            d_zmu = q[s] - f
+            d_zd = Z[s, s] - 2.0 * q[s] + f
+            hmax = 1.0
+            if d_zd <= 0.0:
+                if d_zd < -1e-12:
+                    nonconvex = True
+                h = hmax
+            else:
+                h = min(hmax, -d_zmu / d_zd)
+                h = max(h, 0.0)
+            f = f + 2.0 * h * d_zmu + h * h * d_zd
+            mu *= 1.0 - h
+            mu[s] += h
+            q = (1.0 - h) * q + h * Z[:, s]
+        else:
+            # away step: d = mu - e_a, feasible up to alpha/(1-alpha)
+            alpha = mu[a]
+            drop = False
+            hmax = alpha / (1.0 - alpha) if alpha < 1.0 else 0.0
+            d_zmu = f - q[a]
+            d_zd = f - 2.0 * q[a] + Z[a, a]
+            if d_zd <= 0.0:
+                if d_zd < -1e-12:
+                    nonconvex = True
+                h = hmax
+                drop = True
+            else:
+                h = -d_zmu / d_zd
+                if h >= hmax:
+                    h = hmax
+                    drop = True
+                h = max(h, 0.0)
+            f = f + 2.0 * h * d_zmu + h * h * d_zd
+            mu *= 1.0 + h
+            mu[a] -= h
+            if drop:
+                mu[a] = 0.0
+            q = (1.0 + h) * q - h * Z[:, a]
+        it += 1
+    return mu, f, gap, it, nonconvex, FW_MAX_ITERS
 
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,

@@ -22,9 +22,10 @@ Two independent computations of the same object:
 
 For l1-convex sets (every two cells joined by a monotone staircase of
 cells) the two agree and give the magnitude exactly; for other sets the
-polynomial value is an upper bound. Convex bodies with rational vertices
-get two-sided bounds by sandwiching between an outer pixelation and a
-shrunken copy of it.
+polynomial value is an upper bound. is_l1_convex decides which, in every
+dimension, by one sweep of staircase reachability on cell bitsets per
+orthant. Convex bodies with rational vertices get two-sided bounds by
+sandwiching between an outer pixelation and a shrunken copy of it.
 """
 
 from __future__ import annotations
@@ -586,75 +587,59 @@ def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:
 # convexity in the taxicab sense, sampling, top-level magnitude
 
 
-def _lines_and_connected(p: PixelSet) -> bool:
-    """Every axis-parallel line of cells meets the set in an interval, and
-    the set is connected through shared (dim-1)-faces."""
-    cells = p.cells
-    for i in range(p.dim):
-        lines = {}
-        for c in cells:
-            key = c[:i] + c[i + 1:]
-            lo, hi, k = lines.get(key, (c[i], c[i], 0))
-            lines[key] = (min(lo, c[i]), max(hi, c[i]), k + 1)
-        if any(hi - lo + 1 != k for lo, hi, k in lines.values()):
-            return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        c = stack.pop()
-        for i in range(p.dim):
-            for s in (-1, 1):
-                nxt = c[:i] + (c[i] + s,) + c[i + 1:]
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return len(seen) == len(cells)
-
-
 def is_l1_convex(p: PixelSet, witness: bool = False):
     """True when every two cells are joined by a monotone staircase.
 
     Each step moves one axis by one unit strictly toward the target cell
-    and must stay inside the set. In dim 1 and 2 this holds exactly when
-    the set is connected through shared edges and every row and column
-    meets it in an interval, a test linear in the cell count that runs
-    first. In dim 3 those two conditions are necessary but not sufficient
-    ({(0,0,0), (0,1,0), (0,1,1), (1,0,0), (1,0,1)} meets every line in an
-    interval and is connected, yet no staircase joins (0,1,1) to
-    (1,0,0)), so there the pairwise staircase search is the only test.
+    and must stay inside the set. Cells are bits of Python ints, in sorted
+    order. For each sign pattern s with s_0 = +1 (reversing a staircase
+    covers the rest), a sweep in decreasing s.c gives R(c), the cells that
+    steps along +s_i e_i reach from c; the set is l1-convex exactly when
+    R(c) is all of c's s-cone in the set, the AND of one half-space per
+    axis. A staircase never moves along an axis where its ends agree, so a
+    cell in several cones is reached in all or none of them.
     With witness=True returns (verdict, pair), pair being the first cell
-    pair (in sorted order) that no staircase joins, or None; a negative
-    verdict takes its witness from the search.
+    pair (in sorted order) that no staircase joins, or None.
     """
-    if p.dim <= 2:
-        ok = _lines_and_connected(p)
-        if ok or not witness:
-            return (ok, None) if witness else ok
-    cells = p.cells
-    lst = sorted(cells)
-
-    def reaches(a, b) -> bool:
-        seen = set()
-        stack = [a]
-        while stack:
-            c = stack.pop()
-            if c == b:
-                return True
-            if c in seen:
-                continue
-            seen.add(c)
-            for i in range(p.dim):
-                if c[i] != b[i]:
-                    step = 1 if b[i] > c[i] else -1
-                    nxt = c[:i] + (c[i] + step,) + c[i + 1:]
-                    if nxt in cells:
-                        stack.append(nxt)
-        return False
-
-    for a, b in combinations(lst, 2):
-        if not reaches(a, b):
-            return (False, (a, b)) if witness else False
+    cells = sorted(p.cells)
+    n = p.dim
+    # (axis i, sign, v) -> the cells with sign * c_i >= sign * v
+    half = {}
+    for i in range(n):
+        at = {}
+        for k, c in enumerate(cells):
+            at[c[i]] = at.get(c[i], 0) | 1 << k
+        for sign in (1, -1):
+            acc = 0
+            for v in sorted(at, reverse=sign > 0):
+                acc |= at[v]
+                half[i, sign, v] = acc
+    missing = [0] * len(cells)
+    for tail in _iterproduct((1, -1), repeat=n - 1):
+        s = (1,) + tail
+        reach, level = {}, None
+        for lv, k, c in sorted((-sum(a * b for a, b in zip(s, c)), k, c)
+                               for k, c in enumerate(cells)):
+            if lv != level:
+                # the cells c + s_i e_i lie one level lower, in the level
+                # swept just before; keeping only that one bounds memory
+                last = reach if level == lv - 1 else {}
+                reach, level = {}, lv
+            r = 1 << k
+            cone = -1
+            for i in range(n):
+                r |= last.get(c[:i] + (c[i] + s[i],) + c[i + 1:], 0)
+                cone &= half[i, s[i], c[i]]
+            reach[c] = r
+            if r != cone:
+                if not witness:
+                    return False
+                missing[k] |= cone ^ r
+    for k, m in enumerate(missing):
+        # pairs (c, d) with d before c in sorted order were seen at d
+        m >>= k + 1
+        if m:
+            return False, (cells[k], cells[k + (m & -m).bit_length()])
     return (True, None) if witness else True
 
 

@@ -53,6 +53,8 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
 TRIANGLE_TOL_FACTOR = 1e-12
 # rows of the distance matrix formed at once by _distances
 _ROW_BLOCK = 64
+# expected cube draws ball_sample may spend: a few seconds at n = 20
+BALL_DRAW_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,8 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     """Uniform sample of the lp ball by rejection from the bounding cube.
 
     Philox keyed by `seed`; candidates are drawn in fixed blocks of 1024 so
-    the accepted sequence depends only on the seed.
+    the accepted sequence depends only on the seed. Raises BadSpec when the
+    expected number of draws exceeds BALL_DRAW_LIMIT.
     """
     if n < 1 or count < 1:
         raise BadSpec("need n >= 1 and count >= 1")
@@ -381,6 +384,17 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         raise BadSpec("radius must be positive and give finite distances")
     if seed is None:
         raise BadSpec("ball_sample requires a seed")
+    # the ball keeps a share 1/n! (p = 1) or pi^(n/2) / (Gamma(n/2+1) 2^n)
+    # (p = 2) of the cube's draws; refuse before drawing when the expected
+    # number of draws is out of reach
+    log_share = (-math.lgamma(n + 1) if p == 1 else
+                 n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2))
+    log_draws = math.log(count) - log_share
+    if log_draws > math.log(BALL_DRAW_LIMIT):
+        raise BadSpec(
+            f"{count} points of the {n}-dimensional l{p} ball need about "
+            f"10^{log_draws / math.log(10):.1f} cube draws, over the limit "
+            f"of {BALL_DRAW_LIMIT:,}")
     gen = np.random.Generator(np.random.Philox(int(seed)))
     chunks = []
     have = 0

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import magnitude
 from magnitude import cli
+from magnitude.pixels import PixelSet
+from test_pixels import staircase_witness
 
 SRC = str(Path(magnitude.__file__).resolve().parent.parent)
 ENVELOPE_KEYS = {"command", "inputs_digest", "results", "timing_seconds", "version"}
@@ -183,6 +186,19 @@ def test_non_finite_generated_distance_exits_two(argv):
     assert out == ""
     assert json.loads(err)["error"] == "BadSpec"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--ball", "12,1,10", "--p", "1", "--seed", "1"),
+    ("mag", "--ball", "20,1,5", "--p", "2", "--seed", "1"),
+])
+def test_ball_out_of_reach_of_rejection_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "BadSpec"
+    assert "cube draws" in report["detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -524,6 +540,20 @@ def test_pixel_convexity_modes(capsys):
     assert code == 0
     assert rep["results"]["l1_convex"] is False
     assert rep["results"]["witness"] == [[0, 0], [2, 0]]
+
+
+def test_pixel_convexity_witness_in_three_dimensions(capsys, tmp_path):
+    cube = set(itertools.product(range(3), repeat=3))
+    cells = sorted(cube - {(1, 1, 1)})
+    path = tmp_path / "holed.pix"
+    path.write_text("dim 3 scale 1/1\n" + "".join(
+        " ".join(map(str, c)) + "\n" for c in cells))
+    code, rep, _ = run_json(capsys, "pixel", "--pixel-file", str(path),
+                            "--convexity")
+    assert code == 0
+    pair = staircase_witness(PixelSet(3, 1, cells))
+    assert rep["results"] == {"l1_convex": False,
+                              "witness": [list(c) for c in pair]}
 
 
 def test_pixel_weights_mode(capsys):

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnitude import backend_name
 from magnitude.diversity import (
     EXACT_COVERING_LIMIT,
     EXACT_DIVERSITY_LIMIT,
+    FW_CONVERGED,
+    FW_MAX_ITERS,
     DiversityError,
     NonConvergence,
     TooLarge,
     WindowTooNarrow,
     covering_number,
     dimension_estimate,
+    fw_away_qp,
     greedy_covering_number,
     kkt_gap,
     max_diversity,
@@ -32,6 +36,48 @@ from magnitude.spaces import (
 
 C5 = graph_metric(named_graph_edges("c5"))
 K32 = graph_metric(named_graph_edges("k32"))
+
+
+# ---------------------------------------------------------------------------
+# the Frank-Wolfe kernel
+
+
+def _random_similarity(rng, n):
+    pts = rng.uniform(0.0, 1.0, size=(n, 3))
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return np.exp(-d)
+
+
+def test_backend_name_is_numpy():
+    assert backend_name() == "numpy"
+
+
+def test_fw_simplex_invariants():
+    rng = np.random.default_rng(3)
+    Z = _random_similarity(rng, 17)
+    mu, f, gap, it, nc, st = fw_away_qp(Z, 1e-10, 100000)
+    assert st == FW_CONVERGED
+    assert np.all(mu >= 0.0)
+    assert np.sum(mu) == pytest.approx(1.0, abs=1e-12)
+    assert f == pytest.approx(float(mu @ Z @ mu), abs=1e-12)
+
+
+def test_fw_flags_negative_curvature():
+    # indefinite 2x2: the first toward step has d'Zd < 0, lands on a vertex
+    Z = np.array([[1.0, 2.0], [2.0, 1.5]])
+    mu, f, gap, it, nc, st = fw_away_qp(Z.copy(), 1e-12, 100)
+    assert st == FW_CONVERGED
+    assert nc
+    assert mu[0] == pytest.approx(1.0, abs=1e-15)
+    assert f == pytest.approx(1.0, abs=1e-15)
+
+
+def test_fw_max_iters_status():
+    rng = np.random.default_rng(5)
+    Z = _random_similarity(rng, 20)
+    mu, f, gap, it, nc, st = fw_away_qp(Z, 1e-14, 3)
+    assert st == FW_MAX_ITERS
+    assert it == 3
 
 
 # ---------------------------------------------------------------------------

@@ -611,14 +611,15 @@ def per_cell_dilation_volume(p, r):
 
 
 # ---------------------------------------------------------------------------
-# the linear-time convexity test against the search
+# the bitset convexity test against the search
 
 
-@pytest.mark.parametrize("width, height", [(4, 4), (3, 5)])
-def test_convexity_test_matches_search_on_every_subset(width, height):
-    box = list(itertools.product(range(width), range(height)))
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (2, 2, 3)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_convexity_test_matches_search_on_every_subset(shape):
+    box = list(itertools.product(*map(range, shape)))
     for bits in range(1, 1 << len(box)):
-        p = PixelSet(2, 1, [c for k, c in enumerate(box) if bits >> k & 1])
+        p = PixelSet(len(shape), 1, [c for k, c in enumerate(box) if bits >> k & 1])
         pair = staircase_witness(p)
         assert is_l1_convex(p) == (pair is None), sorted(p.cells)
         assert is_l1_convex(p, witness=True) == (pair is None, pair)
@@ -646,7 +647,22 @@ def test_convexity_of_a_large_square_is_fast():
     t0 = time.perf_counter()
     assert is_l1_convex(square, witness=True) == (True, None)
     assert not is_l1_convex(holed)
+    # the pair staircase_witness(holed) gives
+    assert is_l1_convex(holed, witness=True) == (False, ((0, 20), (21, 20)))
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_convexity_of_a_ten_cube_is_fast():
+    cube = PixelSet(3, 1, itertools.product(range(10), repeat=3))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert is_l1_convex(cube)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.1
+    # the pair staircase_witness gives once the centre cell is gone
+    holed = PixelSet(3, 1, cube.cells - {(5, 5, 5)})
+    assert is_l1_convex(holed, witness=True) == (False, ((0, 5, 5), (6, 5, 5)))
 
 
 # ---------------------------------------------------------------------------

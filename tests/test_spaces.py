@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -497,6 +498,16 @@ def test_ball_sample_input_checks():
         ball_sample(2, 1.0, 5, seed=1, p=3)
     with pytest.raises(BadSpec):
         ball_sample(2, 1.0, 5, seed=None)
+
+
+@pytest.mark.parametrize("dim, count, p", [(12, 10, 1), (20, 5, 2)])
+def test_ball_sample_refuses_out_of_reach_rejection(dim, count, p):
+    # the l1 ball keeps 1/12! of the cube's draws and the l2 ball in d = 20
+    # about 2.5e-8, so these would draw for minutes; refused before drawing
+    t0 = time.perf_counter()
+    with pytest.raises(BadSpec, match="cube draws"):
+        ball_sample(dim, 1.0, count, seed=1, p=p)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------
