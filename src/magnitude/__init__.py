@@ -46,33 +46,4 @@ def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
 
 
-__all__ = [
-    "__version__",
-    "backend_name",
-    "DefinitenessReport",
-    "FiniteMetricSpace",
-    "MagnitudeFunctionSample",
-    "MetricError",
-    "MonotonicityViolation",
-    "RefinementSample",
-    "SimilarityMatrix",
-    "SpaceSpec",
-    "TriangleViolation",
-    "UndefinedMagnitude",
-    "WeightingResult",
-    "approximate_compact_magnitude",
-    "cantor_endpoints",
-    "definiteness_report",
-    "generate_space",
-    "graph_metric",
-    "l1_product",
-    "lp_grid",
-    "magnitude",
-    "magnitude_function",
-    "points_on_line",
-    "scale_space",
-    "similarity_matrix",
-    "solve_weighting",
-    "speyer_magnitude",
-    "validate_metric",
-]
+__all__ = ["__version__", *_EXPORTS]

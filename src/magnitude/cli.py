@@ -142,8 +142,8 @@ def _read_text(path: str) -> str:
 def _space_inputs(args):
     """Build the metric space selected by the input flags; also return a
     plain dict describing the inputs for the digest."""
-    from .spaces import (SpaceSpec, generate_space, graph_metric,
-                         load_distance_csv, named_graph_edges, validate_metric)
+    from .spaces import (SpaceSpec, generate_space, load_distance_csv,
+                         named_graph, validate_metric)
 
     chosen = [
         name for name, flag in [
@@ -174,8 +174,7 @@ def _space_inputs(args):
         coords = _parse_floats(args.points_1d)
         spec = SpaceSpec("points_1d", {"coordinates": coords})
     elif src == "graph":
-        edges = named_graph_edges(args.graph)
-        return graph_metric(edges), {"kind": "graph", "name": args.graph}
+        return named_graph(args.graph), {"kind": "graph", "name": args.graph}
     elif src == "grid":
         try:
             shape = [int(s) for s in args.grid.lower().split("x")]

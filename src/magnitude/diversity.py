@@ -334,6 +334,18 @@ def greedy_covering_number(space: FiniteMetricSpace, eps: float) -> int:
     return len(_greedy_cover(_balls(space, eps)))
 
 
+def _disjoint_balls(balls: np.ndarray, centers) -> int:
+    # greedy family, in the order given, of balls pairwise disjoint as
+    # subsets of the space
+    occupied = np.zeros(balls.shape[0], dtype=bool)
+    count = 0
+    for i in centers:
+        if not (balls[i] & occupied).any():
+            occupied |= balls[i]
+            count += 1
+    return count
+
+
 def packing_number(space: FiniteMetricSpace, eps: float) -> int:
     """Size of a greedy maximal family of closed eps-balls, centered in
     the space, that are pairwise disjoint as subsets of the space.
@@ -342,14 +354,7 @@ def packing_number(space: FiniteMetricSpace, eps: float) -> int:
     covering lower bound; intrinsic disjointness (no witness point within
     eps of both centers) keeps it tight when midpoints are missing.
     """
-    balls = _balls(space, eps)
-    occupied = np.zeros(space.n_points, dtype=bool)
-    count = 0
-    for i in range(space.n_points):
-        if not (balls[i] & occupied).any():
-            occupied |= balls[i]
-            count += 1
-    return count
+    return _disjoint_balls(_balls(space, eps), range(space.n_points))
 
 
 def covering_number(space: FiniteMetricSpace, eps: float,
@@ -365,17 +370,6 @@ def covering_number(space: FiniteMetricSpace, eps: float,
     best_centers = _greedy_cover(balls)
     best = len(best_centers)
 
-    def packing_lb(uncovered) -> int:
-        # uncovered points with pairwise-disjoint balls: each remaining
-        # center handles at most one of them
-        occupied = np.zeros(n, dtype=bool)
-        count = 0
-        for i in np.flatnonzero(uncovered):
-            if not (balls[i] & occupied).any():
-                occupied |= balls[i]
-                count += 1
-        return count
-
     def rec(uncovered, chosen):
         nonlocal best, best_centers
         if not uncovered.any():
@@ -383,7 +377,9 @@ def covering_number(space: FiniteMetricSpace, eps: float,
                 best = len(chosen)
                 best_centers = list(chosen)
             return
-        if len(chosen) + packing_lb(uncovered) >= best:
+        # uncovered points with pairwise-disjoint balls: each remaining
+        # center handles at most one of them
+        if len(chosen) + _disjoint_balls(balls, np.flatnonzero(uncovered)) >= best:
             return
         # branch on the hardest point: fewest balls cover it
         idx = np.flatnonzero(uncovered)

@@ -7,11 +7,12 @@ arithmetic; floats appear only when a result is evaluated at a float scale.
 Two independent computations of the same object:
 
 * the weight measure, face by face: each relatively open face G of the
-  cell complex carries mass coef(G) * (t lam)^dim(G), where coef(G) comes
-  from inclusion-exclusion over the cells whose closure contains G. A
-  single cell contributes (1/2)^dim(box) to every face of each box in the
-  IE lattice, which is the product of the one-dimensional measure
-  (atoms 1/2 at the ends, density t/2 inside).
+  cell complex carries mass coef(G) * (t lam)^dim(G). On one cell it is
+  the product of the one-dimensional measure (atoms 1/2 at the ends,
+  density t/2 inside); on a union, inclusion-exclusion over the cells
+  that own G (whose closure contains G) sums to a closed form in the
+  owners' offsets O in {0,-1}^F, F the fixed axes of G:
+  coef(G) = 2^-dim G * sum over T in F of (-1/2)^|T| |O|_T|.
 
 * the expansion polynomial: the volume of the set grown by r/2 on every
   side (Minkowski sum with r * [-1/2, 1/2]^n) is a polynomial
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as _iterproduct
 from math import gcd, lcm
 
@@ -218,41 +220,42 @@ def format_pixel_file(p: PixelSet) -> str:
 # weight measure on the face complex
 
 
-def faces_of_cell(cell):
-    """All 3^n relatively open faces of the closed unit box at `cell`.
-
-    A face is (anchor, axes): anchor the lattice corner, axes the sorted
-    tuple of directions in which the face is a unit open interval
-    (anchor_i, anchor_i + 1); on the other axes it is the point anchor_i.
-    """
-    n = len(cell)
-    for mask in _iterproduct((0, 1, 2), repeat=n):
-        # per axis: 0 low vertex, 1 open interval, 2 high vertex
-        anchor = tuple(c + (1 if m == 2 else 0) for c, m in zip(cell, mask))
-        axes = tuple(i for i, m in enumerate(mask) if m == 1)
-        yield anchor, axes
+def _corner_cells(cells, corner, free: int = 0) -> tuple:
+    """Offsets k of the cells owning the face anchored at a lattice corner
+    with free-axis mask `free`; k stands for the cell corner + o with
+    o_i = -(bit i of k), and owners have o = 0 on the free axes. free = 0
+    gives every cell at the corner."""
+    return tuple(
+        k for k in range(1 << len(corner)) if not k & free
+        and tuple(x - (k >> i & 1) for i, x in enumerate(corner)) in cells)
 
 
-def _cells_containing_face(cells, n, anchor, axes):
-    fixed = [i for i in range(n) if i not in axes]
-    found = []
-    for off in _iterproduct((0, -1), repeat=len(fixed)):
-        c = list(anchor)
-        for i, o in zip(fixed, off):
-            c[i] += o
-        c = tuple(c)
-        if c in cells:
-            found.append(c)
-    return found
+@lru_cache(maxsize=None)
+def _corner_faces(n: int, occ: tuple) -> tuple:
+    """Nonzero (axes, coefficient) of the faces anchored at a corner whose
+    cells are at the offsets `occ`, by the identity in weight_measure."""
+    out = []
+    for free in range(1 << n):
+        owners = [k for k in occ if not k & free]
+        fixed = (1 << n) - 1 - free
+        # 2^n coef(G) = sum over T in F of (-1)^|T| 2^|F - T| |O|_T|
+        num = sum((-1) ** t.bit_count() * 2 ** (fixed - t).bit_count()
+                  * len({k & t for k in owners})
+                  for t in range(1 << n) if not t & free)
+        if num:
+            axes = tuple(i for i in range(n) if free >> i & 1)
+            out.append((axes, Fraction(num, 2**n)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class FaceMeasure:
     """Weight measure of a pixel set, stored per face.
 
-    coefficients maps (anchor, axes) to an exact rational c; the face then
-    carries mass c * (t * scale)^len(axes) at scale parameter t. Faces with
-    coefficient zero are dropped.
+    coefficients maps a face (anchor, axes) -- the open unit interval
+    (anchor_i, anchor_i + 1) on the sorted axes, the point anchor_i on the
+    others -- to an exact rational c; it carries mass c * (t * scale)^len(axes)
+    at scale parameter t. Faces with coefficient zero are dropped.
     """
 
     dim: int
@@ -262,10 +265,13 @@ class FaceMeasure:
 
     def coefficient(self, anchor, axes) -> Fraction:
         key = (tuple(anchor), tuple(axes))
+        free = [i for i in range(self.dim) if i in key[1]]
+        if len(key[0]) != self.dim or free != list(key[1]):
+            raise ProbeOutsideSet(f"{key} is not a face key in dim {self.dim}")
         if key in self.coefficients:
             return self.coefficients[key]
         # distinguish an absent face from one that cancelled to zero
-        if not _cells_containing_face(self.cells, self.dim, *key):
+        if not _corner_cells(self.cells, key[0], sum(1 << i for i in free)):
             raise ProbeOutsideSet(f"face {key} is not a face of the set")
         return Fraction(0)
 
@@ -295,36 +301,28 @@ class FaceMeasure:
 
 
 def weight_measure(p: PixelSet) -> FaceMeasure:
-    """Face coefficients by local inclusion-exclusion.
+    """Face coefficients in closed form, one pattern lookup per corner.
 
-    For face G, only the cells whose closure contains G matter:
-    coef(G) = sum over nonempty subsets S of those cells of
-    (-1)^(|S|+1) (1/2)^dim(cap S). Equivalent to full subset enumeration
-    but linear in the number of faces.
+    Inclusion-exclusion over the owners of G gives coef(G) = sum over
+    their nonempty subsets S of (-1)^(|S|+1) (1/2)^dim(cap S), where
+    dim(cap S) is dim G plus the number of fixed axes on which S agrees.
+    Write (1/2)^[S agrees on i] = 1 - 1/2 [S agrees on i] and expand over
+    F: the S that agree on T fall into one class per element of O|_T (the
+    distinct restrictions of O to T), and each class sums to 1, so
+
+        coef(G) = 2^-dim G * sum over T in F of (-1/2)^|T| |O|_T|.
+
+    A corner's faces depend only on which of its 2^n cells are in the
+    set, so their list is memoised per pattern.
     """
-    cells = p.cells
-    n = p.dim
+    n, cells = p.dim, p.cells
+    corners = {tuple(x + d for x, d in zip(cell, step))
+               for cell in cells for step in _iterproduct((0, 1), repeat=n)}
     out = {}
-    seen = set()
-    for cell in cells:
-        for anchor, axes in faces_of_cell(cell):
-            key = (anchor, axes)
-            if key in seen:
-                continue
-            seen.add(key)
-            owners = _cells_containing_face(cells, n, anchor, axes)
-            fixed = [i for i in range(n) if i not in axes]
-            coef = Fraction(0)
-            for r in range(1, len(owners) + 1):
-                for sub in combinations(owners, r):
-                    dim_cap = len(axes)
-                    for i in fixed:
-                        if len({c[i] for c in sub}) == 1:
-                            dim_cap += 1
-                    coef += Fraction((-1) ** (r + 1), 2**dim_cap)
-            if coef != 0:
-                out[key] = coef
-    return FaceMeasure(n, p.scale, out, p.cells)
+    for corner in corners:
+        for axes, coef in _corner_faces(n, _corner_cells(cells, corner)):
+            out[corner, axes] = coef
+    return FaceMeasure(n, p.scale, out, cells)
 
 
 def weight_measure_ie(p: PixelSet) -> FaceMeasure:

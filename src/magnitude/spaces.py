@@ -351,18 +351,10 @@ def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
 
 
 def cantor_gaps(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
-    """Open middle-third gaps removed during the first `depth` steps."""
-    gaps = []
-    iv = [(0.0, float(length))]
-    for _ in range(depth):
-        nxt = []
-        for a, b in iv:
-            third = (b - a) / 3.0
-            gaps.append((a + third, b - third))
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        iv = nxt
-    return sorted(gaps)
+    """Open middle-third gaps removed during the first `depth` steps: the
+    gaps between consecutive intervals of cantor_intervals."""
+    iv = cantor_intervals(depth, length)
+    return [(a[1], b[0]) for a, b in zip(iv, iv[1:])]
 
 
 def ball_sample(n: int, radius: float, count: int, seed: int,
@@ -428,7 +420,7 @@ def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
             return points_on_line(p["coordinates"])
         if kind == "graph_shortest_path":
             if "name" in p:
-                return graph_metric(named_graph_edges(p["name"]))
+                return named_graph(p["name"])
             return graph_metric(p["edges"], p.get("n_vertices", p.get("n")))
         if kind == "lp_grid":
             return lp_grid(p["shape"], p.get("p", 2), p.get("spacing", 1.0))
@@ -453,8 +445,8 @@ def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
 # named graphs and matrix IO (CLI conveniences)
 
 
-def named_graph_edges(name: str) -> list[tuple[int, int]]:
-    """Edge list for compact graph names.
+def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
+    """(edges, vertex count) for compact graph names.
 
     k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
     p<n> path.
@@ -465,25 +457,38 @@ def named_graph_edges(name: str) -> list[tuple[int, int]]:
             a, b = (int(v) for v in s[1:].split(","))
         except ValueError:
             raise BadSpec(f"unknown graph name {name!r}") from None
-        return [(i, a + j) for i in range(a) for j in range(b)]
+        if a < 1 or b < 1:
+            raise BadSpec("complete bipartite graph needs two nonempty parts")
+        return [(i, a + j) for i in range(a) for j in range(b)], a + b
     if s.startswith("k") and len(s) == 3 and s[1:].isdigit() and "0" not in s[1:]:
         # two nonzero digits: complete bipartite shorthand, k32 = K_{3,2}
         a, b = int(s[1]), int(s[2])
-        return [(i, a + j) for i in range(a) for j in range(b)]
+        return [(i, a + j) for i in range(a) for j in range(b)], a + b
     if s.startswith("k") and s[1:].isdigit():
         n = int(s[1:])
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return [(i, j) for i in range(n) for j in range(i + 1, n)], n
     if s.startswith("c") and s[1:].isdigit():
         n = int(s[1:])
         if n < 3:
             raise BadSpec("cycle needs at least 3 vertices")
-        return [(i, (i + 1) % n) for i in range(n)]
+        return [(i, (i + 1) % n) for i in range(n)], n
     if s.startswith("p") and s[1:].isdigit():
         n = int(s[1:])
         if n < 2:
             raise BadSpec("path needs at least 2 vertices")
-        return [(i, i + 1) for i in range(n - 1)]
+        return [(i, i + 1) for i in range(n - 1)], n
     raise BadSpec(f"unknown graph name {name!r}")
+
+
+def named_graph_edges(name: str) -> list[tuple[int, int]]:
+    """Edge list of a named graph (names as in _parse_graph_name)."""
+    return _parse_graph_name(name)[0]
+
+
+def named_graph(name: str) -> FiniteMetricSpace:
+    """Shortest-path metric of a named graph. The vertex count comes with
+    the name, so k1 is the one-point space; k0 has no vertices."""
+    return graph_metric(*_parse_graph_name(name))
 
 
 def load_distance_csv(source) -> np.ndarray:

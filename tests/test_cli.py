@@ -102,6 +102,18 @@ def test_mag_k32_negative_window(capsys):
     assert rep["results"]["status"] == "UniqueInvertible"
 
 
+def test_mag_k1_is_one_point(capsys):
+    code, rep, _ = run_json(capsys, "mag", "--graph", "k1", "--t", "2")
+    assert code == 0
+    assert rep["results"]["magnitude"] == 1.0
+    assert rep["results"]["n_points"] == 1
+    assert rep["inputs_digest"] == cli._digest(
+        {"space": {"kind": "graph", "name": "k1"}, "t": 2.0})
+    code, out, err = run(capsys, "mag", "--graph", "k0")
+    assert code == 2
+    assert json.loads(err)["error"] == "BadSpec"
+
+
 def test_mag_k32_pole_exits_three(capsys):
     code, out, err = run(capsys, "mag", "--graph", "k32",
                          "--t", repr(0.5 * math.log(2)))
@@ -561,6 +573,22 @@ def test_pixel_weights_mode(capsys):
     assert code == 0
     assert rep["results"]["total_mass"] == "15/4"
     assert rep["results"]["l1_convex"] is True
+
+
+def test_pixel_weights_of_a_cube_file(capsys, tmp_path):
+    path = tmp_path / "cube.pix"
+    path.write_text("dim 3 scale 1/1\n" + "".join(
+        " ".join(map(str, c)) + "\n" for c in itertools.product(range(4), repeat=3)))
+    code, rep, _ = run_json(capsys, "pixel", "--pixel-file", str(path),
+                            "--weights")
+    assert code == 0
+    # the product of three 4-interval measures: per axis the two end atoms
+    # or one of the 4 cells carry mass, so (4 + 2)^3 faces and total
+    # (1 + 4/2)^3 = 27, with mass C(3, d) 2^d in dimension d
+    assert rep["results"] == {
+        "faces": 6**3, "l1_convex": True,
+        "mass_by_dimension": {"0": "1", "1": "6", "2": "12", "3": "8"},
+        "total_mass": "27"}
 
 
 @pytest.mark.parametrize("flag", ["--body-simplex=;", "--body-vertices=;"])

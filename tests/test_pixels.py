@@ -28,7 +28,6 @@ from magnitude.pixels import (
     body_magnitude_bounds,
     build_body,
     dilation_volume,
-    faces_of_cell,
     format_pixel_file,
     grid_sample,
     is_l1_convex,
@@ -125,7 +124,6 @@ def test_pixel_file_comments_and_header():
 
 
 def test_unit_pixel_faces_all_quarter():
-    assert len(list(faces_of_cell((0, 0)))) == 9
     wm = weight_measure(UNIT)
     assert len(wm.coefficients) == 9
     assert set(wm.coefficients.values()) == {F(1, 4)}
@@ -150,6 +148,19 @@ def test_probe_outside_set():
         wm.coefficient((5, 5), ())
 
 
+@pytest.mark.parametrize("anchor, axes", [
+    ((0, 0), ()),          # two coordinates for a 3-D anchor
+    ((0, 0, 0), (5,)),     # no axis 5 in 3-D
+    ((0, 0, 0), (1, 0)),   # axes out of order
+    ((0, 0, 0), (1, 1)),   # a repeated axis
+])
+def test_malformed_face_key_is_refused(anchor, axes):
+    wm = weight_measure(PixelSet(3, 1, [(0, 0, 0)]))
+    with pytest.raises(ProbeOutsideSet):
+        wm.coefficient(anchor, axes)
+    assert wm.coefficient((0, 0, 0), (0, 1)) == F(1, 8)
+
+
 def test_l_tromino_measure_and_polynomial():
     wm = weight_measure(L_TROMINO)
     sp = steiner_polynomial(L_TROMINO)
@@ -171,6 +182,28 @@ def test_measure_matches_inclusion_exclusion_oracle():
         a = weight_measure(p)
         b = weight_measure_ie(p)
         assert a.coefficients == b.coefficients
+    # every nonempty subset of the 2x2x2 and 3x3 boxes
+    for shape in ((2, 2, 2), (3, 3)):
+        box = list(itertools.product(*map(range, shape)))
+        for mask in range(1, 1 << len(box)):
+            p = PixelSet(len(shape), 1,
+                         [c for i, c in enumerate(box) if mask >> i & 1])
+            assert weight_measure(p) == weight_measure_ie(p), p.cells
+
+
+def test_cube_masses_and_runtime():
+    # the k-cube's measure is the product of k-interval measures
+    # (atoms 1/2, density 1/2), so mass by dimension d is C(3, d) (k/2)^d
+    k = 10
+    cube = PixelSet(3, 1, itertools.product(range(k), repeat=3))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        wm = weight_measure(cube)
+        times.append(time.perf_counter() - t0)
+    assert wm.mass_by_dimension() == {0: 1, 1: F(3 * k, 2), 2: F(3 * k * k, 4),
+                                      3: F(k**3, 8)}
+    assert min(times) < 0.5
 
 
 def test_ie_oracle_cell_limit():

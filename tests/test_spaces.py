@@ -395,6 +395,15 @@ def test_named_graph_k10_is_complete_not_bipartite():
         named_graph_edges("q7")
 
 
+def test_named_graph_k1_is_one_point():
+    k1 = generate_space(SpaceSpec("graph_shortest_path", {"name": "k1"}))
+    assert k1.n_points == 1
+    assert k1.distances.tolist() == [[0.0]]
+    for name in ("k0", "k3,0", "k0,2", "k-1,2"):
+        with pytest.raises(BadSpec):
+            generate_space(SpaceSpec("graph_shortest_path", {"name": name}))
+
+
 def test_lp_grid():
     g = lp_grid((2, 2), p=1)
     assert g.n_points == 4
