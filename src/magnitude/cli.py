@@ -27,8 +27,8 @@ failure, including a refinement sweep that should be monotone but is not.
 Each command imports only the modules it computes with: the package
 modules that need numpy (spaces, engine, diversity, lines) are imported
 inside the handlers and branches that use them, so pixel and the
-Euclidean oracles run without numpy, and only the commands that factor a
-matrix load scipy.linalg (see engine).
+Euclidean oracles run without numpy. No command loads scipy: the dense
+solves run on numpy alone (see engine).
 """
 
 from __future__ import annotations

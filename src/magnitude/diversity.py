@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import similarity_matrix
+from .engine import cholesky_solver, similarity_matrix
 from .errors import (
     DiversityError,
     NonConvergence,
@@ -196,21 +196,6 @@ def _result(mu, value, gap, iterations, method) -> DiversityResult:
                            float(gap), int(iterations), method)
 
 
-def _solve_ones(chol: np.ndarray) -> np.ndarray:
-    """y with L L' y = 1 by forward and back substitution on the Cholesky
-    factor L; numpy has no triangular solve, and a general one would
-    refactor."""
-    n = chol.shape[0]
-    upper = np.ascontiguousarray(chol.T)
-    u = np.empty(n)
-    for i in range(n):
-        u[i] = (1.0 - chol[i, :i] @ u[:i]) / chol[i, i]
-    y = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        y[i] = (u[i] - upper[i, i + 1:] @ y[i + 1:]) / upper[i, i]
-    return y
-
-
 def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     """Lawson-Hanson active set on min (1/2) y'Zy - 1'y, y >= 0.
 
@@ -225,7 +210,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     except np.linalg.LinAlgError:
         return None
     idx = np.arange(n)
-    ys = _solve_ones(chol)      # the weighting, on the full support
+    ys = cholesky_solver(chol)(np.ones(n))  # the weighting, full support
     y = None                    # feasible iterate once a solve is positive
     for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
         if ys.min() > 0:
@@ -256,7 +241,8 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
         try:
-            ys = _solve_ones(np.linalg.cholesky(z[np.ix_(idx, idx)]))
+            ys = cholesky_solver(np.linalg.cholesky(z[np.ix_(idx, idx)]))(
+                np.ones(idx.size))
         except np.linalg.LinAlgError:
             return None
     return None

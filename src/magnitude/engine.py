@@ -17,15 +17,18 @@ undefined: slightly conservative, never silently wrong.
 Homogeneous spaces (all rows of Z share one sum) admit the shortcut
 N / (row sum), used as a cross-check rather than a fast path.
 
-scipy.linalg is imported inside the two functions that factor Z
-(solve_weighting and is_positive_definite), not at module level: it costs
-about 0.3 s, and commands that never factor a matrix should not pay it.
+Everything runs on numpy alone: importing scipy.linalg would cost a
+process about 0.3 s, more than a solve at a thousand points. numpy has
+no triangular solve, so the Cholesky rung substitutes on the factor in
+blocks (cholesky_solver); the LU rung, for the rare Z that Cholesky
+rejects, multiplies by one explicit inverse. Both rungs estimate the
+condition number with the same Hager-Higham estimator that LAPACK's
+dpocon and dgecon run.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,16 @@ DEFAULT_TOL = 1e-9
 # rcond below N * this factor means the solve cannot be trusted at all
 CONDITION_RCOND_FACTOR = 1e-14
 REFINE_MAX_PASSES = 3
+# rows per block of the triangular substitutions: one matrix-vector
+# product per block keeps the Python loop at n / 64 steps
+SUBSTITUTION_BLOCK = 64
+# iteration cap of the 1-norm estimator, as in LAPACK's dlacn2
+ESTIMATOR_MAX_ITERS = 5
+# definiteness_report brackets the norm of d to this relative margin,
+# far wider than eigvalsh's rounding (about N * 1e-16), in at most this
+# many power-iteration steps
+PERRON_MARGIN = 1e-8
+PERRON_MAX_ITERS = 100
 
 STATUS_PD = "UniquePD"
 STATUS_INVERTIBLE = "UniqueInvertible"
@@ -113,6 +126,67 @@ def _one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
+def cholesky_solver(chol: np.ndarray):
+    """x -> (L L')^-1 x for the lower Cholesky factor L.
+
+    Blocked forward and back substitution: per block of SUBSTITUTION_BLOCK
+    rows, one matrix-vector product with the rows already solved, then a
+    product with the inverse of the block's diagonal, formed once here.
+    """
+    n = chol.shape[0]
+    blocks = [(i, min(i + SUBSTITUTION_BLOCK, n))
+              for i in range(0, n, SUBSTITUTION_BLOCK)]
+    inverses = [np.linalg.inv(chol[i:j, i:j]) for i, j in blocks]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        u = np.empty(n)
+        for (i, j), inv in zip(blocks, inverses):
+            u[i:j] = inv @ (rhs[i:j] - chol[i:j, :i] @ u[:i])
+        x = np.empty(n)
+        for (i, j), inv in zip(reversed(blocks), reversed(inverses)):
+            x[i:j] = (u[i:j] - x[j:] @ chol[j:, i:j]) @ inv
+        return x
+
+    return solve
+
+
+def _sign_vector(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0, -1.0)
+
+
+def _inverse_norm_estimate(solve, n: int) -> float:
+    """Lower bound on ||A^-1||_1 for a symmetric A, given x -> A^-1 x.
+
+    Hager's estimator with Higham's refinements (ACM TOMS 14, 1988), step
+    for step as LAPACK's dlacn2, which dpocon and dgecon drive: A is
+    symmetric, so the transposed solves dlacn2 asks for are plain solves.
+    """
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(float(x[0]))
+    est = float(np.abs(x).sum())
+    signs = _sign_vector(x)
+    x = solve(signs)
+    j = int(np.argmax(np.abs(x)))
+    for _ in range(2, ESTIMATOR_MAX_ITERS + 1):  # dlacn2 counts from 2
+        e = np.zeros(n)
+        e[j] = 1.0
+        x = solve(e)
+        old, est = est, float(np.abs(x).sum())
+        new = _sign_vector(x)
+        if np.array_equal(new, signs) or est <= old:
+            break  # a repeated sign vector, or cycling
+        signs = new
+        x = solve(signs)
+        last, j = j, int(np.argmax(np.abs(x)))
+        if x[last] == abs(x[j]):
+            break
+    # alternating ramp, against a local maximum the iteration got stuck in
+    ramp = 1.0 + np.arange(n) / (n - 1)
+    ramp[1::2] *= -1.0
+    return max(est, 2.0 * float(np.abs(solve(ramp)).sum()) / (3 * n))
+
+
 def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
                     tol: float = DEFAULT_TOL) -> WeightingResult:
     """Solve Z w = 1 with condition screening and iterative refinement.
@@ -122,40 +196,28 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below 1e-9.
     """
-    from scipy.linalg import (LinAlgError, LinAlgWarning, cho_factor,
-                              cho_solve, lapack, lu_factor, lu_solve)
-
     z = similarity_matrix(space, t).entries
     n = z.shape[0]
     ones = np.ones(n)
-    anorm = _one_norm(z)
 
-    status = STATUS_UNDEFINED
-    solve = None
-    rcond = 0.0
     try:
-        c, low = cho_factor(z, check_finite=False)
-        rcond, info = lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
-        if info != 0:
-            raise LinAlgError("dpocon failed")
+        solve = cholesky_solver(np.linalg.cholesky(z))
         status = STATUS_PD
-        solve = lambda rhs: cho_solve((c, low), rhs, check_finite=False)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         try:
-            with warnings.catch_warnings():
-                # an exactly singular factor shows as rcond = 0 below
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu, piv = lu_factor(z, check_finite=False)
-            rcond, info = lapack.dgecon(lu, anorm, norm="1")
-            if info != 0:
-                raise LinAlgError("dgecon failed")
-            status = STATUS_INVERTIBLE
-            solve = lambda rhs: lu_solve((lu, piv), rhs, check_finite=False)
-        except LinAlgError:
+            inverse = np.linalg.inv(z)
+        except np.linalg.LinAlgError:
             return WeightingResult(None, None, None, STATUS_UNDEFINED,
                                    float("inf"), None)
+        solve = lambda rhs: inverse @ rhs
+        status = STATUS_INVERTIBLE
 
-    cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
+    # a nearly singular factor may overflow; a non-finite estimate counts
+    # as singular, as dgecon's check for NaN and infinity does
+    with np.errstate(over="ignore", invalid="ignore"):
+        ainvnm = _inverse_norm_estimate(solve, n)
+    rcond = (1.0 / ainvnm) / _one_norm(z) if 0.0 < ainvnm < math.inf else 0.0
+    cond = float("inf") if rcond == 0.0 else 1.0 / rcond
     if rcond < n * CONDITION_RCOND_FACTOR:
         return WeightingResult(None, None, None, STATUS_UNDEFINED, cond, None)
 
@@ -269,12 +331,10 @@ def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
-    from scipy.linalg import LinAlgError, cho_factor
-
     try:
-        cho_factor(similarity_matrix(space, t).entries, check_finite=False)
+        np.linalg.cholesky(similarity_matrix(space, t).entries)
         return True
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return False
 
 
@@ -285,6 +345,32 @@ def scattered_bound_holds(space: FiniteMetricSpace, t: float = 1.0) -> bool:
     if n <= 2:
         return True
     return float(t) * space.min_distance > math.log(n - 1)
+
+
+def _negative_type_verdict(top: float, dnorm: float) -> str:
+    if top <= 1e-10 * dnorm or dnorm == 0.0:
+        return VERDICT_NEGATIVE_TYPE
+    if top >= 1e-6 * dnorm:
+        return VERDICT_NOT
+    return VERDICT_INCONCLUSIVE
+
+
+def _perron_bracket(d: np.ndarray):
+    """Collatz-Wielandt bounds on the Perron root of a nonnegative d.
+
+    Each power-iteration step from the all-ones vector yields
+    min (d x)_i / x_i <= rho(d) <= max (d x)_i / x_i for positive x. A
+    generator, so the caller stops once the bracket answers its question.
+    """
+    x = np.ones(d.shape[0])
+    while True:
+        y = d @ x
+        ratios = y / x
+        hi = float(ratios.max())
+        yield float(ratios.min()), hi
+        if hi == 0.0:
+            return  # d = 0, one point: the bracket [0, 0] is exact
+        x = y / y.max()
 
 
 def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> DefinitenessReport:
@@ -299,6 +385,14 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     For symmetric d, (P d P)_ij = d_ij - (r_i + r_j) + g with r the row
     means and g their mean, formed in place in O(N^2) and exactly
     symmetric.
+
+    The norm of the nonnegative symmetric d is its Perron root, bracketed
+    by power iteration. For a fixed top eigenvalue the verdict is
+    monotone in a positive norm (the norm is 0 only for one point, where
+    the bracket is exact), so once both ends of the bracket, widened by
+    PERRON_MARGIN to cover the rounding of eigvalsh, give one verdict,
+    that is the verdict eigvalsh's norm would give. Only if they still
+    disagree after PERRON_MAX_ITERS steps is the norm taken from eigvalsh.
     """
     d = space.distances
     r = d.mean(axis=1)
@@ -306,13 +400,15 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     np.subtract(d, centered, out=centered)
     centered += r.mean()
     top = float(np.linalg.eigvalsh(centered)[-1])
-    dnorm = float(np.abs(np.linalg.eigvalsh((d + d.T) / 2.0)).max())
-    if top <= 1e-10 * dnorm or dnorm == 0.0:
-        verdict = VERDICT_NEGATIVE_TYPE
-    elif top >= 1e-6 * dnorm:
-        verdict = VERDICT_NOT
-    else:
-        verdict = VERDICT_INCONCLUSIVE
+    verdict = None
+    for _, (lo, hi) in zip(range(PERRON_MAX_ITERS), _perron_bracket(d)):
+        low = _negative_type_verdict(top, lo * (1.0 - PERRON_MARGIN))
+        if low == _negative_type_verdict(top, hi * (1.0 + PERRON_MARGIN)):
+            verdict = low
+            break
+    if verdict is None:
+        dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
+        verdict = _negative_type_verdict(top, dnorm)
     return DefinitenessReport(
         is_positive_definite(space, t),
         verdict,

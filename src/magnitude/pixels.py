@@ -285,12 +285,16 @@ class FaceMeasure:
 
     @finite_result
     def magnitude_at(self, t: float) -> float:
+        """Sum over k of float(mass_k) * (t * scale)^k, k ascending.
+
+        The per-dimension masses are exact, so the float depends on the
+        measure alone, not on the order its faces were stored in.
+        """
         _check_t(t)
         lam = float(self.scale)
-        return float(sum(
-            float(c) * (t * lam) ** len(axes)
-            for (_, axes), c in self.coefficients.items()
-        ))
+        masses = self.mass_by_dimension()
+        return float(sum(float(masses[k]) * (t * lam) ** k
+                         for k in sorted(masses)))
 
     def mass_by_dimension(self) -> dict:
         """Sum of coefficients per face dimension (scale factored out)."""

@@ -123,6 +123,22 @@ def test_mag_k32_pole_exits_three(capsys):
     assert rep["results"]["magnitude"] is None
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (("mag", "--graph", "k32", "--t", repr(0.5 * math.log(2))), 3),
+    (("mag", "--graph", "k32", "--t", repr(0.5 * math.log(2) * (1 + 1e-9))), 3),
+    (("mag", "--points-1d", "0,1e-300"), 3),
+    (("weights", "--points-1d", "0,1e-300"), 0),
+])
+def test_undefined_solve_is_quiet(argv, exit_code):
+    # near the K_{3,2} pole and on an exactly singular Z: Undefined, with
+    # nothing on stderr and no numpy warning
+    code, out, err, caught = _call(list(argv))
+    assert code == exit_code
+    assert strict_loads(out)["results"]["status"] == "Undefined"
+    assert err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_magfn_never_exits_three(capsys):
     code, rep, _ = run_json(capsys, "magfn", "--graph", "k32",
                             "--tmin", "0.337", "--tmax", "0.346", "--steps", "7")

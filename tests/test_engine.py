@@ -1,14 +1,22 @@
 """Weighting solver, magnitude properties, and definiteness certificates."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from magnitude import engine
 from magnitude.engine import (
+    CONDITION_RCOND_FACTOR,
+    REFINE_MAX_PASSES,
     STATUS_INVERTIBLE,
     STATUS_PD,
     STATUS_UNDEFINED,
+    VERDICT_INCONCLUSIVE,
     VERDICT_NEGATIVE_TYPE,
     VERDICT_NOT,
     MonotonicityViolation,
@@ -16,6 +24,7 @@ from magnitude.engine import (
     UndefinedMagnitude,
     approximate_compact_magnitude,
     check_subset_monotone,
+    cholesky_solver,
     definiteness_report,
     is_positive_definite,
     magnitude,
@@ -27,6 +36,7 @@ from magnitude.engine import (
     speyer_magnitude,
 )
 from magnitude.spaces import (
+    MetricError,
     NonpositiveScale,
     SpaceSpec,
     ball_sample,
@@ -359,3 +369,238 @@ def test_refinement_nested_flags_decrease():
 def test_refinement_level_count_mismatch():
     with pytest.raises(ValueError):
         approximate_compact_magnitude([_grid_spec(5, 1.0)], levels=[1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the numpy ladder against scipy's LAPACK (a test-only oracle) and a
+# 50-digit reference
+
+
+def _scipy_ladder(z, tol=1e-9):
+    """Status and condition estimate of the same ladder on scipy's LAPACK:
+    cho_factor + dpocon, else lu_factor + dgecon, with the same screen,
+    refinement and residual gate."""
+    from scipy.linalg import (LinAlgError, LinAlgWarning, cho_factor,
+                              cho_solve, lapack, lu_factor, lu_solve)
+
+    n = z.shape[0]
+    ones = np.ones(n)
+    anorm = float(np.abs(z).sum(axis=0).max())
+    try:
+        c, low = cho_factor(z, check_finite=False)
+        rcond, info = lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
+        if info != 0:
+            raise LinAlgError("dpocon failed")
+        status = STATUS_PD
+        solve = lambda rhs: cho_solve((c, low), rhs, check_finite=False)
+    except LinAlgError:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu, piv = lu_factor(z, check_finite=False)
+            rcond, info = lapack.dgecon(lu, anorm, norm="1")
+            if info != 0:
+                raise LinAlgError("dgecon failed")
+        except LinAlgError:
+            return STATUS_UNDEFINED, math.inf
+        status = STATUS_INVERTIBLE
+        solve = lambda rhs: lu_solve((lu, piv), rhs, check_finite=False)
+    cond = math.inf if rcond == 0.0 else 1.0 / float(rcond)
+    if rcond < n * CONDITION_RCOND_FACTOR:
+        return STATUS_UNDEFINED, cond
+    w = solve(ones)
+    resid = float(np.abs(z @ w - ones).max())
+    for _ in range(REFINE_MAX_PASSES):
+        if resid <= tol / 10.0:
+            break
+        w = w + solve(ones - z @ w)
+        resid = float(np.abs(z @ w - ones).max())
+    return (STATUS_UNDEFINED if resid > 1e-9 else status), cond
+
+
+LADDER_SCALES = [0.05, 0.1, 0.3, POLE * (1 - 1e-9), POLE, POLE * (1 + 1e-9),
+                 0.5, 1.0, 2.0, 5.0, 20.0]
+LADDER_SPACES = {
+    **{f"ball{n}": ball_sample(3, 1.0, n, seed=n + 7)
+       for n in (1, 2, 5, 30, 64, 65, 130, 400)},
+    "grid600": lp_grid((600,), p=1, spacing=0.015),
+    "k32": K32,
+    "k33": graph_metric(named_graph_edges("k33")),
+    "c5": graph_metric(named_graph_edges("c5")),
+    "1e-300": points_on_line([0.0, 1e-300]),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_SPACES)
+def test_ladder_agrees_with_scipy(name):
+    space = LADDER_SPACES[name]
+    for t in LADDER_SCALES:
+        res = solve_weighting(space, t)
+        status, cond = _scipy_ladder(similarity_matrix(space, t).entries)
+        assert res.status == status, (name, t)
+        if math.isinf(cond):
+            assert math.isinf(res.condition_estimate), (name, t)
+        else:
+            assert res.condition_estimate == pytest.approx(cond, rel=1e-6), (
+                name, t)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_block_substitution_matches_solve_triangular(n):
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    b = rng.standard_normal(n)
+    want = solve_triangular(chol, solve_triangular(chol, b, lower=True),
+                            lower=True, trans="T")
+    got = cholesky_solver(chol)(b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 24), dim=st.integers(1, 3),
+       graph=st.sampled_from([None, None, "k32", "k33", "c5", "c7"]),
+       t=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_condition_estimate_is_a_lower_bound(n, dim, graph, t, seed):
+    # Hager-Higham estimates ||Z^-1||_1 from below, on both rungs
+    if graph is None:
+        pts = np.random.default_rng(seed).random((n, dim)) * 3.0
+        space = validate_metric(
+            np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+    else:
+        space = graph_metric(named_graph_edges(graph))
+    z = similarity_matrix(space, t).entries
+    kappa = np.abs(z).sum(axis=0).max() * np.abs(np.linalg.inv(z)).sum(axis=0).max()
+    assume(kappa < 1e8)
+    res = solve_weighting(space, t)
+    assert res.condition_estimate <= kappa * (1 + 1e-7)
+
+
+def _mp_magnitude(z):
+    """Magnitude of the float matrix z, solved with 50 significant digits."""
+    with mpmath.workdps(50):
+        zm = mpmath.matrix(z.tolist())
+        return mpmath.fsum(mpmath.lu_solve(zm, mpmath.matrix([1] * z.shape[0])))
+
+
+def _mp_condition(z):
+    """1-norm condition number of the float matrix z to 50 digits, or None
+    when z is exactly singular."""
+    n = z.shape[0]
+    norm = lambda m: max(mpmath.fsum(abs(m[i, j]) for i in range(n))
+                         for j in range(n))
+    with mpmath.workdps(50):
+        zm = mpmath.matrix(z.tolist())
+        if mpmath.det(zm) == 0:
+            return None
+        return norm(zm) * norm(zm ** -1)
+
+
+MP_SPACES = {
+    **{f"ball{n}": ball_sample(3, 1.0, n, seed=n) for n in (1, 2, 5, 12, 30)},
+    "l1ball": ball_sample(2, 1.0, 20, seed=3, p=1),
+    "line": points_on_line([0.0, 0.1, 0.5, 2.0, 2.05, 7.0]),
+    "k32": K32,
+    "k33": graph_metric(named_graph_edges("k33")),
+    "c5": graph_metric(named_graph_edges("c5")),
+}
+MP_SCALES = [0.05, 0.3, POLE * (1 - 1e-6), POLE * (1 + 1e-6), 0.5, 1.0, 2.0,
+             5.0, 20.0]
+
+
+@pytest.mark.parametrize("name", MP_SPACES)
+def test_magnitude_matches_fifty_digit_solve(name):
+    space = MP_SPACES[name]
+    for t in MP_SCALES:
+        res = solve_weighting(space, t)
+        mag = _mp_magnitude(similarity_matrix(space, t).entries)
+        assert res.defined, (name, t)
+        assert res.magnitude == pytest.approx(float(mag), rel=1e-9), (name, t)
+
+
+@pytest.mark.parametrize("space, t", [
+    (K32, POLE),
+    (K32, math.nextafter(POLE, 0.0)),
+    (K32, math.nextafter(POLE, 1.0)),
+    (points_on_line([0.0, 1e-300]), 1.0),
+])
+def test_undefined_where_fifty_digits_see_no_trustworthy_solve(space, t):
+    # at the K_{3,2} pole the float Z is too ill-conditioned for the
+    # screen; with points 1e-300 apart it is exactly singular
+    res = solve_weighting(space, t)
+    assert res.status == STATUS_UNDEFINED
+    cond = _mp_condition(similarity_matrix(space, t).entries)
+    n = space.n_points
+    assert cond is None or cond > 1.0 / (n * CONDITION_RCOND_FACTOR)
+
+
+def _verdict_oracle(space):
+    # the verdict bands of definiteness_report, on eigvalsh's norm of d
+    d = space.distances
+    top = definiteness_report(space, 1.0).cnd_max_eigenvalue
+    dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
+    if top <= 1e-10 * dnorm or dnorm == 0.0:
+        return VERDICT_NEGATIVE_TYPE
+    if top >= 1e-6 * dnorm:
+        return VERDICT_NOT
+    return VERDICT_INCONCLUSIVE
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), dim=st.integers(1, 4),
+       p=st.sampled_from([1.0, 2.0, math.inf]), power=st.floats(0.2, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_perron_bracket_holds_the_eigvalsh_norm(n, dim, p, power, seed):
+    # every step brackets the norm eigvalsh computes, inside the margin
+    pts = np.random.default_rng(seed).random((n, dim))
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    d = (diff.max(axis=2) if p == math.inf
+         else (diff ** p).sum(axis=2) ** (1 / p)) ** power
+    dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
+    for _, (lo, hi) in zip(range(30), engine._perron_bracket(d)):
+        assert lo * (1 - engine.PERRON_MARGIN) <= dnorm
+        assert dnorm <= hi * (1 + engine.PERRON_MARGIN)
+
+
+def _bipartite_plus_euclidean(log_alpha):
+    # the path metric of K_{3,9} is not of negative type; alpha times a
+    # Euclidean sample added to it is, from log10(alpha) of about 1 on
+    side = np.arange(12) >= 3
+    d = np.where(side[:, None] == side[None, :], 2.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return validate_metric(
+        d + 10.0 ** log_alpha * ball_sample(3, 1.0, 12, seed=1).distances)
+
+
+def _top_ratio(space):
+    d = space.distances
+    return (definiteness_report(space, 1.0).cnd_max_eigenvalue
+            / float(np.abs(np.linalg.eigvalsh(d)).max()))
+
+
+@pytest.mark.parametrize("target, verdict", [
+    (1e-3, VERDICT_NOT), (1e-6, None), (1e-8, VERDICT_INCONCLUSIVE),
+    (1e-10, None), (1e-12, VERDICT_NEGATIVE_TYPE),
+])
+def test_verdict_equals_eigvalsh_at_the_band_edges(target, verdict):
+    # bisect alpha to where the top eigenvalue crosses target * norm; the
+    # two ends sit on either side of the crossing, at 1e-6 and 1e-10 right
+    # at a verdict edge, where the bracket may have to defer to eigvalsh
+    lo, hi = 0.0, 1.5
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _top_ratio(_bipartite_plus_euclidean(mid)) >= target:
+            lo = mid
+        else:
+            hi = mid
+    for log_alpha in (lo, hi):
+        space = _bipartite_plus_euclidean(log_alpha)
+        want = _verdict_oracle(space)
+        assert verdict in (None, want)
+        for max_iters in (engine.PERRON_MAX_ITERS, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "PERRON_MAX_ITERS", max_iters)
+                got = definiteness_report(space, 1.0).negative_type_verdict
+            assert got == want, (target, log_alpha, max_iters)

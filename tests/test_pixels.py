@@ -19,6 +19,7 @@ from magnitude.pixels import (
     ConvexBodySpec,
     DegenerateBody,
     EmptySet,
+    FaceMeasure,
     MixedDimensions,
     NonConvexVertices,
     PixelError,
@@ -189,6 +190,22 @@ def test_measure_matches_inclusion_exclusion_oracle():
             p = PixelSet(len(shape), 1,
                          [c for i, c in enumerate(box) if mask >> i & 1])
             assert weight_measure(p) == weight_measure_ie(p), p.cells
+
+
+def test_measure_float_ignores_face_order():
+    # the same coefficients stored in reversed order give the same float,
+    # the exact total rounded within a few ulps
+    rng = random.Random(21)
+    for _ in range(60):
+        p = blob(rng, rng.choice([1, 2, 3]), max_cells=12, span=5)
+        p = PixelSet(p.dim, F(1, rng.choice([1, 3, 7])), p.cells)
+        a = weight_measure(p)
+        b = FaceMeasure(a.dim, a.scale,
+                        dict(reversed(list(a.coefficients.items()))), a.cells)
+        for t in (0.3, 1.0, 2.7):
+            assert a.magnitude_at(t) == b.magnitude_at(t)
+            exact = float(a.total_mass_exact(F(t)))
+            assert a.magnitude_at(t) == pytest.approx(exact, rel=1e-15)
 
 
 def test_cube_masses_and_runtime():
