@@ -11,8 +11,10 @@ than guessed.
 Solver ladder: Cholesky first (success certifies positive definiteness and
 gives the cheapest solve), LU second, both followed by a reciprocal
 condition estimate and a few steps of iterative refinement. A solve whose
-refined residual still exceeds 1e-9 in the max norm is demoted to
-undefined: slightly conservative, never silently wrong.
+refined residual still exceeds 1e-9 max(1, ||Z|| ||w||) in the max norm
+is demoted to undefined: the residual of an accurate solve is about
+eps ||Z|| ||w||, so the gate is relative to that floor, never stricter
+than 1e-9 absolute, and never silently wrong.
 
 Homogeneous spaces (all rows of Z share one sum) admit the shortcut
 N / (row sum), used as a cross-check rather than a fast path.
@@ -45,6 +47,9 @@ DEFAULT_TOL = 1e-9
 # rcond below N * this factor means the solve cannot be trusted at all
 CONDITION_RCOND_FACTOR = 1e-14
 REFINE_MAX_PASSES = 3
+# a refined solve is kept when max |Z w - 1| <= this times
+# max(1, ||Z||_inf ||w||_inf)
+RESIDUAL_GATE = 1e-9
 # rows per block of the triangular substitutions: one matrix-vector
 # product per block keeps the Python loop at n / 64 steps
 SUBSTITUTION_BLOCK = 64
@@ -114,16 +119,17 @@ class DefinitenessReport:
 
 
 def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> SimilarityMatrix:
+    """Z = exp(-t d), formed in one n x n array and bit-identical to
+    np.exp(-t * d): the product -t d is written to the array and the
+    exponential overwrites it, so no second n x n temporary exists."""
     t = float(t)
     if not 0 < t < math.inf:
         raise NonpositiveScale(f"scale must be positive and finite, got {t!r}")
     # t d may overflow to inf, where exp(-inf) = 0 is the exact limit
     with np.errstate(over="ignore"):
-        return SimilarityMatrix(np.exp(-t * space.distances), t)
-
-
-def _one_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
+        z = np.multiply(space.distances, -t)
+        np.exp(z, out=z)
+    return SimilarityMatrix(z, t)
 
 
 def cholesky_solver(chol: np.ndarray):
@@ -194,7 +200,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     Status is UniquePD when Cholesky succeeds, UniqueInvertible when only
     LU does, Undefined when the matrix is singular, the condition estimate
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
-    residual below 1e-9.
+    residual below RESIDUAL_GATE * max(1, ||Z||_inf ||w||_inf).
     """
     z = similarity_matrix(space, t).entries
     n = z.shape[0]
@@ -216,7 +222,10 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     # as singular, as dgecon's check for NaN and infinity does
     with np.errstate(over="ignore", invalid="ignore"):
         ainvnm = _inverse_norm_estimate(solve, n)
-    rcond = (1.0 / ainvnm) / _one_norm(z) if 0.0 < ainvnm < math.inf else 0.0
+    # Z > 0 entrywise, so its 1-norm is the largest column sum (no |Z|
+    # temporary), and Z is symmetric, so that is also its inf-norm
+    znorm = float(z.sum(axis=0).max())
+    rcond = (1.0 / ainvnm) / znorm if 0.0 < ainvnm < math.inf else 0.0
     cond = float("inf") if rcond == 0.0 else 1.0 / rcond
     if rcond < n * CONDITION_RCOND_FACTOR:
         return WeightingResult(None, None, None, STATUS_UNDEFINED, cond, None)
@@ -228,7 +237,10 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
             break
         w = w + solve(ones - z @ w)
         resid = float(np.abs(z @ w - ones).max())
-    if resid > 1e-9:
+    # the residual cannot fall below about eps ||Z|| ||w||, so the gate
+    # scales with that product; it is never stricter than RESIDUAL_GATE
+    gate = RESIDUAL_GATE * max(1.0, znorm * float(np.abs(w).max()))
+    if resid > gate:
         return WeightingResult(None, None, None, STATUS_UNDEFINED, cond, resid)
 
     # Z is symmetric, so the coweighting (row solve) equals the weighting
@@ -393,6 +405,11 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     PERRON_MARGIN to cover the rounding of eigvalsh, give one verdict,
     that is the verdict eigvalsh's norm would give. Only if they still
     disagree after PERRON_MAX_ITERS steps is the norm taken from eigvalsh.
+
+    Memory: besides d, two n x n arrays at a time. The centred matrix is
+    freed as soon as eigvalsh returns, so the PD test's Z and Cholesky
+    factor take its place (LAPACK's own working copy comes on top in each
+    call).
     """
     d = space.distances
     r = d.mean(axis=1)
@@ -400,6 +417,7 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     np.subtract(d, centered, out=centered)
     centered += r.mean()
     top = float(np.linalg.eigvalsh(centered)[-1])
+    del centered  # before Z and its factor take its place
     verdict = None
     for _, (lo, hi) in zip(range(PERRON_MAX_ITERS), _perron_bracket(d)):
         low = _negative_type_verdict(top, lo * (1.0 - PERRON_MARGIN))

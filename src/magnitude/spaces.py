@@ -53,6 +53,10 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
 TRIANGLE_TOL_FACTOR = 1e-12
 # rows of the distance matrix formed at once by _distances
 _ROW_BLOCK = 64
+# rows and values of k the triangle scan compares at once: its working
+# set is _SCAN_ROWS * _SCAN_KS * n floats
+_SCAN_ROWS = 16
+_SCAN_KS = 16
 # expected cube draws ball_sample may spend: a few seconds at n = 20
 BALL_DRAW_LIMIT = 10**7
 
@@ -85,13 +89,26 @@ class FiniteMetricSpace:
 
     @property
     def min_distance(self) -> float:
-        """Smallest off-diagonal distance; inf for a single point."""
-        n = self.n_points
-        if n < 2:
-            return float("inf")
-        d = self.distances.copy()
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        """Smallest off-diagonal distance; inf for a single point.
+
+        Per block of _ROW_BLOCK rows, the entries left and right of the
+        diagonal block are reduced in place and only the diagonal block is
+        copied, to mask its diagonal: _ROW_BLOCK^2 floats of scratch. Each
+        part is reduced row by row first, because reducing a strided view
+        whole would allocate numpy's iteration buffer."""
+        d = self.distances
+        best = math.inf
+        scratch = np.empty((_ROW_BLOCK, _ROW_BLOCK))
+        for lo in range(0, self.n_points, _ROW_BLOCK):
+            rows = d[lo:lo + _ROW_BLOCK]
+            hi = lo + len(rows)
+            square = scratch[:hi - lo, :hi - lo]
+            square[...] = rows[:, lo:hi]
+            np.fill_diagonal(square, np.inf)
+            for part in (rows[:, :lo], square, rows[:, hi:]):
+                if part.size:
+                    best = min(best, float(part.min(axis=1).min()))
+        return best
 
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         idx = list(indices)
@@ -136,27 +153,55 @@ class SpaceSpec:
         return cls(obj["kind"], obj.get("params", {}), obj.get("seed"))
 
 
+def _first_violation_at(d: np.ndarray, tol: float, ks):
+    """First (i, j, k) with d[i,j] - (d[i,k] + d[k,j]) > tol over k in ks,
+    in k-major, then i, then j order, else None: the per-k scan, on
+    _SCAN_ROWS full rows at a time."""
+    n = d.shape[0]
+    for k in ks:
+        for lo in range(0, n, _SCAN_ROWS):
+            rows = d[lo:lo + _SCAN_ROWS]
+            slack = rows - (rows[:, k, None] + d[None, k, :])
+            bad = slack > tol
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                return int(i) + lo, int(j), k
+    return None
+
+
 def first_triangle_violation(d: np.ndarray, tol: float):
     """First triple (i, j, k) with d[i,j] - (d[i,k] + d[k,j]) > tol, else
     (-1, -1, -1), in k-major, then i, then j order.
 
-    Needs a zero diagonal, nonnegative entries and tol >= 0, which
-    validate_metric checks first: then the slack is exactly 0 where i = k
-    or j = k and at most 0 where i = j, so no triple with a repeated index
-    is ever reported and none needs masking. Each k reuses one n x n float
-    and one n x n bool buffer; argwhere runs only for the k that violates.
+    Needs a symmetric d with a zero diagonal, nonnegative entries and
+    tol >= 0, which validate_metric checks first: then the slack is
+    exactly 0 where i = k or j = k and at most 0 where i = j, so no triple
+    with a repeated index is ever reported and none needs masking.
+
+    The scan takes _SCAN_KS values of k at a time, in order. For each
+    block of _SCAN_ROWS rows I it forms min over the block's k of
+    d[I,k] + d[k,j] and compares it once with d[I,j], for j >= min(I)
+    only. Both shortcuts are exact. fl(a - b) is monotone in b, so the
+    minimum violates exactly when some k of the block does. For symmetric
+    d the slack of (i, j, k) equals that of (j, i, k) bit for bit, so a
+    block of k holds a violation exactly when it holds one with i < j.
+    The first block of k that violates is rescanned one k at a time over
+    full rows, which returns the same witness as a whole-matrix k-major
+    scan. Memory: the d[I,k] + d[k,j] block of _SCAN_ROWS * _SCAN_KS * n
+    floats and its minimum; no n x n temporary.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     n = d.shape[0]
-    slack = np.empty((n, n))
-    bad = np.empty((n, n), dtype=bool)
-    for k in range(n):
-        np.add(d[:, k, None], d[None, k, :], out=slack)
-        np.subtract(d, slack, out=slack)
-        np.greater(slack, tol, out=bad)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return int(i), int(j), k
+    for k0 in range(0, n, _SCAN_KS):
+        krows = d[k0:k0 + _SCAN_KS]
+        for lo in range(0, n, _SCAN_ROWS):
+            rows = d[lo:lo + _SCAN_ROWS]
+            via = (rows[:, k0:k0 + _SCAN_KS, None]
+                   + krows[None, :, lo:]).min(axis=1)
+            np.subtract(rows[:, lo:], via, out=via)
+            if (via > tol).any():
+                return _first_violation_at(d, tol,
+                                           range(k0, k0 + len(krows)))
     return -1, -1, -1
 
 
@@ -259,7 +304,9 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     x = np.asarray(list(coordinates), dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise BadSpec("points_1d needs a nonempty 1-d coordinate list")
-    if len(np.unique(x)) != len(x):
+    # adjacent entries of the sorted list: np.unique would import numpy.ma
+    xs = np.sort(x)
+    if (xs[1:] == xs[:-1]).any():
         raise BadSpec("points_1d coordinates must be distinct")
     d = _distances(x[:, None], 1)
     return FiniteMetricSpace(d, labels=tuple(float(v) for v in x))

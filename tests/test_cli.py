@@ -125,7 +125,7 @@ def test_mag_k32_pole_exits_three(capsys):
 
 @pytest.mark.parametrize("argv, exit_code", [
     (("mag", "--graph", "k32", "--t", repr(0.5 * math.log(2))), 3),
-    (("mag", "--graph", "k32", "--t", repr(0.5 * math.log(2) * (1 + 1e-9))), 3),
+    (("mag", "--graph", "k32", "--t", repr(math.nextafter(0.5 * math.log(2), 1.0))), 3),
     (("mag", "--points-1d", "0,1e-300"), 3),
     (("weights", "--points-1d", "0,1e-300"), 0),
 ])
@@ -135,6 +135,20 @@ def test_undefined_solve_is_quiet(argv, exit_code):
     code, out, err, caught = _call(list(argv))
     assert code == exit_code
     assert strict_loads(out)["results"]["status"] == "Undefined"
+    assert err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("t", [0.34657359740429104,
+                               0.5 * math.log(2) * (1 + 1e-9)])
+def test_near_pole_solve_passes_the_relative_residual_gate(t):
+    # weights near 1e7 to 1e8 leave a residual above 1e-9 that is still
+    # at the rounding floor eps ||Z|| ||w||: a certified value, exit 0
+    code, out, err, caught = _call(["mag", "--graph", "k3,2", "--t", repr(t)])
+    assert code == 0
+    res = strict_loads(out)["results"]
+    assert res["status"] == "UniquePD"
+    assert res["residual"] > 1e-9
     assert err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -40,6 +40,7 @@ from magnitude.spaces import (
     NonpositiveScale,
     SpaceSpec,
     ball_sample,
+    first_triangle_violation,
     generate_space,
     graph_metric,
     l1_product,
@@ -415,7 +416,8 @@ def _scipy_ladder(z, tol=1e-9):
             break
         w = w + solve(ones - z @ w)
         resid = float(np.abs(z @ w - ones).max())
-    return (STATUS_UNDEFINED if resid > 1e-9 else status), cond
+    gate = 1e-9 * max(1.0, anorm * float(np.abs(w).max()))
+    return (STATUS_UNDEFINED if resid > gate else status), cond
 
 
 LADDER_SCALES = [0.05, 0.1, 0.3, POLE * (1 - 1e-9), POLE, POLE * (1 + 1e-9),
@@ -536,6 +538,35 @@ def test_undefined_where_fifty_digits_see_no_trustworthy_solve(space, t):
     assert cond is None or cond > 1.0 / (n * CONDITION_RCOND_FACTOR)
 
 
+POLE_OFFSETS = [1e-9, 2e-9, 5e-9, 1e-8, 2e-8, 5e-8, 1e-7, 2e-7, 5e-7, 1e-6]
+
+
+@pytest.mark.parametrize("offset", [-o for o in POLE_OFFSETS] + POLE_OFFSETS)
+def test_relative_residual_gate_keeps_only_accurate_solves(offset):
+    # every solve the gate passes near the K_{3,2} pole agrees with the
+    # 50-digit solve to within eps times its condition estimate, the
+    # forward error bound of a backward-stable solve
+    t = POLE * (1 + offset)
+    res = solve_weighting(K32, t)
+    if not res.defined:
+        return
+    mag = float(_mp_magnitude(similarity_matrix(K32, t).entries))
+    bound = np.finfo(float).eps * res.condition_estimate
+    assert abs(res.magnitude - mag) <= bound * abs(mag), (offset, bound)
+
+
+def test_relative_residual_gate_passes_a_near_pole_solve():
+    # 2.1e-8 above the pole: weights near 1.7e7 leave a residual of about
+    # 1.9e-9, over the old absolute gate of 1e-9 but far inside the
+    # relative one, and the magnitude agrees with 50 digits to 1e-7
+    t = 0.34657359740429104
+    res = solve_weighting(K32, t)
+    assert res.status == STATUS_PD
+    assert res.residual > 1e-9
+    mag = float(_mp_magnitude(similarity_matrix(K32, t).entries))
+    assert res.magnitude == pytest.approx(mag, rel=1e-7)
+
+
 def _verdict_oracle(space):
     # the verdict bands of definiteness_report, on eigvalsh's norm of d
     d = space.distances
@@ -604,3 +635,72 @@ def test_verdict_equals_eigvalsh_at_the_band_edges(target, verdict):
                 patch.setattr(engine, "PERRON_MAX_ITERS", max_iters)
                 got = definiteness_report(space, 1.0).negative_type_verdict
             assert got == want, (target, log_alpha, max_iters)
+
+
+# ---------------------------------------------------------------------------
+# memory budgets of the dense stages, in units of one n x n float array
+
+
+def _peak_units(fn, n):
+    """Peak of the memory fn allocates, traced by tracemalloc (numpy
+    reports its array buffers there), in units of n^2 * 8 bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (n * n * 8)
+
+
+BUDGET_SPACE = ball_sample(3, 1.0, 300, seed=7)
+
+
+def test_similarity_matrix_holds_one_array():
+    assert _peak_units(lambda: similarity_matrix(BUDGET_SPACE, 2.0),
+                       300) <= 1.05
+
+
+def test_definiteness_report_holds_two_arrays():
+    # the centred matrix while eigvalsh runs, then Z and its Cholesky
+    # factor; never three at once (LAPACK's working copies are untraced)
+    assert _peak_units(lambda: definiteness_report(BUDGET_SPACE, 2.0),
+                       300) <= 2.05
+
+
+def test_solve_weighting_holds_z_and_its_factor():
+    # plus the inverses of the factor's diagonal blocks, SUBSTITUTION_BLOCK
+    # * n floats (0.21 at n = 300); no |Z| temporary
+    assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
+                       300) <= 2.3
+
+
+def test_min_distance_makes_no_square_copy():
+    assert _peak_units(lambda: BUDGET_SPACE.min_distance, 300) <= 0.1
+
+
+def test_triangle_scan_holds_no_square_array():
+    # blocks of _SCAN_ROWS rows by _SCAN_KS values of k: about 0.45 n^2
+    # at n = 600, where a per-k n x n slack buffer alone would be 1
+    space = ball_sample(3, 1.0, 600, seed=7)
+    peak = _peak_units(
+        lambda: first_triangle_violation(space.distances, 0.0), 600)
+    assert peak <= 0.6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_similarity_matrix_is_exp_of_minus_t_d_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    pts = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3)
+    space = validate_metric(
+        np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+    # t d overflows to inf at the largest scales: Z is then exactly 0
+    for t in (1e-3, 0.7, 2.0, 1e300, 1e308):
+        with np.errstate(over="ignore"):
+            want = np.exp(-t * space.distances)
+        got = similarity_matrix(space, t).entries
+        assert got.tobytes() == want.tobytes(), t

@@ -24,6 +24,8 @@ from magnitude.spaces import (
     SpaceSpec,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
+    _SCAN_KS,
+    _SCAN_ROWS,
     _distances,
     ball_sample,
     cantor_endpoints,
@@ -192,6 +194,72 @@ def test_triangle_scan_tol_gate():
     )
     assert first_triangle_violation(d, 3e-9) == (-1, -1, -1)
     assert first_triangle_violation(d, 1e-9) == (1, 2, 0)
+
+
+def _planted(n, triples, seed=0, short=0.45):
+    """Distances in [1, 1.1], symmetric, with d(a, k) = d(k, b) = short
+    for each (a, b, k) in triples. Every other triangle holds, so with
+    short < 0.5 (and disjoint triples) the violations are exactly
+    (a, b, k) and (b, a, k)."""
+    rng = np.random.default_rng(seed)
+    d = 1.0 + 0.1 * rng.random((n, n))
+    d = np.triu(d, 1)
+    d += d.T
+    for a, b, k in triples:
+        d[a, k] = d[k, a] = d[k, b] = d[b, k] = short
+    return d
+
+
+BLOCK_EDGE_SIZES = sorted({m for b in (_SCAN_ROWS, _SCAN_KS)
+                           for m in (1, 2, b - 1, b, b + 1, 2 * b + 3)})
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_triangle_scan_block_edges_match_brute_force(n):
+    rng = np.random.default_rng(n)
+    cases = [_planted(n, [])]
+    if n >= 3:
+        # the last k, the first k, and random triples
+        cases.append(_planted(n, [(0, n - 2, n - 1)], seed=1))
+        cases.append(_planted(n, [(n - 1, 1, 0)], seed=2))
+        for seed in range(3, 6):
+            a, b, k = (int(v) for v in rng.choice(n, 3, replace=False))
+            cases.append(_planted(n, [(a, b, k)], seed=seed))
+    for d in cases:
+        assert first_triangle_violation(d, 1e-12) == \
+            _brute_first_violation(d, 1e-12)
+
+
+def test_triangle_scan_witness_inside_a_diagonal_block():
+    # i and j in one block of rows: the half-matrix scan must still cover
+    # the block on the diagonal, where j < i as well as j > i
+    n = 2 * _SCAN_KS + 3
+    i, j, k = _SCAN_ROWS + 3, _SCAN_ROWS + 1, _SCAN_KS + 5
+    d = _planted(n, [(i, j, k)])
+    expect = (min(i, j), max(i, j), k)
+    assert _brute_first_violation(d, 0.0) == expect
+    assert first_triangle_violation(d, 0.0) == expect
+
+
+def test_triangle_scan_two_violations_in_one_block_of_k():
+    # the later k has the earlier rows; k-major order picks the earlier k
+    n = 2 * _SCAN_KS + 3
+    k1, k2 = _SCAN_KS + 2, 2 * _SCAN_KS - 1
+    d = _planted(n, [(n - 2, n - 1, k1), (0, 1, k2)])
+    assert _brute_first_violation(d, 0.0) == (n - 2, n - 1, k1)
+    assert first_triangle_violation(d, 0.0) == (n - 2, n - 1, k1)
+
+
+def test_triangle_scan_tie_at_exactly_tol():
+    # slack 1 - (0.25 + 0.25) = 0.5 exactly: not over tol = 0.5, over
+    # the next double below it
+    n = _SCAN_ROWS + 1
+    d = _planted(n, [(2, n - 1, 7)], short=0.25)
+    d[2, n - 1] = d[n - 1, 2] = 1.0
+    assert first_triangle_violation(d, 0.5) == (-1, -1, -1)
+    below = math.nextafter(0.5, 0.0)
+    assert _brute_first_violation(d, below) == (2, n - 1, 7)
+    assert first_triangle_violation(d, below) == (2, n - 1, 7)
 
 
 @settings(max_examples=300, deadline=None)

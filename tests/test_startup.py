@@ -1,8 +1,8 @@
 """Cold start: each command imports only the modules it computes with.
 
 The package import and the exact commands (pixel, the Euclidean oracles)
-load no numpy, and no command loads scipy: the dense solves run on numpy
-alone. Each case runs in a fresh interpreter, because the test process
+load no numpy, and no command loads scipy or numpy.ma: the dense solves
+run on numpy alone. Each case runs in a fresh interpreter, because the test process
 itself has long since imported numpy and scipy.
 """
 
@@ -31,7 +31,8 @@ if argv:
 else:
     import magnitude
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "scipy": "scipy" in sys.modules}))
+                  "scipy": "scipy" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -82,6 +83,7 @@ def test_command_without_a_solve_does_not_import_scipy(argv):
     rep = probe(*argv)
     assert rep["code"] in (None, 0)
     assert rep["scipy"] is False
+    assert rep["numpy.ma"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -91,13 +93,18 @@ def test_command_without_a_solve_does_not_import_scipy(argv):
     ("weights", "--ball", "3,1,20", "--seed", "1"),
     ("check", "--graph", "k32", "--t", "0.1"),
     ("approx", "--ball", "3,1", "--ball-counts", "5,10", "--seed", "2"),
-], ids=["mag", "magfn", "weights", "check", "approx"])
+    ("mag", "--cantor-depth", "3"),
+    ("dim", "--cantor-depth", "3", "--tmin", "1", "--tmax", "100",
+     "--samples", "6"),
+], ids=["mag", "magfn", "weights", "check", "approx", "cantor", "dim-cantor"])
 def test_solving_command_loads_numpy_not_scipy(argv):
-    # numpy shows up, so the probe sees imports and the check is not vacuous
+    # numpy shows up, so the probe sees imports and the check is not vacuous;
+    # numpy.ma stays out too (np.unique would load it)
     rep = probe(*argv)
     assert rep["code"] == 0
     assert rep["numpy"] is True
     assert rep["scipy"] is False
+    assert rep["numpy.ma"] is False
 
 
 @pytest.mark.parametrize("name", magnitude.__all__)
