@@ -16,8 +16,8 @@ _EXPORTS = {
     "backend_name": "diversity",
     **dict.fromkeys((
         "DefinitenessReport", "MagnitudeFunctionSample", "MonotonicityViolation",
-        "RefinementSample", "SimilarityMatrix", "UndefinedMagnitude",
-        "WeightingResult", "approximate_compact_magnitude",
+        "RefinementSample", "UndefinedMagnitude", "WeightingResult",
+        "approximate_compact_magnitude",
         "definiteness_report", "magnitude", "magnitude_function",
         "similarity_matrix", "solve_weighting", "speyer_magnitude",
     ), "engine"),

@@ -11,18 +11,26 @@ two runs on the same inputs differ only in the timing field. --format
 csv prints the results alone as comma-separated rows. Exact rationals
 are rendered as strings like "15/4".
 
-Float flags and number lists accept finite values only: NaN and
-infinities are bad input. Count flags (--steps, --max-iters) must be at
-least 1. Results never hold NaN or Infinity, which are
-not JSON; a diagnostic with no finite value, such as the condition
+Every input rule lives in the parser. Each command takes exactly one
+source (one mutually exclusive group), and pixel at most one mode:
+--bounds for a body, the others for art or a file. Float flags and
+number lists accept finite values only; count flags (--steps,
+--max-iters) must be at least 1. --tol belongs to the commands that
+solve or optimize (mag, magfn, weights, diversity, dim, approx); check,
+pixel and oracle refuse it. Results never hold NaN or Infinity, which
+are not JSON; a diagnostic with no finite value, such as the condition
 estimate of a singular matrix, is written as null.
 
-Exit codes: 0 success, 1 output closed by its reader (a broken pipe;
-the run ends quietly), 2 bad input (parse or validation failure, the
-package's own input errors and unreadable or missing files only; a
-generated space or closed-form value beyond the double range counts as
-bad input), 3 undefined magnitude (the mag command only), 4 internal
-failure, including a refinement sweep that should be monotone but is not.
+Exit codes: 0 success (also --help and --version), 1 output closed by
+its reader (a broken pipe; the run ends quietly), 2 bad input (any parse
+or validation failure, the package's own input errors and unreadable or
+missing files only; a generated space or closed-form value beyond the
+double range counts as bad input), 3 undefined magnitude (the mag
+command only), 4 internal failure, including a refinement sweep that
+should be monotone but is not. Errors print one JSON object
+{"error": <type>, "detail": <text>} on stderr and nothing on stdout, a
+parse failure as a BadSpec; check instead reports an invalid metric in
+its envelope, with exit 2.
 
 Each command imports only the modules it computes with: the package
 modules that need numpy (spaces, engine, diversity, lines) are imported
@@ -84,17 +92,25 @@ def _finite_float(text: str) -> float:
     return val
 
 
-# count flags (magfn --steps, diversity and dim --max-iters): each must
-# be >= 1; checked after parsing, so a bad count is a BadSpec like any
-# other bad input value
-_COUNT_FLAGS = ("steps", "max_iters")
+def _count(text: str) -> int:
+    """argparse type of the count flags (--steps, --max-iters): >= 1."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return val
 
 
-def _check_counts(args) -> None:
-    for name in _COUNT_FLAGS:
-        val = getattr(args, name, None)
-        if val is not None and val < 1:
-            raise BadSpec(f"need --{name.replace('_', '-')} >= 1, got {val}")
+def _given(args, *dests):
+    """The dest of the flag given from one exclusive group, or None; every
+    grouped flag defaults to None (values) or False (switches)."""
+    for dest in dests:
+        val = getattr(args, dest)
+        if val is not None and val is not False:
+            return dest
+    return None
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -145,29 +161,10 @@ def _space_inputs(args):
     from .spaces import (SpaceSpec, generate_space, load_distance_csv,
                          named_graph, validate_metric)
 
-    chosen = [
-        name for name, flag in [
-            ("stdin_matrix", args.stdin_matrix),
-            ("matrix", args.matrix),
-            ("points_1d", args.points_1d),
-            ("graph", args.graph),
-            ("grid", args.grid),
-            ("cantor", args.cantor_depth is not None),
-            ("ball", args.ball),
-            ("spec", args.spec),
-        ] if flag
-    ]
-    if len(chosen) != 1:
-        raise BadSpec(
-            f"need exactly one input source, got {chosen or 'none'}"
-        )
-    src = chosen[0]
-    if src == "stdin_matrix":
-        text = sys.stdin.read()
-        return validate_metric(load_distance_csv(text)), \
-            {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    if src == "matrix":
-        text = _read_text(args.matrix)
+    src = _given(args, "stdin_matrix", "matrix", "points_1d", "graph", "grid",
+                 "cantor_depth", "ball", "spec")
+    if src in ("stdin_matrix", "matrix"):
+        text = sys.stdin.read() if src == "stdin_matrix" else _read_text(args.matrix)
         return validate_metric(load_distance_csv(text)), \
             {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
     if src == "points_1d":
@@ -182,7 +179,7 @@ def _space_inputs(args):
             raise BadSpec(f"cannot parse grid shape {args.grid!r}") from None
         spec = SpaceSpec("lp_grid", {"shape": shape, "p": args.p,
                                      "spacing": args.spacing})
-    elif src == "cantor":
+    elif src == "cantor_depth":
         spec = SpaceSpec("cantor_endpoints",
                          {"depth": args.cantor_depth, "length": args.length})
     elif src == "ball":
@@ -392,47 +389,26 @@ def _cmd_dim(args, command, t0) -> int:
     return 0
 
 
-def _pixel_input(args):
-    from . import pixels
-
-    if args.ascii and args.pixel_file:
-        raise BadSpec("give either --ascii or --pixel-file, not both")
-    if args.ascii:
-        art = args.ascii.replace("\\n", "\n")
-        return pixels.parse_ascii(art, args.scale, dim=args.dim)
-    if args.pixel_file:
-        return pixels.parse_pixel_file(_read_text(args.pixel_file))
-    raise BadSpec("pixel needs --ascii, --pixel-file, or a --body-* option")
-
-
 def _cmd_pixel(args, command, t0) -> int:
     from . import pixels
 
     # every mode refuses t <= 0, also those that never evaluate at t
     pixels._check_t(args.t)
-    body_opts = [args.body_box, args.body_simplex, args.body_vertices]
-    if sum(1 for b in body_opts if b) > 1:
-        raise BadSpec("give at most one --body-* option")
-    modes = [name for name, flag in [
-        ("intrinsic", args.intrinsic),
-        ("weights", args.weights),
-        ("convexity", args.convexity),
-        ("bounds", args.bounds),
-    ] if flag]
-    if len(modes) > 1:
-        raise BadSpec("give at most one of --intrinsic, --weights, "
-                      "--convexity, --bounds")
-    mode = modes[0] if modes else ("bounds" if any(body_opts) else "intrinsic")
-    if mode == "bounds":
-        if not any(body_opts):
-            raise BadSpec("--bounds needs a --body-* option")
-        if args.body_box:
-            spec = pixels.ConvexBodySpec(
-                len(args.body_box.split(",")), "box",
-                lengths=tuple(args.body_box.split(",")))
+    src = _given(args, "ascii", "pixel_file", "body_box", "body_simplex",
+                 "body_vertices")
+    is_body = src.startswith("body")
+    mode = _given(args, "intrinsic", "weights", "convexity", "bounds") \
+        or ("bounds" if is_body else "intrinsic")
+    if (mode == "bounds") != is_body:
+        raise BadSpec(f"--{mode} needs " + (
+            "a --body-* option" if mode == "bounds" else "--ascii or --pixel-file"))
+    if is_body:
+        raw = getattr(args, src)
+        if src == "body_box":
+            lengths = tuple(raw.split(","))
+            spec = pixels.ConvexBodySpec(len(lengths), "box", lengths=lengths)
         else:
-            raw = args.body_simplex or args.body_vertices
-            kind = "simplex_vertices" if args.body_simplex else "polytope_vertices"
+            kind = "simplex_vertices" if src == "body_simplex" else "polytope_vertices"
             verts = tuple(tuple(tok for tok in part.split(","))
                           for part in raw.split(";") if part.strip())
             if not verts:
@@ -449,11 +425,16 @@ def _cmd_pixel(args, command, t0) -> int:
             "t": args.t,
         }
         _emit(args, command,
-              {"body": spec.kind, "raw": body_opts, "scale": str(args.scale),
-               "t": args.t}, results, t0)
+              {"body": spec.kind,
+               "raw": [args.body_box, args.body_simplex, args.body_vertices],
+               "scale": str(args.scale), "t": args.t}, results, t0)
         return 0
 
-    p = _pixel_input(args)
+    if src == "ascii":
+        p = pixels.parse_ascii(args.ascii.replace("\\n", "\n"), args.scale,
+                               dim=args.dim)
+    else:
+        p = pixels.parse_pixel_file(_read_text(args.pixel_file))
     inputs = {"dim": p.dim, "scale": _rat(p.scale), "cells": sorted(p.cells)}
     if mode == "weights":
         fm = pixels.weight_measure(p)
@@ -486,30 +467,21 @@ def _cmd_pixel(args, command, t0) -> int:
     return 0
 
 
-def _parse_nr(text: str, flag: str) -> tuple[int, float]:
+def _parse_two(text: str, flag: str, form: str) -> tuple[float, float]:
     nums = _parse_floats(text)
     if len(nums) != 2:
-        raise BadSpec(f"{flag} needs 'n,R'")
-    return int(nums[0]), nums[1]
+        raise BadSpec(f"{flag} needs '{form}'")
+    return nums[0], nums[1]
+
+
+def _parse_nr(text: str, flag: str) -> tuple[int, float]:
+    n, r = _parse_two(text, flag, "n,R")
+    return int(n), r
 
 
 def _cmd_oracle(args, command, t0) -> int:
-    chosen = [name for name, flag in [
-        ("points", args.points),
-        ("interval", args.interval),
-        ("compact", args.compact),
-        ("cantor", args.cantor),
-        ("ball", args.ball),
-        ("sphere", args.sphere),
-        ("residual", args.residual),
-        ("conjecture", args.conjecture),
-        ("leading", args.leading),
-    ] if flag]
-    if len(chosen) != 1:
-        raise BadSpec("oracle needs exactly one of --points, --interval, "
-                      "--compact, --cantor, --ball, --sphere, --residual, "
-                      "--conjecture, --leading")
-    src = chosen[0]
+    src = _given(args, "points", "interval", "compact", "cantor", "ball",
+                 "sphere", "residual", "conjecture", "leading")
     if src in _LINE_ORACLES:
         from . import lines
     else:
@@ -522,7 +494,7 @@ def _cmd_oracle(args, command, t0) -> int:
                    "points": [float(v) for v in xs]}
         inputs = {"points": pts, "t": args.t}
     elif src == "interval":
-        a, b = _parse_floats(args.interval)
+        a, b = _parse_two(args.interval, "--interval", "a,b")
         m = lines.interval_magnitude(a, b, args.t)
         results = {"magnitude": m,
                    "measure": lines.interval_weight_measure(a, b, args.t)}
@@ -562,10 +534,7 @@ def _cmd_oracle(args, command, t0) -> int:
                    "n": n, "R": r}
         inputs = {"conjecture": [n, r]}
     else:
-        nums = _parse_floats(args.leading)
-        if len(nums) != 2:
-            raise BadSpec("--leading needs 'n,p'")
-        n, p = int(nums[0]), int(nums[1])
+        n, p = map(int, _parse_two(args.leading, "--leading", "n,p"))
         results = {"coefficient": euclid.magnitude_leading_coefficient(n, p),
                    "n": n, "p": p}
         inputs = {"leading": [n, p]}
@@ -577,15 +546,7 @@ def _cmd_approx(args, command, t0) -> int:
     from . import engine
     from .spaces import SpaceSpec
 
-    chosen = [name for name, flag in [
-        ("grid_sizes", args.grid_sizes),
-        ("cantor_depths", args.cantor_depths),
-        ("ball_counts", args.ball_counts),
-    ] if flag]
-    if len(chosen) != 1:
-        raise BadSpec("approx needs exactly one of --grid-sizes, "
-                      "--cantor-depths, --ball-counts")
-    src = chosen[0]
+    src = _given(args, "grid_sizes", "cantor_depths", "ball_counts")
     if src == "grid_sizes":
         sizes = _parse_ints(args.grid_sizes)
         if any(n < 2 for n in sizes):
@@ -642,8 +603,17 @@ def _cmd_approx(args, command, t0) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse failure is a BadSpec, reported like any other bad
+    input; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise BadSpec(message)
+
+
 def _add_space_inputs(sub) -> None:
-    g = sub.add_argument_group("space input (choose one)")
+    g = sub.add_argument_group(
+        "space input (choose one)").add_mutually_exclusive_group(required=True)
     g.add_argument("--points-1d", help="comma-separated 1-d coordinates")
     g.add_argument("--graph", help="named graph: k32 (= K_{3,2}), k5, c6, p4, k3,4")
     g.add_argument("--grid", help="lattice grid, e.g. 4x5 or 3x3x2")
@@ -660,15 +630,17 @@ def _add_space_inputs(sub) -> None:
     sub.add_argument("--seed", type=int, default=None)
 
 
-def _common(sub, t_default=1.0) -> None:
-    sub.add_argument("--t", type=_finite_float, default=t_default,
+def _common(sub, tol: float | None) -> None:
+    """--t and --format; --tol, with its default, where the command reads it."""
+    sub.add_argument("--t", type=_finite_float, default=1.0,
                      help="scale factor")
-    sub.add_argument("--tol", type=_finite_float, default=1e-9)
+    if tol is not None:
+        sub.add_argument("--tol", type=_finite_float, default=tol)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="magnitude",
         description="Magnitude, weightings, diversity, and exact oracles "
                     "for finite metric spaces.",
@@ -676,82 +648,87 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     subs = ap.add_subparsers(dest="cmd", required=True)
 
-    for name, helptext in [
-        ("mag", "magnitude at one scale"),
-        ("magfn", "magnitude function over a scale sweep"),
-        ("weights", "weighting and coweighting vectors"),
-        ("check", "validate a metric and report definiteness"),
-        ("diversity", "maximum diversity at one scale"),
-        ("dim", "growth-based dimension estimate"),
+    for name, helptext, tol in [
+        ("mag", "magnitude at one scale", 1e-9),
+        ("magfn", "magnitude function over a scale sweep", 1e-9),
+        ("weights", "weighting and coweighting vectors", 1e-9),
+        ("check", "validate a metric and report definiteness", None),
+        ("diversity", "maximum diversity at one scale", 1e-9),
+        # growth fits need a laxer optimizer gap than single solves
+        ("dim", "growth-based dimension estimate", 1e-6),
     ]:
         sub = subs.add_parser(name, help=helptext)
         _add_space_inputs(sub)
-        _common(sub)
+        _common(sub, tol)
         if name == "magfn":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
-            sub.add_argument("--steps", type=int, default=32)
+            sub.add_argument("--steps", type=_count, default=32)
             sub.add_argument("--log", action="store_true",
                              help="log-spaced scales (default linear)")
         if name == "diversity":
             sub.add_argument("--exact", action="store_true",
                              help="support enumeration (up to 15 points)")
-            sub.add_argument("--max-iters", type=int, default=100_000)
+            sub.add_argument("--max-iters", type=_count, default=100_000)
         if name == "dim":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
             sub.add_argument("--samples", type=int, default=12)
             sub.add_argument("--method", default="diversity_growth",
                              choices=("diversity_growth", "covering_growth"))
-            sub.add_argument("--max-iters", type=int, default=300_000)
-            # growth fits need a laxer optimizer gap than single solves
-            sub.set_defaults(tol=1e-6)
+            sub.add_argument("--max-iters", type=_count, default=300_000)
 
     sub = subs.add_parser("pixel", help="exact pixel-set and convex-body machinery")
-    sub.add_argument("--ascii", help=r"art rows, e.g. '##\n#.'")
-    sub.add_argument("--pixel-file", help="file with 'dim <n> scale <p>/<q>' header")
+    g = sub.add_mutually_exclusive_group(required=True)
+    g.add_argument("--ascii", help=r"art rows, e.g. '##\n#.'")
+    g.add_argument("--pixel-file", help="file with 'dim <n> scale <p>/<q>' header")
+    g.add_argument("--body-box", help="box side lengths 'L1,L2[,L3]'")
+    g.add_argument("--body-simplex", help="simplex vertices 'x,y;x,y;x,y'")
+    g.add_argument("--body-vertices", help="polytope vertices 'x,y;...'")
     sub.add_argument("--scale", default="1", help="cell size as a rational")
     sub.add_argument("--dim", type=int, default=2, choices=(1, 2))
-    sub.add_argument("--intrinsic", action="store_true",
-                     help="expansion-polynomial coefficients and magnitude (default)")
-    sub.add_argument("--weights", action="store_true",
-                     help="weight-measure masses instead")
-    sub.add_argument("--convexity", action="store_true",
-                     help="l1-convexity verdict with a witness pair on failure")
-    sub.add_argument("--bounds", action="store_true",
-                     help="pixelation bounds for a convex body (needs --body-*)")
-    sub.add_argument("--body-box", help="box side lengths 'L1,L2[,L3]'")
-    sub.add_argument("--body-simplex", help="simplex vertices 'x,y;x,y;x,y'")
-    sub.add_argument("--body-vertices", help="polytope vertices 'x,y;...'")
-    _common(sub)
+    g = sub.add_mutually_exclusive_group()
+    g.add_argument("--intrinsic", action="store_true",
+                   help="expansion-polynomial coefficients and magnitude "
+                        "(default for --ascii and --pixel-file)")
+    g.add_argument("--weights", action="store_true",
+                   help="weight-measure masses instead")
+    g.add_argument("--convexity", action="store_true",
+                   help="l1-convexity verdict with a witness pair on failure")
+    g.add_argument("--bounds", action="store_true",
+                   help="pixelation bounds for a convex body (default for "
+                        "--body-*, the only mode they take)")
+    _common(sub, None)
 
     sub = subs.add_parser("oracle", help="closed forms: line sets, balls, "
                                          "spheres, asymptotics")
-    sub.add_argument("--points", help="finite subset of R")
-    sub.add_argument("--interval", help="'a,b'")
-    sub.add_argument("--compact", help="disjoint closed intervals 'a,b;c,d'")
-    sub.add_argument("--cantor", action="store_true",
-                     help="middle-thirds limit set")
+    g = sub.add_mutually_exclusive_group(required=True)
+    g.add_argument("--points", help="finite subset of R")
+    g.add_argument("--interval", help="'a,b'")
+    g.add_argument("--compact", help="disjoint closed intervals 'a,b;c,d'")
+    g.add_argument("--cantor", action="store_true",
+                   help="middle-thirds limit set")
+    g.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 5")
+    g.add_argument("--sphere", help="'n,R' Euclidean sphere, n even")
+    g.add_argument("--residual", help="'n,R' sphere minus polynomial part")
+    g.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")
+    g.add_argument("--leading", help="'n,p' large-scale coefficient")
     sub.add_argument("--length", type=_finite_float, default=1.0)
-    sub.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 5")
-    sub.add_argument("--sphere", help="'n,R' Euclidean sphere, n even")
-    sub.add_argument("--residual", help="'n,R' sphere minus polynomial part")
-    sub.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")
-    sub.add_argument("--leading", help="'n,p' large-scale coefficient")
-    _common(sub)
+    _common(sub, None)
 
     sub = subs.add_parser("approx",
                           help="magnitude along a refinement family of "
                                "finite approximations to a compact space")
-    sub.add_argument("--grid-sizes", help="uniform grids on [0, length], "
-                                          "e.g. '11,101,1001'")
-    sub.add_argument("--cantor-depths", help="endpoint sets, e.g. '1,2,3'")
-    sub.add_argument("--ball-counts", help="sample sizes, needs --ball and --seed")
+    g = sub.add_mutually_exclusive_group(required=True)
+    g.add_argument("--grid-sizes", help="uniform grids on [0, length], "
+                                        "e.g. '11,101,1001'")
+    g.add_argument("--cantor-depths", help="endpoint sets, e.g. '1,2,3'")
+    g.add_argument("--ball-counts", help="sample sizes, needs --ball and --seed")
     sub.add_argument("--ball", help="'n,R' for --ball-counts")
     sub.add_argument("--length", type=_finite_float, default=1.0)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p", type=int, default=2, choices=(1, 2))
-    _common(sub)
+    _common(sub, 1e-9)
 
     return ap
 
@@ -771,12 +748,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    t0 = time.perf_counter()
     try:
-        _check_counts(args)
-        code = _HANDLERS[args.cmd](args, argv, t0)
+        args = build_parser().parse_args(argv)
+        code = _HANDLERS[args.cmd](args, argv, time.perf_counter())
         # a closed reader shows up here, not at interpreter exit
         sys.stdout.flush()
         return code

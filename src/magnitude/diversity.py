@@ -50,6 +50,9 @@ from .spaces import FiniteMetricSpace
 
 EXACT_DIVERSITY_LIMIT = 15
 EXACT_COVERING_LIMIT = 25
+# support enumeration's feasibility slack: on y >= 0 and on the
+# off-support first-order condition
+EXACT_FEAS_TOL = 1e-12
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
 # status codes returned by fw_away_qp
@@ -176,7 +179,7 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
     whose similarity matrix is not positive semidefinite the returned
     point is stationary but the global certificate is void.
     """
-    z = similarity_matrix(space, t).entries
+    z = similarity_matrix(space, t)
     budget = min(z.shape[0], max_iters)
     mu, f, gap, iters, _, status = fw_away_qp(z, tol, budget)
     if status != FW_CONVERGED:
@@ -248,21 +251,22 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     return None
 
 
-def max_diversity_exact(space: FiniteMetricSpace, t: float = 1.0,
-                        feas_tol: float = 1e-12) -> DiversityResult:
+def max_diversity_exact(space: FiniteMetricSpace,
+                        t: float = 1.0) -> DiversityResult:
     """Oracle by support enumeration, for spaces of at most 15 points.
 
     On each candidate support S the stationarity system Z_S y = 1 is
     solved; the candidate is kept when y is (numerically) nonnegative and
-    every off-support point j satisfies (Z mu)_j >= mu' Z mu - tol, the
-    first-order condition for not benefiting from new support. The value
+    every off-support point j satisfies
+    (Z mu)_j >= mu' Z mu - EXACT_FEAS_TOL, the first-order condition for
+    not benefiting from new support. The value
     on a feasible support is sum(y), and the maximum over supports is the
     global maximum diversity.
     """
     n = space.n_points
     if n > EXACT_DIVERSITY_LIMIT:
         raise TooLarge(n, EXACT_DIVERSITY_LIMIT)
-    z = similarity_matrix(space, t).entries
+    z = similarity_matrix(space, t)
     best = None
     checked = 0
     for size in range(1, n + 1):
@@ -277,12 +281,12 @@ def max_diversity_exact(space: FiniteMetricSpace, t: float = 1.0,
             if np.abs(zs @ y - 1.0).max() > 1e-8:
                 continue  # near-singular garbage
             total = float(y.sum())
-            if total <= 0 or (y < -feas_tol).any():
+            if total <= 0 or (y < -EXACT_FEAS_TOL).any():
                 continue
             mu = np.zeros(n)
             mu[idx] = np.clip(y, 0.0, None) / np.clip(y, 0.0, None).sum()
             m = 1.0 / total
-            if ((z @ mu) < m - feas_tol).any():
+            if ((z @ mu) < m - EXACT_FEAS_TOL).any():
                 continue
             if best is None or total > best[0]:
                 best = (total, mu, sub)

@@ -60,6 +60,8 @@ ESTIMATOR_MAX_ITERS = 5
 # many power-iteration steps
 PERRON_MARGIN = 1e-8
 PERRON_MAX_ITERS = 100
+# a nested refinement may drop by at most this much between levels
+MONOTONE_SLACK = 1e-9
 
 STATUS_PD = "UniquePD"
 STATUS_INVERTIBLE = "UniqueInvertible"
@@ -76,16 +78,6 @@ class NotRowHomogeneous(ValueError):
 
 class MonotonicityViolation(ArithmeticError):
     """A subset's magnitude fell outside [1, magnitude of the whole]."""
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    entries: np.ndarray
-    source_scale: float
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,7 @@ class DefinitenessReport:
     scattered_bound_holds: bool
 
 
-def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> SimilarityMatrix:
+def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
     """Z = exp(-t d), formed in one n x n array and bit-identical to
     np.exp(-t * d): the product -t d is written to the array and the
     exponential overwrites it, so no second n x n temporary exists."""
@@ -129,7 +121,7 @@ def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> SimilarityMat
     with np.errstate(over="ignore"):
         z = np.multiply(space.distances, -t)
         np.exp(z, out=z)
-    return SimilarityMatrix(z, t)
+    return z
 
 
 def cholesky_solver(chol: np.ndarray):
@@ -202,7 +194,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below RESIDUAL_GATE * max(1, ||Z||_inf ||w||_inf).
     """
-    z = similarity_matrix(space, t).entries
+    z = similarity_matrix(space, t)
     n = z.shape[0]
     ones = np.ones(n)
 
@@ -281,8 +273,7 @@ class RefinementSample:
 
 def approximate_compact_magnitude(specs, t: float = 1.0,
                                   tol: float = DEFAULT_TOL, levels=None,
-                                  nested: bool = False,
-                                  slack: float = 1e-9) -> list[RefinementSample]:
+                                  nested: bool = False) -> list[RefinementSample]:
     """Magnitude sequence of finite spaces refining a compact one.
 
     specs holds SpaceSpec or FiniteMetricSpace entries in refinement
@@ -291,9 +282,9 @@ def approximate_compact_magnitude(specs, t: float = 1.0,
     these values approach it from below when the ambient is positive
     definite. nested=True declares the family an inclusion chain inside
     such an ambient: the sequence must then be nondecreasing, and a drop
-    beyond slack raises MonotonicityViolation, flagging a generator or
-    solver bug rather than a fact about the limit. Scales where the
-    solve fails are reported with magnitude None, never raised.
+    beyond MONOTONE_SLACK raises MonotonicityViolation, flagging a
+    generator or solver bug rather than a fact about the limit. Scales
+    where the solve fails are reported with magnitude None, never raised.
     """
     items = list(specs)
     labels = list(levels) if levels is not None else list(range(1, len(items) + 1))
@@ -309,7 +300,7 @@ def approximate_compact_magnitude(specs, t: float = 1.0,
         res = solve_weighting(space, t, tol)
         mag = res.magnitude if res.defined else None
         if nested and mag is not None and prev is not None \
-                and mag < prev - slack:
+                and mag < prev - MONOTONE_SLACK:
             raise MonotonicityViolation(
                 f"nested refinement decreased: level {prev_level} gave "
                 f"{prev:.12g}, level {lev} gave {mag:.12g}"
@@ -324,7 +315,7 @@ def approximate_compact_magnitude(specs, t: float = 1.0,
 def speyer_magnitude(space: FiniteMetricSpace, t: float = 1.0,
                      tol: float = 1e-10) -> float:
     """Magnitude shortcut N / (row sum) for row-homogeneous Z."""
-    z = similarity_matrix(space, t).entries
+    z = similarity_matrix(space, t)
     sums = z.sum(axis=1)
     ref = float(sums[0])
     dev = float(np.abs(sums - ref).max())
@@ -344,7 +335,7 @@ def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
     try:
-        np.linalg.cholesky(similarity_matrix(space, t).entries)
+        np.linalg.cholesky(similarity_matrix(space, t))
         return True
     except np.linalg.LinAlgError:
         return False

@@ -78,6 +78,19 @@ def ball_magnitude(n: int, radius: float) -> float:
     raise AssertionError("unreachable")
 
 
+def _sphere_radius(n: int, radius) -> float:
+    """R as a float, once n is even and >= 2 and R >= 0: the domain of
+    every sphere form."""
+    if n % 2 != 0:
+        raise OddDimension(f"sphere form needs even n, got {n}")
+    if n < 2:
+        raise UnsupportedDimension(f"sphere form needs n >= 2, got {n}")
+    r = float(radius)
+    if r < 0:
+        raise EuclidError("radius must be >= 0")
+    return r
+
+
 def _sphere_poly(n: int, radius: float) -> float:
     # prod over odd j < n of (1 + (R/j)^2)
     out = 1.0
@@ -92,13 +105,7 @@ def sphere_magnitude(n: int, radius: float) -> float:
 
         2 / (1 + exp(-pi R)) * prod over odd j < n of (1 + (R/j)^2).
     """
-    if n % 2 != 0:
-        raise OddDimension(f"sphere form needs even n, got {n}")
-    if n < 2:
-        raise UnsupportedDimension(f"sphere form needs n >= 2, got {n}")
-    r = float(radius)
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
+    r = _sphere_radius(n, radius)
     return 2.0 / (1.0 + math.exp(-math.pi * r)) * _sphere_poly(n, r)
 
 
@@ -106,11 +113,7 @@ def sphere_magnitude(n: int, radius: float) -> float:
 def sphere_polynomial_part(n: int, radius: float) -> float:
     """The polynomial the sphere magnitude approaches from below:
     2 * prod over odd j < n of (1 + (R/j)^2)."""
-    if n % 2 != 0:
-        raise OddDimension(f"sphere form needs even n, got {n}")
-    if n < 2:
-        raise UnsupportedDimension(f"sphere form needs n >= 2, got {n}")
-    return 2.0 * _sphere_poly(n, float(radius))
+    return 2.0 * _sphere_poly(n, _sphere_radius(n, radius))
 
 
 @finite_result
@@ -122,13 +125,7 @@ def sphere_residual(n: int, radius: float) -> float:
     Exponentially small; subtracting the two floats instead would lose
     everything beyond R of about 16.
     """
-    r = float(radius)
-    if n % 2 != 0:
-        raise OddDimension(f"sphere form needs even n, got {n}")
-    if n < 2:
-        raise UnsupportedDimension(f"sphere form needs n >= 2, got {n}")
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
+    r = _sphere_radius(n, radius)
     x = math.exp(-math.pi * r)
     if x > 0.0:
         return -2.0 * x / (1.0 + x) * _sphere_poly(n, r)

@@ -205,8 +205,8 @@ def first_triangle_violation(d: np.ndarray, tol: float):
     return -1, -1, -1
 
 
-def validate_metric(raw, tol_factor: float = TRIANGLE_TOL_FACTOR,
-                    labels: tuple | None = None) -> FiniteMetricSpace:
+def validate_metric(raw,
+                    tol_factor: float = TRIANGLE_TOL_FACTOR) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
     Check order: shape/finiteness, diagonal, symmetry, nonnegativity,
@@ -247,7 +247,7 @@ def validate_metric(raw, tol_factor: float = TRIANGLE_TOL_FACTOR,
     if i >= 0:
         excess = float(d[i, j] - d[i, k] - d[k, j])
         raise TriangleViolation(i, j, k, excess)
-    return FiniteMetricSpace(d, labels)
+    return FiniteMetricSpace(d)
 
 
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
@@ -447,16 +447,12 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         chunks.append(keep)
         have += len(keep)
     pts = np.concatenate(chunks)[:count]
-    d = _distances(pts, p)
+    space = FiniteMetricSpace(_distances(pts, p), labels=tuple(map(tuple, pts)))
     # rejection can in principle repeat a point; the chance is 0 for
-    # continuous draws, but validate separation anyway (on d itself, its
-    # diagonal lifted for the check and put back)
-    np.fill_diagonal(d, np.inf)
-    coincident = count > 1 and d.min() == 0.0
-    np.fill_diagonal(d, 0.0)
-    if coincident:
+    # continuous draws, but validate separation anyway
+    if space.min_distance == 0.0:
         raise BadSpec("sample produced coincident points; change the seed")
-    return FiniteMetricSpace(d, labels=tuple(map(tuple, pts)))
+    return space
 
 
 def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:

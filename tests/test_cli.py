@@ -46,6 +46,15 @@ def run_json(capsys, *argv):
     return code, report, err
 
 
+def assert_bad_spec(code, out, err):
+    """Exit 2, nothing on stdout, one BadSpec JSON line on stderr."""
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"] == "BadSpec"
+
+
 # ---------------------------------------------------------------------------
 # pinned examples
 
@@ -173,12 +182,6 @@ def test_exit_two_on_bad_input(capsys):
     assert code == 2
     assert json.loads(err)["error"] == "BadSpec"
 
-    code, _, err = run(capsys, "mag", "--t", "1")  # no source
-    assert code == 2
-
-    code, _, err = run(capsys, "mag", "--points-1d", "0,1", "--graph", "c5")
-    assert code == 2
-
     code, _, err = run(capsys, "oracle", "--ball", "2,1")
     assert code == 2
     assert json.loads(err)["error"] == "UnsupportedDimension"
@@ -197,10 +200,50 @@ def test_exit_two_on_bad_input(capsys):
     ("approx", "--grid-sizes", "11,21", "--length", "nan"),
     ("oracle", "--interval", "0,2", "--t", "-inf"),
 ])
-def test_non_finite_flag_exits_two(argv):
+def test_non_finite_flag_exits_two(capsys, argv):
+    assert_bad_spec(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("frob", "--points-1d", "0,1"),  # unknown command
+    (),  # no command
+    ("mag", "--points-1d"),  # missing value
+    ("mag", "--points-1d", "0,1", "--frob", "1"),  # unknown flag
+    ("mag", "--points-1d", "0,1", "--format", "xml"),
+    ("mag", "--points-1d", "0,1", "--t", "nan"),
+    ("magfn", "--points-1d", "0,1", "--tmin", "1", "--tmax", "2",
+     "--steps", "0"),
+    ("magfn", "--points-1d", "0,1", "--tmin", "1", "--tmax", "2",
+     "--steps", "1.5"),
+    ("mag", "--t", "1"),  # no source
+    ("mag", "--points-1d", "0,1", "--graph", "c5"),  # two sources
+    ("oracle", "--t", "1"),
+    ("oracle", "--ball", "3,1", "--cantor"),
+    ("approx", "--grid-sizes", "3,5", "--cantor-depths", "1,2"),
+    ("pixel", "--ascii", "##", "--pixel-file", "x.pix"),
+    ("pixel", "--body-box", "1,1", "--body-simplex=0,0;1,0;0,1"),
+    # art and a body: the art was once ignored for the body's bounds
+    ("pixel", "--ascii", "##", "--body-box", "1,1"),
+    # --tol where nothing reads it
+    ("check", "--points-1d", "0,1", "--tol", "1e-9"),
+    ("pixel", "--ascii", "##", "--tol", "1e-9"),
+    ("oracle", "--interval", "0,2", "--tol", "1e-9"),
+])
+def test_parse_failures_are_typed_input_errors(capsys, argv):
+    assert_bad_spec(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("mag",), ("magfn",), ("weights",), ("check",), ("diversity",),
+    ("dim",), ("pixel",), ("oracle",), ("approx",),
+])
+def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == 2
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: magnitude")
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,6 +351,8 @@ def test_residual_that_underflows_is_zero(capsys):
     (("mag", "--spec", '{"kind": "lp_grid", "params": {"shape": "ab"}}'), "BadSpec"),
     (("pixel", "--body-box", "1,x"), "PixelError"),
     (("pixel", "--body-simplex", "0,0;1,0;0,1/0"), "PixelError"),
+    (("oracle", "--interval", "1"), "BadSpec"),
+    (("oracle", "--interval", "0,1,2"), "BadSpec"),
 ])
 def test_malformed_values_are_typed_input_errors(capsys, argv, error):
     # bare ValueError no longer maps to exit 2, so each parser raises its
@@ -738,10 +783,7 @@ def _call(argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects the flag
-                code = exc.code
+            code = cli.main(argv)
     return code, out.getvalue(), err.getvalue(), caught
 
 

@@ -153,7 +153,7 @@ def test_diversity_between_one_and_n():
 
 
 def test_kkt_gap_zero_at_optimum_positive_elsewhere():
-    z = similarity_matrix(C5, 1.0).entries
+    z = similarity_matrix(C5, 1.0)
     assert kkt_gap(z, np.full(5, 0.2)) <= 1e-12
     lopsided = np.array([0.9, 0.1, 0.0, 0.0, 0.0])
     assert kkt_gap(z, lopsided) > 1e-3

@@ -86,7 +86,7 @@ def test_three_point_line_magnitude():
 
 def test_weighting_satisfies_linear_system():
     res = solve_weighting(K32, 2.0)
-    z = similarity_matrix(K32, 2.0).entries
+    z = similarity_matrix(K32, 2.0)
     assert res.defined
     assert res.status == STATUS_PD
     assert np.abs(z @ res.weighting - 1.0).max() <= 1e-9
@@ -143,14 +143,14 @@ def test_residual_reported_small():
 def test_rayleigh_ratio_attains_magnitude_at_the_weighting():
     sp = ball_sample(3, 1.0, 60, seed=3)
     res = solve_weighting(sp, 1.5)
-    z = similarity_matrix(sp, 1.5).entries
+    z = similarity_matrix(sp, 1.5)
     assert res.status == STATUS_PD
     assert rayleigh_ratio(z, res.weighting) == pytest.approx(res.magnitude, abs=1e-9)
 
 
 def test_rayleigh_ratio_never_exceeds_magnitude():
     sp = ball_sample(2, 1.0, 25, seed=9)
-    z = similarity_matrix(sp, 1.0).entries
+    z = similarity_matrix(sp, 1.0)
     mag = magnitude(sp, 1.0)
     rng = np.random.default_rng(10)
     for _ in range(1000):
@@ -161,7 +161,7 @@ def test_rayleigh_ratio_never_exceeds_magnitude():
 
 
 def test_rayleigh_rejects_nonpositive_quadratic_form():
-    z = similarity_matrix(K32, 0.1).entries
+    z = similarity_matrix(K32, 0.1)
     vals, vecs = np.linalg.eigh(z)
     assert vals[0] < 0
     with pytest.raises(ValueError):
@@ -438,7 +438,7 @@ def test_ladder_agrees_with_scipy(name):
     space = LADDER_SPACES[name]
     for t in LADDER_SCALES:
         res = solve_weighting(space, t)
-        status, cond = _scipy_ladder(similarity_matrix(space, t).entries)
+        status, cond = _scipy_ladder(similarity_matrix(space, t))
         assert res.status == status, (name, t)
         if math.isinf(cond):
             assert math.isinf(res.condition_estimate), (name, t)
@@ -473,7 +473,7 @@ def test_condition_estimate_is_a_lower_bound(n, dim, graph, t, seed):
             np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
     else:
         space = graph_metric(named_graph_edges(graph))
-    z = similarity_matrix(space, t).entries
+    z = similarity_matrix(space, t)
     kappa = np.abs(z).sum(axis=0).max() * np.abs(np.linalg.inv(z)).sum(axis=0).max()
     assume(kappa < 1e8)
     res = solve_weighting(space, t)
@@ -517,7 +517,7 @@ def test_magnitude_matches_fifty_digit_solve(name):
     space = MP_SPACES[name]
     for t in MP_SCALES:
         res = solve_weighting(space, t)
-        mag = _mp_magnitude(similarity_matrix(space, t).entries)
+        mag = _mp_magnitude(similarity_matrix(space, t))
         assert res.defined, (name, t)
         assert res.magnitude == pytest.approx(float(mag), rel=1e-9), (name, t)
 
@@ -533,7 +533,7 @@ def test_undefined_where_fifty_digits_see_no_trustworthy_solve(space, t):
     # screen; with points 1e-300 apart it is exactly singular
     res = solve_weighting(space, t)
     assert res.status == STATUS_UNDEFINED
-    cond = _mp_condition(similarity_matrix(space, t).entries)
+    cond = _mp_condition(similarity_matrix(space, t))
     n = space.n_points
     assert cond is None or cond > 1.0 / (n * CONDITION_RCOND_FACTOR)
 
@@ -550,7 +550,7 @@ def test_relative_residual_gate_keeps_only_accurate_solves(offset):
     res = solve_weighting(K32, t)
     if not res.defined:
         return
-    mag = float(_mp_magnitude(similarity_matrix(K32, t).entries))
+    mag = float(_mp_magnitude(similarity_matrix(K32, t)))
     bound = np.finfo(float).eps * res.condition_estimate
     assert abs(res.magnitude - mag) <= bound * abs(mag), (offset, bound)
 
@@ -563,7 +563,7 @@ def test_relative_residual_gate_passes_a_near_pole_solve():
     res = solve_weighting(K32, t)
     assert res.status == STATUS_PD
     assert res.residual > 1e-9
-    mag = float(_mp_magnitude(similarity_matrix(K32, t).entries))
+    mag = float(_mp_magnitude(similarity_matrix(K32, t)))
     assert res.magnitude == pytest.approx(mag, rel=1e-7)
 
 
@@ -702,5 +702,5 @@ def test_similarity_matrix_is_exp_of_minus_t_d_bit_for_bit(seed):
     for t in (1e-3, 0.7, 2.0, 1e300, 1e308):
         with np.errstate(over="ignore"):
             want = np.exp(-t * space.distances)
-        got = similarity_matrix(space, t).entries
+        got = similarity_matrix(space, t)
         assert got.tobytes() == want.tobytes(), t

@@ -147,6 +147,17 @@ def test_sphere_rejects_odd_dimension():
     assert issubclass(UnsupportedDimension, EuclidError)
 
 
+@pytest.mark.parametrize("form", [sphere_magnitude, sphere_polynomial_part,
+                                  sphere_residual])
+def test_sphere_forms_share_one_domain(form):
+    with pytest.raises(OddDimension):
+        form(3, 1.0)
+    with pytest.raises(UnsupportedDimension):
+        form(0, 1.0)
+    with pytest.raises(EuclidError, match="radius"):
+        form(4, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # volumes, leading coefficients, the additivity conjecture
 

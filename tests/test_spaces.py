@@ -566,6 +566,20 @@ def test_generators_reject_non_finite_distances(build):
             build()
 
 
+def test_ball_sample_refuses_coincident_points(monkeypatch):
+    # continuous draws never repeat, so a repeat is planted in d
+    def with_a_repeat(pts, p):
+        d = np.ones((len(pts), len(pts)))
+        np.fill_diagonal(d, 0.0)
+        d[0, -1] = d[-1, 0] = 0.0
+        return d
+
+    monkeypatch.setattr("magnitude.spaces._distances", with_a_repeat)
+    with pytest.raises(BadSpec, match="coincident"):
+        ball_sample(2, 1.0, 3, seed=1)
+    assert ball_sample(2, 1.0, 1, seed=1).n_points == 1
+
+
 def test_ball_sample_input_checks():
     with pytest.raises(BadSpec):
         ball_sample(0, 1.0, 5, seed=1)
