@@ -15,7 +15,9 @@ Every input rule lives in the parser. Each command takes exactly one
 source (one mutually exclusive group), and pixel at most one mode:
 --bounds for a body, the others for art or a file. Float flags and
 number lists accept finite values only; count flags (--steps,
---max-iters) must be at least 1. --tol belongs to the commands that
+--max-iters) must be at least 1. A count-like entry of a number list (a
+dimension n, a sample count, an exponent p) must be an integer, and an
+approx family needs at least one level. --tol belongs to the commands that
 solve or optimize (mag, magfn, weights, diversity, dim, approx); check,
 pixel and oracle refuse it. Results never hold NaN or Infinity, which
 are not JSON; a diagnostic with no finite value, such as the condition
@@ -126,10 +128,21 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
+    """A nonempty integer list: a refinement family has at least one level."""
     try:
-        return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+        out = [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
     except ValueError as exc:
         raise BadSpec(f"cannot parse integer list {text!r}: {exc}") from None
+    if not out:
+        raise BadSpec(f"empty integer list {text!r}")
+    return out
+
+
+def _integral(x: float, what: str) -> int:
+    """A count-like entry of a number list; 3.5 is refused, not truncated."""
+    if not x.is_integer():
+        raise BadSpec(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
@@ -189,8 +202,8 @@ def _space_inputs(args):
         if args.seed is None:
             raise BadSpec("--ball requires --seed")
         spec = SpaceSpec("ball_sample",
-                         {"n": int(nums[0]), "radius": nums[1],
-                          "count": int(nums[2]), "p": args.p},
+                         {"n": _integral(nums[0], "n"), "radius": nums[1],
+                          "count": _integral(nums[2], "count"), "p": args.p},
                          seed=args.seed)
     else:
         text = args.spec
@@ -298,14 +311,16 @@ def _cmd_weights(args, command, t0) -> int:
 
     space, inputs = _space_inputs(args)
     res = engine.solve_weighting(space, args.t, args.tol)
+    w = None if res.weighting is None else [float(x) for x in res.weighting]
     results = {
         "t": args.t,
         "status": res.status,
         "magnitude": res.magnitude,
         "condition_estimate": _finite_or_none(res.condition_estimate),
         "residual": res.residual,
-        "weighting": None if res.weighting is None else [float(x) for x in res.weighting],
-        "coweighting": None if res.coweighting is None else [float(x) for x in res.coweighting],
+        # Z is symmetric, so the coweighting (row solve) is the weighting
+        "weighting": w,
+        "coweighting": w,
     }
     _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
     return 0
@@ -476,7 +491,7 @@ def _parse_two(text: str, flag: str, form: str) -> tuple[float, float]:
 
 def _parse_nr(text: str, flag: str) -> tuple[int, float]:
     n, r = _parse_two(text, flag, "n,R")
-    return int(n), r
+    return _integral(n, "n"), r
 
 
 def _cmd_oracle(args, command, t0) -> int:
@@ -534,7 +549,8 @@ def _cmd_oracle(args, command, t0) -> int:
                    "n": n, "R": r}
         inputs = {"conjecture": [n, r]}
     else:
-        n, p = map(int, _parse_two(args.leading, "--leading", "n,p"))
+        n, p = _parse_two(args.leading, "--leading", "n,p")
+        n, p = _integral(n, "n"), _integral(p, "p")
         results = {"coefficient": euclid.magnitude_leading_coefficient(n, p),
                    "n": n, "p": p}
         inputs = {"leading": [n, p]}

@@ -13,6 +13,9 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
 1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
    uniform start, for at most n iterations: about the cost of one dense
    factorisation, and enough on spaces whose optimum is near uniform.
+   Toward and away steps are one exact line search along +-(e_v - mu).
+   fw_away_qp reports the gap it measured and max_diversity compares it
+   with tol; no separate status is kept.
 2. When numpy's Cholesky accepts Z, a Lawson-Hanson active set on
    min (1/2) y' Z y - 1' y over y >= 0. Maximum diversity is the largest
    magnitude of a subset carrying a nonnegative weighting, so the optimum
@@ -55,9 +58,6 @@ EXACT_COVERING_LIMIT = 25
 EXACT_FEAS_TOL = 1e-12
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
-# status codes returned by fw_away_qp
-FW_CONVERGED = 0
-FW_MAX_ITERS = 1
 
 
 def backend_name() -> str:
@@ -100,20 +100,23 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
 def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
     """Minimize x'Zx over the probability simplex.
 
-    Frank-Wolfe with away steps and exact line search, one O(N) pass per
-    iteration. Deterministic: uniform start, lowest-index tie break in the
-    linear minimization oracle.
+    Frank-Wolfe with away steps, one O(N) pass per iteration.
+    Deterministic: uniform start, lowest-index tie break in the linear
+    minimization oracle. Each step is one exact line search along
+    +-(e_v - mu): toward the oracle's vertex s (step cap 1) or away from
+    the worst support vertex a (step cap mu_a / (1 - mu_a), where a leaves
+    the support). The curvature along it is Z[v,v] - 2 (Z mu)_v + mu'Z mu;
+    where it is not positive, the step takes its cap.
 
-    Returns (x, objective, duality_gap, iterations, nonconvex_flag, status)
-    where status is FW_CONVERGED or FW_MAX_ITERS. The nonconvex flag is set
-    when a direction of negative curvature (d'Zd < -1e-12) is encountered.
+    Returns (x, objective, duality_gap, iterations). The run converged
+    exactly when duality_gap <= tol; one stopped by max_iters returns
+    iterations == max_iters and the gap measured before its last step.
     """
     n = Z.shape[0]
     mu = np.full(n, 1.0 / n)
     q = Z @ mu                     # running Z @ mu
     f = float(mu @ q)              # running objective mu' Z mu
-    nonconvex = False
-    gap = 0.0
+    gap = np.inf                   # no gap measured before the first pass
     it = 0
     while it < max_iters:
         g = 2.0 * q
@@ -121,52 +124,27 @@ def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
         gmu = float(g @ mu)
         gap = gmu - g[s]
         if gap <= tol:
-            return mu, f, gap, it, nonconvex, FW_CONVERGED
-        on_support = mu > 0.0
-        masked = np.where(on_support, g, -np.inf)
-        a = int(np.argmax(masked))
+            break
+        a = int(np.argmax(np.where(mu > 0.0, g, -np.inf)))
         if gap >= g[a] - gmu:
-            # toward step: d = e_s - mu
-            d_zmu = q[s] - f
-            d_zd = Z[s, s] - 2.0 * q[s] + f
-            hmax = 1.0
-            if d_zd <= 0.0:
-                if d_zd < -1e-12:
-                    nonconvex = True
-                h = hmax
-            else:
-                h = min(hmax, -d_zmu / d_zd)
-                h = max(h, 0.0)
-            f = f + 2.0 * h * d_zmu + h * h * d_zd
-            mu *= 1.0 - h
-            mu[s] += h
-            q = (1.0 - h) * q + h * Z[:, s]
+            v, sign, hmax = s, 1.0, 1.0
         else:
-            # away step: d = mu - e_a, feasible up to alpha/(1-alpha)
             alpha = mu[a]
-            drop = False
+            v, sign = a, -1.0
             hmax = alpha / (1.0 - alpha) if alpha < 1.0 else 0.0
-            d_zmu = f - q[a]
-            d_zd = f - 2.0 * q[a] + Z[a, a]
-            if d_zd <= 0.0:
-                if d_zd < -1e-12:
-                    nonconvex = True
-                h = hmax
-                drop = True
-            else:
-                h = -d_zmu / d_zd
-                if h >= hmax:
-                    h = hmax
-                    drop = True
-                h = max(h, 0.0)
-            f = f + 2.0 * h * d_zmu + h * h * d_zd
-            mu *= 1.0 + h
-            mu[a] -= h
-            if drop:
-                mu[a] = 0.0
-            q = (1.0 + h) * q - h * Z[:, a]
+        # the direction is sign * (e_v - mu): slope d'Z mu, curvature d'Zd
+        slope = sign * (q[v] - f)
+        curv = Z[v, v] - 2.0 * q[v] + f
+        h = hmax if curv <= 0.0 else max(min(hmax, -slope / curv), 0.0)
+        f = f + 2.0 * h * slope + h * h * curv
+        step = sign * h
+        mu *= 1.0 - step
+        mu[v] += step
+        if sign < 0.0 and h == hmax:
+            mu[v] = 0.0            # a drop step: v leaves the support exactly
+        q = (1.0 - step) * q + step * Z[:, v]
         it += 1
-    return mu, f, gap, it, nonconvex, FW_MAX_ITERS
+    return mu, f, gap, it
 
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
@@ -181,14 +159,14 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
     """
     z = similarity_matrix(space, t)
     budget = min(z.shape[0], max_iters)
-    mu, f, gap, iters, _, status = fw_away_qp(z, tol, budget)
-    if status != FW_CONVERGED:
+    mu, f, gap, iters = fw_away_qp(z, tol, budget)
+    if gap > tol:
         found = _active_set(z, tol)
         if found is not None:
             return found
         if budget < max_iters:
-            mu, f, gap, iters, _, status = fw_away_qp(z, tol, max_iters)
-        if status != FW_CONVERGED:
+            mu, f, gap, iters = fw_away_qp(z, tol, max_iters)
+        if gap > tol:
             raise NonConvergence(iters, gap)
     return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
 

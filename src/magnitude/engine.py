@@ -83,7 +83,6 @@ class MonotonicityViolation(ArithmeticError):
 @dataclass(frozen=True)
 class WeightingResult:
     weighting: np.ndarray | None
-    coweighting: np.ndarray | None
     magnitude: float | None
     status: str
     condition_estimate: float
@@ -205,7 +204,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
         try:
             inverse = np.linalg.inv(z)
         except np.linalg.LinAlgError:
-            return WeightingResult(None, None, None, STATUS_UNDEFINED,
+            return WeightingResult(None, None, STATUS_UNDEFINED,
                                    float("inf"), None)
         solve = lambda rhs: inverse @ rhs
         status = STATUS_INVERTIBLE
@@ -220,7 +219,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     rcond = (1.0 / ainvnm) / znorm if 0.0 < ainvnm < math.inf else 0.0
     cond = float("inf") if rcond == 0.0 else 1.0 / rcond
     if rcond < n * CONDITION_RCOND_FACTOR:
-        return WeightingResult(None, None, None, STATUS_UNDEFINED, cond, None)
+        return WeightingResult(None, None, STATUS_UNDEFINED, cond, None)
 
     w = solve(ones)
     resid = float(np.abs(z @ w - ones).max())
@@ -233,10 +232,9 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     # scales with that product; it is never stricter than RESIDUAL_GATE
     gate = RESIDUAL_GATE * max(1.0, znorm * float(np.abs(w).max()))
     if resid > gate:
-        return WeightingResult(None, None, None, STATUS_UNDEFINED, cond, resid)
+        return WeightingResult(None, None, STATUS_UNDEFINED, cond, resid)
 
-    # Z is symmetric, so the coweighting (row solve) equals the weighting
-    return WeightingResult(w, w.copy(), float(w.sum()), status, cond, resid)
+    return WeightingResult(w, float(w.sum()), status, cond, resid)
 
 
 def magnitude(space: FiniteMetricSpace, t: float = 1.0,

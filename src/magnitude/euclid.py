@@ -38,15 +38,9 @@ class CoefficientUnderflow(EuclidError):
 _LOG_TINY = math.log(math.ulp(0.0))
 
 
-def ball_magnitude_exact(n: int, radius) -> Fraction:
-    """Exact magnitude of the odd-dimensional ball B^n of radius R.
-
-    Known closed forms: n = 1, 3, 5. Even n has no closed form of this
-    kind; odd n beyond five is not implemented.
-    """
-    r = Fraction(radius)
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
+def _ball_form(n: int, r):
+    """Magnitude of the ball B^n of radius r >= 0, n in (1, 3, 5), in the
+    arithmetic of r: a float or a Fraction."""
     if n == 1:
         return 1 + r
     if n == 3:
@@ -61,21 +55,25 @@ def ball_magnitude_exact(n: int, radius) -> Fraction:
     raise UnsupportedDimension(f"ball forms implemented for n in (1, 3, 5), got {n}")
 
 
+def ball_magnitude_exact(n: int, radius) -> Fraction:
+    """Exact magnitude of the odd-dimensional ball B^n of radius R.
+
+    Known closed forms: n = 1, 3, 5. Even n has no closed form of this
+    kind; odd n beyond five is not implemented.
+    """
+    r = Fraction(radius)
+    if r < 0:
+        raise EuclidError("radius must be >= 0")
+    return _ball_form(n, r)
+
+
 @finite_result
 def ball_magnitude(n: int, radius: float) -> float:
     """Float version of ball_magnitude_exact."""
     r = float(radius)
     if r < 0:
         raise EuclidError("radius must be >= 0")
-    if n == 1:
-        return 1.0 + r
-    if n == 3:
-        return 1.0 + 2.0 * r + r**2 + r**3 / 6.0
-    if n == 5:
-        return (24 + 72 * r + 72 * r**2 + 35 * r**3 + 9 * r**4 + r**5) \
-            / (8 * (r + 3)) + r**5 / 120
-    ball_magnitude_exact(n, 0)  # raise the right error
-    raise AssertionError("unreachable")
+    return _ball_form(n, r)
 
 
 def _sphere_radius(n: int, radius) -> float:

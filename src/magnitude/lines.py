@@ -22,6 +22,7 @@ convergent series 1 + sum_{i>=1} 2^(i-1) tanh(t L / (2 * 3^i)).
 from __future__ import annotations
 
 import math
+from itertools import count
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .errors import LineError, NonpositiveScale, finite_result
 # above this t L / 2 the Cantor series would form 3^i beyond the double
 # range; tanh(h / 3) is exactly 1.0 for every h the reduction skips
 CANTOR_SERIES_LIMIT = 1e50
+# the Cantor series stops once its tail bound is below this
+CANTOR_TOL = 1e-14
 
 
 class DuplicatePoints(LineError):
@@ -112,26 +115,18 @@ def line_magnitude(points, t: float) -> float:
 
 
 @finite_result
-def interval_magnitude(a: float, b: float, t: float) -> float:
-    t = _check_scale(t)
-    a, b = float(a), float(b)
-    if b < a:
-        raise ReversedInterval(a, b)
-    return 1.0 + t * (b - a) / 2.0
-
-
-@finite_result
 def interval_weight_measure(a: float, b: float, t: float) -> dict:
     """Weight measure of [a, b]: endpoint atoms and interior density."""
     t = _check_scale(t)
     a, b = float(a), float(b)
     if b < a:
         raise ReversedInterval(a, b)
+    mass = t * (b - a) / 2.0
     return {
         "endpoint_mass": 0.5,
         "interior_density": t / 2.0,
-        "interior_mass": t * (b - a) / 2.0,
-        "total": 1.0 + t * (b - a) / 2.0,
+        "interior_mass": mass,
+        "total": 1.0 + mass,
     }
 
 
@@ -165,6 +160,12 @@ def compact_magnitude(components, t: float) -> float:
 
 
 @finite_result
+def interval_magnitude(a: float, b: float, t: float) -> float:
+    """1 + t (b - a) / 2: the one-component compact set."""
+    return compact_magnitude([(a, b)], t)
+
+
+@finite_result
 def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> float:
     """Magnitude of A union B when B sits a distance `gap` right of A.
 
@@ -179,34 +180,35 @@ def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> flo
 
 
 @finite_result
-def cantor_magnitude(t: float, length: float = 1.0, tol: float = 1e-14,
-                     max_terms: int = 100_000) -> float:
+def cantor_magnitude(t: float, length: float = 1.0) -> float:
     """Magnitude of the middle-thirds set on [0, length] at scale t.
 
     Sums 1 + sum_{i>=1} 2^(i-1) tanh(t L / (2 3^i)) until the geometric
-    tail bound (t L / 2) (2/3)^k drops below tol. tanh is bounded by its
-    argument, so the tail after k terms is at most
+    tail bound (t L / 2) (2/3)^k drops below CANTOR_TOL. tanh is bounded
+    by its argument, so the tail after k terms is at most
     sum_{i>k} 2^(i-1) t L / (2 3^i) = (t L / 2)(2/3)^k.
 
     Above t L / 2 = CANTOR_SERIES_LIMIT the self-similarity
     C(h) = 2 C(h / 3) - 1 + tanh(h / 3), whose tanh is then exactly 1.0,
     gives C(h) = 2^k C(h / 3^k) with h / 3^k below the limit, so no power
-    leaves the double range unless the value itself does.
+    leaves the double range unless the value itself does. From there the
+    tail bound passes CANTOR_TOL by term 364.
     """
     t = _check_scale(t)
     if not 0 < length < math.inf:
         raise LineError("length must be positive and finite")
+    if t == math.inf:  # the reduction below would never end
+        raise OverflowError("infinite scale")
     doublings = 0
     while t * length / 2.0 > CANTOR_SERIES_LIMIT:
         t /= 3.0
         doublings += 1
     total = 1.0
     half_tl = t * length / 2.0
-    for i in range(1, max_terms + 1):
+    for i in count(1):
         total += 2.0 ** (i - 1) * math.tanh(half_tl / 3.0**i)
-        if half_tl * (2.0 / 3.0) ** i < tol:
+        if half_tl * (2.0 / 3.0) ** i < CANTOR_TOL:
             return math.ldexp(total, doublings)
-    raise LineError("series did not meet tolerance within max_terms")
 
 
 def cantor_magnitude_tail_bound(t: float, length: float, k: int) -> float:

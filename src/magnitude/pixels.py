@@ -572,17 +572,31 @@ def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:
     k = n + 1
     m = [[nodes[row] ** (n - i) for i in range(k)] + [vols[row]]
          for row in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    coeffs = tuple(m[i][k] for i in range(k))
-    return SteinerPolynomial(n, p.scale, coeffs)
+    _row_reduce(m, k)  # distinct nodes: a nonsingular Vandermonde system
+    return SteinerPolynomial(n, p.scale, tuple(row[k] for row in m))
+
+
+def _row_reduce(rows, ncols: int) -> int:
+    """Gauss-Jordan elimination over the first ncols columns of a list of
+    Fraction rows, in place; returns the rank. Pivot rows are scaled to a
+    leading 1 and moved to the top, so a nonsingular square system with
+    its right-hand side appended ends with the solution in the last
+    column."""
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -708,24 +722,8 @@ def _affine_rank(vertices, dim) -> int:
     if len(vertices) < 2:
         return 0
     base = vertices[0]
-    rows = [[v[i] - base[i] for i in range(dim)] for v in vertices[1:]]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < dim:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return _row_reduce([[v[i] - base[i] for i in range(dim)]
+                        for v in vertices[1:]], dim)
 
 
 def _normal_through(points, dim):

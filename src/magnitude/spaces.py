@@ -12,7 +12,8 @@ endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
 reproduces the same matrix bit for bit on any platform. Generated matrices
 skip validate_metric, so the generators reject non-finite distances
-themselves.
+themselves. Each refuses a space of more than POINT_LIMIT points with
+BadSpec before it builds anything.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -59,6 +60,9 @@ _SCAN_ROWS = 16
 _SCAN_KS = 16
 # expected cube draws ball_sample may spend: a few seconds at n = 20
 BALL_DRAW_LIMIT = 10**7
+# most points a generator builds: a dense solve holds about four n x n
+# float arrays, 2 GiB at this size
+POINT_LIMIT = 2**13
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,13 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
 # generators
 
 
+def _check_points(n: int, what: str) -> None:
+    """BadSpec before a generator builds more than POINT_LIMIT points."""
+    if n > POINT_LIMIT:
+        raise BadSpec(f"{what} has {n} points, over the limit of "
+                      f"{POINT_LIMIT:,}")
+
+
 def _distances(pts: np.ndarray, p: int) -> np.ndarray:
     """lp distances between the rows of pts (p in 1, 2). A coordinate or
     distance outside the double range raises BadSpec: every generator
@@ -304,6 +315,7 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     x = np.asarray(list(coordinates), dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise BadSpec("points_1d needs a nonempty 1-d coordinate list")
+    _check_points(x.size, "points_1d")
     # adjacent entries of the sorted list: np.unique would import numpy.ma
     xs = np.sort(x)
     if (xs[1:] == xs[:-1]).any():
@@ -325,6 +337,7 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
     n = n_vertices if n_vertices is not None else (max(seen) + 1 if seen else 0)
     if n <= 0:
         raise BadSpec("graph has no vertices")
+    _check_points(n, "graph")
     if seen and max(seen) >= n:
         raise BadSpec("edge endpoint beyond vertex count")
     if seen and min(seen) < 0:
@@ -366,6 +379,7 @@ def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
         raise BadSpec("p must be 1 or 2")
     if not spacing > 0:
         raise BadSpec("spacing must be positive")
+    _check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
         pts *= spacing
@@ -392,6 +406,9 @@ def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
     """The 2^(depth+1) interval endpoints of the depth-k construction."""
     if not length > 0:
         raise BadSpec("length must be positive")
+    if depth + 1 >= POINT_LIMIT.bit_length():  # 2^(depth+1) > POINT_LIMIT
+        raise BadSpec(f"cantor_endpoints at depth {depth} has 2^{depth + 1} "
+                      f"points, over the limit of {POINT_LIMIT:,}")
     iv = cantor_intervals(depth, length)
     pts = sorted({a for a, _ in iv} | {b for _, b in iv})
     return points_on_line(pts)
@@ -414,6 +431,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     """
     if n < 1 or count < 1:
         raise BadSpec("need n >= 1 and count >= 1")
+    _check_points(count, "ball_sample")
     if p not in (1, 2):
         raise BadSpec("p must be 1 or 2")
     # the largest sum the norms and distances form must stay finite, or
@@ -502,6 +520,7 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
             raise BadSpec(f"unknown graph name {name!r}") from None
         if a < 1 or b < 1:
             raise BadSpec("complete bipartite graph needs two nonempty parts")
+        _check_points(a + b, "graph")
         return [(i, a + j) for i in range(a) for j in range(b)], a + b
     if s.startswith("k") and len(s) == 3 and s[1:].isdigit() and "0" not in s[1:]:
         # two nonzero digits: complete bipartite shorthand, k32 = K_{3,2}
@@ -509,16 +528,19 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
         return [(i, a + j) for i in range(a) for j in range(b)], a + b
     if s.startswith("k") and s[1:].isdigit():
         n = int(s[1:])
+        _check_points(n, "graph")
         return [(i, j) for i in range(n) for j in range(i + 1, n)], n
     if s.startswith("c") and s[1:].isdigit():
         n = int(s[1:])
         if n < 3:
             raise BadSpec("cycle needs at least 3 vertices")
+        _check_points(n, "graph")
         return [(i, (i + 1) % n) for i in range(n)], n
     if s.startswith("p") and s[1:].isdigit():
         n = int(s[1:])
         if n < 2:
             raise BadSpec("path needs at least 2 vertices")
+        _check_points(n, "graph")
         return [(i, i + 1) for i in range(n - 1)], n
     raise BadSpec(f"unknown graph name {name!r}")
 

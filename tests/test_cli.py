@@ -234,6 +234,45 @@ def test_parse_failures_are_typed_input_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("mag", "--ball", "3.5,1,5", "--seed", "1"),
+    ("mag", "--ball", "3,1,2.5", "--seed", "1"),
+    ("oracle", "--leading", "2.5,2"),
+    ("oracle", "--ball", "3.5,1"),
+    ("approx", "--ball", "2.5,1", "--ball-counts", "3,5", "--seed", "1"),
+])
+def test_non_integer_counts_exit_two(capsys, argv):
+    # a count-like entry is refused, not truncated to an integer
+    assert_bad_spec(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_refinement_family_exits_two(capsys, fmt):
+    assert_bad_spec(*run(capsys, "approx", "--grid-sizes", ",", "--format", fmt))
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--grid", "100000"),
+    ("mag", "--grid", "100x100"),
+    ("mag", "--cantor-depth", "18"),
+    ("mag", "--cantor-depth", "1000000000000"),
+    ("approx", "--cantor-depths", "40"),
+    ("approx", "--grid-sizes", "100000"),
+    ("mag", "--ball", "2,1,100000", "--seed", "1"),
+    ("approx", "--ball", "2,1", "--ball-counts", "100000", "--seed", "1"),
+    ("mag", "--graph", "k100000"),
+    ("mag", "--graph", "k5000,5000"),
+    ("mag", "--graph", "c100000"),
+    ("mag", "--graph", "p100000"),
+    ("mag", "--points-1d", ",".join(str(i) for i in range(9000))),
+    ("mag", "--spec", '{"kind": "graph_shortest_path", "edges": [[0, 1]], '
+                      '"n_vertices": 100000}'),
+])
+def test_oversized_spaces_exit_two(capsys, argv):
+    # refused before anything of the size is built
+    assert_bad_spec(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
     (), ("mag",), ("magfn",), ("weights",), ("check",), ("diversity",),
     ("dim",), ("pixel",), ("oracle",), ("approx",),
 ])

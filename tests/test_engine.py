@@ -90,7 +90,6 @@ def test_weighting_satisfies_linear_system():
     assert res.defined
     assert res.status == STATUS_PD
     assert np.abs(z @ res.weighting - 1.0).max() <= 1e-9
-    assert np.array_equal(res.weighting, res.coweighting)
     assert res.magnitude == pytest.approx(res.weighting.sum())
 
 

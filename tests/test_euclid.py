@@ -72,6 +72,33 @@ def test_ball_exact_accepts_rationals():
     assert ball_magnitude(3, 0.5) == pytest.approx(float(v), abs=1e-15)
 
 
+@pytest.mark.parametrize("n, r, expect", [
+    (3, 0.1, 1.2101666666666666),
+    (3, 13.37, 604.8268588333333),
+    (3, 1e60, 1.6666666666666665e+179),
+    (5, 0.7, 4.191061731981981),
+    (5, 2.5, 38.315932765151516),
+    (5, 1000.0, 8459085460959.458),
+])
+def test_ball_magnitude_float_bits(n, r, expect):
+    # the float form is the exact form's expression evaluated in floats,
+    # operation for operation; these are its bits
+    assert ball_magnitude(n, r) == expect
+
+
+def test_ball_forms_share_one_domain():
+    for n, r in ((1, F(7, 3)), (3, F(5, 2)), (5, F(1, 9))):
+        assert ball_magnitude(n, float(r)) == pytest.approx(
+            float(ball_magnitude_exact(n, r)), rel=1e-15)
+    for form in (ball_magnitude, ball_magnitude_exact):
+        with pytest.raises(UnsupportedDimension):
+            form(4, 1)
+        with pytest.raises(UnsupportedDimension):
+            form(-1, 1)
+        with pytest.raises(EuclidError):
+            form(3, -1)
+
+
 def test_ball_line_segment_case():
     # the 1-ball of radius R is an interval of length 2R at t=1
     for r in (0.5, 1.0, 7.0):

@@ -37,6 +37,7 @@ from magnitude.spaces import (
     l1_product,
     load_distance_csv,
     lp_grid,
+    named_graph,
     named_graph_edges,
     points_on_line,
     save_distance_csv,
@@ -599,6 +600,26 @@ def test_ball_sample_refuses_out_of_reach_rejection(dim, count, p):
     with pytest.raises(BadSpec, match="cube draws"):
         ball_sample(dim, 1.0, count, seed=1, p=p)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_generators_refuse_spaces_over_the_point_limit(monkeypatch):
+    monkeypatch.setattr("magnitude.spaces.POINT_LIMIT", 8)
+    at_limit = [cantor_endpoints(2), lp_grid([2, 4]), ball_sample(2, 1.0, 8, seed=1),
+                named_graph("c8"), named_graph("k4,4"), points_on_line(range(8))]
+    assert [sp.n_points for sp in at_limit] == [8] * 6
+    for build in (
+        lambda: cantor_endpoints(3),
+        lambda: lp_grid([3, 3]),
+        lambda: ball_sample(2, 1.0, 9, seed=1),
+        lambda: named_graph("k9"),
+        lambda: named_graph("k4,5"),
+        lambda: named_graph("c9"),
+        lambda: named_graph("p9"),
+        lambda: graph_metric([(0, 1)], 9),
+        lambda: points_on_line(range(9)),
+    ):
+        with pytest.raises(BadSpec, match="over the limit"):
+            build()
 
 
 # ---------------------------------------------------------------------------
