@@ -17,11 +17,12 @@ source (one mutually exclusive group), and pixel at most one mode:
 number lists accept finite values only; count flags (--steps,
 --max-iters) must be at least 1. A count-like entry of a number list (a
 dimension n, a sample count, an exponent p) must be an integer, and an
-approx family needs at least one level. --tol belongs to the commands that
-solve or optimize (mag, magfn, weights, diversity, dim, approx); check,
-pixel and oracle refuse it. Results never hold NaN or Infinity, which
-are not JSON; a diagnostic with no finite value, such as the condition
-estimate of a singular matrix, is written as null.
+approx family needs at least one level. --tol, which must be positive,
+is the Frank-Wolfe gap target of diversity and dim; the other commands
+refuse it, since the dense solve refines to its own rounding floor (see
+engine). Results never hold NaN or Infinity, which are not JSON; a
+diagnostic with no finite value, such as the condition estimate of a
+singular matrix, is written as null.
 
 Exit codes: 0 success (also --help and --version), 1 output closed by
 its reader (a broken pipe; the run ends quietly), 2 bad input (any parse
@@ -65,6 +66,8 @@ from .errors import (
     TooLarge,
     UndefinedMagnitude,
     WindowTooNarrow,
+    integral,
+    positive_scale,
 )
 
 # the package's own input errors (an unreadable file is a BadSpec); any
@@ -91,6 +94,14 @@ def _finite_float(text: str) -> float:
         val = math.nan
     if not math.isfinite(val):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    val = _finite_float(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return val
 
 
@@ -136,13 +147,6 @@ def _parse_ints(text: str) -> list[int]:
     if not out:
         raise BadSpec(f"empty integer list {text!r}")
     return out
-
-
-def _integral(x: float, what: str) -> int:
-    """A count-like entry of a number list; 3.5 is refused, not truncated."""
-    if not x.is_integer():
-        raise BadSpec(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
@@ -202,8 +206,8 @@ def _space_inputs(args):
         if args.seed is None:
             raise BadSpec("--ball requires --seed")
         spec = SpaceSpec("ball_sample",
-                         {"n": _integral(nums[0], "n"), "radius": nums[1],
-                          "count": _integral(nums[2], "count"), "p": args.p},
+                         {"n": integral(nums[0], "n"), "radius": nums[1],
+                          "count": integral(nums[2], "count"), "p": args.p},
                          seed=args.seed)
     else:
         text = args.spec
@@ -268,7 +272,7 @@ def _cmd_mag(args, command, t0) -> int:
     from . import engine
 
     space, inputs = _space_inputs(args)
-    res = engine.solve_weighting(space, args.t, args.tol)
+    res = engine.solve_weighting(space, args.t)
     results = {
         "t": args.t,
         "magnitude": res.magnitude,
@@ -294,8 +298,9 @@ def _cmd_magfn(args, command, t0) -> int:
     )
     samples = [
         {"t": s.t, "magnitude": s.magnitude,
-         "positive_definite": s.positive_definite, "status": s.status}
-        for s in engine.magnitude_function(space, ts, args.tol)
+         "positive_definite": s.status == engine.STATUS_PD,
+         "status": s.status}
+        for s in engine.magnitude_function(space, ts)
     ]
     # a sweep reports failed scales inside the data, never via exit code
     results = {"samples": samples, "n_points": space.n_points}
@@ -310,7 +315,7 @@ def _cmd_weights(args, command, t0) -> int:
     from . import engine
 
     space, inputs = _space_inputs(args)
-    res = engine.solve_weighting(space, args.t, args.tol)
+    res = engine.solve_weighting(space, args.t)
     w = None if res.weighting is None else [float(x) for x in res.weighting]
     results = {
         "t": args.t,
@@ -408,7 +413,7 @@ def _cmd_pixel(args, command, t0) -> int:
     from . import pixels
 
     # every mode refuses t <= 0, also those that never evaluate at t
-    pixels._check_t(args.t)
+    positive_scale(args.t)
     src = _given(args, "ascii", "pixel_file", "body_box", "body_simplex",
                  "body_vertices")
     is_body = src.startswith("body")
@@ -491,7 +496,7 @@ def _parse_two(text: str, flag: str, form: str) -> tuple[float, float]:
 
 def _parse_nr(text: str, flag: str) -> tuple[int, float]:
     n, r = _parse_two(text, flag, "n,R")
-    return _integral(n, "n"), r
+    return integral(n, "n"), r
 
 
 def _cmd_oracle(args, command, t0) -> int:
@@ -550,7 +555,7 @@ def _cmd_oracle(args, command, t0) -> int:
         inputs = {"conjecture": [n, r]}
     else:
         n, p = _parse_two(args.leading, "--leading", "n,p")
-        n, p = _integral(n, "n"), _integral(p, "p")
+        n, p = integral(n, "n"), integral(p, "p")
         results = {"coefficient": euclid.magnitude_leading_coefficient(n, p),
                    "n": n, "p": p}
         inputs = {"leading": [n, p]}
@@ -604,7 +609,7 @@ def _cmd_approx(args, command, t0) -> int:
         inputs = {"family": "ball_sample", "n": n, "R": r, "counts": counts,
                   "seed": args.seed, "p": args.p}
     rows = engine.approximate_compact_magnitude(
-        specs, args.t, args.tol, levels=levels, nested=nested)
+        specs, args.t, levels=levels, nested=nested)
     samples = [
         {"level": s.level, "n_points": s.n_points, "magnitude": s.magnitude,
          "status": s.status, "delta": s.delta}
@@ -646,12 +651,10 @@ def _add_space_inputs(sub) -> None:
     sub.add_argument("--seed", type=int, default=None)
 
 
-def _common(sub, tol: float | None) -> None:
-    """--t and --format; --tol, with its default, where the command reads it."""
+def _common(sub) -> None:
+    """--t and --format, which every command takes."""
     sub.add_argument("--t", type=_finite_float, default=1.0,
                      help="scale factor")
-    if tol is not None:
-        sub.add_argument("--tol", type=_finite_float, default=tol)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -664,18 +667,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     subs = ap.add_subparsers(dest="cmd", required=True)
 
-    for name, helptext, tol in [
-        ("mag", "magnitude at one scale", 1e-9),
-        ("magfn", "magnitude function over a scale sweep", 1e-9),
-        ("weights", "weighting and coweighting vectors", 1e-9),
-        ("check", "validate a metric and report definiteness", None),
-        ("diversity", "maximum diversity at one scale", 1e-9),
-        # growth fits need a laxer optimizer gap than single solves
-        ("dim", "growth-based dimension estimate", 1e-6),
+    for name, helptext in [
+        ("mag", "magnitude at one scale"),
+        ("magfn", "magnitude function over a scale sweep"),
+        ("weights", "weighting and coweighting vectors"),
+        ("check", "validate a metric and report definiteness"),
+        ("diversity", "maximum diversity at one scale"),
+        ("dim", "growth-based dimension estimate"),
     ]:
         sub = subs.add_parser(name, help=helptext)
         _add_space_inputs(sub)
-        _common(sub, tol)
+        _common(sub)
         if name == "magfn":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
@@ -693,6 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--method", default="diversity_growth",
                              choices=("diversity_growth", "covering_growth"))
             sub.add_argument("--max-iters", type=_count, default=300_000)
+        if name in ("diversity", "dim"):
+            # growth fits need a laxer optimizer gap than single solves
+            sub.add_argument("--tol", type=_positive_float,
+                             default=1e-9 if name == "diversity" else 1e-6,
+                             help="Frank-Wolfe duality gap target")
 
     sub = subs.add_parser("pixel", help="exact pixel-set and convex-body machinery")
     g = sub.add_mutually_exclusive_group(required=True)
@@ -714,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bounds", action="store_true",
                    help="pixelation bounds for a convex body (default for "
                         "--body-*, the only mode they take)")
-    _common(sub, None)
+    _common(sub)
 
     sub = subs.add_parser("oracle", help="closed forms: line sets, balls, "
                                          "spheres, asymptotics")
@@ -730,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")
     g.add_argument("--leading", help="'n,p' large-scale coefficient")
     sub.add_argument("--length", type=_finite_float, default=1.0)
-    _common(sub, None)
+    _common(sub)
 
     sub = subs.add_parser("approx",
                           help="magnitude along a refinement family of "
@@ -744,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--length", type=_finite_float, default=1.0)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p", type=int, default=2, choices=(1, 2))
-    _common(sub, 1e-9)
+    _common(sub)
 
     return ap
 

@@ -10,11 +10,14 @@ than guessed.
 
 Solver ladder: Cholesky first (success certifies positive definiteness and
 gives the cheapest solve), LU second, both followed by a reciprocal
-condition estimate and a few steps of iterative refinement. A solve whose
-refined residual still exceeds 1e-9 max(1, ||Z|| ||w||) in the max norm
-is demoted to undefined: the residual of an accurate solve is about
-eps ||Z|| ||w||, so the gate is relative to that floor, never stricter
-than 1e-9 absolute, and never silently wrong.
+condition estimate and iterative refinement. The residual of an accurate
+solve is about eps ||Z|| ||w||, so refinement stops at that rounding
+floor, N eps ||Z||_inf ||w||_inf in the max norm, or after
+REFINE_MAX_PASSES passes; no caller tolerance decides when w is accurate
+enough. A solve whose refined residual still exceeds
+1e-9 max(1, ||Z|| ||w||) is demoted to undefined: the gate is relative to
+the same floor, never stricter than 1e-9 absolute, and never silently
+wrong.
 
 Homogeneous spaces (all rows of Z share one sum) admit the shortcut
 N / (row sum), used as a cross-check rather than a fast path.
@@ -35,18 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMagnitude
-from .spaces import (
-    FiniteMetricSpace,
-    NonpositiveScale,
-    SpaceSpec,
-    generate_space,
-)
+from .errors import NonpositiveScale, UndefinedMagnitude, positive_scale
+from .spaces import FiniteMetricSpace, SpaceSpec, generate_space
 
-DEFAULT_TOL = 1e-9
 # rcond below N * this factor means the solve cannot be trusted at all
 CONDITION_RCOND_FACTOR = 1e-14
 REFINE_MAX_PASSES = 3
+# machine epsilon of float64: the residual floor is n EPS ||Z|| ||w||
+EPS = float(np.finfo(float).eps)
 # a refined solve is kept when max |Z w - 1| <= this times
 # max(1, ||Z||_inf ||w||_inf)
 RESIDUAL_GATE = 1e-9
@@ -60,8 +59,12 @@ ESTIMATOR_MAX_ITERS = 5
 # many power-iteration steps
 PERRON_MARGIN = 1e-8
 PERRON_MAX_ITERS = 100
-# a nested refinement may drop by at most this much between levels
+# a nested refinement may drop by at most this much between levels, and a
+# subset's magnitude may leave [1, magnitude of the whole] by at most this
 MONOTONE_SLACK = 1e-9
+# speyer_magnitude accepts row sums that deviate by at most this times
+# max(1, |row sum|)
+ROW_SUM_TOL = 1e-10
 
 STATUS_PD = "UniquePD"
 STATUS_INVERTIBLE = "UniqueInvertible"
@@ -97,7 +100,6 @@ class WeightingResult:
 class MagnitudeFunctionSample:
     t: float
     magnitude: float | None
-    positive_definite: bool
     status: str
 
 
@@ -113,9 +115,9 @@ def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
     """Z = exp(-t d), formed in one n x n array and bit-identical to
     np.exp(-t * d): the product -t d is written to the array and the
     exponential overwrites it, so no second n x n temporary exists."""
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise NonpositiveScale(f"scale must be positive and finite, got {t!r}")
+    t = positive_scale(t)
+    if t == math.inf:
+        raise NonpositiveScale(f"scale must be finite, got {t!r}")
     # t d may overflow to inf, where exp(-inf) = 0 is the exact limit
     with np.errstate(over="ignore"):
         z = np.multiply(space.distances, -t)
@@ -184,9 +186,11 @@ def _inverse_norm_estimate(solve, n: int) -> float:
     return max(est, 2.0 * float(np.abs(solve(ramp)).sum()) / (3 * n))
 
 
-def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
-                    tol: float = DEFAULT_TOL) -> WeightingResult:
+def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult:
     """Solve Z w = 1 with condition screening and iterative refinement.
+
+    Refinement runs until max |Z w - 1| <= N eps ||Z||_inf ||w||_inf, the
+    rounding floor of the residual, or for REFINE_MAX_PASSES passes.
 
     Status is UniquePD when Cholesky succeeds, UniqueInvertible when only
     LU does, Undefined when the matrix is singular, the condition estimate
@@ -223,13 +227,13 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
 
     w = solve(ones)
     resid = float(np.abs(z @ w - ones).max())
+    # the residual cannot fall below about eps ||Z|| ||w||: refinement
+    # stops at that floor, and the gate scales with the same product
     for _ in range(REFINE_MAX_PASSES):
-        if resid <= tol / 10.0:
+        if resid <= n * EPS * znorm * float(np.abs(w).max()):
             break
         w = w + solve(ones - z @ w)
         resid = float(np.abs(z @ w - ones).max())
-    # the residual cannot fall below about eps ||Z|| ||w||, so the gate
-    # scales with that product; it is never stricter than RESIDUAL_GATE
     gate = RESIDUAL_GATE * max(1.0, znorm * float(np.abs(w).max()))
     if resid > gate:
         return WeightingResult(None, None, STATUS_UNDEFINED, cond, resid)
@@ -237,9 +241,8 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0,
     return WeightingResult(w, float(w.sum()), status, cond, resid)
 
 
-def magnitude(space: FiniteMetricSpace, t: float = 1.0,
-              tol: float = DEFAULT_TOL) -> float:
-    res = solve_weighting(space, t, tol)
+def magnitude(space: FiniteMetricSpace, t: float = 1.0) -> float:
+    res = solve_weighting(space, t)
     if not res.defined:
         raise UndefinedMagnitude(
             f"magnitude undefined at t={t!r} "
@@ -248,15 +251,12 @@ def magnitude(space: FiniteMetricSpace, t: float = 1.0,
     return res.magnitude
 
 
-def magnitude_function(space: FiniteMetricSpace, ts,
-                       tol: float = DEFAULT_TOL) -> list[MagnitudeFunctionSample]:
+def magnitude_function(space: FiniteMetricSpace, ts) -> list[MagnitudeFunctionSample]:
     """Sample the magnitude function; failed scales are marked, not raised."""
     out = []
     for t in ts:
-        res = solve_weighting(space, float(t), tol)
-        out.append(MagnitudeFunctionSample(
-            float(t), res.magnitude, res.status == STATUS_PD, res.status
-        ))
+        res = solve_weighting(space, float(t))
+        out.append(MagnitudeFunctionSample(float(t), res.magnitude, res.status))
     return out
 
 
@@ -269,8 +269,7 @@ class RefinementSample:
     delta: float | None  # change from the previous defined magnitude
 
 
-def approximate_compact_magnitude(specs, t: float = 1.0,
-                                  tol: float = DEFAULT_TOL, levels=None,
+def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
                                   nested: bool = False) -> list[RefinementSample]:
     """Magnitude sequence of finite spaces refining a compact one.
 
@@ -295,7 +294,7 @@ def approximate_compact_magnitude(specs, t: float = 1.0,
     prev_level = None
     for lev, item in zip(labels, items):
         space = generate_space(item) if isinstance(item, SpaceSpec) else item
-        res = solve_weighting(space, t, tol)
+        res = solve_weighting(space, t)
         mag = res.magnitude if res.defined else None
         if nested and mag is not None and prev is not None \
                 and mag < prev - MONOTONE_SLACK:
@@ -310,14 +309,13 @@ def approximate_compact_magnitude(specs, t: float = 1.0,
     return out
 
 
-def speyer_magnitude(space: FiniteMetricSpace, t: float = 1.0,
-                     tol: float = 1e-10) -> float:
+def speyer_magnitude(space: FiniteMetricSpace, t: float = 1.0) -> float:
     """Magnitude shortcut N / (row sum) for row-homogeneous Z."""
     z = similarity_matrix(space, t)
     sums = z.sum(axis=1)
     ref = float(sums[0])
     dev = float(np.abs(sums - ref).max())
-    if dev > tol * max(1.0, abs(ref)):
+    if dev > ROW_SUM_TOL * max(1.0, abs(ref)):
         raise NotRowHomogeneous(f"row sums deviate by {dev:.3e}")
     return space.n_points / ref
 
@@ -424,12 +422,13 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     )
 
 
-def check_subset_monotone(space: FiniteMetricSpace, indices, t: float = 1.0,
-                          tol: float = DEFAULT_TOL) -> float:
-    """For PD spaces, assert 1 <= |subset| <= |whole| + tol; return |subset|."""
+def check_subset_monotone(space: FiniteMetricSpace, indices,
+                          t: float = 1.0) -> float:
+    """For PD spaces, assert 1 <= |subset| <= |whole| + MONOTONE_SLACK;
+    return |subset|."""
     whole = magnitude(space, t)
     part = magnitude(space.subspace(indices), t)
-    if part < 1.0 - tol or part > whole + tol:
+    if part < 1.0 - MONOTONE_SLACK or part > whole + MONOTONE_SLACK:
         raise MonotonicityViolation(
             f"subset magnitude {part!r} outside [1, {whole!r}]"
         )

@@ -1,6 +1,7 @@
-"""The package's shared exception types and the finite_result guard.
+"""The package's shared exception types and input guards.
 
-Every error the CLI catches by type lives here, and this module imports
+The guards are finite_result, positive_scale and integral. Every error
+the CLI catches by type lives here, and this module imports
 neither numpy nor any other package module, so the CLI can name its
 input errors without paying for the modules that compute. Each type is
 re-exported by its home module (spaces, lines, euclid, pixels,
@@ -64,12 +65,16 @@ class TriangleViolation(MetricError):
         )
 
 
-class BadTolerance(ValueError):
-    """A triangle tolerance factor that is negative or not finite."""
-
-
 class NonpositiveScale(ValueError):
     pass
+
+
+def positive_scale(t) -> float:
+    """t as a float, or NonpositiveScale unless t > 0."""
+    t = float(t)
+    if not t > 0:
+        raise NonpositiveScale(f"scale must be positive, got {t!r}")
+    return t
 
 
 class ResultOverflow(OverflowError):
@@ -103,6 +108,16 @@ class BadSpec(ValueError):
 
 class DisconnectedGraph(BadSpec):
     """Graph metric undefined: some pair has no connecting path."""
+
+
+def integral(x, what: str) -> int:
+    """A count-like value (a dimension, a point count, a vertex); 3.5 is
+    refused with BadSpec, not truncated."""
+    if isinstance(x, int):
+        return x
+    if not float(x).is_integer():
+        raise BadSpec(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 class MatrixParseError(ValueError):

@@ -26,7 +26,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import LineError, NonpositiveScale, finite_result
+from .errors import LineError, finite_result, positive_scale
 
 # above this t L / 2 the Cantor series would form 3^i beyond the double
 # range; tanh(h / 3) is exactly 1.0 for every h the reduction skips
@@ -55,13 +55,6 @@ class OverlappingGaps(LineError):
 class NegativeGap(LineError):
     def __init__(self, g: float):
         super().__init__(f"gap must be >= 0, got {g!r}")
-
-
-def _check_scale(t: float) -> float:
-    t = float(t)
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t!r}")
-    return t
 
 
 def _sorted_points(points) -> np.ndarray:
@@ -93,7 +86,7 @@ def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (sorted coordinates, weights). Weights are strictly positive.
     """
-    t = _check_scale(t)
+    t = positive_scale(t)
     x = _sorted_points(points)
     n = x.size
     if n == 1:
@@ -109,7 +102,7 @@ def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 def line_magnitude(points, t: float) -> float:
     """1 + sum of tanh(t gap / 2) over consecutive gaps."""
-    t = _check_scale(t)
+    t = positive_scale(t)
     x = _sorted_points(points)
     return 1.0 + float(_half_tanh(t, _gaps(x)).sum())
 
@@ -117,7 +110,7 @@ def line_magnitude(points, t: float) -> float:
 @finite_result
 def interval_weight_measure(a: float, b: float, t: float) -> dict:
     """Weight measure of [a, b]: endpoint atoms and interior density."""
-    t = _check_scale(t)
+    t = positive_scale(t)
     a, b = float(a), float(b)
     if b < a:
         raise ReversedInterval(a, b)
@@ -152,7 +145,7 @@ def compact_magnitude(components, t: float) -> float:
     Touching components (gap 0) are allowed; the gap term vanishes and the
     result matches the merged interval.
     """
-    t = _check_scale(t)
+    t = positive_scale(t)
     comp = _checked_components(components)
     vol = sum(b - a for a, b in comp)
     gaps = [a2 - b1 for (_, b1), (a2, _) in zip(comp, comp[1:])]
@@ -172,7 +165,7 @@ def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> flo
     Both pieces must be compact subsets of R given by their own magnitudes
     at the same scale: the union costs mag_a + mag_b - 1 + tanh(t gap / 2).
     """
-    t = _check_scale(t)
+    t = positive_scale(t)
     gap = float(gap)
     if gap < 0:
         raise NegativeGap(gap)
@@ -194,7 +187,7 @@ def cantor_magnitude(t: float, length: float = 1.0) -> float:
     leaves the double range unless the value itself does. From there the
     tail bound passes CANTOR_TOL by term 364.
     """
-    t = _check_scale(t)
+    t = positive_scale(t)
     if not 0 < length < math.inf:
         raise LineError("length must be positive and finite")
     if t == math.inf:  # the reduction below would never end

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations, product as _iterproduct
 from math import gcd, lcm
 
-from .errors import NonpositiveScale, PixelError, finite_result
+from .errors import PixelError, finite_result, positive_scale
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 IE_CELL_LIMIT = 20
@@ -82,11 +82,6 @@ def _as_scale(scale) -> Fraction:
     if lam <= 0:
         raise BadScale(f"scale must be positive, got {lam}")
     return lam
-
-
-def _check_t(t) -> None:
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ class FaceMeasure:
         The per-dimension masses are exact, so the float depends on the
         measure alone, not on the order its faces were stored in.
         """
-        _check_t(t)
+        positive_scale(t)
         lam = float(self.scale)
         masses = self.mass_by_dimension()
         return float(sum(float(masses[k]) * (t * lam) ** k
@@ -548,7 +543,7 @@ class SteinerPolynomial:
 
     @finite_result
     def magnitude_at(self, t: float) -> float:
-        _check_t(t)
+        positive_scale(t)
         return float(sum(
             float(v) * (float(t) / 2.0) ** i
             for i, v in enumerate(self.coefficients)
@@ -913,7 +908,7 @@ def body_magnitude_bounds(body: ConvexBody, scale, t: float = 1.0) -> BodyBounds
     worst reach of the pixelation's corners. Exact rational; alpha = 1
     exactly when the pixelation equals the body.
     """
-    _check_t(t)
+    positive_scale(t)
     pix = outer_pixelation(body, scale)
     sp = steiner_polynomial(pix)
     c = body.centroid

@@ -12,8 +12,9 @@ endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
 reproduces the same matrix bit for bit on any platform. Generated matrices
 skip validate_metric, so the generators reject non-finite distances
-themselves. Each refuses a space of more than POINT_LIMIT points with
-BadSpec before it builds anything.
+themselves. Each refuses a space of more than POINT_LIMIT points, and a
+count, dimension or vertex that is not an integer, with BadSpec before it
+builds anything.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -35,7 +36,6 @@ import numpy as np
 
 from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     BadSpec,
-    BadTolerance,
     DisconnectedGraph,
     MatrixParseError,
     MetricError,
@@ -49,6 +49,8 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     TriangleViolation,
     ZeroDistanceDistinctPoints,
     finite_result,
+    integral,
+    positive_scale,
 )
 
 TRIANGLE_TOL_FACTOR = 1e-12
@@ -209,18 +211,13 @@ def first_triangle_violation(d: np.ndarray, tol: float):
     return -1, -1, -1
 
 
-def validate_metric(raw,
-                    tol_factor: float = TRIANGLE_TOL_FACTOR) -> FiniteMetricSpace:
+def validate_metric(raw) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
     Check order: shape/finiteness, diagonal, symmetry, nonnegativity,
     separation, triangle inequality. The triangle witness (i, j, k) means
-    d(i,j) > d(i,k) + d(k,j). tol_factor, a multiple of the largest
-    entry, must be finite and >= 0 (BadTolerance otherwise).
+    d(i,j) > d(i,k) + d(k,j) + TRIANGLE_TOL_FACTOR * (largest entry).
     """
-    if not (math.isfinite(tol_factor) and tol_factor >= 0):
-        raise BadTolerance(
-            f"tol_factor must be finite and >= 0, got {tol_factor!r}")
     d = np.array(raw, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {d.shape}")
@@ -246,7 +243,7 @@ def validate_metric(raw,
     if zero_off.any():
         i, j = map(int, np.argwhere(zero_off)[0])
         raise ZeroDistanceDistinctPoints(i, j)
-    tol = tol_factor * float(d.max()) if n > 1 else 0.0
+    tol = TRIANGLE_TOL_FACTOR * float(d.max()) if n > 1 else 0.0
     i, j, k = first_triangle_violation(d, tol)
     if i >= 0:
         excess = float(d[i, j] - d[i, k] - d[k, j])
@@ -256,9 +253,7 @@ def validate_metric(raw,
 
 def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
     """Multiply every distance by t > 0."""
-    if not t > 0:
-        raise NonpositiveScale(f"scale must be positive, got {t!r}")
-    return FiniteMetricSpace(space.distances * float(t), space.labels)
+    return FiniteMetricSpace(space.distances * positive_scale(t), space.labels)
 
 
 def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -330,7 +325,10 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
     One breadth-first search per vertex over adjacency lists: O(n (n + m))
     time for n vertices and m edges, O(n^2) memory for the matrix. Hop
     counts are small integers, so the float64 matrix is exact."""
-    edges = [(int(u), int(v)) for u, v in edges]
+    edges = [(integral(u, "edge endpoint"), integral(v, "edge endpoint"))
+             for u, v in edges]
+    if n_vertices is not None:
+        n_vertices = integral(n_vertices, "n_vertices")
     if not edges and not n_vertices:
         raise BadSpec("graph needs edges or an explicit vertex count")
     seen = {u for e in edges for u in e}
@@ -372,7 +370,7 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
 
 
 def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
-    shape = [int(s) for s in shape]
+    shape = [integral(s, "lp_grid shape entry") for s in shape]
     if not shape or any(s < 1 for s in shape):
         raise BadSpec("lp_grid shape must be positive integers")
     if p not in (1, 2):
@@ -404,6 +402,7 @@ def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float
 
 def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
     """The 2^(depth+1) interval endpoints of the depth-k construction."""
+    depth = integral(depth, "depth")
     if not length > 0:
         raise BadSpec("length must be positive")
     if depth + 1 >= POINT_LIMIT.bit_length():  # 2^(depth+1) > POINT_LIMIT
@@ -429,6 +428,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     the accepted sequence depends only on the seed. Raises BadSpec when the
     expected number of draws exceeds BALL_DRAW_LIMIT.
     """
+    n, count = integral(n, "n"), integral(count, "count")
     if n < 1 or count < 1:
         raise BadSpec("need n >= 1 and count >= 1")
     _check_points(count, "ball_sample")

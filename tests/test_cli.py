@@ -192,7 +192,7 @@ def test_exit_two_on_bad_input(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("mag", "--points-1d", "0,1", "--t", "inf"),
-    ("mag", "--points-1d", "0,1", "--tol", "nan"),
+    ("diversity", "--points-1d", "0,1", "--tol", "nan"),
     ("mag", "--points-1d", "0,1", "--t", "1e999"),
     ("diversity", "--points-1d", "0,1,2", "--t", "inf"),
     ("magfn", "--points-1d", "0,1", "--tmin", "1", "--tmax", "inf"),
@@ -224,10 +224,20 @@ def test_non_finite_flag_exits_two(capsys, argv):
     ("pixel", "--body-box", "1,1", "--body-simplex=0,0;1,0;0,1"),
     # art and a body: the art was once ignored for the body's bounds
     ("pixel", "--ascii", "##", "--body-box", "1,1"),
-    # --tol where nothing reads it
+    # --tol where nothing reads it: the dense solve refines to its own
+    # rounding floor
+    ("mag", "--points-1d", "0,1", "--tol", "1e-9"),
+    ("magfn", "--points-1d", "0,1", "--tmin", "1", "--tmax", "2",
+     "--tol", "1e-9"),
+    ("weights", "--points-1d", "0,1", "--tol", "1e-9"),
+    ("approx", "--grid-sizes", "3,5", "--tol", "1e-9"),
     ("check", "--points-1d", "0,1", "--tol", "1e-9"),
     ("pixel", "--ascii", "##", "--tol", "1e-9"),
     ("oracle", "--interval", "0,2", "--tol", "1e-9"),
+    # a gap target <= 0 can never be met
+    ("diversity", "--points-1d", "0,1,3", "--tol", "-1"),
+    ("diversity", "--points-1d", "0,1,3", "--tol", "0"),
+    ("dim", "--grid", "50", "--tmin", "1", "--tmax", "10", "--tol", "-1"),
 ])
 def test_parse_failures_are_typed_input_errors(capsys, argv):
     assert_bad_spec(*run(capsys, *argv))
@@ -239,6 +249,17 @@ def test_parse_failures_are_typed_input_errors(capsys, argv):
     ("oracle", "--leading", "2.5,2"),
     ("oracle", "--ball", "3.5,1"),
     ("approx", "--ball", "2.5,1", "--ball-counts", "3,5", "--seed", "1"),
+    # the generators refuse one in a spec before building anything
+    ("mag", "--spec", '{"kind": "lp_grid", "params": {"shape": [2.5, 2]}}'),
+    ("mag", "--spec", '{"kind": "graph_shortest_path", '
+                      '"params": {"edges": [[0, 1.5], [1, 2]]}}'),
+    ("mag", "--spec", '{"kind": "graph_shortest_path", '
+                      '"params": {"edges": [[0, 1]], "n_vertices": 2.5}}'),
+    ("mag", "--spec", '{"kind": "cantor_endpoints", "params": {"depth": 1.5}}'),
+    ("mag", "--spec", '{"kind": "ball_sample", "seed": 1, '
+                      '"params": {"n": 2, "radius": 1.0, "count": 3.5}}'),
+    ("mag", "--spec", '{"kind": "ball_sample", "seed": 1, '
+                      '"params": {"n": 2.5, "radius": 1.0, "count": 3}}'),
 ])
 def test_non_integer_counts_exit_two(capsys, argv):
     # a count-like entry is refused, not truncated to an integer
@@ -840,7 +861,9 @@ def _call(argv):
     tol=FLOAT_TEXT,
 )
 def test_scale_and_tolerance_flags_property(command, t, tol):
-    argv = command + ["--t", t] + ([] if command[0] == "oracle" else ["--tol", tol])
+    # --tol only where the command takes it, or mag and weights would
+    # always exit 2 and check nothing
+    argv = command + ["--t", t] + (["--tol", tol] if command[0] == "diversity" else [])
     code, out, err, caught = _call(argv)
     assert code in (0, 2, 3), (argv, code, err)
     if out:

@@ -125,7 +125,7 @@ def test_magnitude_function_marks_failures_without_raising():
         STATUS_PD,
     ]
     assert samples[1].magnitude is None
-    assert samples[2].positive_definite
+    assert samples[2].status == STATUS_PD
 
 
 def test_residual_reported_small():
@@ -376,10 +376,10 @@ def test_refinement_level_count_mismatch():
 # 50-digit reference
 
 
-def _scipy_ladder(z, tol=1e-9):
+def _scipy_ladder(z):
     """Status and condition estimate of the same ladder on scipy's LAPACK:
     cho_factor + dpocon, else lu_factor + dgecon, with the same screen,
-    refinement and residual gate."""
+    refinement to the rounding floor and residual gate."""
     from scipy.linalg import (LinAlgError, LinAlgWarning, cho_factor,
                               cho_solve, lapack, lu_factor, lu_solve)
 
@@ -411,7 +411,7 @@ def _scipy_ladder(z, tol=1e-9):
     w = solve(ones)
     resid = float(np.abs(z @ w - ones).max())
     for _ in range(REFINE_MAX_PASSES):
-        if resid <= tol / 10.0:
+        if resid <= n * np.finfo(float).eps * anorm * float(np.abs(w).max()):
             break
         w = w + solve(ones - z @ w)
         resid = float(np.abs(z @ w - ones).max())
@@ -556,7 +556,7 @@ def test_relative_residual_gate_keeps_only_accurate_solves(offset):
 
 def test_relative_residual_gate_passes_a_near_pole_solve():
     # 2.1e-8 above the pole: weights near 1.7e7 leave a residual of about
-    # 1.9e-9, over the old absolute gate of 1e-9 but far inside the
+    # 7.5e-9, over the old absolute gate of 1e-9 but far inside the
     # relative one, and the magnitude agrees with 50 digits to 1e-7
     t = 0.34657359740429104
     res = solve_weighting(K32, t)
@@ -564,6 +564,27 @@ def test_relative_residual_gate_passes_a_near_pole_solve():
     assert res.residual > 1e-9
     mag = float(_mp_magnitude(similarity_matrix(K32, t)))
     assert res.magnitude == pytest.approx(mag, rel=1e-7)
+
+
+def _near_copy(vertex, gap):
+    """K_{3,2} plus a copy of vertex at distance gap from it."""
+    n = K32.n_points
+    d = np.zeros((n + 1, n + 1))
+    d[:n, :n] = K32.distances
+    d[n, :n] = d[:n, n] = K32.distances[vertex]
+    d[n, vertex] = d[vertex, n] = gap
+    return validate_metric(d)
+
+
+def test_refinement_reaches_the_rounding_floor():
+    # the LU rung's explicit inverse leaves a residual near 1e-10 here,
+    # 1e-10 off in the magnitude too; refining until the residual reaches
+    # n eps ||Z|| ||w|| recovers the magnitude to the last bits
+    space, t = _near_copy(0, 1e-5), 0.011110798059892322
+    res = solve_weighting(space, t)
+    assert res.status == STATUS_INVERTIBLE
+    mag = float(_mp_magnitude(similarity_matrix(space, t)))
+    assert abs(res.magnitude - mag) <= 1e-12 * abs(mag)
 
 
 def _verdict_oracle(space):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from magnitude.spaces import (
     BadSpec,
-    BadTolerance,
     DisconnectedGraph,
     FiniteMetricSpace,
     MatrixParseError,
@@ -21,6 +20,7 @@ from magnitude.spaces import (
     NotSquare,
     NotSymmetric,
     NonzeroDiagonal,
+    TRIANGLE_TOL_FACTOR,
     SpaceSpec,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
@@ -125,19 +125,10 @@ def test_triangle_tolerance_scales_with_diameter():
     sp = points_on_line([0.0, 1.0, 3.0, 7.0])
     d = sp.distances.copy()
     d[0, 3] = d[3, 0] = 7.0 + 7e-13 * 7.0
-    validate_metric(d)  # inside tol_factor * diameter
+    validate_metric(d)  # inside TRIANGLE_TOL_FACTOR * diameter
     d[0, 3] = d[3, 0] = 7.0 + 1e-9
     with pytest.raises(TriangleViolation):
         validate_metric(d)
-
-
-@pytest.mark.parametrize("factor", [-1e-12, -math.inf, math.inf, math.nan])
-def test_rejects_negative_or_non_finite_tolerance(factor):
-    # the triangle scan is sound only for tol >= 0, and a NaN tol would
-    # accept every matrix
-    with pytest.raises(BadTolerance):
-        validate_metric(K32, tol_factor=factor)
-    validate_metric(K32, tol_factor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +261,28 @@ def test_triangle_scan_tie_at_exactly_tol():
        seed=st.integers(0, 2**32 - 1))
 def test_validate_metric_triangle_witness_property(n, p, dim, bumps,
                                                    tol_kind, seed):
-    # validate_metric's witness and excess equal those of the triple loop
+    # the scan's witness equals the triple loop's at any tol >= 0, and
+    # validate_metric, at its relative tolerance, reports it with its excess
     rng = np.random.default_rng(seed)
     d = _random_metric(rng, n, p, dim)
     for _ in range(bumps if n > 1 else 0):
         i, j = rng.choice(n, size=2, replace=False)
         d[i, j] = d[j, i] = d[i, j] * rng.uniform(1.0, 3.0)
     diam = float(d.max())
-    factor = {"zero": 0.0, "relative": 1e-12,
+    factor = {"zero": 0.0, "relative": TRIANGLE_TOL_FACTOR,
               "absolute": 1e-3 / diam if diam else 0.0}[tol_kind]
-    i, j, k = _brute_first_violation(d, factor * diam if n > 1 else 0.0)
+    tol = factor * diam if n > 1 else 0.0
+    i, j, k = _brute_first_violation(d, tol)
+    if tol_kind != "relative":
+        assert first_triangle_violation(d, tol) == (i, j, k)
+        if i >= 0:
+            assert d[i, j] - (d[i, k] + d[k, j]) > tol
+        return
     if i < 0:
-        validate_metric(d, tol_factor=factor)
+        validate_metric(d)
         return
     with pytest.raises(TriangleViolation) as err:
-        validate_metric(d, tol_factor=factor)
+        validate_metric(d)
     assert err.value.witness == (i, j, k)
     assert err.value.excess == d[i, j] - d[i, k] - d[k, j]
 
