@@ -19,12 +19,12 @@ _EXPORTS = {
         "RefinementSample", "UndefinedMagnitude", "WeightingResult",
         "approximate_compact_magnitude",
         "definiteness_report", "magnitude", "magnitude_function",
-        "similarity_matrix", "solve_weighting", "speyer_magnitude",
+        "similarity_matrix", "solve_weighting",
     ), "engine"),
     **dict.fromkeys((
         "FiniteMetricSpace", "MetricError", "SpaceSpec", "TriangleViolation",
-        "cantor_endpoints", "generate_space", "graph_metric", "l1_product",
-        "lp_grid", "points_on_line", "scale_space", "validate_metric",
+        "cantor_endpoints", "generate_space", "graph_metric", "lp_grid",
+        "points_on_line", "validate_metric",
     ), "spaces"),
 }
 

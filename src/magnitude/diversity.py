@@ -1,4 +1,4 @@
-"""Maximum diversity, covering numbers, and growth-based dimension.
+"""Maximum diversity, greedy covering numbers, and growth-based dimension.
 
 The diversity of a distribution mu on the points of a space, at scale t,
 is 1 / (mu' Z mu) with Z the similarity matrix: the reciprocal expected
@@ -52,7 +52,6 @@ from .errors import (
 from .spaces import FiniteMetricSpace
 
 EXACT_DIVERSITY_LIMIT = 15
-EXACT_COVERING_LIMIT = 25
 # support enumeration's feasibility slack: on y >= 0 and on the
 # off-support first-order condition
 EXACT_FEAS_TOL = 1e-12
@@ -92,7 +91,14 @@ class DimensionEstimate:
 
 
 def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
-    """Frank-Wolfe duality gap of mu for min mu' Z mu on the simplex."""
+    """Frank-Wolfe duality gap of mu for min mu' Z mu on the simplex.
+
+    The gap is 2 (mu' Z mu - min_v (Z mu)_v) >= 0 in exact arithmetic, so a
+    value slightly below zero is rounding: `diversity --graph k4,4 --t 1`
+    reports -1.1e-16 at the uniform optimum. A gap <= tol certifies a
+    global maximum of the diversity only when Z is positive semidefinite;
+    otherwise it certifies a stationary point.
+    """
     q = z @ mu
     return float(2.0 * (mu @ q - q.min()))
 
@@ -111,6 +117,8 @@ def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
     Returns (x, objective, duality_gap, iterations). The run converged
     exactly when duality_gap <= tol; one stopped by max_iters returns
     iterations == max_iters and the gap measured before its last step.
+    The gap is the one kkt_gap measures: a value slightly below zero is
+    rounding, and it certifies a global minimum only for PSD Z.
     """
     n = Z.shape[0]
     mu = np.full(n, 1.0 / n)
@@ -276,7 +284,7 @@ def max_diversity_exact(space: FiniteMetricSpace,
 
 
 # ---------------------------------------------------------------------------
-# covering and packing with centers inside the space
+# greedy covering with centers inside the space
 
 
 def _balls(space: FiniteMetricSpace, eps: float) -> np.ndarray:
@@ -300,67 +308,6 @@ def _greedy_cover(balls: np.ndarray) -> list:
 def greedy_covering_number(space: FiniteMetricSpace, eps: float) -> int:
     """Centers chosen greedily by residual coverage; an upper bound."""
     return len(_greedy_cover(_balls(space, eps)))
-
-
-def _disjoint_balls(balls: np.ndarray, centers) -> int:
-    # greedy family, in the order given, of balls pairwise disjoint as
-    # subsets of the space
-    occupied = np.zeros(balls.shape[0], dtype=bool)
-    count = 0
-    for i in centers:
-        if not (balls[i] & occupied).any():
-            occupied |= balls[i]
-            count += 1
-    return count
-
-
-def packing_number(space: FiniteMetricSpace, eps: float) -> int:
-    """Size of a greedy maximal family of closed eps-balls, centered in
-    the space, that are pairwise disjoint as subsets of the space.
-
-    No center can cover two members of such a family, so this is a valid
-    covering lower bound; intrinsic disjointness (no witness point within
-    eps of both centers) keeps it tight when midpoints are missing.
-    """
-    return _disjoint_balls(_balls(space, eps), range(space.n_points))
-
-
-def covering_number(space: FiniteMetricSpace, eps: float,
-                    with_centers: bool = False):
-    """Minimum number of closed eps-balls centered in the space that
-    cover it. Exact branch and bound; refuses more than 25 points.
-    with_centers=True also returns one optimal center tuple."""
-    n = space.n_points
-    if n > EXACT_COVERING_LIMIT:
-        raise TooLarge(n, EXACT_COVERING_LIMIT)
-    balls = _balls(space, eps)
-    covers = [np.flatnonzero(balls[:, j]) for j in range(n)]  # centers covering j
-    best_centers = _greedy_cover(balls)
-    best = len(best_centers)
-
-    def rec(uncovered, chosen):
-        nonlocal best, best_centers
-        if not uncovered.any():
-            if len(chosen) < best:
-                best = len(chosen)
-                best_centers = list(chosen)
-            return
-        # uncovered points with pairwise-disjoint balls: each remaining
-        # center handles at most one of them
-        if len(chosen) + _disjoint_balls(balls, np.flatnonzero(uncovered)) >= best:
-            return
-        # branch on the hardest point: fewest balls cover it
-        idx = np.flatnonzero(uncovered)
-        j = idx[int(np.argmin([len(covers[i]) for i in idx]))]
-        for c in covers[j]:
-            chosen.append(int(c))
-            rec(uncovered & ~balls[c], chosen)
-            chosen.pop()
-
-    rec(np.ones(n, dtype=bool), [])
-    if with_centers:
-        return best, tuple(sorted(best_centers))
-    return best
 
 
 # ---------------------------------------------------------------------------

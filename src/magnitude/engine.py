@@ -19,8 +19,9 @@ enough. A solve whose refined residual still exceeds
 the same floor, never stricter than 1e-9 absolute, and never silently
 wrong.
 
-Homogeneous spaces (all rows of Z share one sum) admit the shortcut
-N / (row sum), used as a cross-check rather than a fast path.
+Homogeneous spaces (all rows of Z share one sum) admit Speyer's shortcut
+N / (row sum). It is no production path here: tests/oracles.py holds it,
+with the Rayleigh ratio, as a reference the tests compare solves against.
 
 Everything runs on numpy alone: importing scipy.linalg would cost a
 process about 0.3 s, more than a solve at a thousand points. numpy has
@@ -59,12 +60,8 @@ ESTIMATOR_MAX_ITERS = 5
 # many power-iteration steps
 PERRON_MARGIN = 1e-8
 PERRON_MAX_ITERS = 100
-# a nested refinement may drop by at most this much between levels, and a
-# subset's magnitude may leave [1, magnitude of the whole] by at most this
+# a nested refinement may drop by at most this much between levels
 MONOTONE_SLACK = 1e-9
-# speyer_magnitude accepts row sums that deviate by at most this times
-# max(1, |row sum|)
-ROW_SUM_TOL = 1e-10
 
 STATUS_PD = "UniquePD"
 STATUS_INVERTIBLE = "UniqueInvertible"
@@ -75,12 +72,8 @@ VERDICT_NOT = "CertifiedNot"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-class NotRowHomogeneous(ValueError):
-    """Row sums of the similarity matrix disagree beyond tolerance."""
-
-
 class MonotonicityViolation(ArithmeticError):
-    """A subset's magnitude fell outside [1, magnitude of the whole]."""
+    """A nested refinement's magnitude dropped by more than MONOTONE_SLACK."""
 
 
 @dataclass(frozen=True)
@@ -309,26 +302,6 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
     return out
 
 
-def speyer_magnitude(space: FiniteMetricSpace, t: float = 1.0) -> float:
-    """Magnitude shortcut N / (row sum) for row-homogeneous Z."""
-    z = similarity_matrix(space, t)
-    sums = z.sum(axis=1)
-    ref = float(sums[0])
-    dev = float(np.abs(sums - ref).max())
-    if dev > ROW_SUM_TOL * max(1.0, abs(ref)):
-        raise NotRowHomogeneous(f"row sums deviate by {dev:.3e}")
-    return space.n_points / ref
-
-
-def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
-    """(sum x)^2 / (x' Z x); the magnitude is its supremum for PD Z."""
-    x = np.asarray(x, dtype=float)
-    quad = float(x @ z @ x)
-    if quad <= 0:
-        raise ValueError("x' Z x must be positive")
-    return float(x.sum()) ** 2 / quad
-
-
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
     try:
         np.linalg.cholesky(similarity_matrix(space, t))
@@ -420,16 +393,3 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
         top,
         scattered_bound_holds(space, t),
     )
-
-
-def check_subset_monotone(space: FiniteMetricSpace, indices,
-                          t: float = 1.0) -> float:
-    """For PD spaces, assert 1 <= |subset| <= |whole| + MONOTONE_SLACK;
-    return |subset|."""
-    whole = magnitude(space, t)
-    part = magnitude(space.subspace(indices), t)
-    if part < 1.0 - MONOTONE_SLACK or part > whole + MONOTONE_SLACK:
-        raise MonotonicityViolation(
-            f"subset magnitude {part!r} outside [1, {whole!r}]"
-        )
-    return part

@@ -144,11 +144,6 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-@finite_result
-def ball_volume(n: int, radius: float) -> float:
-    return unit_ball_volume(n) * float(radius) ** n
-
-
 def magnitude_leading_coefficient(n: int, p: int = 2) -> float:
     """c with |tA| ~ c vol(A) t^n as t grows, for full-dimensional A.
 
@@ -184,11 +179,6 @@ def magnitude_leading_coefficient(n: int, p: int = 2) -> float:
     if p == 1:
         return 0.5**n
     raise EuclidError(f"p must be 1 or 2, got {p}")
-
-
-@finite_result
-def asymptotic_magnitude(n: int, volume: float, t: float, p: int = 2) -> float:
-    return magnitude_leading_coefficient(n, p) * float(volume) * float(t) ** n
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,6 @@ class OverlappingGaps(LineError):
         )
 
 
-class NegativeGap(LineError):
-    def __init__(self, g: float):
-        super().__init__(f"gap must be >= 0, got {g!r}")
-
-
 def _sorted_points(points) -> np.ndarray:
     x = np.sort(np.asarray(list(points), dtype=float))
     if x.size == 0:
@@ -159,20 +154,6 @@ def interval_magnitude(a: float, b: float, t: float) -> float:
 
 
 @finite_result
-def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> float:
-    """Magnitude of A union B when B sits a distance `gap` right of A.
-
-    Both pieces must be compact subsets of R given by their own magnitudes
-    at the same scale: the union costs mag_a + mag_b - 1 + tanh(t gap / 2).
-    """
-    t = positive_scale(t)
-    gap = float(gap)
-    if gap < 0:
-        raise NegativeGap(gap)
-    return float(mag_a) + float(mag_b) - 1.0 + math.tanh(t * gap / 2.0)
-
-
-@finite_result
 def cantor_magnitude(t: float, length: float = 1.0) -> float:
     """Magnitude of the middle-thirds set on [0, length] at scale t.
 
@@ -202,8 +183,3 @@ def cantor_magnitude(t: float, length: float = 1.0) -> float:
         total += 2.0 ** (i - 1) * math.tanh(half_tl / 3.0**i)
         if half_tl * (2.0 / 3.0) ** i < CANTOR_TOL:
             return math.ldexp(total, doublings)
-
-
-def cantor_magnitude_tail_bound(t: float, length: float, k: int) -> float:
-    """Upper bound on the series remainder after k terms."""
-    return (float(t) * float(length) / 2.0) * (2.0 / 3.0) ** k

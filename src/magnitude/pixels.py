@@ -4,7 +4,8 @@ A pixel set is a finite union of closed cubes lam * [c, c+1], c in Z^n,
 n in {1, 2, 3}, with the taxicab metric. Everything here is exact rational
 arithmetic; floats appear only when a result is evaluated at a float scale.
 
-Two independent computations of the same object:
+Two computations of the same object, behind the pixel command's --weights
+and --intrinsic modes:
 
 * the weight measure, face by face: each relatively open face G of the
   cell complex carries mass coef(G) * (t lam)^dim(G). On one cell it is
@@ -27,6 +28,11 @@ polynomial value is an upper bound. is_l1_convex decides which, in every
 dimension, by one sweep of staircase reachability on cell bitsets per
 orthant. Convex bodies with rational vertices get two-sided bounds by
 sandwiching between an outer pixelation and a shrunken copy of it.
+
+The references the tests hold these against live in tests/oracles.py:
+the weight measure by explicit inclusion-exclusion over cell subsets and
+by its defining integral at probe points, and the magnitude of lattice
+samples of a set by a dense solve.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from math import gcd, lcm
 from .errors import PixelError, finite_result, positive_scale
 
 STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
-IE_CELL_LIMIT = 20
 
 
 class EmptySet(PixelError):
@@ -53,13 +58,6 @@ class MixedDimensions(PixelError):
 
 class BadScale(PixelError):
     pass
-
-
-class TooManyCells(PixelError):
-    def __init__(self, count: int, limit: int = IE_CELL_LIMIT):
-        super().__init__(
-            f"subset enumeration over {count} cells exceeds the {limit}-cell limit"
-        )
 
 
 class ProbeOutsideSet(PixelError):
@@ -114,20 +112,6 @@ class PixelSet:
     def volume(self) -> Fraction:
         return len(self.cells) * self.scale**self.dim
 
-    def bounds(self) -> tuple[tuple[int, int], ...]:
-        """Per-axis (min cell, max cell + 1) in lattice units."""
-        return tuple(
-            (min(c[i] for c in self.cells), max(c[i] for c in self.cells) + 1)
-            for i in range(self.dim)
-        )
-
-    def translate(self, offset) -> "PixelSet":
-        off = tuple(int(x) for x in offset)
-        return PixelSet(
-            self.dim, self.scale,
-            [tuple(a + b for a, b in zip(c, off)) for c in self.cells],
-        )
-
 
 # ---------------------------------------------------------------------------
 # ascii art and the pixel file format
@@ -162,18 +146,6 @@ def parse_ascii(art: str, scale=1, dim: int = 2) -> PixelSet:
     return PixelSet(2, scale, cells)
 
 
-def render_ascii(p: PixelSet) -> str:
-    if p.dim != 2:
-        raise PixelError("can only render dim-2 sets")
-    (x0, x1), (y0, y1) = p.bounds()
-    out = []
-    for y in range(y1 - 1, y0 - 1, -1):
-        out.append(
-            "".join("#" if (x, y) in p.cells else "." for x in range(x0, x1))
-        )
-    return "\n".join(out)
-
-
 def parse_pixel_file(text: str) -> PixelSet:
     """Header "dim <n> scale <p>/<q>", then either art rows or one cell per
     line as whitespace-separated integers."""
@@ -203,12 +175,6 @@ def parse_pixel_file(text: str) -> PixelSet:
         except ValueError:
             raise PixelError(f"bad cell line {l!r}") from None
     return PixelSet(dim, scale, cells)
-
-
-def format_pixel_file(p: PixelSet) -> str:
-    head = f"dim {p.dim} scale {p.scale}"
-    rows = [" ".join(str(x) for x in c) for c in sorted(p.cells)]
-    return "\n".join([head] + rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -322,129 +288,6 @@ def weight_measure(p: PixelSet) -> FaceMeasure:
         for axes, coef in _corner_faces(n, _corner_cells(cells, corner)):
             out[corner, axes] = coef
     return FaceMeasure(n, p.scale, out, cells)
-
-
-def weight_measure_ie(p: PixelSet) -> FaceMeasure:
-    """Oracle by explicit inclusion-exclusion over all nonempty cell subsets.
-
-    Exponential in the cell count; refuses more than 20 cells. Subsets with
-    empty intersection are pruned together with all their supersets.
-    """
-    if p.n_cells > IE_CELL_LIMIT:
-        raise TooManyCells(p.n_cells)
-    cells = sorted(p.cells)
-    n = p.dim
-    out = {}
-
-    def box_add(lo, hi, sign):
-        # closed box prod [lo_i, hi_i], hi_i in {lo_i, lo_i + 1}; spread
-        # sign / 2^dim onto each of its faces
-        opts = []
-        for i in range(n):
-            if hi[i] == lo[i]:
-                opts.append(((lo[i], False),))
-            else:
-                opts.append(((lo[i], False), (lo[i], True), (hi[i], False)))
-        dim_box = sum(1 for i in range(n) if hi[i] > lo[i])
-        w = Fraction(sign, 2**dim_box)
-        for pick in _iterproduct(*opts):
-            anchor = tuple(x for x, _ in pick)
-            axes = tuple(i for i in range(n) if pick[i][1])
-            key = (anchor, axes)
-            out[key] = out.get(key, Fraction(0)) + w
-
-    big = 1 << 40
-
-    def rec(start, lo, hi, size):
-        # adding one cell to a subset of `size` gives sign (-1)^size
-        for j in range(start, len(cells)):
-            c = cells[j]
-            nlo = tuple(max(a, x) for a, x in zip(lo, c))
-            nhi = tuple(min(b, x + 1) for b, x in zip(hi, c))
-            if any(a > b for a, b in zip(nlo, nhi)):
-                continue
-            box_add(nlo, nhi, (-1) ** size)
-            rec(j + 1, nlo, nhi, size + 1)
-
-    rec(0, (-big,) * n, (big,) * n, 0)
-    out = {k: v for k, v in out.items() if v != 0}
-    return FaceMeasure(n, p.scale, out, p.cells)
-
-
-def probe_grid(p: PixelSet, per_cell: int = 5) -> list:
-    """per_cell^dim points per cell, centered strictly inside it, in the
-    absolute coordinates of the scaled set."""
-    if per_cell < 1:
-        raise PixelError("per_cell must be >= 1")
-    lam = float(p.scale)
-    offs = [(j + 0.5) / per_cell for j in range(per_cell)]
-    out = []
-    for cell in sorted(p.cells):
-        for g in _iterproduct(offs, repeat=p.dim):
-            out.append(tuple(lam * (ci + gi) for ci, gi in zip(cell, g)))
-    return out
-
-
-def _exp_box_integral(a, b, c):
-    # integral of e^{-|c-u|} du over [a, b], elementwise; exponents are
-    # clamped at 0 so the branches np.where discards cannot overflow
-    import numpy as np
-
-    span = 1.0 - np.exp(a - b)
-    below = np.exp(np.minimum(c - a, 0.0)) * span
-    above = np.exp(np.minimum(b - c, 0.0)) * span
-    inside = 2.0 - np.exp(np.minimum(a - c, 0.0)) - np.exp(np.minimum(c - b, 0.0))
-    return np.where(c <= a, below, np.where(c >= b, above, inside))
-
-
-def verify_weight_measure(p: PixelSet, fm: FaceMeasure, probes) -> float:
-    """Max over probes of |integral of e^{-d(probe, x)} dmu(x) - 1|.
-
-    mu puts density coef(G) of len(axes)-dimensional Lebesgue measure on
-    each face G, so the integral splits into a product of one-dimensional
-    factors: a closed-form integral along the face's free axes and a point
-    evaluation along the fixed ones. Zero deviation characterizes a weight
-    measure; non-convex sets may deviate, which is reported, not raised.
-    """
-    import numpy as np
-
-    if fm.dim != p.dim:
-        raise PixelError(f"measure is {fm.dim}-dimensional, set is {p.dim}")
-    pts = np.asarray(list(probes), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != p.dim:
-        raise PixelError(f"probes must be points in R^{p.dim}")
-    lam = float(p.scale)
-    cells = np.array(sorted(p.cells), dtype=float) * lam
-    # closed-set membership, with float slack at cell boundaries
-    inside = (
-        (pts[:, None, :] >= cells[None, :, :] - 1e-12)
-        & (pts[:, None, :] <= cells[None, :, :] + lam + 1e-12)
-    ).all(axis=2).any(axis=1)
-    if not inside.all():
-        bad = pts[int(np.flatnonzero(~inside)[0])]
-        raise ProbeOutsideSet(
-            f"probe {tuple(float(x) for x in bad)} is outside the set"
-        )
-
-    faces = list(fm.coefficients.items())
-    coefs = np.array([float(c) for _, c in faces])
-    anchors = np.array([[a * lam for a in anchor] for (anchor, _), _ in faces])
-    free = np.zeros((len(faces), p.dim), dtype=bool)
-    for row, ((_, axes), _) in enumerate(faces):
-        for i in axes:
-            free[row, i] = True
-
-    total = np.ones((len(pts), len(faces)))
-    for i in range(p.dim):
-        a = anchors[None, :, i]
-        c = pts[:, i][:, None]
-        factor = np.where(
-            free[None, :, i],
-            _exp_box_integral(a, a + lam, c),
-            np.exp(-np.abs(c - a)),
-        )
-        total *= factor
-    return float(np.max(np.abs(total @ coefs - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +438,7 @@ def _row_reduce(rows, ncols: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# convexity in the taxicab sense, sampling, top-level magnitude
+# convexity in the taxicab sense
 
 
 def is_l1_convex(p: PixelSet, witness: bool = False):
@@ -652,32 +495,6 @@ def is_l1_convex(p: PixelSet, witness: bool = False):
         if m:
             return False, (cells[k], cells[k + (m & -m).bit_length()])
     return (True, None) if witness else True
-
-
-def grid_sample(p: PixelSet, per_unit: int):
-    """Finite taxicab space (a spaces.FiniteMetricSpace) of the lattice
-    points at spacing scale/per_unit inside the closed set."""
-    import numpy as np
-
-    from .spaces import FiniteMetricSpace, _distances
-
-    if per_unit < 1:
-        raise PixelError("per_unit must be >= 1")
-    k = per_unit
-    pts = set()
-    for c in p.cells:
-        for g in _iterproduct(range(k + 1), repeat=p.dim):
-            pts.add(tuple(Fraction(ci * k + gi, k) for ci, gi in zip(c, g)))
-    lam = float(p.scale)
-    arr = np.array(sorted(pts), dtype=float) * lam
-    return FiniteMetricSpace(_distances(arr, 1), labels=tuple(map(tuple, arr)))
-
-
-def pixel_magnitude(p: PixelSet, t: float = 1.0):
-    """(value, exact) at scale t: exact for l1-convex sets, upper bound
-    otherwise."""
-    sp = steiner_polynomial(p)
-    return sp.magnitude_at(t), is_l1_convex(p)
 
 
 # ---------------------------------------------------------------------------

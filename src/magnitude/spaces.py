@@ -1,4 +1,4 @@
-"""Finite metric spaces: validation, generators, products, and matrix IO.
+"""Finite metric spaces: validation, generators, and matrix input.
 
 A space is a validated N x N distance matrix. Validation enforces the four
 classical axioms (zero diagonal, symmetry, separation, triangle inequality);
@@ -13,8 +13,8 @@ Random kinds use numpy's counter-based Philox generator so a spec with a seed
 reproduces the same matrix bit for bit on any platform. Generated matrices
 skip validate_metric, so the generators reject non-finite distances
 themselves. Each refuses a space of more than POINT_LIMIT points, and a
-count, dimension or vertex that is not an integer, with BadSpec before it
-builds anything.
+count, dimension, vertex or seed that is not an integer, with BadSpec
+before it builds anything.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -28,7 +28,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as _iterproduct
 from typing import Sequence
 
@@ -50,7 +49,6 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     ZeroDistanceDistinctPoints,
     finite_result,
     integral,
-    positive_scale,
 )
 
 TRIANGLE_TOL_FACTOR = 1e-12
@@ -251,23 +249,6 @@ def validate_metric(raw) -> FiniteMetricSpace:
     return FiniteMetricSpace(d)
 
 
-def scale_space(space: FiniteMetricSpace, t: float) -> FiniteMetricSpace:
-    """Multiply every distance by t > 0."""
-    return FiniteMetricSpace(space.distances * positive_scale(t), space.labels)
-
-
-def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Product space with summed distances, points ordered a-major."""
-    na, nb = a.n_points, b.n_points
-    d = np.kron(a.distances, np.ones((nb, nb))) + np.kron(
-        np.ones((na, na)), b.distances
-    )
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return FiniteMetricSpace(d, labels)
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -413,13 +394,6 @@ def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
     return points_on_line(pts)
 
 
-def cantor_gaps(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
-    """Open middle-third gaps removed during the first `depth` steps: the
-    gaps between consecutive intervals of cantor_intervals."""
-    iv = cantor_intervals(depth, length)
-    return [(a[1], b[0]) for a, b in zip(iv, iv[1:])]
-
-
 def ball_sample(n: int, radius: float, count: int, seed: int,
                 p: int = 2) -> FiniteMetricSpace:
     """Uniform sample of the lp ball by rejection from the bounding cube.
@@ -441,6 +415,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         raise BadSpec("radius must be positive and give finite distances")
     if seed is None:
         raise BadSpec("ball_sample requires a seed")
+    seed = integral(seed, "seed")
     # the ball keeps a share 1/n! (p = 1) or pi^(n/2) / (Gamma(n/2+1) 2^n)
     # (p = 2) of the cube's draws; refuse before drawing when the expected
     # number of draws is out of reach
@@ -452,7 +427,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
             f"{count} points of the {n}-dimensional l{p} ball need about "
             f"10^{log_draws / math.log(10):.1f} cube draws, over the limit "
             f"of {BALL_DRAW_LIMIT:,}")
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    gen = np.random.Generator(np.random.Philox(seed))
     chunks = []
     have = 0
     while have < count:
@@ -503,7 +478,7 @@ def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
 
 
 # ---------------------------------------------------------------------------
-# named graphs and matrix IO (CLI conveniences)
+# named graphs and matrix input (CLI conveniences)
 
 
 def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
@@ -512,6 +487,8 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
     k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
     p<n> path.
     """
+    if not isinstance(name, str):
+        raise BadSpec(f"graph name must be a string, got {name!r}")
     s = name.strip().lower()
     if s.startswith("k") and "," in s:
         try:
@@ -545,11 +522,6 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
     raise BadSpec(f"unknown graph name {name!r}")
 
 
-def named_graph_edges(name: str) -> list[tuple[int, int]]:
-    """Edge list of a named graph (names as in _parse_graph_name)."""
-    return _parse_graph_name(name)[0]
-
-
 def named_graph(name: str) -> FiniteMetricSpace:
     """Shortest-path metric of a named graph. The vertex count comes with
     the name, so k1 is the one-point space; k0 has no vertices."""
@@ -579,9 +551,3 @@ def load_distance_csv(source) -> np.ndarray:
     if len(rows) != width:
         raise MatrixParseError(f"matrix is {len(rows)}x{width}, expected square")
     return np.array(rows, dtype=float)
-
-
-def save_distance_csv(space: FiniteMetricSpace) -> str:
-    return "\n".join(
-        ",".join(repr(float(v)) for v in row) for row in space.distances
-    ) + "\n"

@@ -1,0 +1,341 @@
+"""Independent references the tests check the package against.
+
+Nothing in the package or its command line runs these: each one computes
+an answer the production path also gives, by a slower or more direct
+route, so a test can compare the two.
+
+* pixels: the weight measure by explicit inclusion-exclusion over cell
+  subsets (weight_measure_ie), its defining integral identity evaluated
+  at probe points (verify_weight_measure, probe_grid), and the taxicab
+  lattice points of a pixel set as a finite space (grid_sample);
+* engine: Speyer's shortcut N / (row sum) for row-homogeneous spaces and
+  the Rayleigh ratio whose supremum is the magnitude for PD Z;
+* spaces: l1 products and the edge lists of named graphs;
+* lines: the union rule for two compact pieces a gap apart and the tail
+  bound of the Cantor series;
+* diversity: exact covering numbers by branch and bound, and greedy
+  packing numbers as their lower bound.
+
+Tests import it as `from oracles import ...`.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import product as _iterproduct
+
+import numpy as np
+
+from magnitude.engine import similarity_matrix
+from magnitude.errors import (
+    DiversityError,
+    LineError,
+    PixelError,
+    TooLarge,
+    finite_result,
+    positive_scale,
+)
+from magnitude.pixels import FaceMeasure, PixelSet, ProbeOutsideSet
+from magnitude.spaces import FiniteMetricSpace, _distances, _parse_graph_name
+
+IE_CELL_LIMIT = 20
+# speyer_magnitude accepts row sums that deviate by at most this times
+# max(1, |row sum|)
+ROW_SUM_TOL = 1e-10
+EXACT_COVERING_LIMIT = 25
+
+
+# ---------------------------------------------------------------------------
+# pixels
+
+
+class TooManyCells(PixelError):
+    def __init__(self, count: int, limit: int = IE_CELL_LIMIT):
+        super().__init__(
+            f"subset enumeration over {count} cells exceeds the {limit}-cell limit"
+        )
+
+
+def weight_measure_ie(p: PixelSet) -> FaceMeasure:
+    """Weight measure by explicit inclusion-exclusion over all nonempty
+    cell subsets.
+
+    Exponential in the cell count; refuses more than 20 cells. Subsets with
+    empty intersection are pruned together with all their supersets.
+    """
+    if p.n_cells > IE_CELL_LIMIT:
+        raise TooManyCells(p.n_cells)
+    cells = sorted(p.cells)
+    n = p.dim
+    out = {}
+
+    def box_add(lo, hi, sign):
+        # closed box prod [lo_i, hi_i], hi_i in {lo_i, lo_i + 1}; spread
+        # sign / 2^dim onto each of its faces
+        opts = []
+        for i in range(n):
+            if hi[i] == lo[i]:
+                opts.append(((lo[i], False),))
+            else:
+                opts.append(((lo[i], False), (lo[i], True), (hi[i], False)))
+        dim_box = sum(1 for i in range(n) if hi[i] > lo[i])
+        w = Fraction(sign, 2**dim_box)
+        for pick in _iterproduct(*opts):
+            anchor = tuple(x for x, _ in pick)
+            axes = tuple(i for i in range(n) if pick[i][1])
+            key = (anchor, axes)
+            out[key] = out.get(key, Fraction(0)) + w
+
+    big = 1 << 40
+
+    def rec(start, lo, hi, size):
+        # adding one cell to a subset of `size` gives sign (-1)^size
+        for j in range(start, len(cells)):
+            c = cells[j]
+            nlo = tuple(max(a, x) for a, x in zip(lo, c))
+            nhi = tuple(min(b, x + 1) for b, x in zip(hi, c))
+            if any(a > b for a, b in zip(nlo, nhi)):
+                continue
+            box_add(nlo, nhi, (-1) ** size)
+            rec(j + 1, nlo, nhi, size + 1)
+
+    rec(0, (-big,) * n, (big,) * n, 0)
+    out = {k: v for k, v in out.items() if v != 0}
+    return FaceMeasure(n, p.scale, out, p.cells)
+
+
+def probe_grid(p: PixelSet, per_cell: int = 5) -> list:
+    """per_cell^dim points per cell, centered strictly inside it, in the
+    absolute coordinates of the scaled set."""
+    if per_cell < 1:
+        raise PixelError("per_cell must be >= 1")
+    lam = float(p.scale)
+    offs = [(j + 0.5) / per_cell for j in range(per_cell)]
+    out = []
+    for cell in sorted(p.cells):
+        for g in _iterproduct(offs, repeat=p.dim):
+            out.append(tuple(lam * (ci + gi) for ci, gi in zip(cell, g)))
+    return out
+
+
+def _exp_box_integral(a, b, c):
+    # integral of e^{-|c-u|} du over [a, b], elementwise; exponents are
+    # clamped at 0 so the branches np.where discards cannot overflow
+    span = 1.0 - np.exp(a - b)
+    below = np.exp(np.minimum(c - a, 0.0)) * span
+    above = np.exp(np.minimum(b - c, 0.0)) * span
+    inside = 2.0 - np.exp(np.minimum(a - c, 0.0)) - np.exp(np.minimum(c - b, 0.0))
+    return np.where(c <= a, below, np.where(c >= b, above, inside))
+
+
+def verify_weight_measure(p: PixelSet, fm: FaceMeasure, probes) -> float:
+    """Max over probes of |integral of e^{-d(probe, x)} dmu(x) - 1|.
+
+    mu puts density coef(G) of len(axes)-dimensional Lebesgue measure on
+    each face G, so the integral splits into a product of one-dimensional
+    factors: a closed-form integral along the face's free axes and a point
+    evaluation along the fixed ones. Zero deviation characterizes a weight
+    measure; non-convex sets may deviate, which is reported, not raised.
+    """
+    if fm.dim != p.dim:
+        raise PixelError(f"measure is {fm.dim}-dimensional, set is {p.dim}")
+    pts = np.asarray(list(probes), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != p.dim:
+        raise PixelError(f"probes must be points in R^{p.dim}")
+    lam = float(p.scale)
+    cells = np.array(sorted(p.cells), dtype=float) * lam
+    # closed-set membership, with float slack at cell boundaries
+    inside = (
+        (pts[:, None, :] >= cells[None, :, :] - 1e-12)
+        & (pts[:, None, :] <= cells[None, :, :] + lam + 1e-12)
+    ).all(axis=2).any(axis=1)
+    if not inside.all():
+        bad = pts[int(np.flatnonzero(~inside)[0])]
+        raise ProbeOutsideSet(
+            f"probe {tuple(float(x) for x in bad)} is outside the set"
+        )
+
+    faces = list(fm.coefficients.items())
+    coefs = np.array([float(c) for _, c in faces])
+    anchors = np.array([[a * lam for a in anchor] for (anchor, _), _ in faces])
+    free = np.zeros((len(faces), p.dim), dtype=bool)
+    for row, ((_, axes), _) in enumerate(faces):
+        for i in axes:
+            free[row, i] = True
+
+    total = np.ones((len(pts), len(faces)))
+    for i in range(p.dim):
+        a = anchors[None, :, i]
+        c = pts[:, i][:, None]
+        factor = np.where(
+            free[None, :, i],
+            _exp_box_integral(a, a + lam, c),
+            np.exp(-np.abs(c - a)),
+        )
+        total *= factor
+    return float(np.max(np.abs(total @ coefs - 1.0)))
+
+
+def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
+    """Finite taxicab space of the lattice points at spacing
+    scale/per_unit inside the closed set, labelled by their coordinates."""
+    if per_unit < 1:
+        raise PixelError("per_unit must be >= 1")
+    k = per_unit
+    pts = set()
+    for c in p.cells:
+        for g in _iterproduct(range(k + 1), repeat=p.dim):
+            pts.add(tuple(Fraction(ci * k + gi, k) for ci, gi in zip(c, g)))
+    lam = float(p.scale)
+    arr = np.array(sorted(pts), dtype=float) * lam
+    return FiniteMetricSpace(_distances(arr, 1), labels=tuple(map(tuple, arr)))
+
+
+# ---------------------------------------------------------------------------
+# engine
+
+
+class NotRowHomogeneous(ValueError):
+    """Row sums of the similarity matrix disagree beyond tolerance."""
+
+
+def speyer_magnitude(space: FiniteMetricSpace, t: float = 1.0) -> float:
+    """Magnitude shortcut N / (row sum) for row-homogeneous Z."""
+    z = similarity_matrix(space, t)
+    sums = z.sum(axis=1)
+    ref = float(sums[0])
+    dev = float(np.abs(sums - ref).max())
+    if dev > ROW_SUM_TOL * max(1.0, abs(ref)):
+        raise NotRowHomogeneous(f"row sums deviate by {dev:.3e}")
+    return space.n_points / ref
+
+
+def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
+    """(sum x)^2 / (x' Z x); the magnitude is its supremum for PD Z."""
+    x = np.asarray(x, dtype=float)
+    quad = float(x @ z @ x)
+    if quad <= 0:
+        raise ValueError("x' Z x must be positive")
+    return float(x.sum()) ** 2 / quad
+
+
+# ---------------------------------------------------------------------------
+# spaces
+
+
+def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
+    """Product space with summed distances, points ordered a-major."""
+    na, nb = a.n_points, b.n_points
+    d = np.kron(a.distances, np.ones((nb, nb))) + np.kron(
+        np.ones((na, na)), b.distances
+    )
+    labels = None
+    if a.labels is not None and b.labels is not None:
+        labels = tuple((la, lb) for la in a.labels for lb in b.labels)
+    return FiniteMetricSpace(d, labels)
+
+
+def named_graph_edges(name: str) -> list[tuple[int, int]]:
+    """Edge list of a named graph, as spaces.named_graph reads the name."""
+    return _parse_graph_name(name)[0]
+
+
+# ---------------------------------------------------------------------------
+# lines
+
+
+class NegativeGap(LineError):
+    def __init__(self, g: float):
+        super().__init__(f"gap must be >= 0, got {g!r}")
+
+
+@finite_result
+def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> float:
+    """Magnitude of A union B when B sits a distance `gap` right of A.
+
+    Both pieces must be compact subsets of R given by their own magnitudes
+    at the same scale: the union costs mag_a + mag_b - 1 + tanh(t gap / 2).
+    """
+    t = positive_scale(t)
+    gap = float(gap)
+    if gap < 0:
+        raise NegativeGap(gap)
+    return float(mag_a) + float(mag_b) - 1.0 + math.tanh(t * gap / 2.0)
+
+
+def cantor_magnitude_tail_bound(t: float, length: float, k: int) -> float:
+    """Upper bound on the Cantor series remainder after k terms."""
+    return (float(t) * float(length) / 2.0) * (2.0 / 3.0) ** k
+
+
+# ---------------------------------------------------------------------------
+# diversity: covering and packing with centers inside the space
+
+
+def _balls(space: FiniteMetricSpace, eps: float) -> np.ndarray:
+    if eps < 0:
+        raise DiversityError("radius must be >= 0")
+    return space.distances <= eps
+
+
+def _disjoint_balls(balls: np.ndarray, centers) -> int:
+    # greedy family, in the order given, of balls pairwise disjoint as
+    # subsets of the space
+    occupied = np.zeros(balls.shape[0], dtype=bool)
+    count = 0
+    for i in centers:
+        if not (balls[i] & occupied).any():
+            occupied |= balls[i]
+            count += 1
+    return count
+
+
+def packing_number(space: FiniteMetricSpace, eps: float) -> int:
+    """Size of a greedy maximal family of closed eps-balls, centered in
+    the space, that are pairwise disjoint as subsets of the space.
+
+    No center can cover two members of such a family, so this is a valid
+    covering lower bound; intrinsic disjointness (no witness point within
+    eps of both centers) keeps it tight when midpoints are missing.
+    """
+    return _disjoint_balls(_balls(space, eps), range(space.n_points))
+
+
+def covering_number(space: FiniteMetricSpace, eps: float,
+                    with_centers: bool = False):
+    """Minimum number of closed eps-balls centered in the space that
+    cover it. Exact branch and bound from the cover by every point;
+    refuses more than 25 points. with_centers=True also returns one
+    optimal center tuple."""
+    n = space.n_points
+    if n > EXACT_COVERING_LIMIT:
+        raise TooLarge(n, EXACT_COVERING_LIMIT)
+    balls = _balls(space, eps)
+    covers = [np.flatnonzero(balls[:, j]) for j in range(n)]  # centers covering j
+    best_centers = list(range(n))
+    best = n
+
+    def rec(uncovered, chosen):
+        nonlocal best, best_centers
+        if not uncovered.any():
+            if len(chosen) < best:
+                best = len(chosen)
+                best_centers = list(chosen)
+            return
+        # uncovered points with pairwise-disjoint balls: each remaining
+        # center handles at most one of them
+        if len(chosen) + _disjoint_balls(balls, np.flatnonzero(uncovered)) >= best:
+            return
+        # branch on the hardest point: fewest balls cover it
+        idx = np.flatnonzero(uncovered)
+        j = idx[int(np.argmin([len(covers[i]) for i in idx]))]
+        for c in covers[j]:
+            chosen.append(int(c))
+            rec(uncovered & ~balls[c], chosen)
+            chosen.pop()
+
+    rec(np.ones(n, dtype=bool), [])
+    if with_centers:
+        return best, tuple(sorted(best_centers))
+    return best

@@ -25,6 +25,7 @@ from magnitude import (
 )
 from magnitude import diversity, euclid, lines, pixels
 from magnitude.spaces import ball_sample, cantor_intervals
+from oracles import grid_sample, probe_grid, verify_weight_measure, weight_measure_ie
 
 
 class _Criterion:
@@ -149,9 +150,9 @@ def test_criterion_04_l1_triple_agreement():
             mass = sum(Fraction(v) / 2**i for i, v in enumerate(sp.coefficients))
             assert fm.total_mass_exact() == mass, name
             if p.n_cells <= 12:
-                assert pixels.weight_measure_ie(p) == fm, name
+                assert weight_measure_ie(p) == fm, name
                 n_ie += 1
-            dev = pixels.verify_weight_measure(p, fm, pixels.probe_grid(p, per_cell=2))
+            dev = verify_weight_measure(p, fm, probe_grid(p, per_cell=2))
             worst_dev = max(worst_dev, dev)
         assert worst_dev <= 1e-12
         assert c.elapsed < 60.0
@@ -166,7 +167,7 @@ def test_criterion_05_l_shape_pin():
         assert sp.coefficients == (Fraction(1), Fraction(4), Fraction(3))
         assert sp.magnitude_exact() == Fraction(15, 4)
         assert fm.total_mass_exact() == Fraction(15, 4)
-        mags = [magnitude(pixels.grid_sample(L, per), 1.0) for per in (5, 10, 20)]
+        mags = [magnitude(grid_sample(L, per), 1.0) for per in (5, 10, 20)]
         assert mags[0] < mags[1] < mags[2]
         assert 0.0 < 3.75 - mags[2] <= 1e-2
         c.detail = f"V'=(1,4,3), both paths 15/4, 20/unit grid sits {3.75 - mags[2]:.1e} below"

@@ -260,10 +260,24 @@ def test_parse_failures_are_typed_input_errors(capsys, argv):
                       '"params": {"n": 2, "radius": 1.0, "count": 3.5}}'),
     ("mag", "--spec", '{"kind": "ball_sample", "seed": 1, '
                       '"params": {"n": 2.5, "radius": 1.0, "count": 3}}'),
+    ("mag", "--spec", '{"kind": "ball_sample", "seed": 1.5, '
+                      '"params": {"n": 2, "radius": 1.0, "count": 3}}'),
 ])
 def test_non_integer_counts_exit_two(capsys, argv):
     # a count-like entry is refused, not truncated to an integer
     assert_bad_spec(*run(capsys, *argv))
+
+
+def test_integral_spec_seed_is_the_flag_seed(capsys):
+    # "seed": 2.0 names seed 2, as "seed": 2 and --seed 2 do
+    spec = ('{"kind": "ball_sample", "seed": %s, '
+            '"params": {"n": 3, "radius": 1.0, "count": 5}}')
+    _, rep, _ = run_json(capsys, "weights", "--ball", "3,1,5", "--seed", "2")
+    want = rep["results"]["weighting"]
+    for seed in ("2", "2.0"):
+        code, rep, _ = run_json(capsys, "weights", "--spec", spec % seed)
+        assert code == 0
+        assert rep["results"]["weighting"] == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -413,6 +427,8 @@ def test_residual_that_underflows_is_zero(capsys):
     (("pixel", "--body-simplex", "0,0;1,0;0,1/0"), "PixelError"),
     (("oracle", "--interval", "1"), "BadSpec"),
     (("oracle", "--interval", "0,1,2"), "BadSpec"),
+    (("mag", "--spec", '{"kind": "graph_shortest_path", "params": {"name": 5}}'),
+     "BadSpec"),
 ])
 def test_malformed_values_are_typed_input_errors(capsys, argv, error):
     # bare ValueError no longer maps to exit 2, so each parser raises its

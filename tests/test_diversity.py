@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 from magnitude import backend_name
 from magnitude.diversity import (
-    EXACT_COVERING_LIMIT,
     EXACT_DIVERSITY_LIMIT,
     DiversityError,
     NonConvergence,
     TooLarge,
     WindowTooNarrow,
-    covering_number,
     dimension_estimate,
     fw_away_qp,
     greedy_covering_number,
     kkt_gap,
     max_diversity,
     max_diversity_exact,
-    packing_number,
 )
 from magnitude.engine import is_positive_definite, magnitude, similarity_matrix
 from magnitude.spaces import (
@@ -28,8 +25,13 @@ from magnitude.spaces import (
     cantor_endpoints,
     graph_metric,
     lp_grid,
-    named_graph_edges,
     points_on_line,
+)
+from oracles import (
+    EXACT_COVERING_LIMIT,
+    covering_number,
+    named_graph_edges,
+    packing_number,
 )
 
 C5 = graph_metric(named_graph_edges("c5"))

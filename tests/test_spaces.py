@@ -16,7 +16,6 @@ from magnitude.spaces import (
     MatrixParseError,
     NegativeEntry,
     NonFiniteEntry,
-    NonpositiveScale,
     NotSquare,
     NotSymmetric,
     NonzeroDiagonal,
@@ -29,21 +28,17 @@ from magnitude.spaces import (
     _distances,
     ball_sample,
     cantor_endpoints,
-    cantor_gaps,
     cantor_intervals,
     first_triangle_violation,
     generate_space,
     graph_metric,
-    l1_product,
     load_distance_csv,
     lp_grid,
     named_graph,
-    named_graph_edges,
     points_on_line,
-    save_distance_csv,
-    scale_space,
     validate_metric,
 )
+from oracles import l1_product, named_graph_edges
 
 K32 = [
     [0, 2, 2, 1, 1],
@@ -316,15 +311,6 @@ def test_label_length_checked():
         FiniteMetricSpace(np.zeros((2, 2)) + np.eye(2) * 0, labels=("a",))
 
 
-def test_scale_space():
-    sp = validate_metric(K32)
-    doubled = scale_space(sp, 2.0)
-    assert doubled.diameter == 4.0
-    for bad in (0.0, -1.0):
-        with pytest.raises(NonpositiveScale):
-            scale_space(sp, bad)
-
-
 def test_min_distance_single_point():
     sp = FiniteMetricSpace(np.zeros((1, 1)))
     assert sp.min_distance == math.inf
@@ -491,7 +477,7 @@ def test_cantor_construction():
     assert len(ivs) == 4
     for got, want in zip(ivs, expect):
         assert got == pytest.approx(want, abs=1e-15)
-    gaps = cantor_gaps(2)
+    gaps = [(a[1], b[0]) for a, b in zip(ivs, ivs[1:])]
     assert len(gaps) == 3
     total = sum(b - a for a, b in ivs) + sum(b - a for a, b in gaps)
     assert total == pytest.approx(1.0)
@@ -588,6 +574,12 @@ def test_ball_sample_input_checks():
         ball_sample(2, 1.0, 5, seed=1, p=3)
     with pytest.raises(BadSpec):
         ball_sample(2, 1.0, 5, seed=None)
+    # a fractional seed is refused, not truncated; an integral float is
+    # that integer
+    with pytest.raises(BadSpec):
+        ball_sample(2, 1.0, 5, seed=1.5)
+    assert np.array_equal(ball_sample(2, 1.0, 5, seed=2.0).distances,
+                          ball_sample(2, 1.0, 5, seed=2).distances)
 
 
 @pytest.mark.parametrize("dim, count, p", [(12, 10, 1), (20, 5, 2)])
@@ -655,6 +647,7 @@ def test_generate_space_bad_inputs():
                          ("lp_grid", {"shape": [3], "spacing": "x"}),
                          ("cantor_endpoints", {"depth": "a"}),
                          ("graph_shortest_path", {"edges": [[0, "a"]]}),
+                         ("graph_shortest_path", {"name": 5}),
                          ("lp_grid", [1])]:
         with pytest.raises(BadSpec):
             generate_space(SpaceSpec(kind, params))
@@ -672,7 +665,8 @@ def test_generate_space_bad_inputs():
 
 def test_csv_round_trip():
     sp = validate_metric(K32)
-    text = save_distance_csv(sp)
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in sp.distances)
     back = load_distance_csv(text)
     assert np.array_equal(back, sp.distances)
 

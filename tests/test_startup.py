@@ -4,8 +4,13 @@ The package import and the exact commands (pixel, the Euclidean oracles)
 load no numpy, and no command loads scipy or numpy.ma: the dense solves
 run on numpy alone. Each case runs in a fresh interpreter, because the test process
 itself has long since imported numpy and scipy.
+
+The package holds only code something runs: every module-level function
+and class is reached from the command line or is a named library entry
+point. The references the tests check against live in tests/oracles.py.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -115,3 +120,106 @@ def test_every_export_is_its_home_modules_object(name):
     home = importlib.import_module(
         f"magnitude.{magnitude._EXPORTS[name]}")
     assert value is getattr(home, name)
+
+
+# ---------------------------------------------------------------------------
+# the package holds what a command runs
+
+PACKAGE = Path(magnitude.__file__).resolve().parent
+
+# (module, name) roots besides the CLI and the __init__ re-exports: the
+# README Quick start calls these through their modules (the names it
+# imports from magnitude are re-exports)
+README_QUICK_START = (
+    ("lines", "line_magnitude"),
+    ("pixels", "parse_ascii"), ("pixels", "weight_measure"),
+    ("pixels", "steiner_polynomial"), ("pixels", "is_l1_convex"),
+    ("pixels", "build_body"), ("pixels", "ConvexBodySpec"),
+    ("pixels", "body_magnitude_bounds"),
+)
+# perfbench/run.py records magnitude.backend_name() with every run, so it
+# stays until the benchmark stops recording it
+BENCHMARK_RECORDS = (("diversity", "backend_name"),)
+
+
+def _package_names(package):
+    """(defs, resolve, node) for the package's modules.
+
+    defs maps each module to its top-level functions and classes. resolve
+    takes (module, name) to the (module, name) of the top-level def or
+    assignment it denotes, following imports from within the package (at
+    any depth of the module) through re-exports; to (module, None) for an
+    imported module; to None for a name from outside the package. node
+    gives the syntax tree of a resolved (module, name)."""
+    defs, assigns, imports = {}, {}, {}
+    for path in sorted(package.glob("*.py")):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        defs[mod] = {n.name: n for n in tree.body if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        assigns[mod] = {
+            t.id: n for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+            for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+            if isinstance(t, ast.Name)}
+        imports[mod] = {
+            a.asname or a.name: (a.name, None) if n.module is None else (n.module, a.name)
+            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1
+            for a in n.names}
+
+    def resolve(mod, name):
+        if name in defs.get(mod, {}) or name in assigns.get(mod, {}):
+            return mod, name
+        target = imports.get(mod, {}).get(name)
+        if target is None or target[1] is None:
+            return target
+        return resolve(*target)
+
+    def node(key):
+        mod, name = key
+        return defs[mod].get(name) or assigns[mod][name]
+
+    return defs, resolve, node
+
+
+def unreached_defs(package, roots):
+    """Module-level functions and classes that no root reaches by name.
+
+    Every name a reached def or assignment uses is resolved in its module;
+    `module.attr` resolves attr in the imported module. Dunder hooks
+    (__getattr__, __dir__) are the interpreter's and count as reached."""
+    defs, resolve, node = _package_names(package)
+    seen, work = set(), [resolve(*root) for root in roots]
+    while work:
+        key = work.pop()
+        if key is None or key[1] is None or key in seen:
+            continue
+        seen.add(key)
+        mod = key[0]
+        for sub in ast.walk(node(key)):
+            if isinstance(sub, ast.Name):
+                work.append(resolve(mod, sub.id))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = resolve(mod, sub.value.id)
+                if target is not None and target[1] is None:
+                    work.append(resolve(target[0], sub.attr))
+    return sorted((mod, name) for mod, names in defs.items() for name in names
+                  if (mod, name) not in seen
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def _roots():
+    # main, the console script, dispatches every command through _HANDLERS
+    exports = tuple((home, name) for name, home in magnitude._EXPORTS.items())
+    return (("cli", "main"), *exports, *README_QUICK_START, *BENCHMARK_RECORDS)
+
+
+def test_every_root_names_a_def():
+    _, resolve, node = _package_names(PACKAGE)
+    for root in _roots():
+        key = resolve(*root)
+        assert key is not None and key[1] is not None, root
+        assert isinstance(node(key), (ast.FunctionDef, ast.ClassDef)), root
+
+
+def test_every_def_in_the_package_is_reached():
+    # a def nothing reaches belongs in tests/oracles.py or nowhere
+    assert unreached_defs(PACKAGE, _roots()) == []
