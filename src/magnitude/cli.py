@@ -38,8 +38,15 @@ its envelope, with exit 2.
 Each command imports only the modules it computes with: the package
 modules that need numpy (spaces, engine, diversity, lines) are imported
 inside the handlers and branches that use them, so pixel and the
-Euclidean oracles run without numpy. No command loads scipy: the dense
-solves run on numpy alone (see engine).
+Euclidean oracles run without numpy, and only pixel and oracle load
+fractions. No command loads scipy: the dense solves run on numpy alone
+(see engine).
+
+Two entries: run() is the process entry (python -m magnitude and the
+magnitude console script). It flushes the output and ends the process
+with os._exit, so a finished call skips interpreter teardown. main(argv)
+runs one command in-process and returns its exit code (tests, library
+callers).
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -82,7 +88,11 @@ INPUT_ERRORS = (
 _LINE_ORACLES = ("points", "interval", "compact", "cantor")
 
 
-def _rat(x: Fraction) -> str:
+def _rat(x) -> str:
+    """An exact rational as "p/q"; only pixel and oracle print one, and
+    they have loaded fractions already, so the other commands never do."""
+    from fractions import Fraction
+
     return str(Fraction(x))
 
 
@@ -293,9 +303,12 @@ def _cmd_magfn(args, command, t0) -> int:
     space, inputs = _space_inputs(args)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
-    ts = (np.geomspace if args.log else np.linspace)(
-        args.tmin, args.tmax, args.steps
-    )
+    # with --tmax near the double maximum numpy may overflow while forming
+    # the last scale, which it then sets to --tmax exactly
+    with np.errstate(over="ignore"):
+        ts = (np.geomspace if args.log else np.linspace)(
+            args.tmin, args.tmax, args.steps
+        )
     samples = [
         {"t": s.t, "magnitude": s.magnitude,
          "positive_definite": s.status == engine.STATUS_PD,
@@ -770,6 +783,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command in-process and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
@@ -796,5 +810,21 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """The process entry (python -m magnitude, the console script): run
+    main, flush what it wrote, and end the process with its code, skipping
+    interpreter teardown (module and GC cleanup, freeing every array,
+    stopping the BLAS threads), which a finished call never needs. A flush
+    that meets a closed reader exits 1, quietly, as main does. --help and
+    --version leave through argparse's SystemExit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -112,7 +112,10 @@ class DisconnectedGraph(BadSpec):
 
 def integral(x, what: str) -> int:
     """A count-like value (a dimension, a point count, a vertex); 3.5 is
-    refused with BadSpec, not truncated."""
+    refused with BadSpec, not truncated, and so is a JSON true or false,
+    though bool subclasses int."""
+    if isinstance(x, bool):
+        raise BadSpec(f"{what} must be an integer, got {x!r}")
     if isinstance(x, int):
         return x
     if not float(x).is_integer():

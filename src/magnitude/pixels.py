@@ -108,10 +108,6 @@ class PixelSet:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    @property
-    def volume(self) -> Fraction:
-        return len(self.cells) * self.scale**self.dim
-
 
 # ---------------------------------------------------------------------------
 # ascii art and the pixel file format
@@ -359,8 +355,8 @@ def dilation_volume(p: PixelSet, r) -> Fraction:
 class SteinerPolynomial:
     """Coefficients V_0 .. V_n of the expansion polynomial.
 
-    expanded_volume(r) = sum_i V_i r^(n-i) for 0 <= r < scale; V_n is the
-    set's volume and the magnitude of the t-scaled set is
+    dilation_volume(p, r) = sum_i V_i r^(n-i) for 0 <= r < scale; V_n is
+    the set's volume and the magnitude of the t-scaled set is
     sum_i V_i t^i / 2^i (exact for l1-convex sets, an upper bound
     otherwise).
     """
@@ -368,14 +364,6 @@ class SteinerPolynomial:
     dim: int
     scale: Fraction
     coefficients: tuple
-
-    def expanded_volume(self, r) -> Fraction:
-        r = Fraction(r)
-        n = self.dim
-        return sum(
-            (v * r ** (n - i) for i, v in enumerate(self.coefficients)),
-            Fraction(0),
-        )
 
     def magnitude_exact(self, t: Fraction = Fraction(1)) -> Fraction:
         t = Fraction(t)
@@ -391,10 +379,6 @@ class SteinerPolynomial:
             float(v) * (float(t) / 2.0) ** i
             for i, v in enumerate(self.coefficients)
         ))
-
-    @property
-    def volume(self) -> Fraction:
-        return self.coefficients[-1]
 
 
 def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:

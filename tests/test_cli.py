@@ -262,6 +262,10 @@ def test_parse_failures_are_typed_input_errors(capsys, argv):
                       '"params": {"n": 2.5, "radius": 1.0, "count": 3}}'),
     ("mag", "--spec", '{"kind": "ball_sample", "seed": 1.5, '
                       '"params": {"n": 2, "radius": 1.0, "count": 3}}'),
+    # a JSON boolean is no count, though bool subclasses int
+    ("mag", "--spec", '{"kind": "ball_sample", "params": {"n": 2, '
+                      '"radius": 1, "count": true}, "seed": true}'),
+    ("mag", "--spec", '{"kind": "lp_grid", "params": {"shape": [true, 3]}}'),
 ])
 def test_non_integer_counts_exit_two(capsys, argv):
     # a count-like entry is refused, not truncated to an integer
@@ -477,6 +481,48 @@ def test_closed_stdout_ends_quietly_with_exit_one():
     finally:
         os.close(write_end)
     assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# every exit path of the process entry (cli.run ends with os._exit)
+
+
+def _process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "magnitude", *argv],
+                          capture_output=True, env=env, text=True, timeout=120)
+
+
+def test_process_output_beyond_a_pipe_buffer_arrives_whole():
+    proc = _process("weights", "--grid", "3000", "--spacing", "0.001",
+                    "--t", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout) > 64 * 1024
+    assert len(strict_loads(proc.stdout)["results"]["weighting"]) == 3000
+
+
+def test_process_exits_three_at_the_pole_after_the_full_report():
+    proc = _process("mag", "--graph", "k3,2", "--t", "0.3465735902799727")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    rep = strict_loads(proc.stdout)
+    assert set(rep) == ENVELOPE_KEYS
+    assert rep["results"]["status"] == "Undefined"
+
+
+def test_process_exits_two_on_bad_input():
+    proc = _process("oracle", "--ball", "3.5,1")
+    assert_bad_spec(proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_process_version_exits_zero():
+    proc = _process("--version")
+    assert proc.returncode == 0
+    assert proc.stdout == magnitude.__version__ + "\n"
     assert proc.stderr == ""
 
 
@@ -888,6 +934,18 @@ def test_scale_and_tolerance_flags_property(command, t, tol):
         assert out, argv
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert "Warning" not in err, argv
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_sweep_to_the_double_maximum_is_quiet(log):
+    # the last scale i * step of the sweep overflows before --tmax replaces it
+    argv = ["magfn", "--points-1d", "0,1,3", "--tmin", "1.0",
+            "--tmax", repr(sys.float_info.max), "--steps", "25"]
+    code, out, err, caught = _call(argv + (["--log"] if log else []))
+    assert code == 0
+    assert strict_loads(out)["results"]["samples"][-1]["t"] == sys.float_info.max
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err == ""
 
 
 @settings(max_examples=150, deadline=None)

@@ -582,6 +582,19 @@ def test_ball_sample_input_checks():
                           ball_sample(2, 1.0, 5, seed=2).distances)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ball_sample(2, 1.0, True, seed=1),
+    lambda: ball_sample(2, 1.0, 5, seed=False),
+    lambda: lp_grid([True, 3]),
+    lambda: cantor_endpoints(True),
+    lambda: graph_metric([(0, True)]),
+], ids=["count", "seed", "shape", "depth", "edge"])
+def test_boolean_counts_are_refused(build):
+    # a JSON true is no count, though bool subclasses int
+    with pytest.raises(BadSpec, match="must be an integer"):
+        build()
+
+
 @pytest.mark.parametrize("dim, count, p", [(12, 10, 1), (20, 5, 2)])
 def test_ball_sample_refuses_out_of_reach_rejection(dim, count, p):
     # the l1 ball keeps 1/12! of the cube's draws and the l2 ball in d = 20

@@ -37,15 +37,21 @@ else:
     import magnitude
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules,
-                  "numpy.ma": "numpy.ma" in sys.modules}))
+                  "numpy.ma": "numpy.ma" in sys.modules,
+                  "fractions": "fractions" in sys.modules,
+                  "decimal": "decimal" in sys.modules}))
 """
 
 
-def probe(*argv):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    return env
+
+
+def probe(*argv):
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=_env(),
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     return json.loads(out)
@@ -110,6 +116,39 @@ def test_solving_command_loads_numpy_not_scipy(argv):
     assert rep["numpy"] is True
     assert rep["scipy"] is False
     assert rep["numpy.ma"] is False
+
+
+def test_cli_import_loads_no_fractions():
+    # import magnitude.cli is what the benchmark's set-up times: only the
+    # exact commands pay for fractions (and the decimal module it loads)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, magnitude.cli; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env=_env(), capture_output=True, text=True, timeout=120,
+        check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--points-1d", "0,1"),
+    ("diversity", "--graph", "k32"),
+], ids=["mag", "diversity"])
+def test_float_command_loads_no_fractions(argv):
+    rep = probe(*argv)
+    assert rep["code"] == 0
+    assert rep["fractions"] is False
+    assert rep["decimal"] is False
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (("pixel", "--ascii", r"#.\n##"), "magnitude", "15/4"),
+    (("oracle", "--ball", "3,1"), "magnitude_exact", "25/6"),
+])
+def test_exact_command_still_prints_rationals(argv, key, want):
+    proc = subprocess.run([sys.executable, "-m", "magnitude", *argv], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"][key] == want
 
 
 @pytest.mark.parametrize("name", magnitude.__all__)
@@ -207,9 +246,10 @@ def unreached_defs(package, roots):
 
 
 def _roots():
-    # main, the console script, dispatches every command through _HANDLERS
+    # run, the process entry, calls main, which dispatches every command
+    # through _HANDLERS
     exports = tuple((home, name) for name, home in magnitude._EXPORTS.items())
-    return (("cli", "main"), *exports, *README_QUICK_START, *BENCHMARK_RECORDS)
+    return (("cli", "run"), *exports, *README_QUICK_START, *BENCHMARK_RECORDS)
 
 
 def test_every_root_names_a_def():
