@@ -13,7 +13,8 @@ are rendered as strings like "15/4".
 
 Every input rule lives in the parser. Each command takes exactly one
 source (one mutually exclusive group), and pixel at most one mode:
---bounds for a body, the others for art or a file. Float flags and
+--bounds for a body, the others for art or a file; --dim goes with art
+alone and --scale not with a file, whose header sets both. Float flags and
 number lists accept finite values only; count flags (--steps,
 --max-iters) must be at least 1. A count-like entry of a number list (a
 dimension n, a sample count, an exponent p) must be an integer, and an
@@ -435,6 +436,14 @@ def _cmd_pixel(args, command, t0) -> int:
     if (mode == "bounds") != is_body:
         raise BadSpec(f"--{mode} needs " + (
             "a --body-* option" if mode == "bounds" else "--ascii or --pixel-file"))
+    # a source that fixes the scale or dimension itself refuses the flag
+    if src == "pixel_file" and (args.scale, args.dim) != (None, None):
+        raise BadSpec("--pixel-file sets dim and scale in its header; "
+                      "it takes no --scale or --dim")
+    if is_body and args.dim is not None:
+        raise BadSpec("a --body-* option takes its dimension from the "
+                      "vertices; it takes no --dim")
+    scale = "1" if args.scale is None else args.scale
     if is_body:
         raw = getattr(args, src)
         if src == "body_box":
@@ -448,7 +457,7 @@ def _cmd_pixel(args, command, t0) -> int:
                 raise BadSpec("the body needs at least one vertex")
             spec = pixels.ConvexBodySpec(len(verts[0]), kind, vertices=verts)
         body = pixels.build_body(spec)
-        bounds = pixels.body_magnitude_bounds(body, args.scale, args.t)
+        bounds = pixels.body_magnitude_bounds(body, scale, args.t)
         results = {
             "lower": bounds.lower,
             "upper": bounds.upper,
@@ -460,12 +469,12 @@ def _cmd_pixel(args, command, t0) -> int:
         _emit(args, command,
               {"body": spec.kind,
                "raw": [args.body_box, args.body_simplex, args.body_vertices],
-               "scale": str(args.scale), "t": args.t}, results, t0)
+               "scale": scale, "t": args.t}, results, t0)
         return 0
 
     if src == "ascii":
-        p = pixels.parse_ascii(args.ascii.replace("\\n", "\n"), args.scale,
-                               dim=args.dim)
+        p = pixels.parse_ascii(args.ascii.replace("\\n", "\n"), scale,
+                               dim=args.dim or 2)
     else:
         p = pixels.parse_pixel_file(_read_text(args.pixel_file))
     inputs = {"dim": p.dim, "scale": _rat(p.scale), "cells": sorted(p.cells)}
@@ -493,7 +502,8 @@ def _cmd_pixel(args, command, t0) -> int:
         }
         if not pixels.is_l1_convex(p):
             results["l1_convex"] = False
-            results["note"] = "set is not l1-convex; magnitude is an upper bound"
+            results["note"] = ("set is not l1-convex; magnitude is exact only for "
+                               "l1-convex sets and is no bound here")
         if args.t != 1.0:
             results["magnitude_at_t"] = sp.magnitude_at(args.t)
     _emit(args, command, inputs, results, t0)
@@ -721,8 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--body-box", help="box side lengths 'L1,L2[,L3]'")
     g.add_argument("--body-simplex", help="simplex vertices 'x,y;x,y;x,y'")
     g.add_argument("--body-vertices", help="polytope vertices 'x,y;...'")
-    sub.add_argument("--scale", default="1", help="cell size as a rational")
-    sub.add_argument("--dim", type=int, default=2, choices=(1, 2))
+    sub.add_argument("--scale", help="cell size as a rational (default 1; "
+                                     "not with --pixel-file)")
+    sub.add_argument("--dim", type=int, choices=(1, 2),
+                     help="art dimension (default 2; --ascii only)")
     g = sub.add_mutually_exclusive_group()
     g.add_argument("--intrinsic", action="store_true",
                    help="expansion-polynomial coefficients and magnitude "

@@ -17,17 +17,19 @@ and --intrinsic modes:
 
 * the expansion polynomial: the volume of the set grown by r/2 on every
   side (Minkowski sum with r * [-1/2, 1/2]^n) is a polynomial
-  sum_i V_i r^(n-i) for 0 <= r < lam. Fitting it exactly at n+1 rational
-  nodes recovers V_0 .. V_n (V_0 the Euler characteristic for these sets,
-  V_n the volume). The magnitude of the t-scaled set is then
-  sum_i V_i t^i / 2^i.
+  sum_i V_i r^(n-i) for 0 <= r < lam, and the V_i (V_0 the Euler
+  characteristic, V_n the volume) follow from the face counts alone. The
+  magnitude of the t-scaled set is then sum_i V_i t^i / 2^i.
 
 For l1-convex sets (every two cells joined by a monotone staircase of
-cells) the two agree and give the magnitude exactly; for other sets the
-polynomial value is an upper bound. is_l1_convex decides which, in every
-dimension, by one sweep of staircase reachability on cell bitsets per
-orthant. Convex bodies with rational vertices get two-sided bounds by
-sandwiching between an outer pixelation and a shrunken copy of it.
+cells) the two agree and give the magnitude exactly. For other sets they
+still agree, but their common value is neither the magnitude nor a bound
+on it: at t = 1 the ring "###/#.#/###" gets 6, though a lattice sample
+inside it has magnitude 6.24, and the U "#.#/###" gets 21/4, though its
+bounding box has magnitude 5. is_l1_convex decides which case holds, in
+every dimension, by one sweep of staircase reachability on cell bitsets
+per orthant. Convex bodies with rational vertices get two-sided bounds
+by sandwiching between an outer pixelation and a shrunken copy of it.
 
 The references the tests hold these against live in tests/oracles.py:
 the weight measure by explicit inclusion-exclusion over cell subsets and
@@ -41,11 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _iterproduct
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import PixelError, finite_result, positive_scale
-
-STEINER_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
 class EmptySet(PixelError):
@@ -290,75 +290,14 @@ def weight_measure(p: PixelSet) -> FaceMeasure:
 # expansion polynomial
 
 
-def dilation_volume(p: PixelSet, r) -> Fraction:
-    """Exact volume of the set expanded by r/2 on every side.
-
-    The expanded set is the union of boxes [lam c - r/2, lam (c+1) + r/2];
-    the volume comes from per-axis interval fragmentation with a bitmask
-    per fragment recording which cells cover it. Cells sharing a
-    coordinate on an axis share their interval there, so the bits are
-    ORed once per coordinate value and each fragment takes the few values
-    whose interval covers it.
-    """
-    r = Fraction(r)
-    if r < 0:
-        raise PixelError(f"expansion must be >= 0, got {r}")
-    lam, n = p.scale, p.dim
-    cells = sorted(p.cells)
-    den = 2 * lam.denominator * r.denominator
-    lam_i = int(lam * den)
-    r_i = int(r * den)
-    step = 2 * lam_i
-    # doubled integer scale: coordinate x becomes 2 den x, so the box on
-    # axis i spans [step c - r_i, step (c+1) + r_i]
-    masks = []
-    for i in range(n):
-        groups = {}
-        for j, c in enumerate(cells):
-            groups[c[i]] = groups.get(c[i], 0) | (1 << j)
-        cuts = sorted(
-            {step * v - r_i for v in groups} | {step * (v + 1) + r_i for v in groups}
-        )
-        frag = []
-        for a, b in zip(cuts, cuts[1:]):
-            # value v covers [a, b] when step v - r_i <= a and
-            # b <= step (v+1) + r_i
-            bit = 0
-            for v in range(-((r_i - b) // step) - 1, (a + r_i) // step + 1):
-                bit |= groups.get(v, 0)
-            if bit:
-                frag.append((b - a, bit))
-        masks.append(frag)
-    total = 0
-    if n == 1:
-        total = sum(la for la, _ in masks[0])
-    elif n == 2:
-        for la, ba in masks[0]:
-            for lb, bb in masks[1]:
-                if ba & bb:
-                    total += la * lb
-    else:
-        for la, ba in masks[0]:
-            for lb, bb in masks[1]:
-                ab = ba & bb
-                if not ab:
-                    continue
-                s = 0
-                for lc, bc in masks[2]:
-                    if ab & bc:
-                        s += lc
-                total += la * lb * s
-    return Fraction(total, (2 * den) ** n)
-
-
 @dataclass(frozen=True)
 class SteinerPolynomial:
     """Coefficients V_0 .. V_n of the expansion polynomial.
 
-    dilation_volume(p, r) = sum_i V_i r^(n-i) for 0 <= r < scale; V_n is
-    the set's volume and the magnitude of the t-scaled set is
-    sum_i V_i t^i / 2^i (exact for l1-convex sets, an upper bound
-    otherwise).
+    The set expanded by r/2 on every side has volume sum_i V_i r^(n-i)
+    for 0 <= r < scale; V_0 is the Euler characteristic and V_n the
+    volume. sum_i V_i t^i / 2^i is the magnitude of the t-scaled set when
+    the set is l1-convex; otherwise it is no bound on the magnitude.
     """
 
     dim: int
@@ -381,44 +320,45 @@ class SteinerPolynomial:
         ))
 
 
-def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:
-    """Fit the expansion polynomial exactly at n+1 rational nodes.
+def _face_counts(p: PixelSet) -> list:
+    """f_k, the number of k-dimensional faces of the cell complex.
 
-    Nodes are scale * (1/4, 1/3, 1/2, 2/3)[: n+1]: all below the scale, so
-    every node lies in the chamber where the volume is one polynomial
-    (fragment overlaps change only at r = scale or beyond).
+    A cell corner is one mixed-radix integer (radix span + 2 per axis, so
+    a step past the last cell never carries). The faces with fixed axes F
+    are anchored at the codes of the cells shifted by 0 or 1 along each
+    axis of F; each set of codes is the set for F minus its top axis,
+    united with its shift along that axis.
     """
-    n = p.dim
-    nodes = [p.scale * x for x in STEINER_NODES[: n + 1]]
-    vols = [dilation_volume(p, r) for r in nodes]
-    k = n + 1
-    m = [[nodes[row] ** (n - i) for i in range(k)] + [vols[row]]
-         for row in range(k)]
-    _row_reduce(m, k)  # distinct nodes: a nonsingular Vandermonde system
-    return SteinerPolynomial(n, p.scale, tuple(row[k] for row in m))
+    n, cells = p.dim, p.cells
+    los = [min(c[i] for c in cells) for i in range(n)]
+    strides, s = [], 1
+    for i in range(n):
+        strides.append(s)
+        s *= max(c[i] for c in cells) - los[i] + 2
+    anchors = [{sum((x - lo) * st for x, lo, st in zip(c, los, strides))
+                for c in cells}]
+    f = [0] * n + [len(anchors[0])]
+    for fixed in range(1, 1 << n):
+        top = fixed.bit_length() - 1
+        prev = anchors[fixed ^ (1 << top)]
+        anchors.append(prev | {a + strides[top] for a in prev})
+        f[n - fixed.bit_count()] += len(anchors[fixed])
+    return f
 
 
-def _row_reduce(rows, ncols: int) -> int:
-    """Gauss-Jordan elimination over the first ncols columns of a list of
-    Fraction rows, in place; returns the rank. Pivot rows are scaled to a
-    leading 1 and moved to the top, so a nonsingular square system with
-    its right-hand side appended ends with the solution in the last
-    column."""
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def steiner_polynomial(p: PixelSet) -> SteinerPolynomial:
+    """V_i = scale^i sum over k >= i of C(k, i) (-1)^(k-i) f_k.
+
+    For 0 <= r < scale the expanded set splits into one box per face of
+    the complex: an open k-face contributes (scale - r)^k r^(n-k), and
+    expanding in r gives V. Equivalently the magnitude at t is
+    sum_k f_k (t scale / 2 - 1)^k.
+    """
+    f = _face_counts(p)
+    return SteinerPolynomial(p.dim, p.scale, tuple(
+        p.scale**i * sum(comb(k, i) * (-1) ** (k - i) * f[k]
+                         for k in range(i, p.dim + 1))
+        for i in range(p.dim + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +452,26 @@ class ConvexBody:
             sum((v[i] for v in self.vertices), Fraction(0)) / n
             for i in range(self.dim)
         )
+
+
+def _row_reduce(rows, ncols: int) -> int:
+    """Rank of a list of Fraction rows over their first ncols columns, by
+    Gauss-Jordan elimination in place."""
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _affine_rank(vertices, dim) -> int:

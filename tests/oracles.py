@@ -6,8 +6,10 @@ route, so a test can compare the two.
 
 * pixels: the weight measure by explicit inclusion-exclusion over cell
   subsets (weight_measure_ie), its defining integral identity evaluated
-  at probe points (verify_weight_measure, probe_grid), and the taxicab
-  lattice points of a pixel set as a finite space (grid_sample);
+  at probe points (verify_weight_measure, probe_grid), the taxicab
+  lattice points of a pixel set as a finite space (grid_sample), and the
+  expansion polynomial fitted to exact dilation volumes, one fragment
+  mask per cell (per_cell_dilation_volume, dilation_fit);
 * engine: Speyer's shortcut N / (row sum) for row-homogeneous spaces and
   the Rayleigh ratio whose supremum is the magnitude for PD Z;
 * spaces: l1 products and the edge lists of named graphs;
@@ -40,6 +42,8 @@ from magnitude.pixels import FaceMeasure, PixelSet, ProbeOutsideSet
 from magnitude.spaces import FiniteMetricSpace, _distances, _parse_graph_name
 
 IE_CELL_LIMIT = 20
+# dilation_fit's nodes, as fractions of the scale: all below it
+DILATION_NODES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 # speyer_magnitude accepts row sums that deviate by at most this times
 # max(1, |row sum|)
 ROW_SUM_TOL = 1e-10
@@ -190,6 +194,66 @@ def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
     lam = float(p.scale)
     arr = np.array(sorted(pts), dtype=float) * lam
     return FiniteMetricSpace(_distances(arr, 1), labels=tuple(map(tuple, arr)))
+
+
+def per_cell_dilation_volume(p: PixelSet, r) -> Fraction:
+    """Exact volume of the set expanded by r/2 on every side.
+
+    The expanded set is the union of the boxes [lam c - r/2, lam (c+1) + r/2].
+    Each axis is cut into fragments at the box ends, each fragment carries
+    the bitmask of the cells whose box covers it, and the volume sums the
+    products of fragment lengths over the picks whose masks share a cell.
+    """
+    r = Fraction(r)
+    lam, n = p.scale, p.dim
+    cells = sorted(p.cells)
+    den = 2 * lam.denominator * r.denominator
+    lam_i, r_i = int(lam * den), int(r * den)
+    masks = []
+    for i in range(n):
+        cuts = sorted({2 * lam_i * c[i] - r_i for c in cells}
+                      | {2 * lam_i * (c[i] + 1) + r_i for c in cells})
+        frag = []
+        for a, b in zip(cuts, cuts[1:]):
+            bit = 0
+            for j, c in enumerate(cells):
+                if 2 * lam_i * c[i] - r_i <= a and b <= 2 * lam_i * (c[i] + 1) + r_i:
+                    bit |= 1 << j
+            if bit:
+                frag.append((b - a, bit))
+        masks.append(frag)
+    total = 0
+    for pick in _iterproduct(*masks):
+        bits = -1
+        for _, bit in pick:
+            bits &= bit
+        if bits:
+            total += math.prod(length for length, _ in pick)
+    return Fraction(total, (2 * den) ** n)
+
+
+def dilation_fit(p: PixelSet) -> list:
+    """Coefficients of r^0 .. r^3 of the cubic through the dilation volumes
+    at r = scale * DILATION_NODES, by Lagrange's formula.
+
+    Below the scale the volume is sum_i V_i r^(dim-i), so the fit reads
+    V_dim .. V_0 and then zeros.
+    """
+    xs = [p.scale * x for x in DILATION_NODES]
+    out = [Fraction(0)] * len(xs)
+    for j, xj in enumerate(xs):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for m, xm in enumerate(xs):
+            if m != j:
+                # basis *= (r - xm)
+                basis = [Fraction(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= xm * basis[k + 1]
+                denom *= xj - xm
+        yj = per_cell_dilation_volume(p, xj)
+        for k, b in enumerate(basis):
+            out[k] += yj * b / denom
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -303,12 +303,14 @@ def test_empty_refinement_family_exits_two(capsys, fmt):
     ("mag", "--graph", "c100000"),
     ("mag", "--graph", "p100000"),
     ("mag", "--points-1d", ",".join(str(i) for i in range(9000))),
-    ("mag", "--spec", '{"kind": "graph_shortest_path", "edges": [[0, 1]], '
-                      '"n_vertices": 100000}'),
+    ("mag", "--spec", '{"kind": "graph_shortest_path", "params": '
+                      '{"edges": [[0, 1]], "n_vertices": 100000}}'),
 ])
 def test_oversized_spaces_exit_two(capsys, argv):
     # refused before anything of the size is built
-    assert_bad_spec(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    assert_bad_spec(code, out, err)
+    assert "over the limit" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -878,6 +880,39 @@ def test_pixel_outputs_on_benchmark_shapes_are_pinned(capsys, tmp_path, argv,
     assert code == 0
     assert rep["inputs_digest"] == digest
     assert rep["results"] == results
+
+
+# at t = 1 the ring's value 6 lies below the magnitude 6.2389 of a lattice
+# sample inside it, and the U's 21/4 above the magnitude 5 of its bounding
+# box: for a set that is not l1-convex the value is no bound either way
+@pytest.mark.parametrize("art, results", [
+    (r"###\n#.#\n###", {"V": ["0", "8", "8"], "magnitude": "6"}),
+    (r"#.#\n###", {"V": ["1", "6", "5"], "magnitude": "21/4"}),
+])
+def test_pixel_nonconvex_value_is_no_bound(capsys, art, results):
+    code, rep, _ = run_json(capsys, "pixel", "--ascii", art)
+    assert code == 0
+    assert rep["results"] == {
+        **results, "l1_convex": False,
+        "note": "set is not l1-convex; magnitude is exact only for "
+                "l1-convex sets and is no bound here"}
+
+
+@pytest.mark.parametrize("source, flags", [
+    (("--pixel-file", "L"), ("--scale", "1/2")),
+    (("--pixel-file", "L"), ("--dim", "2")),
+    (("--pixel-file", "L", "--weights"), ("--scale", "1")),
+    (("--body-box", "1,1"), ("--dim", "2")),
+    (("--body-simplex=0,0;1,0;0,1", "--scale", "1/4"), ("--dim", "2")),
+])
+def test_pixel_flags_a_source_ignores_exit_two(capsys, tmp_path, source, flags):
+    # a pixel file's header sets dim and scale; a body's vertices set dim
+    path = tmp_path / "l.pix"
+    path.write_text("dim 2 scale 1/1\n##\n#.\n")
+    source = [str(path) if a == "L" else a for a in source]
+    assert_bad_spec(*run(capsys, "pixel", *source, *flags))
+    code, _, _ = run_json(capsys, "pixel", *source)
+    assert code == 0
 
 
 def test_pixel_mode_conflicts(capsys):

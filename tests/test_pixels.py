@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from magnitude.engine import magnitude
 from magnitude.pixels import (
-    STEINER_NODES,
     BadScale,
     ConvexBody,
     ConvexBodySpec,
@@ -27,7 +26,6 @@ from magnitude.pixels import (
     ProbeOutsideSet,
     body_magnitude_bounds,
     build_body,
-    dilation_volume,
     is_l1_convex,
     outer_pixelation,
     parse_ascii,
@@ -38,7 +36,9 @@ from magnitude.pixels import (
 from magnitude.spaces import NonpositiveScale
 from oracles import (
     TooManyCells,
+    dilation_fit,
     grid_sample,
+    per_cell_dilation_volume,
     probe_grid,
     verify_weight_measure,
     weight_measure_ie,
@@ -295,18 +295,18 @@ def test_two_by_three_box_magnitude_five():
 
 
 def test_expanded_volume_matches_fresh_dilation_node():
-    # r = 1/5 is not a fitting node; agreement there certifies the fit
+    # r = 1/5 is none of the oracle's fitting nodes
     rng = random.Random(41)
     for _ in range(15):
         p = blob(rng, rng.choice([1, 2, 3]), max_cells=8, span=3)
         sp = steiner_polynomial(p)
         r = p.scale / 5
         expanded = sum(v * r ** (p.dim - i) for i, v in enumerate(sp.coefficients))
-        assert expanded == dilation_volume(p, r)
+        assert expanded == per_cell_dilation_volume(p, r)
 
 
 def test_unit_square_dilation():
-    assert dilation_volume(UNIT, F(1, 5)) == F(36, 25)  # (1 + r)^2
+    assert per_cell_dilation_volume(UNIT, F(1, 5)) == F(36, 25)  # (1 + r)^2
     assert steiner_polynomial(UNIT).coefficients == (F(1), F(2), F(1))
 
 
@@ -560,8 +560,8 @@ def test_l1_convex_witness_pair():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the pairwise staircase search, the per-cell Fourier-Motzkin test
-# and the per-cell fragment masks that the production paths replaced
+# oracles: the pairwise staircase search and the per-cell Fourier-Motzkin
+# test that the production paths replaced
 
 
 def staircase_witness(p):
@@ -622,34 +622,6 @@ def per_cell_pixelation(body, lam):
         if fm_feasible(rows, n):
             cells.add(cell)
     return frozenset(cells)
-
-
-def per_cell_dilation_volume(p, r):
-    lam, n = p.scale, p.dim
-    cells = sorted(p.cells)
-    den = 2 * lam.denominator * r.denominator
-    lam_i, r_i = int(lam * den), int(r * den)
-    masks = []
-    for i in range(n):
-        cuts = sorted({2 * lam_i * c[i] - r_i for c in cells}
-                      | {2 * lam_i * (c[i] + 1) + r_i for c in cells})
-        frag = []
-        for a, b in zip(cuts, cuts[1:]):
-            bit = 0
-            for j, c in enumerate(cells):
-                if 2 * lam_i * c[i] - r_i <= a and b <= 2 * lam_i * (c[i] + 1) + r_i:
-                    bit |= 1 << j
-            if bit:
-                frag.append((b - a, bit))
-        masks.append(frag)
-    total = 0
-    for pick in itertools.product(*masks):
-        bits = -1
-        for _, bit in pick:
-            bits &= bit
-        if bits:
-            total += math.prod(length for length, _ in pick)
-    return F(total, (2 * den) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -749,21 +721,51 @@ def test_triangle_bounds_at_fine_scale_are_fast():
 
 
 # ---------------------------------------------------------------------------
-# grouped dilation masks against per-cell masks
+# the expansion polynomial from face counts against the dilation-volume fit
 
 
-def test_dilation_volume_matches_per_cell_masks():
-    rng = random.Random(23)
-    for _ in range(40):
-        dim = rng.choice([1, 2, 3])
-        p = blob(rng, dim, max_cells=30, span=6)
-        p = PixelSet(dim, rng.choice([F(1), F(1, 2), F(2, 3)]), p.cells)
-        for node in STEINER_NODES:
-            r = p.scale * node
-            assert dilation_volume(p, r) == per_cell_dilation_volume(p, r)
-    # past the scale the fragments meet more than two coordinate values
-    for r in (F(1), F(5, 2)):
-        assert dilation_volume(L_TROMINO, r) == per_cell_dilation_volume(L_TROMINO, r)
+@st.composite
+def pixel_sets(draw):
+    dim = draw(st.integers(1, 3))
+    cells = draw(st.sets(st.tuples(*[st.integers(-3, 2)] * dim),
+                         min_size=1, max_size=8 if dim == 3 else 12))
+    scale = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(5, 3)]))
+    return PixelSet(dim, scale, cells)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=pixel_sets())
+def test_face_count_polynomial_matches_dilation_fit(p):
+    v = steiner_polynomial(p).coefficients
+    assert dilation_fit(p) == list(reversed(v)) + [0] * (3 - p.dim)
+    masses = weight_measure(p).mass_by_dimension()
+    assert list(v) == [(2 * p.scale) ** k * masses.get(k, 0)
+                       for k in range(p.dim + 1)]
+
+
+def test_far_apart_cells_count_as_two():
+    for dim in (1, 2, 3):
+        far = (10**15,) + (0,) * (dim - 1)
+        p = PixelSet(dim, F(1, 3), [(0,) * dim, far])
+        one = steiner_polynomial(PixelSet(dim, F(1, 3), [(0,) * dim]))
+        assert steiner_polynomial(p).coefficients == tuple(
+            2 * v for v in one.coefficients)
+    p = PixelSet(2, 1, [(0, 0), (10**15, -(10**15))])
+    assert steiner_polynomial(p).coefficients == (2, 4, 2)
+
+
+def test_quadrilateral_polynomial_at_fine_scale_is_fast():
+    quad = build_body(ConvexBodySpec(2, "polytope_vertices", vertices=(
+        ("0", "0"), ("3", "1"), ("2", "3"), ("-1", "2"))))
+    pix = outer_pixelation(quad, F(1, 80))
+    assert pix.n_cells == 45200
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        sp = steiner_polynomial(pix)
+        times.append(time.perf_counter() - t0)
+    assert sp.coefficients == (1, 7, F(113, 16))
+    assert min(times) < 0.5
 
 
 # ---------------------------------------------------------------------------
