@@ -362,6 +362,7 @@ def _cmd_check(args, command, t0) -> int:
         "is_positive_definite": rep.is_positive_definite,
         "negative_type_verdict": rep.negative_type_verdict,
         "cnd_max_eigenvalue": rep.cnd_max_eigenvalue,
+        "negative_type_proof": rep.negative_type_proof,
         "scattered_bound_holds": rep.scattered_bound_holds,
     }
     _emit(args, command, {"space": inputs, "t": args.t}, results, t0)

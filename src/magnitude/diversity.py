@@ -42,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import cholesky_solver, similarity_matrix
+from .engine import cholesky_in_place, cholesky_solver, similarity_matrix
 from .errors import (
     DiversityError,
     NonConvergence,
@@ -195,7 +195,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     """
     n = z.shape[0]
     try:
-        chol = np.linalg.cholesky(z)
+        chol = cholesky_in_place(z.copy())
     except np.linalg.LinAlgError:
         return None
     idx = np.arange(n)
@@ -230,7 +230,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
         try:
-            ys = cholesky_solver(np.linalg.cholesky(z[np.ix_(idx, idx)]))(
+            ys = cholesky_solver(cholesky_in_place(z[np.ix_(idx, idx)]))(
                 np.ones(idx.size))
         except np.linalg.LinAlgError:
             return None

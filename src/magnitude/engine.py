@@ -30,6 +30,11 @@ blocks (cholesky_solver); the LU rung, for the rare Z that Cholesky
 rejects, multiplies by one explicit inverse. Both rungs estimate the
 condition number with the same Hager-Higham estimator that LAPACK's
 dpocon and dgecon run.
+
+Every positive definiteness decision factors with one kernel,
+cholesky_in_place: a blocked Cholesky written over its input, so the PD
+test of Z holds no array besides Z, a solve holds Z and its factor, and
+the negative-type proof of definiteness_report holds one shifted matrix.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
 VERDICT_NOT = "CertifiedNot"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+# which method decided a negative-type verdict
+PROOF_CHOLESKY = "cholesky"
+PROOF_EIGENVALUE_BAND = "eigenvalue_band"
+
 
 class MonotonicityViolation(ArithmeticError):
     """A nested refinement's magnitude dropped by more than MONOTONE_SLACK."""
@@ -102,6 +111,7 @@ class DefinitenessReport:
     negative_type_verdict: str
     cnd_max_eigenvalue: float
     scattered_bound_holds: bool
+    negative_type_proof: str
 
 
 def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
@@ -116,6 +126,47 @@ def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
         z = np.multiply(space.distances, -t)
         np.exp(z, out=z)
     return z
+
+
+def cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the symmetric a, computed over a.
+
+    Raises np.linalg.LinAlgError where a is not positive definite, as
+    np.linalg.cholesky does. Left-looking and blocked by SUBSTITUTION_BLOCK
+    columns of L, which are rows of a: a ends up holding L' in its upper
+    triangle and zeros below it, and the factor returned is the view a.T.
+    Per block, the update by the columns already factored is one matmul
+    into a buffer reused by every block, numpy factors the diagonal block,
+    and the block's rows of L' right of it are solved by substitution, one
+    row after another, with no explicit inverse. Every entry of L L' is
+    then a sum of the same products as in the unblocked algorithm, so the
+    computed factor keeps its backward error |L L' - a| <= gamma_{n+1}
+    |L| |L'| (Higham, Accuracy and Stability, Theorem 10.3). Besides a,
+    the buffer holds SUBSTITUTION_BLOCK * (n - SUBSTITUTION_BLOCK) floats.
+    """
+    n = a.shape[0]
+    buf = np.empty(SUBSTITUTION_BLOCK * max(n - SUBSTITUTION_BLOCK, 0))
+    for i in range(0, n, SUBSTITUTION_BLOCK):
+        j = min(i + SUBSTITUTION_BLOCK, n)
+        rows = a[i:j, i:]
+        if i:
+            # a contiguous out, so that matmul writes it without a
+            # temporary; subtracted row by row, since a ufunc buffers a
+            # strided 2-D operand
+            update = buf[:(j - i) * (n - i)].reshape(j - i, n - i)
+            np.matmul(a[:i, i:j].T, a[:i, i:], out=update)
+            for row, change in zip(rows, update):
+                row -= change
+        diag = np.linalg.cholesky(rows[:, :j - i])
+        rows[:, :j - i] = diag.T
+        if j < n:
+            right = a[i:j, j:]
+            for k, row in enumerate(right):
+                if k:
+                    row -= diag[k, :k] @ right[:k]
+                row /= diag[k, k]
+        a[i:j, :i] = 0.0
+    return a.T
 
 
 def cholesky_solver(chol: np.ndarray):
@@ -195,7 +246,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     ones = np.ones(n)
 
     try:
-        solve = cholesky_solver(np.linalg.cholesky(z))
+        solve = cholesky_solver(cholesky_in_place(z.copy()))
         status = STATUS_PD
     except np.linalg.LinAlgError:
         try:
@@ -304,7 +355,7 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
     try:
-        np.linalg.cholesky(similarity_matrix(space, t))
+        cholesky_in_place(similarity_matrix(space, t))
         return True
     except np.linalg.LinAlgError:
         return False
@@ -345,14 +396,68 @@ def _perron_bracket(d: np.ndarray):
         x = y / y.max()
 
 
-def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> DefinitenessReport:
-    """Definiteness of Z(t) plus a negative-type certificate for d itself.
+def _negative_type_bound(d: np.ndarray) -> float | None:
+    """A proven upper bound on the top eigenvalue of P d P, at most
+    1e-10 ||d||, or None where the proof does not go through.
 
-    Negative type is tested on the centered distance matrix P d P with
-    P = I - J/N: its spectrum must be nonpositive on the mean-zero
-    subspace. The verdict uses a two-sided tolerance band on the top
-    eigenvalue, relative to the spectral norm of d, with an Inconclusive
-    middle ground.
+    For any vector r and v with 1'v = 0, v'(r 1' + 1 r' - d) v = -v'd v,
+    and the top eigenvalue of P d P is the larger of 0 (its eigenvalue on
+    1) and the largest v'd v over unit v with 1'v = 0. So if
+    A = r 1' + 1 r' - d + (tau / 2) I has lambda_min(A) >= tau / 2 - beta,
+    that eigenvalue is at most beta. Here r is the computed row means of d
+    and A is formed and factored in floating point:
+
+    - tau = 1e-10 (1 - PERRON_MARGIN) n min(r). The Perron root of d is
+      at least its smallest row sum, and the margin covers the rounding of
+      the means (about n * 1e-16), so tau <= 1e-10 ||d||;
+    - forming A rounds each entry twice: |E| <= gamma_2 F entrywise, with
+      F = r 1' + 1 r' + d + (tau / 2) I, and ||E|| <= gamma_2 ||F||_inf;
+    - a Cholesky of the formed A that finishes has backward error
+      gamma_{n+1} |L| |L'|, whose 2-norm is at most
+      gamma_{n+1} / (1 - gamma_{n+1}) tr A (Rump, BIT 46, 2006);
+    - below the normal range a product or quotient may also be off by
+      eta = 2^-1074. Each entry of L L' gathers at most n products and
+      one quotient scaled by l_jj <= 1 + max a_jj, which adds at most
+      n (n + 1) eta (1 + max a_jj) in the 2-norm.
+
+    beta sums tau / 2 and the three terms in exact rational arithmetic on
+    the float inputs, and the bound holds when beta <= tau.
+    """
+    # imported here, so that the commands that never reach it do not pay
+    from fractions import Fraction
+
+    n = d.shape[0]
+    r = d.mean(axis=1)
+    tau = 1e-10 * (1.0 - PERRON_MARGIN) * (n * float(r.min()))
+    a = np.add(r[:, None], r[None, :])
+    np.subtract(a, d, out=a)
+    diagonal = a.ravel()[::n + 1]
+    diagonal += tau / 2
+    # unit roundoff u = 2^-53; gamma_k = k u / (1 - k u) = k / (2^53 - k),
+    # and a correctly rounded sum s is at most s (1 + u) exactly
+    unit = 2 ** 53
+    up = 1 + Fraction(1, unit)
+    r_max = Fraction(float(r.max()))
+    # each exact row sum of d is at most n max(r) / (1 - gamma_n)
+    f_norm = (n * r_max * (1 + Fraction(unit - n, unit - 2 * n))
+              + Fraction(math.fsum(r)) * up + Fraction(tau / 2))
+    forming = Fraction(2, unit - 2) * f_norm
+    backward = (Fraction(n + 1, unit - 2 * (n + 1))
+                * Fraction(math.fsum(diagonal)) * up)
+    underflow = (n * (n + 1) * Fraction(1, 2 ** 1074)
+                 * (1 + Fraction(float(diagonal.max()))))
+    beta = Fraction(tau / 2) + forming + backward + underflow
+    if beta > Fraction(tau):
+        return None
+    try:
+        cholesky_in_place(a)
+    except np.linalg.LinAlgError:
+        return None
+    return math.nextafter(float(beta), math.inf)
+
+
+def _eigenvalue_band(d: np.ndarray) -> tuple[float, str]:
+    """Top eigenvalue of P d P from eigvalsh, and the verdict of the band.
 
     For symmetric d, (P d P)_ij = d_ij - (r_i + r_j) + g with r the row
     means and g their mean, formed in place in O(N^2) and exactly
@@ -365,31 +470,53 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     PERRON_MARGIN to cover the rounding of eigvalsh, give one verdict,
     that is the verdict eigvalsh's norm would give. Only if they still
     disagree after PERRON_MAX_ITERS steps is the norm taken from eigvalsh.
-
-    Memory: besides d, two n x n arrays at a time. The centred matrix is
-    freed as soon as eigvalsh returns, so the PD test's Z and Cholesky
-    factor take its place (LAPACK's own working copy comes on top in each
-    call).
     """
-    d = space.distances
     r = d.mean(axis=1)
     centered = np.add(r[:, None], r[None, :])
     np.subtract(d, centered, out=centered)
     centered += r.mean()
     top = float(np.linalg.eigvalsh(centered)[-1])
-    del centered  # before Z and its factor take its place
-    verdict = None
+    del centered
     for _, (lo, hi) in zip(range(PERRON_MAX_ITERS), _perron_bracket(d)):
         low = _negative_type_verdict(top, lo * (1.0 - PERRON_MARGIN))
         if low == _negative_type_verdict(top, hi * (1.0 + PERRON_MARGIN)):
-            verdict = low
-            break
-    if verdict is None:
-        dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
-        verdict = _negative_type_verdict(top, dnorm)
+            return top, low
+    dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
+    return top, _negative_type_verdict(top, dnorm)
+
+
+def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> DefinitenessReport:
+    """Definiteness of Z(t) plus a negative-type certificate for d itself.
+
+    Negative type is tested on the centered distance matrix P d P with
+    P = I - J/N: its spectrum must be nonpositive on the mean-zero
+    subspace. The verdict uses a two-sided band on its top eigenvalue,
+    relative to the spectral norm of d: CertifiedNegativeType at most
+    1e-10 ||d||, CertifiedNot at least 1e-6 ||d||, Inconclusive between.
+
+    A proof decides first (negative_type_proof "cholesky"): a Cholesky of
+    one shifted matrix that finishes bounds the top eigenvalue by at most
+    1e-10 ||d||, including every rounding error (_negative_type_bound),
+    and that bound is reported as cnd_max_eigenvalue. Only where the
+    proof fails does eigvalsh give the top eigenvalue, and the band the
+    verdict (negative_type_proof "eigenvalue_band", _eigenvalue_band).
+
+    Memory: besides d, one n x n array at a time on the proof path: the
+    shifted matrix is factored in place and freed before Z(t) is formed
+    and factored in place for the PD test. A failed proof frees its array
+    before the centred matrix of the fallback is formed (LAPACK's own
+    working copy comes on top in eigvalsh).
+    """
+    d = space.distances
+    top = _negative_type_bound(d)
+    if top is not None:
+        verdict, proof = VERDICT_NEGATIVE_TYPE, PROOF_CHOLESKY
+    else:
+        (top, verdict), proof = _eigenvalue_band(d), PROOF_EIGENVALUE_BAND
     return DefinitenessReport(
         is_positive_definite(space, t),
         verdict,
         top,
         scattered_bound_holds(space, t),
+        proof,
     )

@@ -668,17 +668,29 @@ def body_magnitude_bounds(body: ConvexBody, scale, t: float = 1.0) -> BodyBounds
     inside the body: per facet, the slack at the centroid divided by the
     worst reach of the pixelation's corners. Exact rational; alpha = 1
     exactly when the pixelation equals the body.
+
+    The worst reach is taken over the ends of the pixelation's rows along
+    the last axis, found in one pass over its cells: a . k is linear in
+    the last coordinate of k, so over a row it peaks at one of its ends.
     """
     positive_scale(t)
     pix = outer_pixelation(body, scale)
     sp = steiner_polynomial(pix)
+    ends = {}
+    for cell in pix.cells:
+        head, x = cell[:-1], cell[-1]
+        lo, hi = ends.get(head, (x, x))
+        ends[head] = (min(lo, x), max(hi, x))
     c = body.centroid
     alpha = Fraction(1)
     for a, b in body.facets:
         slack = Fraction(b) - sum(ai * ci for ai, ci in zip(a, c))
         # the corners of the cells are lam * k, k integer; a . k peaks at a
         # cell's corner with the high end on every axis where a_i > 0
-        top = max(sum(ai * ki for ai, ki in zip(a, cell)) for cell in pix.cells)
+        last = a[-1]
+        top = max(sum(ai * ki for ai, ki in zip(a, head))
+                  + last * (hi if last > 0 else lo)
+                  for head, (lo, hi) in ends.items())
         top += sum(ai for ai in a if ai > 0)
         reach = pix.scale * top - sum(ai * ci for ai, ci in zip(a, c))
         if reach > 0:

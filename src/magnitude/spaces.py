@@ -209,6 +209,26 @@ def first_triangle_violation(d: np.ndarray, tol: float):
     return -1, -1, -1
 
 
+def _first_hit(d: np.ndarray, test) -> tuple[int, int] | None:
+    """First (i, j) in row-major order where test(rows, lo) is true.
+
+    test maps the rows lo .. lo + len(rows) of d to a mask of their shape;
+    it sees _ROW_BLOCK rows at a time, so no n x n mask is formed."""
+    for lo in range(0, d.shape[0], _ROW_BLOCK):
+        hit = test(d[lo:lo + _ROW_BLOCK], lo)
+        if hit.any():
+            i, j = np.argwhere(hit)[0]
+            return lo + int(i), int(j)
+    return None
+
+
+def _zero_off_diagonal(rows: np.ndarray, lo: int) -> np.ndarray:
+    hit = rows == 0
+    k = np.arange(len(rows))
+    hit[k, lo + k] = False
+    return hit
+
+
 def validate_metric(raw) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
@@ -219,9 +239,9 @@ def validate_metric(raw) -> FiniteMetricSpace:
     d = np.array(raw, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {d.shape}")
-    if d.size and not np.isfinite(d).all():
-        bad = np.argwhere(~np.isfinite(d))[0]
-        raise NonFiniteEntry(f"non-finite entry at {tuple(bad)}")
+    bad = _first_hit(d, lambda rows, lo: ~np.isfinite(rows))
+    if bad:
+        raise NonFiniteEntry(f"non-finite entry at {bad}")
     n = d.shape[0]
     if n == 0:
         raise NotSquare("empty matrix")
@@ -229,18 +249,16 @@ def validate_metric(raw) -> FiniteMetricSpace:
     if np.any(diag != 0):
         i = int(np.argmax(diag != 0))
         raise NonzeroDiagonal(i, float(diag[i]))
-    asym = d != d.T
-    if asym.any():
-        i, j = map(int, np.argwhere(asym)[0])
+    bad = _first_hit(d, lambda rows, lo: rows != d[:, lo:lo + len(rows)].T)
+    if bad:
+        i, j = bad
         raise NotSymmetric(i, j, float(d[i, j]), float(d[j, i]))
-    neg = d < 0
-    if neg.any():
-        i, j = map(int, np.argwhere(neg)[0])
-        raise NegativeEntry(i, j, float(d[i, j]))
-    zero_off = (d == 0) & ~np.eye(n, dtype=bool)
-    if zero_off.any():
-        i, j = map(int, np.argwhere(zero_off)[0])
-        raise ZeroDistanceDistinctPoints(i, j)
+    bad = _first_hit(d, lambda rows, lo: rows < 0)
+    if bad:
+        raise NegativeEntry(*bad, float(d[bad]))
+    bad = _first_hit(d, _zero_off_diagonal)
+    if bad:
+        raise ZeroDistanceDistinctPoints(*bad)
     tol = TRIANGLE_TOL_FACTOR * float(d.max()) if n > 1 else 0.0
     i, j, k = first_triangle_violation(d, tol)
     if i >= 0:

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; each test also fails loudly through plain asserts. Runtime caps are
-asserted where a criterion pins one. Everything is seeded and deterministic.
+asserted where a criterion pins one, and for the definiteness report of a
+large ball sample. Everything is seeded and deterministic.
 """
 
 import itertools
@@ -189,6 +190,20 @@ def test_criterion_06_euclidean_balls():
         assert m2000 >= 0.85 * exact
         assert c.elapsed < 120.0
         c.detail = f"25/6 and 3199/480 exact; samples {m500:.3f} (500) and {m2000:.3f} (2000) under {exact:.3f} ({c.elapsed:.1f}s)"
+
+
+def test_definiteness_report_runtime_cap():
+    """A 1600-point 3-D ball sample is proven of negative type, and its
+    report made, in under 0.3 s (the fastest of three runs)."""
+    space = ball_sample(3, 1.0, 1600, seed=7)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rep = definiteness_report(space, 1.0)
+        times.append(time.perf_counter() - t0)
+    assert rep.negative_type_proof == "cholesky"
+    assert rep.is_positive_definite
+    assert min(times) < 0.3, times
 
 
 def test_criterion_07_volume_asymptotics():

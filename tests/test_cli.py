@@ -635,11 +635,13 @@ def test_check_command_verdicts(capsys):
     assert r["valid"] is True
     assert r["is_positive_definite"] is False
     assert r["negative_type_verdict"] == "CertifiedNot"
+    assert r["negative_type_proof"] == "eigenvalue_band"
 
     code, rep, _ = run_json(capsys, "check", "--points-1d", "0,0.5,1.7", "--t", "1")
     r = rep["results"]
     assert r["is_positive_definite"] is True
     assert r["negative_type_verdict"] == "CertifiedNegativeType"
+    assert r["negative_type_proof"] == "cholesky"
 
 
 def test_check_invalid_matrix_exits_two(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from magnitude import engine
 from magnitude.engine import (
     CONDITION_RCOND_FACTOR,
+    PROOF_CHOLESKY,
+    PROOF_EIGENVALUE_BAND,
     REFINE_MAX_PASSES,
     STATUS_INVERTIBLE,
     STATUS_PD,
@@ -22,6 +25,7 @@ from magnitude.engine import (
     MonotonicityViolation,
     UndefinedMagnitude,
     approximate_compact_magnitude,
+    cholesky_in_place,
     cholesky_solver,
     definiteness_report,
     is_positive_definite,
@@ -315,13 +319,72 @@ def test_definiteness_report_k32():
     graph_metric(named_graph_edges("c7")),
 ])
 def test_definiteness_report_centres_like_p_d_p(space):
-    # the O(N^2) centring against the dense P d P with P = I - J/N
+    # against the dense P d P with P = I - J/N: where eigvalsh decides
+    # (K_{3,2}), the O(N^2) centring gives its top eigenvalue; where the
+    # Cholesky proof decides, the reported bound lies between that
+    # eigenvalue and the band's 1e-10 ||d||
     d = space.distances
     n = space.n_points
     p = np.eye(n) - np.ones((n, n)) / n
     top = np.linalg.eigvalsh(p @ d @ p)[-1]
-    got = definiteness_report(space, 1.0).cnd_max_eigenvalue
-    assert got == pytest.approx(top, abs=1e-12 * np.abs(d).sum())
+    rep = definiteness_report(space, 1.0)
+    got = rep.cnd_max_eigenvalue
+    if space is K32:
+        assert rep.negative_type_proof == PROOF_EIGENVALUE_BAND
+        assert got == pytest.approx(top, abs=1e-12 * np.abs(d).sum())
+    else:
+        assert rep.negative_type_proof == PROOF_CHOLESKY
+        assert top <= got <= 1e-10 * np.abs(np.linalg.eigvalsh(d)).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), dim=st.integers(1, 4), p=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ball_samples_take_the_proof(n, dim, p, seed):
+    space = ball_sample(dim, 1.0, n, seed=seed, p=p)
+    d = space.distances
+    rep = definiteness_report(space, 1.0)
+    assert rep.negative_type_proof == PROOF_CHOLESKY
+    assert rep.negative_type_verdict == VERDICT_NEGATIVE_TYPE
+    centred = d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
+    top = np.linalg.eigvalsh(centred)[-1]
+    assert top <= rep.cnd_max_eigenvalue
+    assert rep.cnd_max_eigenvalue <= 1e-10 * np.abs(np.linalg.eigvalsh(d)).max()
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53, exactly."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("space", [
+    ball_sample(3, 1.0, 40, seed=4), ball_sample(2, 1.0, 25, seed=5, p=1),
+    graph_metric(named_graph_edges("c6")), lp_grid((5, 4), p=1),
+])
+def test_negative_type_bound_holds_every_rounding_term(space):
+    # a lower bound on what a sound proof must report, in exact arithmetic
+    # from the same row means r: tau / 2, plus gamma_2 ||F||_inf for
+    # forming A = r 1' + 1 r' - d + (tau / 2) I (F = r 1' + 1 r' + d +
+    # (tau / 2) I), plus gamma_{n+1} / (1 - gamma_{n+1}) tr A for the
+    # factor, with tr A at least (1 - u) times its exact value. Dropping
+    # either rounding term reports less than this
+    d = space.distances
+    n = space.n_points
+    rep = definiteness_report(space, 1.0)
+    assert rep.negative_type_proof == PROOF_CHOLESKY
+    r = d.mean(axis=1)
+    tau = 1e-10 * (1.0 - engine.PERRON_MARGIN) * (n * float(r.min()))
+    half = Fraction(tau / 2)
+    rs = [Fraction(x) for x in r]
+    total = sum(rs)
+    f_norm = max(n * ri + total + sum(Fraction(x) for x in row)
+                 for ri, row in zip(rs, d)) + half
+    trace = sum(2 * ri + half for ri in rs) * (1 - Fraction(1, 2**53))
+    g = _gamma(n + 1)
+    want = half + _gamma(2) * f_norm + g / (1 - g) * trace
+    assert Fraction(rep.cnd_max_eigenvalue) >= want
+    assert rep.cnd_max_eigenvalue <= tau
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +509,54 @@ def test_ladder_agrees_with_scipy(name):
         else:
             assert res.condition_estimate == pytest.approx(cond, rel=1e-6), (
                 name, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 63, 64, 65, 129, 300]),
+       kind=st.sampled_from(["spd", "indefinite", "near_singular"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_in_place_matches_numpy(n, kind, seed):
+    # symmetric Q diag(lam) Q' with lam in [1e-3, 1]; "indefinite" moves
+    # up to a fifth of lam to [-1, -1e-3], "near_singular" sets one to 0
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    picked = rng.permutation(n)[:max(1, n // 5)]
+    if kind == "indefinite":
+        lam[picked] *= -1.0
+    elif kind == "near_singular":
+        lam[picked[0]] = 0.0
+    a = (q * lam) @ q.T
+    a = (a + a.T) / 2
+    try:
+        want = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        want = None
+    try:
+        got = cholesky_in_place(a.copy())
+    except np.linalg.LinAlgError:
+        got = None
+    if kind != "near_singular":
+        # |lambda_min| >= 1e-3, far beyond the n u tr(a) both factors
+        # may shift it by: both finish or both raise
+        assert (got is None) == (kind == "indefinite")
+        assert (want is None) == (kind == "indefinite")
+    if got is None:
+        return
+    assert not np.triu(got, 1).any() and (np.diag(got) > 0).all()
+    # backward error gamma_{n+1} |L||L'|, plus gamma_n each for forming
+    # L L' and |L||L'| in floating point
+    lo = np.abs(got)
+    gamma = float(_gamma(n + 1))
+    assert (np.abs(got @ got.T - a) <= 3 * gamma * (lo @ lo.T)).all()
+    if want is not None and kind == "spd":
+        # both factors are exact for a + E with ||E||_F <= gamma_{n+1} n
+        # ||a||_2; to first order (Sun, 1991) they then differ by at most
+        # sqrt(2) kappa_2 gamma_{n+1} n ||L||_2 in the Frobenius norm, and
+        # 2 in place of sqrt(2) leaves room for the second-order terms
+        kappa = lam.max() / lam.min()
+        bound = 2 * kappa * gamma * n * np.linalg.norm(want, 2)
+        assert np.linalg.norm(got - want) <= bound
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -589,10 +700,16 @@ def test_refinement_reaches_the_rounding_floor():
     assert abs(res.magnitude - mag) <= 1e-12 * abs(mag)
 
 
+def _band_top(space):
+    # eigvalsh's top eigenvalue of the centred matrix, as the band path
+    # computes it, whichever path definiteness_report takes
+    return engine._eigenvalue_band(space.distances)[0]
+
+
 def _verdict_oracle(space):
     # the verdict bands of definiteness_report, on eigvalsh's norm of d
     d = space.distances
-    top = definiteness_report(space, 1.0).cnd_max_eigenvalue
+    top = _band_top(space)
     dnorm = float(np.abs(np.linalg.eigvalsh(d)).max())
     if top <= 1e-10 * dnorm or dnorm == 0.0:
         return VERDICT_NEGATIVE_TYPE
@@ -629,8 +746,7 @@ def _bipartite_plus_euclidean(log_alpha):
 
 def _top_ratio(space):
     d = space.distances
-    return (definiteness_report(space, 1.0).cnd_max_eigenvalue
-            / float(np.abs(np.linalg.eigvalsh(d)).max()))
+    return _band_top(space) / float(np.abs(np.linalg.eigvalsh(d)).max())
 
 
 @pytest.mark.parametrize("target, verdict", [
@@ -698,6 +814,26 @@ def test_solve_weighting_holds_z_and_its_factor():
     # * n floats (0.21 at n = 300); no |Z| temporary
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
                        300) <= 2.3
+
+
+# at n = 1000 the factor's buffer, 64 (n - 64) floats, is 0.06 units
+LARGE_BUDGET_SPACE = ball_sample(3, 1.0, 1000, seed=7)
+
+
+def test_positive_definite_test_factors_z_in_place():
+    assert _peak_units(
+        lambda: is_positive_definite(LARGE_BUDGET_SPACE, 2.0), 1000) <= 1.1
+
+
+def test_definiteness_proof_holds_one_array():
+    # the shifted matrix, factored in place and freed before Z is formed
+    # and factored in place; the first call also imports fractions
+    definiteness_report(K32, 1.0)
+    rep = []
+    peak = _peak_units(
+        lambda: rep.append(definiteness_report(LARGE_BUDGET_SPACE, 2.0)), 1000)
+    assert rep[0].negative_type_proof == PROOF_CHOLESKY
+    assert peak <= 1.1
 
 
 def test_min_distance_makes_no_square_copy():

@@ -709,6 +709,43 @@ def test_outer_pixelation_matches_per_cell_elimination(body, lam):
     assert outer_pixelation(body, lam).cells == per_cell_pixelation(body, lam)
 
 
+def per_cell_shrink_factor(body, pix):
+    """alpha from a pass over every cell for each facet."""
+    c = body.centroid
+    alpha = F(1)
+    for a, b in body.facets:
+        slack = F(b) - sum(ai * ci for ai, ci in zip(a, c))
+        top = max(sum(ai * ki for ai, ki in zip(a, cell)) for cell in pix.cells)
+        top += sum(ai for ai in a if ai > 0)
+        reach = pix.scale * top - sum(ai * ci for ai, ci in zip(a, c))
+        if reach > 0:
+            alpha = min(alpha, slack / reach)
+    return max(alpha, F(0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(body=small_bodies(), lam=st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+def test_shrink_factor_matches_the_per_cell_pass(body, lam):
+    bounds = body_magnitude_bounds(body, lam)
+    assert bounds.alpha == per_cell_shrink_factor(body, bounds.pixelation)
+
+
+@pytest.mark.parametrize("kind, vertices, lam", [
+    ("simplex_vertices", (("0", "0"), ("1", "0"), ("0", "1")), F(1, 2)),
+    ("simplex_vertices", (("0", "0"), ("1", "0"), ("0", "1")), F(1, 80)),
+    ("simplex_vertices", (("0", "0"), ("3", "0"), ("0", "2")), F(1, 2)),
+    ("polytope_vertices", (("0", "0"), ("3", "1"), ("2", "3"), ("-1", "2")),
+     F(1, 80)),
+    ("polytope_vertices", (("1", "0", "0"), ("-1", "0", "0"), ("0", "1", "0"),
+                           ("0", "-1", "0"), ("0", "0", "1"),
+                           ("0", "0", "-1")), F(1, 2)),
+])
+def test_shrink_factor_of_the_named_bodies(kind, vertices, lam):
+    body = build_body(ConvexBodySpec(len(vertices[0]), kind, vertices=vertices))
+    bounds = body_magnitude_bounds(body, lam)
+    assert bounds.alpha == per_cell_shrink_factor(body, bounds.pixelation)
+
+
 def test_triangle_bounds_at_fine_scale_are_fast():
     tri = build_body(ConvexBodySpec(
         2, "simplex_vertices", vertices=(("0", "0"), ("1", "0"), ("0", "1"))))

@@ -105,6 +105,67 @@ def test_rejects_zero_distance_between_distinct_points():
         validate_metric(d)
 
 
+def _first_axiom_defect(d):
+    # the whole-matrix masks validate_metric used to build, in its order
+    n = len(d)
+    checks = [(NonFiniteEntry, ~np.isfinite(d)), (NotSymmetric, d != d.T),
+              (NegativeEntry, d < 0),
+              (ZeroDistanceDistinctPoints, (d == 0) & ~np.eye(n, dtype=bool))]
+    for kind, mask in checks:
+        if mask.any():
+            return kind, tuple(int(x) for x in np.argwhere(mask)[0])
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1),
+       defects=st.lists(st.sampled_from(["inf", "nan", "asym", "neg", "zero"]),
+                        max_size=4))
+def test_axiom_witness_is_the_first_in_row_major_order(n, seed, defects):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    for kind in defects:
+        i, j = (int(x) for x in rng.integers(0, n, 2))
+        if i == j:
+            continue
+        value = {"inf": np.inf, "nan": np.nan, "neg": -1.0, "zero": 0.0,
+                 "asym": d[i, j] + 1.0}[kind]
+        d[i, j] = value
+        if kind != "asym":
+            d[j, i] = value
+    want = _first_axiom_defect(d)
+    if want is None:
+        validate_metric(d)
+        return
+    with pytest.raises(want[0]) as err:
+        validate_metric(d)
+    if want[0] is NonFiniteEntry:
+        assert str(err.value) == f"non-finite entry at {want[1]}"
+    else:
+        assert err.value.witness == want[1]
+
+
+def test_axiom_checks_hold_no_square_mask():
+    # past the copy of the input, one block of rows of a bool mask; three
+    # n x n masks at once reached 0.375 of an n x n float array
+    import tracemalloc
+
+    n = 400
+    pts = np.random.default_rng(3).random((n, 2))
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    d[n - 1, n - 2] = d[n - 2, n - 1] = 0.0  # rejected before the scan
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ZeroDistanceDistinctPoints):
+            validate_metric(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (n * n * 8) <= 1.1
+
+
 def test_triangle_violation_carries_a_real_witness():
     d = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(TriangleViolation) as err:
