@@ -11,16 +11,16 @@ two runs on the same inputs differ only in the timing field. --format
 csv prints the results alone as comma-separated rows. Exact rationals
 are rendered as strings like "15/4".
 
-Every input rule lives in the parser. Each command takes exactly one
-source (one mutually exclusive group), and pixel at most one mode:
---bounds for a body, the others for art or a file; --dim goes with art
-alone and --scale not with a file, whose header sets both. Float flags and
-number lists accept finite values only; count flags (--steps,
---max-iters) must be at least 1. A count-like entry of a number list (a
-dimension n, a sample count, an exponent p) must be an integer, and an
-approx family needs at least one level. --tol, which must be positive,
-is the Frank-Wolfe gap target of diversity and dim; the other commands
-refuse it, since the dense solve refines to its own rounding floor (see
+Each command takes exactly one source (one mutually exclusive group), and
+pixel at most one mode: --bounds for a body, the others for art or a file;
+--dim goes with art alone and --scale not with a file, whose header sets
+both. Float flags and number lists accept finite values only; count flags
+(--steps, --max-iters) must be at least 1. A space source with its --p,
+--spacing, --length and --seed, and each level of an approx family, is
+a SpaceSpec that spaces.KINDS checks as it checks a --spec: a flag its
+kind does not take is bad input. --tol, which must be positive, is the
+Frank-Wolfe gap target of diversity and dim; the other commands refuse
+it, since the dense solve refines to its own rounding floor (see
 engine). Results never hold NaN or Infinity, which are not JSON; a
 diagnostic with no finite value, such as the condition estimate of a
 singular matrix, is written as null.
@@ -73,6 +73,7 @@ from .errors import (
     TooLarge,
     UndefinedMagnitude,
     WindowTooNarrow,
+    finite,
     integral,
     positive_scale,
 )
@@ -97,34 +98,20 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float flag; NaN and infinities are bad input."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return val
+def _flag_type(rule, parse=float, *bound):
+    """The argparse type that reads a flag with parse and checks it by rule."""
+    def flag_type(text: str):
+        try:
+            return rule(parse(text), "value", *bound)
+        except ValueError as exc:  # BadSpec is one, as is float("x")
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of --tol: a finite number > 0."""
-    val = _finite_float(text)
-    if not val > 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
-    return val
-
-
-def _count(text: str) -> int:
-    """argparse type of the count flags (--steps, --max-iters): >= 1."""
-    try:
-        val = int(text)
-    except ValueError:
-        val = 0
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
-    return val
+_finite_float = _flag_type(finite)  # every float flag
+_positive_float = _flag_type(finite, float, 0)  # --tol
+_count = _flag_type(integral, int, 1)  # --steps, --max-iters
 
 
 def _given(args, *dests):
@@ -161,16 +148,8 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        nums = _parse_floats(part)
-        if len(nums) != 2:
-            raise BadSpec(f"expected 'a,b' pairs, got {part!r}")
-        out.append((nums[0], nums[1]))
-    return out
+    return [tuple(_parse_numbers(part, "--compact", "a,b"))
+            for part in text.split(";") if part.strip()]
 
 
 def _read_text(path: str) -> str:
@@ -183,50 +162,49 @@ def _read_text(path: str) -> str:
         raise BadSpec(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _parse_grid(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.lower().split("x")]
+    except ValueError:
+        raise BadSpec(f"cannot parse grid shape {text!r}") from None
+
+
+# space source flag: (the kind it builds, its value as that kind's params)
+_SOURCES = {
+    "points_1d": ("points_1d", lambda text: {"coordinates": _parse_floats(text)}),
+    "graph": ("graph_shortest_path", lambda text: {"name": text}),
+    "grid": ("lp_grid", lambda text: {"shape": _parse_grid(text)}),
+    "cantor_depth": ("cantor_endpoints", lambda depth: {"depth": depth}),
+    "ball": ("ball_sample", lambda text: dict(zip(
+        ("n", "radius", "count"), _parse_numbers(text, "--ball", "n,R,count")))),
+}
+
+
 def _space_inputs(args):
     """Build the metric space selected by the input flags; also return a
-    plain dict describing the inputs for the digest."""
+    plain dict describing the inputs for the digest: a generated space's
+    kind and effective parameters, one digest however it was named."""
     from .spaces import (SpaceSpec, generate_space, load_distance_csv,
-                         named_graph, validate_metric)
+                         validate_metric)
 
-    src = _given(args, "stdin_matrix", "matrix", "points_1d", "graph", "grid",
-                 "cantor_depth", "ball", "spec")
-    if src in ("stdin_matrix", "matrix"):
+    src = _given(args, *_SOURCES, "stdin_matrix", "matrix", "spec")
+    flags = {k: getattr(args, k) for k in ("p", "spacing", "length", "seed")
+             if getattr(args, k) is not None}
+    if src in _SOURCES:
+        kind, params = _SOURCES[src]
+        seed = flags.pop("seed", None)
+        spec = SpaceSpec(kind, {**params(getattr(args, src)), **flags}, seed)
+    elif flags:
+        raise BadSpec(f"--{src.replace('_', '-')} takes no --{next(iter(flags))}")
+    elif src == "spec":
+        text = args.spec
+        spec = SpaceSpec.from_json(
+            text if text.strip().startswith("{") else _read_text(text))
+    else:
         text = sys.stdin.read() if src == "stdin_matrix" else _read_text(args.matrix)
         return validate_metric(load_distance_csv(text)), \
             {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    if src == "points_1d":
-        coords = _parse_floats(args.points_1d)
-        spec = SpaceSpec("points_1d", {"coordinates": coords})
-    elif src == "graph":
-        return named_graph(args.graph), {"kind": "graph", "name": args.graph}
-    elif src == "grid":
-        try:
-            shape = [int(s) for s in args.grid.lower().split("x")]
-        except ValueError:
-            raise BadSpec(f"cannot parse grid shape {args.grid!r}") from None
-        spec = SpaceSpec("lp_grid", {"shape": shape, "p": args.p,
-                                     "spacing": args.spacing})
-    elif src == "cantor_depth":
-        spec = SpaceSpec("cantor_endpoints",
-                         {"depth": args.cantor_depth, "length": args.length})
-    elif src == "ball":
-        nums = _parse_floats(args.ball)
-        if len(nums) != 3:
-            raise BadSpec("--ball needs 'n,R,count'")
-        if args.seed is None:
-            raise BadSpec("--ball requires --seed")
-        spec = SpaceSpec("ball_sample",
-                         {"n": integral(nums[0], "n"), "radius": nums[1],
-                          "count": integral(nums[2], "count"), "p": args.p},
-                         seed=args.seed)
-    else:
-        text = args.spec
-        if text.strip().startswith("{"):
-            spec = SpaceSpec.from_json(text)
-        else:
-            spec = SpaceSpec.from_json(_read_text(text))
-    return generate_space(spec), json.loads(spec.to_json())
+    return generate_space(spec), {"kind": spec.kind, "params": spec.effective()}
 
 
 def _digest(obj) -> str:
@@ -511,15 +489,16 @@ def _cmd_pixel(args, command, t0) -> int:
     return 0
 
 
-def _parse_two(text: str, flag: str, form: str) -> tuple[float, float]:
+def _parse_numbers(text: str, flag: str, form: str) -> list[float]:
+    """The numbers of a flag of a fixed form such as 'n,R'."""
     nums = _parse_floats(text)
-    if len(nums) != 2:
+    if len(nums) != form.count(",") + 1:
         raise BadSpec(f"{flag} needs '{form}'")
-    return nums[0], nums[1]
+    return nums
 
 
 def _parse_nr(text: str, flag: str) -> tuple[int, float]:
-    n, r = _parse_two(text, flag, "n,R")
+    n, r = _parse_numbers(text, flag, "n,R")
     return integral(n, "n"), r
 
 
@@ -538,7 +517,7 @@ def _cmd_oracle(args, command, t0) -> int:
                    "points": [float(v) for v in xs]}
         inputs = {"points": pts, "t": args.t}
     elif src == "interval":
-        a, b = _parse_two(args.interval, "--interval", "a,b")
+        a, b = _parse_numbers(args.interval, "--interval", "a,b")
         m = lines.interval_magnitude(a, b, args.t)
         results = {"magnitude": m,
                    "measure": lines.interval_weight_measure(a, b, args.t)}
@@ -578,7 +557,7 @@ def _cmd_oracle(args, command, t0) -> int:
                    "n": n, "R": r}
         inputs = {"conjecture": [n, r]}
     else:
-        n, p = _parse_two(args.leading, "--leading", "n,p")
+        n, p = _parse_numbers(args.leading, "--leading", "n,p")
         n, p = integral(n, "n"), integral(p, "p")
         results = {"coefficient": euclid.magnitude_leading_coefficient(n, p),
                    "n": n, "p": p}
@@ -592,46 +571,31 @@ def _cmd_approx(args, command, t0) -> int:
     from .spaces import SpaceSpec
 
     src = _given(args, "grid_sizes", "cantor_depths", "ball_counts")
+    levels = _parse_ints(getattr(args, src))
+    # spaces.KINDS refuses a flag that the family's kind does not take
+    flags = {k: getattr(args, k) for k in ("p", "length")
+             if getattr(args, k) is not None}
+    if args.ball is not None:
+        flags["n"], flags["radius"] = _parse_numbers(args.ball, "--ball", "n,R")
+    # endpoints survive further subdivision, and one seed is one sample
+    # stream, so larger counts extend smaller ones
+    nested = all(b > a for a, b in zip(levels, levels[1:]))
     if src == "grid_sizes":
-        sizes = _parse_ints(args.grid_sizes)
-        if any(n < 2 for n in sizes):
+        if any(n < 2 for n in levels):
             raise BadSpec("grid sizes must be >= 2")
-        specs = [SpaceSpec("lp_grid",
-                           {"shape": [n], "spacing": args.length / (n - 1)})
-                 for n in sizes]
-        levels = sizes
+        length = finite(flags.pop("length", 1.0), "length", 0)
+        kind = "lp_grid"
+        params = [{"shape": [n], "spacing": length / (n - 1)} for n in levels]
         # a finer uniform grid contains a coarser one iff the coarse
         # steps land on fine points
-        nested = all((b - 1) % (a - 1) == 0 for a, b in zip(sizes, sizes[1:]))
-        inputs = {"family": "grid", "sizes": sizes, "length": args.length}
+        nested = all((b - 1) % (a - 1) == 0 for a, b in zip(levels, levels[1:]))
     elif src == "cantor_depths":
-        depths = _parse_ints(args.cantor_depths)
-        if any(d < 0 for d in depths):
-            raise BadSpec("depths must be >= 0")
-        specs = [SpaceSpec("cantor_endpoints",
-                           {"depth": d, "length": args.length})
-                 for d in depths]
-        levels = depths
-        # endpoints survive further subdivision
-        nested = all(b > a for a, b in zip(depths, depths[1:]))
-        inputs = {"family": "cantor_endpoints", "depths": depths,
-                  "length": args.length}
+        kind, params = "cantor_endpoints", [{"depth": d} for d in levels]
     else:
-        counts = _parse_ints(args.ball_counts)
-        if not args.ball:
-            raise BadSpec("--ball-counts needs --ball 'n,R'")
-        n, r = _parse_nr(args.ball, "--ball")
-        if args.seed is None:
-            raise BadSpec("--ball-counts requires --seed")
-        specs = [SpaceSpec("ball_sample",
-                           {"n": n, "radius": r, "count": c, "p": args.p},
-                           seed=args.seed)
-                 for c in counts]
-        levels = counts
-        # one seed = one sample stream, so larger counts extend smaller ones
-        nested = all(b > a for a, b in zip(counts, counts[1:]))
-        inputs = {"family": "ball_sample", "n": n, "R": r, "counts": counts,
-                  "seed": args.seed, "p": args.p}
+        kind, params = "ball_sample", [{"count": c} for c in levels]
+    specs = [SpaceSpec(kind, {**p, **flags}, args.seed) for p in params]
+    inputs = {"kind": kind, "spaces": [s.effective() for s in specs],
+              "t": args.t}
     rows = engine.approximate_compact_magnitude(
         specs, args.t, levels=levels, nested=nested)
     samples = [
@@ -640,7 +604,7 @@ def _cmd_approx(args, command, t0) -> int:
         for s in rows
     ]
     results = {"samples": samples, "nested": nested, "t": args.t}
-    _emit(args, command, {**inputs, "t": args.t}, results, t0)
+    _emit(args, command, inputs, results, t0)
     return 0
 
 
@@ -668,11 +632,12 @@ def _add_space_inputs(sub) -> None:
     g.add_argument("--stdin-matrix", action="store_true",
                    help="read CSV distance matrix from stdin")
     g.add_argument("--spec", help="space spec as JSON text or a file path")
-    sub.add_argument("--p", type=int, default=2, choices=(1, 2),
-                     help="lp exponent for grid/ball inputs")
-    sub.add_argument("--spacing", type=_finite_float, default=1.0)
-    sub.add_argument("--length", type=_finite_float, default=1.0)
-    sub.add_argument("--seed", type=int, default=None)
+    # the spaces.KINDS table checks these and holds their defaults
+    sub.add_argument("--p", type=int, help="lp exponent of --grid or --ball")
+    sub.add_argument("--spacing", type=_finite_float, help="--grid step")
+    sub.add_argument("--length", type=_finite_float,
+                     help="--cantor-depth interval length")
+    sub.add_argument("--seed", type=int, help="--ball sample seed")
 
 
 def _common(sub) -> None:
@@ -774,9 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cantor-depths", help="endpoint sets, e.g. '1,2,3'")
     g.add_argument("--ball-counts", help="sample sizes, needs --ball and --seed")
     sub.add_argument("--ball", help="'n,R' for --ball-counts")
-    sub.add_argument("--length", type=_finite_float, default=1.0)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--p", type=int, default=2, choices=(1, 2))
+    sub.add_argument("--length", type=_finite_float, help="interval length")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--p", type=int)
     _common(sub)
 
     return ap

@@ -1,17 +1,19 @@
 """The package's shared exception types and input guards.
 
-The guards are finite_result, positive_scale and integral. Every error
-the CLI catches by type lives here, and this module imports
-neither numpy nor any other package module, so the CLI can name its
-input errors without paying for the modules that compute. Each type is
-re-exported by its home module (spaces, lines, euclid, pixels,
-diversity, engine), so spaces.BadSpec is errors.BadSpec.
+The guards are finite_result and positive_scale, and finite and integral,
+the rules that space parameters and flags meet. Every error the CLI
+catches by type lives here, and this module imports neither numpy nor
+any other package module, so the CLI can name its input errors without
+paying for the modules that compute. Each type is re-exported by its
+home module (spaces, lines, euclid, pixels, diversity, engine), so
+spaces.BadSpec is errors.BadSpec.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +112,30 @@ class DisconnectedGraph(BadSpec):
     """Graph metric undefined: some pair has no connecting path."""
 
 
-def integral(x, what: str) -> int:
-    """A count-like value (a dimension, a point count, a vertex); 3.5 is
-    refused with BadSpec, not truncated, and so is a JSON true or false,
-    though bool subclasses int."""
-    if isinstance(x, bool):
+def finite(x, what: str, above: float | None = None) -> float:
+    """x as a float: an int or float inside the double range, and no JSON
+    true or false (bool subclasses int); greater than `above` if given."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool) \
+            or not abs(x) <= sys.float_info.max:  # exact for ints past it too
+        raise BadSpec(f"{what} must be a finite number, got {x!r}")
+    if above is not None and not x > above:
+        raise BadSpec(f"{what} must be > {above:g}, got {x!r}")
+    return float(x)
+
+
+def integral(x, what: str, least=-math.inf, most=math.inf) -> int:
+    """A count-like value (a dimension, a point count, a vertex, an lp
+    exponent) from least to most in the double range; 3.5 is refused with
+    BadSpec, not truncated, as is a JSON true or false (a bool is an int)."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if not isinstance(x, int) or isinstance(x, bool) \
+            or abs(x) > sys.float_info.max:
         raise BadSpec(f"{what} must be an integer, got {x!r}")
-    if isinstance(x, int):
-        return x
-    if not float(x).is_integer():
-        raise BadSpec(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    if not least <= x <= most:
+        bound = f">= {least}" if most == math.inf else f"from {least} to {most}"
+        raise BadSpec(f"{what} must be an integer {bound}, got {x}")
+    return x
 
 
 class MatrixParseError(ValueError):

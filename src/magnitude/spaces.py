@@ -10,11 +10,10 @@ Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
-reproduces the same matrix bit for bit on any platform. Generated matrices
-skip validate_metric, so the generators reject non-finite distances
-themselves. Each refuses a space of more than POINT_LIMIT points, and a
-count, dimension, vertex or seed that is not an integer, with BadSpec
-before it builds anything.
+reproduces the same matrix bit for bit on any platform. generate_space
+checks a spec against the KINDS table of parameter rules before anything
+is built; a builder checks only coincident points, distances outside the
+double range, the ball's draw limit and POINT_LIMIT.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -24,12 +23,13 @@ errors.BadSpec.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from itertools import product as _iterproduct
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     ResultOverflow,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
+    finite,
     finite_result,
     integral,
 )
@@ -126,34 +127,48 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Declarative space description: kind, per-kind params, optional seed."""
+    """Declarative space description: a kind of KINDS, its params, a seed."""
 
     kind: str
     params: dict = field(default_factory=dict)
     seed: int | None = None
 
-    KINDS = (
-        "points_1d",
-        "graph_shortest_path",
-        "lp_grid",
-        "cantor_endpoints",
-        "ball_sample",
-        "explicit_matrix",
-    )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "params": self.params, "seed": self.seed}
-        )
+    def effective(self) -> dict:
+        """Every parameter of the kind's builder, seed included: each one
+        given checked by KINDS, the rest the builder's defaults. BadSpec for
+        an unknown kind or key, a bad or missing parameter, or a seed on a
+        kind that takes none."""
+        kind, params = self.kind, self.params
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise BadSpec(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
+        if not isinstance(params, dict) or "seed" in params:
+            raise BadSpec(f"{kind} params must be an object, with any seed "
+                          f"beside it, got {params!r}")
+        given = params if self.seed is None else {**params, "seed": self.seed}
+        build, rules = KINDS[kind]
+        for key in given:
+            if key not in rules:
+                raise BadSpec(f"{kind} takes no parameter {key!r}")
+        out = {}
+        for key, param in inspect.signature(build).parameters.items():
+            if key in given:
+                out[key] = rules[key][1](given[key], key)
+            elif param.default is param.empty:
+                raise BadSpec(f"{kind} needs the parameter {key!r}")
+            else:
+                out[key] = param.default
+        return out
 
     @classmethod
     def from_json(cls, text: str) -> "SpaceSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # e.g. 5000 digits
             raise BadSpec(f"invalid spec JSON: {exc}") from None
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise BadSpec("spec JSON must be an object with a 'kind' key")
+        if not (isinstance(obj, dict) and "kind" in obj
+                and obj.keys() <= {"kind", "params", "seed"}):
+            raise BadSpec("spec JSON must be an object with a 'kind' key and "
+                          "at most 'params' and 'seed' beside it")
         return cls(obj["kind"], obj.get("params", {}), obj.get("seed"))
 
 
@@ -229,14 +244,14 @@ def _zero_off_diagonal(rows: np.ndarray, lo: int) -> np.ndarray:
     return hit
 
 
-def validate_metric(raw) -> FiniteMetricSpace:
+def validate_metric(matrix) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
     Check order: shape/finiteness, diagonal, symmetry, nonnegativity,
     separation, triangle inequality. The triangle witness (i, j, k) means
     d(i,j) > d(i,k) + d(k,j) + TRIANGLE_TOL_FACTOR * (largest entry).
     """
-    d = np.array(raw, dtype=float)
+    d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {d.shape}")
     bad = _first_hit(d, lambda rows, lo: ~np.isfinite(rows))
@@ -307,8 +322,6 @@ def _distances(pts: np.ndarray, p: int) -> np.ndarray:
 
 def points_on_line(coordinates) -> FiniteMetricSpace:
     x = np.asarray(list(coordinates), dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise BadSpec("points_1d needs a nonempty 1-d coordinate list")
     _check_points(x.size, "points_1d")
     # adjacent entries of the sorted list: np.unique would import numpy.ma
     xs = np.sort(x)
@@ -318,18 +331,20 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     return FiniteMetricSpace(d, labels=tuple(float(v) for v in x))
 
 
-def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
-    """Shortest-path metric of an undirected unit-weight graph.
+def graph_metric(edges=None, n_vertices: int | None = None,
+                 name: str | None = None) -> FiniteMetricSpace:
+    """Shortest-path metric of an undirected unit-weight graph: its edges,
+    and n_vertices for isolated vertices past the last endpoint, or a name
+    (_parse_graph_name) that brings both, so k1 is the one-point space.
 
     One breadth-first search per vertex over adjacency lists: O(n (n + m))
     time for n vertices and m edges, O(n^2) memory for the matrix. Hop
     counts are small integers, so the float64 matrix is exact."""
-    edges = [(integral(u, "edge endpoint"), integral(v, "edge endpoint"))
-             for u, v in edges]
-    if n_vertices is not None:
-        n_vertices = integral(n_vertices, "n_vertices")
-    if not edges and not n_vertices:
-        raise BadSpec("graph needs edges or an explicit vertex count")
+    if name is not None:
+        if edges is not None or n_vertices is not None:
+            raise BadSpec("a graph has a name or edges and n_vertices, not both")
+        edges, n_vertices = _parse_graph_name(name)
+    edges = edges or []
     seen = {u for e in edges for u in e}
     n = n_vertices if n_vertices is not None else (max(seen) + 1 if seen else 0)
     if n <= 0:
@@ -337,8 +352,6 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
     _check_points(n, "graph")
     if seen and max(seen) >= n:
         raise BadSpec("edge endpoint beyond vertex count")
-    if seen and min(seen) < 0:
-        raise BadSpec("negative edge endpoint")
     if any(u == v for u, v in edges):
         raise BadSpec("self-loops not allowed")
     adj = [[] for _ in range(n)]
@@ -369,13 +382,6 @@ def graph_metric(edges, n_vertices: int | None = None) -> FiniteMetricSpace:
 
 
 def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
-    shape = [integral(s, "lp_grid shape entry") for s in shape]
-    if not shape or any(s < 1 for s in shape):
-        raise BadSpec("lp_grid shape must be positive integers")
-    if p not in (1, 2):
-        raise BadSpec("p must be 1 or 2")
-    if not spacing > 0:
-        raise BadSpec("spacing must be positive")
     _check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
@@ -386,8 +392,6 @@ def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
 
 def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
     """Closed intervals after `depth` middle-thirds removal steps on [0, length]."""
-    if depth < 0:
-        raise BadSpec("depth must be >= 0")
     iv = [(0.0, float(length))]
     for _ in range(depth):
         nxt = []
@@ -401,9 +405,6 @@ def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float
 
 def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
     """The 2^(depth+1) interval endpoints of the depth-k construction."""
-    depth = integral(depth, "depth")
-    if not length > 0:
-        raise BadSpec("length must be positive")
     if depth + 1 >= POINT_LIMIT.bit_length():  # 2^(depth+1) > POINT_LIMIT
         raise BadSpec(f"cantor_endpoints at depth {depth} has 2^{depth + 1} "
                       f"points, over the limit of {POINT_LIMIT:,}")
@@ -418,22 +419,13 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
 
     Philox keyed by `seed`; candidates are drawn in fixed blocks of 1024 so
     the accepted sequence depends only on the seed. Raises BadSpec when the
-    expected number of draws exceeds BALL_DRAW_LIMIT.
+    expected number of draws exceeds BALL_DRAW_LIMIT, or sums of norms
+    or distances leave the double range (rejection would never end).
     """
-    n, count = integral(n, "n"), integral(count, "count")
-    if n < 1 or count < 1:
-        raise BadSpec("need n >= 1 and count >= 1")
     _check_points(count, "ball_sample")
-    if p not in (1, 2):
-        raise BadSpec("p must be 1 or 2")
-    # the largest sum the norms and distances form must stay finite, or
-    # rejection would refuse every candidate forever
     span = 2.0 * radius * n if p == 1 else 4.0 * radius * radius * n
-    if not (radius > 0 and math.isfinite(span)):
-        raise BadSpec("radius must be positive and give finite distances")
-    if seed is None:
-        raise BadSpec("ball_sample requires a seed")
-    seed = integral(seed, "seed")
+    if not math.isfinite(span):
+        raise BadSpec("ball_sample radius gives distances beyond the double range")
     # the ball keeps a share 1/n! (p = 1) or pi^(n/2) / (Gamma(n/2+1) 2^n)
     # (p = 2) of the cube's draws; refuse before drawing when the expected
     # number of draws is out of reach
@@ -466,37 +458,8 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     return space
 
 
-def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
-    """Build the space a SpaceSpec describes. Pure function of the spec."""
-    kind, p = spec.kind, spec.params
-    try:
-        if kind == "points_1d":
-            return points_on_line(p["coordinates"])
-        if kind == "graph_shortest_path":
-            if "name" in p:
-                return named_graph(p["name"])
-            return graph_metric(p["edges"], p.get("n_vertices", p.get("n")))
-        if kind == "lp_grid":
-            return lp_grid(p["shape"], p.get("p", 2), p.get("spacing", 1.0))
-        if kind == "cantor_endpoints":
-            return cantor_endpoints(p["depth"], p.get("length", 1.0))
-        if kind == "ball_sample":
-            return ball_sample(
-                p["n"], p["radius"], p["count"], spec.seed, p.get("p", 2)
-            )
-        if kind == "explicit_matrix":
-            return validate_metric(p["matrix"])
-    except KeyError as exc:
-        raise BadSpec(f"{kind} spec missing parameter {exc}") from None
-    except (BadSpec, MetricError):
-        raise
-    except (TypeError, ValueError) as exc:  # parameters of the wrong type
-        raise BadSpec(f"{kind} spec has a malformed parameter: {exc}") from None
-    raise BadSpec(f"unknown kind {kind!r}; expected one of {SpaceSpec.KINDS}")
-
-
 # ---------------------------------------------------------------------------
-# named graphs and matrix input (CLI conveniences)
+# graph names and matrix input (CLI conveniences)
 
 
 def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
@@ -505,8 +468,6 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
     k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
     p<n> path.
     """
-    if not isinstance(name, str):
-        raise BadSpec(f"graph name must be a string, got {name!r}")
     s = name.strip().lower()
     if s.startswith("k") and "," in s:
         try:
@@ -540,12 +501,6 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
     raise BadSpec(f"unknown graph name {name!r}")
 
 
-def named_graph(name: str) -> FiniteMetricSpace:
-    """Shortest-path metric of a named graph. The vertex count comes with
-    the name, so k1 is the one-point space; k0 has no vertices."""
-    return graph_metric(*_parse_graph_name(name))
-
-
 def load_distance_csv(source) -> np.ndarray:
     """Read an N x N matrix: N comma-separated numeric rows, no header."""
     if isinstance(source, (str, bytes)):
@@ -569,3 +524,66 @@ def load_distance_csv(source) -> np.ndarray:
     if len(rows) != width:
         raise MatrixParseError(f"matrix is {len(rows)}x{width}, expected square")
     return np.array(rows, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# the KINDS table: every spec and every CLI space flag is checked here
+
+
+def _list_of(item: Callable, lo: int = 0, hi: float = math.inf) -> Callable:
+    """Check a list (or tuple) of lo to hi entries, each with item."""
+    def check(x, what):
+        if not isinstance(x, (list, tuple)) or not lo <= len(x) <= hi:
+            raise BadSpec(f"{what} must be a list of length in [{lo}, {hi}], got {x!r}")
+        return [item(v, f"{what}[{i}]") for i, v in enumerate(x)]
+
+    return check
+
+
+def _string(x, what):
+    if not isinstance(x, str):
+        raise BadSpec(f"{what} must be a string, got {x!r}")
+    return x
+
+
+def _matrix(x, what):
+    rows = _list_of(_list_of(finite))(x, what)
+    if len({len(r) for r in rows}) > 1:
+        raise BadSpec(f"{what} rows differ in length")
+    return rows
+
+
+_NONNEGATIVE = ("integer >= 0", lambda x, what: integral(x, what, 0))
+_COUNT = ("integer >= 1", lambda x, what: integral(x, what, 1))
+_P = ("1 or 2", lambda x, what: integral(x, what, 1, 2))
+_POSITIVE = ("number > 0", lambda x, what: finite(x, what, 0))
+
+# kind: (builder, {parameter: (values, check)}): values names what the
+# parameter takes (README --spec reference), check(value, what) returns
+# what the builder gets or raises BadSpec. The parameters and their
+# defaults are the builder's; one without a default is required.
+KINDS = {
+    "points_1d": (points_on_line, {
+        "coordinates": ("nonempty list of finite numbers", _list_of(finite, 1))}),
+    "graph_shortest_path": (graph_metric, {
+        "edges": ("list of [u, v] pairs of integers >= 0",
+                  _list_of(_list_of(_NONNEGATIVE[1], 2, 2))),
+        "n_vertices": _COUNT,
+        "name": ("graph name such as k5, k3,2, c6 or p4", _string)}),
+    "lp_grid": (lp_grid, {
+        "shape": ("nonempty list of integers >= 1", _list_of(_COUNT[1], 1)),
+        "p": _P, "spacing": _POSITIVE}),
+    "cantor_endpoints": (cantor_endpoints, {
+        "depth": _NONNEGATIVE, "length": _POSITIVE}),
+    "ball_sample": (ball_sample, {
+        "n": _COUNT, "radius": _POSITIVE, "count": _COUNT, "seed": _NONNEGATIVE,
+        "p": _P}),
+    "explicit_matrix": (validate_metric, {
+        "matrix": ("list of equal-length rows of finite numbers", _matrix)}),
+}
+
+
+def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
+    """Build the space a SpaceSpec describes. Pure function of the spec."""
+    params = spec.effective()
+    return KINDS[spec.kind][0](**params)

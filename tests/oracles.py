@@ -301,7 +301,7 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
 
 
 def named_graph_edges(name: str) -> list[tuple[int, int]]:
-    """Edge list of a named graph, as spaces.named_graph reads the name."""
+    """Edge list of a named graph, as spaces.graph_metric reads the name."""
     return _parse_graph_name(name)[0]
 
 

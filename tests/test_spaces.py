@@ -1,5 +1,6 @@
 """Metric validation, the space container, generators, and matrix IO."""
 
+import inspect
 import json
 import math
 import time
@@ -13,6 +14,7 @@ from magnitude.spaces import (
     BadSpec,
     DisconnectedGraph,
     FiniteMetricSpace,
+    KINDS,
     MatrixParseError,
     NegativeEntry,
     NonFiniteEntry,
@@ -34,7 +36,6 @@ from magnitude.spaces import (
     graph_metric,
     load_distance_csv,
     lp_grid,
-    named_graph,
     points_on_line,
     validate_metric,
 )
@@ -420,7 +421,7 @@ def test_points_on_line():
     with pytest.raises(BadSpec):
         points_on_line([1.0, 1.0])
     with pytest.raises(BadSpec):
-        points_on_line([])
+        generate_space(SpaceSpec("points_1d", {"coordinates": []}))
 
 
 def test_graph_metric_cycle_and_path():
@@ -498,8 +499,9 @@ def test_graph_metric_matches_scipy_shortest_path(case):
 
 
 def test_graph_metric_rejects_negative_endpoints():
-    with pytest.raises(BadSpec):
-        graph_metric([(0, 1), (1, -2)])
+    with pytest.raises(BadSpec, match=r"edges\[1\]\[1\] must be an integer >= 0"):
+        generate_space(SpaceSpec("graph_shortest_path",
+                                 {"edges": [[0, 1], [1, -2]]}))
 
 
 def test_named_graph_k10_is_complete_not_bipartite():
@@ -526,10 +528,9 @@ def test_lp_grid():
     assert g2.diameter == pytest.approx(math.sqrt(2.0))
     g3 = lp_grid((3,), spacing=0.5)
     assert g3.diameter == 1.0
-    with pytest.raises(BadSpec):
-        lp_grid((0, 2))
-    with pytest.raises(BadSpec):
-        lp_grid((2, 2), p=3)
+    for params in ({"shape": [0, 2]}, {"shape": [2, 2], "p": 3}):
+        with pytest.raises(BadSpec):
+            generate_space(SpaceSpec("lp_grid", params))
 
 
 def test_cantor_construction():
@@ -626,34 +627,38 @@ def test_ball_sample_refuses_coincident_points(monkeypatch):
     assert ball_sample(2, 1.0, 1, seed=1).n_points == 1
 
 
+def _ball(seed=1, **params):
+    return generate_space(SpaceSpec(
+        "ball_sample", {"n": 2, "radius": 1.0, "count": 5, **params}, seed))
+
+
 def test_ball_sample_input_checks():
     with pytest.raises(BadSpec):
-        ball_sample(0, 1.0, 5, seed=1)
+        _ball(n=0)
     with pytest.raises(BadSpec):
-        ball_sample(2, -1.0, 5, seed=1)
+        _ball(radius=-1.0)
     with pytest.raises(BadSpec):
-        ball_sample(2, 1.0, 5, seed=1, p=3)
-    with pytest.raises(BadSpec):
-        ball_sample(2, 1.0, 5, seed=None)
+        _ball(p=3)
+    with pytest.raises(BadSpec, match="seed"):
+        _ball(seed=None)
     # a fractional seed is refused, not truncated; an integral float is
     # that integer
     with pytest.raises(BadSpec):
-        ball_sample(2, 1.0, 5, seed=1.5)
-    assert np.array_equal(ball_sample(2, 1.0, 5, seed=2.0).distances,
-                          ball_sample(2, 1.0, 5, seed=2).distances)
+        _ball(seed=1.5)
+    assert np.array_equal(_ball(seed=2.0).distances, _ball(seed=2).distances)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: ball_sample(2, 1.0, True, seed=1),
-    lambda: ball_sample(2, 1.0, 5, seed=False),
-    lambda: lp_grid([True, 3]),
-    lambda: cantor_endpoints(True),
-    lambda: graph_metric([(0, True)]),
+@pytest.mark.parametrize("kind, params, seed", [
+    ("ball_sample", {"n": 2, "radius": 1.0, "count": True}, 1),
+    ("ball_sample", {"n": 2, "radius": 1.0, "count": 5}, False),
+    ("lp_grid", {"shape": [True, 3]}, None),
+    ("cantor_endpoints", {"depth": True}, None),
+    ("graph_shortest_path", {"edges": [[0, True]]}, None),
 ], ids=["count", "seed", "shape", "depth", "edge"])
-def test_boolean_counts_are_refused(build):
+def test_boolean_counts_are_refused(kind, params, seed):
     # a JSON true is no count, though bool subclasses int
     with pytest.raises(BadSpec, match="must be an integer"):
-        build()
+        generate_space(SpaceSpec(kind, params, seed))
 
 
 @pytest.mark.parametrize("dim, count, p", [(12, 10, 1), (20, 5, 2)])
@@ -669,16 +674,17 @@ def test_ball_sample_refuses_out_of_reach_rejection(dim, count, p):
 def test_generators_refuse_spaces_over_the_point_limit(monkeypatch):
     monkeypatch.setattr("magnitude.spaces.POINT_LIMIT", 8)
     at_limit = [cantor_endpoints(2), lp_grid([2, 4]), ball_sample(2, 1.0, 8, seed=1),
-                named_graph("c8"), named_graph("k4,4"), points_on_line(range(8))]
+                graph_metric(name="c8"), graph_metric(name="k4,4"),
+                points_on_line(range(8))]
     assert [sp.n_points for sp in at_limit] == [8] * 6
     for build in (
         lambda: cantor_endpoints(3),
         lambda: lp_grid([3, 3]),
         lambda: ball_sample(2, 1.0, 9, seed=1),
-        lambda: named_graph("k9"),
-        lambda: named_graph("k4,5"),
-        lambda: named_graph("c9"),
-        lambda: named_graph("p9"),
+        lambda: graph_metric(name="k9"),
+        lambda: graph_metric(name="k4,5"),
+        lambda: graph_metric(name="c9"),
+        lambda: graph_metric(name="p9"),
         lambda: graph_metric([(0, 1)], 9),
         lambda: points_on_line(range(9)),
     ):
@@ -692,7 +698,8 @@ def test_generators_refuse_spaces_over_the_point_limit(monkeypatch):
 
 def test_spec_round_trip():
     spec = SpaceSpec("ball_sample", {"n": 3, "radius": 1.0, "count": 10}, seed=7)
-    again = SpaceSpec.from_json(spec.to_json())
+    again = SpaceSpec.from_json(json.dumps(
+        {"kind": spec.kind, "params": spec.params, "seed": spec.seed}))
     assert again == spec
     sp1 = generate_space(spec)
     sp2 = generate_space(again)
@@ -731,6 +738,60 @@ def test_generate_space_bad_inputs():
         SpaceSpec.from_json("not json at all {")
     with pytest.raises(BadSpec):
         SpaceSpec.from_json(json.dumps(["kind"]))
+
+
+@pytest.mark.parametrize("kind, params, seed, match", [
+    ("lp_grid", {"shape": [3], "spacng": 5}, None, "no parameter 'spacng'"),
+    ("lp_grid", {"shape": [3], "p": True}, None, "must be an integer"),
+    ("lp_grid", {"shape": [3], "spacing": -0.0}, None, "must be > 0"),
+    ("points_1d", {"coordinates": [0, True]}, None, "finite number"),
+    ("points_1d", {"coordinates": [0, 1e400]}, None, "finite number"),
+    ("lp_grid", {"shape": [3]}, 4, "no parameter 'seed'"),
+    ("ball_sample", {"n": 2, "radius": 1.0, "count": 3, "seed": 1}, None,
+     "beside"),
+    ("ball_sample", {"n": 2, "radius": 1.0, "count": 3}, -1, ">= 0"),
+    ("ball_sample", {"n": 10**400, "radius": 1.0, "count": 3}, 1,
+     "must be an integer"),
+    ("lp_grid", {"p": 2}, None, "needs the parameter 'shape'"),
+    ("graph_shortest_path", {"name": "k3", "edges": [[0, 1]]}, None, "not both"),
+    ("graph_shortest_path", {"name": "k3", "n_vertices": 3}, None, "not both"),
+    # "n" is no alias of n_vertices
+    ("graph_shortest_path", {"edges": [[0, 1]], "n": 2, "n_vertices": 3},
+     None, "no parameter 'n'"),
+    ("graph_shortest_path", {"edges": [[0, 1, 2]]}, None, r"length in \[2, 2\]"),
+    ("explicit_matrix", {"matrix": [[0, 1], [1]]}, None, "differ in length"),
+    ("explicit_matrix", {"matrix": [[0, "1"], [1, 0]]}, None, "finite number"),
+    (["lp_grid"], {}, None, "unknown kind"),
+    ("lp_grid", None, None, "must be an object"),
+])
+def test_the_kinds_table_refuses(kind, params, seed, match):
+    with pytest.raises(BadSpec, match=match):
+        generate_space(SpaceSpec(kind, params, seed))
+
+
+def test_spec_json_refuses_unknown_top_level_keys():
+    with pytest.raises(BadSpec, match="at most"):
+        SpaceSpec.from_json('{"kind": "lp_grid", "params": {"shape": [3]}, '
+                            '"colour": "red"}')
+    # past Python's integer digit limit, json raises a bare ValueError
+    with pytest.raises(BadSpec, match="invalid spec JSON"):
+        SpaceSpec.from_json('{"kind": "lp_grid", "seed": ' + "1" * 5000 + "}")
+
+
+def test_effective_parameters_fill_the_builders_defaults():
+    for params in ({"shape": [3, 2]}, {"shape": [3.0, 2], "p": 2},
+                   {"shape": (3, 2), "spacing": 1}):
+        effective = SpaceSpec("lp_grid", params).effective()
+        assert json.dumps(effective) == json.dumps(
+            {"shape": [3, 2], "p": 2, "spacing": 1.0})
+    assert SpaceSpec("ball_sample", {"n": 2, "radius": 1, "count": 3.0},
+                     seed=2.0).effective() == {
+        "n": 2, "radius": 1.0, "count": 3, "seed": 2, "p": 2}
+
+
+def test_every_builder_parameter_has_one_rule():
+    for kind, (build, rules) in KINDS.items():
+        assert set(inspect.signature(build).parameters) == set(rules), kind
 
 
 # ---------------------------------------------------------------------------
