@@ -147,11 +147,6 @@ def _parse_ints(text: str) -> list[int]:
     return out
 
 
-def _parse_pairs(text: str) -> list[tuple[float, float]]:
-    return [tuple(_parse_numbers(part, "--compact", "a,b"))
-            for part in text.split(";") if part.strip()]
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -523,7 +518,12 @@ def _cmd_oracle(args, command, t0) -> int:
                    "measure": lines.interval_weight_measure(a, b, args.t)}
         inputs = {"interval": [a, b], "t": args.t}
     elif src == "compact":
-        comps = _parse_pairs(args.compact)
+        comps = []
+        for part in filter(None, map(str.strip, args.compact.split(";"))):
+            nums = _parse_floats(part)
+            if len(nums) != 2:
+                raise BadSpec(f"expected 'a,b' pairs, got {part!r}")
+            comps.append((nums[0], nums[1]))
         results = {"magnitude": lines.compact_magnitude(comps, args.t)}
         inputs = {"compact": comps, "t": args.t}
     elif src == "cantor":

@@ -10,10 +10,11 @@ Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
-reproduces the same matrix bit for bit on any platform. generate_space
-checks a spec against the KINDS table of parameter rules before anything
-is built; a builder checks only coincident points, distances outside the
-double range, the ball's draw limit and POINT_LIMIT.
+reproduces the same matrix bit for bit on any platform. A spec, and a
+direct call of a public builder, is checked against the KINDS table of
+parameter rules before anything is built; a builder checks only
+coincident points, distances outside the double range, the ball's draw
+limit and POINT_LIMIT.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -23,10 +24,12 @@ errors.BadSpec.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import product as _iterproduct
 from typing import Callable, Sequence
@@ -286,6 +289,23 @@ def validate_metric(matrix) -> FiniteMetricSpace:
 # generators
 
 
+def _checked(kind: str) -> Callable:
+    """A public builder of kind, checked: a direct call meets the KINDS
+    rules that a spec meets, an argument of None standing for one not
+    given. KINDS holds the builder itself, as __wrapped__."""
+    def wrap(build):
+        @functools.wraps(build)
+        def checked(*args, **kwargs):
+            given = inspect.signature(build).bind(*args, **kwargs).arguments
+            given = {k: v for k, v in given.items() if v is not None}
+            seed = given.pop("seed", None)
+            return build(**SpaceSpec(kind, given, seed).effective())
+
+        return checked
+
+    return wrap
+
+
 def _check_points(n: int, what: str) -> None:
     """BadSpec before a generator builds more than POINT_LIMIT points."""
     if n > POINT_LIMIT:
@@ -320,6 +340,7 @@ def _distances(pts: np.ndarray, p: int) -> np.ndarray:
     return d
 
 
+@_checked("points_1d")
 def points_on_line(coordinates) -> FiniteMetricSpace:
     x = np.asarray(list(coordinates), dtype=float)
     _check_points(x.size, "points_1d")
@@ -331,6 +352,7 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     return FiniteMetricSpace(d, labels=tuple(float(v) for v in x))
 
 
+@_checked("graph_shortest_path")
 def graph_metric(edges=None, n_vertices: int | None = None,
                  name: str | None = None) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-weight graph: its edges,
@@ -381,6 +403,7 @@ def graph_metric(edges=None, n_vertices: int | None = None,
     return FiniteMetricSpace(d)
 
 
+@_checked("lp_grid")
 def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
     _check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
@@ -403,6 +426,7 @@ def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float
     return iv
 
 
+@_checked("cantor_endpoints")
 def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
     """The 2^(depth+1) interval endpoints of the depth-k construction."""
     if depth + 1 >= POINT_LIMIT.bit_length():  # 2^(depth+1) > POINT_LIMIT
@@ -410,9 +434,10 @@ def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
                       f"points, over the limit of {POINT_LIMIT:,}")
     iv = cantor_intervals(depth, length)
     pts = sorted({a for a, _ in iv} | {b for _, b in iv})
-    return points_on_line(pts)
+    return points_on_line.__wrapped__(pts)
 
 
+@_checked("ball_sample")
 def ball_sample(n: int, radius: float, count: int, seed: int,
                 p: int = 2) -> FiniteMetricSpace:
     """Uniform sample of the lp ball by rejection from the bounding cube.
@@ -463,42 +488,32 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
 
 
 def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
-    """(edges, vertex count) for compact graph names.
+    """(edges, vertex count) for compact graph names, sizes in ASCII digits.
 
     k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
     p<n> path.
     """
     s = name.strip().lower()
-    if s.startswith("k") and "," in s:
-        try:
-            a, b = (int(v) for v in s[1:].split(","))
-        except ValueError:
-            raise BadSpec(f"unknown graph name {name!r}") from None
-        if a < 1 or b < 1:
+    if re.fullmatch("k[1-9]{2}", s):  # two nonzero digits: k32 = K_{3,2}
+        s = f"k{s[1]},{s[2]}"
+    m = re.fullmatch(r"([kcp])(\d+)|k\s*(\d+)\s*,\s*(\d+)", s, re.ASCII)
+    if m is None:
+        raise BadSpec(f"unknown graph name {name!r}")
+    if m[3] is not None:
+        a, n = int(m[3]), int(m[3]) + int(m[4])
+        if not 0 < a < n:
             raise BadSpec("complete bipartite graph needs two nonempty parts")
-        _check_points(a + b, "graph")
-        return [(i, a + j) for i in range(a) for j in range(b)], a + b
-    if s.startswith("k") and len(s) == 3 and s[1:].isdigit() and "0" not in s[1:]:
-        # two nonzero digits: complete bipartite shorthand, k32 = K_{3,2}
-        a, b = int(s[1]), int(s[2])
-        return [(i, a + j) for i in range(a) for j in range(b)], a + b
-    if s.startswith("k") and s[1:].isdigit():
-        n = int(s[1:])
         _check_points(n, "graph")
+        return [(i, j) for i in range(a) for j in range(a, n)], n
+    kind, n = m[1], int(m[2])
+    least = {"k": 0, "c": 3, "p": 2}[kind]
+    if n < least:
+        raise BadSpec(f"{'cycle' if kind == 'c' else 'path'} needs at least "
+                      f"{least} vertices")
+    _check_points(n, "graph")
+    if kind == "k":
         return [(i, j) for i in range(n) for j in range(i + 1, n)], n
-    if s.startswith("c") and s[1:].isdigit():
-        n = int(s[1:])
-        if n < 3:
-            raise BadSpec("cycle needs at least 3 vertices")
-        _check_points(n, "graph")
-        return [(i, (i + 1) % n) for i in range(n)], n
-    if s.startswith("p") and s[1:].isdigit():
-        n = int(s[1:])
-        if n < 2:
-            raise BadSpec("path needs at least 2 vertices")
-        _check_points(n, "graph")
-        return [(i, i + 1) for i in range(n - 1)], n
-    raise BadSpec(f"unknown graph name {name!r}")
+    return [(i, (i + 1) % n) for i in range(n if kind == "c" else n - 1)], n
 
 
 def load_distance_csv(source) -> np.ndarray:
@@ -527,13 +542,15 @@ def load_distance_csv(source) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the KINDS table: every spec and every CLI space flag is checked here
+# the KINDS table: every spec, space flag and builder call is checked here
 
 
 def _list_of(item: Callable, lo: int = 0, hi: float = math.inf) -> Callable:
-    """Check a list (or tuple) of lo to hi entries, each with item."""
+    """Check a list (tuple, range, numpy array) of lo to hi items by item."""
     def check(x, what):
-        if not isinstance(x, (list, tuple)) or not lo <= len(x) <= hi:
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if not isinstance(x, (list, tuple, range)) or not lo <= len(x) <= hi:
             raise BadSpec(f"{what} must be a list of length in [{lo}, {hi}], got {x!r}")
         return [item(v, f"{what}[{i}]") for i, v in enumerate(x)]
 
@@ -547,7 +564,10 @@ def _string(x, what):
 
 
 def _matrix(x, what):
-    rows = _list_of(_list_of(finite))(x, what)
+    # a float entry passes as it is, so that validate_metric reports a NaN
+    # or an infinity; any other entry must be a finite number
+    rows = _list_of(_list_of(
+        lambda v, at: v if isinstance(v, float) else finite(v, at)))(x, what)
     if len({len(r) for r in rows}) > 1:
         raise BadSpec(f"{what} rows differ in length")
     return rows
@@ -563,23 +583,23 @@ _POSITIVE = ("number > 0", lambda x, what: finite(x, what, 0))
 # what the builder gets or raises BadSpec. The parameters and their
 # defaults are the builder's; one without a default is required.
 KINDS = {
-    "points_1d": (points_on_line, {
+    "points_1d": (points_on_line.__wrapped__, {
         "coordinates": ("nonempty list of finite numbers", _list_of(finite, 1))}),
-    "graph_shortest_path": (graph_metric, {
+    "graph_shortest_path": (graph_metric.__wrapped__, {
         "edges": ("list of [u, v] pairs of integers >= 0",
                   _list_of(_list_of(_NONNEGATIVE[1], 2, 2))),
         "n_vertices": _COUNT,
         "name": ("graph name such as k5, k3,2, c6 or p4", _string)}),
-    "lp_grid": (lp_grid, {
+    "lp_grid": (lp_grid.__wrapped__, {
         "shape": ("nonempty list of integers >= 1", _list_of(_COUNT[1], 1)),
         "p": _P, "spacing": _POSITIVE}),
-    "cantor_endpoints": (cantor_endpoints, {
+    "cantor_endpoints": (cantor_endpoints.__wrapped__, {
         "depth": _NONNEGATIVE, "length": _POSITIVE}),
-    "ball_sample": (ball_sample, {
+    "ball_sample": (ball_sample.__wrapped__, {
         "n": _COUNT, "radius": _POSITIVE, "count": _COUNT, "seed": _NONNEGATIVE,
         "p": _P}),
     "explicit_matrix": (validate_metric, {
-        "matrix": ("list of equal-length rows of finite numbers", _matrix)}),
+        "matrix": ("list of equal-length rows of numbers", _matrix)}),
 }
 
 

@@ -521,6 +521,7 @@ def test_residual_that_underflows_is_zero(capsys):
     (("oracle", "--interval", "0,1,2"), "BadSpec"),
     (("mag", "--spec", '{"kind": "graph_shortest_path", "params": {"name": 5}}'),
      "BadSpec"),
+    (("mag", "--graph", "k\u00b2"), "BadSpec"),
 ])
 def test_malformed_values_are_typed_input_errors(capsys, argv, error):
     # bare ValueError no longer maps to exit 2, so each parser raises its
@@ -741,6 +742,11 @@ def test_check_invalid_matrix_exits_two(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["results"]["valid"] is False
     assert rep["results"]["error"] == "TriangleViolation"
+    # a spec matrix with a NaN entry is refused by validate_metric too
+    spec = '{"kind": "explicit_matrix", "params": {"matrix": [[0, NaN], [NaN, 0]]}}'
+    code, out, _ = run(capsys, "check", "--spec", spec, "--t", "1")
+    assert code == 2
+    assert json.loads(out)["results"]["error"] == "NonFiniteEntry"
 
 
 def test_dim_overresolution_warning(capsys):
@@ -1165,6 +1171,16 @@ def test_any_spec_is_a_space_or_bad_input(spec):
     else:
         assert out == "" or strict_loads(out)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], spec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.tuples(st.sampled_from("kcpq"),
+                      st.text("012, -\u00b2\u0663", max_size=3)).map("".join))
+def test_any_graph_name_is_a_graph_or_bad_input(name):
+    # sizes up to 222 vertices; a superscript or an Arabic-Indic digit
+    # is bad input, never an int() failure past the table
+    code, out, err, _ = _call(["weights", "--graph", name])
+    assert code in (0, 2), (name, code, err)
 
 
 def _spec_reference_rows():

@@ -418,6 +418,9 @@ def test_l1_product_distance_table_matches_bruteforce():
 def test_points_on_line():
     sp = points_on_line([3.0, 0.0, 1.0])
     assert sp.distances[0, 1] == 3.0
+    # a numpy integer array reads as the list of its values
+    assert np.array_equal(points_on_line(np.array([3, 0, 1])).distances,
+                          sp.distances)
     with pytest.raises(BadSpec):
         points_on_line([1.0, 1.0])
     with pytest.raises(BadSpec):
@@ -515,7 +518,10 @@ def test_named_graph_k1_is_one_point():
     k1 = generate_space(SpaceSpec("graph_shortest_path", {"name": "k1"}))
     assert k1.n_points == 1
     assert k1.distances.tolist() == [[0.0]]
-    for name in ("k0", "k3,0", "k0,2", "k-1,2"):
+    # sizes are ASCII digits: a superscript or another script's digit
+    # is bad input, not an int() failure inside the builder
+    for name in ("k0", "k3,0", "k0,2", "k-1,2", "k\u00b2", "c\u00b9\u00b2",
+                 "p\u0663", "k3,\u00b2"):
         with pytest.raises(BadSpec):
             generate_space(SpaceSpec("graph_shortest_path", {"name": name}))
 
@@ -761,12 +767,30 @@ def test_generate_space_bad_inputs():
     ("graph_shortest_path", {"edges": [[0, 1, 2]]}, None, r"length in \[2, 2\]"),
     ("explicit_matrix", {"matrix": [[0, 1], [1]]}, None, "differ in length"),
     ("explicit_matrix", {"matrix": [[0, "1"], [1, 0]]}, None, "finite number"),
+    ("explicit_matrix", {"matrix": [[0, True], [True, 0]]}, None, "finite number"),
+    ("explicit_matrix", {"matrix": [[0, 10**400], [10**400, 0]]}, None,
+     "finite number"),
     (["lp_grid"], {}, None, "unknown kind"),
     ("lp_grid", None, None, "must be an object"),
 ])
 def test_the_kinds_table_refuses(kind, params, seed, match):
     with pytest.raises(BadSpec, match=match):
         generate_space(SpaceSpec(kind, params, seed))
+
+
+@pytest.mark.parametrize("call, match", [
+    # each would hang, or build another space, past an unchecked builder
+    (lambda: ball_sample(2, -1.0, 5, seed=1), "must be > 0"),
+    (lambda: ball_sample(2, 1.0, 5, seed=None), "needs the parameter 'seed'"),
+    (lambda: ball_sample(2, 1.0, 5, 1, p=3), "from 1 to 2"),
+    (lambda: lp_grid((2, 2), p=3), "from 1 to 2"),
+    (lambda: graph_metric([(0, 1), (1, -2)]), ">= 0"),
+    (lambda: points_on_line([0.0, True]), "finite number"),
+    (lambda: cantor_endpoints(-1), ">= 0"),
+])
+def test_direct_builder_calls_meet_the_kinds_table(call, match):
+    with pytest.raises(BadSpec, match=match):
+        call()
 
 
 def test_spec_json_refuses_unknown_top_level_keys():
