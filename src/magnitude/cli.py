@@ -500,6 +500,8 @@ def _parse_nr(text: str, flag: str) -> tuple[int, float]:
 def _cmd_oracle(args, command, t0) -> int:
     src = _given(args, "points", "interval", "compact", "cantor", "ball",
                  "sphere", "residual", "conjecture", "leading")
+    if args.length is not None and src != "cantor":
+        raise BadSpec(f"--{src} takes no --length")
     if src in _LINE_ORACLES:
         from . import lines
     else:
@@ -527,9 +529,10 @@ def _cmd_oracle(args, command, t0) -> int:
         results = {"magnitude": lines.compact_magnitude(comps, args.t)}
         inputs = {"compact": comps, "t": args.t}
     elif src == "cantor":
-        results = {"magnitude": lines.cantor_magnitude(args.t, args.length),
-                   "length": args.length}
-        inputs = {"cantor": True, "length": args.length, "t": args.t}
+        length = 1.0 if args.length is None else args.length
+        results = {"magnitude": lines.cantor_magnitude(args.t, length),
+                   "length": length}
+        inputs = {"cantor": True, "length": length, "t": args.t}
     elif src == "ball":
         n, r = _parse_nr(args.ball, "--ball")
         results = {"magnitude": euclid.ball_magnitude(n, r), "n": n, "R": r}
@@ -727,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--residual", help="'n,R' sphere minus polynomial part")
     g.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")
     g.add_argument("--leading", help="'n,p' large-scale coefficient")
-    sub.add_argument("--length", type=_finite_float, default=1.0)
+    sub.add_argument("--length", type=_finite_float,
+                     help="--cantor interval length, default 1")
     _common(sub)
 
     sub = subs.add_parser("approx",

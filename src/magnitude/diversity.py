@@ -13,6 +13,8 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
 1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
    uniform start, for at most n iterations: about the cost of one dense
    factorisation, and enough on spaces whose optimum is near uniform.
+   It reads Z by rows (SimilarityRows), so a call that this rung
+   certifies holds d and O(64 n) floats, never the n x n Z.
    Toward and away steps are one exact line search along +-(e_v - mu).
    fw_away_qp reports the gap it measured and max_diversity compares it
    with tol; no separate status is kept.
@@ -26,8 +28,9 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
 3. Otherwise (Z not positive definite, as K_{3,2} below t = log 2 / 2),
    or when the active set does not certify, Frank-Wolfe up to max_iters.
 
-An independent oracle enumerates all supports for small N and solves the
-stationarity system on each.
+An independent oracle, max_diversity_exact, enumerates all supports for
+small N and solves the stationarity system on each, one batched solve per
+support size.
 
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
@@ -42,7 +45,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import cholesky_in_place, cholesky_solver, similarity_matrix
+from .engine import (
+    cholesky_in_place,
+    cholesky_solver,
+    similarity_block,
+    similarity_matrix,
+)
 from .errors import (
     DiversityError,
     NonConvergence,
@@ -57,6 +65,8 @@ EXACT_DIVERSITY_LIMIT = 15
 EXACT_FEAS_TOL = 1e-12
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
+# rows of Z in one block of Frank-Wolfe's first product Z @ mu
+_ROW_BLOCK = 64
 
 
 def backend_name() -> str:
@@ -103,16 +113,40 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * (mu @ q - q.min()))
 
 
-def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
-    """Minimize x'Zx over the probability simplex.
+class SimilarityRows:
+    """Z = exp(-t d) of a space, read by rows and never held whole.
 
-    Frank-Wolfe with away steps, one O(N) pass per iteration.
-    Deterministic: uniform start, lowest-index tie break in the linear
-    minimization oracle. Each step is one exact line search along
-    +-(e_v - mu): toward the oracle's vertex s (step cap 1) or away from
-    the worst support vertex a (step cap mu_a / (1 - mu_a), where a leaves
-    the support). The curvature along it is Z[v,v] - 2 (Z mu)_v + mu'Z mu;
-    where it is not positive, the step takes its cap.
+    Z[v] forms row v and Z[lo:hi] rows lo to hi, through
+    engine.similarity_block: every entry is bit-identical to
+    similarity_matrix's, and a bad scale raises its errors. Row v is also
+    column v, as every distance matrix is exactly symmetric, and Z[v][v]
+    is 1, as its diagonal is 0.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, t: float):
+        self.d = space.distances
+        self.t = t
+        self.shape = self.d.shape
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return similarity_block(self.d[rows], self.t)
+
+
+def fw_away_qp(Z, tol: float, max_iters: int):
+    """Minimize x'Zx over the probability simplex, for a symmetric Z.
+
+    Z is an array or SimilarityRows: the run reads Z @ mu once, in
+    blocks of _ROW_BLOCK rows, and then one row Z[v] per iteration, which
+    is column v as Z is symmetric; so both give bit-identical runs, and
+    SimilarityRows holds _ROW_BLOCK * N floats of Z at a time.
+    Frank-Wolfe with away steps, one O(N) pass per iteration, updating
+    its vectors in place. Deterministic: uniform start, lowest-index tie
+    break in the linear minimization oracle. Each step is one exact line
+    search along +-(e_v - mu): toward the oracle's vertex s (step cap 1)
+    or away from the worst support vertex a (step cap mu_a / (1 - mu_a),
+    where a leaves the support). The curvature along it is
+    Z[v,v] - 2 (Z mu)_v + mu'Z mu; where it is not positive, the step
+    takes its cap.
 
     Returns (x, objective, duality_gap, iterations). The run converged
     exactly when duality_gap <= tol; one stopped by max_iters returns
@@ -122,27 +156,36 @@ def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
     """
     n = Z.shape[0]
     mu = np.full(n, 1.0 / n)
-    q = Z @ mu                     # running Z @ mu
+    q = np.empty(n)                # running Z @ mu
+    for lo in range(0, n, _ROW_BLOCK):
+        np.matmul(Z[lo:lo + _ROW_BLOCK], mu, out=q[lo:lo + _ROW_BLOCK])
     f = float(mu @ q)              # running objective mu' Z mu
     gap = np.inf                   # no gap measured before the first pass
+    g = np.empty(n)                # gradient 2 Z mu
+    work = np.empty(n)             # the away oracle's scores, then a row
+    support = np.empty(n, dtype=bool)
     it = 0
     while it < max_iters:
-        g = 2.0 * q
+        np.multiply(q, 2.0, out=g)
         s = int(np.argmin(g))      # lowest index wins ties by argmin contract
         gmu = float(g @ mu)
         gap = gmu - g[s]
         if gap <= tol:
             break
-        a = int(np.argmax(np.where(mu > 0.0, g, -np.inf)))
+        np.greater(mu, 0.0, out=support)
+        work.fill(-np.inf)
+        np.copyto(work, g, where=support)
+        a = int(np.argmax(work))
         if gap >= g[a] - gmu:
             v, sign, hmax = s, 1.0, 1.0
         else:
             alpha = mu[a]
             v, sign = a, -1.0
             hmax = alpha / (1.0 - alpha) if alpha < 1.0 else 0.0
+        row = Z[v]
         # the direction is sign * (e_v - mu): slope d'Z mu, curvature d'Zd
         slope = sign * (q[v] - f)
-        curv = Z[v, v] - 2.0 * q[v] + f
+        curv = row[v] - 2.0 * q[v] + f
         h = hmax if curv <= 0.0 else max(min(hmax, -slope / curv), 0.0)
         f = f + 2.0 * h * slope + h * h * curv
         step = sign * h
@@ -150,7 +193,8 @@ def fw_away_qp(Z: np.ndarray, tol: float, max_iters: int):
         mu[v] += step
         if sign < 0.0 and h == hmax:
             mu[v] = 0.0            # a drop step: v leaves the support exactly
-        q = (1.0 - step) * q + step * Z[:, v]
+        q *= 1.0 - step
+        q += np.multiply(row, step, out=work)
         it += 1
     return mu, f, gap, it
 
@@ -160,15 +204,17 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
     """Maximum diversity at scale t, certified by kkt_gap <= tol.
 
     Short Frank-Wolfe, then the active set when Z is positive definite,
-    then Frank-Wolfe up to max_iters (see the module docstring). Raises
-    NonConvergence if the last Frank-Wolfe run still misses tol. On spaces
-    whose similarity matrix is not positive semidefinite the returned
-    point is stationary but the global certificate is void.
+    then Frank-Wolfe up to max_iters (see the module docstring). The short
+    run reads Z by rows (SimilarityRows); the n x n Z is formed only for
+    the rungs after it. Raises NonConvergence if the last Frank-Wolfe run
+    still misses tol. On spaces whose similarity matrix is not positive
+    semidefinite the returned point is stationary but the global
+    certificate is void.
     """
-    z = similarity_matrix(space, t)
-    budget = min(z.shape[0], max_iters)
-    mu, f, gap, iters = fw_away_qp(z, tol, budget)
+    budget = min(space.n_points, max_iters)
+    mu, f, gap, iters = fw_away_qp(SimilarityRows(space, t), tol, budget)
     if gap > tol:
+        z = similarity_matrix(space, t)
         found = _active_set(z, tol)
         if found is not None:
             return found
@@ -247,7 +293,12 @@ def max_diversity_exact(space: FiniteMetricSpace,
     (Z mu)_j >= mu' Z mu - EXACT_FEAS_TOL, the first-order condition for
     not benefiting from new support. The value
     on a feasible support is sum(y), and the maximum over supports is the
-    global maximum diversity.
+    global maximum diversity; among equal values the first support in
+    size-then-lexicographic order wins.
+
+    All supports of one size are solved by one batched np.linalg.solve
+    and screened together; only a batch that numpy reports singular is
+    solved support by support, skipping the singular ones.
     """
     n = space.n_points
     if n > EXACT_DIVERSITY_LIMIT:
@@ -256,31 +307,49 @@ def max_diversity_exact(space: FiniteMetricSpace,
     best = None
     checked = 0
     for size in range(1, n + 1):
-        for sub in combinations(range(n), size):
-            checked += 1
-            idx = np.array(sub)
-            zs = z[np.ix_(idx, idx)]
-            try:
-                y = np.linalg.solve(zs, np.ones(size))
-            except np.linalg.LinAlgError:
-                continue
-            if np.abs(zs @ y - 1.0).max() > 1e-8:
-                continue  # near-singular garbage
-            total = float(y.sum())
-            if total <= 0 or (y < -EXACT_FEAS_TOL).any():
-                continue
-            mu = np.zeros(n)
-            mu[idx] = np.clip(y, 0.0, None) / np.clip(y, 0.0, None).sum()
-            m = 1.0 / total
-            if ((z @ mu) < m - EXACT_FEAS_TOL).any():
-                continue
+        subs = np.array(list(combinations(range(n), size)))
+        checked += len(subs)
+        zs = z[subs[:, :, None], subs[:, None, :]]
+        ys = _solve_each(zs)
+        totals = ys.sum(axis=1)
+        # near-singular garbage, then a nonpositive value or negative weight
+        resid = np.abs(zs @ ys[:, :, None] - 1.0).max(axis=(1, 2))
+        keep = (~(resid > 1e-8) & (totals > 0)
+                & ~(ys < -EXACT_FEAS_TOL).any(axis=1))
+        subs, ys, totals = subs[keep], ys[keep], totals[keep]
+        clipped = np.clip(ys, 0.0, None)
+        mus = np.zeros((len(subs), n))
+        np.put_along_axis(
+            mus, subs, clipped / clipped.sum(axis=1, keepdims=True), axis=1)
+        # Z mu for every candidate at once (Z is symmetric); no point may
+        # fall below mu' Z mu = 1 / sum(y)
+        low = (mus @ z < (1.0 / totals - EXACT_FEAS_TOL)[:, None]).any(axis=1)
+        for i in np.flatnonzero(~low):
+            total = float(totals[i])
             if best is None or total > best[0]:
-                best = (total, mu, sub)
+                best = (total, mus[i].copy(), tuple(int(j) for j in subs[i]))
     if best is None:
         raise DiversityError("no feasible stationary support found")
     total, mu, sub = best
     return DiversityResult(total, SimplexDistribution(mu, sub),
                            kkt_gap(z, mu), checked, "support_enumeration")
+
+
+def _solve_each(zs: np.ndarray) -> np.ndarray:
+    """y with zs[i] y[i] = 1 for a stack of systems; y[i] = 0, which no
+    residual check passes, where zs[i] is singular."""
+    ones = np.ones(zs.shape[:2])
+    try:
+        return np.linalg.solve(zs, ones[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass                    # numpy refuses the batch for one system
+    ys = np.zeros_like(ones)
+    for a, b, y in zip(zs, ones, ys):
+        try:
+            y[:] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            continue
+    return ys
 
 
 # ---------------------------------------------------------------------------

@@ -114,18 +114,25 @@ class DefinitenessReport:
     negative_type_proof: str
 
 
-def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
-    """Z = exp(-t d), formed in one n x n array and bit-identical to
-    np.exp(-t * d): the product -t d is written to the array and the
-    exponential overwrites it, so no second n x n temporary exists."""
+def similarity_block(d: np.ndarray, t) -> np.ndarray:
+    """exp(-t d) for any block of distances d, in one new array: the
+    product -t d is written to it and the exponential overwrites it, so no
+    second temporary exists. The scale is checked here, so every block of
+    Z is formed at a scale 0 < t < inf and raises the same errors."""
     t = positive_scale(t)
     if t == math.inf:
         raise NonpositiveScale(f"scale must be finite, got {t!r}")
     # t d may overflow to inf, where exp(-inf) = 0 is the exact limit
     with np.errstate(over="ignore"):
-        z = np.multiply(space.distances, -t)
+        z = np.multiply(d, -t)
         np.exp(z, out=z)
     return z
+
+
+def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
+    """Z = exp(-t d), formed in one n x n array and bit-identical to
+    np.exp(-t * d) (similarity_block over the whole of d)."""
+    return similarity_block(space.distances, t)
 
 
 def cholesky_in_place(a: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import io
 import json
 import math
 import re
@@ -517,28 +516,46 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
 
 
 def load_distance_csv(source) -> np.ndarray:
-    """Read an N x N matrix: N comma-separated numeric rows, no header."""
+    """Read an N x N matrix: N comma-separated numeric rows, no header.
+
+    Lines end at "\\n" only, and blank ones are skipped; each row is parsed
+    straight into one N x N float array, N being the first row's width.
+    An unparsable entry raises at its line; a ragged or non-square matrix
+    raises once every line has parsed.
+    """
     if isinstance(source, (str, bytes)):
         text = source if isinstance(source, str) else source.decode("utf-8")
     else:
         text = source.read()
-    rows = []
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    out = None
+    rows = 0
+    ragged = False
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            values = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise MatrixParseError(f"line {lineno}: {exc}") from None
-    if not rows:
+        if out is None:
+            width = len(values)
+            # a square matrix takes width lines of at least 2 width - 1
+            # characters, so a first row too wide for the text starts none
+            # and no array is allocated for it
+            fits = width * (2 * width - 1) <= len(text)
+            out = np.empty((width if fits else 0, width))
+        ragged = ragged or len(values) != width
+        if not ragged and rows < len(out):
+            out[rows] = values
+        rows += 1
+    if out is None:
         raise MatrixParseError("no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if ragged:
         raise MatrixParseError("ragged rows")
-    if len(rows) != width:
-        raise MatrixParseError(f"matrix is {len(rows)}x{width}, expected square")
-    return np.array(rows, dtype=float)
+    if rows != width:
+        raise MatrixParseError(f"matrix is {rows}x{width}, expected square")
+    return out
 
 
 # ---------------------------------------------------------------------------

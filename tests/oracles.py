@@ -15,8 +15,9 @@ route, so a test can compare the two.
 * spaces: l1 products and the edge lists of named graphs;
 * lines: the union rule for two compact pieces a gap apart and the tail
   bound of the Cantor series;
-* diversity: exact covering numbers by branch and bound, and greedy
-  packing numbers as their lower bound.
+* diversity: maximum diversity by solving the supports one at a time
+  (max_diversity_support_loop), exact covering numbers by branch and
+  bound, and greedy packing numbers as their lower bound.
 
 Tests import it as `from oracles import ...`.
 """
@@ -25,10 +26,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as _iterproduct
 
 import numpy as np
 
+from magnitude.diversity import (
+    EXACT_FEAS_TOL,
+    DiversityResult,
+    SimplexDistribution,
+    kkt_gap,
+)
 from magnitude.engine import similarity_matrix
 from magnitude.errors import (
     DiversityError,
@@ -331,6 +339,47 @@ def gap_union_magnitude(mag_a: float, mag_b: float, gap: float, t: float) -> flo
 def cantor_magnitude_tail_bound(t: float, length: float, k: int) -> float:
     """Upper bound on the Cantor series remainder after k terms."""
     return (float(t) * float(length) / 2.0) * (2.0 / 3.0) ** k
+
+
+# ---------------------------------------------------------------------------
+# diversity: support enumeration one support at a time
+
+
+def max_diversity_support_loop(space: FiniteMetricSpace,
+                               t: float = 1.0) -> DiversityResult:
+    """max_diversity_exact's search with one np.linalg.solve per support:
+    the same feasibility tests in the same order, the first support of
+    the largest value kept, a singular support skipped but counted."""
+    n = space.n_points
+    z = similarity_matrix(space, t)
+    best = None
+    checked = 0
+    for size in range(1, n + 1):
+        for sub in combinations(range(n), size):
+            checked += 1
+            idx = np.array(sub)
+            zs = z[np.ix_(idx, idx)]
+            try:
+                y = np.linalg.solve(zs, np.ones(size))
+            except np.linalg.LinAlgError:
+                continue
+            if np.abs(zs @ y - 1.0).max() > 1e-8:
+                continue  # near-singular garbage
+            total = float(y.sum())
+            if total <= 0 or (y < -EXACT_FEAS_TOL).any():
+                continue
+            mu = np.zeros(n)
+            mu[idx] = np.clip(y, 0.0, None) / np.clip(y, 0.0, None).sum()
+            m = 1.0 / total
+            if ((z @ mu) < m - EXACT_FEAS_TOL).any():
+                continue
+            if best is None or total > best[0]:
+                best = (total, mu, sub)
+    if best is None:
+        raise DiversityError("no feasible stationary support found")
+    total, mu, sub = best
+    return DiversityResult(total, SimplexDistribution(mu, sub),
+                           kkt_gap(z, mu), checked, "support_enumeration")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magnitude
@@ -97,6 +97,10 @@ def test_oracle_cantor_and_interval(capsys):
     assert rep["results"]["magnitude"] == pytest.approx(2.0, abs=1e-15)
     code, rep, _ = run_json(capsys, "oracle", "--cantor", "--t", "1")
     assert rep["results"]["magnitude"] == pytest.approx(1.4983504315884848, abs=1e-12)
+    assert rep["results"]["length"] == 1.0
+    code, rep, _ = run_json(capsys, "oracle", "--cantor", "--t", "1",
+                            "--length", "3")
+    assert code == 0 and rep["results"]["length"] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +245,9 @@ def test_non_finite_flag_exits_two(capsys, argv):
     ("diversity", "--points-1d", "0,1,3", "--tol", "-1"),
     ("diversity", "--points-1d", "0,1,3", "--tol", "0"),
     ("dim", "--grid", "50", "--tmin", "1", "--tmax", "10", "--tol", "-1"),
+    # --length is the Cantor set's alone
+    ("oracle", "--points", "0,1", "--length", "5"),
+    ("oracle", "--ball", "3,1", "--length", "5"),
 ])
 def test_parse_failures_are_typed_input_errors(capsys, argv):
     assert_bad_spec(*run(capsys, *argv))
@@ -1108,12 +1115,23 @@ JSON_VALUES = st.recursive(
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.text(max_size=2), kids, max_size=2),
     max_leaves=8)
+# one graph name per branch of spaces._parse_graph_name: the two-digit
+# shorthand, "k a,b" with spaces and capitals, a zero part, sizes zero,
+# too small or over POINT_LIMIT, a superscript or Arabic-Indic digit, an
+# unknown letter, and each family built
+GRAPH_NAME_BRANCHES = ("k32", " K 2 , 1 ", "k0,2", "k5000,5000", "k\u00b2",
+                       "p\u0663", "q3", "k0", "c2", "k9999", "k3", "c5", "p4")
+# generated names keep at most three ASCII digits, so at most 222 vertices
+GRAPH_NAMES = st.sampled_from(GRAPH_NAME_BRANCHES) | st.tuples(
+    st.sampled_from("kcpKq"), st.text("012, \u00b2\u0663", max_size=5),
+).map("".join).filter(
+    lambda s: sum(c.isascii() and c.isdigit() for c in s) <= 3)
 # values each parameter takes, so that many specs build a space
 SMALL = st.sampled_from([0.5, 1, 2.0, 1e-300, 1e150])
 VALID = {
     "coordinates": st.lists(st.integers(-4, 4), min_size=1, max_size=3,
                             unique=True),
-    "name": st.sampled_from(["k1", "k3", "c5", "k3,2", "p4"]),
+    "name": GRAPH_NAMES,
     "edges": st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2),
                       max_size=3),
     "n_vertices": st.integers(1, 4),
@@ -1159,8 +1177,19 @@ def space_specs(draw):
     return json.dumps(spec)
 
 
+def _graph_name_examples(test):
+    """The test run first on a spec per entry of GRAPH_NAME_BRANCHES: the
+    graph kind draws about 20 names in 400 examples, too few to reach
+    every branch by chance."""
+    for name in GRAPH_NAME_BRANCHES:
+        test = example(spec=json.dumps(
+            {"kind": "graph_shortest_path", "params": {"name": name}}))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(spec=space_specs())
+@_graph_name_examples
 def test_any_spec_is_a_space_or_bad_input(spec):
     # weights exits 0 also where the solve is undefined; an exit 4 here
     # would be a bug that a spec's parameters reach past the table

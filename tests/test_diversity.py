@@ -10,8 +10,10 @@ from magnitude.diversity import (
     EXACT_DIVERSITY_LIMIT,
     DiversityError,
     NonConvergence,
+    SimilarityRows,
     TooLarge,
     WindowTooNarrow,
+    _solve_each,
     dimension_estimate,
     fw_away_qp,
     greedy_covering_number,
@@ -30,6 +32,7 @@ from magnitude.spaces import (
 from oracles import (
     EXACT_COVERING_LIMIT,
     covering_number,
+    max_diversity_support_loop,
     named_graph_edges,
     packing_number,
 )
@@ -80,6 +83,59 @@ def test_fw_max_iters_status():
     assert gap > 1e-14
     # no pass, no measured gap: never read as converged
     assert fw_away_qp(Z, 1.0, 0)[2:] == (np.inf, 0)
+
+
+def _row_reader_cases():
+    """(space, t) over lines, grids, cycles, complete bipartite graphs and
+    seeded balls, some past one 64-row block, some with Z not PSD."""
+    lines = [points_on_line([0.0, 0.3, 1.1, 2.0]),
+             points_on_line(np.linspace(0.0, 2.0, 150))]
+    grids = [lp_grid([7, 5], spacing=0.2), lp_grid([201], spacing=0.005),
+             lp_grid([9, 9], p=1, spacing=0.1)]
+    graphs = [graph_metric(named_graph_edges(name))
+              for name in ("c5", "c6", "k32", "k3,3", "k4,4")]
+    balls = [ball_sample(dim, 1.0, count, seed=seed) for dim, count, seed
+             in ((1, 9, 1), (2, 40, 2), (3, 130, 3), (3, 300, 4))]
+    for sp in lines + grids + graphs + balls:
+        for t in (0.05, 0.3, 1.0, 4.0, 40.0):
+            yield sp, t
+
+
+def test_fw_on_the_row_reader_is_fw_on_z():
+    for sp, t in _row_reader_cases():
+        for max_iters in (0, 1, sp.n_points, 500):
+            rows = fw_away_qp(SimilarityRows(sp, t), 1e-12, max_iters)
+            dense = fw_away_qp(similarity_matrix(sp, t), 1e-12, max_iters)
+            assert rows[0].tobytes() == dense[0].tobytes()
+            assert rows[1:] == dense[1:]
+
+
+def test_row_reader_rows_are_rows_of_z():
+    sp = ball_sample(2, 1.0, 70, seed=9)
+    z = similarity_matrix(sp, 1.5)
+    rows = SimilarityRows(sp, 1.5)
+    assert rows.shape == z.shape
+    for v in (0, 33, 69):
+        assert rows[v].tobytes() == z[v].tobytes() == z[:, v].tobytes()
+        assert rows[v][v] == 1.0
+    assert rows[64:70].tobytes() == z[64:70].tobytes()
+
+
+def test_fw_certified_diversity_holds_no_n_by_n_array():
+    # the dim --grid 1001 shape at a scale whose short Frank-Wolfe run
+    # certifies: besides d, one 64-row block of Z (0.064 units) at a time
+    import tracemalloc
+
+    grid = lp_grid([1001], spacing=1.0 / 1000)
+    assert max_diversity(grid, 100.0, 1e-6, 300_000).method == "frank_wolfe"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        max_diversity(grid, 100.0, 1e-6, 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.1 * 1001 * 1001 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +284,59 @@ def test_solver_matches_oracle_on_non_positive_definite_k32(t):
     assert not is_positive_definite(K32, t)
     assert max_diversity(K32, t).value == pytest.approx(
         max_diversity_exact(K32, t).value, abs=1e-7)
+
+
+def _same_search(sp, t):
+    fast = max_diversity_exact(sp, t)
+    loop = max_diversity_support_loop(sp, t)
+    assert fast.value == loop.value
+    assert fast.optimizer.support == loop.optimizer.support
+    assert fast.kkt_gap == loop.kkt_gap
+    assert fast.iterations == loop.iterations == 2 ** sp.n_points - 1
+    assert fast.optimizer.weights.tobytes() == loop.optimizer.weights.tobytes()
+
+
+def _small_spaces():
+    """Spaces of at most 10 points: seeded balls, points on a line, and
+    named graphs with K_{3,3} and K_{4,4} among them."""
+    balls = st.builds(lambda dim, count, seed: ball_sample(dim, 1.0, count, seed=seed),
+                      st.integers(1, 3), st.integers(1, 10), st.integers(0, 10_000))
+    lines = st.lists(st.integers(0, 4000), min_size=1, max_size=10,
+                     unique=True).map(lambda xs: points_on_line([x / 1000 for x in xs]))
+    graphs = st.sampled_from(["k32", "k3,3", "k4,4", "c5", "c6", "k4", "p4"]).map(
+        lambda name: graph_metric(named_graph_edges(name)))
+    return balls | lines | graphs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_spaces(), st.floats(0.05, 6.0) | st.just(np.log(2.0) / 2))
+def test_batched_support_search_is_the_support_loop(sp, t):
+    _same_search(sp, t)
+
+
+def test_batched_support_search_at_the_k32_pole():
+    # Z of K_{3,2} is singular at t = log 2 / 2 in exact arithmetic
+    _same_search(K32, float(np.log(2.0) / 2))
+    _same_search(graph_metric(named_graph_edges("k3,3")), 0.3)
+    _same_search(graph_metric(named_graph_edges("k4,4")), 1.0)
+
+
+def test_singular_batch_falls_back_to_one_solve_per_support():
+    # at t = 1e-14 the points 1e-3 apart have similarity exactly 1, so
+    # the 2-point batch holds one exactly singular system among nonsingular
+    # ones: numpy refuses the batch, and each support is solved alone
+    sp = points_on_line([0.0, 1e-3, 2e6, 5e6])
+    z = similarity_matrix(sp, 1e-14)
+    assert z[0, 1] == 1.0 and z[0, 2] < 1.0
+    pairs = np.array([[0, 1], [0, 2], [1, 3]])
+    stack = z[pairs[:, :, None], pairs[:, None, :]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(stack, np.ones((3, 2, 1)))
+    ys = _solve_each(stack)
+    assert (ys[0] == 0.0).all()
+    for y, a in zip(ys[1:], stack[1:]):
+        assert y.tobytes() == np.linalg.solve(a, np.ones(2)).tobytes()
+    _same_search(sp, 1e-14)
 
 
 def test_exact_solver_size_limit():

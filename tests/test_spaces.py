@@ -1,6 +1,7 @@
 """Metric validation, the space container, generators, and matrix IO."""
 
 import inspect
+import io
 import json
 import math
 import time
@@ -837,3 +838,23 @@ def test_csv_parse_errors():
         load_distance_csv("0,x\nx,0")
     with pytest.raises(MatrixParseError):
         load_distance_csv("")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n \n", "no data rows"),
+    # every line parses before the shape is judged; blank lines count
+    ("0,1\n1\n\n0,x", "line 4: could not convert string to float: 'x'"),
+    ("0,1\n1,0,2\n3,4", "ragged rows"),
+    ("0,1\n1,0\n2,2", "matrix is 3x2, expected square"),
+    # a first row too wide for the text allocates no 10^6 x 10^6 array
+    ("0," * 10**6 + "0", "matrix is 1x1000001, expected square"),
+])
+def test_csv_errors_name_the_line_or_the_shape(text, message):
+    with pytest.raises(MatrixParseError) as err:
+        load_distance_csv(text)
+    assert str(err.value) == message
+
+
+def test_csv_rows_are_lines_split_at_newline():
+    for text in ("\n0,1\r\n\n1,0\r\n", b"0, 1\n1 ,0", io.StringIO("0,1\n1,0\n")):
+        assert load_distance_csv(text).tolist() == [[0.0, 1.0], [1.0, 0.0]]
