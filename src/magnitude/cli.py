@@ -197,8 +197,12 @@ def _space_inputs(args):
             text if text.strip().startswith("{") else _read_text(text))
     else:
         text = sys.stdin.read() if src == "stdin_matrix" else _read_text(args.matrix)
-        return validate_metric(load_distance_csv(text)), \
-            {"kind": "explicit_matrix", "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        # digested first, so that the encoded copy of the text is gone
+        # before the matrix exists; the reader's array is new and nobody
+        # else's, so it is validated without a copy
+        inputs = {"kind": "explicit_matrix",
+                  "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        return validate_metric(load_distance_csv(text), copy=False), inputs
     return generate_space(spec), {"kind": spec.kind, "params": spec.effective()}
 
 

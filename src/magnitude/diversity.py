@@ -46,8 +46,9 @@ from itertools import combinations
 import numpy as np
 
 from .engine import (
-    cholesky_in_place,
+    cholesky_rows,
     cholesky_solver,
+    held_rows,
     similarity_block,
     similarity_matrix,
 )
@@ -241,7 +242,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     """
     n = z.shape[0]
     try:
-        chol = cholesky_in_place(z.copy())
+        chol = cholesky_rows(held_rows(z), n)
     except np.linalg.LinAlgError:
         return None
     idx = np.arange(n)
@@ -276,8 +277,10 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
         try:
-            ys = cholesky_solver(cholesky_in_place(z[np.ix_(idx, idx)]))(
-                np.ones(idx.size))
+            # the rows of Z on idx, gathered a block at a time
+            chol = cholesky_rows(
+                lambda lo, hi: z[np.ix_(idx[lo:hi], idx[lo:])], idx.size)
+            ys = cholesky_solver(chol)(np.ones(idx.size))
         except np.linalg.LinAlgError:
             return None
     return None

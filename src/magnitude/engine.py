@@ -32,9 +32,13 @@ condition number with the same Hager-Higham estimator that LAPACK's
 dpocon and dgecon run.
 
 Every positive definiteness decision factors with one kernel,
-cholesky_in_place: a blocked Cholesky written over its input, so the PD
-test of Z holds no array besides Z, a solve holds Z and its factor, and
-the negative-type proof of definiteness_report holds one shifted matrix.
+cholesky_rows: a blocked Cholesky that asks a row source for its input
+one block of rows at a time, right of the diagonal only, and keeps the
+factor as those block rows, half an n x n array. So no dense stage holds
+a square work array: the PD test forms Z's rows from d as it factors and
+holds half a factor, a solve holds Z and half a factor, and the
+negative-type proof of definiteness_report forms the rows of its shifted
+matrix from d and the row means and holds half a factor.
 """
 
 from __future__ import annotations
@@ -135,66 +139,78 @@ def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
     return similarity_block(space.distances, t)
 
 
-def cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of the symmetric a, computed over a.
+def cholesky_rows(rows, n: int) -> list[np.ndarray]:
+    """Upper Cholesky factor L' of a symmetric n x n matrix a, by block rows.
 
-    Raises np.linalg.LinAlgError where a is not positive definite, as
-    np.linalg.cholesky does. Left-looking and blocked by SUBSTITUTION_BLOCK
-    columns of L, which are rows of a: a ends up holding L' in its upper
-    triangle and zeros below it, and the factor returned is the view a.T.
-    Per block, the update by the columns already factored is one matmul
-    into a buffer reused by every block, numpy factors the diagonal block,
-    and the block's rows of L' right of it are solved by substitution, one
-    row after another, with no explicit inverse. Every entry of L L' is
-    then a sum of the same products as in the unblocked algorithm, so the
-    computed factor keeps its backward error |L L' - a| <= gamma_{n+1}
-    |L| |L'| (Higham, Accuracy and Stability, Theorem 10.3). Besides a,
-    the buffer holds SUBSTITUTION_BLOCK * (n - SUBSTITUTION_BLOCK) floats.
+    rows(lo, hi) returns a new array holding a[lo:hi, lo:], which the
+    kernel owns and overwrites; it is called once per block of
+    SUBSTITUTION_BLOCK rows, in order. The factor is the list of those
+    blocks, block k holding L'[lo:hi, lo:] (so lo = n - its width): n^2 / 2
+    + SUBSTITUTION_BLOCK n / 2 floats, no square array. Raises
+    np.linalg.LinAlgError where a is not positive definite, as
+    np.linalg.cholesky does.
+
+    Left-looking: each block subtracts one matmul per block already
+    factored, through one buffer of its own size, then numpy factors
+    its diagonal block and its rows of L' right of it are solved by
+    substitution, one row after another, with no explicit inverse. Every
+    entry of L L' is then a sum of the same products as in the unblocked
+    algorithm, in another order, so the computed factor keeps its
+    backward error |L L' - a| <= gamma_{n+1} |L| |L'| (Higham, Accuracy
+    and Stability, Theorem 10.3, which holds for any order of the inner
+    products). The buffer shrinks with the blocks, so by the last blocks,
+    where the factor is largest, it is small.
     """
-    n = a.shape[0]
-    buf = np.empty(SUBSTITUTION_BLOCK * max(n - SUBSTITUTION_BLOCK, 0))
-    for i in range(0, n, SUBSTITUTION_BLOCK):
-        j = min(i + SUBSTITUTION_BLOCK, n)
-        rows = a[i:j, i:]
-        if i:
-            # a contiguous out, so that matmul writes it without a
-            # temporary; subtracted row by row, since a ufunc buffers a
-            # strided 2-D operand
-            update = buf[:(j - i) * (n - i)].reshape(j - i, n - i)
-            np.matmul(a[:i, i:j].T, a[:i, i:], out=update)
-            for row, change in zip(rows, update):
-                row -= change
-        diag = np.linalg.cholesky(rows[:, :j - i])
-        rows[:, :j - i] = diag.T
-        if j < n:
-            right = a[i:j, j:]
-            for k, row in enumerate(right):
-                if k:
-                    row -= diag[k, :k] @ right[:k]
-                row /= diag[k, k]
-        a[i:j, :i] = 0.0
-    return a.T
+    factor = []
+    for lo in range(0, n, SUBSTITUTION_BLOCK):
+        block = rows(lo, min(lo + SUBSTITUTION_BLOCK, n))
+        b = block.shape[0]
+        update = np.empty_like(block)
+        for done in factor:
+            k = lo - (n - done.shape[1])  # this block's columns in done
+            np.matmul(done[:, k:k + b].T, done[:, k:], out=update)
+            block -= update
+        diag = np.linalg.cholesky(block[:, :b])
+        block[:, :b] = diag.T
+        right = block[:, b:]
+        for k, row in enumerate(right):
+            if k:
+                row -= diag[k, :k] @ right[:k]
+            row /= diag[k, k]
+        factor.append(block)
+    return factor
 
 
-def cholesky_solver(chol: np.ndarray):
-    """x -> (L L')^-1 x for the lower Cholesky factor L.
+def held_rows(a: np.ndarray):
+    """The row source of cholesky_rows for an array a that is held: copies
+    of a[lo:hi, lo:], so a itself is left as it was."""
+    return lambda lo, hi: a[lo:hi, lo:].copy()
 
-    Blocked forward and back substitution: per block of SUBSTITUTION_BLOCK
-    rows, one matrix-vector product with the rows already solved, then a
-    product with the inverse of the block's diagonal, formed once here.
+
+def cholesky_solver(factor: list[np.ndarray]):
+    """x -> (L L')^-1 x for the block rows of L' that cholesky_rows returns.
+
+    Blocked forward and back substitution, one product per block in each
+    direction: forward, a block's part of the solution is the inverse of
+    its diagonal block of L times the right side, and the rest of the
+    right side loses its product with the block's rows of L' right of the
+    diagonal; backward, the block's part loses the product of those rows
+    with the part already solved. The inverses are formed once here.
     """
-    n = chol.shape[0]
-    blocks = [(i, min(i + SUBSTITUTION_BLOCK, n))
-              for i in range(0, n, SUBSTITUTION_BLOCK)]
-    inverses = [np.linalg.inv(chol[i:j, i:j]) for i, j in blocks]
+    n = factor[0].shape[1]
+    spans = [(n - block.shape[1], n - block.shape[1] + block.shape[0])
+             for block in factor]
+    inverses = [np.linalg.inv(block[:, :hi - lo].T)
+                for block, (lo, hi) in zip(factor, spans)]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        u = np.empty(n)
-        for (i, j), inv in zip(blocks, inverses):
-            u[i:j] = inv @ (rhs[i:j] - chol[i:j, :i] @ u[:i])
-        x = np.empty(n)
-        for (i, j), inv in zip(reversed(blocks), reversed(inverses)):
-            x[i:j] = (u[i:j] - x[j:] @ chol[j:, i:j]) @ inv
+        x = np.array(rhs, dtype=float)
+        for block, (lo, hi), inv in zip(factor, spans, inverses):
+            x[lo:hi] = inv @ x[lo:hi]
+            x[hi:] -= x[lo:hi] @ block[:, hi - lo:]
+        for block, (lo, hi), inv in zip(reversed(factor), reversed(spans),
+                                        reversed(inverses)):
+            x[lo:hi] = (x[lo:hi] - block[:, hi - lo:] @ x[hi:]) @ inv
         return x
 
     return solve
@@ -253,7 +269,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     ones = np.ones(n)
 
     try:
-        solve = cholesky_solver(cholesky_in_place(z.copy()))
+        solve = cholesky_solver(cholesky_rows(held_rows(z), n))
         status = STATUS_PD
     except np.linalg.LinAlgError:
         try:
@@ -361,8 +377,13 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
+    """Whether Cholesky factors Z(t). Z is formed a block of rows at a time,
+    only its entries on and right of the diagonal, so the test holds half
+    a factor and no n x n array, and takes half the exponentials."""
+    d = space.distances
     try:
-        cholesky_in_place(similarity_matrix(space, t))
+        cholesky_rows(lambda lo, hi: similarity_block(d[lo:hi, lo:], t),
+                      space.n_points)
         return True
     except np.linalg.LinAlgError:
         return False
@@ -412,7 +433,8 @@ def _negative_type_bound(d: np.ndarray) -> float | None:
     1) and the largest v'd v over unit v with 1'v = 0. So if
     A = r 1' + 1 r' - d + (tau / 2) I has lambda_min(A) >= tau / 2 - beta,
     that eigenvalue is at most beta. Here r is the computed row means of d
-    and A is formed and factored in floating point:
+    and A is formed, a block of rows at a time, and factored in floating
+    point:
 
     - tau = 1e-10 (1 - PERRON_MARGIN) n min(r). The Perron root of d is
       at least its smallest row sum, and the margin covers the rounding of
@@ -436,10 +458,17 @@ def _negative_type_bound(d: np.ndarray) -> float | None:
     n = d.shape[0]
     r = d.mean(axis=1)
     tau = 1e-10 * (1.0 - PERRON_MARGIN) * (n * float(r.min()))
-    a = np.add(r[:, None], r[None, :])
-    np.subtract(a, d, out=a)
-    diagonal = a.ravel()[::n + 1]
+    # the diagonal of A, rounded as A's rows round it below
+    diagonal = r + r
+    diagonal -= np.diagonal(d)
     diagonal += tau / 2
+
+    def rows(lo, hi):
+        block = np.add(r[lo:hi, None], r[None, lo:])
+        np.subtract(block, d[lo:hi, lo:], out=block)
+        block.ravel()[::n - lo + 1] += tau / 2
+        return block
+
     # unit roundoff u = 2^-53; gamma_k = k u / (1 - k u) = k / (2^53 - k),
     # and a correctly rounded sum s is at most s (1 + u) exactly
     unit = 2 ** 53
@@ -457,7 +486,7 @@ def _negative_type_bound(d: np.ndarray) -> float | None:
     if beta > Fraction(tau):
         return None
     try:
-        cholesky_in_place(a)
+        cholesky_rows(rows, n)
     except np.linalg.LinAlgError:
         return None
     return math.nextafter(float(beta), math.inf)
@@ -508,10 +537,11 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     proof fails does eigvalsh give the top eigenvalue, and the band the
     verdict (negative_type_proof "eigenvalue_band", _eigenvalue_band).
 
-    Memory: besides d, one n x n array at a time on the proof path: the
-    shifted matrix is factored in place and freed before Z(t) is formed
-    and factored in place for the PD test. A failed proof frees its array
-    before the centred matrix of the fallback is formed (LAPACK's own
+    Memory: besides d, half an n x n array at a time on the proof path:
+    the factor of the shifted matrix, whose rows are formed a block at a
+    time, is freed before the PD test factors Z(t), whose rows are formed
+    the same way. A failed proof frees its factor before the centred
+    matrix of the fallback is formed, one n x n array (LAPACK's own
     working copy comes on top in eigvalsh).
     """
     d = space.distances

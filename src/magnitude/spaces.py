@@ -63,8 +63,10 @@ _SCAN_ROWS = 16
 _SCAN_KS = 16
 # expected cube draws ball_sample may spend: a few seconds at n = 20
 BALL_DRAW_LIMIT = 10**7
-# most points a generator builds: a dense solve holds about four n x n
-# float arrays, 2 GiB at this size
+# most points a generator builds: a dense solve holds d, Z and half a
+# factor, 2.55 n x n float arrays measured at n = 2000 (1.3 GiB at this
+# size), and a failed negative-type proof d, the centred matrix and
+# eigvalsh's copy of it, three (1.5 GiB)
 POINT_LIMIT = 2**13
 
 
@@ -246,14 +248,18 @@ def _zero_off_diagonal(rows: np.ndarray, lo: int) -> np.ndarray:
     return hit
 
 
-def validate_metric(matrix) -> FiniteMetricSpace:
+def validate_metric(matrix, copy: bool = True) -> FiniteMetricSpace:
     """Certify a raw matrix as a metric or raise the first violated axiom.
 
     Check order: shape/finiteness, diagonal, symmetry, nonnegativity,
     separation, triangle inequality. The triangle witness (i, j, k) means
     d(i,j) > d(i,k) + d(k,j) + TRIANGLE_TOL_FACTOR * (largest entry).
+
+    The space holds a copy of matrix, which it makes read-only. With
+    copy=False a float64 array is validated and held as it is, for a
+    caller that owns it and hands it over (the CSV reader's array).
     """
-    d = np.array(matrix, dtype=float)
+    d = np.array(matrix, dtype=float) if copy else np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {d.shape}")
     bad = _first_hit(d, lambda rows, lo: ~np.isfinite(rows))
@@ -558,6 +564,12 @@ def load_distance_csv(source) -> np.ndarray:
     return out
 
 
+def _explicit_matrix(matrix) -> FiniteMetricSpace:
+    """The explicit_matrix builder: validate_metric, with the matrix as
+    the one parameter a spec sets."""
+    return validate_metric(matrix)
+
+
 # ---------------------------------------------------------------------------
 # the KINDS table: every spec, space flag and builder call is checked here
 
@@ -615,7 +627,7 @@ KINDS = {
     "ball_sample": (ball_sample.__wrapped__, {
         "n": _COUNT, "radius": _POSITIVE, "count": _COUNT, "seed": _NONNEGATIVE,
         "p": _P}),
-    "explicit_matrix": (validate_metric, {
+    "explicit_matrix": (_explicit_matrix, {
         "matrix": ("list of equal-length rows of numbers", _matrix)}),
 }
 

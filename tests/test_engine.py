@@ -1,5 +1,6 @@
 """Weighting solver, magnitude properties, and definiteness certificates."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magnitude import engine
+from magnitude import cli, engine
 from magnitude.engine import (
     CONDITION_RCOND_FACTOR,
     PROOF_CHOLESKY,
@@ -25,13 +26,15 @@ from magnitude.engine import (
     MonotonicityViolation,
     UndefinedMagnitude,
     approximate_compact_magnitude,
-    cholesky_in_place,
+    cholesky_rows,
     cholesky_solver,
     definiteness_report,
+    held_rows,
     is_positive_definite,
     magnitude,
     magnitude_function,
     scattered_bound_holds,
+    similarity_block,
     similarity_matrix,
     solve_weighting,
 )
@@ -511,13 +514,44 @@ def test_ladder_agrees_with_scipy(name):
                 name, t)
 
 
+def _upper(factor, n):
+    """The n x n upper factor L' whose block rows cholesky_rows returns."""
+    u = np.zeros((n, n))
+    for block in factor:
+        lo = n - block.shape[1]
+        u[lo:lo + block.shape[0], lo:] = block
+    return u
+
+
+def _row_function(q, lam):
+    """A row source computing rows of Q diag(lam) Q' as asked, each
+    diagonal block made exactly symmetric, and the symmetric matrix it
+    stands for (its upper triangle, mirrored)."""
+    n = len(lam)
+
+    def rows(lo, hi):
+        block = (q[lo:hi] * lam) @ q[lo:].T
+        diag = block[:, :hi - lo]
+        diag[...] = (diag + diag.T) / 2
+        return block
+
+    a = np.zeros((n, n))
+    for lo in range(0, n, engine.SUBSTITUTION_BLOCK):
+        hi = min(lo + engine.SUBSTITUTION_BLOCK, n)
+        a[lo:hi, lo:] = rows(lo, hi)
+    a = np.triu(a)
+    return rows, a + np.triu(a, 1).T
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.sampled_from([1, 63, 64, 65, 129, 300]),
        kind=st.sampled_from(["spd", "indefinite", "near_singular"]),
+       source=st.sampled_from(["held", "function"]),
        seed=st.integers(0, 2**32 - 1))
-def test_cholesky_in_place_matches_numpy(n, kind, seed):
+def test_cholesky_rows_matches_numpy(n, kind, source, seed):
     # symmetric Q diag(lam) Q' with lam in [1e-3, 1]; "indefinite" moves
-    # up to a fifth of lam to [-1, -1e-3], "near_singular" sets one to 0
+    # up to a fifth of lam to [-1, -1e-3], "near_singular" sets one to 0;
+    # rows come from the held array or are computed as the kernel asks
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = 10.0 ** rng.uniform(-3.0, 0.0, n)
@@ -526,16 +560,22 @@ def test_cholesky_in_place_matches_numpy(n, kind, seed):
         lam[picked] *= -1.0
     elif kind == "near_singular":
         lam[picked[0]] = 0.0
-    a = (q * lam) @ q.T
-    a = (a + a.T) / 2
+    if source == "held":
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2
+        rows = held_rows(a)
+    else:
+        rows, a = _row_function(q, lam)
+    held = a.copy()
     try:
         want = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         want = None
     try:
-        got = cholesky_in_place(a.copy())
+        got = _upper(cholesky_rows(rows, n), n).T
     except np.linalg.LinAlgError:
         got = None
+    assert np.array_equal(a, held)  # the source is read, never written
     if kind != "near_singular":
         # |lambda_min| >= 1e-3, far beyond the n u tr(a) both factors
         # may shift it by: both finish or both raise
@@ -559,6 +599,29 @@ def test_cholesky_in_place_matches_numpy(n, kind, seed):
         assert np.linalg.norm(got - want) <= bound
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 200])
+def test_factor_of_similarity_rows_is_the_factor_of_z(n):
+    # the PD test forms Z's rows from d as it factors; the solve slices
+    # the Z it holds: one factor, bit for bit
+    space = ball_sample(3, 1.0, n, seed=n)
+    d = space.distances
+    for t in (0.3, 2.0, 40.0):
+        z = similarity_matrix(space, t)
+        want = cholesky_rows(held_rows(z), n)
+        got = cholesky_rows(
+            lambda lo, hi: similarity_block(d[lo:hi, lo:], t), n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), t
+
+
+def _block_rows(upper):
+    """Block rows of an upper factor, as cholesky_rows lays them out."""
+    n = upper.shape[0]
+    return [upper[lo:lo + engine.SUBSTITUTION_BLOCK, lo:].copy()
+            for lo in range(0, n, engine.SUBSTITUTION_BLOCK)]
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_block_substitution_matches_solve_triangular(n):
     from scipy.linalg import solve_triangular
@@ -569,8 +632,45 @@ def test_block_substitution_matches_solve_triangular(n):
     b = rng.standard_normal(n)
     want = solve_triangular(chol, solve_triangular(chol, b, lower=True),
                             lower=True, trans="T")
-    got = cholesky_solver(chol)(b)
+    got = cholesky_solver(_block_rows(chol.T))(b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_block_row_solver_matches_numpy_solve(n):
+    space = ball_sample(3, 1.0, n, seed=n + 1)
+    z = similarity_matrix(space, 5.0)
+    solve = cholesky_solver(cholesky_rows(held_rows(z), n))
+    rng = np.random.default_rng(n)
+    for b in (np.ones(n), rng.standard_normal(n)):
+        want = np.linalg.solve(z, b)
+        got = solve(b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# _negative_type_bound on seeded ball samples (dim, n, seed, p), as the
+# kernel that factored the whole shifted matrix in place reported it: the
+# rows now formed a block at a time carry the same bits, so every term of
+# beta, and the bound, is the same
+NEGATIVE_TYPE_PINS = [
+    ((3, 200, 1, 2), '0x1.083af98b99712p-27'),
+    ((2, 150, 2, 1), '0x1.4e1afceadc01dp-28'),
+    ((4, 65, 3, 2), '0x1.76fb0fb05a5aep-29'),
+    ((1, 130, 4, 1), '0x1.ab4dcbf542503p-29'),
+    ((2, 300, 5, 2), '0x1.53cb5bcd68d5dp-27'),
+    ((3, 64, 6, 1), '0x1.3e94065e55fe8p-29'),
+]
+
+
+@pytest.mark.parametrize("case, want", NEGATIVE_TYPE_PINS)
+def test_negative_type_bound_is_pinned(case, want):
+    dim, n, seed, p = case
+    d = ball_sample(dim, 1.0, n, seed=seed, p=p).distances
+    assert engine._negative_type_bound(d) == float.fromhex(want)
+
+
+def test_negative_type_bound_fails_on_k32():
+    assert engine._negative_type_bound(K32.distances) is None
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -803,37 +903,67 @@ def test_similarity_matrix_holds_one_array():
 
 
 def test_definiteness_report_holds_two_arrays():
-    # the centred matrix while eigvalsh runs, then Z and its Cholesky
-    # factor; never three at once (LAPACK's working copies are untraced)
+    # on a failed proof the centred matrix while eigvalsh runs, else half
+    # a factor at a time (LAPACK's working copies are untraced)
     assert _peak_units(lambda: definiteness_report(BUDGET_SPACE, 2.0),
                        300) <= 2.05
 
 
 def test_solve_weighting_holds_z_and_its_factor():
-    # plus the inverses of the factor's diagonal blocks, SUBSTITUTION_BLOCK
-    # * n floats (0.21 at n = 300); no |Z| temporary
+    # Z, the block rows of its factor (0.5 + 32 / n), and the inverses of
+    # their diagonal blocks, SUBSTITUTION_BLOCK * n floats (0.21 at n =
+    # 300); no copy of Z, no |Z| temporary (1.84 measured)
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
-                       300) <= 2.3
+                       300) <= 1.9
 
 
-# at n = 1000 the factor's buffer, 64 (n - 64) floats, is 0.06 units
+# half a factor at n = 1000 is 0.532 units; the update buffer of a block
+# shrinks with it (0.55 measured for both tests)
 LARGE_BUDGET_SPACE = ball_sample(3, 1.0, 1000, seed=7)
 
 
-def test_positive_definite_test_factors_z_in_place():
+def test_positive_definite_test_holds_half_a_factor():
+    # Z's rows formed from d a block at a time: no n x n array
     assert _peak_units(
-        lambda: is_positive_definite(LARGE_BUDGET_SPACE, 2.0), 1000) <= 1.1
+        lambda: is_positive_definite(LARGE_BUDGET_SPACE, 2.0), 1000) <= 0.6
 
 
-def test_definiteness_proof_holds_one_array():
-    # the shifted matrix, factored in place and freed before Z is formed
-    # and factored in place; the first call also imports fractions
+def test_definiteness_proof_holds_half_a_factor():
+    # the shifted matrix's rows formed from d and its row means a block at
+    # a time, its factor freed before the PD test factors Z's rows; the
+    # first call also imports fractions
     definiteness_report(K32, 1.0)
     rep = []
     peak = _peak_units(
         lambda: rep.append(definiteness_report(LARGE_BUDGET_SPACE, 2.0)), 1000)
     assert rep[0].negative_type_proof == PROOF_CHOLESKY
-    assert peak <= 1.1
+    assert peak <= 0.6
+
+
+def test_check_command_holds_d_and_half_a_factor(capsys):
+    # the whole `check` call: generating d, the proof, the PD test and
+    # the output; 1.58 measured, 2.09 while each factor was an n x n array
+    argv = ["check", "--ball", "3,1,1000", "--seed", "7", "--t", "2"]
+    cli.main(argv)  # imports, so that only the call itself is traced
+    peak = _peak_units(lambda: cli.main(argv), 1000)
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "results"]["negative_type_proof"] == PROOF_CHOLESKY
+    assert peak <= 1.65
+
+
+def test_explicit_matrix_is_validated_without_a_copy(tmp_path):
+    # --matrix: the CSV text, the reader's array, which validate_metric
+    # now takes over, and the triangle scan's blocks (0.43 units at n =
+    # 600); 1.95 measured, 2.95 while the array was copied
+    n = 600
+    path = tmp_path / "line.csv"
+    path.write_text("\n".join(",".join(str(abs(i - j)) for j in range(n))
+                               for i in range(n)))
+    args = cli.build_parser().parse_args(["mag", "--matrix", str(path)])
+    spaces = []
+    peak = _peak_units(lambda: spaces.append(cli._space_inputs(args)), n)
+    assert spaces[0][0].distances[0, -1] == n - 1
+    assert peak <= 2.4
 
 
 def test_min_distance_makes_no_square_copy():

@@ -858,3 +858,13 @@ def test_csv_errors_name_the_line_or_the_shape(text, message):
 def test_csv_rows_are_lines_split_at_newline():
     for text in ("\n0,1\r\n\n1,0\r\n", b"0, 1\n1 ,0", io.StringIO("0,1\n1,0\n")):
         assert load_distance_csv(text).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_validate_metric_copies_unless_handed_the_array():
+    # a caller's array stays its own and writable; the CSV reader's array
+    # is handed over and becomes the space's read-only matrix
+    a = load_distance_csv("0,1,2\n1,0,1\n2,1,0")
+    kept = validate_metric(a)
+    assert not np.shares_memory(kept.distances, a) and a.flags.writeable
+    owned = validate_metric(a, copy=False)
+    assert owned.distances is a and not a.flags.writeable
