@@ -71,7 +71,6 @@ from .errors import (
     PixelError,
     ResultOverflow,
     TooLarge,
-    UndefinedMagnitude,
     WindowTooNarrow,
     finite,
     integral,
@@ -338,7 +337,7 @@ def _cmd_check(args, command, t0) -> int:
         "t": args.t,
         "is_positive_definite": rep.is_positive_definite,
         "negative_type_verdict": rep.negative_type_verdict,
-        "cnd_max_eigenvalue": rep.cnd_max_eigenvalue,
+        "cnd_max_eigenvalue": _finite_or_none(rep.cnd_max_eigenvalue),
         "negative_type_proof": rep.negative_type_proof,
         "scattered_bound_holds": rep.scattered_bound_holds,
     }
@@ -393,7 +392,6 @@ def _cmd_dim(args, command, t0) -> int:
         msg = (f"window may overresolve the space: tmax * smallest gap = "
                f"{args.tmax * finest:.3g} > 1")
         results["window_warning"] = msg
-        print(f"warning: {msg}", file=sys.stderr)
     _emit(args, command,
           {"space": inputs, "tmin": args.tmin, "tmax": args.tmax,
            "method": args.method, "samples": args.samples},
@@ -782,10 +780,6 @@ def main(argv=None) -> int:
         # devnull so the flush at shutdown cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UndefinedMagnitude as exc:
-        print(json.dumps({"error": "UndefinedMagnitude", "detail": str(exc)}),
-              file=sys.stderr)
-        return 3 if args.cmd == "mag" else 4
     except INPUT_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)

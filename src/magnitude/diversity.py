@@ -13,8 +13,9 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
 1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
    uniform start, for at most n iterations: about the cost of one dense
    factorisation, and enough on spaces whose optimum is near uniform.
-   It reads Z by rows (SimilarityRows), so a call that this rung
-   certifies holds d and O(64 n) floats, never the n x n Z.
+   It reads Z by rows formed from d's (engine.similarity_rows), so a
+   call that this rung certifies holds O(64 n) floats, never the n x n Z,
+   and no d where the space holds its points.
    Toward and away steps are one exact line search along +-(e_v - mu).
    fw_away_qp reports the gap it measured and max_diversity compares it
    with tol; no separate status is kept.
@@ -48,9 +49,8 @@ import numpy as np
 from .engine import (
     cholesky_rows,
     cholesky_solver,
-    held_rows,
-    similarity_block,
     similarity_matrix,
+    similarity_rows,
 )
 from .errors import (
     DiversityError,
@@ -58,7 +58,7 @@ from .errors import (
     TooLarge,
     WindowTooNarrow,
 )
-from .spaces import FiniteMetricSpace
+from .spaces import ROW_BLOCK, FiniteMetricSpace
 
 EXACT_DIVERSITY_LIMIT = 15
 # support enumeration's feasibility slack: on y >= 0 and on the
@@ -66,8 +66,6 @@ EXACT_DIVERSITY_LIMIT = 15
 EXACT_FEAS_TOL = 1e-12
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
-# rows of Z in one block of Frank-Wolfe's first product Z @ mu
-_ROW_BLOCK = 64
 
 
 def backend_name() -> str:
@@ -114,32 +112,16 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * (mu @ q - q.min()))
 
 
-class SimilarityRows:
-    """Z = exp(-t d) of a space, read by rows and never held whole.
+def fw_away_qp(rows, n: int, tol: float, max_iters: int):
+    """Minimize x'Zx over the probability simplex, for a symmetric n x n Z.
 
-    Z[v] forms row v and Z[lo:hi] rows lo to hi, through
-    engine.similarity_block: every entry is bit-identical to
-    similarity_matrix's, and a bad scale raises its errors. Row v is also
-    column v, as every distance matrix is exactly symmetric, and Z[v][v]
-    is 1, as its diagonal is 0.
-    """
-
-    def __init__(self, space: FiniteMetricSpace, t: float):
-        self.d = space.distances
-        self.t = t
-        self.shape = self.d.shape
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return similarity_block(self.d[rows], self.t)
-
-
-def fw_away_qp(Z, tol: float, max_iters: int):
-    """Minimize x'Zx over the probability simplex, for a symmetric Z.
-
-    Z is an array or SimilarityRows: the run reads Z @ mu once, in
-    blocks of _ROW_BLOCK rows, and then one row Z[v] per iteration, which
-    is column v as Z is symmetric; so both give bit-identical runs, and
-    SimilarityRows holds _ROW_BLOCK * N floats of Z at a time.
+    rows(lo, hi, out=None) gives Z[lo:hi], which the run reads and never
+    writes: a held Z's rows, or engine.similarity_rows, which forms them
+    from d's as they are asked for, in out where it is given. The run
+    reads Z @ mu once, in blocks of ROW_BLOCK rows, and then one row Z[v]
+    per iteration, into one buffer, which is column v as Z is symmetric;
+    so both give bit-identical runs, and the formed rows hold ROW_BLOCK *
+    n floats of Z at a time.
     Frank-Wolfe with away steps, one O(N) pass per iteration, updating
     its vectors in place. Deterministic: uniform start, lowest-index tie
     break in the linear minimization oracle. Each step is one exact line
@@ -155,15 +137,16 @@ def fw_away_qp(Z, tol: float, max_iters: int):
     The gap is the one kkt_gap measures: a value slightly below zero is
     rounding, and it certifies a global minimum only for PSD Z.
     """
-    n = Z.shape[0]
     mu = np.full(n, 1.0 / n)
     q = np.empty(n)                # running Z @ mu
-    for lo in range(0, n, _ROW_BLOCK):
-        np.matmul(Z[lo:lo + _ROW_BLOCK], mu, out=q[lo:lo + _ROW_BLOCK])
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        np.matmul(rows(lo, hi), mu, out=q[lo:hi])
     f = float(mu @ q)              # running objective mu' Z mu
     gap = np.inf                   # no gap measured before the first pass
     g = np.empty(n)                # gradient 2 Z mu
     work = np.empty(n)             # the away oracle's scores, then a row
+    row_buffer = np.empty((1, n))  # where a formed row of Z is written
     support = np.empty(n, dtype=bool)
     it = 0
     while it < max_iters:
@@ -183,7 +166,7 @@ def fw_away_qp(Z, tol: float, max_iters: int):
             alpha = mu[a]
             v, sign = a, -1.0
             hmax = alpha / (1.0 - alpha) if alpha < 1.0 else 0.0
-        row = Z[v]
+        row = rows(v, v + 1, out=row_buffer)[0]
         # the direction is sign * (e_v - mu): slope d'Z mu, curvature d'Zd
         slope = sign * (q[v] - f)
         curv = row[v] - 2.0 * q[v] + f
@@ -206,21 +189,23 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
 
     Short Frank-Wolfe, then the active set when Z is positive definite,
     then Frank-Wolfe up to max_iters (see the module docstring). The short
-    run reads Z by rows (SimilarityRows); the n x n Z is formed only for
-    the rungs after it. Raises NonConvergence if the last Frank-Wolfe run
-    still misses tol. On spaces whose similarity matrix is not positive
-    semidefinite the returned point is stationary but the global
-    certificate is void.
+    run reads Z by rows (engine.similarity_rows); the n x n Z is formed
+    only for the rungs after it. Raises NonConvergence if the last
+    Frank-Wolfe run still misses tol. On spaces whose similarity matrix is
+    not positive semidefinite the returned point is stationary but the
+    global certificate is void.
     """
-    budget = min(space.n_points, max_iters)
-    mu, f, gap, iters = fw_away_qp(SimilarityRows(space, t), tol, budget)
+    n = space.n_points
+    budget = min(n, max_iters)
+    mu, f, gap, iters = fw_away_qp(similarity_rows(space, t), n, tol, budget)
     if gap > tol:
         z = similarity_matrix(space, t)
         found = _active_set(z, tol)
         if found is not None:
             return found
         if budget < max_iters:
-            mu, f, gap, iters = fw_away_qp(z, tol, max_iters)
+            mu, f, gap, iters = fw_away_qp(lambda lo, hi, out=None: z[lo:hi],
+                                           n, tol, max_iters)
         if gap > tol:
             raise NonConvergence(iters, gap)
     return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
@@ -242,7 +227,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
     """
     n = z.shape[0]
     try:
-        chol = cholesky_rows(held_rows(z), n)
+        chol = cholesky_rows(lambda lo, hi: z[lo:hi, lo:].copy(), n)
     except np.linalg.LinAlgError:
         return None
     idx = np.arange(n)
@@ -360,9 +345,15 @@ def _solve_each(zs: np.ndarray) -> np.ndarray:
 
 
 def _balls(space: FiniteMetricSpace, eps: float) -> np.ndarray:
+    """The n x n mask d <= eps, filled from d's rows a block at a time."""
     if eps < 0:
         raise DiversityError("radius must be >= 0")
-    return space.distances <= eps
+    n = space.n_points
+    balls = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        np.less_equal(space.rows(lo, hi), eps, out=balls[lo:hi])
+    return balls
 
 
 def _greedy_cover(balls: np.ndarray) -> list:

@@ -34,11 +34,16 @@ dpocon and dgecon run.
 Every positive definiteness decision factors with one kernel,
 cholesky_rows: a blocked Cholesky that asks a row source for its input
 one block of rows at a time, right of the diagonal only, and keeps the
-factor as those block rows, half an n x n array. So no dense stage holds
-a square work array: the PD test forms Z's rows from d as it factors and
-holds half a factor, a solve holds Z and half a factor, and the
-negative-type proof of definiteness_report forms the rows of its shifted
-matrix from d and the row means and holds half a factor.
+factor as those block rows, half an n x n array. Every stage reads d
+through the space's rows, ROW_BLOCK at a time, and a generated space
+holds its points, not d, so forms them as they are asked for
+(spaces.FiniteMetricSpace.rows). So no dense stage holds a square work
+array, nor d: the PD test forms Z's rows as it factors and holds half a
+factor; a solve forms Z's rows on and right of the diagonal as it
+factors them, mirrors them into the rest of Z, and holds Z and half a
+factor; and the negative-type proof of definiteness_report forms the
+rows of its shifted matrix from d's rows and row means and holds half a
+factor.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveScale, UndefinedMagnitude, positive_scale
-from .spaces import FiniteMetricSpace, SpaceSpec, generate_space
+from .spaces import ROW_BLOCK, FiniteMetricSpace, SpaceSpec, generate_space
 
 # rcond below N * this factor means the solve cannot be trusted at all
 CONDITION_RCOND_FACTOR = 1e-14
@@ -59,9 +64,6 @@ EPS = float(np.finfo(float).eps)
 # a refined solve is kept when max |Z w - 1| <= this times
 # max(1, ||Z||_inf ||w||_inf)
 RESIDUAL_GATE = 1e-9
-# rows per block of the triangular substitutions: one matrix-vector
-# product per block keeps the Python loop at n / 64 steps
-SUBSTITUTION_BLOCK = 64
 # iteration cap of the 1-norm estimator, as in LAPACK's dlacn2
 ESTIMATOR_MAX_ITERS = 5
 # definiteness_report brackets the norm of d to this relative margin,
@@ -118,35 +120,55 @@ class DefinitenessReport:
     negative_type_proof: str
 
 
-def similarity_block(d: np.ndarray, t) -> np.ndarray:
-    """exp(-t d) for any block of distances d, in one new array: the
-    product -t d is written to it and the exponential overwrites it, so no
-    second temporary exists. The scale is checked here, so every block of
-    Z is formed at a scale 0 < t < inf and raises the same errors."""
+def similarity_rows(space: FiniteMetricSpace, t):
+    """The row source of Z = exp(-t d) over a space: rows(lo, hi, col0,
+    out) is Z[lo:hi, col0:] in out or a new array, where the space's rows
+    are written and -t d and then Z overwrite them, so no second
+    temporary exists. Every entry is bit-identical to np.exp(-t * d).
+
+    The scale is checked here, once, so every block of Z is formed at a
+    scale 0 < t < inf and raises the same errors. The product t d
+    overflows to inf, where exp(-inf) = 0 is the exact limit, only where
+    t times the diameter does; only then is it formed under np.errstate,
+    whose entry costs more than a row of a thousand products."""
     t = positive_scale(t)
     if t == math.inf:
         raise NonpositiveScale(f"scale must be finite, got {t!r}")
-    # t d may overflow to inf, where exp(-inf) = 0 is the exact limit
-    with np.errstate(over="ignore"):
-        z = np.multiply(d, -t)
-        np.exp(z, out=z)
+    overflows = t * space.diameter == math.inf
+
+    def rows(lo, hi, col0=0, out=None):
+        if out is None:
+            out = np.empty((hi - lo, space.n_points - col0))
+        z = space.rows(lo, hi, col0, out=out)
+        if overflows:
+            with np.errstate(over="ignore"):
+                np.multiply(z, -t, out=z)
+        else:
+            np.multiply(z, -t, out=z)
+        return np.exp(z, out=z)
+
+    return rows
+
+
+def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Z = exp(-t d) in one n x n array, out or a new one, formed
+    ROW_BLOCK rows at a time by similarity_rows."""
+    n, z_rows = space.n_points, similarity_rows(space, t)
+    z = np.empty((n, n)) if out is None else out
+    for lo in range(0, n, ROW_BLOCK):
+        z_rows(lo, min(lo + ROW_BLOCK, n), out=z[lo:lo + ROW_BLOCK])
     return z
-
-
-def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
-    """Z = exp(-t d), formed in one n x n array and bit-identical to
-    np.exp(-t * d) (similarity_block over the whole of d)."""
-    return similarity_block(space.distances, t)
 
 
 def cholesky_rows(rows, n: int) -> list[np.ndarray]:
     """Upper Cholesky factor L' of a symmetric n x n matrix a, by block rows.
 
     rows(lo, hi) returns a new array holding a[lo:hi, lo:], which the
-    kernel owns and overwrites; it is called once per block of
-    SUBSTITUTION_BLOCK rows, in order. The factor is the list of those
-    blocks, block k holding L'[lo:hi, lo:] (so lo = n - its width): n^2 / 2
-    + SUBSTITUTION_BLOCK n / 2 floats, no square array. Raises
+    kernel owns and overwrites; it is called once per block of ROW_BLOCK
+    rows, in order. The factor is the list of those blocks, block k
+    holding L'[lo:hi, lo:] (so lo = n - its width): n^2 / 2 + ROW_BLOCK
+    n / 2 floats, no square array. Raises
     np.linalg.LinAlgError where a is not positive definite, as
     np.linalg.cholesky does.
 
@@ -162,8 +184,8 @@ def cholesky_rows(rows, n: int) -> list[np.ndarray]:
     where the factor is largest, it is small.
     """
     factor = []
-    for lo in range(0, n, SUBSTITUTION_BLOCK):
-        block = rows(lo, min(lo + SUBSTITUTION_BLOCK, n))
+    for lo in range(0, n, ROW_BLOCK):
+        block = rows(lo, min(lo + ROW_BLOCK, n))
         b = block.shape[0]
         update = np.empty_like(block)
         for done in factor:
@@ -179,12 +201,6 @@ def cholesky_rows(rows, n: int) -> list[np.ndarray]:
             row /= diag[k, k]
         factor.append(block)
     return factor
-
-
-def held_rows(a: np.ndarray):
-    """The row source of cholesky_rows for an array a that is held: copies
-    of a[lo:hi, lo:], so a itself is left as it was."""
-    return lambda lo, hi: a[lo:hi, lo:].copy()
 
 
 def cholesky_solver(factor: list[np.ndarray]):
@@ -264,14 +280,24 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below RESIDUAL_GATE * max(1, ||Z||_inf ||w||_inf).
     """
-    z = similarity_matrix(space, t)
-    n = z.shape[0]
+    n, z_rows = space.n_points, similarity_rows(space, t)
     ones = np.ones(n)
+    z = np.empty((n, n))
+
+    def rows(lo, hi):
+        # the rows of Z on and right of the diagonal, kept in z as well
+        block = z_rows(lo, hi, lo)
+        z[lo:hi, lo:] = block
+        return block
 
     try:
-        solve = cholesky_solver(cholesky_rows(held_rows(z), n))
+        solve = cholesky_solver(cholesky_rows(rows, n))
         status = STATUS_PD
+        # Z is exactly symmetric: the rest of it mirrors what was formed
+        for lo in range(ROW_BLOCK, n, ROW_BLOCK):
+            z[lo:lo + ROW_BLOCK, :lo] = z[:lo, lo:lo + ROW_BLOCK].T
     except np.linalg.LinAlgError:
+        similarity_matrix(space, t, out=z)
         try:
             inverse = np.linalg.inv(z)
         except np.linalg.LinAlgError:
@@ -377,13 +403,12 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
-    """Whether Cholesky factors Z(t). Z is formed a block of rows at a time,
-    only its entries on and right of the diagonal, so the test holds half
-    a factor and no n x n array, and takes half the exponentials."""
-    d = space.distances
+    """Whether Cholesky factors Z(t). Z is formed from d's rows a block at a
+    time, only its entries on and right of the diagonal, so the test holds
+    half a factor and no n x n array, and takes half the exponentials."""
+    z_rows = similarity_rows(space, t)
     try:
-        cholesky_rows(lambda lo, hi: similarity_block(d[lo:hi, lo:], t),
-                      space.n_points)
+        cholesky_rows(lambda lo, hi: z_rows(lo, hi, lo), space.n_points)
         return True
     except np.linalg.LinAlgError:
         return False
@@ -424,23 +449,54 @@ def _perron_bracket(d: np.ndarray):
         x = y / y.max()
 
 
-def _negative_type_bound(d: np.ndarray) -> float | None:
-    """A proven upper bound on the top eigenvalue of P d P, at most
-    1e-10 ||d||, or None where the proof does not go through.
+def _proof_terms(rows, n: int):
+    """The float terms of the negative-type proof for the n x n matrix d
+    whose rows rows(lo, hi) gives: r, its row means, formed a block of
+    rows at a time and bit-identical to d.mean(axis=1), tau, the diagonal
+    of A, and the exact sums of r and of the diagonal; None where one of
+    them overflows."""
+    r = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            rows(lo, hi).mean(axis=1, out=r[lo:hi])
+        tau = 1e-10 * (1.0 - PERRON_MARGIN) * (n * float(r.min()))
+        # the diagonal of A, rounded as A's rows round it below; d's
+        # diagonal is 0, which subtracts exactly
+        diagonal = r + r
+        diagonal += tau / 2
+    if not np.isfinite(diagonal).all():
+        return None
+    try:
+        return r, tau, diagonal, math.fsum(r), math.fsum(diagonal)
+    except OverflowError:  # an exact sum beyond the double range
+        return None
 
-    For any vector r and v with 1'v = 0, v'(r 1' + 1 r' - d) v = -v'd v,
-    and the top eigenvalue of P d P is the larger of 0 (its eigenvalue on
-    1) and the largest v'd v over unit v with 1'v = 0. So if
-    A = r 1' + 1 r' - d + (tau / 2) I has lambda_min(A) >= tau / 2 - beta,
-    that eigenvalue is at most beta. Here r is the computed row means of d
-    and A is formed, a block of rows at a time, and factored in floating
-    point:
 
-    - tau = 1e-10 (1 - PERRON_MARGIN) n min(r). The Perron root of d is
+def _negative_type_bound(space: FiniteMetricSpace) -> tuple[float | None, int]:
+    """(beta, k): a proven upper bound beta on the top eigenvalue of
+    P d' P, at most 1e-10 ||d'||, or None where the proof does not go
+    through, for d' = 2^-k d, whose top eigenvalue is 2^-k that of P d P.
+
+    k is 0 whenever the float terms of the proof are finite, so d' = d.
+    Only near the double maximum, where a row sum of d or the sum of A's
+    diagonal overflows, is k > 0, from the exponents of max(d) and 2 n,
+    so that 2 n max(d') < 2^1023. That scaling is exact unless an entry
+    of d' falls below the normal range; then the proof declines.
+
+    For any vector r and v with 1'v = 0, v'(r 1' + 1 r' - d') v = -v'd' v,
+    and the top eigenvalue of P d' P is the larger of 0 (its eigenvalue
+    on 1) and the largest v'd' v over unit v with 1'v = 0. So if
+    A = r 1' + 1 r' - d' + (tau / 2) I has lambda_min(A) >= tau / 2 - beta,
+    that eigenvalue is at most beta. Here r is the computed row means of
+    d' and A is formed, a block of rows at a time, and factored in
+    floating point:
+
+    - tau = 1e-10 (1 - PERRON_MARGIN) n min(r). The Perron root of d' is
       at least its smallest row sum, and the margin covers the rounding of
-      the means (about n * 1e-16), so tau <= 1e-10 ||d||;
+      the means (about n * 1e-16), so tau <= 1e-10 ||d'||;
     - forming A rounds each entry twice: |E| <= gamma_2 F entrywise, with
-      F = r 1' + 1 r' + d + (tau / 2) I, and ||E|| <= gamma_2 ||F||_inf;
+      F = r 1' + 1 r' + d' + (tau / 2) I, and ||E|| <= gamma_2 ||F||_inf;
     - a Cholesky of the formed A that finishes has backward error
       gamma_{n+1} |L| |L'|, whose 2-norm is at most
       gamma_{n+1} / (1 - gamma_{n+1}) tr A (Rump, BIT 46, 2006);
@@ -455,17 +511,19 @@ def _negative_type_bound(d: np.ndarray) -> float | None:
     # imported here, so that the commands that never reach it do not pay
     from fractions import Fraction
 
-    n = d.shape[0]
-    r = d.mean(axis=1)
-    tau = 1e-10 * (1.0 - PERRON_MARGIN) * (n * float(r.min()))
-    # the diagonal of A, rounded as A's rows round it below
-    diagonal = r + r
-    diagonal -= np.diagonal(d)
-    diagonal += tau / 2
+    n, k, d_rows = space.n_points, 0, space.rows
+    terms = _proof_terms(d_rows, n)
+    if terms is None:
+        k = max(1, math.frexp(space.diameter)[1] + (2 * n).bit_length() - 1023)
+        if math.ldexp(space.min_distance, -k) < 2.0 ** -1022:
+            return None, k
+        d_rows = lambda lo, hi, col0=0: np.ldexp(space.rows(lo, hi, col0), -k)
+        terms = _proof_terms(d_rows, n)
+    r, tau, diagonal, r_sum, diagonal_sum = terms
 
     def rows(lo, hi):
         block = np.add(r[lo:hi, None], r[None, lo:])
-        np.subtract(block, d[lo:hi, lo:], out=block)
+        np.subtract(block, d_rows(lo, hi, lo), out=block)
         block.ravel()[::n - lo + 1] += tau / 2
         return block
 
@@ -474,22 +532,22 @@ def _negative_type_bound(d: np.ndarray) -> float | None:
     unit = 2 ** 53
     up = 1 + Fraction(1, unit)
     r_max = Fraction(float(r.max()))
-    # each exact row sum of d is at most n max(r) / (1 - gamma_n)
+    # each exact row sum of d' is at most n max(r) / (1 - gamma_n)
     f_norm = (n * r_max * (1 + Fraction(unit - n, unit - 2 * n))
-              + Fraction(math.fsum(r)) * up + Fraction(tau / 2))
+              + Fraction(r_sum) * up + Fraction(tau / 2))
     forming = Fraction(2, unit - 2) * f_norm
     backward = (Fraction(n + 1, unit - 2 * (n + 1))
-                * Fraction(math.fsum(diagonal)) * up)
+                * Fraction(diagonal_sum) * up)
     underflow = (n * (n + 1) * Fraction(1, 2 ** 1074)
                  * (1 + Fraction(float(diagonal.max()))))
     beta = Fraction(tau / 2) + forming + backward + underflow
     if beta > Fraction(tau):
-        return None
+        return None, k
     try:
         cholesky_rows(rows, n)
     except np.linalg.LinAlgError:
-        return None
-    return math.nextafter(float(beta), math.inf)
+        return None, k
+    return math.nextafter(float(beta), math.inf), k
 
 
 def _eigenvalue_band(d: np.ndarray) -> tuple[float, str]:
@@ -537,23 +595,30 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     proof fails does eigvalsh give the top eigenvalue, and the band the
     verdict (negative_type_proof "eigenvalue_band", _eigenvalue_band).
 
-    Memory: besides d, half an n x n array at a time on the proof path:
-    the factor of the shifted matrix, whose rows are formed a block at a
-    time, is freed before the PD test factors Z(t), whose rows are formed
-    the same way. A failed proof frees its factor before the centred
-    matrix of the fallback is formed, one n x n array (LAPACK's own
-    working copy comes on top in eigvalsh).
+    Near the double maximum the proof and the band read d scaled by a
+    power of two, 2^-k d (_negative_type_bound), and the top eigenvalue
+    is scaled back by 2^k; k is 0 wherever the proof's float terms are
+    finite.
+
+    Memory: half an n x n array at a time on the proof path, and no d
+    where the space holds its points: the shifted matrix's rows are
+    formed from d's rows and row means a block at a time, and its factor
+    is freed before the PD test factors Z(t), whose rows are formed the
+    same way. A failed proof frees its factor before the band forms d
+    whole and its centred matrix (LAPACK's own working copy comes on top
+    in eigvalsh).
     """
-    d = space.distances
-    top = _negative_type_bound(d)
+    top, k = _negative_type_bound(space)
     if top is not None:
         verdict, proof = VERDICT_NEGATIVE_TYPE, PROOF_CHOLESKY
     else:
-        (top, verdict), proof = _eigenvalue_band(d), PROOF_EIGENVALUE_BAND
+        d = space.distances
+        (top, verdict), proof = (_eigenvalue_band(np.ldexp(d, -k) if k else d),
+                                 PROOF_EIGENVALUE_BAND)
     return DefinitenessReport(
         is_positive_definite(space, t),
         verdict,
-        top,
+        top * 2.0 ** k,
         scattered_bound_holds(space, t),
         proof,
     )

@@ -1,20 +1,24 @@
 """Finite metric spaces: validation, generators, and matrix input.
 
-A space is a validated N x N distance matrix. Validation enforces the four
-classical axioms (zero diagonal, symmetry, separation, triangle inequality);
-the triangle check tolerates floating-point slack of 1e-12 times the largest
-entry so that computed metrics (for example l2 grids) are not rejected for
-rounding noise, while real violations are.
+A space is a validated N x N distance matrix d, which every consumer reads
+a block of rows at a time (FiniteMetricSpace.rows). Explicit matrices and
+graphs hold d; the generated point sets (lines, lp grids, Cantor endpoints
+and ball samples) hold only their points and p, and form each row of d
+from them as it is read. Validation enforces the four classical axioms
+(zero diagonal, symmetry, separation, triangle inequality); the triangle
+check tolerates floating-point slack of 1e-12 times the largest entry so
+that computed metrics (for example l2 grids) are not rejected for rounding
+noise, while real violations are.
 
 Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 Random kinds use numpy's counter-based Philox generator so a spec with a seed
-reproduces the same matrix bit for bit on any platform. A spec, and a
+reproduces the same points bit for bit on any platform. A spec, and a
 direct call of a public builder, is checked against the KINDS table of
 parameter rules before anything is built; a builder checks only
-coincident points, distances outside the double range, the ball's draw
-limit and POINT_LIMIT.
+coincident points, distances outside the double range or rounding to 0,
+the ball's draw limit and POINT_LIMIT.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -55,75 +59,122 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
 )
 
 TRIANGLE_TOL_FACTOR = 1e-12
-# rows of the distance matrix formed at once by _distances
-_ROW_BLOCK = 64
+# rows of d, or of a matrix formed from it, that a dense stage forms or
+# reads at once: the blocks of engine.cholesky_rows and its substitutions,
+# of the Frank-Wolfe row reader and of every row scan of d
+ROW_BLOCK = 64
+# rows of d that _lp_rows forms at once: its scratch plane is 8 n floats,
+# and it took no longer than planes of ROW_BLOCK rows
+_PLANE_ROWS = 8
 # rows and values of k the triangle scan compares at once: its working
 # set is _SCAN_ROWS * _SCAN_KS * n floats
 _SCAN_ROWS = 16
 _SCAN_KS = 16
 # expected cube draws ball_sample may spend: a few seconds at n = 20
 BALL_DRAW_LIMIT = 10**7
-# most points a generator builds: a dense solve holds d, Z and half a
-# factor, 2.55 n x n float arrays measured at n = 2000 (1.3 GiB at this
-# size), and a failed negative-type proof d, the centred matrix and
-# eigvalsh's copy of it, three (1.5 GiB)
+# most points a generator builds. Measured at n = 2000 in n x n float
+# arrays: a dense solve holds Z and half a factor, 1.55 (0.8 GiB at this
+# size), and 2.55 where the space holds d (graphs, 1.3 GiB); a failed
+# negative-type proof forms d, the centred matrix and eigvalsh's copy of
+# it, three (1.5 GiB)
 POINT_LIMIT = 2**13
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Validated finite metric space.
+    """Validated finite metric space, read by rows.
 
-    ``distances`` is a read-only float64 array; build instances through
-    :func:`validate_metric` or a generator, not directly, unless the matrix
-    is already known to be a metric.
+    A space holds its distance matrix d (explicit matrices and graphs), or
+    only its points and p, the lp distance of the generated kinds; either
+    way rows(lo, hi, col0) is d[lo:hi, col0:] and distances is the whole
+    of d, read-only. Build instances through validate_metric or a
+    generator (_points_space), not directly, unless the matrix is already
+    known to be a metric.
     """
 
-    distances: np.ndarray
-    labels: tuple | None = None
+    __slots__ = ("_d", "_planes", "p", "labels", "n_points", "_extremes")
 
-    def __post_init__(self):
-        d = self.distances
-        d.setflags(write=False)
-        if self.labels is not None and len(self.labels) != d.shape[0]:
+    def __init__(self, distances=None, labels=None, *, points=None, p=None):
+        if points is None:
+            self._d, self._planes = distances, None
+            distances.setflags(write=False)
+            n = distances.shape[0]
+        else:
+            # one contiguous plane per coordinate, as _lp_rows reads them
+            self._d = None
+            self._planes = _planes(points)
+            n = len(self._planes[0])
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length != point count")
+        self.p, self.labels, self.n_points = p, labels, n
+        self._extremes = None
 
     @property
-    def n_points(self) -> int:
-        return self.distances.shape[0]
+    def points(self) -> np.ndarray | None:
+        """The points, one row each, of a space of points; else None."""
+        return None if self._planes is None else np.stack(self._planes, 1)
+
+    def rows(self, lo: int, hi: int, col0: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """d[lo:hi, col0:], written into out when it is given; else a
+        read-only view of a held d, or a new array formed from the
+        points."""
+        if self._planes is not None:
+            return _lp_rows(self._planes, self.p, lo, hi, col0, out)
+        if out is None:
+            return self._d[lo:hi, col0:]
+        np.copyto(out, self._d[lo:hi, col0:])
+        return out
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The whole of d, read-only: held, or formed from the points on
+        every call."""
+        if self._planes is None:
+            return self._d
+        d = _distances(self.points, self.p)
+        d.setflags(write=False)
+        return d
+
+    def _scan(self) -> tuple[float, float]:
+        """(smallest off-diagonal entry, largest entry) of d, read once
+        by rows on and right of the diagonal, ROW_BLOCK at a time, which
+        suffices as d is symmetric; the smallest is inf for one point.
+        Only the diagonal block is copied, to mask its diagonal, and each
+        part is reduced row by row first, because reducing a strided view
+        whole would allocate numpy's iteration buffer."""
+        if self._extremes is None:
+            low, high = math.inf, 0.0
+            scratch = np.empty((ROW_BLOCK, ROW_BLOCK))
+            for lo in range(0, self.n_points, ROW_BLOCK):
+                rows = self.rows(lo, min(lo + ROW_BLOCK, self.n_points), lo)
+                b = len(rows)
+                square = scratch[:b, :b]
+                square[...] = rows[:, :b]
+                np.fill_diagonal(square, np.inf)
+                # np.max, not max: a NaN entry makes the largest NaN
+                high = float(np.max((high, rows.max(axis=1).max())))
+                for part in (square, rows[:, b:]):
+                    if part.size:
+                        low = min(low, float(part.min(axis=1).min()))
+            self._extremes = low, high
+        return self._extremes
 
     @property
     def diameter(self) -> float:
-        return float(self.distances.max())
+        return self._scan()[1]
 
     @property
     def min_distance(self) -> float:
-        """Smallest off-diagonal distance; inf for a single point.
-
-        Per block of _ROW_BLOCK rows, the entries left and right of the
-        diagonal block are reduced in place and only the diagonal block is
-        copied, to mask its diagonal: _ROW_BLOCK^2 floats of scratch. Each
-        part is reduced row by row first, because reducing a strided view
-        whole would allocate numpy's iteration buffer."""
-        d = self.distances
-        best = math.inf
-        scratch = np.empty((_ROW_BLOCK, _ROW_BLOCK))
-        for lo in range(0, self.n_points, _ROW_BLOCK):
-            rows = d[lo:lo + _ROW_BLOCK]
-            hi = lo + len(rows)
-            square = scratch[:hi - lo, :hi - lo]
-            square[...] = rows[:, lo:hi]
-            np.fill_diagonal(square, np.inf)
-            for part in (rows[:, :lo], square, rows[:, hi:]):
-                if part.size:
-                    best = min(best, float(part.min(axis=1).min()))
-        return best
+        """Smallest off-diagonal distance; inf for a single point."""
+        return self._scan()[0]
 
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         idx = list(indices)
-        sub = self.distances[np.ix_(idx, idx)].copy()
         labs = tuple(self.labels[i] for i in idx) if self.labels else None
-        return FiniteMetricSpace(sub, labs)
+        if self._planes is not None:
+            return FiniteMetricSpace(labels=labs, points=self.points[idx],
+                                     p=self.p)
+        return FiniteMetricSpace(self._d[np.ix_(idx, idx)].copy(), labs)
 
     def __repr__(self):  # keep reprs short; matrices can be large
         return f"FiniteMetricSpace(n={self.n_points}, diam={self.diameter:.6g})"
@@ -215,16 +266,19 @@ def first_triangle_violation(d: np.ndarray, tol: float):
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     n = d.shape[0]
-    for k0 in range(0, n, _SCAN_KS):
-        krows = d[k0:k0 + _SCAN_KS]
-        for lo in range(0, n, _SCAN_ROWS):
-            rows = d[lo:lo + _SCAN_ROWS]
-            via = (rows[:, k0:k0 + _SCAN_KS, None]
-                   + krows[None, :, lo:]).min(axis=1)
-            np.subtract(rows[:, lo:], via, out=via)
-            if (via > tol).any():
-                return _first_violation_at(d, tol,
-                                           range(k0, k0 + len(krows)))
+    # near the double maximum d[i,k] + d[k,j] may overflow to inf, which
+    # is never a violation, as the exact sum is none either
+    with np.errstate(over="ignore"):
+        for k0 in range(0, n, _SCAN_KS):
+            krows = d[k0:k0 + _SCAN_KS]
+            for lo in range(0, n, _SCAN_ROWS):
+                rows = d[lo:lo + _SCAN_ROWS]
+                via = (rows[:, k0:k0 + _SCAN_KS, None]
+                       + krows[None, :, lo:]).min(axis=1)
+                np.subtract(rows[:, lo:], via, out=via)
+                if (via > tol).any():
+                    return _first_violation_at(d, tol,
+                                               range(k0, k0 + len(krows)))
     return -1, -1, -1
 
 
@@ -232,9 +286,9 @@ def _first_hit(d: np.ndarray, test) -> tuple[int, int] | None:
     """First (i, j) in row-major order where test(rows, lo) is true.
 
     test maps the rows lo .. lo + len(rows) of d to a mask of their shape;
-    it sees _ROW_BLOCK rows at a time, so no n x n mask is formed."""
-    for lo in range(0, d.shape[0], _ROW_BLOCK):
-        hit = test(d[lo:lo + _ROW_BLOCK], lo)
+    it sees ROW_BLOCK rows at a time, so no n x n mask is formed."""
+    for lo in range(0, d.shape[0], ROW_BLOCK):
+        hit = test(d[lo:lo + ROW_BLOCK], lo)
         if hit.any():
             i, j = np.argwhere(hit)[0]
             return lo + int(i), int(j)
@@ -318,31 +372,75 @@ def _check_points(n: int, what: str) -> None:
                       f"{POINT_LIMIT:,}")
 
 
-def _distances(pts: np.ndarray, p: int) -> np.ndarray:
-    """lp distances between the rows of pts (p in 1, 2). A coordinate or
-    distance outside the double range raises BadSpec: every generator
-    builds its matrix here and skips validate_metric, so this is where
-    non-finite entries are caught.
+def _lp_rows(planes, p: int, lo: int, hi: int, col0: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """d[lo:hi, col0:] in the lp distance (p in 1, 2) of the points whose
+    coordinates are given by planes, one 1-D array per coordinate, written
+    into out, or a new array.
 
-    Rows are formed _ROW_BLOCK at a time, so the temporaries hold
-    _ROW_BLOCK * n * dim floats rather than n * n * dim; each entry is
-    the same expression over the same coordinates as a whole-matrix
-    broadcast, so the matrix is bit-identical to it."""
-    n = len(pts)
-    d = np.empty((n, n))
+    Per coordinate, the differences are formed and taken to |x| (p = 1)
+    or x^2 (p = 2), and these planes are added left to right; for p = 2
+    the square root of the sum is taken. Below 8 coordinates this is the
+    order in which numpy sums the last axis of a broadcast difference, so
+    the entries are bit-identical to that sum; from 8 on numpy blocks its
+    sum pairwise and an entry may differ from it in the last bit.
+
+    The rows are formed _PLANE_ROWS at a time, so the planes after the
+    first take _PLANE_ROWS * n floats of scratch, and each difference is
+    formed a row at a time: a broadcast ufunc call over a block would
+    allocate numpy's iteration buffers, up to 128 KiB."""
+    power = np.abs if p == 1 else np.square
+    if out is None:
+        out = np.empty((hi - lo, len(planes[0]) - col0))
+    if len(planes) > 1:
+        part = np.empty((min(_PLANE_ROWS, hi - lo), out.shape[1]))
+    for a in range(lo, hi, _PLANE_ROWS):
+        b = min(a + _PLANE_ROWS, hi)
+        acc = out[a - lo:b - lo]
+        for c, x in enumerate(planes):
+            target = part[:b - a] if c else acc
+            tail = x[col0:]
+            for i in range(a, b):
+                np.subtract(x[i], tail, out=target[i - a])
+            power(target, out=target)
+            if c:
+                acc += target
+    if p == 2:
+        np.sqrt(out, out=out)
+    return out
+
+
+def _planes(pts) -> tuple:
+    """The coordinate planes of the points pts, one row each: read-only
+    contiguous rows of one array."""
+    coords = np.ascontiguousarray(np.asarray(pts, float).T)
+    coords.setflags(write=False)
+    return tuple(coords)
+
+
+def _distances(pts: np.ndarray, p: int) -> np.ndarray:
+    """lp distances between the rows of pts (p in 1, 2), the whole matrix
+    that _lp_rows forms."""
+    planes = _planes(pts)
+    return _lp_rows(planes, p, 0, len(planes[0]))
+
+
+def _points_space(pts, p: int, labels) -> FiniteMetricSpace:
+    """The space of the rows of pts in the lp distance, which holds the
+    points and not d. Every generator builds its space here and skips
+    validate_metric, so one pass over d's rows checks here that every
+    distance is finite and that distinct points lie apart: BadSpec
+    otherwise."""
+    space = FiniteMetricSpace(labels=labels, points=pts, p=p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _ROW_BLOCK):
-            rows = d[lo:lo + _ROW_BLOCK]
-            diff = pts[lo:lo + _ROW_BLOCK, None, :] - pts[None, :, :]
-            if p == 1:
-                np.abs(diff, out=diff).sum(axis=2, out=rows)
-            else:
-                np.multiply(diff, diff, out=diff).sum(axis=2, out=rows)
-                np.sqrt(rows, out=rows)
-            if not np.isfinite(rows).all():
-                raise BadSpec(
-                    "coordinates give distances outside the double range")
-    return d
+        low, high = space._scan()
+    if not math.isfinite(high):
+        raise BadSpec("coordinates give distances outside the double range")
+    if low == 0.0:
+        raise BadSpec("distinct points' distances round to 0: their squared "
+                      "coordinate differences underflow at this radius or "
+                      "spacing")
+    return space
 
 
 @_checked("points_1d")
@@ -353,8 +451,7 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     xs = np.sort(x)
     if (xs[1:] == xs[:-1]).any():
         raise BadSpec("points_1d coordinates must be distinct")
-    d = _distances(x[:, None], 1)
-    return FiniteMetricSpace(d, labels=tuple(float(v) for v in x))
+    return _points_space(x[:, None], 1, tuple(float(v) for v in x))
 
 
 @_checked("graph_shortest_path")
@@ -414,8 +511,7 @@ def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
         pts *= spacing
-    d = _distances(pts, p)
-    return FiniteMetricSpace(d, labels=tuple(map(tuple, pts)))
+    return _points_space(pts, p, tuple(map(tuple, pts)))
 
 
 def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
@@ -480,12 +576,12 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         chunks.append(keep)
         have += len(keep)
     pts = np.concatenate(chunks)[:count]
-    space = FiniteMetricSpace(_distances(pts, p), labels=tuple(map(tuple, pts)))
     # rejection can in principle repeat a point; the chance is 0 for
-    # continuous draws, but validate separation anyway
-    if space.min_distance == 0.0:
+    # continuous draws, but check anyway, in lexicographic order
+    ordered = pts[np.lexsort(pts.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise BadSpec("sample produced coincident points; change the seed")
-    return space
+    return _points_space(pts, p, tuple(map(tuple, pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -355,10 +355,10 @@ def test_approx_digest_is_the_effective_family(capsys):
 def test_error_inside_a_builder_is_internal(capsys, monkeypatch):
     # the parameters passed the KINDS table, so a TypeError past it is a
     # bug, not bad input
-    def broken(pts, p):
+    def broken(*args):
         raise TypeError("internal")
 
-    monkeypatch.setattr("magnitude.spaces._distances", broken)
+    monkeypatch.setattr("magnitude.spaces._lp_rows", broken)
     code, out, err = run(capsys, "mag", "--grid", "3x2")
     assert code == 4
     assert out == ""
@@ -714,6 +714,40 @@ def test_stdin_matrix(capsys, monkeypatch):
     assert rep["results"]["magnitude"] == pytest.approx(1.4621171572600098, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv, stdin, proof, norm", [
+    (["check", "--points-1d", "0,1e308"], None, "cholesky", 1e308),
+    (["check", "--stdin-matrix"], "0,1e308\n1e308,0\n", "cholesky", 1e308),
+    (["check", "--points-1d", "0,8e307,1.6e308", "--t", "1e-300"], None,
+     "cholesky", 1.6e308),
+    # scaled by 2^-4, 1e-308 leaves the normal range: the band decides
+    (["check", "--points-1d", "0,1e-308,1e308"], None, "eigenvalue_band",
+     1e308),
+])
+def test_check_near_the_double_maximum_gives_a_verdict(monkeypatch, argv,
+                                                       stdin, proof, norm):
+    # a row sum or the proof's exact sums overflow at these distances, so
+    # the proof reads d scaled by a power of two; nothing reaches stderr
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err, caught = _call(argv)
+    assert code == 0
+    assert err == "" and not caught
+    rep = strict_loads(out)["results"]
+    assert rep["negative_type_verdict"] == "CertifiedNegativeType"
+    assert rep["negative_type_proof"] == proof
+    # norm is at most the Perron root of d, so 1e-10 norm at most the band
+    assert abs(rep["cnd_max_eigenvalue"]) <= 1e-10 * norm
+
+
+def test_ball_sample_underflow_names_its_cause(capsys):
+    code, out, err = run(capsys, "check", "--ball", "3,1e-300,5", "--seed",
+                         "1")
+    assert_bad_spec(code, out, err)
+    assert json.loads(err)["detail"] == (
+        "distinct points' distances round to 0: their squared coordinate "
+        "differences underflow at this radius or spacing")
+
+
 def test_weights_command(capsys):
     code, rep, _ = run_json(capsys, "weights", "--points-1d", "0,1", "--t", "2")
     assert code == 0
@@ -760,8 +794,9 @@ def test_dim_overresolution_warning(capsys):
     code, rep, err = run_json(capsys, "dim", "--grid", "11", "--tmin", "0.5",
                               "--tmax", "2", "--samples", "6")
     assert code == 0
-    assert "window_warning" in rep["results"]
-    assert "warning:" in err
+    assert rep["results"]["window_warning"].startswith(
+        "window may overresolve the space")
+    assert err == ""  # the warning is the field alone
     assert rep["results"]["method"] == "diversity_growth"
 
 

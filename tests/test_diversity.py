@@ -10,7 +10,6 @@ from magnitude.diversity import (
     EXACT_DIVERSITY_LIMIT,
     DiversityError,
     NonConvergence,
-    SimilarityRows,
     TooLarge,
     WindowTooNarrow,
     _solve_each,
@@ -21,7 +20,12 @@ from magnitude.diversity import (
     max_diversity,
     max_diversity_exact,
 )
-from magnitude.engine import is_positive_definite, magnitude, similarity_matrix
+from magnitude.engine import (
+    is_positive_definite,
+    magnitude,
+    similarity_matrix,
+    similarity_rows,
+)
 from magnitude.spaces import (
     ball_sample,
     cantor_endpoints,
@@ -55,10 +59,16 @@ def test_backend_name_is_numpy():
     assert backend_name() == "numpy"
 
 
+def _fw(Z, tol, max_iters):
+    """fw_away_qp on a held Z."""
+    return fw_away_qp(lambda lo, hi, out=None: Z[lo:hi], len(Z), tol,
+                      max_iters)
+
+
 def test_fw_simplex_invariants():
     rng = np.random.default_rng(3)
     Z = _random_similarity(rng, 17)
-    mu, f, gap, it = fw_away_qp(Z, 1e-10, 100000)
+    mu, f, gap, it = _fw(Z, 1e-10, 100000)
     assert gap <= 1e-10 and it < 100000
     assert np.all(mu >= 0.0)
     assert np.sum(mu) == pytest.approx(1.0, abs=1e-12)
@@ -69,7 +79,7 @@ def test_fw_flags_negative_curvature():
     # indefinite 2x2: the first toward step has d'Zd < 0, so it takes its
     # cap and lands on a vertex
     Z = np.array([[1.0, 2.0], [2.0, 1.5]])
-    mu, f, gap, it = fw_away_qp(Z.copy(), 1e-12, 100)
+    mu, f, gap, it = _fw(Z.copy(), 1e-12, 100)
     assert gap <= 1e-12
     assert mu[0] == pytest.approx(1.0, abs=1e-15)
     assert f == pytest.approx(1.0, abs=1e-15)
@@ -78,11 +88,11 @@ def test_fw_flags_negative_curvature():
 def test_fw_max_iters_status():
     rng = np.random.default_rng(5)
     Z = _random_similarity(rng, 20)
-    mu, f, gap, it = fw_away_qp(Z, 1e-14, 3)
+    mu, f, gap, it = _fw(Z, 1e-14, 3)
     assert it == 3
     assert gap > 1e-14
     # no pass, no measured gap: never read as converged
-    assert fw_away_qp(Z, 1.0, 0)[2:] == (np.inf, 0)
+    assert _fw(Z, 1.0, 0)[2:] == (np.inf, 0)
 
 
 def _row_reader_cases():
@@ -104,8 +114,9 @@ def _row_reader_cases():
 def test_fw_on_the_row_reader_is_fw_on_z():
     for sp, t in _row_reader_cases():
         for max_iters in (0, 1, sp.n_points, 500):
-            rows = fw_away_qp(SimilarityRows(sp, t), 1e-12, max_iters)
-            dense = fw_away_qp(similarity_matrix(sp, t), 1e-12, max_iters)
+            rows = fw_away_qp(similarity_rows(sp, t), sp.n_points, 1e-12,
+                              max_iters)
+            dense = _fw(similarity_matrix(sp, t), 1e-12, max_iters)
             assert rows[0].tobytes() == dense[0].tobytes()
             assert rows[1:] == dense[1:]
 
@@ -113,17 +124,21 @@ def test_fw_on_the_row_reader_is_fw_on_z():
 def test_row_reader_rows_are_rows_of_z():
     sp = ball_sample(2, 1.0, 70, seed=9)
     z = similarity_matrix(sp, 1.5)
-    rows = SimilarityRows(sp, 1.5)
-    assert rows.shape == z.shape
+    rows = similarity_rows(sp, 1.5)
     for v in (0, 33, 69):
-        assert rows[v].tobytes() == z[v].tobytes() == z[:, v].tobytes()
-        assert rows[v][v] == 1.0
-    assert rows[64:70].tobytes() == z[64:70].tobytes()
+        row = rows(v, v + 1)[0]
+        assert row.tobytes() == z[v].tobytes() == z[:, v].tobytes()
+        assert row[v] == 1.0
+    assert rows(64, 70).tobytes() == z[64:70].tobytes()
+    assert rows(3, 9, 5).tobytes() == z[3:9, 5:].tobytes()
+    out = np.empty((1, 70))
+    assert rows(5, 6, out=out) is out and out.tobytes() == z[5:6].tobytes()
 
 
 def test_fw_certified_diversity_holds_no_n_by_n_array():
     # the dim --grid 1001 shape at a scale whose short Frank-Wolfe run
-    # certifies: besides d, one 64-row block of Z (0.064 units) at a time
+    # certifies: one 64-row block of Z (0.064 units) at a time, formed
+    # from the grid's points, and no d (0.066 measured)
     import tracemalloc
 
     grid = lp_grid([1001], spacing=1.0 / 1000)
@@ -135,7 +150,7 @@ def test_fw_certified_diversity_holds_no_n_by_n_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base < 0.1 * 1001 * 1001 * 8
+    assert peak - base < 0.08 * 1001 * 1001 * 8
 
 
 # ---------------------------------------------------------------------------

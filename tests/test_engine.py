@@ -29,17 +29,18 @@ from magnitude.engine import (
     cholesky_rows,
     cholesky_solver,
     definiteness_report,
-    held_rows,
     is_positive_definite,
     magnitude,
     magnitude_function,
     scattered_bound_holds,
-    similarity_block,
     similarity_matrix,
+    similarity_rows,
     solve_weighting,
 )
 from magnitude.spaces import (
+    ROW_BLOCK,
     FiniteMetricSpace,
+    cantor_endpoints,
     MetricError,
     NonpositiveScale,
     SpaceSpec,
@@ -523,6 +524,12 @@ def _upper(factor, n):
     return u
 
 
+def _held_rows(a):
+    """The row source of cholesky_rows for a held array: copies of
+    a[lo:hi, lo:], so a itself is left as it was."""
+    return lambda lo, hi: a[lo:hi, lo:].copy()
+
+
 def _row_function(q, lam):
     """A row source computing rows of Q diag(lam) Q' as asked, each
     diagonal block made exactly symmetric, and the symmetric matrix it
@@ -536,8 +543,8 @@ def _row_function(q, lam):
         return block
 
     a = np.zeros((n, n))
-    for lo in range(0, n, engine.SUBSTITUTION_BLOCK):
-        hi = min(lo + engine.SUBSTITUTION_BLOCK, n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
         a[lo:hi, lo:] = rows(lo, hi)
     a = np.triu(a)
     return rows, a + np.triu(a, 1).T
@@ -563,7 +570,7 @@ def test_cholesky_rows_matches_numpy(n, kind, source, seed):
     if source == "held":
         a = (q * lam) @ q.T
         a = (a + a.T) / 2
-        rows = held_rows(a)
+        rows = _held_rows(a)
     else:
         rows, a = _row_function(q, lam)
     held = a.copy()
@@ -604,12 +611,11 @@ def test_factor_of_similarity_rows_is_the_factor_of_z(n):
     # the PD test forms Z's rows from d as it factors; the solve slices
     # the Z it holds: one factor, bit for bit
     space = ball_sample(3, 1.0, n, seed=n)
-    d = space.distances
     for t in (0.3, 2.0, 40.0):
         z = similarity_matrix(space, t)
-        want = cholesky_rows(held_rows(z), n)
-        got = cholesky_rows(
-            lambda lo, hi: similarity_block(d[lo:hi, lo:], t), n)
+        want = cholesky_rows(_held_rows(z), n)
+        rows = similarity_rows(space, t)
+        got = cholesky_rows(lambda lo, hi: rows(lo, hi, lo), n)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), t
@@ -618,8 +624,8 @@ def test_factor_of_similarity_rows_is_the_factor_of_z(n):
 def _block_rows(upper):
     """Block rows of an upper factor, as cholesky_rows lays them out."""
     n = upper.shape[0]
-    return [upper[lo:lo + engine.SUBSTITUTION_BLOCK, lo:].copy()
-            for lo in range(0, n, engine.SUBSTITUTION_BLOCK)]
+    return [upper[lo:lo + ROW_BLOCK, lo:].copy()
+            for lo in range(0, n, ROW_BLOCK)]
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -640,12 +646,61 @@ def test_block_substitution_matches_solve_triangular(n):
 def test_block_row_solver_matches_numpy_solve(n):
     space = ball_sample(3, 1.0, n, seed=n + 1)
     z = similarity_matrix(space, 5.0)
-    solve = cholesky_solver(cholesky_rows(held_rows(z), n))
+    solve = cholesky_solver(cholesky_rows(_held_rows(z), n))
     rng = np.random.default_rng(n)
     for b in (np.ones(n), rng.standard_normal(n)):
         want = np.linalg.solve(z, b)
         got = solve(b)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# spaces of points across the block edges, and the same d held
+POINTS_SPACES = [
+    *(points_on_line(np.random.default_rng(n).uniform(-4.0, 4.0, n))
+      for n in (63, 64, 65, 129)),
+    *(lp_grid(shape, p=p, spacing=0.3) for p in (1, 2)
+      for shape in ((63,), (8, 8), (5, 13), (3, 43))),
+    cantor_endpoints(5), cantor_endpoints(6, 3.0),
+    *(ball_sample(3, 1.0, n, seed=n, p=p) for p in (1, 2)
+      for n in (63, 64, 65, 129)),
+]
+
+
+@pytest.mark.parametrize("space", POINTS_SPACES,
+                         ids=[repr(s) for s in POINTS_SPACES])
+def test_points_rows_are_the_held_rows(space):
+    # every stage reads d by rows: from the points they carry the bits of
+    # the whole d, so Z, its factor and the negative-type bound are those
+    # of the held d, bit for bit
+    n = space.n_points
+    held = FiniteMetricSpace(space.distances.copy())
+    d = held.distances
+    for lo, hi, col0 in ((0, n, 0), (0, min(n, 64), 0), (63, min(n, 65), 17),
+                         (n - 1, n, 0), (n // 2, n, n // 2), (n - 2, n, n - 1)):
+        assert space.rows(lo, hi, col0).tobytes() == d[lo:hi, col0:].tobytes()
+        out = np.empty((hi - lo, n - col0))
+        assert space.rows(lo, hi, col0, out=out) is out
+        assert out.tobytes() == d[lo:hi, col0:].tobytes()
+    assert (space.min_distance, space.diameter) == (
+        held.min_distance, held.diameter)
+    for t in (0.5, 4.0):
+        assert (similarity_matrix(space, t).tobytes()
+                == similarity_matrix(held, t).tobytes())
+        factors = [cholesky_rows(lambda lo, hi, rows=similarity_rows(sp, t):
+                                 rows(lo, hi, lo), n)
+                   for sp in (space, held)]
+        for a, b in zip(*factors):
+            assert a.tobytes() == b.tobytes()
+    assert engine._negative_type_bound(space) == engine._negative_type_bound(held)
+
+
+def test_points_subspace_keeps_points():
+    space = ball_sample(2, 1.0, 70, seed=3)
+    idx = [69, 3, 40, 0]
+    sub = space.subspace(idx)
+    assert sub.points.tolist() == space.points[idx].tolist()
+    assert sub.labels == tuple(space.labels[i] for i in idx)
+    assert np.array_equal(sub.distances, space.distances[np.ix_(idx, idx)])
 
 
 # _negative_type_bound on seeded ball samples (dim, n, seed, p), as the
@@ -665,12 +720,12 @@ NEGATIVE_TYPE_PINS = [
 @pytest.mark.parametrize("case, want", NEGATIVE_TYPE_PINS)
 def test_negative_type_bound_is_pinned(case, want):
     dim, n, seed, p = case
-    d = ball_sample(dim, 1.0, n, seed=seed, p=p).distances
-    assert engine._negative_type_bound(d) == float.fromhex(want)
+    space = ball_sample(dim, 1.0, n, seed=seed, p=p)
+    assert engine._negative_type_bound(space) == (float.fromhex(want), 0)
 
 
 def test_negative_type_bound_fails_on_k32():
-    assert engine._negative_type_bound(K32.distances) is None
+    assert engine._negative_type_bound(K32) == (None, 0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -911,7 +966,7 @@ def test_definiteness_report_holds_two_arrays():
 
 def test_solve_weighting_holds_z_and_its_factor():
     # Z, the block rows of its factor (0.5 + 32 / n), and the inverses of
-    # their diagonal blocks, SUBSTITUTION_BLOCK * n floats (0.21 at n =
+    # their diagonal blocks, ROW_BLOCK * n floats (0.21 at n =
     # 300); no copy of Z, no |Z| temporary (1.84 measured)
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
                        300) <= 1.9
@@ -941,14 +996,16 @@ def test_definiteness_proof_holds_half_a_factor():
 
 
 def test_check_command_holds_d_and_half_a_factor(capsys):
-    # the whole `check` call: generating d, the proof, the PD test and
-    # the output; 1.58 measured, 2.09 while each factor was an n x n array
+    # the whole `check` call: generating the points, the proof, the PD
+    # test and the output: half a factor at a time, and no d. 0.59
+    # measured; 1.58 while the space held d, 2.09 while each factor was an
+    # n x n array
     argv = ["check", "--ball", "3,1,1000", "--seed", "7", "--t", "2"]
     cli.main(argv)  # imports, so that only the call itself is traced
     peak = _peak_units(lambda: cli.main(argv), 1000)
     assert json.loads(capsys.readouterr().out.splitlines()[-1])[
         "results"]["negative_type_proof"] == PROOF_CHOLESKY
-    assert peak <= 1.65
+    assert peak <= 0.65
 
 
 def test_explicit_matrix_is_validated_without_a_copy(tmp_path):
@@ -973,9 +1030,8 @@ def test_min_distance_makes_no_square_copy():
 def test_triangle_scan_holds_no_square_array():
     # blocks of _SCAN_ROWS rows by _SCAN_KS values of k: about 0.45 n^2
     # at n = 600, where a per-k n x n slack buffer alone would be 1
-    space = ball_sample(3, 1.0, 600, seed=7)
-    peak = _peak_units(
-        lambda: first_triangle_violation(space.distances, 0.0), 600)
+    d = ball_sample(3, 1.0, 600, seed=7).distances
+    peak = _peak_units(lambda: first_triangle_violation(d, 0.0), 600)
     assert peak <= 0.6
 
 

@@ -569,12 +569,58 @@ def test_ball_sample_reproducible_and_inside():
 
 
 def _broadcast_distances(pts, p):
-    """The whole-matrix broadcast formula; the generators' row-blocked
-    distances must equal it bit for bit."""
+    """The whole-matrix broadcast formula, its planes |x_i - y_i| or
+    (x_i - y_i)^2 summed left to right, the order _lp_rows documents; the
+    generators' row-blocked distances must equal it bit for bit."""
     diff = pts[:, None, :] - pts[None, :, :]
-    if p == 1:
-        return np.abs(diff).sum(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+    planes = np.abs(diff) if p == 1 else diff * diff
+    total = planes[:, :, 0].copy()
+    for k in range(1, planes.shape[2]):
+        total += planes[:, :, k]
+    return total if p == 1 else np.sqrt(total)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_left_to_right_sum_is_numpys_below_8_coordinates(dim, p):
+    # below 8 coordinates numpy sums the last axis in the same order, so
+    # every distance is the one the whole-matrix expression gave
+    pts = np.random.default_rng(dim).uniform(-3.0, 3.0, size=(40, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    numpys = (np.abs(diff).sum(axis=2) if p == 1
+              else np.sqrt((diff * diff).sum(axis=2)))
+    assert np.array_equal(_broadcast_distances(pts, p), numpys)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_distances_are_within_dim_plus_2_roundings(dim, p):
+    # against the exact distance of the float coordinates: Fraction sums
+    # for p = 1, 50 digits for p = 2; each entry is within (dim + 2) u
+    # relative, u = 2^-53, as dim roundings of the sum, one of each
+    # difference, one of each square and half one of the root allow
+    import mpmath
+    from fractions import Fraction
+
+    rng = np.random.default_rng(100 * dim + p)
+    pts = rng.uniform(-1.0, 1.0, size=(12, dim)) * 10.0 ** rng.uniform(-5, 5)
+    d = _distances(pts, p)
+    u = Fraction(1, 2**53)
+    exact = [[Fraction(float(v)) for v in row] for row in pts]
+    with mpmath.workdps(50):
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                parts = [abs(a - b) for a, b in zip(exact[i], exact[j])]
+                if p == 1:
+                    want = sum(parts)
+                    err = abs(Fraction(float(d[i, j])) - want)
+                    assert err <= (dim + 2) * u * want
+                else:
+                    total = sum(x * x for x in parts)
+                    want = mpmath.sqrt(mpmath.mpf(total.numerator)
+                                       / total.denominator)
+                    err = abs(mpmath.mpf(float(d[i, j])) - want)
+                    assert err <= (dim + 2) * mpmath.mpf(2) ** -53 * want
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -621,17 +667,51 @@ def test_generators_reject_non_finite_distances(build):
 
 
 def test_ball_sample_refuses_coincident_points(monkeypatch):
-    # continuous draws never repeat, so a repeat is planted in d
-    def with_a_repeat(pts, p):
-        d = np.ones((len(pts), len(pts)))
-        np.fill_diagonal(d, 0.0)
-        d[0, -1] = d[-1, 0] = 0.0
-        return d
+    # continuous draws never repeat, so a repeat is planted in the draws:
+    # every candidate is the same point
+    class Repeating:
+        def __init__(self, bit_generator):
+            pass
 
-    monkeypatch.setattr("magnitude.spaces._distances", with_a_repeat)
+        def uniform(self, low, high, size):
+            return np.full(size, 0.25)
+
+    monkeypatch.setattr(np.random, "Generator", Repeating)
     with pytest.raises(BadSpec, match="coincident"):
         ball_sample(2, 1.0, 3, seed=1)
     assert ball_sample(2, 1.0, 1, seed=1).n_points == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ball_sample(3, 1e-300, 5, seed=1),
+    lambda: lp_grid([3], spacing=1e-200),
+    lambda: lp_grid([2, 2], p=2, spacing=1e-170),
+])
+def test_underflowing_distances_are_refused(build):
+    # distinct points whose squared differences underflow: d would hold 0
+    # off the diagonal, and no seed helps
+    with pytest.raises(BadSpec, match="distances round to 0: their squared "
+                                      "coordinate differences underflow"):
+        build()
+    # p = 1 sums the differences themselves, which never underflow to 0
+    assert lp_grid([3], p=1, spacing=1e-300).min_distance == 1e-300
+
+
+def test_points_space_holds_its_points_not_d():
+    # a ball sample keeps 1000 points and their labels, about 0.02 units
+    # of n^2 * 8 bytes; d alone would be one unit
+    import tracemalloc
+
+    ball_sample(3, 1.0, 50, seed=7)  # the first call fills lazy caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = ball_sample(3, 1.0, 1000, seed=7)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert space.points.shape == (1000, 3)
+    assert held <= 0.05 * 1000 * 1000 * 8
 
 
 def _ball(seed=1, **params):
