@@ -39,11 +39,12 @@ through the space's rows, ROW_BLOCK at a time, and a generated space
 holds its points, not d, so forms them as they are asked for
 (spaces.FiniteMetricSpace.rows). So no dense stage holds a square work
 array, nor d: the PD test forms Z's rows as it factors and holds half a
-factor; a solve forms Z's rows on and right of the diagonal as it
-factors them, mirrors them into the rest of Z, and holds Z and half a
-factor; and the negative-type proof of definiteness_report forms the
-rows of its shifted matrix from d's rows and row means and holds half a
-factor.
+factor; a solve keeps a copy of Z's rows on and right of the diagonal
+as it factors them, and multiplies by Z from those (symmetric_product),
+so it holds half of Z and half a factor, in one buffer of about one
+n x n array; and
+the negative-type proof of definiteness_report forms the rows of its
+shifted matrix from d's rows and row means and holds half a factor.
 """
 
 from __future__ import annotations
@@ -232,6 +233,20 @@ def cholesky_solver(factor: list[np.ndarray]):
     return solve
 
 
+def symmetric_product(upper: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Z x for a symmetric n x n Z held as its block rows on and right of
+    the diagonal, in the layout of cholesky_rows: block k is Z[lo:hi, lo:],
+    lo = n - its width. Each block gives its rows' products with x[lo:]
+    and, through its transpose, the products of the rows below it with
+    x[lo:hi]."""
+    q = np.zeros(len(x))
+    for block in upper:
+        b, lo = block.shape[0], len(x) - block.shape[1]
+        q[lo:lo + b] += block @ x[lo:]
+        q[lo + b:] += x[lo:lo + b] @ block[:, b:]
+    return q
+
+
 def _sign_vector(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, -1.0)
 
@@ -282,51 +297,62 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     """
     n, z_rows = space.n_points, similarity_rows(space, t)
     ones = np.ones(n)
-    z = np.empty((n, n))
+    # Z's rows on and right of the diagonal are formed in held[0], which
+    # cholesky_rows factors in place, and copied to held[1], kept as upper.
+    # One buffer: a sweep's solves take it from the heap again, where
+    # blocks allocated one by one came as fresh pages at every solve
+    held = np.empty((2, sum((min(lo + ROW_BLOCK, n) - lo) * (n - lo)
+                            for lo in range(0, n, ROW_BLOCK))))
+    upper = []
 
     def rows(lo, hi):
-        # the rows of Z on and right of the diagonal, kept in z as well
-        block = z_rows(lo, hi, lo)
-        z[lo:hi, lo:] = block
+        start, shape = sum(u.size for u in upper), (hi - lo, n - lo)
+        part = held[:, start:start + shape[0] * shape[1]]
+        block = z_rows(lo, hi, lo, out=part[0].reshape(shape))
+        upper.append(part[1].reshape(shape))
+        upper[-1][...] = block
         return block
 
+    status, product = STATUS_PD, lambda x: symmetric_product(upper, x)
     try:
         solve = cholesky_solver(cholesky_rows(rows, n))
-        status = STATUS_PD
-        # Z is exactly symmetric: the rest of it mirrors what was formed
-        for lo in range(ROW_BLOCK, n, ROW_BLOCK):
-            z[lo:lo + ROW_BLOCK, :lo] = z[:lo, lo:lo + ROW_BLOCK].T
     except np.linalg.LinAlgError:
-        similarity_matrix(space, t, out=z)
+        solve = None
+    if solve is None:
+        # LU on Z formed whole, once the partial rows and factor are freed
+        upper = held = None
+        z = similarity_matrix(space, t)
         try:
             inverse = np.linalg.inv(z)
         except np.linalg.LinAlgError:
             return WeightingResult(None, None, STATUS_UNDEFINED,
                                    float("inf"), None)
+        status, product = STATUS_INVERTIBLE, z.__matmul__
         solve = lambda rhs: inverse @ rhs
-        status = STATUS_INVERTIBLE
 
     # a nearly singular factor may overflow; a non-finite estimate counts
     # as singular, as dgecon's check for NaN and infinity does
     with np.errstate(over="ignore", invalid="ignore"):
         ainvnm = _inverse_norm_estimate(solve, n)
-    # Z > 0 entrywise, so its 1-norm is the largest column sum (no |Z|
-    # temporary), and Z is symmetric, so that is also its inf-norm
-    znorm = float(z.sum(axis=0).max())
+    # Z > 0 entrywise, so its 1-norm is the largest column sum, Z 1 as Z
+    # is symmetric, and that is also its inf-norm
+    znorm = float(product(ones).max())
     rcond = (1.0 / ainvnm) / znorm if 0.0 < ainvnm < math.inf else 0.0
     cond = float("inf") if rcond == 0.0 else 1.0 / rcond
     if rcond < n * CONDITION_RCOND_FACTOR:
         return WeightingResult(None, None, STATUS_UNDEFINED, cond, None)
 
     w = solve(ones)
-    resid = float(np.abs(z @ w - ones).max())
+    r = ones - product(w)
+    resid = float(np.abs(r).max())
     # the residual cannot fall below about eps ||Z|| ||w||: refinement
     # stops at that floor, and the gate scales with the same product
     for _ in range(REFINE_MAX_PASSES):
         if resid <= n * EPS * znorm * float(np.abs(w).max()):
             break
-        w = w + solve(ones - z @ w)
-        resid = float(np.abs(z @ w - ones).max())
+        w = w + solve(r)
+        r = ones - product(w)
+        resid = float(np.abs(r).max())
     gate = RESIDUAL_GATE * max(1.0, znorm * float(np.abs(w).max()))
     if resid > gate:
         return WeightingResult(None, None, STATUS_UNDEFINED, cond, resid)

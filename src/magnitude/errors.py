@@ -1,18 +1,20 @@
 """The package's shared exception types and input guards.
 
 The guards are finite_result and positive_scale, and finite and integral,
-the rules that space parameters and flags meet. Every error the CLI
-catches by type lives here, and this module imports neither numpy nor
-any other package module, so the CLI can name its input errors without
-paying for the modules that compute. Each type is re-exported by its
-home module (spaces, lines, euclid, pixels, diversity, engine), so
-spaces.BadSpec is errors.BadSpec.
+the rules that space parameters and flags meet; finite also checks the
+arguments of the closed forms and the pixel scale, raising their own
+error types. Every error the CLI catches by type lives here, and this
+module imports neither numpy nor any other package module, so the CLI
+can name its input errors without paying for the modules that compute.
+Each type is re-exported by its home module (spaces, lines, euclid,
+pixels, diversity, engine), so spaces.BadSpec is errors.BadSpec.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 
 
@@ -112,15 +114,24 @@ class DisconnectedGraph(BadSpec):
     """Graph metric undefined: some pair has no connecting path."""
 
 
-def finite(x, what: str, above: float | None = None) -> float:
+def finite(x, what: str, above: float | None = None, *,
+           least: float | None = None, error: type = BadSpec):
     """x as a float: an int or float inside the double range, and no JSON
-    true or false (bool subclasses int); greater than `above` if given."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool) \
-            or not abs(x) <= sys.float_info.max:  # exact for ints past it too
-        raise BadSpec(f"{what} must be a finite number, got {x!r}")
+    true or false (bool subclasses int); a Fraction is returned as it is,
+    exact, of any size. Greater than `above` and at least `least` where
+    given. A value that breaks a rule raises error, BadSpec unless the
+    caller names its own type."""
+    exact = isinstance(x, numbers.Rational) \
+        and not isinstance(x, numbers.Integral)
+    # the range test is exact for ints past it too
+    if not exact and (not isinstance(x, (int, float)) or isinstance(x, bool)
+                      or not abs(x) <= sys.float_info.max):
+        raise error(f"{what} must be a finite number, got {x!r}")
     if above is not None and not x > above:
-        raise BadSpec(f"{what} must be > {above:g}, got {x!r}")
-    return float(x)
+        raise error(f"{what} must be > {above:g}, got {x}")
+    if least is not None and not x >= least:
+        raise error(f"{what} must be >= {least:g}, got {x}")
+    return x if exact else float(x)
 
 
 def integral(x, what: str, least=-math.inf, most=math.inf) -> int:

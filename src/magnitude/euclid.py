@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EuclidError, finite_result
+from .errors import EuclidError, finite, finite_result
 
 
 class UnsupportedDimension(EuclidError):
@@ -61,19 +61,15 @@ def ball_magnitude_exact(n: int, radius) -> Fraction:
     Known closed forms: n = 1, 3, 5. Even n has no closed form of this
     kind; odd n beyond five is not implemented.
     """
-    r = Fraction(radius)
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
-    return _ball_form(n, r)
+    return _ball_form(n, finite(Fraction(radius), "radius", least=0,
+                                error=EuclidError))
 
 
 @finite_result
 def ball_magnitude(n: int, radius: float) -> float:
     """Float version of ball_magnitude_exact."""
-    r = float(radius)
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
-    return _ball_form(n, r)
+    return _ball_form(n, float(finite(radius, "radius", least=0,
+                                      error=EuclidError)))
 
 
 def _sphere_radius(n: int, radius) -> float:
@@ -83,10 +79,7 @@ def _sphere_radius(n: int, radius) -> float:
         raise OddDimension(f"sphere form needs even n, got {n}")
     if n < 2:
         raise UnsupportedDimension(f"sphere form needs n >= 2, got {n}")
-    r = float(radius)
-    if r < 0:
-        raise EuclidError("radius must be >= 0")
-    return r
+    return float(finite(radius, "radius", least=0, error=EuclidError))
 
 
 def _sphere_poly(n: int, radius: float) -> float:

@@ -26,7 +26,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import LineError, finite_result, positive_scale
+from .errors import LineError, finite, finite_result, positive_scale
 
 # above this t L / 2 the Cantor series would form 3^i beyond the double
 # range; tanh(h / 3) is exactly 1.0 for every h the reduction skips
@@ -169,8 +169,7 @@ def cantor_magnitude(t: float, length: float = 1.0) -> float:
     tail bound passes CANTOR_TOL by term 364.
     """
     t = positive_scale(t)
-    if not 0 < length < math.inf:
-        raise LineError("length must be positive and finite")
+    length = finite(length, "length", 0, error=LineError)
     if t == math.inf:  # the reduction below would never end
         raise OverflowError("infinite scale")
     doublings = 0

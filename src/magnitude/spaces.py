@@ -73,10 +73,10 @@ _SCAN_KS = 16
 # expected cube draws ball_sample may spend: a few seconds at n = 20
 BALL_DRAW_LIMIT = 10**7
 # most points a generator builds. Measured at n = 2000 in n x n float
-# arrays: a dense solve holds Z and half a factor, 1.55 (0.8 GiB at this
-# size), and 2.55 where the space holds d (graphs, 1.3 GiB); a failed
-# negative-type proof forms d, the centred matrix and eigvalsh's copy of
-# it, three (1.5 GiB)
+# arrays: a dense solve holds half of Z and half a factor, 1.10 (0.55 GiB
+# at this size), and 2.10 where the space holds d (graphs, 1.05 GiB); a
+# failed negative-type proof forms d, the centred matrix and eigvalsh's
+# copy of it, three (1.5 GiB)
 POINT_LIMIT = 2**13
 
 
@@ -86,32 +86,49 @@ class FiniteMetricSpace:
     A space holds its distance matrix d (explicit matrices and graphs), or
     only its points and p, the lp distance of the generated kinds; either
     way rows(lo, hi, col0) is d[lo:hi, col0:] and distances is the whole
-    of d, read-only. Build instances through validate_metric or a
+    of d, read-only. Labels are given with a held d, or formed from the
+    points. Build instances through validate_metric or a
     generator (_points_space), not directly, unless the matrix is already
     known to be a metric.
     """
 
-    __slots__ = ("_d", "_planes", "p", "labels", "n_points", "_extremes")
+    __slots__ = ("_d", "_planes", "_scalars", "p", "_labels", "n_points",
+                 "_extremes")
 
     def __init__(self, distances=None, labels=None, *, points=None, p=None):
         if points is None:
-            self._d, self._planes = distances, None
+            self._d, self._planes, self._scalars = distances, None, False
             distances.setflags(write=False)
             n = distances.shape[0]
+        elif labels is not None:
+            raise ValueError("a space of points forms its own labels")
         else:
-            # one contiguous plane per coordinate, as _lp_rows reads them
-            self._d = None
-            self._planes = _planes(points)
-            n = len(self._planes[0])
+            # points one row each, or one number each (a 1-D array); one
+            # contiguous plane per coordinate, as _lp_rows reads them
+            pts = np.asarray(points, float)
+            self._d, self._scalars = None, pts.ndim == 1
+            self._planes = _planes(pts.reshape(len(pts), -1))
+            n = len(pts)
         if labels is not None and len(labels) != n:
             raise ValueError("labels length != point count")
-        self.p, self.labels, self.n_points = p, labels, n
+        self.p, self._labels, self.n_points = p, labels, n
         self._extremes = None
 
     @property
     def points(self) -> np.ndarray | None:
         """The points, one row each, of a space of points; else None."""
         return None if self._planes is None else np.stack(self._planes, 1)
+
+    @property
+    def labels(self) -> tuple | None:
+        """The labels given with a held d; for a space of points, formed
+        from the points on every read: a float each where the points were
+        given as numbers, else a tuple of floats each."""
+        if self._planes is None:
+            return self._labels
+        if self._scalars:
+            return tuple(self._planes[0].tolist())
+        return tuple(zip(*(x.tolist() for x in self._planes)))
 
     def rows(self, lo: int, hi: int, col0: int = 0,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -170,10 +187,11 @@ class FiniteMetricSpace:
 
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         idx = list(indices)
-        labs = tuple(self.labels[i] for i in idx) if self.labels else None
         if self._planes is not None:
-            return FiniteMetricSpace(labels=labs, points=self.points[idx],
-                                     p=self.p)
+            pts = self.points[idx]
+            return FiniteMetricSpace(
+                points=pts[:, 0] if self._scalars else pts, p=self.p)
+        labs = tuple(self._labels[i] for i in idx) if self._labels else None
         return FiniteMetricSpace(self._d[np.ix_(idx, idx)].copy(), labs)
 
     def __repr__(self):  # keep reprs short; matrices can be large
@@ -425,13 +443,13 @@ def _distances(pts: np.ndarray, p: int) -> np.ndarray:
     return _lp_rows(planes, p, 0, len(planes[0]))
 
 
-def _points_space(pts, p: int, labels) -> FiniteMetricSpace:
+def _points_space(pts, p: int) -> FiniteMetricSpace:
     """The space of the rows of pts in the lp distance, which holds the
     points and not d. Every generator builds its space here and skips
     validate_metric, so one pass over d's rows checks here that every
     distance is finite and that distinct points lie apart: BadSpec
     otherwise."""
-    space = FiniteMetricSpace(labels=labels, points=pts, p=p)
+    space = FiniteMetricSpace(points=pts, p=p)
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = space._scan()
     if not math.isfinite(high):
@@ -451,7 +469,7 @@ def points_on_line(coordinates) -> FiniteMetricSpace:
     xs = np.sort(x)
     if (xs[1:] == xs[:-1]).any():
         raise BadSpec("points_1d coordinates must be distinct")
-    return _points_space(x[:, None], 1, tuple(float(v) for v in x))
+    return _points_space(x, 1)
 
 
 @_checked("graph_shortest_path")
@@ -511,7 +529,7 @@ def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
         pts *= spacing
-    return _points_space(pts, p, tuple(map(tuple, pts)))
+    return _points_space(pts, p)
 
 
 def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
@@ -581,7 +599,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     ordered = pts[np.lexsort(pts.T)]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise BadSpec("sample produced coincident points; change the seed")
-    return _points_space(pts, p, tuple(map(tuple, pts)))
+    return _points_space(pts, p)
 
 
 # ---------------------------------------------------------------------------

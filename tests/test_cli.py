@@ -584,12 +584,30 @@ def test_closed_stdout_ends_quietly_with_exit_one():
 # every exit path of the process entry (cli.run ends with os._exit)
 
 
-def _process(*argv):
+def _process(*argv, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "magnitude", *argv],
-                          capture_output=True, env=env, text=True, timeout=120)
+                          capture_output=True, env=env, text=True,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("pixel", "--body-box", "9e15"),
+    ("pixel", "--body-box", "3,3", "--scale", "1/2000"),
+    ("pixel", "--body-box", "0.5", "--scale", "1e-320"),
+])
+def test_pixelation_over_the_cell_limit_exits_two_in_time(argv):
+    # refused before a cell is built; with no limit these calls ran past
+    # 15 s, or out of memory under a 3 GB cap (exit 4, and exit 120 with
+    # a traceback on stderr), so a separate process meets the deadline
+    proc = _process(*argv, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    report = strict_loads(proc.stderr)
+    assert report["error"] == "BadSpec"
+    assert "262,144 cells" in report["detail"]
 
 
 def test_process_output_beyond_a_pipe_buffer_arrives_whole():

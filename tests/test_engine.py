@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from magnitude import cli, engine
 from magnitude.engine import (
     CONDITION_RCOND_FACTOR,
+    EPS,
     PROOF_CHOLESKY,
     PROOF_EIGENVALUE_BAND,
     REFINE_MAX_PASSES,
@@ -36,6 +37,7 @@ from magnitude.engine import (
     similarity_matrix,
     similarity_rows,
     solve_weighting,
+    symmetric_product,
 )
 from magnitude.spaces import (
     ROW_BLOCK,
@@ -654,6 +656,46 @@ def test_block_row_solver_matches_numpy_solve(n):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _edge_cases(n):
+    """(space, t) of n points: a ball, a 1-D grid and an explicit matrix,
+    all positive definite, and K_{3,n-3} below its pole, the LU rung."""
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+    matrix = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return [(ball_sample(3, 1.0, n, seed=n), 5.0),
+            (lp_grid((n,), spacing=0.05), 2.0),
+            (validate_metric(matrix), 3.0),
+            (graph_metric(name=f"k3,{n - 3}"), 0.3)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_symmetric_product_and_solve_across_block_edges(n):
+    u = EPS / 2
+    rng = np.random.default_rng(n)
+    for space, t in _edge_cases(n) + [(K32, 0.3)]:
+        m = space.n_points
+        z = similarity_matrix(space, t)
+        rows = similarity_rows(space, t)
+        upper = [rows(lo, min(lo + ROW_BLOCK, m), lo)
+                 for lo in range(0, m, ROW_BLOCK)]
+        znorm = float(z.sum(axis=0).max())
+        for x in (np.ones(m), rng.standard_normal(m)):
+            bound = m * u * znorm * float(np.abs(x).max())
+            assert np.abs(symmetric_product(upper, x) - z @ x).max() <= bound
+        assert abs(symmetric_product(upper, np.ones(m)).max() - znorm) \
+            <= m * u * znorm
+        # the dense reference: numpy's LU solve, and Cholesky for the status
+        ref = np.linalg.solve(z, np.ones(m))
+        try:
+            np.linalg.cholesky(z)
+            status = STATUS_PD
+        except np.linalg.LinAlgError:
+            status = STATUS_INVERTIBLE
+        res = solve_weighting(space, t)
+        assert res.status == status, (space, t)
+        assert np.abs(res.weighting - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert res.magnitude == pytest.approx(ref.sum(), rel=1e-9)
+
+
 # spaces of points across the block edges, and the same d held
 POINTS_SPACES = [
     *(points_on_line(np.random.default_rng(n).uniform(-4.0, 4.0, n))
@@ -965,11 +1007,13 @@ def test_definiteness_report_holds_two_arrays():
 
 
 def test_solve_weighting_holds_z_and_its_factor():
-    # Z, the block rows of its factor (0.5 + 32 / n), and the inverses of
-    # their diagonal blocks, ROW_BLOCK * n floats (0.21 at n =
-    # 300); no copy of Z, no |Z| temporary (1.84 measured)
+    # one buffer of Z's block rows on and right of the diagonal and those
+    # of its factor (0.5 + 32 / n each), held whole from the start, so the
+    # update buffers of the kernel's first two blocks add ~2 ROW_BLOCK n
+    # floats (0.43 at n = 300); the inverses of the diagonal blocks come
+    # after them. No whole Z (1.64 measured, 1.84 while Z was held whole)
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
-                       300) <= 1.9
+                       300) <= 1.7
 
 
 # half a factor at n = 1000 is 0.532 units; the update buffer of a block

@@ -111,6 +111,11 @@ def test_ball_dimension_errors():
         ball_magnitude(7, 1.0)
     with pytest.raises(EuclidError):
         ball_magnitude(3, -1.0)
+    with pytest.raises(EuclidError, match=r"^radius must be >= 0, got -1/2$"):
+        ball_magnitude_exact(3, Fraction(-1, 2))
+    # a ball of radius 0 is one point; an exact radius has no double range
+    assert ball_magnitude(3, 0.0) == 1.0 and ball_magnitude_exact(3, 0) == 1
+    assert ball_magnitude_exact(1, 10**400) == 1 + 10**400
 
 
 def test_ball_magnitude_increasing_and_at_least_one():

@@ -180,6 +180,8 @@ def test_cantor_tail_bound_dominates_truncation():
 def test_cantor_input_errors():
     with pytest.raises(LineError):
         cantor_magnitude(1.0, -1.0)
+    with pytest.raises(LineError, match=r"^length must be > 0, got 0.0$"):
+        cantor_magnitude(1.0, 0.0)
     with pytest.raises(NonpositiveScale):
         cantor_magnitude(0.0, 1.0)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from magnitude.engine import magnitude
 from magnitude.pixels import (
+    CELL_LIMIT,
     BadScale,
     ConvexBody,
     ConvexBodySpec,
@@ -33,7 +34,7 @@ from magnitude.pixels import (
     steiner_polynomial,
     weight_measure,
 )
-from magnitude.spaces import NonpositiveScale
+from magnitude.spaces import BadSpec, NonpositiveScale
 from oracles import (
     TooManyCells,
     dilation_fit,
@@ -803,6 +804,27 @@ def test_quadrilateral_polynomial_at_fine_scale_is_fast():
         times.append(time.perf_counter() - t0)
     assert sp.coefficients == (1, 7, F(113, 16))
     assert min(times) < 0.5
+
+
+def test_cell_limit_is_a_runtime_gate():
+    # a 3-D box at the limit, 64^3 candidates with the margin, is the
+    # slowest body per candidate: 2.2 s for the bounds on a 2-vCPU x86
+    # machine; one step finer is refused before a cell is built
+    cube = build_body(ConvexBodySpec(3, "box", lengths=("1", "1", "1")))
+    assert 64**3 == CELL_LIMIT
+    t0 = time.perf_counter()
+    bounds = body_magnitude_bounds(cube, F(1, 62))
+    assert time.perf_counter() - t0 < 8.0
+    assert bounds.pixelation.n_cells == 62**3
+    with pytest.raises(BadSpec, match="262,144 cells"):
+        outer_pixelation(cube, F(1, 63))
+
+
+def test_scale_message():
+    with pytest.raises(BadScale, match=r"^scale must be > 0, got -1/2$"):
+        PixelSet(2, "-1/2", [(0, 0)])
+    # a scale is exact, of any size: no double range applies
+    assert PixelSet(2, "1e400", [(0, 0)]).scale == 10**400
 
 
 # ---------------------------------------------------------------------------

@@ -697,9 +697,19 @@ def test_underflowing_distances_are_refused(build):
     assert lp_grid([3], p=1, spacing=1e-300).min_distance == 1e-300
 
 
+def test_points_space_labels_are_formed_from_the_points():
+    # numbers for points given as numbers, else tuples, in one coordinate too
+    assert points_on_line([2.0, -1.0]).labels == (2.0, -1.0)
+    assert lp_grid((3,), spacing=0.5).labels == ((0.0,), (0.5,), (1.0,))
+    assert lp_grid((1, 2)).labels == ((0.0, 0.0), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        FiniteMetricSpace(labels=("a",), points=[[0.0]], p=1)
+
+
 def test_points_space_holds_its_points_not_d():
-    # a ball sample keeps 1000 points and their labels, about 0.02 units
-    # of n^2 * 8 bytes; d alone would be one unit
+    # a ball sample keeps 1000 points, 0.003 units of n^2 * 8 bytes (0.02
+    # while it held tuples of their coordinates as labels); d alone would
+    # be one unit
     import tracemalloc
 
     ball_sample(3, 1.0, 50, seed=7)  # the first call fills lazy caches
@@ -711,7 +721,7 @@ def test_points_space_holds_its_points_not_d():
     finally:
         tracemalloc.stop()
     assert space.points.shape == (1000, 3)
-    assert held <= 0.05 * 1000 * 1000 * 8
+    assert held <= 0.005 * 1000 * 1000 * 8
 
 
 def _ball(seed=1, **params):
