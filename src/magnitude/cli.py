@@ -40,8 +40,10 @@ Each command imports only the modules it computes with: the package
 modules that need numpy (spaces, engine, diversity, lines) are imported
 inside the handlers and branches that use them, so pixel and the
 Euclidean oracles run without numpy, and only pixel and oracle load
-fractions. No command loads scipy: the dense solves run on numpy alone
-(see engine).
+fractions. No command loads scipy, numpy.random or OpenSSL: the dense
+solves run on numpy alone (see engine), ball samples draw from numpy's
+Philox stream as spaces computes it, and digests use CPython's builtin
+SHA-256, not hashlib's OpenSSL one.
 
 Two entries: run() is the process entry (python -m magnitude and the
 magnitude console script). It flushes the output and ends the process
@@ -53,7 +55,6 @@ callers).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -76,6 +77,16 @@ from .errors import (
     integral,
     positive_scale,
 )
+
+# CPython's own SHA-256: hashlib would map OpenSSL's libcrypto into every
+# call for it
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 # the package's own input errors (an unreadable file is a BadSpec); any
 # other exception is an internal failure (exit 4)
@@ -200,14 +211,14 @@ def _space_inputs(args):
         # before the matrix exists; the reader's array is new and nobody
         # else's, so it is validated without a copy
         inputs = {"kind": "explicit_matrix",
-                  "sha256": hashlib.sha256(text.encode()).hexdigest()}
+                  "sha256": sha256(text.encode()).hexdigest()}
         return validate_metric(load_distance_csv(text), copy=False), inputs
     return generate_space(spec), {"kind": spec.kind, "params": spec.effective()}
 
 
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _emit(args, command, inputs, results, t0) -> None:
@@ -586,8 +597,7 @@ def _cmd_approx(args, command, t0) -> int:
     # stream, so larger counts extend smaller ones
     nested = all(b > a for a, b in zip(levels, levels[1:]))
     if src == "grid_sizes":
-        if any(n < 2 for n in levels):
-            raise BadSpec("grid sizes must be >= 2")
+        levels = [integral(n, "grid size", 2) for n in levels]
         length = finite(flags.pop("length", 1.0), "length", 0)
         kind = "lp_grid"
         params = [{"shape": [n], "spacing": length / (n - 1)} for n in levels]

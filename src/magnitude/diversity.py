@@ -57,6 +57,7 @@ from .errors import (
     NonConvergence,
     TooLarge,
     WindowTooNarrow,
+    finite,
 )
 from .spaces import ROW_BLOCK, FiniteMetricSpace
 
@@ -346,8 +347,9 @@ def _solve_each(zs: np.ndarray) -> np.ndarray:
 
 def _balls(space: FiniteMetricSpace, eps: float) -> np.ndarray:
     """The n x n mask d <= eps, filled from d's rows a block at a time."""
-    if eps < 0:
-        raise DiversityError("radius must be >= 0")
+    # a radius past the diameter, an infinite one too, holds every point
+    eps = finite(min(eps, space.diameter), "radius", least=0,
+                 error=DiversityError)
     n = space.n_points
     balls = np.empty((n, n), dtype=bool)
     for lo in range(0, n, ROW_BLOCK):

@@ -181,8 +181,10 @@ def cholesky_rows(rows, n: int) -> list[np.ndarray]:
     algorithm, in another order, so the computed factor keeps its
     backward error |L L' - a| <= gamma_{n+1} |L| |L'| (Higham, Accuracy
     and Stability, Theorem 10.3, which holds for any order of the inner
-    products). The buffer shrinks with the blocks, so by the last blocks,
-    where the factor is largest, it is small.
+    products). The buffer is freed before the diagonal block is
+    factored, so no two are alive at once, and it shrinks with the
+    blocks, so by the last blocks, where the factor is largest, it is
+    small.
     """
     factor = []
     for lo in range(0, n, ROW_BLOCK):
@@ -193,6 +195,7 @@ def cholesky_rows(rows, n: int) -> list[np.ndarray]:
             k = lo - (n - done.shape[1])  # this block's columns in done
             np.matmul(done[:, k:k + b].T, done[:, k:], out=update)
             block -= update
+        del update
         diag = np.linalg.cholesky(block[:, :b])
         block[:, :b] = diag.T
         right = block[:, b:]

@@ -134,18 +134,21 @@ def finite(x, what: str, above: float | None = None, *,
     return x if exact else float(x)
 
 
-def integral(x, what: str, least=-math.inf, most=math.inf) -> int:
+def integral(x, what: str, least=-math.inf, most=math.inf, *,
+             error: type = BadSpec) -> int:
     """A count-like value (a dimension, a point count, a vertex, an lp
-    exponent) from least to most in the double range; 3.5 is refused with
-    BadSpec, not truncated, as is a JSON true or false (a bool is an int)."""
+    exponent) from least to most in the double range; 3.5 is refused, not
+    truncated, as is a JSON true or false (a bool is an int). A value
+    that breaks a rule raises error, BadSpec unless the caller names its
+    own type."""
     if isinstance(x, float) and x.is_integer():
         x = int(x)
     if not isinstance(x, int) or isinstance(x, bool) \
             or abs(x) > sys.float_info.max:
-        raise BadSpec(f"{what} must be an integer, got {x!r}")
+        raise error(f"{what} must be an integer, got {x!r}")
     if not least <= x <= most:
         bound = f">= {least}" if most == math.inf else f"from {least} to {most}"
-        raise BadSpec(f"{what} must be an integer {bound}, got {x}")
+        raise error(f"{what} must be an integer {bound}, got {x}")
     return x
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EuclidError, finite, finite_result
+from .errors import EuclidError, finite, finite_result, integral
 
 
 class UnsupportedDimension(EuclidError):
@@ -132,8 +132,7 @@ def sphere_residual(n: int, radius: float) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """omega_n, the volume of the Euclidean unit ball."""
-    if n < 0:
-        raise UnsupportedDimension(f"n must be >= 0, got {n}")
+    n = integral(n, "n", 0, error=UnsupportedDimension)
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
@@ -148,13 +147,12 @@ def magnitude_leading_coefficient(n: int, p: int = 2) -> float:
     exp of the log would not be, since its lgamma terms near 1e3 carry
     absolute errors of ~1e-13. p = 1: 1 / 2^n.
     """
-    if n < 1:
-        raise UnsupportedDimension(f"n must be >= 1, got {n}")
+    n = integral(n, "n", 1, error=UnsupportedDimension)
     if p == 2:
         try:
             log_c = (math.lgamma(n / 2 + 1) - math.lgamma(n + 1)
                      - n / 2 * math.log(math.pi))
-        except OverflowError:  # n beyond the double range
+        except OverflowError:  # lgamma of n near the double maximum
             log_c = -math.inf
         c = 0.0
         if log_c > _LOG_TINY - 1.0:

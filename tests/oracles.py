@@ -12,7 +12,9 @@ route, so a test can compare the two.
   mask per cell (per_cell_dilation_volume, dilation_fit);
 * engine: Speyer's shortcut N / (row sum) for row-homogeneous spaces and
   the Rayleigh ratio whose supremum is the magnitude for PD Z;
-* spaces: l1 products and the edge lists of named graphs;
+* spaces: l1 products, the edge lists of named graphs, and ball samples
+  drawn by numpy.random (ball_sample_points), which the package's own
+  Philox stream must match bit for bit;
 * lines: the union rule for two compact pieces a gap apart and the tail
   bound of the Cantor series;
 * diversity: maximum diversity by solving the supports one at a time
@@ -311,6 +313,26 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
 def named_graph_edges(name: str) -> list[tuple[int, int]]:
     """Edge list of a named graph, as spaces.graph_metric reads the name."""
     return _parse_graph_name(name)[0]
+
+
+def ball_sample_points(n: int, radius: float, count: int, seed: int,
+                       p: int = 2) -> np.ndarray:
+    """The points of spaces.ball_sample, drawn by numpy.random itself:
+    rejection from the cube, 1024 candidates at a time, from
+    np.random.Generator(np.random.Philox(seed))."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    chunks = []
+    have = 0
+    while have < count:
+        cand = gen.uniform(-radius, radius, size=(1024, n))
+        norms = (
+            np.abs(cand).sum(axis=1) if p == 1
+            else np.sqrt((cand * cand).sum(axis=1))
+        )
+        keep = cand[norms <= radius]
+        chunks.append(keep)
+        have += len(keep)
+    return np.concatenate(chunks)[:count]
 
 
 # ---------------------------------------------------------------------------

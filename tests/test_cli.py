@@ -732,6 +732,25 @@ def test_stdin_matrix(capsys, monkeypatch):
     assert rep["results"]["magnitude"] == pytest.approx(1.4621171572600098, abs=1e-12)
 
 
+def test_digests_are_sha256(capsys, monkeypatch):
+    # the CLI hashes with CPython's builtin SHA-256, not hashlib's, which
+    # maps OpenSSL into the process; hashlib's is the reference here
+    import hashlib
+
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    text = "0,1.5\n1.5,0\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, rep, _ = run_json(capsys, "mag", "--stdin-matrix", "--t", "1")
+    assert code == 0
+    inputs = {"space": {"kind": "explicit_matrix", "sha256": sha256(text)},
+              "t": 1.0}
+    assert rep["inputs_digest"] == sha256(
+        json.dumps(inputs, sort_keys=True, separators=(",", ":")))
+    assert cli._digest(inputs) == rep["inputs_digest"]
+
+
 @pytest.mark.parametrize("argv, stdin, proof, norm", [
     (["check", "--points-1d", "0,1e308"], None, "cholesky", 1e308),
     (["check", "--stdin-matrix"], "0,1e308\n1e308,0\n", "cholesky", 1e308),
@@ -878,8 +897,21 @@ def test_approx_input_errors(capsys):
     code, _, err = run(capsys, "approx", "--ball-counts", "10,20", "--ball", "3,1")
     assert code == 2
     assert "seed" in json.loads(err)["detail"]
-    code, _, _ = run(capsys, "approx", "--grid-sizes", "1,5")
-    assert code == 2
+
+
+@pytest.mark.parametrize("argv, error, detail", [
+    (("approx", "--grid-sizes", "1,5"), "BadSpec",
+     "grid size must be an integer >= 2, got 1"),
+    (("approx", "--grid-sizes", "3,0", "--format", "csv"), "BadSpec",
+     "grid size must be an integer >= 2, got 0"),
+    (("oracle", "--leading", "0,2"), "UnsupportedDimension",
+     "n must be an integer >= 1, got 0"),
+])
+def test_scalar_rules_name_their_bound(capsys, argv, error, detail):
+    # the rules of errors.integral, with its message, and the caller's type
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "detail": detail}
 
 
 def test_oracle_conjecture_reports_triple(capsys):

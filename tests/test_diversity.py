@@ -1,5 +1,7 @@
 """Maximum diversity, covering numbers, and growth-rate dimension."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,8 +400,13 @@ def test_covering_size_limit_and_bad_radius():
     sp = ball_sample(2, 1.0, EXACT_COVERING_LIMIT + 1, seed=6)
     with pytest.raises(TooLarge):
         covering_number(sp, 0.5)
-    with pytest.raises(DiversityError):
+    with pytest.raises(DiversityError, match=r"^radius must be >= 0, got -0.1$"):
         greedy_covering_number(K32, -0.1)
+    # a NaN radius once never ended; an infinite one covers with one ball
+    with pytest.raises(DiversityError,
+                       match=r"^radius must be a finite number, got nan$"):
+        greedy_covering_number(K32, math.nan)
+    assert greedy_covering_number(K32, math.inf) == 1
     with pytest.raises(DiversityError):
         packing_number(K32, -0.1)
 

@@ -1008,12 +1008,13 @@ def test_definiteness_report_holds_two_arrays():
 
 def test_solve_weighting_holds_z_and_its_factor():
     # one buffer of Z's block rows on and right of the diagonal and those
-    # of its factor (0.5 + 32 / n each), held whole from the start, so the
-    # update buffers of the kernel's first two blocks add ~2 ROW_BLOCK n
-    # floats (0.43 at n = 300); the inverses of the diagonal blocks come
-    # after them. No whole Z (1.64 measured, 1.84 while Z was held whole)
+    # of its factor (0.5 + 32 / n each), held whole from the start, so one
+    # update buffer of the kernel, ROW_BLOCK n floats (0.21 at n = 300),
+    # adds to it; the inverses of the diagonal blocks come after it. No
+    # whole Z (1.44 measured; 1.64 while two update buffers overlapped,
+    # 1.84 while Z was held whole)
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
-                       300) <= 1.7
+                       300) <= 1.44
 
 
 # half a factor at n = 1000 is 0.532 units; the update buffer of a block

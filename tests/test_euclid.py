@@ -198,6 +198,21 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
 
+@pytest.mark.parametrize("form, n, detail", [
+    (unit_ball_volume, -1, "n must be an integer >= 0, got -1"),
+    (unit_ball_volume, 2.5, "n must be an integer, got 2.5"),
+    (magnitude_leading_coefficient, 0, "n must be an integer >= 1, got 0"),
+    (magnitude_leading_coefficient, True, "n must be an integer, got True"),
+    # a dimension beyond the double range, like every count-like value
+    (magnitude_leading_coefficient, 10**400,
+     f"n must be an integer, got {10**400!r}"),
+])
+def test_dimension_rules_are_integral(form, n, detail):
+    with pytest.raises(UnsupportedDimension) as info:
+        form(n)
+    assert str(info.value) == detail
+
+
 def test_leading_coefficients():
     # euclidean normalization 1 / (n! omega_n); taxicab 1 / 2^n
     assert magnitude_leading_coefficient(3, p=2) == pytest.approx(
@@ -220,7 +235,7 @@ def test_leading_coefficient_matches_mpmath():
             got = magnitude_leading_coefficient(n)
             assert got > 0.0
             assert abs(got - ref) <= 1e-13 * ref + math.ulp(0.0), n
-    for n in (237, 400, 10**6, 10**400):
+    for n in (237, 400, 10**6, 10**300):
         with pytest.raises(CoefficientUnderflow):
             magnitude_leading_coefficient(n)
 

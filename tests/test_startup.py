@@ -2,8 +2,11 @@
 
 The package import and the exact commands (pixel, the Euclidean oracles)
 load no numpy, and no command loads scipy or numpy.ma: the dense solves
-run on numpy alone. Each case runs in a fresh interpreter, because the test process
-itself has long since imported numpy and scipy.
+run on numpy alone. No command loads numpy.random or OpenSSL (hashlib's
+_hashlib) either: ball samples draw from the package's own Philox
+stream, and digests use CPython's builtin SHA-256. Each case runs in a
+fresh interpreter, because the test process itself has long since
+imported numpy and scipy.
 
 The package holds only code something runs: every module-level function
 and class is reached from the command line or is a named library entry
@@ -38,6 +41,8 @@ else:
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules,
                   "numpy.ma": "numpy.ma" in sys.modules,
+                  "numpy.random": "numpy.random" in sys.modules,
+                  "_hashlib": "_hashlib" in sys.modules,
                   "fractions": "fractions" in sys.modules,
                   "decimal": "decimal" in sys.modules}))
 """
@@ -50,10 +55,10 @@ def _env():
     return env
 
 
-def probe(*argv):
+def probe(*argv, stdin=""):
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=_env(),
-                         capture_output=True, text=True, timeout=120,
-                         check=True).stdout
+                         input=stdin, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
     return json.loads(out)
 
 
@@ -116,6 +121,37 @@ def test_solving_command_loads_numpy_not_scipy(argv):
     assert rep["numpy"] is True
     assert rep["scipy"] is False
     assert rep["numpy.ma"] is False
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("matrix") / "k2.csv"
+    path.write_text("0,1\n1,0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--points-1d", "0,1"),
+    ("mag", "--matrix", None),
+    ("magfn", "--ball", "3,1,20", "--seed", "1", "--tmin", "1", "--tmax",
+     "2", "--steps", "3"),
+    ("weights", "--ball", "3,1,20", "--seed", "1"),
+    ("check", "--ball", "3,1,30", "--seed", "1"),
+    ("check", "--stdin-matrix"),
+    ("diversity", "--ball", "3,1,10", "--seed", "1"),
+    ("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+    ("pixel", "--ascii", r"##\n#."),
+    ("oracle", "--points", "0,1"),
+    ("approx", "--ball", "3,1", "--ball-counts", "5,10", "--seed", "2"),
+], ids=["mag", "mag-matrix", "magfn-ball", "weights-ball", "check-ball",
+        "check-stdin", "diversity-ball", "dim", "pixel", "oracle",
+        "approx-ball"])
+def test_no_command_loads_numpy_random_or_openssl(argv, matrix_file):
+    rep = probe(*(matrix_file if a is None else a for a in argv),
+                stdin="0,2\n2,0\n")
+    assert rep["code"] == 0
+    assert rep["numpy.random"] is False
+    assert rep["_hashlib"] is False
 
 
 def test_cli_import_loads_no_fractions():
