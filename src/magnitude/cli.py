@@ -15,10 +15,11 @@ Each command takes exactly one source (one mutually exclusive group), and
 pixel at most one mode: --bounds for a body, the others for art or a file;
 --dim goes with art alone and --scale not with a file, whose header sets
 both. Float flags and number lists accept finite values only; count flags
-(--steps, --max-iters) must be at least 1. A space source with its --p,
---spacing, --length and --seed, and each level of an approx family, is
-a SpaceSpec that spaces.KINDS checks as it checks a --spec: a flag its
-kind does not take is bad input. --tol, which must be positive, is the
+(--steps, --samples, --max-iters) must be at least 1, and a sweep takes
+at most SCALE_LIMIT scales. A space source with its --p, --spacing,
+--length and --seed, and each level of an approx family, is a SpaceSpec
+that spaces.KINDS checks as it checks a --spec: a flag its kind does not
+take is bad input. --tol, which must be positive, is the
 Frank-Wolfe gap target of diversity and dim; the other commands refuse
 it, since the dense solve refines to its own rounding floor (see
 engine). Results never hold NaN or Infinity, which are not JSON; a
@@ -121,7 +122,12 @@ def _flag_type(rule, parse=float, *bound):
 
 _finite_float = _flag_type(finite)  # every float flag
 _positive_float = _flag_type(finite, float, 0)  # --tol
-_count = _flag_type(integral, int, 1)  # --steps, --max-iters
+_count = _flag_type(integral, int, 1)  # --max-iters
+# most scales of one sweep (magfn --steps, dim --samples), 32 times magfn's
+# default: each scale is a solve or a diversity fit, so a sweep's time
+# grows with the count, and --steps 1e9 once asked linspace for 7.45 GiB
+SCALE_LIMIT = 2**10
+_scales = _flag_type(integral, int, 1, SCALE_LIMIT)
 
 
 def _given(args, *dests):
@@ -343,14 +349,9 @@ def _cmd_check(args, command, t0) -> int:
         return 2
     rep = engine.definiteness_report(space, args.t)
     results = {
-        "valid": True,
-        "n_points": space.n_points,
-        "t": args.t,
-        "is_positive_definite": rep.is_positive_definite,
-        "negative_type_verdict": rep.negative_type_verdict,
+        "valid": True, "n_points": space.n_points, "t": args.t,
+        **rep._asdict(),
         "cnd_max_eigenvalue": _finite_or_none(rep.cnd_max_eigenvalue),
-        "negative_type_proof": rep.negative_type_proof,
-        "scattered_bound_holds": rep.scattered_bound_holds,
     }
     _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
     return 0
@@ -364,7 +365,7 @@ def _cmd_diversity(args, command, t0) -> int:
         res = dv.max_diversity_exact(space, args.t)
         results = {
             "t": args.t, "method": res.method,
-            "value": res.value, "support": list(res.optimizer.support),
+            "value": res.value, "support": list(res.support),
             "kkt_gap": res.kkt_gap, "supports_checked": res.iterations,
         }
     else:
@@ -377,7 +378,7 @@ def _cmd_diversity(args, command, t0) -> int:
             return 0
         results = {
             "t": args.t, "method": res.method, "converged": True,
-            "value": res.value, "support": list(res.optimizer.support),
+            "value": res.value, "support": list(res.support),
             "kkt_gap": res.kkt_gap, "iterations": res.iterations,
         }
     _emit(args, command, {"space": inputs, "t": args.t, "exact": args.exact},
@@ -391,13 +392,8 @@ def _cmd_dim(args, command, t0) -> int:
     space, inputs = _space_inputs(args)
     est = dv.dimension_estimate(space, args.tmin, args.tmax, args.method,
                                 args.samples, args.tol, args.max_iters)
-    results = {
-        "slope": est.slope,
-        "window": list(est.window),
-        "fit_residual": est.fit_residual,
-        "method": est.method,
-        "samples": args.samples,
-    }
+    results = {**est._asdict(), "window": list(est.window),
+               "samples": args.samples}
     finest = space.min_distance
     if args.tmax * finest > 1.0:
         msg = (f"window may overresolve the space: tmax * smallest gap = "
@@ -613,12 +609,8 @@ def _cmd_approx(args, command, t0) -> int:
               "t": args.t}
     rows = engine.approximate_compact_magnitude(
         specs, args.t, levels=levels, nested=nested)
-    samples = [
-        {"level": s.level, "n_points": s.n_points, "magnitude": s.magnitude,
-         "status": s.status, "delta": s.delta}
-        for s in rows
-    ]
-    results = {"samples": samples, "nested": nested, "t": args.t}
+    results = {"samples": [s._asdict() for s in rows], "nested": nested,
+               "t": args.t}
     _emit(args, command, inputs, results, t0)
     return 0
 
@@ -685,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "magfn":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
-            sub.add_argument("--steps", type=_count, default=32)
+            sub.add_argument("--steps", type=_scales, default=32)
             sub.add_argument("--log", action="store_true",
                              help="log-spaced scales (default linear)")
         if name == "diversity":
@@ -695,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "dim":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
-            sub.add_argument("--samples", type=int, default=12)
+            sub.add_argument("--samples", type=_scales, default=12)
             sub.add_argument("--method", default="diversity_growth",
                              choices=("diversity_growth", "covering_growth"))
             sub.add_argument("--max-iters", type=_count, default=300_000)

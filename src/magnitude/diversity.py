@@ -33,6 +33,10 @@ An independent oracle, max_diversity_exact, enumerates all supports for
 small N and solves the stationarity system on each, one batched solve per
 support size.
 
+Both return a DiversityResult: the value, the maximizing distribution
+mu as read-only weights, its support (the indices where mu is positive,
+or the enumerated support), the kkt_gap, iterations and the method.
+
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
 at radius 1/t for covering_growth. The two extreme samples are dropped
@@ -41,8 +45,8 @@ before the fit to blunt boundary effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,26 +78,16 @@ def backend_name() -> str:
     return "numpy"
 
 
-@dataclass(frozen=True)
-class SimplexDistribution:
-    weights: np.ndarray
-    support: tuple
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DiversityResult:
+class DiversityResult(NamedTuple):
     value: float
-    optimizer: SimplexDistribution
+    weights: np.ndarray  # the maximizing distribution, read-only
+    support: tuple       # the indices it is positive on
     kkt_gap: float
     iterations: int  # FW iterations, active-set passes or supports checked
     method: str      # "frank_wolfe", "active_set" or "support_enumeration"
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(NamedTuple):
     slope: float
     window: tuple
     fit_residual: float
@@ -212,10 +206,14 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
     return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
 
 
-def _result(mu, value, gap, iterations, method) -> DiversityResult:
-    support = tuple(int(i) for i in np.flatnonzero(mu > 0))
-    return DiversityResult(float(value), SimplexDistribution(mu, support),
-                           float(gap), int(iterations), method)
+def _result(mu, value, gap, iterations, method, support=None) -> DiversityResult:
+    """The result at weights mu, which it makes read-only; the support is
+    where mu is positive unless given."""
+    mu.setflags(write=False)
+    if support is None:
+        support = tuple(int(i) for i in np.flatnonzero(mu > 0))
+    return DiversityResult(float(value), mu, support, float(gap),
+                           int(iterations), method)
 
 
 def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
@@ -320,8 +318,8 @@ def max_diversity_exact(space: FiniteMetricSpace,
     if best is None:
         raise DiversityError("no feasible stationary support found")
     total, mu, sub = best
-    return DiversityResult(total, SimplexDistribution(mu, sub),
-                           kkt_gap(z, mu), checked, "support_enumeration")
+    return _result(mu, total, kkt_gap(z, mu), checked, "support_enumeration",
+                   sub)
 
 
 def _solve_each(zs: np.ndarray) -> np.ndarray:

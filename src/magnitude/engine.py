@@ -50,7 +50,7 @@ shifted matrix from d's rows and row means and holds half a factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class MonotonicityViolation(ArithmeticError):
     """A nested refinement's magnitude dropped by more than MONOTONE_SLACK."""
 
 
-@dataclass(frozen=True)
-class WeightingResult:
+class WeightingResult(NamedTuple):
     weighting: np.ndarray | None
     magnitude: float | None
     status: str
@@ -105,20 +104,18 @@ class WeightingResult:
         return self.status != STATUS_UNDEFINED
 
 
-@dataclass(frozen=True)
-class MagnitudeFunctionSample:
+class MagnitudeFunctionSample(NamedTuple):
     t: float
     magnitude: float | None
     status: str
 
 
-@dataclass(frozen=True)
-class DefinitenessReport:
+class DefinitenessReport(NamedTuple):
     is_positive_definite: bool
     negative_type_verdict: str
     cnd_max_eigenvalue: float
-    scattered_bound_holds: bool
     negative_type_proof: str
+    scattered_bound_holds: bool
 
 
 def similarity_rows(space: FiniteMetricSpace, t):
@@ -382,8 +379,7 @@ def magnitude_function(space: FiniteMetricSpace, ts) -> list[MagnitudeFunctionSa
     return out
 
 
-@dataclass(frozen=True)
-class RefinementSample:
+class RefinementSample(NamedTuple):
     level: float
     n_points: int
     magnitude: float | None
@@ -648,6 +644,6 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
         is_positive_definite(space, t),
         verdict,
         top * 2.0 ** k,
-        scattered_bound_holds(space, t),
         proof,
+        scattered_bound_holds(space, t),
     )

@@ -39,11 +39,11 @@ samples of a set by a dense solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _iterproduct
 from math import comb, gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import BadSpec, PixelError, finite, finite_result, positive_scale
 
@@ -85,15 +85,13 @@ def _as_scale(scale) -> Fraction:
     return finite(lam, "scale", 0, error=BadScale)
 
 
-@dataclass(frozen=True)
-class PixelSet:
+class PixelSet(NamedTuple("PixelSet", [("dim", int), ("scale", Fraction),
+                                        ("cells", frozenset)])):
     """Cells c in Z^n, each the closed box scale * [c, c+1]."""
 
-    dim: int
-    scale: Fraction
-    cells: frozenset
+    __slots__ = ()
 
-    def __init__(self, dim: int, scale, cells):
+    def __new__(cls, dim: int, scale, cells):
         if dim not in (1, 2, 3):
             raise PixelError(f"dim must be 1, 2 or 3, got {dim!r}")
         lam = _as_scale(scale)
@@ -103,9 +101,7 @@ class PixelSet:
         if any(len(c) != dim for c in cset):
             got = sorted({len(c) for c in cset})
             raise MixedDimensions(f"cells of lengths {got} in a dim-{dim} set")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scale", lam)
-        object.__setattr__(self, "cells", cset)
+        return super().__new__(cls, dim, lam, cset)
 
     @property
     def n_cells(self) -> int:
@@ -208,8 +204,7 @@ def _corner_faces(n: int, occ: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FaceMeasure:
+class FaceMeasure(NamedTuple):
     """Weight measure of a pixel set, stored per face.
 
     coefficients maps a face (anchor, axes) -- the open unit interval
@@ -293,8 +288,7 @@ def weight_measure(p: PixelSet) -> FaceMeasure:
 # expansion polynomial
 
 
-@dataclass(frozen=True)
-class SteinerPolynomial:
+class SteinerPolynomial(NamedTuple):
     """Coefficients V_0 .. V_n of the expansion polynomial.
 
     The set expanded by r/2 on every side has volume sum_i V_i r^(n-i)
@@ -428,8 +422,7 @@ def is_l1_convex(p: PixelSet, witness: bool = False):
 # convex bodies with rational vertices
 
 
-@dataclass(frozen=True)
-class ConvexBodySpec:
+class ConvexBodySpec(NamedTuple):
     """dim n, kind in {box, simplex_vertices, polytope_vertices}.
 
     box takes lengths (L_1 .. L_n); the vertex kinds take rational vertex
@@ -442,8 +435,7 @@ class ConvexBodySpec:
     vertices: tuple = ()
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class ConvexBody(NamedTuple):
     dim: int
     vertices: tuple          # tuples of Fractions
     facets: tuple            # (normal ints tuple, offset int): <a, x> <= b
@@ -660,8 +652,7 @@ def outer_pixelation(body: ConvexBody, scale) -> PixelSet:
     return PixelSet(n, lam, cells)
 
 
-@dataclass(frozen=True)
-class BodyBounds:
+class BodyBounds(NamedTuple):
     lower: float
     upper: float
     alpha: Fraction

@@ -35,9 +35,8 @@ import inspect
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import product as _iterproduct
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +71,11 @@ _PLANE_ROWS = 8
 # set is _SCAN_ROWS * _SCAN_KS * n floats
 _SCAN_ROWS = 16
 _SCAN_KS = 16
-# expected uniforms (cube draws times n) ball_sample may draw
+# expected uniforms (cube draws times n) ball_sample may draw; a call
+# refuses once it has drawn 4 times as many. A sample at the limit expects
+# 4 count points of the ball in those draws, and finds fewer than count
+# with probability about P(Poisson(4 count) < count): e^-4 (1.8%) for one
+# point, 0.3% for two, less for more
 BALL_DRAW_LIMIT = 2**25
 # most points a generator builds. Measured at n = 2000 in n x n float
 # arrays: a dense solve holds half of Z and half a factor, 1.10 (0.55 GiB
@@ -200,12 +203,13 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n_points}, diam={self.diameter:.6g})"
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple):
     """Declarative space description: a kind of KINDS, its params, a seed."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    # one empty dict, shared by every spec made without params: nothing
+    # may mutate a spec's params
+    params: dict = {}
     seed: int | None = None
 
     def effective(self) -> dict:
@@ -661,8 +665,9 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     stream as _philox_doubles computes it, without numpy.random; the
     sample is the first count of them in the ball, so it depends only on
     the seed. Raises BadSpec when the expected number of uniforms drawn
-    (cube draws times n) exceeds BALL_DRAW_LIMIT, or sums of norms or
-    distances leave the double range (rejection would never end).
+    (cube draws times n) exceeds BALL_DRAW_LIMIT, when the draws reach 4
+    times it, or when sums of norms or distances leave the double range
+    (rejection would never end).
     """
     _check_points(count, "ball_sample")
     span = 2.0 * radius * n if p == 1 else 4.0 * radius * radius * n
@@ -683,6 +688,11 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     chunks = []
     have = drawn = 0
     while have < count:
+        if drawn >= 4 * BALL_DRAW_LIMIT:
+            raise BadSpec(
+                f"{count} points of the {n}-dimensional l{p} ball are not in "
+                f"the first {drawn:,} uniforms of seed {seed}, 4 times the "
+                f"limit; change the seed")
         # whole chunks of 1024 rows, as many as the missing points are
         # expected to need, up to _DRAW_BATCH uniforms
         need = math.ceil((count - have) * math.exp(-log_share) / 1024)

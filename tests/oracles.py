@@ -36,7 +36,6 @@ import numpy as np
 from magnitude.diversity import (
     EXACT_FEAS_TOL,
     DiversityResult,
-    SimplexDistribution,
     kkt_gap,
 )
 from magnitude.engine import similarity_matrix
@@ -400,8 +399,9 @@ def max_diversity_support_loop(space: FiniteMetricSpace,
     if best is None:
         raise DiversityError("no feasible stationary support found")
     total, mu, sub = best
-    return DiversityResult(total, SimplexDistribution(mu, sub),
-                           kkt_gap(z, mu), checked, "support_enumeration")
+    mu.setflags(write=False)  # read-only, as max_diversity_exact returns it
+    return DiversityResult(total, mu, sub, kkt_gap(z, mu), checked,
+                           "support_enumeration")
 
 
 # ---------------------------------------------------------------------------

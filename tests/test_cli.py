@@ -248,6 +248,11 @@ def test_non_finite_flag_exits_two(capsys, argv):
     # --length is the Cantor set's alone
     ("oracle", "--points", "0,1", "--length", "5"),
     ("oracle", "--ball", "3,1", "--length", "5"),
+    # a sweep takes at most cli.SCALE_LIMIT scales; 10^9 once asked
+    # linspace for 7.45 GiB
+    ("magfn", "--graph", "k32", "--tmin", "1", "--tmax", "2",
+     "--steps", "1000000000"),
+    ("dim", "--grid", "3", "--tmin", "1", "--tmax", "2", "--samples", "1025"),
 ])
 def test_parse_failures_are_typed_input_errors(capsys, argv):
     assert_bad_spec(*run(capsys, *argv))
@@ -723,6 +728,42 @@ def test_csv_scalar_format(capsys):
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert float(rows["magnitude"]) == pytest.approx(1.4621171572600098, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("mag", "--points-1d", "0,1,3"),
+     "t magnitude status condition_estimate residual n_points"),
+    (("weights", "--points-1d", "0,1,3"),
+     "t status magnitude condition_estimate residual weighting coweighting"),
+    (("check", "--points-1d", "0,1,3"),
+     "valid n_points t is_positive_definite negative_type_verdict "
+     "cnd_max_eigenvalue negative_type_proof scattered_bound_holds"),
+    (("diversity", "--points-1d", "0,1,3"),
+     "t method converged value support kkt_gap iterations"),
+    (("diversity", "--points-1d", "0,1,3", "--exact"),
+     "t method value support kkt_gap supports_checked"),
+    (("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+     "slope window fit_residual method samples window_warning"),
+    (("approx", "--grid-sizes", "3,5"),
+     "level n_points magnitude status delta"),
+    (("pixel", "--ascii", r"###\n#.#\n###", "--intrinsic", "--t", "2"),
+     "V magnitude l1_convex note magnitude_at_t"),
+    (("pixel", "--ascii", "##", "--weights"),
+     "total_mass mass_by_dimension.0 mass_by_dimension.1 "
+     "mass_by_dimension.2 faces l1_convex"),
+    (("pixel", "--body-box", "1,2", "--bounds"),
+     "lower upper alpha pixelation_cells V t"),
+], ids=["mag", "weights", "check", "diversity", "diversity-exact", "dim",
+        "approx", "pixel-intrinsic", "pixel-weights", "pixel-bounds"])
+def test_csv_key_column(capsys, argv, keys):
+    # the rows of --format csv keep the order the results are built in; a
+    # sweep prints its keys as a header row
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    got = (lines[0].split(",") if argv[0] == "approx"
+           else [line.split(",", 1)[0] for line in lines])
+    assert got == keys.split()
 
 
 def test_stdin_matrix(capsys, monkeypatch):

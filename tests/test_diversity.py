@@ -161,8 +161,8 @@ def test_fw_certified_diversity_holds_no_n_by_n_array():
 
 def test_uniform_distribution_optimal_on_homogeneous_spaces():
     res = max_diversity(C5, 1.0)
-    assert res.optimizer.weights == pytest.approx(np.full(5, 0.2), abs=1e-12)
-    assert res.optimizer.support == (0, 1, 2, 3, 4)
+    assert res.weights == pytest.approx(np.full(5, 0.2), abs=1e-12)
+    assert res.support == (0, 1, 2, 3, 4)
     assert res.kkt_gap <= 1e-9
     assert res.value == pytest.approx(magnitude(C5, 1.0), abs=1e-9)
 
@@ -184,7 +184,7 @@ def test_solver_matches_enumeration_oracle():
 def test_k32_diversity_exceeds_magnitude_below_the_pole():
     # 3-point support beats the full-support stationary point
     ex = max_diversity_exact(K32, 0.1)
-    assert ex.optimizer.support == (0, 1, 2)
+    assert ex.support == (0, 1, 2)
     assert ex.value == pytest.approx(1.1374573592819663, abs=1e-12)
     assert ex.value > magnitude(K32, 0.1) + 0.03
     assert not is_positive_definite(K32, 0.1)
@@ -260,9 +260,9 @@ def test_active_set_certifies_positive_definite_ball():
     assert res.method == "active_set"
     assert res.kkt_gap <= 1e-12
     assert 1 <= res.iterations <= 3 * sp.n_points
-    w = res.optimizer.weights
+    w = res.weights
     assert w.min() >= 0 and w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert res.optimizer.support == tuple(np.flatnonzero(w > 0))
+    assert res.support == tuple(np.flatnonzero(w > 0))
     assert res.value <= magnitude(sp, 4.0) + 1e-8
 
 
@@ -307,10 +307,10 @@ def _same_search(sp, t):
     fast = max_diversity_exact(sp, t)
     loop = max_diversity_support_loop(sp, t)
     assert fast.value == loop.value
-    assert fast.optimizer.support == loop.optimizer.support
+    assert fast.support == loop.support
     assert fast.kkt_gap == loop.kkt_gap
     assert fast.iterations == loop.iterations == 2 ** sp.n_points - 1
-    assert fast.optimizer.weights.tobytes() == loop.optimizer.weights.tobytes()
+    assert fast.weights.tobytes() == loop.weights.tobytes()
 
 
 def _small_spaces():

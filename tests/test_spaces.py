@@ -708,6 +708,16 @@ def test_ball_sample_refuses_coincident_points(monkeypatch):
     assert ball_sample(2, 1.0, 1, seed=1).n_points == 1
 
 
+def test_ball_sample_refuses_past_four_times_the_draw_limit(monkeypatch):
+    # no candidate is in the ball, (1, 1, 1) is the cube's corner: the
+    # expected draws pass the limit, the drawn ones reach 4 times it
+    monkeypatch.setattr(spaces, "BALL_DRAW_LIMIT", 2**14)
+    monkeypatch.setattr(spaces, "_philox_doubles",
+                        lambda key, start, size: np.ones(size))
+    with pytest.raises(BadSpec, match="not in the first 67,584 uniforms"):
+        ball_sample(3, 1.0, 5, seed=1)
+
+
 @pytest.mark.parametrize("build", [
     lambda: ball_sample(3, 1e-300, 5, seed=1),
     lambda: lp_grid([3], spacing=1e-200),

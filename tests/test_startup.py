@@ -4,7 +4,8 @@ The package import and the exact commands (pixel, the Euclidean oracles)
 load no numpy, and no command loads scipy or numpy.ma: the dense solves
 run on numpy alone. No command loads numpy.random or OpenSSL (hashlib's
 _hashlib) either: ball samples draw from the package's own Philox
-stream, and digests use CPython's builtin SHA-256. Each case runs in a
+stream, and digests use CPython's builtin SHA-256. No command loads
+dataclasses, and the exact commands not inspect. Each case runs in a
 fresh interpreter, because the test process itself has long since
 imported numpy and scipy.
 
@@ -44,7 +45,9 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "numpy.random": "numpy.random" in sys.modules,
                   "_hashlib": "_hashlib" in sys.modules,
                   "fractions": "fractions" in sys.modules,
-                  "decimal": "decimal" in sys.modules}))
+                  "decimal": "decimal" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}))
 """
 
 
@@ -78,13 +81,36 @@ def box_file(tmp_path_factory):
     ("pixel", "--pixel-file", None),
     ("oracle", "--ball", "5,1"),
     ("oracle", "--sphere", "2,1"),
+    ("oracle", "--residual", "2,1"),
+    ("oracle", "--conjecture", "3,1"),
     ("oracle", "--leading", "3,1"),
 ], ids=["import", "intrinsic", "weights", "convexity", "bounds", "pixel-file",
-        "ball", "sphere", "leading"])
+        "ball", "sphere", "residual", "conjecture", "leading"])
 def test_exact_command_does_not_import_numpy(argv, box_file):
     rep = probe(*(box_file if a is None else a for a in argv))
     assert rep["code"] in (None, 0)
     assert rep["numpy"] is False
+    # its records are NamedTuples, so nothing loads inspect (numpy would)
+    assert rep["inspect"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("mag", "--points-1d", "0,1"),
+    ("magfn", "--graph", "k32", "--tmin", "0.3", "--tmax", "0.4",
+     "--steps", "3"),
+    ("weights", "--points-1d", "0,1"),
+    ("check", "--graph", "k32", "--t", "0.1"),
+    ("diversity", "--points-1d", "0,1,3", "--exact"),
+    ("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+    ("pixel", "--body-box", "1,2"),
+    ("oracle", "--points", "0,1"),
+    ("approx", "--cantor-depths", "1,2"),
+], ids=["mag", "magfn", "weights", "check", "diversity", "dim", "pixel",
+        "oracle", "approx"])
+def test_no_command_loads_dataclasses(argv):
+    rep = probe(*argv)
+    assert rep["code"] == 0
+    assert rep["dataclasses"] is False
 
 
 @pytest.mark.parametrize("argv", [
