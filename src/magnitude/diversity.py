@@ -25,9 +25,20 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
    solves Z_S y = 1 on its support S and mu = y / sum(y). The set starts
    from the weighting Z^-1 1 on the full support, drops nonpositive
    entries until the solve is positive, then adds the most violated index
-   with the usual feasibility inner loop, for at most 3n passes.
+   with the usual feasibility inner loop, for at most 3n passes. It reads
+   Z by the same rows: Z is factored from its rows on and right of the
+   diagonal, as engine.is_positive_definite factors it; Z mu and Z y
+   (the gap, the value and the gradient) are formed ROW_BLOCK rows at a
+   time into one buffer; and each support S is refactored from the rows
+   of the subspace on S, which copies S's points, or S's block of a held
+   d. So a pass holds half a factor and one block of rows, and the value
+   is 1 / (mu' (Z mu)).
 3. Otherwise (Z not positive definite, as K_{3,2} below t = log 2 / 2),
-   or when the active set does not certify, Frank-Wolfe up to max_iters.
+   or when the active set does not certify, Frank-Wolfe up to max_iters
+   on the same rows, one formed row per iteration.
+
+No rung forms the n x n Z; only max_diversity_exact, on at most 15
+points, holds it.
 
 An independent oracle, max_diversity_exact, enumerates all supports for
 small N and solves the stationarity system on each, one batched solve per
@@ -40,7 +51,8 @@ or the enumerated support), the kkt_gap, iterations and the method.
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
 at radius 1/t for covering_growth. The two extreme samples are dropped
-before the fit to blunt boundary effects.
+before the fit to blunt boundary effects, and the line is fitted in
+closed form from centred sums, with no least-squares solver.
 """
 
 from __future__ import annotations
@@ -107,6 +119,20 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * (mu @ q - q.min()))
 
 
+def _products(rows, n: int, *xs: np.ndarray) -> tuple:
+    """The products Z x, one for each x of xs, for the n x n Z of the row
+    source rows: its rows are formed ROW_BLOCK at a time into one buffer,
+    freed on return, and each block serves every product."""
+    zxs = tuple(np.empty(n) for _ in xs)
+    block = np.empty((min(ROW_BLOCK, n), n))
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        z = rows(lo, hi, out=block[:hi - lo])
+        for x, zx in zip(xs, zxs):
+            np.matmul(z, x, out=zx[lo:hi])
+    return zxs
+
+
 def fw_away_qp(rows, n: int, tol: float, max_iters: int):
     """Minimize x'Zx over the probability simplex, for a symmetric n x n Z.
 
@@ -133,10 +159,7 @@ def fw_away_qp(rows, n: int, tol: float, max_iters: int):
     rounding, and it certifies a global minimum only for PSD Z.
     """
     mu = np.full(n, 1.0 / n)
-    q = np.empty(n)                # running Z @ mu
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        np.matmul(rows(lo, hi), mu, out=q[lo:hi])
+    q, = _products(rows, n, mu)    # running Z @ mu
     f = float(mu @ q)              # running objective mu' Z mu
     gap = np.inf                   # no gap measured before the first pass
     g = np.empty(n)                # gradient 2 Z mu
@@ -183,24 +206,22 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
     """Maximum diversity at scale t, certified by kkt_gap <= tol.
 
     Short Frank-Wolfe, then the active set when Z is positive definite,
-    then Frank-Wolfe up to max_iters (see the module docstring). The short
-    run reads Z by rows (engine.similarity_rows); the n x n Z is formed
-    only for the rungs after it. Raises NonConvergence if the last
-    Frank-Wolfe run still misses tol. On spaces whose similarity matrix is
-    not positive semidefinite the returned point is stationary but the
-    global certificate is void.
+    then Frank-Wolfe up to max_iters (see the module docstring). Every
+    rung reads Z by rows (engine.similarity_rows), so no n x n Z is
+    formed. Raises NonConvergence if the last Frank-Wolfe run still misses
+    tol. On spaces whose similarity matrix is not positive semidefinite
+    the returned point is stationary but the global certificate is void.
     """
     n = space.n_points
+    z_rows = similarity_rows(space, t)
     budget = min(n, max_iters)
-    mu, f, gap, iters = fw_away_qp(similarity_rows(space, t), n, tol, budget)
+    mu, f, gap, iters = fw_away_qp(z_rows, n, tol, budget)
     if gap > tol:
-        z = similarity_matrix(space, t)
-        found = _active_set(z, tol)
+        found = _active_set(space, t, z_rows, tol)
         if found is not None:
             return found
         if budget < max_iters:
-            mu, f, gap, iters = fw_away_qp(lambda lo, hi, out=None: z[lo:hi],
-                                           n, tol, max_iters)
+            mu, f, gap, iters = fw_away_qp(z_rows, n, tol, max_iters)
         if gap > tol:
             raise NonConvergence(iters, gap)
     return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
@@ -216,32 +237,46 @@ def _result(mu, value, gap, iterations, method, support=None) -> DiversityResult
                            int(iterations), method)
 
 
-def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
+def _unit_solve(rows, n: int) -> np.ndarray:
+    """y with Z y = 1, for the n x n Z whose rows rows(lo, hi, col0) gives:
+    its rows on and right of the diagonal are factored a block at a time,
+    and the factor is freed on return. Raises np.linalg.LinAlgError where
+    Cholesky rejects Z."""
+    factor = cholesky_rows(lambda lo, hi: rows(lo, hi, lo), n)
+    return cholesky_solver(factor)(np.ones(n))
+
+
+def _active_set(space: FiniteMetricSpace, t: float, z_rows,
+                tol: float) -> DiversityResult | None:
     """Lawson-Hanson active set on min (1/2) y'Zy - 1'y, y >= 0.
+
+    z_rows is the space's row source of Z at scale t, and each support is
+    refactored from the rows of the subspace on it (rung 2 of the module
+    docstring), so a pass holds half a factor and one block of rows.
 
     None when Cholesky rejects Z (or a principal block of it), when no
     index violates optimality yet the gap exceeds tol, when an added index
     stalls, or when the pass bound runs out; the caller then falls back to
     Frank-Wolfe.
     """
-    n = z.shape[0]
+    n = space.n_points
     try:
-        chol = cholesky_rows(lambda lo, hi: z[lo:hi, lo:].copy(), n)
+        ys = _unit_solve(z_rows, n)  # the weighting, full support
     except np.linalg.LinAlgError:
         return None
     idx = np.arange(n)
-    ys = cholesky_solver(chol)(np.ones(n))  # the weighting, full support
     y = None                    # feasible iterate once a solve is positive
     for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
         if ys.min() > 0:
             y = np.zeros(n)
             y[idx] = ys
             mu = y / y.sum()
-            gap = kkt_gap(z, mu)
+            zmu, zy = _products(z_rows, n, mu, y)
+            f = mu @ zmu
+            gap = float(2.0 * (f - zmu.min()))
             if gap <= tol:
-                return _result(mu, 1.0 / (mu @ z @ mu), gap, passes,
-                               "active_set")
-            w = 1.0 - z @ y     # negative gradient; positive = violated
+                return _result(mu, 1.0 / f, gap, passes, "active_set")
+            w = 1.0 - zy        # negative gradient; positive = violated
             w[idx] = -np.inf
             j = int(np.argmax(w))
             if w[j] <= 0:
@@ -261,10 +296,7 @@ def _active_set(z: np.ndarray, tol: float) -> DiversityResult | None:
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
         try:
-            # the rows of Z on idx, gathered a block at a time
-            chol = cholesky_rows(
-                lambda lo, hi: z[np.ix_(idx[lo:hi], idx[lo:])], idx.size)
-            ys = cholesky_solver(chol)(np.ones(idx.size))
+            ys = _unit_solve(similarity_rows(space.subspace(idx), t), idx.size)
         except np.linalg.LinAlgError:
             return None
     return None
@@ -384,8 +416,11 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
 
     diversity_growth uses maximum diversity at each t; covering_growth
     uses the greedy covering number at radius 1/t. The first and last
-    samples are dropped before fitting; fewer than 4 remaining points
-    raises WindowTooNarrow. Estimates are meaningful only while the scale
+    samples are dropped before fitting, and the line is fitted in closed
+    form (_fit_line). Fewer than 4 remaining points raises
+    WindowTooNarrow, and so does a window so narrow that the fitted
+    log-scales, rounded, are not strictly increasing, before any quantity
+    is computed. Estimates are meaningful only while the scale
     still resolves the finest structure, roughly t_max * (smallest gap)
     <= 1; the caller is expected to check that.
     """
@@ -394,6 +429,11 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
     if samples - 2 < 4:
         raise WindowTooNarrow(f"{samples} samples leave fewer than 4 usable")
     ts = np.geomspace(t_min, t_max, samples)
+    lt = np.log(ts[1:-1])
+    if not (lt[1:] > lt[:-1]).all():
+        raise WindowTooNarrow(
+            f"window [{t_min}, {t_max}] rounds to fewer than {samples - 2} "
+            "distinct fitted scales")
     if method == "diversity_growth":
         vals = [max_diversity(space, float(t), tol, max_iters).value for t in ts]
     elif method == "covering_growth":
@@ -403,8 +443,19 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
     vals = np.asarray(vals, dtype=float)
     if (vals <= 0).any():
         raise DiversityError("nonpositive quantity in growth fit")
-    lt, lq = np.log(ts[1:-1]), np.log(vals[1:-1])
-    slope, intercept = np.polyfit(lt, lq, 1)
-    resid = float(np.sqrt(np.mean((lq - (slope * lt + intercept)) ** 2)))
-    return DimensionEstimate(float(slope), (float(t_min), float(t_max)),
-                             resid, method)
+    slope, intercept, resid = _fit_line(lt, np.log(vals[1:-1]))
+    return DimensionEstimate(slope, (float(t_min), float(t_max)), resid,
+                             method)
+
+
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, RMS residual) of the least-squares line through
+    the points (x_i, y_i), in closed form from centred sums: slope =
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, which needs the x
+    to spread."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = float(dx @ (y - ym) / (dx @ dx))
+    intercept = float(ym - slope * xm)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return slope, intercept, resid

@@ -18,7 +18,8 @@ route, so a test can compare the two.
 * lines: the union rule for two compact pieces a gap apart and the tail
   bound of the Cantor series;
 * diversity: maximum diversity by solving the supports one at a time
-  (max_diversity_support_loop), exact covering numbers by branch and
+  (max_diversity_support_loop), the Lawson-Hanson active set on a held
+  n x n Z (active_set_held_z), exact covering numbers by branch and
   bound, and greedy packing numbers as their lower bound.
 
 Tests import it as `from oracles import ...`.
@@ -34,11 +35,12 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from magnitude.diversity import (
+    ACTIVE_SET_PASSES_PER_POINT,
     EXACT_FEAS_TOL,
     DiversityResult,
     kkt_gap,
 )
-from magnitude.engine import similarity_matrix
+from magnitude.engine import cholesky_rows, cholesky_solver, similarity_matrix
 from magnitude.errors import (
     DiversityError,
     LineError,
@@ -402,6 +404,59 @@ def max_diversity_support_loop(space: FiniteMetricSpace,
     mu.setflags(write=False)  # read-only, as max_diversity_exact returns it
     return DiversityResult(total, mu, sub, kkt_gap(z, mu), checked,
                            "support_enumeration")
+
+
+def active_set_held_z(z: np.ndarray, tol: float) -> DiversityResult | None:
+    """max_diversity's active set on the whole n x n Z, held: the same
+    passes, each product Z mu and Z y and each support's block of Z taken
+    from the held matrix; the value is 1 / ((mu Z) mu). None wherever the
+    package's run gives up."""
+    n = z.shape[0]
+    try:
+        chol = cholesky_rows(lambda lo, hi: z[lo:hi, lo:].copy(), n)
+    except np.linalg.LinAlgError:
+        return None
+    idx = np.arange(n)
+    ys = cholesky_solver(chol)(np.ones(n))  # the weighting, full support
+    y = None                    # feasible iterate once a solve is positive
+    for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
+        if ys.min() > 0:
+            y = np.zeros(n)
+            y[idx] = ys
+            mu = y / y.sum()
+            gap = kkt_gap(z, mu)
+            if gap <= tol:
+                mu.setflags(write=False)
+                return DiversityResult(
+                    float(1.0 / (mu @ z @ mu)), mu,
+                    tuple(int(i) for i in np.flatnonzero(mu > 0)), gap,
+                    passes, "active_set")
+            w = 1.0 - z @ y     # negative gradient; positive = violated
+            w[idx] = -np.inf
+            j = int(np.argmax(w))
+            if w[j] <= 0:
+                return None
+            idx = np.sort(np.append(idx, j))
+        elif y is None:
+            idx = idx[ys > 0]   # seeding: drop nonpositive weights
+        else:
+            # move from y toward ys until the first coordinate hits zero
+            cur = y[idx]
+            neg = ys <= 0
+            if not (cur[neg] > 0).all():
+                return None     # the index just added would leave at once
+            ratios = cur[neg] / (cur[neg] - ys[neg])
+            k = int(np.argmin(ratios))
+            y[idx] = cur + ratios[k] * (ys - cur)
+            y[idx[neg][k]] = 0.0
+            idx = idx[y[idx] > 0]
+        try:
+            chol = cholesky_rows(
+                lambda lo, hi: z[np.ix_(idx[lo:hi], idx[lo:])], idx.size)
+            ys = cholesky_solver(chol)(np.ones(idx.size))
+        except np.linalg.LinAlgError:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -885,6 +885,16 @@ def test_dim_narrow_window_exits_two(capsys):
     assert json.loads(err)["error"] == "WindowTooNarrow"
 
 
+@pytest.mark.parametrize("tmax", ["1.0000000000000002", "1.000000000000001"])
+def test_dim_collapsed_window_exits_two(capsys, tmax):
+    # geomspace rounds these windows onto 2 and 6 distinct scales; a slope
+    # (1.3357 and 0.4774) was printed with exit 0
+    code, out, err = run(capsys, "dim", "--grid", "5", "--tmin", "1",
+                         "--tmax", tmax)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WindowTooNarrow"
+
+
 # ---------------------------------------------------------------------------
 # refinement sweeps
 

@@ -1,10 +1,11 @@
 """Maximum diversity, covering numbers, and growth-rate dimension."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magnitude import backend_name
@@ -14,6 +15,8 @@ from magnitude.diversity import (
     NonConvergence,
     TooLarge,
     WindowTooNarrow,
+    _active_set,
+    _fit_line,
     _solve_each,
     dimension_estimate,
     fw_away_qp,
@@ -34,9 +37,11 @@ from magnitude.spaces import (
     graph_metric,
     lp_grid,
     points_on_line,
+    validate_metric,
 )
 from oracles import (
     EXACT_COVERING_LIMIT,
+    active_set_held_z,
     covering_number,
     max_diversity_support_loop,
     named_graph_edges,
@@ -266,6 +271,31 @@ def test_active_set_certifies_positive_definite_ball():
     assert res.value <= magnitude(sp, 4.0) + 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(20, 120), st.integers(0, 10_000),
+       st.floats(1.0, 60.0), st.booleans())
+def test_active_set_on_rows_is_the_held_z_active_set(dim, count, seed, t,
+                                                     held):
+    # the run that reads Z by rows, and refactors each support from the
+    # subspace on it, makes every choice of the run on a held Z: the same
+    # passes, support and weights. Its value mu (Z mu) may differ from
+    # (mu Z) mu in the last bits (3 ulps seen)
+    sp = ball_sample(dim, 1.0, count, seed=seed)
+    if held:
+        sp = validate_metric(sp.distances)  # a space that holds d
+    rows = similarity_rows(sp, t)
+    assume(fw_away_qp(rows, count, 1e-9, count)[2] > 1e-9)
+    got = _active_set(sp, t, rows, 1e-9)
+    want = active_set_held_z(similarity_matrix(sp, t), 1e-9)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.support, got.iterations, got.method) == (
+            want.support, want.iterations, want.method)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.value == pytest.approx(want.value, rel=1e-15, abs=0)
+        assert got.kkt_gap <= 1e-9
+
+
 def test_result_names_its_method():
     assert max_diversity_exact(C5, 1.0).method == "support_enumeration"
     assert max_diversity(C5, 1.0).method == "frank_wolfe"  # uniform optimum
@@ -444,6 +474,55 @@ def test_criterion_12_rungs():
         res = max_diversity(grid, float(t), 1e-6, 300_000)
         assert res.method == "frank_wolfe"
         assert res.iterations <= grid.n_points and res.kkt_gap <= 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.floats(0.3, 4.0), st.floats(0.1, 3.0),
+       st.floats(-5.0, 5.0), st.floats(-4.0, 0.0), st.integers(0, 10_000))
+def test_line_fit_is_the_least_squares_line(log_tmin, log_ratio, slope,
+                                            intercept, log_noise, seed):
+    # the closed form against numpy's least squares on the window's ten
+    # fitted log-scales, at least a factor 2 apart end to end
+    lt = np.log(np.geomspace(10.0 ** log_tmin,
+                             10.0 ** (log_tmin + log_ratio), 12))[1:-1]
+    noise = np.random.default_rng(seed).normal(0.0, 10.0 ** log_noise,
+                                               lt.size)
+    lq = slope * lt + intercept + noise
+    got = _fit_line(lt, lq)
+    want_slope, want_intercept = np.polyfit(lt, lq, 1)
+    want_resid = np.sqrt(np.mean((lq - (want_slope * lt + want_intercept))
+                                 ** 2))
+    scale = np.abs(lq).max()
+    assert got[0] == pytest.approx(want_slope, rel=1e-12)
+    assert got[1] == pytest.approx(want_intercept, abs=1e-12 * scale)
+    assert got[2] == pytest.approx(want_resid, abs=1e-12 * scale)
+
+
+def test_dimension_estimate_needs_no_least_squares_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    # and the name np.polyfit calls, bound where it is defined
+    monkeypatch.setitem(inspect.unwrap(np.polyfit).__globals__, "lstsq",
+                        refuse)
+    with pytest.raises(AssertionError):
+        np.polyfit([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], 1)  # the patch bites
+    line = points_on_line(np.linspace(0.0, 1.0, 65))
+    est = dimension_estimate(line, 4.0, 40.0, samples=8)
+    assert 0.75 <= est.slope <= 1.1
+
+
+def test_collapsed_window_is_too_narrow():
+    # distinct bounds whose geometric samples round onto fewer scales:
+    # 2 distinct ones at 1 + 2^-52, 6 at 1 + 1e-15; refused before any
+    # quantity is computed, as the fit would divide by no spread
+    line = points_on_line(np.linspace(0.0, 1.0, 5))
+    for t_max in (1.0000000000000002, 1.000000000000001):
+        with pytest.raises(WindowTooNarrow, match="distinct fitted scales"):
+            dimension_estimate(line, 1.0, t_max)
+    est = dimension_estimate(line, 1.0, 1.0 + 1e-9)
+    assert math.isfinite(est.slope)
 
 
 def test_window_and_method_validation():
