@@ -1,8 +1,11 @@
 """Magnitude of finite metric spaces, with exact line and pixel oracles.
 
-The core pipeline: build or validate a metric space (spaces), form the
-similarity matrix and solve for the weighting (engine). Around it sit
-exact closed forms for subsets of the real line (lines), exact rational
+The core pipeline: build or validate a metric space (spaces, from the
+specs its kinds are checked by), form the similarity matrix and solve
+for the weighting (engine); a finite subset of the line is solved in
+O(n) without numpy by the line rung (tridiagonal), with the scale sweeps
+and result records both routes share (sweeps). Around it sit exact
+closed forms for subsets of the real line (lines), exact rational
 machinery for unions of grid cells and convex bodies in the taxicab plane
 (pixels), a maximum-diversity optimizer with growth-based dimension
 estimates (diversity), and Euclidean ball and sphere formulas (euclid).
@@ -15,17 +18,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "backend_name": "diversity",
     **dict.fromkeys((
-        "DefinitenessReport", "MagnitudeFunctionSample", "MonotonicityViolation",
-        "RefinementSample", "UndefinedMagnitude", "WeightingResult",
+        "DefinitenessReport", "MagnitudeFunctionSample", "UndefinedMagnitude",
         "approximate_compact_magnitude",
         "definiteness_report", "magnitude", "magnitude_function",
         "similarity_matrix", "solve_weighting",
     ), "engine"),
     **dict.fromkeys((
-        "FiniteMetricSpace", "MetricError", "SpaceSpec", "TriangleViolation",
+        "FiniteMetricSpace", "MetricError", "TriangleViolation",
         "cantor_endpoints", "generate_space", "graph_metric", "lp_grid",
         "points_on_line", "validate_metric",
     ), "spaces"),
+    "SpaceSpec": "specs",
+    **dict.fromkeys(("MonotonicityViolation", "RefinementSample",
+                     "WeightingResult"), "sweeps"),
 }
 
 

@@ -18,7 +18,7 @@ both. Float flags and number lists accept finite values only; count flags
 (--steps, --samples, --max-iters) must be at least 1, and a sweep takes
 at most SCALE_LIMIT scales. A space source with its --p, --spacing,
 --length and --seed, and each level of an approx family, is a SpaceSpec
-that spaces.KINDS checks as it checks a --spec: a flag its kind does not
+that specs.KINDS checks as it checks a --spec: a flag its kind does not
 take is bad input. --tol, which must be positive, is the
 Frank-Wolfe gap target of diversity and dim; the other commands refuse
 it, since the dense solve refines to its own rounding floor (see
@@ -41,10 +41,18 @@ Each command imports only the modules it computes with: the package
 modules that need numpy (spaces, engine, diversity, lines) are imported
 inside the handlers and branches that use them, so pixel and the
 Euclidean oracles run without numpy, and only pixel and oracle load
-fractions. No command loads scipy, numpy.random or OpenSSL: the dense
-solves run on numpy alone (see engine), ball samples draw from numpy's
-Philox stream as spaces computes it, and digests use CPython's builtin
-SHA-256, not hashlib's OpenSSL one.
+fractions. A space of a line kind (points_1d, lp_grid with a one-entry
+shape, cantor_endpoints), named by its flag or by a --spec, runs without
+numpy too in mag, weights, magfn, diversity (with --exact as well: the
+magnitude, on every point), dim --method diversity_growth and approx
+--grid-sizes/--cantor-depths: the line rung (tridiagonal) solves it in
+O(n) from the coordinates that the spec layer (specs) gives, and the
+scales are those of sweeps, which the numpy routes share. check, dim
+--method covering_growth and every other space load numpy. No command
+loads scipy, numpy.random or OpenSSL: the dense solves run on numpy
+alone (see engine), ball samples draw from numpy's Philox stream as
+spaces computes it, and digests use CPython's builtin SHA-256, not
+hashlib's OpenSSL one.
 
 Two entries: run() is the process entry (python -m magnitude and the
 magnitude console script). It flushes the output and ends the process
@@ -191,12 +199,14 @@ _SOURCES = {
 }
 
 
-def _space_inputs(args):
+def _space_inputs(args, line: bool = False):
     """Build the metric space selected by the input flags; also return a
     plain dict describing the inputs for the digest: a generated space's
-    kind and effective parameters, one digest however it was named."""
-    from .spaces import (SpaceSpec, generate_space, load_distance_csv,
-                         validate_metric)
+    kind and effective parameters, one digest however it was named. With
+    line, a space of a line kind (specs.line_coordinates) comes back as
+    its coordinates, a list of floats for the line rung, and numpy is
+    not imported."""
+    from .specs import SpaceSpec, line_coordinates
 
     src = _given(args, *_SOURCES, "stdin_matrix", "matrix", "spec")
     flags = {k: getattr(args, k) for k in ("p", "spacing", "length", "seed")
@@ -212,6 +222,8 @@ def _space_inputs(args):
         spec = SpaceSpec.from_json(
             text if text.strip().startswith("{") else _read_text(text))
     else:
+        from .spaces import load_distance_csv, validate_metric
+
         text = sys.stdin.read() if src == "stdin_matrix" else _read_text(args.matrix)
         # digested first, so that the encoded copy of the text is gone
         # before the matrix exists; the reader's array is new and nobody
@@ -219,7 +231,30 @@ def _space_inputs(args):
         inputs = {"kind": "explicit_matrix",
                   "sha256": sha256(text.encode()).hexdigest()}
         return validate_metric(load_distance_csv(text), copy=False), inputs
-    return generate_space(spec), {"kind": spec.kind, "params": spec.effective()}
+    params = spec.effective()
+    inputs = {"kind": spec.kind, "params": params}
+    coordinates = line_coordinates(spec.kind, params) if line else None
+    if coordinates is not None:
+        return coordinates, inputs
+    from .spaces import generate_space
+
+    return generate_space(spec), inputs
+
+
+def _n_points(space) -> int:
+    return len(space) if isinstance(space, list) else space.n_points
+
+
+def _solve(space, t: float):
+    """The weighting of a space at scale t: the line rung's for the
+    coordinates of a line kind, else the dense solve's."""
+    if isinstance(space, list):
+        from . import tridiagonal
+
+        return tridiagonal.solve(space, t)
+    from . import engine
+
+    return engine.solve_weighting(space, t)
 
 
 def _digest(obj) -> str:
@@ -273,44 +308,34 @@ def _emit_csv(results) -> None:
 
 
 def _cmd_mag(args, command, t0) -> int:
-    from . import engine
-
-    space, inputs = _space_inputs(args)
-    res = engine.solve_weighting(space, args.t)
+    space, inputs = _space_inputs(args, line=True)
+    res = _solve(space, args.t)
     results = {
         "t": args.t,
         "magnitude": res.magnitude,
         "status": res.status,
         "condition_estimate": _finite_or_none(res.condition_estimate),
         "residual": res.residual,
-        "n_points": space.n_points,
+        "n_points": _n_points(space),
     }
     _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
-    return 3 if not res.defined else 0
+    return 0 if res.defined else 3
 
 
 def _cmd_magfn(args, command, t0) -> int:
-    import numpy as np
+    from .sweeps import STATUS_PD, scales
 
-    from . import engine
-
-    space, inputs = _space_inputs(args)
+    space, inputs = _space_inputs(args, line=True)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
-    # with --tmax near the double maximum numpy may overflow while forming
-    # the last scale, which it then sets to --tmax exactly
-    with np.errstate(over="ignore"):
-        ts = (np.geomspace if args.log else np.linspace)(
-            args.tmin, args.tmax, args.steps
-        )
-    samples = [
-        {"t": s.t, "magnitude": s.magnitude,
-         "positive_definite": s.status == engine.STATUS_PD,
-         "status": s.status}
-        for s in engine.magnitude_function(space, ts)
-    ]
+    samples = []
+    for t in scales(args.tmin, args.tmax, args.steps, args.log):
+        res = _solve(space, t)
+        samples.append({"t": t, "magnitude": res.magnitude,
+                        "positive_definite": res.status == STATUS_PD,
+                        "status": res.status})
     # a sweep reports failed scales inside the data, never via exit code
-    results = {"samples": samples, "n_points": space.n_points}
+    results = {"samples": samples, "n_points": _n_points(space)}
     _emit(args, command,
           {"space": inputs, "tmin": args.tmin, "tmax": args.tmax,
            "steps": args.steps, "log": args.log},
@@ -319,10 +344,8 @@ def _cmd_magfn(args, command, t0) -> int:
 
 
 def _cmd_weights(args, command, t0) -> int:
-    from . import engine
-
-    space, inputs = _space_inputs(args)
-    res = engine.solve_weighting(space, args.t)
+    space, inputs = _space_inputs(args, line=True)
+    res = _solve(space, args.t)
     w = None if res.weighting is None else [float(x) for x in res.weighting]
     results = {
         "t": args.t,
@@ -358,24 +381,34 @@ def _cmd_check(args, command, t0) -> int:
 
 
 def _cmd_diversity(args, command, t0) -> int:
-    from . import diversity as dv
+    space, inputs = _space_inputs(args, line=True)
+    if isinstance(space, list):
+        from . import tridiagonal
 
-    space, inputs = _space_inputs(args)
+        # every weight is positive: the magnitude, on every point
+        res = tridiagonal.max_diversity(space, args.t)
+    else:
+        from . import diversity as dv
+
+        if args.exact:
+            res = dv.max_diversity_exact(space, args.t)
+        else:
+            try:
+                res = dv.max_diversity(space, args.t, args.tol, args.max_iters)
+            except dv.NonConvergence as exc:
+                results = {"t": args.t, "method": "frank_wolfe",
+                           "converged": False, "kkt_gap": exc.gap,
+                           "iterations": exc.iterations}
+                _emit(args, command, {"space": inputs, "t": args.t}, results,
+                      t0)
+                return 0
     if args.exact:
-        res = dv.max_diversity_exact(space, args.t)
         results = {
             "t": args.t, "method": res.method,
             "value": res.value, "support": list(res.support),
             "kkt_gap": res.kkt_gap, "supports_checked": res.iterations,
         }
     else:
-        try:
-            res = dv.max_diversity(space, args.t, args.tol, args.max_iters)
-        except dv.NonConvergence as exc:
-            results = {"t": args.t, "method": "frank_wolfe", "converged": False,
-                       "kkt_gap": exc.gap, "iterations": exc.iterations}
-            _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
-            return 0
         results = {
             "t": args.t, "method": res.method, "converged": True,
             "value": res.value, "support": list(res.support),
@@ -387,14 +420,25 @@ def _cmd_diversity(args, command, t0) -> int:
 
 
 def _cmd_dim(args, command, t0) -> int:
-    from . import diversity as dv
+    space, inputs = _space_inputs(args, line=args.method == "diversity_growth")
+    if isinstance(space, list):
+        from . import tridiagonal
+        from .sweeps import growth_estimate, growth_scales
 
-    space, inputs = _space_inputs(args)
-    est = dv.dimension_estimate(space, args.tmin, args.tmax, args.method,
-                                args.samples, args.tol, args.max_iters)
+        ts = growth_scales(args.tmin, args.tmax, args.samples)
+        est = growth_estimate(
+            ts, [tridiagonal.max_diversity(space, t).value for t in ts],
+            args.method)
+        xs = sorted(space)
+        finest = min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
+    else:
+        from . import diversity as dv
+
+        est = dv.dimension_estimate(space, args.tmin, args.tmax, args.method,
+                                    args.samples, args.tol, args.max_iters)
+        finest = space.min_distance
     results = {**est._asdict(), "window": list(est.window),
                "samples": args.samples}
-    finest = space.min_distance
     if args.tmax * finest > 1.0:
         msg = (f"window may overresolve the space: tmax * smallest gap = "
                f"{args.tmax * finest:.3g} > 1")
@@ -579,12 +623,12 @@ def _cmd_oracle(args, command, t0) -> int:
 
 
 def _cmd_approx(args, command, t0) -> int:
-    from . import engine
-    from .spaces import SpaceSpec
+    from .specs import SpaceSpec, line_coordinates
+    from .sweeps import refine
 
     src = _given(args, "grid_sizes", "cantor_depths", "ball_counts")
     levels = _parse_ints(getattr(args, src))
-    # spaces.KINDS refuses a flag that the family's kind does not take
+    # specs.KINDS refuses a flag that the family's kind does not take
     flags = {k: getattr(args, k) for k in ("p", "length")
              if getattr(args, k) is not None}
     if args.ball is not None:
@@ -604,11 +648,20 @@ def _cmd_approx(args, command, t0) -> int:
         kind, params = "cantor_endpoints", [{"depth": d} for d in levels]
     else:
         kind, params = "ball_sample", [{"count": c} for c in levels]
-    specs = [SpaceSpec(kind, {**p, **flags}, args.seed) for p in params]
-    inputs = {"kind": kind, "spaces": [s.effective() for s in specs],
-              "t": args.t}
-    rows = engine.approximate_compact_magnitude(
-        specs, args.t, levels=levels, nested=nested)
+    effective = [SpaceSpec(kind, {**p, **flags}, args.seed).effective()
+                 for p in params]
+    inputs = {"kind": kind, "spaces": effective, "t": args.t}
+
+    def row(params):
+        space = line_coordinates(kind, params)
+        if space is None:  # a ball sample
+            from .spaces import BUILDERS
+
+            space = BUILDERS[kind](**params)
+        res = _solve(space, args.t)
+        return _n_points(space), res.magnitude, res.status
+
+    rows = refine(effective, row, levels, nested)
     results = {"samples": [s._asdict() for s in rows], "nested": nested,
                "t": args.t}
     _emit(args, command, inputs, results, t0)
@@ -639,7 +692,7 @@ def _add_space_inputs(sub) -> None:
     g.add_argument("--stdin-matrix", action="store_true",
                    help="read CSV distance matrix from stdin")
     g.add_argument("--spec", help="space spec as JSON text or a file path")
-    # the spaces.KINDS table checks these and holds their defaults
+    # the specs.KINDS table checks these and holds their defaults
     sub.add_argument("--p", type=int, help="lp exponent of --grid or --ball")
     sub.add_argument("--spacing", type=_finite_float, help="--grid step")
     sub.add_argument("--length", type=_finite_float,

@@ -52,13 +52,14 @@ Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
 at radius 1/t for covering_growth. The two extreme samples are dropped
 before the fit to blunt boundary effects, and the line is fitted in
-closed form from centred sums, with no least-squares solver.
+closed form from centred sums, with no least-squares solver; the scales
+and the fit are those of the sweeps module, which the line rung's dim
+shares.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from .engine import (
     similarity_matrix,
     similarity_rows,
 )
-from .errors import (
+from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
     DiversityError,
     NonConvergence,
     TooLarge,
@@ -76,6 +77,12 @@ from .errors import (
     finite,
 )
 from .spaces import ROW_BLOCK, FiniteMetricSpace
+from .sweeps import (  # noqa: F401  (DimensionEstimate re-exported)
+    DimensionEstimate,
+    DiversityResult,
+    growth_estimate,
+    growth_scales,
+)
 
 EXACT_DIVERSITY_LIMIT = 15
 # support enumeration's feasibility slack: on y >= 0 and on the
@@ -88,22 +95,6 @@ ACTIVE_SET_PASSES_PER_POINT = 3
 def backend_name() -> str:
     """Kernel implementation that runs: always 'numpy'."""
     return "numpy"
-
-
-class DiversityResult(NamedTuple):
-    value: float
-    weights: np.ndarray  # the maximizing distribution, read-only
-    support: tuple       # the indices it is positive on
-    kkt_gap: float
-    iterations: int  # FW iterations, active-set passes or supports checked
-    method: str      # "frank_wolfe", "active_set" or "support_enumeration"
-
-
-class DimensionEstimate(NamedTuple):
-    slope: float
-    window: tuple
-    fit_residual: float
-    method: str
 
 
 def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
@@ -296,7 +287,10 @@ def _active_set(space: FiniteMetricSpace, t: float, z_rows,
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
         try:
-            ys = _unit_solve(similarity_rows(space.subspace(idx), t), idx.size)
+            # the parent's diameter bounds the subspace's, which is then
+            # never scanned
+            ys = _unit_solve(similarity_rows(space.subspace(idx), t,
+                                             space.diameter), idx.size)
         except np.linalg.LinAlgError:
             return None
     return None
@@ -415,47 +409,20 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
     """Least-squares slope of log(quantity) against log(scale).
 
     diversity_growth uses maximum diversity at each t; covering_growth
-    uses the greedy covering number at radius 1/t. The first and last
-    samples are dropped before fitting, and the line is fitted in closed
-    form (_fit_line). Fewer than 4 remaining points raises
-    WindowTooNarrow, and so does a window so narrow that the fitted
-    log-scales, rounded, are not strictly increasing, before any quantity
-    is computed. Estimates are meaningful only while the scale
-    still resolves the finest structure, roughly t_max * (smallest gap)
-    <= 1; the caller is expected to check that.
+    uses the greedy covering number at radius 1/t. The scales are
+    sweeps.growth_scales', which refuses a window that leaves fewer than
+    4 distinct fitted log-scales as WindowTooNarrow before any quantity
+    is computed; the first and last samples are dropped before fitting,
+    and the line is fitted in closed form (sweeps.growth_estimate).
+    Estimates are meaningful only while the scale still resolves the
+    finest structure, roughly t_max * (smallest gap) <= 1; the caller is
+    expected to check that.
     """
-    if not (0 < t_min < t_max):
-        raise WindowTooNarrow(f"bad window [{t_min}, {t_max}]")
-    if samples - 2 < 4:
-        raise WindowTooNarrow(f"{samples} samples leave fewer than 4 usable")
-    ts = np.geomspace(t_min, t_max, samples)
-    lt = np.log(ts[1:-1])
-    if not (lt[1:] > lt[:-1]).all():
-        raise WindowTooNarrow(
-            f"window [{t_min}, {t_max}] rounds to fewer than {samples - 2} "
-            "distinct fitted scales")
+    ts = growth_scales(t_min, t_max, samples)
     if method == "diversity_growth":
-        vals = [max_diversity(space, float(t), tol, max_iters).value for t in ts]
+        vals = [max_diversity(space, t, tol, max_iters).value for t in ts]
     elif method == "covering_growth":
-        vals = [greedy_covering_number(space, 1.0 / float(t)) for t in ts]
+        vals = [greedy_covering_number(space, 1.0 / t) for t in ts]
     else:
         raise DiversityError(f"unknown method {method!r}")
-    vals = np.asarray(vals, dtype=float)
-    if (vals <= 0).any():
-        raise DiversityError("nonpositive quantity in growth fit")
-    slope, intercept, resid = _fit_line(lt, np.log(vals[1:-1]))
-    return DimensionEstimate(slope, (float(t_min), float(t_max)), resid,
-                             method)
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(slope, intercept, RMS residual) of the least-squares line through
-    the points (x_i, y_i), in closed form from centred sums: slope =
-    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, which needs the x
-    to spread."""
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    slope = float(dx @ (y - ym) / (dx @ dx))
-    intercept = float(ym - slope * xm)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return slope, intercept, resid
+    return growth_estimate(ts, [float(v) for v in vals], method)

@@ -56,6 +56,16 @@ import numpy as np
 
 from .errors import NonpositiveScale, UndefinedMagnitude, positive_scale
 from .spaces import ROW_BLOCK, FiniteMetricSpace, SpaceSpec, generate_space
+from .sweeps import (  # noqa: F401  (re-exported: engine.STATUS_PD etc.)
+    MONOTONE_SLACK,
+    STATUS_INVERTIBLE,
+    STATUS_PD,
+    STATUS_UNDEFINED,
+    MonotonicityViolation,
+    RefinementSample,
+    WeightingResult,
+    refine,
+)
 
 # rcond below N * this factor means the solve cannot be trusted at all
 CONDITION_RCOND_FACTOR = 1e-14
@@ -72,13 +82,6 @@ ESTIMATOR_MAX_ITERS = 5
 # many power-iteration steps
 PERRON_MARGIN = 1e-8
 PERRON_MAX_ITERS = 100
-# a nested refinement may drop by at most this much between levels
-MONOTONE_SLACK = 1e-9
-
-STATUS_PD = "UniquePD"
-STATUS_INVERTIBLE = "UniqueInvertible"
-STATUS_UNDEFINED = "Undefined"
-
 VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
 VERDICT_NOT = "CertifiedNot"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -86,22 +89,6 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 # which method decided a negative-type verdict
 PROOF_CHOLESKY = "cholesky"
 PROOF_EIGENVALUE_BAND = "eigenvalue_band"
-
-
-class MonotonicityViolation(ArithmeticError):
-    """A nested refinement's magnitude dropped by more than MONOTONE_SLACK."""
-
-
-class WeightingResult(NamedTuple):
-    weighting: np.ndarray | None
-    magnitude: float | None
-    status: str
-    condition_estimate: float
-    residual: float | None
-
-    @property
-    def defined(self) -> bool:
-        return self.status != STATUS_UNDEFINED
 
 
 class MagnitudeFunctionSample(NamedTuple):
@@ -118,7 +105,7 @@ class DefinitenessReport(NamedTuple):
     scattered_bound_holds: bool
 
 
-def similarity_rows(space: FiniteMetricSpace, t):
+def similarity_rows(space: FiniteMetricSpace, t, diameter: float | None = None):
     """The row source of Z = exp(-t d) over a space: rows(lo, hi, col0,
     out) is Z[lo:hi, col0:] in out or a new array, where the space's rows
     are written and -t d and then Z overwrite them, so no second
@@ -128,11 +115,14 @@ def similarity_rows(space: FiniteMetricSpace, t):
     scale 0 < t < inf and raises the same errors. The product t d
     overflows to inf, where exp(-inf) = 0 is the exact limit, only where
     t times the diameter does; only then is it formed under np.errstate,
-    whose entry costs more than a row of a thousand products."""
+    whose entry costs more than a row of a thousand products. diameter
+    is any bound on the space's diameter, its own by default, which a
+    scan of d finds: a subspace passes its parent's, as a larger bound
+    only forms the products under np.errstate, bit for bit the same."""
     t = positive_scale(t)
     if t == math.inf:
         raise NonpositiveScale(f"scale must be finite, got {t!r}")
-    overflows = t * space.diameter == math.inf
+    overflows = t * (space.diameter if diameter is None else diameter) == math.inf
 
     def rows(lo, hi, col0=0, out=None):
         if out is None:
@@ -379,14 +369,6 @@ def magnitude_function(space: FiniteMetricSpace, ts) -> list[MagnitudeFunctionSa
     return out
 
 
-class RefinementSample(NamedTuple):
-    level: float
-    n_points: int
-    magnitude: float | None
-    status: str
-    delta: float | None  # change from the previous defined magnitude
-
-
 def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
                                   nested: bool = False) -> list[RefinementSample]:
     """Magnitude sequence of finite spaces refining a compact one.
@@ -400,38 +382,28 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
     beyond MONOTONE_SLACK raises MonotonicityViolation, flagging a
     generator or solver bug rather than a fact about the limit. Scales
     where the solve fails are reported with magnitude None, never raised.
+    The sequence rules are sweeps.refine's.
     """
-    items = list(specs)
-    labels = list(levels) if levels is not None else list(range(1, len(items) + 1))
-    if len(labels) != len(items):
-        raise ValueError(
-            f"{len(labels)} levels for {len(items)} refinement entries"
-        )
-    out = []
-    prev = None
-    prev_level = None
-    for lev, item in zip(labels, items):
+    def solve(item):
         space = generate_space(item) if isinstance(item, SpaceSpec) else item
         res = solve_weighting(space, t)
-        mag = res.magnitude if res.defined else None
-        if nested and mag is not None and prev is not None \
-                and mag < prev - MONOTONE_SLACK:
-            raise MonotonicityViolation(
-                f"nested refinement decreased: level {prev_level} gave "
-                f"{prev:.12g}, level {lev} gave {mag:.12g}"
-            )
-        delta = None if mag is None or prev is None else mag - prev
-        if mag is not None:
-            prev, prev_level = mag, lev
-        out.append(RefinementSample(lev, space.n_points, mag, res.status, delta))
-    return out
+        return space.n_points, res.magnitude, res.status
+
+    return refine(specs, solve, levels, nested)
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
-    """Whether Cholesky factors Z(t). Z is formed from d's rows a block at a
-    time, only its entries on and right of the diagonal, so the test holds
-    half a factor and no n x n array, and takes half the exponentials."""
+    """Whether Z(t) is positive definite. On a space of points on the
+    line it is, at every scale 0 < t < inf: distinct reals have a
+    positive definite Z (R is of strict negative type; Leinster, Doc.
+    Math. 18, 2013), also where gaps so small that Z's rows are equal in
+    floats stop a Cholesky. On any other space, whether Cholesky factors
+    Z(t). Z is formed from d's rows a block at a time, only its entries
+    on and right of the diagonal, so the test holds half a factor and no
+    n x n array, and takes half the exponentials."""
     z_rows = similarity_rows(space, t)
+    if space.on_line:
+        return True
     try:
         cholesky_rows(lambda lo, hi: z_rows(lo, hi, lo), space.n_points)
         return True

@@ -13,14 +13,22 @@ noise, while real violations are.
 Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
-Ball samples draw from numpy's counter-based Philox generator, the stream
+The spec layer (SpaceSpec, the KINDS table of parameter rules,
+POINT_LIMIT, and the coordinates of the line kinds with their checks)
+lives in the numpy-free specs module and is re-exported here, so
+spaces.SpaceSpec is specs.SpaceSpec; the CLI solves a space of a line
+kind (points_1d, lp_grid with a one-entry shape, cantor_endpoints) from
+those coordinates with the line rung (tridiagonal), without this module
+and without numpy, and builds every other kind here. Ball samples draw
+from numpy's counter-based Philox generator, the stream
 np.random.Generator(np.random.Philox(seed)) gives, computed in this module
 without importing numpy.random, so a spec with a seed reproduces the same
-points bit for bit on any platform. A spec, and a
-direct call of a public builder, is checked against the KINDS table of
-parameter rules before anything is built; a builder checks only
+points bit for bit on any platform. A spec, and a direct call of a public
+builder, is checked against the KINDS table of parameter rules, which
+holds the defaults too, before anything is built; a builder checks only
 coincident points, distances outside the double range or rounding to 0,
-the ball's draw limit and POINT_LIMIT.
+the ball's draw limit and POINT_LIMIT, and the builders of the line
+kinds take their points, checked, from specs.line_coordinates.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -32,11 +40,10 @@ from __future__ import annotations
 
 import functools
 import inspect
-import json
 import math
 import re
 from itertools import product as _iterproduct
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +61,17 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     ResultOverflow,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
-    finite,
     finite_result,
-    integral,
+)
+from .specs import (  # noqa: F401  (re-exported: spaces.SpaceSpec etc.)
+    KINDS,
+    POINT_LIMIT,
+    SpaceSpec,
+    cantor_intervals,
+    cantor_points,
+    check_points,
+    grid_1d,
+    points_1d,
 )
 
 TRIANGLE_TOL_FACTOR = 1e-12
@@ -77,12 +92,6 @@ _SCAN_KS = 16
 # with probability about P(Poisson(4 count) < count): e^-4 (1.8%) for one
 # point, 0.3% for two, less for more
 BALL_DRAW_LIMIT = 2**25
-# most points a generator builds. Measured at n = 2000 in n x n float
-# arrays: a dense solve holds half of Z and half a factor, 1.10 (0.55 GiB
-# at this size), and 2.10 where the space holds d (graphs, 1.05 GiB); a
-# failed negative-type proof forms d, the centred matrix and eigvalsh's
-# copy of it, three (1.5 GiB)
-POINT_LIMIT = 2**13
 
 
 class FiniteMetricSpace:
@@ -93,8 +102,8 @@ class FiniteMetricSpace:
     way rows(lo, hi, col0) is d[lo:hi, col0:] and distances is the whole
     of d, read-only. Labels are given with a held d, or formed from the
     points. Build instances through validate_metric or a
-    generator (_points_space), not directly, unless the matrix is already
-    known to be a metric.
+    generator, not directly, unless the matrix is already known to be a
+    metric.
     """
 
     __slots__ = ("_d", "_planes", "_scalars", "p", "_labels", "n_points",
@@ -190,65 +199,25 @@ class FiniteMetricSpace:
         """Smallest off-diagonal distance; inf for a single point."""
         return self._scan()[0]
 
+    @property
+    def on_line(self) -> bool:
+        """Whether the space is a set of points of the real line: a space
+        of points with one coordinate."""
+        return self._planes is not None and len(self._planes) == 1
+
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
+        """The space on the points indices: their points, or their block
+        of a held d, which the fancy index copies."""
         idx = list(indices)
         if self._planes is not None:
             pts = self.points[idx]
             return FiniteMetricSpace(
                 points=pts[:, 0] if self._scalars else pts, p=self.p)
         labs = tuple(self._labels[i] for i in idx) if self._labels else None
-        return FiniteMetricSpace(self._d[np.ix_(idx, idx)].copy(), labs)
+        return FiniteMetricSpace(self._d[np.ix_(idx, idx)], labs)
 
     def __repr__(self):  # keep reprs short; matrices can be large
         return f"FiniteMetricSpace(n={self.n_points}, diam={self.diameter:.6g})"
-
-
-class SpaceSpec(NamedTuple):
-    """Declarative space description: a kind of KINDS, its params, a seed."""
-
-    kind: str
-    # one empty dict, shared by every spec made without params: nothing
-    # may mutate a spec's params
-    params: dict = {}
-    seed: int | None = None
-
-    def effective(self) -> dict:
-        """Every parameter of the kind's builder, seed included: each one
-        given checked by KINDS, the rest the builder's defaults. BadSpec for
-        an unknown kind or key, a bad or missing parameter, or a seed on a
-        kind that takes none."""
-        kind, params = self.kind, self.params
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise BadSpec(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
-        if not isinstance(params, dict) or "seed" in params:
-            raise BadSpec(f"{kind} params must be an object, with any seed "
-                          f"beside it, got {params!r}")
-        given = params if self.seed is None else {**params, "seed": self.seed}
-        build, rules = KINDS[kind]
-        for key in given:
-            if key not in rules:
-                raise BadSpec(f"{kind} takes no parameter {key!r}")
-        out = {}
-        for key, param in inspect.signature(build).parameters.items():
-            if key in given:
-                out[key] = rules[key][1](given[key], key)
-            elif param.default is param.empty:
-                raise BadSpec(f"{kind} needs the parameter {key!r}")
-            else:
-                out[key] = param.default
-        return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpaceSpec":
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # e.g. 5000 digits
-            raise BadSpec(f"invalid spec JSON: {exc}") from None
-        if not (isinstance(obj, dict) and "kind" in obj
-                and obj.keys() <= {"kind", "params", "seed"}):
-            raise BadSpec("spec JSON must be an object with a 'kind' key and "
-                          "at most 'params' and 'seed' beside it")
-        return cls(obj["kind"], obj.get("params", {}), obj.get("seed"))
 
 
 def _first_violation_at(d: np.ndarray, tol: float, ks):
@@ -375,7 +344,9 @@ def validate_metric(matrix, copy: bool = True) -> FiniteMetricSpace:
 def _checked(kind: str) -> Callable:
     """A public builder of kind, checked: a direct call meets the KINDS
     rules that a spec meets, an argument of None standing for one not
-    given. KINDS holds the builder itself, as __wrapped__."""
+    given, and every parameter not given takes its KINDS default (the
+    builders' own optional parameters default to None). BUILDERS holds
+    the builder itself, as __wrapped__, which takes every parameter."""
     def wrap(build):
         @functools.wraps(build)
         def checked(*args, **kwargs):
@@ -387,13 +358,6 @@ def _checked(kind: str) -> Callable:
         return checked
 
     return wrap
-
-
-def _check_points(n: int, what: str) -> None:
-    """BadSpec before a generator builds more than POINT_LIMIT points."""
-    if n > POINT_LIMIT:
-        raise BadSpec(f"{what} has {n} points, over the limit of "
-                      f"{POINT_LIMIT:,}")
 
 
 def _lp_rows(planes, p: int, lo: int, hi: int, col0: int = 0,
@@ -451,7 +415,8 @@ def _distances(pts: np.ndarray, p: int) -> np.ndarray:
 
 def _points_space(pts, p: int) -> FiniteMetricSpace:
     """The space of the rows of pts in the lp distance, which holds the
-    points and not d. Every generator builds its space here and skips
+    points and not d. Every generator but those of the line kinds, whose
+    points specs.line_points checks, builds its space here and skips
     validate_metric, so one pass over d's rows checks here that every
     distance is finite and that distinct points lie apart: BadSpec
     otherwise."""
@@ -469,13 +434,7 @@ def _points_space(pts, p: int) -> FiniteMetricSpace:
 
 @_checked("points_1d")
 def points_on_line(coordinates) -> FiniteMetricSpace:
-    x = np.asarray(list(coordinates), dtype=float)
-    _check_points(x.size, "points_1d")
-    # adjacent entries of the sorted list: np.unique would import numpy.ma
-    xs = np.sort(x)
-    if (xs[1:] == xs[:-1]).any():
-        raise BadSpec("points_1d coordinates must be distinct")
-    return _points_space(x, 1)
+    return FiniteMetricSpace(points=np.array(points_1d(coordinates)), p=1)
 
 
 @_checked("graph_shortest_path")
@@ -497,7 +456,7 @@ def graph_metric(edges=None, n_vertices: int | None = None,
     n = n_vertices if n_vertices is not None else (max(seen) + 1 if seen else 0)
     if n <= 0:
         raise BadSpec("graph has no vertices")
-    _check_points(n, "graph")
+    check_points(n, "graph")
     if seen and max(seen) >= n:
         raise BadSpec("edge endpoint beyond vertex count")
     if any(u == v for u, v in edges):
@@ -530,36 +489,25 @@ def graph_metric(edges=None, n_vertices: int | None = None,
 
 
 @_checked("lp_grid")
-def lp_grid(shape, p: int = 2, spacing: float = 1.0) -> FiniteMetricSpace:
-    _check_points(math.prod(shape), "lp_grid")
+def lp_grid(shape, p: int | None = None,
+            spacing: float | None = None) -> FiniteMetricSpace:
+    """The points spacing * i of the integer lattice of shape, i_k below
+    shape[k], in the lp distance: by default p = 2 and spacing 1.0."""
+    if len(shape) == 1:
+        pts = np.array(grid_1d(shape[0], p, spacing))
+        return FiniteMetricSpace(points=pts[:, None], p=p)
+    check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
         pts *= spacing
     return _points_space(pts, p)
 
 
-def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
-    """Closed intervals after `depth` middle-thirds removal steps on [0, length]."""
-    iv = [(0.0, float(length))]
-    for _ in range(depth):
-        nxt = []
-        for a, b in iv:
-            third = (b - a) / 3.0
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        iv = nxt
-    return iv
-
-
 @_checked("cantor_endpoints")
-def cantor_endpoints(depth: int, length: float = 1.0) -> FiniteMetricSpace:
-    """The 2^(depth+1) interval endpoints of the depth-k construction."""
-    if depth + 1 >= POINT_LIMIT.bit_length():  # 2^(depth+1) > POINT_LIMIT
-        raise BadSpec(f"cantor_endpoints at depth {depth} has 2^{depth + 1} "
-                      f"points, over the limit of {POINT_LIMIT:,}")
-    iv = cantor_intervals(depth, length)
-    pts = sorted({a for a, _ in iv} | {b for _, b in iv})
-    return points_on_line.__wrapped__(pts)
+def cantor_endpoints(depth: int, length: float | None = None) -> FiniteMetricSpace:
+    """The 2^(depth+1) interval endpoints of the depth-k construction on
+    [0, length], by default [0, 1]."""
+    return FiniteMetricSpace(points=np.array(cantor_points(depth, length)), p=1)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +605,9 @@ def _philox_doubles(key: tuple[int, int], start: int, size: int) -> np.ndarray:
 
 @_checked("ball_sample")
 def ball_sample(n: int, radius: float, count: int, seed: int,
-                p: int = 2) -> FiniteMetricSpace:
-    """Uniform sample of the lp ball by rejection from the bounding cube.
+                p: int | None = None) -> FiniteMetricSpace:
+    """Uniform sample of the lp ball (by default p = 2) by rejection from
+    the bounding cube.
 
     The cube's points are np.random.Generator(np.random.Philox(seed))
     .uniform(-radius, radius, (rows, n)) bit for bit, from numpy's Philox
@@ -669,7 +618,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     times it, or when sums of norms or distances leave the double range
     (rejection would never end).
     """
-    _check_points(count, "ball_sample")
+    check_points(count, "ball_sample")
     span = 2.0 * radius * n if p == 1 else 4.0 * radius * radius * n
     if not math.isfinite(span):
         raise BadSpec("ball_sample radius gives distances beyond the double range")
@@ -739,14 +688,14 @@ def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
         a, n = int(m[3]), int(m[3]) + int(m[4])
         if not 0 < a < n:
             raise BadSpec("complete bipartite graph needs two nonempty parts")
-        _check_points(n, "graph")
+        check_points(n, "graph")
         return [(i, j) for i in range(a) for j in range(a, n)], n
     kind, n = m[1], int(m[2])
     least = {"k": 0, "c": 3, "p": 2}[kind]
     if n < least:
         raise BadSpec(f"{'cycle' if kind == 'c' else 'path'} needs at least "
                       f"{least} vertices")
-    _check_points(n, "graph")
+    check_points(n, "graph")
     if kind == "k":
         return [(i, j) for i in range(n) for j in range(i + 1, n)], n
     return [(i, (i + 1) % n) for i in range(n if kind == "c" else n - 1)], n
@@ -802,68 +751,21 @@ def _explicit_matrix(matrix) -> FiniteMetricSpace:
 
 
 # ---------------------------------------------------------------------------
-# the KINDS table: every spec, space flag and builder call is checked here
+# the builder of each kind of specs.KINDS, its parameters in the order of
+# the kind's rules there; it is called with every one of them, as
+# SpaceSpec.effective() gives them, defaults included
 
-
-def _list_of(item: Callable, lo: int = 0, hi: float = math.inf) -> Callable:
-    """Check a list (tuple, range, numpy array) of lo to hi items by item."""
-    def check(x, what):
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        if not isinstance(x, (list, tuple, range)) or not lo <= len(x) <= hi:
-            raise BadSpec(f"{what} must be a list of length in [{lo}, {hi}], got {x!r}")
-        return [item(v, f"{what}[{i}]") for i, v in enumerate(x)]
-
-    return check
-
-
-def _string(x, what):
-    if not isinstance(x, str):
-        raise BadSpec(f"{what} must be a string, got {x!r}")
-    return x
-
-
-def _matrix(x, what):
-    # a float entry passes as it is, so that validate_metric reports a NaN
-    # or an infinity; any other entry must be a finite number
-    rows = _list_of(_list_of(
-        lambda v, at: v if isinstance(v, float) else finite(v, at)))(x, what)
-    if len({len(r) for r in rows}) > 1:
-        raise BadSpec(f"{what} rows differ in length")
-    return rows
-
-
-_NONNEGATIVE = ("integer >= 0", lambda x, what: integral(x, what, 0))
-_COUNT = ("integer >= 1", lambda x, what: integral(x, what, 1))
-_P = ("1 or 2", lambda x, what: integral(x, what, 1, 2))
-_POSITIVE = ("number > 0", lambda x, what: finite(x, what, 0))
-
-# kind: (builder, {parameter: (values, check)}): values names what the
-# parameter takes (README --spec reference), check(value, what) returns
-# what the builder gets or raises BadSpec. The parameters and their
-# defaults are the builder's; one without a default is required.
-KINDS = {
-    "points_1d": (points_on_line.__wrapped__, {
-        "coordinates": ("nonempty list of finite numbers", _list_of(finite, 1))}),
-    "graph_shortest_path": (graph_metric.__wrapped__, {
-        "edges": ("list of [u, v] pairs of integers >= 0",
-                  _list_of(_list_of(_NONNEGATIVE[1], 2, 2))),
-        "n_vertices": _COUNT,
-        "name": ("graph name such as k5, k3,2, c6 or p4", _string)}),
-    "lp_grid": (lp_grid.__wrapped__, {
-        "shape": ("nonempty list of integers >= 1", _list_of(_COUNT[1], 1)),
-        "p": _P, "spacing": _POSITIVE}),
-    "cantor_endpoints": (cantor_endpoints.__wrapped__, {
-        "depth": _NONNEGATIVE, "length": _POSITIVE}),
-    "ball_sample": (ball_sample.__wrapped__, {
-        "n": _COUNT, "radius": _POSITIVE, "count": _COUNT, "seed": _NONNEGATIVE,
-        "p": _P}),
-    "explicit_matrix": (_explicit_matrix, {
-        "matrix": ("list of equal-length rows of numbers", _matrix)}),
+BUILDERS = {
+    "points_1d": points_on_line.__wrapped__,
+    "graph_shortest_path": graph_metric.__wrapped__,
+    "lp_grid": lp_grid.__wrapped__,
+    "cantor_endpoints": cantor_endpoints.__wrapped__,
+    "ball_sample": ball_sample.__wrapped__,
+    "explicit_matrix": _explicit_matrix,
 }
 
 
 def generate_space(spec: SpaceSpec) -> FiniteMetricSpace:
     """Build the space a SpaceSpec describes. Pure function of the spec."""
     params = spec.effective()
-    return KINDS[spec.kind][0](**params)
+    return BUILDERS[spec.kind](**params)

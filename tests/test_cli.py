@@ -1,7 +1,6 @@
 """Command-line surface: envelopes, exit codes, pinned examples."""
 
 import contextlib
-import inspect
 import io
 import itertools
 import json
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import magnitude
 from magnitude import cli
 from magnitude.pixels import PixelSet
+from magnitude.specs import SpaceSpec
 from test_pixels import staircase_witness
 
 SRC = str(Path(magnitude.__file__).resolve().parent.parent)
@@ -139,11 +139,17 @@ def test_mag_k32_pole_exits_three(capsys):
     assert rep["results"]["magnitude"] is None
 
 
+# two points 1e-300 apart, as a matrix: its Z is all ones in floats,
+# exactly singular (the line rung solves them as points_1d)
+SINGULAR = ('{"kind": "explicit_matrix", "params": {"matrix": '
+            '[[0, 1e-300], [1e-300, 0]]}}')
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (("mag", "--graph", "k32", "--t", repr(0.5 * math.log(2))), 3),
     (("mag", "--graph", "k32", "--t", repr(math.nextafter(0.5 * math.log(2), 1.0))), 3),
-    (("mag", "--points-1d", "0,1e-300"), 3),
-    (("weights", "--points-1d", "0,1e-300"), 0),
+    (("mag", "--spec", SINGULAR), 3),
+    (("weights", "--spec", SINGULAR), 0),
 ])
 def test_undefined_solve_is_quiet(argv, exit_code):
     # near the K_{3,2} pole and on an exactly singular Z: Undefined, with
@@ -650,7 +656,7 @@ def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
         raise ValueError("internal")
 
     monkeypatch.setattr("magnitude.engine.solve_weighting", broken)
-    code, _, err = run(capsys, "mag", "--points-1d", "0,1")
+    code, _, err = run(capsys, "mag", "--graph", "k3")
     assert code == 4
     assert json.loads(err)["error"] == "ValueError"
 
@@ -677,8 +683,7 @@ def test_magfn_needs_a_step(capsys, fmt):
 
 def test_singular_condition_estimate_is_null(capsys):
     for cmd, want in [("mag", 3), ("weights", 0)]:
-        code, rep, err = run_json(capsys, cmd, "--points-1d", "0,1e-300",
-                                  "--t", "1")
+        code, rep, err = run_json(capsys, cmd, "--spec", SINGULAR, "--t", "1")
         assert code == want
         assert rep["results"]["status"] == "Undefined"
         assert rep["results"]["condition_estimate"] is None
@@ -1291,10 +1296,10 @@ def space_specs(draw):
     """A --spec of each kind whose parameters are left out, valid, or
     random JSON, sometimes with an unknown key in or beside params, or
     with its seed in the wrong place."""
-    from magnitude.spaces import KINDS
+    from magnitude.specs import KINDS
 
     kind = draw(st.sampled_from(sorted(KINDS)))
-    names = set(KINDS[kind][1])
+    names = set(KINDS[kind])
     if kind == "graph_shortest_path" and not draw(RARELY):
         # a graph is named or listed; both at once is refused
         names -= draw(st.sampled_from([{"name"}, {"edges", "n_vertices"}]))
@@ -1349,19 +1354,19 @@ def test_any_graph_name_is_a_graph_or_bad_input(name):
 
 
 def _spec_reference_rows():
-    """The README's --spec reference rows, rebuilt from spaces.KINDS and
+    """The README's --spec reference rows, rebuilt from specs.KINDS and
     the CLI's source flags."""
-    from magnitude.spaces import KINDS
+    from magnitude.specs import KINDS, REQUIRED
 
     flags = {kind: f"`--{src.replace('_', '-')}`"
              for src, (kind, _) in cli._SOURCES.items()}
     rows = []
-    for kind, (build, rules) in KINDS.items():
+    for kind, rules in KINDS.items():
         cells = []
-        for name, param in inspect.signature(build).parameters.items():
-            default = ("required" if param.default is param.empty
-                       else f"default `{json.dumps(param.default)}`")
-            cells.append(f"`{name}`: {rules[name][0]}, {default}")
+        for name, (values, _, default) in rules.items():
+            default = ("required" if default is REQUIRED
+                       else f"default `{json.dumps(default)}`")
+            cells.append(f"`{name}`: {values}, {default}")
         rows.append(f"| `{kind}` | {flags.get(kind, 'none')} | "
                     f"{'; '.join(cells)} |")
     return rows
@@ -1372,3 +1377,131 @@ def test_readme_spec_reference_is_the_kinds_table():
     start = lines.index("| Kind | Flag | Parameters |") + 2
     end = lines.index("", start)
     assert lines[start:end] == _spec_reference_rows()
+
+
+# ---------------------------------------------------------------------------
+# the line rung: every space of a line kind, from a flag or a --spec
+
+LINE_SPECS = [
+    (("--points-1d", "3,0,1.5"), "points_1d", {"coordinates": [3, 0, 1.5]}),
+    (("--grid", "5", "--spacing", "0.25", "--p", "1"), "lp_grid",
+     {"shape": [5], "spacing": 0.25, "p": 1}),
+    (("--grid", "4"), "lp_grid", {"shape": [4]}),
+    (("--cantor-depth", "2", "--length", "3"), "cantor_endpoints",
+     {"depth": 2, "length": 3}),
+]
+
+
+@pytest.mark.parametrize("flags, kind, params", LINE_SPECS)
+@pytest.mark.parametrize("command", [("mag",), ("weights",), ("diversity",),
+                                     ("diversity", "--exact")])
+def test_line_inputs_are_the_effective_spec(capsys, flags, kind, params,
+                                            command):
+    # the digest of the kind and its effective parameters, as before the
+    # line rung, whether the space is named by its flag or by a --spec
+    effective = SpaceSpec(kind, params).effective()
+    extra = {"exact": command[-1] == "--exact"} if command[0] == "diversity" else {}
+    want = cli._digest({"space": {"kind": kind, "params": effective},
+                        "t": 0.5, **extra})
+    spec = json.dumps({"kind": kind, "params": params})
+    for source in (flags, ("--spec", spec)):
+        code, rep, _ = run_json(capsys, *command, *source, "--t", "0.5")
+        assert code == 0
+        assert rep["inputs_digest"] == want, source
+
+
+def test_line_magfn_dim_and_approx_digests_are_the_effective_spec(capsys):
+    space = {"kind": "lp_grid", "params": SpaceSpec("lp_grid", {"shape": [9]}).effective()}
+    _, rep, _ = run_json(capsys, "magfn", "--grid", "9", "--tmin", "1",
+                         "--tmax", "3", "--steps", "4", "--log")
+    assert rep["inputs_digest"] == cli._digest(
+        {"space": space, "tmin": 1.0, "tmax": 3.0, "steps": 4, "log": True})
+    _, rep, _ = run_json(capsys, "dim", "--grid", "9", "--tmin", "1",
+                         "--tmax", "3")
+    assert rep["inputs_digest"] == cli._digest(
+        {"space": space, "tmin": 1.0, "tmax": 3.0,
+         "method": "diversity_growth", "samples": 12})
+    _, rep, _ = run_json(capsys, "approx", "--cantor-depths", "1,2")
+    assert rep["inputs_digest"] == cli._digest(
+        {"kind": "cantor_endpoints", "t": 1.0, "spaces": [
+            SpaceSpec("cantor_endpoints", {"depth": d}).effective()
+            for d in (1, 2)]})
+
+
+def test_near_coincident_reals_have_a_magnitude(capsys):
+    # two rows of Z are equal in floats, which stopped the dense solve;
+    # distinct reals have a positive definite Z at every t
+    code, rep, _ = run_json(capsys, "mag", "--points-1d", "0,1e-310,1",
+                            "--t", "1")
+    assert code == 0
+    r = rep["results"]
+    assert (r["status"], r["magnitude"]) == ("UniquePD", 1.4621171572600098)
+    assert r["condition_estimate"] is None  # 1 / (1 - a^2) is past the range
+    code, rep, _ = run_json(capsys, "check", "--points-1d", "0,1e-310,1")
+    assert code == 0
+    assert rep["results"]["is_positive_definite"] is True
+    assert rep["results"]["negative_type_verdict"] == "CertifiedNegativeType"
+
+
+def test_line_results_come_in_input_order(capsys):
+    from magnitude import lines
+
+    pts = [2.5, -1.0, 0.25, 7.0, 3.0]
+    _, w = lines.line_weighting(pts, 0.8)
+    want = [w[sorted(pts).index(x)] for x in pts]
+    _, rep, _ = run_json(capsys, "weights", "--points-1d",
+                         ",".join(map(repr, pts)), "--t", "0.8")
+    assert rep["results"]["weighting"] == pytest.approx(want, rel=1e-15)
+    assert rep["results"]["coweighting"] == rep["results"]["weighting"]
+    for exact in ((), ("--exact",)):
+        _, rep, _ = run_json(capsys, "diversity", "--points-1d",
+                             ",".join(map(repr, pts)), "--t", "0.8", *exact)
+        r = rep["results"]
+        assert r["method"] == "line" and r["support"] == [0, 1, 2, 3, 4]
+        assert r["value"] == pytest.approx(lines.line_magnitude(pts, 0.8),
+                                           rel=1e-15)
+        assert abs(r["kkt_gap"]) <= 1e-15
+
+
+def test_line_diversity_takes_any_count_also_exact(capsys):
+    # the exact flag's 15-point limit is support enumeration's; on the line
+    # every weight is positive and the full support is the answer
+    code, rep, _ = run_json(capsys, "diversity", "--grid", "40", "--exact")
+    assert code == 0
+    assert rep["results"]["support"] == list(range(40))
+    assert rep["results"]["supports_checked"] == 1
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("--points-1d", "0,1,0"), "points_1d coordinates must be distinct"),
+    (("--points-1d", "0,-0.0"), "points_1d coordinates must be distinct"),
+    (("--points-1d", ",".join(str(i) for i in range(8193))),
+     "points_1d has 8193 points, over the limit of 8,192"),
+    (("--points-1d=-1e308,1e308",),
+     "coordinates give distances outside the double range"),
+    (("--grid", "3", "--spacing", "1e308"),
+     "coordinates give distances outside the double range"),
+    (("--grid", "3", "--spacing", "1e200"),
+     "coordinates give distances outside the double range"),
+    (("--grid", "3", "--spacing", "1e-170"),
+     "distinct points' distances round to 0: their squared coordinate "
+     "differences underflow at this radius or spacing"),
+    (("--grid", "8193"), "lp_grid has 8193 points, over the limit of 8,192"),
+    (("--cantor-depth", "13"),
+     "cantor_endpoints at depth 13 has 2^14 points, over the limit of 8,192"),
+    (("--cantor-depth", "1", "--length", "1e308", "--t", "1"), None),
+    (("--spec", '{"kind": "points_1d", "params": {"coordinates": '
+                '[1e308, -1e308, 0]}}'),
+     "coordinates give distances outside the double range"),
+])
+@pytest.mark.parametrize("command", ["mag", "diversity", "check"])
+def test_line_bad_spec_messages_are_the_builders(capsys, command, argv,
+                                                 detail):
+    # the line rung (mag, diversity) and the built space (check) refuse a
+    # line space with one message, the one the builders always gave
+    code, out, err = run(capsys, command, *argv)
+    if detail is None:
+        assert code == 0, err
+    else:
+        assert_bad_spec(code, out, err)
+        assert json.loads(err)["detail"] == detail

@@ -16,7 +16,6 @@ from magnitude.diversity import (
     TooLarge,
     WindowTooNarrow,
     _active_set,
-    _fit_line,
     _solve_each,
     dimension_estimate,
     fw_away_qp,
@@ -32,6 +31,7 @@ from magnitude.engine import (
     similarity_rows,
 )
 from magnitude.spaces import (
+    FiniteMetricSpace,
     ball_sample,
     cantor_endpoints,
     graph_metric,
@@ -39,6 +39,7 @@ from magnitude.spaces import (
     points_on_line,
     validate_metric,
 )
+from magnitude.sweeps import fit_line
 from oracles import (
     EXACT_COVERING_LIMIT,
     active_set_held_z,
@@ -158,6 +159,45 @@ def test_fw_certified_diversity_holds_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak - base < 0.08 * 1001 * 1001 * 8
+
+
+def test_active_set_on_a_held_d_copies_each_support_once():
+    # a support's block of d is gathered by one fancy index, which copies
+    # it: 2.01 units traced at n = 600 (support 599) while it was copied
+    # again, 1.66 since (the block, half a factor and a block of rows)
+    import tracemalloc
+
+    n = 600
+    held = FiniteMetricSpace(ball_sample(3, 1.0, n, seed=1).distances)
+    res = max_diversity(held, 8.0)
+    assert res.method == "active_set" and len(res.support) == n - 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        max_diversity(held, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.8 * n * n * 8
+
+
+def test_active_set_scans_no_subspace(monkeypatch):
+    # each support's subspace takes the parent's diameter as its overflow
+    # bound, so only the parent's d is ever scanned, as the sample was
+    # built; each of 3 supports was scanned again before
+    scanned = []
+    scan = FiniteMetricSpace._scan
+
+    def counting(self):
+        if self._extremes is None:
+            scanned.append(self.n_points)
+        return scan(self)
+
+    space = ball_sample(3, 1.0, 300, seed=3)
+    monkeypatch.setattr(FiniteMetricSpace, "_scan", counting)
+    res = max_diversity(space, 4.0)
+    assert res.method == "active_set" and res.iterations > 1
+    assert scanned == []
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +528,7 @@ def test_line_fit_is_the_least_squares_line(log_tmin, log_ratio, slope,
     noise = np.random.default_rng(seed).normal(0.0, 10.0 ** log_noise,
                                                lt.size)
     lq = slope * lt + intercept + noise
-    got = _fit_line(lt, lq)
+    got = fit_line(lt, lq)
     want_slope, want_intercept = np.polyfit(lt, lq, 1)
     want_resid = np.sqrt(np.mean((lq - (want_slope * lt + want_intercept))
                                  ** 2))

@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magnitude import spaces
+from magnitude.specs import REQUIRED
 from magnitude.spaces import (
+    BUILDERS,
     BadSpec,
     DisconnectedGraph,
     FiniteMetricSpace,
@@ -805,7 +807,7 @@ def test_ball_sample_refuses_out_of_reach_rejection(dim, count, p):
 
 
 def test_generators_refuse_spaces_over_the_point_limit(monkeypatch):
-    monkeypatch.setattr("magnitude.spaces.POINT_LIMIT", 8)
+    monkeypatch.setattr("magnitude.specs.POINT_LIMIT", 8)
     at_limit = [cantor_endpoints(2), lp_grid([2, 4]), ball_sample(2, 1.0, 8, seed=1),
                 graph_metric(name="c8"), graph_metric(name="k4,4"),
                 points_on_line(range(8))]
@@ -941,8 +943,14 @@ def test_effective_parameters_fill_the_builders_defaults():
 
 
 def test_every_builder_parameter_has_one_rule():
-    for kind, (build, rules) in KINDS.items():
-        assert set(inspect.signature(build).parameters) == set(rules), kind
+    # in order; KINDS alone holds the defaults, so a builder's required
+    # parameters are the REQUIRED ones and the rest default to None
+    assert BUILDERS.keys() == KINDS.keys()
+    for kind, rules in KINDS.items():
+        params = inspect.signature(BUILDERS[kind]).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (name, inspect.Parameter.empty if default is REQUIRED else None)
+            for name, (_, _, default) in rules.items()], kind
 
 
 # ---------------------------------------------------------------------------

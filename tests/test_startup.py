@@ -1,13 +1,14 @@
 """Cold start: each command imports only the modules it computes with.
 
-The package import and the exact commands (pixel, the Euclidean oracles)
-load no numpy, and no command loads scipy or numpy.ma: the dense solves
-run on numpy alone. No command loads numpy.random or OpenSSL (hashlib's
-_hashlib) either: ball samples draw from the package's own Philox
-stream, and digests use CPython's builtin SHA-256. No command loads
-dataclasses, and the exact commands not inspect. Each case runs in a
-fresh interpreter, because the test process itself has long since
-imported numpy and scipy.
+The package import, the exact commands (pixel, the Euclidean oracles)
+and the commands that the line rung solves (mag, weights, magfn,
+diversity, dim and approx on a space of a line kind) load no numpy, and
+no command loads scipy or numpy.ma: the dense solves run on numpy alone.
+No command loads numpy.random or OpenSSL (hashlib's _hashlib) either:
+ball samples draw from the package's own Philox stream, and digests use
+CPython's builtin SHA-256. No command loads dataclasses, and the exact
+commands not inspect. Each case runs in a fresh interpreter, because the
+test process itself has long since imported numpy and scipy.
 
 The package holds only code something runs: every module-level function
 and class is reached from the command line or is a named library entry
@@ -94,6 +95,37 @@ def test_exact_command_does_not_import_numpy(argv, box_file):
     assert rep["inspect"] is False
 
 
+LINE_SOURCES = {
+    "points": ("--points-1d", "0,1,3"),
+    "grid": ("--grid", "11"),
+    "cantor": ("--cantor-depth", "3"),
+    "spec": ("--spec", '{"kind": "lp_grid", "params": {"shape": [4], "p": 1}}'),
+}
+LINE_COMMANDS = {
+    "mag": ("mag",),
+    "weights": ("weights",),
+    "magfn": ("magfn", "--tmin", "1", "--tmax", "5", "--steps", "3", "--log"),
+    "diversity": ("diversity",),
+    "exact": ("diversity", "--exact"),
+    "dim": ("dim", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *((*cmd, *src) for cmd in LINE_COMMANDS.values()
+      for src in LINE_SOURCES.values()),
+    ("approx", "--grid-sizes", "11,21"),
+    ("approx", "--cantor-depths", "1,3"),
+], ids=[*(f"{c}-{s}" for c in LINE_COMMANDS for s in LINE_SOURCES),
+        "approx-grid", "approx-cantor"])
+def test_line_command_does_not_import_numpy(argv):
+    # a space of a line kind, from a flag or a --spec, is solved by the
+    # line rung, which is pure Python
+    rep = probe(*argv)
+    assert rep["code"] == 0
+    assert rep["numpy"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ("mag", "--points-1d", "0,1"),
     ("magfn", "--graph", "k32", "--tmin", "0.3", "--tmax", "0.4",
@@ -116,9 +148,9 @@ def test_no_command_loads_dataclasses(argv):
 @pytest.mark.parametrize("argv", [
     (),
     ("pixel", "--ascii", r"##\n#."),
-    ("diversity", "--points-1d", "0,1,3"),
+    ("diversity", "--grid", "3x3"),
     ("diversity", "--graph", "k32"),
-    ("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+    ("dim", "--grid", "4x4", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
     ("oracle", "--ball", "3,1"),
 ], ids=["import", "pixel", "diversity", "graph", "dim", "oracle"])
 def test_command_without_a_solve_does_not_import_scipy(argv):
@@ -129,14 +161,14 @@ def test_command_without_a_solve_does_not_import_scipy(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mag", "--points-1d", "0,1"),
+    ("mag", "--ball", "3,1,20", "--seed", "1"),
     ("magfn", "--graph", "k32", "--tmin", "0.3", "--tmax", "0.4",
      "--steps", "3"),
     ("weights", "--ball", "3,1,20", "--seed", "1"),
     ("check", "--graph", "k32", "--t", "0.1"),
     ("approx", "--ball", "3,1", "--ball-counts", "5,10", "--seed", "2"),
-    ("mag", "--cantor-depth", "3"),
-    ("dim", "--cantor-depth", "3", "--tmin", "1", "--tmax", "100",
+    ("mag", "--graph", "c6"),
+    ("dim", "--graph", "c6", "--tmin", "1", "--tmax", "100",
      "--samples", "6"),
 ], ids=["mag", "magfn", "weights", "check", "approx", "cantor", "dim-cantor"])
 def test_solving_command_loads_numpy_not_scipy(argv):
@@ -157,7 +189,7 @@ def matrix_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mag", "--points-1d", "0,1"),
+    ("mag", "--graph", "c5"),
     ("mag", "--matrix", None),
     ("magfn", "--ball", "3,1,20", "--seed", "1", "--tmin", "1", "--tmax",
      "2", "--steps", "3"),
@@ -165,7 +197,7 @@ def matrix_file(tmp_path_factory):
     ("check", "--ball", "3,1,30", "--seed", "1"),
     ("check", "--stdin-matrix"),
     ("diversity", "--ball", "3,1,10", "--seed", "1"),
-    ("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+    ("dim", "--grid", "4x4", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
     ("pixel", "--ascii", r"##\n#."),
     ("oracle", "--points", "0,1"),
     ("approx", "--ball", "3,1", "--ball-counts", "5,10", "--seed", "2"),
@@ -192,7 +224,7 @@ def test_cli_import_loads_no_fractions():
 
 
 @pytest.mark.parametrize("argv", [
-    ("mag", "--points-1d", "0,1"),
+    ("mag", "--graph", "c5"),
     ("diversity", "--graph", "k32"),
 ], ids=["mag", "diversity"])
 def test_float_command_loads_no_fractions(argv):
