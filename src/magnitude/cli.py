@@ -50,9 +50,9 @@ O(n) from the coordinates that the spec layer (specs) gives, and the
 scales are those of sweeps, which the numpy routes share. check, dim
 --method covering_growth and every other space load numpy. No command
 loads scipy, numpy.random or OpenSSL: the dense solves run on numpy
-alone (see engine), ball samples draw from numpy's Philox stream as
-spaces computes it, and digests use CPython's builtin SHA-256, not
-hashlib's OpenSSL one.
+alone (see engine), ball samples draw from the standard library's
+random.Random, and digests use CPython's builtin SHA-256, not hashlib's
+OpenSSL one.
 
 Two entries: run() is the process entry (python -m magnitude and the
 magnitude console script). It flushes the output and ends the process

@@ -138,12 +138,11 @@ def similarity_rows(space: FiniteMetricSpace, t, diameter: float | None = None):
     return rows
 
 
-def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Z = exp(-t d) in one n x n array, out or a new one, formed
-    ROW_BLOCK rows at a time by similarity_rows."""
+def similarity_matrix(space: FiniteMetricSpace, t: float = 1.0) -> np.ndarray:
+    """Z = exp(-t d) in one new n x n array, formed ROW_BLOCK rows at a
+    time by similarity_rows."""
     n, z_rows = space.n_points, similarity_rows(space, t)
-    z = np.empty((n, n)) if out is None else out
+    z = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         z_rows(lo, min(lo + ROW_BLOCK, n), out=z[lo:lo + ROW_BLOCK])
     return z

@@ -20,15 +20,15 @@ spaces.SpaceSpec is specs.SpaceSpec; the CLI solves a space of a line
 kind (points_1d, lp_grid with a one-entry shape, cantor_endpoints) from
 those coordinates with the line rung (tridiagonal), without this module
 and without numpy, and builds every other kind here. Ball samples draw
-from numpy's counter-based Philox generator, the stream
-np.random.Generator(np.random.Philox(seed)) gives, computed in this module
-without importing numpy.random, so a spec with a seed reproduces the same
-points bit for bit on any platform. A spec, and a direct call of a public
-builder, is checked against the KINDS table of parameter rules, which
-holds the defaults too, before anything is built; a builder checks only
-coincident points, distances outside the double range or rounding to 0,
-the ball's draw limit and POINT_LIMIT, and the builders of the line
-kinds take their points, checked, from specs.line_coordinates.
+from the standard library's random.Random(seed), so a spec with a seed
+reproduces the same points bit for bit on any platform. A spec, and a
+direct call of a public builder, is checked against the KINDS table of
+parameter rules, which holds the defaults too, before anything is
+built; a builder checks only coincident points, distances outside the
+double range or rounding to 0, the ball's draw limit and POINT_LIMIT,
+and the builders of the line kinds take their points, checked, from
+specs.line_coordinates. On the line the lp distance is |x - y| for
+every p, and a space of a line kind forms it so.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -43,6 +43,8 @@ import inspect
 import math
 import re
 from itertools import product as _iterproduct
+from itertools import repeat
+from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
@@ -492,10 +494,12 @@ def graph_metric(edges=None, n_vertices: int | None = None,
 def lp_grid(shape, p: int | None = None,
             spacing: float | None = None) -> FiniteMetricSpace:
     """The points spacing * i of the integer lattice of shape, i_k below
-    shape[k], in the lp distance: by default p = 2 and spacing 1.0."""
+    shape[k], in the lp distance: by default p = 2 and spacing 1.0. With
+    one entry in shape the distance is |x - y|, the lp distance of every
+    p on the line, formed as the l1 one, which is exact."""
     if len(shape) == 1:
-        pts = np.array(grid_1d(shape[0], p, spacing))
-        return FiniteMetricSpace(points=pts[:, None], p=p)
+        pts = np.array(grid_1d(shape[0], spacing))
+        return FiniteMetricSpace(points=pts[:, None], p=1)
     check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
@@ -510,97 +514,11 @@ def cantor_endpoints(depth: int, length: float | None = None) -> FiniteMetricSpa
     return FiniteMetricSpace(points=np.array(cantor_points(depth, length)), p=1)
 
 
-# ---------------------------------------------------------------------------
-# numpy's Philox stream, computed here: ball_sample draws from it without
-# importing numpy.random, whose extension modules, and OpenSSL's libcrypto
-# that it loads through secrets, would add ~6 MB to the process
-
-_M32 = 2**32 - 1
-_M64 = 2**64 - 1
-# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
-# as easy as 1, 2, 3", SC'11): the round multipliers and the Weyl key
-# increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # most uniforms ball_sample draws at once, in whole chunks of 1024 rows:
-# at n = 12, batches of 2^16 drew in 1.9 s what took 2.3 s in batches of
-# 2^15 or 2^17; _philox_doubles peaks at 1.6 MiB for one
+# 512 KiB of candidates. At n = 12 batches of 2^14 to 2^18 drew in the
+# same 2.0-2.7 s, and past 2^16 the peak grows with the batch (4.4 MiB
+# traced at 2^18, 17 MiB at 2^20)
 _DRAW_BATCH = 2**16
-
-
-def _philox_key(seed: int) -> tuple[int, int]:
-    """The key np.random.Philox(seed) runs under, for an integer seed >= 0:
-    np.random.SeedSequence(seed).generate_state(2, np.uint64), in ints.
-
-    The seed's 32-bit words, least significant first, are hashed into a
-    pool of four words, which are mixed with one another and then with
-    each word past the fourth; four more hashes of the pool are the key's
-    32-bit halves, low half first."""
-    words = [seed & _M32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _M32)
-    const = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal const
-        v ^= const
-        const = const * 0x931E8875 & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, half = 0x8B51F9DD, []
-    for v in pool:
-        v ^= const
-        const = const * 0x58F38DED & _M32
-        v = v * const & _M32
-        half.append(v ^ v >> 16)
-    return half[0] | half[1] << 32, half[2] | half[3] << 32
-
-
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit words of the 128-bit products a * m, for uint64
-    a: the four products of 32-bit halves, each middle one summed with the
-    carry below it, which cannot overflow."""
-    a_lo, a_hi = a & _M32, a >> 32
-    m_lo, m_hi = m & _M32, m >> 32
-    mid = a_lo * m_hi + (a_lo * m_lo >> 32)
-    mid2 = a_hi * m_lo + (mid & _M32)
-    return a_hi * m_hi + (mid >> 32) + (mid2 >> 32), a * m
-
-
-def _philox_doubles(key: tuple[int, int], start: int, size: int) -> np.ndarray:
-    """Doubles start to start + size of the stream that
-    np.random.Generator(np.random.Philox(seed)).random() draws, where key
-    is _philox_key(seed); start and size are multiples of 4.
-
-    Block j of the stream is the counter (j + 1, 0, 0, 0) after the ten
-    rounds of Philox4x64-10 under the key, vectorized over the blocks:
-    four uint64 words x, in order, each giving the double (x >> 11) 2^-53.
-    """
-    k0, k1 = key
-    v0 = np.arange(start // 4 + 1, (start + size) // 4 + 1, dtype=np.uint64)
-    v1 = v2 = v3 = np.zeros_like(v0)
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
-        hi0, lo0 = _mulhilo(v0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(v2, _PHILOX_M[1])
-        v0, v1, v2, v3 = hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1, lo0
-    words = np.stack((v0, v1, v2, v3), axis=1).ravel()
-    words >>= 11
-    return words.astype(float) * 2.0**-53
 
 
 @_checked("ball_sample")
@@ -609,11 +527,12 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     """Uniform sample of the lp ball (by default p = 2) by rejection from
     the bounding cube.
 
-    The cube's points are np.random.Generator(np.random.Philox(seed))
-    .uniform(-radius, radius, (rows, n)) bit for bit, from numpy's Philox
-    stream as _philox_doubles computes it, without numpy.random; the
-    sample is the first count of them in the ball, so it depends only on
-    the seed. Raises BadSpec when the expected number of uniforms drawn
+    The cube's points are rows of n draws of
+    random.Random(seed).uniform(-radius, radius), bit for bit, a stream
+    that Python keeps the same for a seed on every platform and version;
+    the sample is the first count of them in the ball, so it depends only
+    on the seed, and the sample of fewer points is a prefix of that of
+    more. Raises BadSpec when the expected number of uniforms drawn
     (cube draws times n) exceeds BALL_DRAW_LIMIT, when the draws reach 4
     times it, or when sums of norms or distances leave the double range
     (rejection would never end).
@@ -633,7 +552,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
             f"{count} points of the {n}-dimensional l{p} ball need about "
             f"10^{log_draws / math.log(10):.1f} cube draws of {n} "
             f"coordinates, over the limit of {BALL_DRAW_LIMIT:,} coordinates")
-    key = _philox_key(seed)
+    rng = Random(seed)
     chunks = []
     have = drawn = 0
     while have < count:
@@ -646,10 +565,10 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
         # expected to need, up to _DRAW_BATCH uniforms
         need = math.ceil((count - have) * math.exp(-log_share) / 1024)
         rows = 1024 * max(1, min(need, _DRAW_BATCH // (1024 * n)))
-        cand = _philox_doubles(key, drawn, rows * n).reshape(rows, n)
+        cand = np.fromiter(map(Random.random, repeat(rng, rows * n)), float,
+                           rows * n).reshape(rows, n)
         drawn += rows * n
-        # -radius + (radius - -radius) u, rounded as numpy's uniform
-        # rounds it
+        # -radius + (radius - -radius) u, rounded as Random.uniform rounds it
         cand *= 2.0 * radius
         cand -= radius
         norms = (

@@ -10,10 +10,10 @@ spaces.SpaceSpec is specs.SpaceSpec.
 The line kinds are points_1d, lp_grid with a one-entry shape and
 cantor_endpoints. line_coordinates gives their points as floats, in the
 order the built space lists them, with every BadSpec check that building
-them makes: POINT_LIMIT, distinct coordinates, distances inside the
-double range and none rounding to 0. The spaces builders take their
-points from it, and the CLI hands them to the line rung (tridiagonal),
-which solves them without numpy.
+them makes: POINT_LIMIT, distinct coordinates and distances inside the
+double range. The spaces builders take their points from it, and the CLI
+hands them to the line rung (tridiagonal), which solves them without
+numpy; on the line the distance is |x - y| for every p.
 """
 
 from __future__ import annotations
@@ -96,25 +96,14 @@ def check_points(n: int, what: str) -> None:
 # the line kinds
 
 
-def line_points(xs: list[float], p: int = 1) -> list[float]:
-    """xs, the coordinates of a space on the line in the lp distance
-    (p in 1, 2), once they are checked as a space of points is: BadSpec
-    where a distance leaves the double range or where one between
-    distinct points rounds to 0. In 1-D the lp distance of two points
-    is |x - y| for p = 1 and sqrt((x - y)^2) for p = 2, and either is
-    monotone in |x - y|, so the largest is that of the two ends and the
-    smallest that of the closest neighbours."""
-    ordered = sorted(xs)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-    span = ordered[-1] - ordered[0]
-    if p == 2:  # float products overflow to inf and underflow to 0
-        span, gaps = math.sqrt(span * span), [math.sqrt(g * g) for g in gaps]
-    if not math.isfinite(span):
+def line_points(xs: list[float]) -> list[float]:
+    """xs, the coordinates of a space on the line, once they are checked
+    as a space of points is: BadSpec where a distance leaves the double
+    range. On the line the lp distance of two points is |x - y| for
+    every p, which is monotone, so the largest is that of the two ends;
+    distinct doubles never differ by 0, so no distance rounds to 0."""
+    if not math.isfinite(max(xs) - min(xs)):
         raise BadSpec("coordinates give distances outside the double range")
-    if gaps and min(gaps) == 0.0:
-        raise BadSpec("distinct points' distances round to 0: their squared "
-                      "coordinate differences underflow at this radius or "
-                      "spacing")
     return xs
 
 
@@ -128,10 +117,11 @@ def points_1d(coordinates) -> list[float]:
     return line_points(xs)
 
 
-def grid_1d(n: int, p: int, spacing: float) -> list[float]:
-    """The points i * spacing, i < n, of the lp_grid of shape [n]."""
+def grid_1d(n: int, spacing: float) -> list[float]:
+    """The points i * spacing, i < n, of the lp_grid of shape [n], of
+    every p."""
     check_points(n, "lp_grid")
-    return line_points([i * spacing for i in range(n)], p)
+    return line_points([i * spacing for i in range(n)])
 
 
 def cantor_intervals(depth: int, length: float = 1.0) -> list[tuple[float, float]]:
@@ -163,7 +153,7 @@ def line_coordinates(kind: str, params: dict) -> list[float] | None:
     if kind == "points_1d":
         return points_1d(params["coordinates"])
     if kind == "lp_grid" and len(params["shape"]) == 1:
-        return grid_1d(params["shape"][0], params["p"], params["spacing"])
+        return grid_1d(params["shape"][0], params["spacing"])
     if kind == "cantor_endpoints":
         return cantor_points(params["depth"], params["length"])
     return None

@@ -12,9 +12,11 @@ route, so a test can compare the two.
   mask per cell (per_cell_dilation_volume, dilation_fit);
 * engine: Speyer's shortcut N / (row sum) for row-homogeneous spaces and
   the Rayleigh ratio whose supremum is the magnitude for PD Z;
-* spaces: l1 products, the edge lists of named graphs, and ball samples
-  drawn by numpy.random (ball_sample_points), which the package's own
-  Philox stream must match bit for bit;
+* spaces: l1 products, the edge lists of named graphs, ball samples by
+  a plain loop of random.Random draws (ball_sample_loop), which
+  spaces.ball_sample must match bit for bit, and the ball samples that
+  numpy's Philox stream draws (ball_sample_points), on which tests pin
+  values;
 * lines: the union rule for two compact pieces a gap apart and the tail
   bound of the Cantor series;
 * diversity: maximum diversity by solving the supports one at a time
@@ -28,6 +30,7 @@ Tests import it as `from oracles import ...`.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _iterproduct
@@ -316,11 +319,30 @@ def named_graph_edges(name: str) -> list[tuple[int, int]]:
     return _parse_graph_name(name)[0]
 
 
+def ball_sample_loop(n: int, radius: float, count: int, seed: int,
+                     p: int = 2) -> np.ndarray:
+    """The points of spaces.ball_sample, one cube draw at a time: n
+    draws of random.Random(seed).uniform(-radius, radius) each, kept
+    while the first count in the lp ball are not yet found. The norm is
+    summed left to right, as numpy sums fewer than 8 coordinates."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < count:
+        row = [rng.uniform(-radius, radius) for _ in range(n)]
+        norm = 0.0
+        for x in row:
+            norm += abs(x) if p == 1 else x * x
+        if (norm if p == 1 else math.sqrt(norm)) <= radius:
+            pts.append(row)
+    return np.array(pts)
+
+
 def ball_sample_points(n: int, radius: float, count: int, seed: int,
                        p: int = 2) -> np.ndarray:
-    """The points of spaces.ball_sample, drawn by numpy.random itself:
-    rejection from the cube, 1024 candidates at a time, from
-    np.random.Generator(np.random.Philox(seed))."""
+    """The points of a ball sample drawn by numpy.random: rejection from
+    the cube, 1024 candidates at a time, from
+    np.random.Generator(np.random.Philox(seed)). Tests that pin values
+    of seeded samples build their spaces from these points."""
     gen = np.random.Generator(np.random.Philox(seed))
     chunks = []
     have = 0

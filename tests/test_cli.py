@@ -1481,11 +1481,10 @@ def test_line_diversity_takes_any_count_also_exact(capsys):
      "coordinates give distances outside the double range"),
     (("--grid", "3", "--spacing", "1e308"),
      "coordinates give distances outside the double range"),
-    (("--grid", "3", "--spacing", "1e200"),
+    # the last point, 2 x 9e307, is past the double maximum
+    (("--grid", "3", "--spacing", "9e307"),
      "coordinates give distances outside the double range"),
-    (("--grid", "3", "--spacing", "1e-170"),
-     "distinct points' distances round to 0: their squared coordinate "
-     "differences underflow at this radius or spacing"),
+    (("--grid", "3", "--spacing", "1e-170", "--t", "1"), None),
     (("--grid", "8193"), "lp_grid has 8193 points, over the limit of 8,192"),
     (("--cantor-depth", "13"),
      "cantor_endpoints at depth 13 has 2^14 points, over the limit of 8,192"),
@@ -1505,3 +1504,22 @@ def test_line_bad_spec_messages_are_the_builders(capsys, command, argv,
     else:
         assert_bad_spec(code, out, err)
         assert json.loads(err)["detail"] == detail
+
+
+@pytest.mark.parametrize("argv", [
+    ("--grid", "3", "--spacing", "1e200"),
+    ("--grid", "3", "--spacing", "1e-170", "--t", "1"),
+    ("--grid", "3", "--spacing", "1e160", "--t", "1e-160"),
+    ("--grid", "3", "--spacing", "1e-160"),
+])
+@pytest.mark.parametrize("command", ["mag", "diversity", "check"])
+def test_line_distance_is_the_gap_for_every_p(capsys, command, argv):
+    # on the line the lp distance is |x - y| for every p: where the
+    # squares of the gaps overflow (1e200), underflow to 0 (1e-170) or to
+    # a subnormal (1e-160), p = 2 gives the values of p = 1
+    results = []
+    for p in ("1", "2"):
+        code, rep, err = run_json(capsys, command, *argv, "--p", p)
+        assert code == 0, err
+        results.append(rep["results"])
+    assert results[0] == results[1]

@@ -43,6 +43,7 @@ from magnitude.sweeps import fit_line
 from oracles import (
     EXACT_COVERING_LIMIT,
     active_set_held_z,
+    ball_sample_points,
     covering_number,
     max_diversity_support_loop,
     named_graph_edges,
@@ -168,7 +169,9 @@ def test_active_set_on_a_held_d_copies_each_support_once():
     import tracemalloc
 
     n = 600
-    held = FiniteMetricSpace(ball_sample(3, 1.0, n, seed=1).distances)
+    # the support of n - 1 points is that of numpy's Philox sample at seed 1
+    pts = ball_sample_points(3, 1.0, n, 1)
+    held = FiniteMetricSpace(FiniteMetricSpace(points=pts, p=2).distances)
     res = max_diversity(held, 8.0)
     assert res.method == "active_set" and len(res.support) == n - 1
     tracemalloc.start()

@@ -57,6 +57,7 @@ from magnitude.spaces import (
 )
 from oracles import (
     NotRowHomogeneous,
+    ball_sample_points,
     l1_product,
     named_graph_edges,
     rayleigh_ratio,
@@ -697,15 +698,16 @@ def test_symmetric_product_and_solve_across_block_edges(n):
         assert res.magnitude == pytest.approx(ref.sum(), rel=1e-9)
 
 
-# spaces of points across the block edges, and the same d held
+# spaces of points across the block edges, and the same d held; the
+# ball samples are numpy's Philox ones, whose diameters name the cases
 POINTS_SPACES = [
     *(points_on_line(np.random.default_rng(n).uniform(-4.0, 4.0, n))
       for n in (63, 64, 65, 129)),
     *(lp_grid(shape, p=p, spacing=0.3) for p in (1, 2)
       for shape in ((63,), (8, 8), (5, 13), (3, 43))),
     cantor_endpoints(5), cantor_endpoints(6, 3.0),
-    *(ball_sample(3, 1.0, n, seed=n, p=p) for p in (1, 2)
-      for n in (63, 64, 65, 129)),
+    *(FiniteMetricSpace(points=ball_sample_points(3, 1.0, n, n, p), p=p)
+      for p in (1, 2) for n in (63, 64, 65, 129)),
 ]
 
 
@@ -746,10 +748,11 @@ def test_points_subspace_keeps_points():
     assert np.array_equal(sub.distances, space.distances[np.ix_(idx, idx)])
 
 
-# _negative_type_bound on seeded ball samples (dim, n, seed, p), as the
-# kernel that factored the whole shifted matrix in place reported it: the
-# rows now formed a block at a time carry the same bits, so every term of
-# beta, and the bound, is the same
+# _negative_type_bound on the ball samples (dim, n, seed, p) of numpy's
+# Philox stream (oracles.ball_sample_points), as the kernel that factored
+# the whole shifted matrix in place reported it: the rows now formed a
+# block at a time carry the same bits, so every term of beta, and the
+# bound, is the same
 NEGATIVE_TYPE_PINS = [
     ((3, 200, 1, 2), '0x1.083af98b99712p-27'),
     ((2, 150, 2, 1), '0x1.4e1afceadc01dp-28'),
@@ -763,7 +766,8 @@ NEGATIVE_TYPE_PINS = [
 @pytest.mark.parametrize("case, want", NEGATIVE_TYPE_PINS)
 def test_negative_type_bound_is_pinned(case, want):
     dim, n, seed, p = case
-    space = ball_sample(dim, 1.0, n, seed=seed, p=p)
+    space = FiniteMetricSpace(points=ball_sample_points(dim, 1.0, n, seed, p),
+                              p=p)
     assert engine._negative_type_bound(space) == (float.fromhex(want), 0)
 
 

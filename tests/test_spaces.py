@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -43,7 +44,7 @@ from magnitude.spaces import (
     points_on_line,
     validate_metric,
 )
-from oracles import ball_sample_points, l1_product, named_graph_edges
+from oracles import ball_sample_loop, l1_product, named_graph_edges
 
 K32 = [
     [0, 2, 2, 1, 1],
@@ -571,8 +572,8 @@ def test_ball_sample_reproducible_and_inside():
         assert abs(pt[0]) + abs(pt[1]) <= 2.0
 
 
-# seeds across the word boundaries of numpy's seed hashing: one 32-bit
-# word, two, three, and five (more than its pool of four holds)
+# seeds across the 32-bit word boundaries of the key that random.Random
+# seeds its Mersenne Twister with: one word, two, three, and five
 BOUNDARY_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3)
 
 
@@ -581,20 +582,34 @@ BOUNDARY_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3)
        dim=st.integers(1, 10), p=st.sampled_from([1, 2]),
        radius=st.sampled_from([0.3, 1.7, 7 / 3, 2.9e-3, 123.456]),
        count=st.integers(1, 30))
-def test_ball_sample_is_numpys_philox_stream(seed, dim, p, radius, count):
-    # the package computes numpy's Philox stream without numpy.random;
-    # the l1 ball keeps 1 in dim! cube draws, so dims past 7 are slow
+def test_ball_sample_is_the_reference_loop(seed, dim, p, radius, count):
+    # the batched draws give the points of one random.Random draw at a
+    # time; the l1 ball keeps 1 in dim! cube draws, so dims past 7 are slow
     assume(p == 2 or dim <= 7)
     got = ball_sample(dim, radius, count, seed=seed, p=p).points
-    want = ball_sample_points(dim, radius, count, seed, p)
+    want = ball_sample_loop(dim, radius, count, seed, p)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.sampled_from(BOUNDARY_SEEDS) | st.integers(0, 2**64),
+       dim=st.integers(1, 6), p=st.sampled_from([1, 2]),
+       count=st.integers(1, 40), more=st.integers(1, 500))
+def test_ball_sample_of_fewer_points_is_a_prefix(seed, dim, p, count, more):
+    # approx --ball-counts is nested because a smaller count is the start
+    # of a larger one's sample, whatever the batches drawn for each (at
+    # dim 6 in l2, 1024 rows for one point and 4096 for 300)
+    assume(p == 2 or dim <= 5)
+    few = ball_sample(dim, 1.0, count, seed=seed, p=p).points
+    many = ball_sample(dim, 1.0, count + more, seed=seed, p=p).points
+    assert few.tobytes() == many[:count].tobytes()
 
 
 def test_ball_sample_at_the_draw_limit_is_fast():
     # the largest 12-dimensional l2 sample under BALL_DRAW_LIMIT draws
-    # ~2^25 uniforms: 1.9 s on a 2-core x86 machine, where numpy's C loop
-    # took 2.06 s for the 2933 points that a limit of 10^7 cube draws let
-    # through
+    # ~2^25 uniforms: 2.4-2.7 s on a 2-core x86 machine, where numpy's C
+    # loop took 2.06 s for the 2933 points that a limit of 10^7 cube
+    # draws let through
     with pytest.raises(BadSpec, match="cube draws"):
         ball_sample(12, 1.0, 912, seed=7)
     t0 = time.perf_counter()
@@ -700,11 +715,19 @@ def test_generators_reject_non_finite_distances(build):
             build()
 
 
+def _plant_draws(monkeypatch, u):
+    """Make every uniform that ball_sample draws equal u."""
+    class Planted(random.Random):
+        def random(self):
+            return u
+
+    monkeypatch.setattr(spaces, "Random", Planted)
+
+
 def test_ball_sample_refuses_coincident_points(monkeypatch):
     # continuous draws never repeat, so a repeat is planted in the draws:
     # every candidate is the same point, (0.25, 0.25)
-    monkeypatch.setattr(spaces, "_philox_doubles",
-                        lambda key, start, size: np.full(size, 0.625))
+    _plant_draws(monkeypatch, 0.625)
     with pytest.raises(BadSpec, match="coincident"):
         ball_sample(2, 1.0, 3, seed=1)
     assert ball_sample(2, 1.0, 1, seed=1).n_points == 1
@@ -714,15 +737,14 @@ def test_ball_sample_refuses_past_four_times_the_draw_limit(monkeypatch):
     # no candidate is in the ball, (1, 1, 1) is the cube's corner: the
     # expected draws pass the limit, the drawn ones reach 4 times it
     monkeypatch.setattr(spaces, "BALL_DRAW_LIMIT", 2**14)
-    monkeypatch.setattr(spaces, "_philox_doubles",
-                        lambda key, start, size: np.ones(size))
+    _plant_draws(monkeypatch, 1.0)
     with pytest.raises(BadSpec, match="not in the first 67,584 uniforms"):
         ball_sample(3, 1.0, 5, seed=1)
 
 
 @pytest.mark.parametrize("build", [
     lambda: ball_sample(3, 1e-300, 5, seed=1),
-    lambda: lp_grid([3], spacing=1e-200),
+    lambda: lp_grid([3, 1], spacing=1e-200),
     lambda: lp_grid([2, 2], p=2, spacing=1e-170),
 ])
 def test_underflowing_distances_are_refused(build):
@@ -731,8 +753,15 @@ def test_underflowing_distances_are_refused(build):
     with pytest.raises(BadSpec, match="distances round to 0: their squared "
                                       "coordinate differences underflow"):
         build()
-    # p = 1 sums the differences themselves, which never underflow to 0
+    # p = 1 sums the differences themselves, which never underflow to 0,
+    # and on the line every p is |x - y|, so a one-entry grid of p = 2
+    # holds the distances of p = 1
     assert lp_grid([3], p=1, spacing=1e-300).min_distance == 1e-300
+    for spacing in (1e-200, 1e-160, 1e160):
+        line = lp_grid([3], p=2, spacing=spacing)
+        assert line.distances.tobytes() == lp_grid(
+            [3], p=1, spacing=spacing).distances.tobytes()
+        assert line.min_distance == spacing
 
 
 def test_points_space_labels_are_formed_from_the_points():

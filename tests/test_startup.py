@@ -5,8 +5,8 @@ and the commands that the line rung solves (mag, weights, magfn,
 diversity, dim and approx on a space of a line kind) load no numpy, and
 no command loads scipy or numpy.ma: the dense solves run on numpy alone.
 No command loads numpy.random or OpenSSL (hashlib's _hashlib) either:
-ball samples draw from the package's own Philox stream, and digests use
-CPython's builtin SHA-256. No command loads dataclasses, and the exact
+ball samples draw from the standard library's random.Random, and digests
+use CPython's builtin SHA-256. No command loads dataclasses, and the exact
 commands not inspect. Each case runs in a fresh interpreter, because the
 test process itself has long since imported numpy and scipy.
 
