@@ -782,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--compact", help="disjoint closed intervals 'a,b;c,d'")
     g.add_argument("--cantor", action="store_true",
                    help="middle-thirds limit set")
-    g.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 5")
+    g.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 15")
     g.add_argument("--sphere", help="'n,R' Euclidean sphere, n even")
     g.add_argument("--residual", help="'n,R' sphere minus polynomial part")
     g.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")

@@ -45,6 +45,7 @@ from itertools import combinations, product as _iterproduct
 from math import comb, gcd, lcm, prod
 from typing import NamedTuple
 
+from .bareiss import bareiss
 from .errors import BadSpec, PixelError, finite, finite_result, positive_scale
 
 # most candidate cells, the cells of a body's bounding box, that
@@ -449,62 +450,24 @@ class ConvexBody(NamedTuple):
         )
 
 
-def _row_reduce(rows, ncols: int) -> int:
-    """Rank of a list of Fraction rows over their first ncols columns, by
-    Gauss-Jordan elimination in place."""
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _differences(points) -> list:
+    """p - points[0] for each later point p."""
+    return [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
 
 
-def _affine_rank(vertices, dim) -> int:
-    if len(vertices) < 2:
-        return 0
-    base = vertices[0]
-    return _row_reduce([[v[i] - base[i] for i in range(dim)]
-                        for v in vertices[1:]], dim)
-
-
-def _normal_through(points, dim):
-    """Integer-free normal of the hyperplane through dim points, or None."""
-    if dim == 1:
-        return (Fraction(1),)
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(dim)] for p in points[1:]]
-    if dim == 2:
-        (dx, dy), = rows
-        a = (dy, -dx)
-    else:
-        (u1, u2, u3), (v1, v2, v3) = rows
-        a = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
-    if all(x == 0 for x in a):
-        return None
-    return tuple(Fraction(x) for x in a)
+def _normal_through(points) -> tuple:
+    """Normal of the hyperplane through n points in R^n (0 if none):
+    signed cofactors of their differences, as (dy, -dx) and u x v are."""
+    rows = _differences(points)
+    return tuple((-1) ** i * bareiss([r[:i] + r[i + 1:] for r in rows])[1]
+                 for i in range(len(points[0])))
 
 
 def _canonical_facet(a, b):
-    den = 1
-    for x in list(a) + [b]:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ai = [int(x * den) for x in a]
-    bi = int(b * den)
-    g = 0
-    for x in ai + [bi]:
-        g = gcd(g, abs(x))
-    g = g or 1
-    return tuple(x // g for x in ai), bi // g
+    den = lcm(*(x.denominator for x in (*a, b)))
+    ints = [int(x * den) for x in (*a, b)]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 def build_body(spec: ConvexBodySpec) -> ConvexBody:
@@ -535,13 +498,13 @@ def build_body(spec: ConvexBodySpec) -> ConvexBody:
         raise PixelError(f"unknown body kind {spec.kind!r}")
     if len(set(vertices)) != len(vertices):
         raise PixelError("repeated vertices")
-    if _affine_rank(vertices, n) < n:
+    if bareiss(_differences(vertices))[0] < n:
         raise DegenerateBody("vertices span less than the ambient dimension")
 
     facets = set()
     for sub in combinations(vertices, n):
-        a = _normal_through(list(sub), n)
-        if a is None:
+        a = _normal_through(sub)
+        if not any(a):
             continue
         b = sum(ai * xi for ai, xi in zip(a, sub[0]))
         vals = [sum(ai * xi for ai, xi in zip(a, v)) for v in vertices]
@@ -553,12 +516,8 @@ def build_body(spec: ConvexBodySpec) -> ConvexBody:
         raise DegenerateBody("no supporting facets found")
 
     # a listed vertex strictly inside every facet is not a hull vertex
-    inner = []
-    for idx, v in enumerate(vertices):
-        if all(
-            sum(ai * xi for ai, xi in zip(a, v)) < b for a, b in facets
-        ):
-            inner.append(idx)
+    inner = [idx for idx, v in enumerate(vertices) if all(
+        sum(ai * xi for ai, xi in zip(a, v)) < b for a, b in facets)]
     if inner:
         raise NonConvexVertices(f"vertices at indices {inner} are interior")
     return ConvexBody(n, vertices, tuple(sorted(facets)))

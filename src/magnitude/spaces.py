@@ -25,7 +25,7 @@ reproduces the same points bit for bit on any platform. A spec, and a
 direct call of a public builder, is checked against the KINDS table of
 parameter rules, which holds the defaults too, before anything is
 built; a builder checks only coincident points, distances outside the
-double range or rounding to 0, the ball's draw limit and POINT_LIMIT,
+double range or, in l2, below 2^-511, the ball's draw limit and POINT_LIMIT,
 and the builders of the line kinds take their points, checked, from
 specs.line_coordinates. On the line the lp distance is |x - y| for
 every p, and a space of a line kind forms it so.
@@ -102,49 +102,30 @@ class FiniteMetricSpace:
     A space holds its distance matrix d (explicit matrices and graphs), or
     only its points and p, the lp distance of the generated kinds; either
     way rows(lo, hi, col0) is d[lo:hi, col0:] and distances is the whole
-    of d, read-only. Labels are given with a held d, or formed from the
-    points. Build instances through validate_metric or a
+    of d, read-only. Build instances through validate_metric or a
     generator, not directly, unless the matrix is already known to be a
     metric.
     """
 
-    __slots__ = ("_d", "_planes", "_scalars", "p", "_labels", "n_points",
-                 "_extremes")
+    __slots__ = ("_d", "_planes", "p", "n_points", "_extremes")
 
-    def __init__(self, distances=None, labels=None, *, points=None, p=None):
+    def __init__(self, distances=None, *, points=None, p=None):
         if points is None:
-            self._d, self._planes, self._scalars = distances, None, False
+            self._d, self._planes = distances, None
             distances.setflags(write=False)
             n = distances.shape[0]
-        elif labels is not None:
-            raise ValueError("a space of points forms its own labels")
         else:
             # points one row each, or one number each (a 1-D array); one
             # contiguous plane per coordinate, as _lp_rows reads them
             pts = np.asarray(points, float)
-            self._d, self._scalars = None, pts.ndim == 1
-            self._planes = _planes(pts.reshape(len(pts), -1))
+            self._d, self._planes = None, _planes(pts.reshape(len(pts), -1))
             n = len(pts)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length != point count")
-        self.p, self._labels, self.n_points = p, labels, n
-        self._extremes = None
+        self.p, self.n_points, self._extremes = p, n, None
 
     @property
     def points(self) -> np.ndarray | None:
         """The points, one row each, of a space of points; else None."""
         return None if self._planes is None else np.stack(self._planes, 1)
-
-    @property
-    def labels(self) -> tuple | None:
-        """The labels given with a held d; for a space of points, formed
-        from the points on every read: a float each where the points were
-        given as numbers, else a tuple of floats each."""
-        if self._planes is None:
-            return self._labels
-        if self._scalars:
-            return tuple(self._planes[0].tolist())
-        return tuple(zip(*(x.tolist() for x in self._planes)))
 
     def rows(self, lo: int, hi: int, col0: int = 0,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -212,11 +193,8 @@ class FiniteMetricSpace:
         of a held d, which the fancy index copies."""
         idx = list(indices)
         if self._planes is not None:
-            pts = self.points[idx]
-            return FiniteMetricSpace(
-                points=pts[:, 0] if self._scalars else pts, p=self.p)
-        labs = tuple(self._labels[i] for i in idx) if self._labels else None
-        return FiniteMetricSpace(self._d[np.ix_(idx, idx)], labs)
+            return FiniteMetricSpace(points=self.points[idx], p=self.p)
+        return FiniteMetricSpace(self._d[np.ix_(idx, idx)])
 
     def __repr__(self):  # keep reprs short; matrices can be large
         return f"FiniteMetricSpace(n={self.n_points}, diam={self.diameter:.6g})"
@@ -420,17 +398,18 @@ def _points_space(pts, p: int) -> FiniteMetricSpace:
     points and not d. Every generator but those of the line kinds, whose
     points specs.line_points checks, builds its space here and skips
     validate_metric, so one pass over d's rows checks here that every
-    distance is finite and that distinct points lie apart: BadSpec
-    otherwise."""
+    distance is finite and that distinct points lie apart, in l2 at least
+    2^-511 apart: a smaller distance is the root of a subnormal sum of
+    squares, which has lost bits (0 at the extreme). BadSpec otherwise."""
     space = FiniteMetricSpace(points=pts, p=p)
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = space._scan()
     if not math.isfinite(high):
         raise BadSpec("coordinates give distances outside the double range")
-    if low == 0.0:
-        raise BadSpec("distinct points' distances round to 0: their squared "
-                      "coordinate differences underflow at this radius or "
-                      "spacing")
+    if low == 0.0 or (p == 2 and low < 2.0**-511):
+        raise BadSpec("distinct points' distances fall below 2^-511: their "
+                      "squared coordinate differences underflow at this "
+                      "radius or spacing")
     return space
 
 
@@ -535,9 +514,12 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
     more. Raises BadSpec when the expected number of uniforms drawn
     (cube draws times n) exceeds BALL_DRAW_LIMIT, when the draws reach 4
     times it, or when sums of norms or distances leave the double range
-    (rejection would never end).
+    (rejection would never end). On the line (n = 1) the distance is
+    |x - y| for every p, formed as the l1 one, which is exact.
     """
     check_points(count, "ball_sample")
+    if n == 1:
+        p = 1
     span = 2.0 * radius * n if p == 1 else 4.0 * radius * radius * n
     if not math.isfinite(span):
         raise BadSpec("ball_sample radius gives distances beyond the double range")

@@ -19,6 +19,12 @@ route, so a test can compare the two.
   values;
 * lines: the union rule for two compact pieces a gap apart and the tail
   bound of the Cantor series;
+* euclid: the magnitudes of the balls B^1, B^3 and B^5 as Barcelo and
+  Carbery wrote them, transcribed by hand (ball_form_by_hand), against
+  which the Hankel-determinant form of every odd n is checked;
+* exact linear algebra: the normal of a hyperplane through n points as
+  (dy, -dx) in the plane and the cross product in space
+  (normal_by_hand), which the cofactor normals of pixels must equal;
 * diversity: maximum diversity by solving the supports one at a time
   (max_diversity_support_loop), the Lawson-Hanson active set on a held
   n x n Z (active_set_held_z), exact covering numbers by branch and
@@ -53,7 +59,7 @@ from magnitude.errors import (
     positive_scale,
 )
 from magnitude.pixels import FaceMeasure, PixelSet, ProbeOutsideSet
-from magnitude.spaces import FiniteMetricSpace, _distances, _parse_graph_name
+from magnitude.spaces import FiniteMetricSpace, _parse_graph_name
 
 IE_CELL_LIMIT = 20
 # dilation_fit's nodes, as fractions of the scale: all below it
@@ -197,7 +203,7 @@ def verify_weight_measure(p: PixelSet, fm: FaceMeasure, probes) -> float:
 
 def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
     """Finite taxicab space of the lattice points at spacing
-    scale/per_unit inside the closed set, labelled by their coordinates."""
+    scale/per_unit inside the closed set, held as its points."""
     if per_unit < 1:
         raise PixelError("per_unit must be >= 1")
     k = per_unit
@@ -207,7 +213,7 @@ def grid_sample(p: PixelSet, per_unit: int) -> FiniteMetricSpace:
             pts.add(tuple(Fraction(ci * k + gi, k) for ci, gi in zip(c, g)))
     lam = float(p.scale)
     arr = np.array(sorted(pts), dtype=float) * lam
-    return FiniteMetricSpace(_distances(arr, 1), labels=tuple(map(tuple, arr)))
+    return FiniteMetricSpace(points=arr, p=1)
 
 
 def per_cell_dilation_volume(p: PixelSet, r) -> Fraction:
@@ -299,6 +305,38 @@ def rayleigh_ratio(z: np.ndarray, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# euclid and exact linear algebra
+
+
+def ball_form_by_hand(n: int, r):
+    """Magnitude of the ball B^n of radius r >= 0, n in (1, 3, 5), in the
+    arithmetic of r (a Fraction or a float)."""
+    if n == 1:
+        return 1 + r
+    if n == 3:
+        return 1 + 2 * r + r**2 + r**3 / 6
+    if n == 5:
+        return (24 + 72 * r + 72 * r**2 + 35 * r**3 + 9 * r**4 + r**5) \
+            / (8 * (r + 3)) + r**5 / 120
+    raise ValueError(f"no hand form for n = {n}")
+
+
+def normal_by_hand(points) -> tuple:
+    """A normal of the hyperplane through the n points of n-space, n in
+    (1, 2, 3): 1 on the line, (dy, -dx) in the plane, the cross product
+    of the two differences in space; 0 where the points span none."""
+    base = points[0]
+    rows = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    if len(base) == 1:
+        return (1,)
+    if len(base) == 2:
+        (dx, dy), = rows
+        return (dy, -dx)
+    (u1, u2, u3), (v1, v2, v3) = rows
+    return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+
+
+# ---------------------------------------------------------------------------
 # spaces
 
 
@@ -308,10 +346,7 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
     d = np.kron(a.distances, np.ones((nb, nb))) + np.kron(
         np.ones((na, na)), b.distances
     )
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return FiniteMetricSpace(d, labels)
+    return FiniteMetricSpace(d)
 
 
 def named_graph_edges(name: str) -> list[tuple[int, int]]:

@@ -6,6 +6,8 @@ asserted where a criterion pins one, and for the definiteness report of a
 large ball sample. Everything is seeded and deterministic.
 """
 
+import contextlib
+import io
 import itertools
 import time
 from fractions import Fraction
@@ -24,7 +26,7 @@ from magnitude import (
     magnitude_function,
     points_on_line,
 )
-from magnitude import diversity, euclid, lines, pixels
+from magnitude import cli, diversity, euclid, lines, pixels
 from magnitude.spaces import ball_sample, cantor_intervals
 from oracles import grid_sample, probe_grid, verify_weight_measure, weight_measure_ie
 
@@ -188,8 +190,37 @@ def test_criterion_06_euclidean_balls():
         assert m500 <= exact
         assert m2000 <= exact
         assert m2000 >= 0.85 * exact
+        # past five dimensions: 300-point samples of radius 2 stay under
+        # the Hankel forms (42.63 and 70.71)
+        high = {n: (magnitude(ball_sample(n, 2.0, 300, seed=7), 1.0),
+                    euclid.ball_magnitude(n, 2.0)) for n in (7, 9)}
+        assert all(1.0 < m < form for m, form in high.values())
         assert c.elapsed < 120.0
-        c.detail = f"25/6 and 3199/480 exact; samples {m500:.3f} (500) and {m2000:.3f} (2000) under {exact:.3f} ({c.elapsed:.1f}s)"
+        c.detail = (f"25/6 and 3199/480 exact; samples {m500:.3f} (500) and "
+                    f"{m2000:.3f} (2000) under {exact:.3f}; 7- and 9-ball "
+                    + ", ".join(f"{m:.2f} under {f:.2f}" for m, f in high.values())
+                    + f" ({c.elapsed:.1f}s)")
+
+
+def test_slowest_ball_oracle_runtime_cap():
+    """oracle --ball at the largest accepted dimension, over radii from the
+    tiniest doubles (whose denominators enter every Hankel entry) to one
+    that overflows: under 0.6 s for the four (fastest of three runs each;
+    0.21-0.27 s when the limit was set; n = 17 took 0.43 s)."""
+    n = euclid.BALL_DIMENSION_LIMIT
+    total = 0.0
+    for r in ("1e-300", "0.1", "3", "1e308"):
+        times = []
+        for _ in range(3):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                t0 = time.perf_counter()
+                code = cli.main(["oracle", "--ball", f"{n},{r}"])
+                times.append(time.perf_counter() - t0)
+            # R = 1e308 is accepted, and its value leaves the double range
+            assert code == (2 if r == "1e308" else 0)
+        total += min(times)
+    assert total < 0.6, total
 
 
 def test_definiteness_report_runtime_cap():

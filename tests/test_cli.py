@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,22 @@ def test_ball_oracle_exact_rational(capsys):
     code, rep, _ = run_json(capsys, "oracle", "--ball", "5,1")
     assert rep["results"]["magnitude_exact"] == "3199/480"
     assert rep["results"]["magnitude"] == pytest.approx(3199 / 480, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, exact", [(7, "5823701/609840"),
+                                      (9, "193155802111/15023594880")])
+def test_ball_oracle_past_five_dimensions(capsys, n, exact):
+    code, rep, _ = run_json(capsys, "oracle", "--ball", f"{n},1")
+    assert code == 0
+    assert rep["results"]["magnitude_exact"] == exact
+    assert rep["results"]["magnitude"] == float(Fraction(exact))
+
+
+@pytest.mark.parametrize("n", ["2", "8", "17", "-1"])
+def test_ball_oracle_refuses_even_and_large_dimensions(capsys, n):
+    code, out, err = run(capsys, "oracle", f"--ball={n},1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UnsupportedDimension"
 
 
 def test_conjecture_gap_in_dimension_five(capsys):
@@ -827,8 +844,26 @@ def test_ball_sample_underflow_names_its_cause(capsys):
                          "1")
     assert_bad_spec(code, out, err)
     assert json.loads(err)["detail"] == (
-        "distinct points' distances round to 0: their squared coordinate "
-        "differences underflow at this radius or spacing")
+        "distinct points' distances fall below 2^-511: their squared "
+        "coordinate differences underflow at this radius or spacing")
+    # distances lose bits before they reach 0: a sum of squares reads
+    # 1e-160 as 9.99994e-161, a magnitude of 1.924229936812735 for the
+    # line's 1.9242343145200196
+    code, out, err = run(capsys, "mag", "--grid", "3x1", "--spacing", "1e-160",
+                         "--t", "1e160")
+    assert_bad_spec(code, out, err)
+
+
+@pytest.mark.parametrize("radius, status", [("1e-300", 3), ("1e200", 0)])
+def test_one_dimensional_ball_is_built_on_the_line(capsys, radius, status):
+    # the squares of these radii underflow (1e-300) or overflow (1e200),
+    # but on the line every p's distance is the l1 one, which is exact; at
+    # 1e-300 Z is all ones at t = 1, so the magnitude is undefined
+    ball = ("mag", "--ball", f"1,{radius},5", "--seed", "1")
+    code, out, err = run(capsys, *ball)
+    code1, out1, _ = run(capsys, *ball, "--p", "1")
+    assert err == "" and code == code1 == status
+    assert json.loads(out)["results"] == json.loads(out1)["results"]
 
 
 def test_weights_command(capsys):

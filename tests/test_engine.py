@@ -744,7 +744,6 @@ def test_points_subspace_keeps_points():
     idx = [69, 3, 40, 0]
     sub = space.subspace(idx)
     assert sub.points.tolist() == space.points[idx].tolist()
-    assert sub.labels == tuple(space.labels[i] for i in idx)
     assert np.array_equal(sub.distances, space.distances[np.ix_(idx, idx)])
 
 

@@ -1,11 +1,15 @@
 """Closed forms and asymptotics for balls and spheres."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magnitude.euclid import (
+    BALL_DIMENSION_LIMIT,
     CoefficientUnderflow,
     EuclidError,
     OddDimension,
@@ -23,6 +27,7 @@ from magnitude.euclid import (
 )
 
 from magnitude.spaces import ResultOverflow
+from oracles import ball_form_by_hand
 
 F = Fraction
 
@@ -74,14 +79,82 @@ def test_ball_exact_accepts_rationals():
     (3, 0.1, 1.2101666666666666),
     (3, 13.37, 604.8268588333333),
     (3, 1e60, 1.6666666666666665e+179),
-    (5, 0.7, 4.191061731981981),
+    (5, 0.7, 4.191061731981982),
     (5, 2.5, 38.315932765151516),
     (5, 1000.0, 8459085460959.458),
 ])
 def test_ball_magnitude_float_bits(n, r, expect):
-    # the float form is the exact form's expression evaluated in floats,
-    # operation for operation; these are its bits
-    assert ball_magnitude(n, r) == expect
+    # the float form is the exact form at R converted exactly, rounded
+    # once; these are its bits. While the forms were evaluated in floats,
+    # operation for operation, (5, 0.7) read 4.191061731981981
+    assert ball_magnitude(n, r) == float(ball_magnitude_exact(n, F(r))) \
+        == expect
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.sampled_from((1, 3, 5, 7, 9)), r=st.floats(0.0, 1e300))
+@example(n=5, r=5e-324)
+@example(n=3, r=1e100)
+@example(n=BALL_DIMENSION_LIMIT, r=1e-300)
+def test_ball_magnitude_is_the_exact_form_rounded_once(n, r):
+    try:
+        got = ball_magnitude(n, r)
+    except ResultOverflow:
+        assert ball_magnitude_exact(n, r) > sys.float_info.max
+        return
+    assert got == float(ball_magnitude_exact(n, F(r)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from((1, 3, 5)),
+       r=st.fractions(min_value=0, max_denominator=10**40)
+       | st.floats(0.0, 1e300).map(F))
+@example(n=5, r=F(1))
+@example(n=5, r=F(10**6))
+@example(n=5, r=F(1, 10**9))
+@example(n=5, r=F(0.1))
+@example(n=3, r=F(7, 2))
+def test_hankel_form_is_the_hand_form(n, r):
+    # Willerton's ratio of Hankel determinants against Barcelo and
+    # Carbery's forms as written
+    assert ball_magnitude_exact(n, r) == ball_form_by_hand(n, r)
+
+
+def test_hankel_form_is_sympys_determinants():
+    # Willerton's ratio with sympy's determinants of the reverse Bessel
+    # polynomials from their explicit sum, theta_k(R) = sum over j <= k of
+    # (k + j)! / ((k - j)! j!) R^(k-j) / 2^j, and phi_m = R theta_(m-1)
+    sympy = pytest.importorskip("sympy")
+
+    def theta(k, r):
+        return sum(sympy.factorial(k + j) / (sympy.factorial(k - j)
+                   * sympy.factorial(j)) * r ** (k - j) / 2**j
+                   for j in range(k + 1))
+
+    for r in (sympy.Rational(1), sympy.Rational(2, 7), sympy.Rational(31, 3)):
+        phi = [sympy.Integer(1)] + [r * theta(m - 1, r) for m in range(1, 2 * BALL_DIMENSION_LIMIT)]
+        for n in range(1, BALL_DIMENSION_LIMIT + 1, 2):
+            p = n // 2
+            top = sympy.Matrix(p + 1, p + 1, lambda i, j: phi[i + j + 2]).det()
+            bottom = sympy.Matrix(p + 1, p + 1, lambda i, j: phi[i + j]).det()
+            want = top / (sympy.factorial(n) * r * bottom)
+            assert ball_magnitude_exact(n, F(int(r.p), int(r.q))) == F(
+                int(want.p), int(want.q))
+
+
+def test_balls_past_five_dimensions():
+    # the seventh is 5823701/609840 at R = 1
+    assert ball_magnitude_exact(7, 1) == F(5823701, 609840)
+    for n in range(7, BALL_DIMENSION_LIMIT + 1, 2):
+        # one point as R -> 0, and |B^n_R| ~ R^n / n! (the volume times
+        # 1 / (n! omega_n)) as R grows
+        assert ball_magnitude_exact(n, F(1, 10**9)) - 1 < F(1, 10**8)
+        assert ball_magnitude(n, 1e6) * math.factorial(n) / 1e6**n \
+            == pytest.approx(1.0, abs=1e-3)
+        prev = 1.0
+        for r in (0.01, 0.1, 1.0, 10.0, 100.0):
+            assert ball_magnitude(n, r) > prev
+            prev = ball_magnitude(n, r)
 
 
 def test_ball_forms_share_one_domain():
@@ -107,8 +180,9 @@ def test_ball_dimension_errors():
     for n in (2, 4, 6):
         with pytest.raises(UnsupportedDimension):
             ball_magnitude(n, 1.0)
-    with pytest.raises(UnsupportedDimension):
-        ball_magnitude(7, 1.0)
+    with pytest.raises(UnsupportedDimension,
+                       match=f"odd n, here from 1 to {BALL_DIMENSION_LIMIT}; got "):
+        ball_magnitude(BALL_DIMENSION_LIMIT + 2, 1.0)
     with pytest.raises(EuclidError):
         ball_magnitude(3, -1.0)
     with pytest.raises(EuclidError, match=r"^radius must be >= 0, got -1/2$"):

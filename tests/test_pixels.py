@@ -382,7 +382,7 @@ def test_grid_sample_point_count_and_metric():
 def test_grid_sample_matches_broadcast_formula():
     # more than one row block of the shared distance helper
     sp = grid_sample(L_TROMINO, 6)
-    pts = np.array(sp.labels)
+    pts = sp.points
     assert sp.n_points > 64
     assert np.array_equal(
         sp.distances, np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))

@@ -365,17 +365,12 @@ def test_distances_are_read_only():
         sp.distances[0, 1] = 9.0
 
 
-def test_subspace_picks_rows_and_labels():
+def test_subspace_picks_rows_and_points():
     sp = points_on_line([0.0, 1.0, 4.0])
     sub = sp.subspace([0, 2])
     assert sub.n_points == 2
     assert sub.distances[0, 1] == 4.0
-    assert sub.labels == (0.0, 4.0)
-
-
-def test_label_length_checked():
-    with pytest.raises(ValueError):
-        FiniteMetricSpace(np.zeros((2, 2)) + np.eye(2) * 0, labels=("a",))
+    assert sub.points.tolist() == [[0.0], [4.0]]
 
 
 def test_min_distance_single_point():
@@ -392,10 +387,8 @@ def test_l1_product_is_a_major():
     b = points_on_line([0.0, 10.0, 20.0])
     prod = l1_product(a, b)
     assert prod.n_points == 6
-    # order (a0,b0), (a0,b1), (a0,b2), (a1,b0), ...
-    assert prod.labels[1] == (0.0, 10.0)
-    assert prod.labels[3] == (1.0, 0.0)
-    # d((a_i, b_u), (a_j, b_v)) = dA(i,j) + dB(u,v)
+    # order (a0,b0), (a0,b1), (a0,b2), (a1,b0), ...: d((a_i, b_u),
+    # (a_j, b_v)) = dA(i,j) + dB(u,v)
     assert prod.distances[0, 4] == 1.0 + 10.0
     assert prod.distances[2, 3] == 1.0 + 20.0
 
@@ -565,10 +558,10 @@ def test_ball_sample_reproducible_and_inside():
     assert np.array_equal(a.distances, b.distances)
     c = ball_sample(3, 1.0, 50, seed=43)
     assert not np.array_equal(a.distances, c.distances)
-    for pt in a.labels:
+    for pt in a.points:
         assert math.sqrt(sum(x * x for x in pt)) <= 1.0
     l1 = ball_sample(2, 2.0, 30, seed=1, p=1)
-    for pt in l1.labels:
+    for pt in l1.points:
         assert abs(pt[0]) + abs(pt[1]) <= 2.0
 
 
@@ -683,7 +676,7 @@ def test_ball_sample_matches_broadcast_formula(dim, p):
         d = _distances(pts, p)
     else:
         sp = ball_sample(dim, 1.5, 150, seed=10 * dim + p, p=p)
-        pts, d = np.array(sp.labels), sp.distances
+        pts, d = sp.points, sp.distances
     assert np.array_equal(d, _broadcast_distances(pts, p))
 
 
@@ -691,7 +684,7 @@ def test_ball_sample_matches_broadcast_formula(dim, p):
 def test_lp_grid_and_line_match_broadcast_formula(p):
     g = lp_grid((13, 11), p=p, spacing=0.37)
     assert np.array_equal(g.distances,
-                          _broadcast_distances(np.array(g.labels), p))
+                          _broadcast_distances(g.points, p))
     x = np.random.default_rng(p).uniform(-5.0, 5.0, size=130)
     line = points_on_line(x)
     assert np.array_equal(line.distances, _broadcast_distances(x[:, None], 1))
@@ -746,13 +739,19 @@ def test_ball_sample_refuses_past_four_times_the_draw_limit(monkeypatch):
     lambda: ball_sample(3, 1e-300, 5, seed=1),
     lambda: lp_grid([3, 1], spacing=1e-200),
     lambda: lp_grid([2, 2], p=2, spacing=1e-170),
+    lambda: lp_grid([3, 1], spacing=1e-160),
+    lambda: lp_grid([2, 2], spacing=2.0**-512),
+    lambda: ball_sample(2, 1e-156, 5, seed=1),
 ])
 def test_underflowing_distances_are_refused(build):
     # distinct points whose squared differences underflow: d would hold 0
-    # off the diagonal, and no seed helps
-    with pytest.raises(BadSpec, match="distances round to 0: their squared "
-                                      "coordinate differences underflow"):
+    # off the diagonal, or below 2^-511 distances that lost bits (1e-160
+    # read as 9.99994e-161), and no seed helps
+    with pytest.raises(BadSpec, match=r"distances fall below 2\^-511: their "
+                                      "squared coordinate differences underflow"):
         build()
+    # from 2^-511 on the sum of squares is normal: the distance is exact
+    assert lp_grid([2, 2], spacing=2.0**-511).min_distance == 2.0**-511
     # p = 1 sums the differences themselves, which never underflow to 0,
     # and on the line every p is |x - y|, so a one-entry grid of p = 2
     # holds the distances of p = 1
@@ -764,13 +763,22 @@ def test_underflowing_distances_are_refused(build):
         assert line.min_distance == spacing
 
 
-def test_points_space_labels_are_formed_from_the_points():
-    # numbers for points given as numbers, else tuples, in one coordinate too
-    assert points_on_line([2.0, -1.0]).labels == (2.0, -1.0)
-    assert lp_grid((3,), spacing=0.5).labels == ((0.0,), (0.5,), (1.0,))
-    assert lp_grid((1, 2)).labels == ((0.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        FiniteMetricSpace(labels=("a",), points=[[0.0]], p=1)
+@pytest.mark.parametrize("radius", [1e-300, 1e200, 2.0])
+def test_one_dimensional_ball_sample_is_on_the_line(radius):
+    # on the line every p is |x - y|: p = 2 holds the l1 rows, and the
+    # double range is checked on 2r, not on 4r^2
+    line = ball_sample(1, radius, 5, seed=1)
+    assert line.p == 1
+    assert line.distances.tobytes() == ball_sample(
+        1, radius, 5, seed=1, p=1).distances.tobytes()
+    assert 0 < line.min_distance and line.diameter <= 2 * radius
+
+
+def test_points_space_reads_its_points_by_rows():
+    # one row each, in one coordinate too, where the points were numbers
+    assert points_on_line([2.0, -1.0]).points.tolist() == [[2.0], [-1.0]]
+    assert lp_grid((3,), spacing=0.5).points.tolist() == [[0.0], [0.5], [1.0]]
+    assert lp_grid((1, 2)).points.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 def test_points_space_holds_its_points_not_d():

@@ -48,7 +48,9 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "fractions": "fractions" in sys.modules,
                   "decimal": "decimal" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules,
-                  "inspect": "inspect" in sys.modules}))
+                  "inspect": "inspect" in sys.modules,
+                  "pixels": "magnitude.pixels" in sys.modules,
+                  "euclid": "magnitude.euclid" in sys.modules}))
 """
 
 
@@ -93,6 +95,22 @@ def test_exact_command_does_not_import_numpy(argv, box_file):
     assert rep["numpy"] is False
     # its records are NamedTuples, so nothing loads inspect (numpy would)
     assert rep["inspect"] is False
+
+
+@pytest.mark.parametrize("argv, other", [
+    (("oracle", "--ball", "15,1e-300"), "pixels"),
+    (("oracle", "--ball", "5,1"), "pixels"),
+    (("pixel", "--body-box", "1,2,3", "--scale", "1/2"), "euclid"),
+    (("pixel", "--body-simplex", "0,0;1,0;0,1", "--bounds"), "euclid"),
+    (("pixel", "--body-vertices", "0,0;2,0;2,1;0,1", "--bounds"), "euclid"),
+], ids=["ball-15", "ball-5", "body-box", "body-simplex", "body-vertices"])
+def test_exact_modules_share_only_the_elimination(argv, other):
+    # the ball forms and the facet normals both run on bareiss, and
+    # neither module loads the other (nor numpy)
+    rep = probe(*argv)
+    assert rep["code"] == 0
+    assert rep["numpy"] is False
+    assert rep[other] is False
 
 
 LINE_SOURCES = {
