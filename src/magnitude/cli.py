@@ -47,7 +47,10 @@ numpy too in mag, weights, magfn, diversity (with --exact as well: the
 magnitude, on every point), dim --method diversity_growth and approx
 --grid-sizes/--cantor-depths: the line rung (tridiagonal) solves it in
 O(n) from the coordinates that the spec layer (specs) gives, and the
-scales are those of sweeps, which the numpy routes share. check, dim
+scales are those of sweeps, which the numpy routes share. diversity on a
+graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
+--exact), named or a --spec, runs without numpy as well: the support
+search takes the rows of its metric from specs.graph_rows. check, dim
 --method covering_growth and every other space load numpy. No command
 loads scipy, numpy.random or OpenSSL: the dense solves run on numpy
 alone (see engine), ball samples draw from the standard library's
@@ -199,14 +202,16 @@ _SOURCES = {
 }
 
 
-def _space_inputs(args, line: bool = False):
+def _space_inputs(args, line: bool = False, graph_limit: int = 0):
     """Build the metric space selected by the input flags; also return a
     plain dict describing the inputs for the digest: a generated space's
     kind and effective parameters, one digest however it was named. With
     line, a space of a line kind (specs.line_coordinates) comes back as
-    its coordinates, a list of floats for the line rung, and numpy is
-    not imported."""
-    from .specs import SpaceSpec, line_coordinates
+    its coordinates, a list of floats for the line rung; a graph of at
+    most graph_limit vertices comes back as its distance rows
+    (specs.graph_rows), a tuple of lists of ints for the support search.
+    Neither imports numpy."""
+    from .specs import SpaceSpec, graph_edges, graph_rows, line_coordinates
 
     src = _given(args, *_SOURCES, "stdin_matrix", "matrix", "spec")
     flags = {k: getattr(args, k) for k in ("p", "spacing", "length", "seed")
@@ -236,6 +241,10 @@ def _space_inputs(args, line: bool = False):
     coordinates = line_coordinates(spec.kind, params) if line else None
     if coordinates is not None:
         return coordinates, inputs
+    if spec.kind == "graph_shortest_path":
+        edges, n = graph_edges(**params)
+        if n <= graph_limit:
+            return tuple(graph_rows(edges, n)), inputs
     from .spaces import generate_space
 
     return generate_space(spec), inputs
@@ -381,12 +390,20 @@ def _cmd_check(args, command, t0) -> int:
 
 
 def _cmd_diversity(args, command, t0) -> int:
-    space, inputs = _space_inputs(args, line=True)
+    from .supports import EXACT_LIMIT, SEARCH_LIMIT
+
+    space, inputs = _space_inputs(
+        args, line=True,
+        graph_limit=EXACT_LIMIT if args.exact else SEARCH_LIMIT)
     if isinstance(space, list):
         from . import tridiagonal
 
         # every weight is positive: the magnitude, on every point
         res = tridiagonal.max_diversity(space, args.t)
+    elif isinstance(space, tuple):
+        from . import supports
+
+        res = supports.max_diversity(space, args.t)
     else:
         from . import diversity as dv
 
@@ -407,12 +424,14 @@ def _cmd_diversity(args, command, t0) -> int:
             "t": args.t, "method": res.method,
             "value": res.value, "support": list(res.support),
             "kkt_gap": res.kkt_gap, "supports_checked": res.iterations,
+            "certificate": res.certificate,
         }
     else:
         results = {
             "t": args.t, "method": res.method, "converged": True,
             "value": res.value, "support": list(res.support),
             "kkt_gap": res.kkt_gap, "iterations": res.iterations,
+            "certificate": res.certificate,
         }
     _emit(args, command, {"space": inputs, "t": args.t, "exact": args.exact},
           results, t0)
@@ -735,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="log-spaced scales (default linear)")
         if name == "diversity":
             sub.add_argument("--exact", action="store_true",
-                             help="support enumeration (up to 15 points)")
+                             help="support search also above 10 points, "
+                                  "up to 15")
             sub.add_argument("--max-iters", type=_count, default=100_000)
         if name == "dim":
             sub.add_argument("--tmin", type=_finite_float, required=True)
@@ -748,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
             # growth fits need a laxer optimizer gap than single solves
             sub.add_argument("--tol", type=_positive_float,
                              default=1e-9 if name == "diversity" else 1e-6,
-                             help="Frank-Wolfe duality gap target")
+                             help="Frank-Wolfe duality gap target "
+                                  "(spaces of more than 10 points)")
 
     sub = subs.add_parser("pixel", help="exact pixel-set and convex-body machinery")
     g = sub.add_mutually_exclusive_group(required=True)

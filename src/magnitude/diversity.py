@@ -7,8 +7,14 @@ over the probability simplex; for positive definite Z the optimum is
 unique and never exceeds the magnitude, with equality exactly when the
 weighting is nonnegative (subsets of the real line, for instance).
 
-max_diversity climbs a ladder of three rungs, each certified by the same
-measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
+A space of at most SEARCH_LIMIT points (supports) is searched exactly:
+every support is checked (supports.search), and the answer is the global
+maximum whether or not Z is positive semidefinite. max_diversity_exact
+runs the same search on up to EXACT_DIVERSITY_LIMIT points.
+
+A larger space climbs a ladder of three rungs, each certified by the
+measured Frank-Wolfe duality gap 2 (mu' Z mu - min (Z mu)) <= tol on
+the unmodified Z:
 
 1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
    uniform start, for at most n iterations: about the cost of one dense
@@ -37,16 +43,14 @@ measured duality gap kkt_gap(Z, mu) <= tol on the unmodified Z:
    or when the active set does not certify, Frank-Wolfe up to max_iters
    on the same rows, one formed row per iteration.
 
-No rung forms the n x n Z; only max_diversity_exact, on at most 15
-points, holds it.
-
-An independent oracle, max_diversity_exact, enumerates all supports for
-small N and solves the stationarity system on each, one batched solve per
-support size.
-
-Both return a DiversityResult: the value, the maximizing distribution
-mu as read-only weights, its support (the indices where mu is positive,
-or the enumerated support), the kkt_gap, iterations and the method.
+No rung forms the n x n Z. Every answer is a DiversityResult: the value,
+the maximizing distribution mu as read-only weights, its support, the
+gap, iterations (supports checked, for the search) and the method, with
+its certificate: "global" from the search and the active set, whose Z is
+positive definite; "stationary" from Frank-Wolfe, whose gap certifies a
+maximum only where Z is positive semidefinite, which nothing here proves
+(K_{3,3} at t = 0.5 is a saddle at the uniform start, 1.6876 against the
+maximum 1.7284).
 
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
@@ -59,16 +63,9 @@ shares.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
-from .engine import (
-    cholesky_rows,
-    cholesky_solver,
-    similarity_matrix,
-    similarity_rows,
-)
+from .engine import cholesky_rows, cholesky_solver, similarity_rows
 from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
     DiversityError,
     NonConvergence,
@@ -77,6 +74,9 @@ from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
     finite,
 )
 from .spaces import ROW_BLOCK, FiniteMetricSpace
+from . import supports
+from .supports import EXACT_LIMIT as EXACT_DIVERSITY_LIMIT
+from .supports import SEARCH_LIMIT
 from .sweeps import (  # noqa: F401  (DimensionEstimate re-exported)
     DimensionEstimate,
     DiversityResult,
@@ -84,10 +84,6 @@ from .sweeps import (  # noqa: F401  (DimensionEstimate re-exported)
     growth_scales,
 )
 
-EXACT_DIVERSITY_LIMIT = 15
-# support enumeration's feasibility slack: on y >= 0 and on the
-# off-support first-order condition
-EXACT_FEAS_TOL = 1e-12
 # Lawson-Hanson pass bound per point, as in scipy's nnls
 ACTIVE_SET_PASSES_PER_POINT = 3
 
@@ -95,19 +91,6 @@ ACTIVE_SET_PASSES_PER_POINT = 3
 def backend_name() -> str:
     """Kernel implementation that runs: always 'numpy'."""
     return "numpy"
-
-
-def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
-    """Frank-Wolfe duality gap of mu for min mu' Z mu on the simplex.
-
-    The gap is 2 (mu' Z mu - min_v (Z mu)_v) >= 0 in exact arithmetic, so a
-    value slightly below zero is rounding: `diversity --graph k4,4 --t 1`
-    reports -1.1e-16 at the uniform optimum. A gap <= tol certifies a
-    global maximum of the diversity only when Z is positive semidefinite;
-    otherwise it certifies a stationary point.
-    """
-    q = z @ mu
-    return float(2.0 * (mu @ q - q.min()))
 
 
 def _products(rows, n: int, *xs: np.ndarray) -> tuple:
@@ -146,7 +129,7 @@ def fw_away_qp(rows, n: int, tol: float, max_iters: int):
     Returns (x, objective, duality_gap, iterations). The run converged
     exactly when duality_gap <= tol; one stopped by max_iters returns
     iterations == max_iters and the gap measured before its last step.
-    The gap is the one kkt_gap measures: a value slightly below zero is
+    The gap is 2 (mu' Z mu - min (Z mu)): a value slightly below zero is
     rounding, and it certifies a global minimum only for PSD Z.
     """
     mu = np.full(n, 1.0 / n)
@@ -194,15 +177,26 @@ def fw_away_qp(rows, n: int, tol: float, max_iters: int):
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
                   tol: float = 1e-9, max_iters: int = 100_000) -> DiversityResult:
-    """Maximum diversity at scale t, certified by kkt_gap <= tol.
+    """Maximum diversity at scale t.
 
-    Short Frank-Wolfe, then the active set when Z is positive definite,
-    then Frank-Wolfe up to max_iters (see the module docstring). Every
-    rung reads Z by rows (engine.similarity_rows), so no n x n Z is
-    formed. Raises NonConvergence if the last Frank-Wolfe run still misses
-    tol. On spaces whose similarity matrix is not positive semidefinite
-    the returned point is stationary but the global certificate is void.
+    A space of at most SEARCH_LIMIT points is searched exactly
+    (supports.search), for a global answer, and tol and max_iters play no
+    part. A larger one climbs the ladder, certified by its gap <= tol:
+    short Frank-Wolfe, then the active set when Z is positive definite,
+    then Frank-Wolfe up to max_iters (see the module docstring), each rung
+    reading Z by rows (engine.similarity_rows), so no n x n Z is formed.
+    Raises NonConvergence if the last Frank-Wolfe run still misses tol.
     """
+    if space.n_points <= SEARCH_LIMIT:
+        return _searched(space, t)
+    return _ladder(space, t, tol, max_iters)
+
+
+def _ladder(space: FiniteMetricSpace, t: float, tol: float,
+            max_iters: int) -> DiversityResult:
+    """The three rungs of the module docstring, on a space of any size: a
+    Frank-Wolfe answer is stationary, and global only where Z is positive
+    semidefinite, which nothing here proves; the active set's is global."""
     n = space.n_points
     z_rows = similarity_rows(space, t)
     budget = min(n, max_iters)
@@ -215,17 +209,16 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
             mu, f, gap, iters = fw_away_qp(z_rows, n, tol, max_iters)
         if gap > tol:
             raise NonConvergence(iters, gap)
-    return _result(mu, 1.0 / f, gap, iters, "frank_wolfe")
+    return _result(mu, 1.0 / f, gap, iters, "frank_wolfe", "stationary")
 
 
-def _result(mu, value, gap, iterations, method, support=None) -> DiversityResult:
+def _result(mu, value, gap, iterations, method, certificate) -> DiversityResult:
     """The result at weights mu, which it makes read-only; the support is
-    where mu is positive unless given."""
+    where mu is positive."""
     mu.setflags(write=False)
-    if support is None:
-        support = tuple(int(i) for i in np.flatnonzero(mu > 0))
+    support = tuple(int(i) for i in np.flatnonzero(mu > 0))
     return DiversityResult(float(value), mu, support, float(gap),
-                           int(iterations), method)
+                           int(iterations), method, certificate)
 
 
 def _unit_solve(rows, n: int) -> np.ndarray:
@@ -266,7 +259,8 @@ def _active_set(space: FiniteMetricSpace, t: float, z_rows,
             f = mu @ zmu
             gap = float(2.0 * (f - zmu.min()))
             if gap <= tol:
-                return _result(mu, 1.0 / f, gap, passes, "active_set")
+                return _result(mu, 1.0 / f, gap, passes, "active_set",
+                               "global")
             w = 1.0 - zy        # negative gradient; positive = violated
             w[idx] = -np.inf
             j = int(np.argmax(w))
@@ -298,71 +292,20 @@ def _active_set(space: FiniteMetricSpace, t: float, z_rows,
 
 def max_diversity_exact(space: FiniteMetricSpace,
                         t: float = 1.0) -> DiversityResult:
-    """Oracle by support enumeration, for spaces of at most 15 points.
-
-    On each candidate support S the stationarity system Z_S y = 1 is
-    solved; the candidate is kept when y is (numerically) nonnegative and
-    every off-support point j satisfies
-    (Z mu)_j >= mu' Z mu - EXACT_FEAS_TOL, the first-order condition for
-    not benefiting from new support. The value
-    on a feasible support is sum(y), and the maximum over supports is the
-    global maximum diversity; among equal values the first support in
-    size-then-lexicographic order wins.
-
-    All supports of one size are solved by one batched np.linalg.solve
-    and screened together; only a batch that numpy reports singular is
-    solved support by support, skipping the singular ones.
-    """
-    n = space.n_points
-    if n > EXACT_DIVERSITY_LIMIT:
-        raise TooLarge(n, EXACT_DIVERSITY_LIMIT)
-    z = similarity_matrix(space, t)
-    best = None
-    checked = 0
-    for size in range(1, n + 1):
-        subs = np.array(list(combinations(range(n), size)))
-        checked += len(subs)
-        zs = z[subs[:, :, None], subs[:, None, :]]
-        ys = _solve_each(zs)
-        totals = ys.sum(axis=1)
-        # near-singular garbage, then a nonpositive value or negative weight
-        resid = np.abs(zs @ ys[:, :, None] - 1.0).max(axis=(1, 2))
-        keep = (~(resid > 1e-8) & (totals > 0)
-                & ~(ys < -EXACT_FEAS_TOL).any(axis=1))
-        subs, ys, totals = subs[keep], ys[keep], totals[keep]
-        clipped = np.clip(ys, 0.0, None)
-        mus = np.zeros((len(subs), n))
-        np.put_along_axis(
-            mus, subs, clipped / clipped.sum(axis=1, keepdims=True), axis=1)
-        # Z mu for every candidate at once (Z is symmetric); no point may
-        # fall below mu' Z mu = 1 / sum(y)
-        low = (mus @ z < (1.0 / totals - EXACT_FEAS_TOL)[:, None]).any(axis=1)
-        for i in np.flatnonzero(~low):
-            total = float(totals[i])
-            if best is None or total > best[0]:
-                best = (total, mus[i].copy(), tuple(int(j) for j in subs[i]))
-    if best is None:
-        raise DiversityError("no feasible stationary support found")
-    total, mu, sub = best
-    return _result(mu, total, kkt_gap(z, mu), checked, "support_enumeration",
-                   sub)
+    """Maximum diversity by the support search (supports.search), for
+    spaces of at most EXACT_DIVERSITY_LIMIT points; TooLarge above."""
+    if space.n_points > EXACT_DIVERSITY_LIMIT:
+        raise TooLarge(space.n_points, EXACT_DIVERSITY_LIMIT)
+    return _searched(space, t)
 
 
-def _solve_each(zs: np.ndarray) -> np.ndarray:
-    """y with zs[i] y[i] = 1 for a stack of systems; y[i] = 0, which no
-    residual check passes, where zs[i] is singular."""
-    ones = np.ones(zs.shape[:2])
-    try:
-        return np.linalg.solve(zs, ones[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass                    # numpy refuses the batch for one system
-    ys = np.zeros_like(ones)
-    for a, b, y in zip(zs, ones, ys):
-        try:
-            y[:] = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-    return ys
+def _searched(space: FiniteMetricSpace, t: float) -> DiversityResult:
+    """The support search on the rows of d, its weights as a read-only
+    array."""
+    res = supports.max_diversity(space.rows(0, space.n_points).tolist(), t)
+    weights = np.array(res.weights)
+    weights.setflags(write=False)
+    return res._replace(weights=weights)
 
 
 # ---------------------------------------------------------------------------

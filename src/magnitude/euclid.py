@@ -19,6 +19,7 @@ five, and the helpers here exist to exhibit exactly that.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .bareiss import bareiss
@@ -39,6 +40,10 @@ class CoefficientUnderflow(EuclidError):
 
 # log of the smallest positive (subnormal) double
 _LOG_TINY = math.log(math.ulp(0.0))
+# log of the largest double, and a bound on the rounding of n log R -
+# log n! near it (a few ulps of 710)
+_LOG_HUGE = math.log(sys.float_info.max)
+_LOG_SLACK = 1e-9
 # the largest odd n of the ball forms. The slowest radii are the tiniest
 # and the largest doubles, whose denominators (up to 2^1074) or numerators
 # (up to 2^1024) enter every Hankel entry: the exact form at n = 15 took
@@ -60,10 +65,7 @@ def ball_magnitude_exact(n: int, radius) -> Fraction:
     For R = a/b the entries are taken as b^m phi_m, integers, which
     scales the ratio by b^(2p+2); R = 0 is the one-point space."""
     r = finite(Fraction(radius), "radius", least=0, error=EuclidError)
-    n = integral(n, "n", error=UnsupportedDimension)
-    if n % 2 == 0 or not 0 < n <= BALL_DIMENSION_LIMIT:
-        raise UnsupportedDimension(f"ball forms exist for odd n, here from "
-                                   f"1 to {BALL_DIMENSION_LIMIT}; got {n}")
+    n = _ball_dimension(n)
     if r == 0:
         return Fraction(1)
     p, a, b = n // 2, r.numerator, r.denominator
@@ -75,11 +77,30 @@ def ball_magnitude_exact(n: int, radius) -> Fraction:
     return Fraction(top, math.factorial(n) * a * b ** n * bottom)
 
 
+def _ball_dimension(n) -> int:
+    """n as an int, once it is odd and from 1 to BALL_DIMENSION_LIMIT."""
+    n = integral(n, "n", error=UnsupportedDimension)
+    if n % 2 == 0 or not 0 < n <= BALL_DIMENSION_LIMIT:
+        raise UnsupportedDimension(f"ball forms exist for odd n, here from "
+                                   f"1 to {BALL_DIMENSION_LIMIT}; got {n}")
+    return n
+
+
 @finite_result
 def ball_magnitude(n: int, radius: float) -> float:
-    """ball_magnitude_exact at R converted exactly, rounded once."""
-    return float(ball_magnitude_exact(
-        n, finite(radius, "radius", least=0, error=EuclidError)))
+    """ball_magnitude_exact at R converted exactly, rounded once.
+
+    The magnitude is at least R^n / n!, the volume over n! omega_n
+    (Barcelo-Carbery), so a radius where n log R - log n! passes the log
+    of the double maximum overflows at once, before the exact form is
+    built (it takes 0.1 s at n = 15 and R = 1e308). The logs are
+    rounded, so the test leaves them _LOG_SLACK, and a radius inside it
+    takes the exact form and overflows there."""
+    r = finite(radius, "radius", least=0, error=EuclidError)
+    n = _ball_dimension(n)
+    if r > 0 and n * math.log(r) - math.lgamma(n + 1) > _LOG_HUGE + _LOG_SLACK:
+        raise OverflowError
+    return float(ball_magnitude_exact(n, r))
 
 
 def _sphere_radius(n: int, radius) -> float:

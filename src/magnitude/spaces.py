@@ -14,12 +14,14 @@ Generators cover the standard test geometries: points on a line, unweighted
 graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
 endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
 The spec layer (SpaceSpec, the KINDS table of parameter rules,
-POINT_LIMIT, and the coordinates of the line kinds with their checks)
-lives in the numpy-free specs module and is re-exported here, so
-spaces.SpaceSpec is specs.SpaceSpec; the CLI solves a space of a line
-kind (points_1d, lp_grid with a one-entry shape, cantor_endpoints) from
-those coordinates with the line rung (tridiagonal), without this module
-and without numpy, and builds every other kind here. Ball samples draw
+POINT_LIMIT, the coordinates of the line kinds with their checks, and a
+graph's edges and metric rows) lives in the numpy-free specs module and
+is re-exported here, so spaces.SpaceSpec is specs.SpaceSpec; the CLI
+solves a space of a line kind (points_1d, lp_grid with a one-entry
+shape, cantor_endpoints) from those coordinates with the line rung
+(tridiagonal), and the maximum diversity of a small graph from its rows
+with the support search (supports), without this module and without
+numpy, and builds every other space here. Ball samples draw
 from the standard library's random.Random(seed), so a spec with a seed
 reproduces the same points bit for bit on any platform. A spec, and a
 direct call of a public builder, is checked against the KINDS table of
@@ -41,7 +43,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import re
 from itertools import product as _iterproduct
 from itertools import repeat
 from random import Random
@@ -72,6 +73,8 @@ from .specs import (  # noqa: F401  (re-exported: spaces.SpaceSpec etc.)
     cantor_intervals,
     cantor_points,
     check_points,
+    graph_edges,
+    graph_rows,
     grid_1d,
     points_1d,
 )
@@ -423,49 +426,14 @@ def graph_metric(edges=None, n_vertices: int | None = None,
                  name: str | None = None) -> FiniteMetricSpace:
     """Shortest-path metric of an undirected unit-weight graph: its edges,
     and n_vertices for isolated vertices past the last endpoint, or a name
-    (_parse_graph_name) that brings both, so k1 is the one-point space.
-
-    One breadth-first search per vertex over adjacency lists: O(n (n + m))
-    time for n vertices and m edges, O(n^2) memory for the matrix. Hop
-    counts are small integers, so the float64 matrix is exact."""
-    if name is not None:
-        if edges is not None or n_vertices is not None:
-            raise BadSpec("a graph has a name or edges and n_vertices, not both")
-        edges, n_vertices = _parse_graph_name(name)
-    edges = edges or []
-    seen = {u for e in edges for u in e}
-    n = n_vertices if n_vertices is not None else (max(seen) + 1 if seen else 0)
-    if n <= 0:
-        raise BadSpec("graph has no vertices")
-    check_points(n, "graph")
-    if seen and max(seen) >= n:
-        raise BadSpec("edge endpoint beyond vertex count")
-    if any(u == v for u, v in edges):
-        raise BadSpec("self-loops not allowed")
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    (specs.graph_name_edges) that brings both, so k1 is the one-point
+    space. The rows of d are specs.graph_rows', one breadth-first search
+    per vertex, each written into the matrix as it is found. Hop counts
+    are small integers, so the float64 matrix is exact."""
+    edges, n = graph_edges(edges, n_vertices, name)
     d = np.empty((n, n))
-    for src in range(n):
-        hops = [-1] * n
-        hops[src] = 0
-        frontier, level = [src], 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if hops[v] < 0:
-                        hops[v] = level
-                        nxt.append(v)
-            frontier = nxt
-        if -1 in hops:
-            # the graph is undirected, so src = 0 already finds the first
-            # unreachable pair in row-major order
-            raise DisconnectedGraph(
-                f"no path between vertices {src} and {hops.index(-1)}")
-        d[src] = hops
+    for i, row in enumerate(graph_rows(edges, n)):
+        d[i] = row
     return FiniteMetricSpace(d)
 
 
@@ -570,36 +538,7 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# graph names and matrix input (CLI conveniences)
-
-
-def _parse_graph_name(name: str) -> tuple[list[tuple[int, int]], int]:
-    """(edges, vertex count) for compact graph names, sizes in ASCII digits.
-
-    k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
-    p<n> path.
-    """
-    s = name.strip().lower()
-    if re.fullmatch("k[1-9]{2}", s):  # two nonzero digits: k32 = K_{3,2}
-        s = f"k{s[1]},{s[2]}"
-    m = re.fullmatch(r"([kcp])(\d+)|k\s*(\d+)\s*,\s*(\d+)", s, re.ASCII)
-    if m is None:
-        raise BadSpec(f"unknown graph name {name!r}")
-    if m[3] is not None:
-        a, n = int(m[3]), int(m[3]) + int(m[4])
-        if not 0 < a < n:
-            raise BadSpec("complete bipartite graph needs two nonempty parts")
-        check_points(n, "graph")
-        return [(i, j) for i in range(a) for j in range(a, n)], n
-    kind, n = m[1], int(m[2])
-    least = {"k": 0, "c": 3, "p": 2}[kind]
-    if n < least:
-        raise BadSpec(f"{'cycle' if kind == 'c' else 'path'} needs at least "
-                      f"{least} vertices")
-    check_points(n, "graph")
-    if kind == "k":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)], n
-    return [(i, (i + 1) % n) for i in range(n if kind == "c" else n - 1)], n
+# matrix input
 
 
 def load_distance_csv(source) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Space specs, without numpy: SpaceSpec, the KINDS table, POINT_LIMIT and
-the coordinates of the line kinds.
+"""Space specs, without numpy: SpaceSpec, the KINDS table, POINT_LIMIT, the
+coordinates of the line kinds and the rows of a graph's metric.
 
 A spec names a kind, its parameters and a seed; SpaceSpec.effective()
 checks them against the kind's rules in KINDS and fills in the defaults,
@@ -14,16 +14,24 @@ them makes: POINT_LIMIT, distinct coordinates and distances inside the
 double range. The spaces builders take their points from it, and the CLI
 hands them to the line rung (tridiagonal), which solves them without
 numpy; on the line the distance is |x - y| for every p.
+
+A graph_shortest_path spec gives its edges and vertex count by
+graph_edges, named graphs by graph_name_edges, and graph_rows gives the
+rows of its hop-count metric one breadth-first search at a time, with
+every BadSpec and DisconnectedGraph that building it raises: the spaces
+builder writes them into its matrix, and the CLI hands those of a small
+graph to the support search (supports), which needs no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import BadSpec, finite, integral
+from .errors import BadSpec, DisconnectedGraph, finite, integral
 
 # most points a generator builds. Measured at n = 2000 in n x n float
 # arrays: a dense solve holds half of Z and half a factor, 1.10 (0.55 GiB
@@ -157,6 +165,94 @@ def line_coordinates(kind: str, params: dict) -> list[float] | None:
     if kind == "cantor_endpoints":
         return cantor_points(params["depth"], params["length"])
     return None
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def graph_name_edges(name: str) -> tuple[list[tuple[int, int]], int]:
+    """(edges, vertex count) for compact graph names, sizes in ASCII digits.
+
+    k<n> complete, k<a>,<b> complete bipartite (k32 = k3,2), c<n> cycle,
+    p<n> path.
+    """
+    s = name.strip().lower()
+    if re.fullmatch("k[1-9]{2}", s):  # two nonzero digits: k32 = K_{3,2}
+        s = f"k{s[1]},{s[2]}"
+    m = re.fullmatch(r"([kcp])(\d+)|k\s*(\d+)\s*,\s*(\d+)", s, re.ASCII)
+    if m is None:
+        raise BadSpec(f"unknown graph name {name!r}")
+    if m[3] is not None:
+        a, n = int(m[3]), int(m[3]) + int(m[4])
+        if not 0 < a < n:
+            raise BadSpec("complete bipartite graph needs two nonempty parts")
+        check_points(n, "graph")
+        return [(i, j) for i in range(a) for j in range(a, n)], n
+    kind, n = m[1], int(m[2])
+    least = {"k": 0, "c": 3, "p": 2}[kind]
+    if n < least:
+        raise BadSpec(f"{'cycle' if kind == 'c' else 'path'} needs at least "
+                      f"{least} vertices")
+    check_points(n, "graph")
+    if kind == "k":
+        return [(i, j) for i in range(n) for j in range(i + 1, n)], n
+    return [(i, (i + 1) % n) for i in range(n if kind == "c" else n - 1)], n
+
+
+def graph_edges(edges, n_vertices: int | None,
+                name: str | None) -> tuple[list, int]:
+    """(edges, vertex count) of a graph_shortest_path space, from its
+    effective params: its edges, and n_vertices for isolated vertices past
+    the last endpoint, or a name that brings both. BadSpec for a name
+    beside edges or n_vertices, no vertices, more than POINT_LIMIT, an
+    endpoint past the count or a self-loop."""
+    if name is not None:
+        if edges is not None or n_vertices is not None:
+            raise BadSpec("a graph has a name or edges and n_vertices, not both")
+        edges, n_vertices = graph_name_edges(name)
+    edges = edges or []
+    seen = {u for e in edges for u in e}
+    n = n_vertices if n_vertices is not None else (max(seen) + 1 if seen else 0)
+    if n <= 0:
+        raise BadSpec("graph has no vertices")
+    check_points(n, "graph")
+    if seen and max(seen) >= n:
+        raise BadSpec("edge endpoint beyond vertex count")
+    if any(u == v for u, v in edges):
+        raise BadSpec("self-loops not allowed")
+    return edges, n
+
+
+def graph_rows(edges, n: int):
+    """The rows of the hop-count metric of the graph on n vertices with
+    these edges, one list of ints at a time: one breadth-first search per
+    vertex over adjacency lists, O(n (n + m)) time for m edges and O(n + m)
+    memory besides the row. DisconnectedGraph at the first row that misses
+    a vertex."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for src in range(n):
+        hops = [-1] * n
+        hops[src] = 0
+        frontier, level = [src], 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if hops[v] < 0:
+                        hops[v] = level
+                        nxt.append(v)
+            frontier = nxt
+        if -1 in hops:
+            # the graph is undirected, so src = 0 already finds the first
+            # unreachable pair in row-major order
+            raise DisconnectedGraph(
+                f"no path between vertices {src} and {hops.index(-1)}")
+        yield hops
 
 
 # ---------------------------------------------------------------------------

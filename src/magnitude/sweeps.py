@@ -52,6 +52,11 @@ class DiversityResult(NamedTuple):
     iterations: int
     # "frank_wolfe", "active_set", "support_enumeration" or "line"
     method: str
+    # "global" where the value is the maximum: the support search, the
+    # active set (on a Z that Cholesky accepts) and the line rung;
+    # "stationary" from Frank-Wolfe, whose gap certifies the maximum only
+    # on a positive semidefinite Z
+    certificate: str
 
 
 def scales(lo: float, hi: float, count: int, log: bool = False) -> list[float]:

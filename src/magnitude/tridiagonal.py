@@ -100,10 +100,12 @@ def max_diversity(coordinates, t: float) -> DiversityResult:
     """Maximum diversity of the distinct reals coordinates at scale t: the
     magnitude, at mu = w / sum w (a tuple, in the order given) on every
     point, with the Frank-Wolfe gap of mu, 2 (mu' Z mu - min Z mu), which
-    is 0 but for rounding; one solve, method "line"."""
+    is 0 but for rounding; one solve, method "line", certificate
+    "global"."""
     w, zw, _, _ = _solve(coordinates, t)
     total = math.fsum(w)
     mu = tuple(x / total for x in w)
     z_mu = [q / total for q in zw]
     gap = 2.0 * (math.fsum(m * q for m, q in zip(mu, z_mu)) - min(z_mu))
-    return DiversityResult(total, mu, tuple(range(len(w))), gap, 1, "line")
+    return DiversityResult(total, mu, tuple(range(len(w))), gap, 1, "line",
+                           "global")

@@ -25,10 +25,12 @@ route, so a test can compare the two.
 * exact linear algebra: the normal of a hyperplane through n points as
   (dy, -dx) in the plane and the cross product in space
   (normal_by_hand), which the cofactor normals of pixels must equal;
-* diversity: maximum diversity by solving the supports one at a time
-  (max_diversity_support_loop), the Lawson-Hanson active set on a held
-  n x n Z (active_set_held_z), exact covering numbers by branch and
-  bound, and greedy packing numbers as their lower bound.
+* diversity: the Frank-Wolfe gap of a distribution on a held Z
+  (kkt_gap), maximum diversity by solving the supports one at a time
+  with numpy (max_diversity_support_loop), against which the support
+  search is checked, the Lawson-Hanson active set on a held n x n Z
+  (active_set_held_z), exact covering numbers by branch and bound, and
+  greedy packing numbers as their lower bound.
 
 Tests import it as `from oracles import ...`.
 """
@@ -43,12 +45,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from magnitude.diversity import (
-    ACTIVE_SET_PASSES_PER_POINT,
-    EXACT_FEAS_TOL,
-    DiversityResult,
-    kkt_gap,
-)
+from magnitude.diversity import ACTIVE_SET_PASSES_PER_POINT
 from magnitude.engine import cholesky_rows, cholesky_solver, similarity_matrix
 from magnitude.errors import (
     DiversityError,
@@ -59,7 +56,10 @@ from magnitude.errors import (
     positive_scale,
 )
 from magnitude.pixels import FaceMeasure, PixelSet, ProbeOutsideSet
-from magnitude.spaces import FiniteMetricSpace, _parse_graph_name
+from magnitude.spaces import FiniteMetricSpace
+from magnitude.specs import graph_name_edges
+from magnitude.supports import FEAS_TOL, RESIDUAL_TOL, TIE_TOL
+from magnitude.sweeps import DiversityResult
 
 IE_CELL_LIMIT = 20
 # dilation_fit's nodes, as fractions of the scale: all below it
@@ -351,7 +351,7 @@ def l1_product(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
 
 def named_graph_edges(name: str) -> list[tuple[int, int]]:
     """Edge list of a named graph, as spaces.graph_metric reads the name."""
-    return _parse_graph_name(name)[0]
+    return graph_name_edges(name)[0]
 
 
 def ball_sample_loop(n: int, radius: float, count: int, seed: int,
@@ -425,14 +425,27 @@ def cantor_magnitude_tail_bound(t: float, length: float, k: int) -> float:
 # diversity: support enumeration one support at a time
 
 
+def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
+    """Frank-Wolfe duality gap of mu for min mu' Z mu on the simplex.
+
+    The gap is 2 (mu' Z mu - min_v (Z mu)_v) >= 0 in exact arithmetic, so a
+    value slightly below zero is rounding. A gap <= tol certifies a global
+    maximum of the diversity only when Z is positive semidefinite;
+    otherwise it certifies a stationary point.
+    """
+    q = z @ mu
+    return float(2.0 * (mu @ q - q.min()))
+
+
 def max_diversity_support_loop(space: FiniteMetricSpace,
                                t: float = 1.0) -> DiversityResult:
-    """max_diversity_exact's search with one np.linalg.solve per support:
-    the same feasibility tests in the same order, the first support of
-    the largest value kept, a singular support skipped but counted."""
+    """The support search of supports.search, one np.linalg.solve per
+    support in size-then-lexicographic order: the same feasibility tests,
+    a singular support skipped but counted, and the first support whose
+    value lies within a relative TIE_TOL of the largest kept."""
     n = space.n_points
     z = similarity_matrix(space, t)
-    best = None
+    found = []
     checked = 0
     for size in range(1, n + 1):
         for sub in combinations(range(n), size):
@@ -443,24 +456,24 @@ def max_diversity_support_loop(space: FiniteMetricSpace,
                 y = np.linalg.solve(zs, np.ones(size))
             except np.linalg.LinAlgError:
                 continue
-            if np.abs(zs @ y - 1.0).max() > 1e-8:
+            if np.abs(zs @ y - 1.0).max() > RESIDUAL_TOL:
                 continue  # near-singular garbage
             total = float(y.sum())
-            if total <= 0 or (y < -EXACT_FEAS_TOL).any():
+            if total <= 0 or (y < -FEAS_TOL).any():
                 continue
             mu = np.zeros(n)
             mu[idx] = np.clip(y, 0.0, None) / np.clip(y, 0.0, None).sum()
             m = 1.0 / total
-            if ((z @ mu) < m - EXACT_FEAS_TOL).any():
+            if ((z @ mu) < m - FEAS_TOL).any():
                 continue
-            if best is None or total > best[0]:
-                best = (total, mu, sub)
-    if best is None:
+            found.append((total, mu, sub))
+    if not found:
         raise DiversityError("no feasible stationary support found")
-    total, mu, sub = best
+    top = max(total for total, _, _ in found)
+    total, mu, sub = next(c for c in found if c[0] >= top - TIE_TOL * top)
     mu.setflags(write=False)  # read-only, as max_diversity_exact returns it
     return DiversityResult(total, mu, sub, kkt_gap(z, mu), checked,
-                           "support_enumeration")
+                           "support_enumeration", "global")
 
 
 def active_set_held_z(z: np.ndarray, tol: float) -> DiversityResult | None:
@@ -487,7 +500,7 @@ def active_set_held_z(z: np.ndarray, tol: float) -> DiversityResult | None:
                 return DiversityResult(
                     float(1.0 / (mu @ z @ mu)), mu,
                     tuple(int(i) for i in np.flatnonzero(mu > 0)), gap,
-                    passes, "active_set")
+                    passes, "active_set", "global")
             w = 1.0 - z @ y     # negative gradient; positive = violated
             w[idx] = -np.inf
             j = int(np.argmax(w))

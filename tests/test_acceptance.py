@@ -223,6 +223,28 @@ def test_slowest_ball_oracle_runtime_cap():
     assert total < 0.6, total
 
 
+def _fastest(fn, runs=3):
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_support_search_runtime_caps():
+    """The support search on the slowest spaces found among 60 ball
+    samples and named graphs at each size: at SEARCH_LIMIT points under
+    0.04 s (7-13 ms when it was set), and --exact at 15 points under
+    0.48 s, 1.4 times the 0.34 s of the search's prototype (0.24-0.42 s
+    when it was set); the fastest of three runs each."""
+    small = ball_sample(3, 1.0, diversity.SEARCH_LIMIT, seed=1)
+    assert _fastest(lambda: diversity.max_diversity(small, 1.0)) < 0.04
+    for dim, seed, t in ((2, 2, 1.0), (3, 1, 1.0), (1, 0, 0.01)):
+        space = ball_sample(dim, 1.0, diversity.EXACT_DIVERSITY_LIMIT, seed=seed)
+        assert _fastest(lambda: diversity.max_diversity_exact(space, t)) < 0.48
+
+
 def test_definiteness_report_runtime_cap():
     """A 1600-point 3-D ball sample is proven of negative type, and its
     report made, in under 0.3 s (the fastest of three runs)."""
@@ -322,14 +344,18 @@ def _diversity_corpus() -> list:
 
 
 def test_criterion_11_diversity_agreement():
-    """Iterative solver against support enumeration, magnitude as the ceiling."""
+    """Iterative solver against support enumeration, magnitude as the ceiling.
+
+    The ladder runs directly: max_diversity answers these spaces, of at
+    most 12 points, from the search itself where they are within its
+    limit."""
     with _Criterion(11) as c:
         worst = 0.0
         n_pd = 0
         for name, space, on_line in _diversity_corpus():
             assert space.n_points <= 12, name
             for t in (0.5, 1.0, 2.0):
-                fw = diversity.max_diversity(space, t, tol=1e-9, max_iters=200000)
+                fw = diversity._ladder(space, t, 1e-9, 200000)
                 exact = diversity.max_diversity_exact(space, t)
                 worst = max(worst, abs(fw.value - exact.value))
                 if definiteness_report(space, t).is_positive_definite:

@@ -679,15 +679,85 @@ def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, method", [
-    (("diversity", "--graph", "k32", "--t", "0.1"), "frank_wolfe"),
+    (("diversity", "--graph", "c24", "--t", "0.5"), "frank_wolfe"),
     (("diversity", "--ball", "3,1,300", "--seed", "3", "--t", "4"), "active_set"),
     (("diversity", "--graph", "k32", "--t", "1", "--exact"), "support_enumeration"),
+    (("diversity", "--graph", "k32", "--t", "0.1"), "support_enumeration"),
 ])
 def test_diversity_reports_its_method(capsys, argv, method):
     _, rep1, _ = run_json(capsys, *argv)
     _, rep2, _ = run_json(capsys, *argv)
     assert rep1["results"]["method"] == method
+    # only Frank-Wolfe's answer is no more than stationary
+    assert rep1["results"]["certificate"] == (
+        "stationary" if method == "frank_wolfe" else "global")
     assert _strip_timing(rep1) == _strip_timing(rep2)
+
+
+EDGE_LIST = json.dumps({"kind": "graph_shortest_path",
+                        "params": {"edges": [[0, 1], [1, 2], [2, 3], [3, 0],
+                                             [0, 2]], "n_vertices": 4}})
+
+
+@pytest.mark.parametrize("argv", [
+    ("--graph", "k32"),
+    ("--graph", "k32", "--t", "0.34657359027997264"),
+    ("--graph", "c5", "--t", "1.7"),
+    ("--graph", "k3,3", "--t", "0.5"),
+    ("--graph", "k3,3", "--t", "0.3", "--exact"),
+    ("--graph", "k5,5", "--t", "0.5"),
+    ("--graph", "k7,8", "--t", "0.3", "--exact"),
+    ("--graph", "k4,4", "--t", "1", "--format", "csv"),
+    ("--graph", "k4,4", "--exact", "--format", "csv"),
+    ("--spec", EDGE_LIST, "--t", "0.2"),
+    ("--spec", '{"kind": "graph_shortest_path", "params": {"edges": '
+               '[[0, 1], [2, 3]]}}'),
+    ("--spec", '{"kind": "graph_shortest_path", "params": {"edges": '
+               '[[0, 1]], "n_vertices": 3}}'),
+    ("--spec", '{"kind": "graph_shortest_path", "params": {"edges": '
+               '[[1, 1]]}}'),
+    ("--graph", "k0,2"), ("--graph", "q3"), ("--graph", "c2"),
+    ("--graph", "k32", "--t", "0"),
+])
+def test_small_graph_diversity_is_the_numpy_routes(capsys, monkeypatch, argv):
+    # a graph within the limits is solved from specs.graph_rows without
+    # numpy; the built space gives the same report, error or csv rows
+    code, out, err = run(capsys, "diversity", *argv)
+    built = cli._space_inputs
+    monkeypatch.setattr(cli, "_space_inputs",
+                        lambda args, line=False, graph_limit=0:
+                        built(args, line))
+    want = run(capsys, "diversity", *argv)
+    if code == 0 and "csv" not in argv:
+        assert _strip_timing(json.loads(out)) == _strip_timing(
+            json.loads(want[1]))
+        assert json.loads(out)["results"]["certificate"] == "global"
+    else:
+        assert (code, out, err) == want
+
+
+@pytest.mark.parametrize("name, t, value", [
+    ("k3,3", 0.5, 1.7283506542974874),
+    ("k3,3", 0.3, 1.4301900821641191),
+    ("k4,4", 1.0, 2.8449383769103753),
+    ("k5,5", 0.5, 2.023048375958448),
+])
+def test_bipartite_diversity_is_certified_global(capsys, name, t, value):
+    # Frank-Wolfe's uniform start is a saddle of these Z, which are not
+    # positive semidefinite, and it once printed the saddle as converged
+    # (1.6876 for K_{3,3} at t = 0.5); the search finds the maximum. The
+    # values are --exact's at the parent of the search, to rounding
+    from magnitude import diversity
+    from magnitude.spaces import graph_metric
+
+    code, rep, _ = run_json(capsys, "diversity", "--graph", name, "--t", str(t))
+    assert code == 0
+    r = rep["results"]
+    assert (r["method"], r["certificate"]) == ("support_enumeration", "global")
+    assert r["value"] == pytest.approx(value, rel=2e-15)
+    saddle = diversity._ladder(graph_metric(name=name), t, 1e-9, 100_000)
+    assert saddle.certificate == "stationary"
+    assert saddle.value < value - 0.04
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -761,9 +831,9 @@ def test_csv_scalar_format(capsys):
      "valid n_points t is_positive_definite negative_type_verdict "
      "cnd_max_eigenvalue negative_type_proof scattered_bound_holds"),
     (("diversity", "--points-1d", "0,1,3"),
-     "t method converged value support kkt_gap iterations"),
+     "t method converged value support kkt_gap iterations certificate"),
     (("diversity", "--points-1d", "0,1,3", "--exact"),
-     "t method value support kkt_gap supports_checked"),
+     "t method value support kkt_gap supports_checked certificate"),
     (("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
      "slope window fit_residual method samples window_warning"),
     (("approx", "--grid-sizes", "3,5"),

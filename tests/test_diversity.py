@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magnitude import backend_name
@@ -16,11 +16,10 @@ from magnitude.diversity import (
     TooLarge,
     WindowTooNarrow,
     _active_set,
-    _solve_each,
+    _ladder,
     dimension_estimate,
     fw_away_qp,
     greedy_covering_number,
-    kkt_gap,
     max_diversity,
     max_diversity_exact,
 )
@@ -39,12 +38,14 @@ from magnitude.spaces import (
     points_on_line,
     validate_metric,
 )
+from magnitude.supports import SEARCH_LIMIT, search, similarity
 from magnitude.sweeps import fit_line
 from oracles import (
     EXACT_COVERING_LIMIT,
     active_set_held_z,
     ball_sample_points,
     covering_number,
+    kkt_gap,
     max_diversity_support_loop,
     named_graph_edges,
     packing_number,
@@ -224,7 +225,7 @@ def test_solver_matches_enumeration_oracle():
         (ball_sample(2, 1.0, 9, seed=8), 1.5),
     ]
     for sp, t in spaces:
-        fw = max_diversity(sp, t)
+        fw = _ladder(sp, t, 1e-9, 100_000)
         ex = max_diversity_exact(sp, t)
         assert fw.value == pytest.approx(ex.value, abs=1e-7)
 
@@ -287,7 +288,7 @@ def test_nonconvergence_carries_iterations_and_gap():
     # Frank-Wolfe runs; a positive definite Z would go to the active set
     assert not is_positive_definite(K32, 0.1)
     with pytest.raises(NonConvergence) as err:
-        max_diversity(K32, 0.1, tol=1e-15, max_iters=3)
+        _ladder(K32, 0.1, 1e-15, 3)
     assert err.value.iterations == 3
     assert err.value.gap > 0
 
@@ -295,8 +296,8 @@ def test_nonconvergence_carries_iterations_and_gap():
 def test_non_positive_definite_k32_stays_on_frank_wolfe():
     for t in (0.05, 0.1, 0.2, 0.3):
         assert not is_positive_definite(K32, t)
-        res = max_diversity(K32, t)
-        assert res.method == "frank_wolfe"
+        res = _ladder(K32, t, 1e-9, 100_000)
+        assert (res.method, res.certificate) == ("frank_wolfe", "stationary")
         assert res.kkt_gap <= 1e-9
 
 
@@ -305,7 +306,7 @@ def test_active_set_certifies_positive_definite_ball():
     sp = ball_sample(3, 1.0, 300, seed=3)
     assert is_positive_definite(sp, 4.0)
     res = max_diversity(sp, 4.0)
-    assert res.method == "active_set"
+    assert (res.method, res.certificate) == ("active_set", "global")
     assert res.kkt_gap <= 1e-12
     assert 1 <= res.iterations <= 3 * sp.n_points
     w = res.weights
@@ -340,8 +341,13 @@ def test_active_set_on_rows_is_the_held_z_active_set(dim, count, seed, t,
 
 
 def test_result_names_its_method():
-    assert max_diversity_exact(C5, 1.0).method == "support_enumeration"
-    assert max_diversity(C5, 1.0).method == "frank_wolfe"  # uniform optimum
+    for res in (max_diversity_exact(C5, 1.0), max_diversity(C5, 1.0)):
+        assert (res.method, res.certificate) == ("support_enumeration",
+                                                 "global")
+        assert res.iterations == 2**5 - 1
+    # the uniform optimum, stationary as far as Frank-Wolfe can tell
+    res = _ladder(C5, 1.0, 1e-9, 100_000)
+    assert (res.method, res.certificate) == ("frank_wolfe", "stationary")
 
 
 def _oracle_cases():
@@ -359,7 +365,7 @@ def _oracle_cases():
 @given(_oracle_cases())
 def test_solver_matches_enumeration_oracle_property(case):
     (name, sp), t = case
-    value = max_diversity(sp, t).value
+    value = _ladder(sp, t, 1e-9, 100_000).value
     exact = max_diversity_exact(sp, t).value
     assert value <= exact + 1e-7
     # on a Z that is not positive semidefinite the gap certifies only a
@@ -372,61 +378,194 @@ def test_solver_matches_enumeration_oracle_property(case):
 @pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.34])
 def test_solver_matches_oracle_on_non_positive_definite_k32(t):
     assert not is_positive_definite(K32, t)
-    assert max_diversity(K32, t).value == pytest.approx(
+    assert _ladder(K32, t, 1e-9, 100_000).value == pytest.approx(
         max_diversity_exact(K32, t).value, abs=1e-7)
 
 
 def _same_search(sp, t):
-    fast = max_diversity_exact(sp, t)
+    # the search against one np.linalg.solve per support (the Z of
+    # math.exp against np.exp's, and two eliminations, which may differ in
+    # the last bits): the value to rounding, the same support, and every
+    # support checked. The weights agree to cond(Z_S) eps: 7e-11 apart
+    # for K_{3,3} a relative 1e-6 past its pole at t = log 2
+    got = max_diversity_exact(sp, t)
     loop = max_diversity_support_loop(sp, t)
-    assert fast.value == loop.value
-    assert fast.support == loop.support
-    assert fast.kkt_gap == loop.kkt_gap
-    assert fast.iterations == loop.iterations == 2 ** sp.n_points - 1
-    assert fast.weights.tobytes() == loop.weights.tobytes()
+    assert got.value == pytest.approx(loop.value, rel=1e-12, abs=0)
+    assert got.support == loop.support
+    assert got.iterations == loop.iterations == 2 ** sp.n_points - 1
+    assert got.weights == pytest.approx(loop.weights, abs=1e-9)
+    assert got.kkt_gap == pytest.approx(loop.kkt_gap, abs=1e-9)
 
 
-def _small_spaces():
-    """Spaces of at most 10 points: seeded balls, points on a line, and
-    named graphs with K_{3,3} and K_{4,4} among them."""
-    balls = st.builds(lambda dim, count, seed: ball_sample(dim, 1.0, count, seed=seed),
-                      st.integers(1, 3), st.integers(1, 10), st.integers(0, 10_000))
-    lines = st.lists(st.integers(0, 4000), min_size=1, max_size=10,
-                     unique=True).map(lambda xs: points_on_line([x / 1000 for x in xs]))
-    graphs = st.sampled_from(["k32", "k3,3", "k4,4", "c5", "c6", "k4", "p4"]).map(
-        lambda name: graph_metric(named_graph_edges(name)))
-    return balls | lines | graphs
+def _bipartite_poles(a, b):
+    """The scales where Z of K_{a,b} is singular: x = exp(-2t) solves
+    (1 + (a-1) x)(1 + (b-1) x) = a b x, from the block of Z on the part
+    indicators (the other eigenvalues are 1 - x > 0)."""
+    qa, qb, qc = (a - 1) * (b - 1), a + b - 2 - a * b, 1
+    if qa == 0:
+        roots = [-qc / qb]
+    else:
+        disc = qb * qb - 4 * qa * qc
+        roots = [] if disc < 0 else [(-qb + sign * math.sqrt(disc)) / (2 * qa)
+                                     for sign in (-1, 1)]
+    return [-math.log(x) / 2 for x in roots if 0 < x < 1]
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random connected graph of at most 10 vertices: a random tree,
+    each vertex hung from an earlier one, and up to 2n more edges."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return graph_metric(sorted(edges), n_vertices=n)
+
+
+@st.composite
+def _bipartite_across_the_pole(draw):
+    """K_{a,b}, a + b <= 10, at one of its poles, near one, or anywhere."""
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(a, 10 - a))
+    poles = _bipartite_poles(a, b)
+    t = draw(st.floats(0.01, 3.0) | (st.sampled_from(poles).flatmap(
+        lambda p: st.sampled_from([p, p * (1 - 1e-9), p * (1 + 1e-6)]))
+        if poles else st.nothing()))
+    return graph_metric(named_graph_edges(f"k{a},{b}")), t
+
+
+def test_bipartite_poles():
+    # K_{3,2}'s one pole is log 2 / 2; at each pole Z has a zero eigenvalue
+    assert _bipartite_poles(3, 2) == [pytest.approx(np.log(2.0) / 2, rel=1e-15)]
+    for a, b in ((3, 3), (4, 5), (2, 7)):
+        for pole in _bipartite_poles(a, b):
+            z = similarity_matrix(graph_metric(named_graph_edges(f"k{a},{b}")),
+                                  pole)
+            assert np.abs(np.linalg.eigvalsh(z)).min() < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_small_spaces(), st.floats(0.05, 6.0) | st.just(np.log(2.0) / 2))
-def test_batched_support_search_is_the_support_loop(sp, t):
+@given(_connected_graphs() | st.integers(3, 10).map(
+    lambda n: graph_metric(named_graph_edges(f"c{n}"))), st.floats(0.01, 6.0))
+def test_support_search_is_the_support_loop(sp, t):
     _same_search(sp, t)
 
 
-def test_batched_support_search_at_the_k32_pole():
-    # Z of K_{3,2} is singular at t = log 2 / 2 in exact arithmetic
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_bipartite_across_the_pole())
+def test_support_search_across_the_bipartite_poles(case):
+    _same_search(*case)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 15), st.integers(0, 10_000),
+       st.floats(0.05, 6.0))
+def test_support_search_on_ball_samples(dim, count, seed, t):
+    _same_search(ball_sample(dim, 1.0, count, seed=seed), t)
+
+
+def test_support_search_at_the_k32_pole():
+    # Z of K_{3,2} is singular at t = log 2 / 2 in exact arithmetic; K_{3,3}
+    # and K_{4,4} are not positive semidefinite at these scales
     _same_search(K32, float(np.log(2.0) / 2))
     _same_search(graph_metric(named_graph_edges("k3,3")), 0.3)
     _same_search(graph_metric(named_graph_edges("k4,4")), 1.0)
 
 
-def test_singular_batch_falls_back_to_one_solve_per_support():
-    # at t = 1e-14 the points 1e-3 apart have similarity exactly 1, so
-    # the 2-point batch holds one exactly singular system among nonsingular
-    # ones: numpy refuses the batch, and each support is solved alone
+def test_singular_support_is_solved_without_the_factor(monkeypatch):
+    # at t = 1e-14 the points 1e-3 apart have similarity exactly 1, so the
+    # pair's bordering pivot is 0: it and every support below it in the
+    # search are solved by elimination alone, which finds the pair singular
     sp = points_on_line([0.0, 1e-3, 2e6, 5e6])
-    z = similarity_matrix(sp, 1e-14)
-    assert z[0, 1] == 1.0 and z[0, 2] < 1.0
-    pairs = np.array([[0, 1], [0, 2], [1, 3]])
-    stack = z[pairs[:, :, None], pairs[:, None, :]]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(stack, np.ones((3, 2, 1)))
-    ys = _solve_each(stack)
-    assert (ys[0] == 0.0).all()
-    for y, a in zip(ys[1:], stack[1:]):
-        assert y.tobytes() == np.linalg.solve(a, np.ones(2)).tobytes()
+    z = similarity(sp.distances.tolist(), 1e-14)
+    assert z[0][1] == 1.0 and z[0][2] < 1.0
+    import magnitude.supports as supports
+
+    solved = []
+    solve = supports._pivoted_solve
+
+    def recording(a):
+        y = solve(a)
+        solved.append((len(a), y is None))
+        return y
+
+    monkeypatch.setattr(supports, "_pivoted_solve", recording)
+    res = search(z)
+    # {0, 1} and the three supports below it, {0, 1, 2}, {0, 1, 2, 3} and
+    # {0, 1, 3}, each singular in floats; every other support has positive
+    # pivots, and its bordered weighting is tested as it is
+    assert solved == [(2, True), (3, True), (4, True), (3, True)]
+    assert res.iterations == 15
     _same_search(sp, 1e-14)
+
+
+def test_indefinite_supports_are_solved_again_with_pivoting(monkeypatch):
+    # on this 6-vertex graph at t = 0.1 a stationary support whose Z_S is
+    # not positive definite reaches the test before the maximum does: a
+    # candidate below a negative bordering pivot, and only such a one, is
+    # solved again by elimination with partial pivoting
+    import magnitude.supports as supports
+
+    solved = []
+    solve = supports._pivoted_solve
+
+    def recording(a):
+        solved.append(np.linalg.eigvalsh(np.array(a)).min())
+        return solve(a)
+
+    monkeypatch.setattr(supports, "_pivoted_solve", recording)
+    sp = graph_metric([(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 5),
+                       (2, 3), (2, 4), (3, 4), (4, 5)])
+    res = max_diversity(sp, 0.1)
+    assert res.certificate == "global"
+    assert len(solved) == 1 and solved[0] < 0
+    _same_search(sp, 0.1)
+
+
+def test_search_limit_routes_max_diversity():
+    # at most SEARCH_LIMIT points the answer is the search's, certified
+    # global, whatever tol and max_iters say; above it the ladder runs
+    sp = ball_sample(2, 1.0, SEARCH_LIMIT, seed=5)
+    for tol, iters in ((1e-9, 100_000), (1e-15, 1)):
+        res = max_diversity(sp, 0.5, tol, iters)
+        exact = max_diversity_exact(sp, 0.5)
+        assert res._replace(weights=None) == exact._replace(weights=None)
+        assert res.weights.tobytes() == exact.weights.tobytes()
+        assert res.certificate == "global"
+    big = ball_sample(2, 1.0, SEARCH_LIMIT + 1, seed=5)
+    assert max_diversity(big, 0.5).method in ("frank_wolfe", "active_set")
+
+
+def _spaces_up_to_15():
+    """Seeded balls of up to 15 points, and complete bipartite graphs and
+    cycles of up to 15 vertices, whose Z is not positive semidefinite at
+    small scales."""
+    balls = st.builds(lambda dim, count, seed: ball_sample(dim, 1.0, count, seed=seed),
+                      st.integers(1, 3), st.integers(1, 15), st.integers(0, 10_000))
+    graphs = st.sampled_from(["k32", "k3,3", "k4,4", "k5,5", "k6,6", "k7,8",
+                              "k2,9", "c7", "c12", "c15", "p11"]).map(
+        lambda name: graph_metric(named_graph_edges(name)))
+    return balls | graphs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_spaces_up_to_15(), st.floats(0.05, 6.0))
+@example(graph_metric(named_graph_edges("k6,6")), 0.5)
+@example(ball_sample(3, 1.0, 14, seed=3), 4.0)
+def test_a_global_certificate_is_the_maximum(sp, t):
+    # every rung: the search (at most SEARCH_LIMIT points), the active set
+    # and Frank-Wolfe; a stationary value is a lower bound, and the
+    # certificate of K_{6,6} at t = 0.5 is no more than that (1.852 at the
+    # uniform saddle against 2.113)
+    res = max_diversity(sp, t)
+    want = max_diversity_support_loop(sp, t).value
+    assert res.certificate in ("global", "stationary")
+    assert (res.certificate == "stationary") == (res.method == "frank_wolfe")
+    if res.certificate == "global":
+        assert res.value == pytest.approx(want, rel=1e-8, abs=0)
+    else:
+        assert res.value <= want * (1 + 1e-12)
 
 
 def test_exact_solver_size_limit():

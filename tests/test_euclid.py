@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from magnitude import euclid
 from magnitude.euclid import (
     BALL_DIMENSION_LIMIT,
     CoefficientUnderflow,
@@ -155,6 +156,37 @@ def test_balls_past_five_dimensions():
         for r in (0.01, 0.1, 1.0, 10.0, 100.0):
             assert ball_magnitude(n, r) > prev
             prev = ball_magnitude(n, r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.sampled_from(range(1, BALL_DIMENSION_LIMIT + 1, 2)),
+       r=st.fractions(min_value=0, max_value=10**6, max_denominator=10**12)
+       | st.floats(0.0, 1e300).map(F))
+@example(n=BALL_DIMENSION_LIMIT, r=F(10**21))
+@example(n=BALL_DIMENSION_LIMIT, r=F(1, 10**9))
+@example(n=1, r=F(0))
+def test_ball_is_at_least_its_volume_term(n, r):
+    # |B^n_R| >= vol / (n! omega_n) = R^n / n! (Barcelo-Carbery), the bound
+    # that lets ball_magnitude refuse an overflowing radius at once
+    assert ball_magnitude_exact(n, r) >= r**n / math.factorial(n)
+
+
+@pytest.mark.parametrize("r", [1e21, 1e22, 1e308])
+def test_ball_overflow_is_refused_before_the_exact_form(monkeypatch, r):
+    # R^n / n! passes the double maximum at n = 15 from R = 1e22 on; the
+    # refusal keeps finite_result's message and builds no Hankel entry
+    n = BALL_DIMENSION_LIMIT
+    if r == 1e21:
+        assert ball_magnitude(n, r) == 7.647163731819816e+302
+        return
+
+    def refuse(*args):
+        raise AssertionError("the exact form was built")
+
+    monkeypatch.setattr(euclid, "ball_magnitude_exact", refuse)
+    with pytest.raises(ResultOverflow,
+                       match="^ball_magnitude overflows the double range$"):
+        ball_magnitude(n, r)
 
 
 def test_ball_forms_share_one_domain():

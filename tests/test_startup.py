@@ -1,8 +1,9 @@
 """Cold start: each command imports only the modules it computes with.
 
-The package import, the exact commands (pixel, the Euclidean oracles)
-and the commands that the line rung solves (mag, weights, magfn,
-diversity, dim and approx on a space of a line kind) load no numpy, and
+The package import, the exact commands (pixel, the Euclidean oracles),
+the commands that the line rung solves (mag, weights, magfn, diversity,
+dim and approx on a space of a line kind) and diversity on a graph that
+the support search takes load no numpy, and
 no command loads scipy or numpy.ma: the dense solves run on numpy alone.
 No command loads numpy.random or OpenSSL (hashlib's _hashlib) either:
 ball samples draw from the standard library's random.Random, and digests
@@ -145,6 +146,21 @@ def test_line_command_does_not_import_numpy(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("diversity", "--graph", "k32"),
+    ("diversity", "--graph", "k3,3", "--exact"),
+    ("diversity", "--graph", "k7,8", "--exact", "--t", "0.3"),
+    ("diversity", "--spec", '{"kind": "graph_shortest_path", "params": '
+                            '{"edges": [[0, 1], [1, 2], [2, 0], [2, 3]]}}'),
+], ids=["graph", "exact", "exact-15", "spec"])
+def test_small_graph_diversity_does_not_import_numpy(argv):
+    # a graph within supports.SEARCH_LIMIT, or EXACT_LIMIT with --exact,
+    # is searched from specs.graph_rows, in pure Python
+    rep = probe(*argv)
+    assert rep["code"] == 0
+    assert rep["numpy"] is False
+
+
+@pytest.mark.parametrize("argv", [
     ("mag", "--points-1d", "0,1"),
     ("magfn", "--graph", "k32", "--tmin", "0.3", "--tmax", "0.4",
      "--steps", "3"),
@@ -167,7 +183,8 @@ def test_no_command_loads_dataclasses(argv):
     (),
     ("pixel", "--ascii", r"##\n#."),
     ("diversity", "--grid", "3x3"),
-    ("diversity", "--graph", "k32"),
+    # a graph above supports.SEARCH_LIMIT, whose solve loads numpy
+    ("diversity", "--graph", "c24"),
     ("dim", "--grid", "4x4", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
     ("oracle", "--ball", "3,1"),
 ], ids=["import", "pixel", "diversity", "graph", "dim", "oracle"])
