@@ -22,7 +22,8 @@ that specs.KINDS checks as it checks a --spec: a flag its kind does not
 take is bad input. --tol, which must be positive, is the
 Frank-Wolfe gap target of diversity and dim; the other commands refuse
 it, since the dense solve refines to its own rounding floor (see
-engine). Results never hold NaN or Infinity, which are not JSON; a
+engine), and diversity --exact, which runs no Frank-Wolfe, refuses it and
+--max-iters. Results never hold NaN or Infinity, which are not JSON; a
 diagnostic with no finite value, such as the condition estimate of a
 singular matrix, is written as null.
 
@@ -392,6 +393,9 @@ def _cmd_check(args, command, t0) -> int:
 def _cmd_diversity(args, command, t0) -> int:
     from .supports import EXACT_LIMIT, SEARCH_LIMIT
 
+    unread = _given(args, "tol", "max_iters") if args.exact else None
+    if unread:
+        raise BadSpec(f"--exact takes no --{unread.replace('_', '-')}")
     space, inputs = _space_inputs(
         args, line=True,
         graph_limit=EXACT_LIMIT if args.exact else SEARCH_LIMIT)
@@ -411,7 +415,9 @@ def _cmd_diversity(args, command, t0) -> int:
             res = dv.max_diversity_exact(space, args.t)
         else:
             try:
-                res = dv.max_diversity(space, args.t, args.tol, args.max_iters)
+                res = dv.max_diversity(
+                    space, args.t, 1e-9 if args.tol is None else args.tol,
+                    100_000 if args.max_iters is None else args.max_iters)
             except dv.NonConvergence as exc:
                 results = {"t": args.t, "method": "frank_wolfe",
                            "converged": False, "kkt_gap": exc.gap,
@@ -442,12 +448,11 @@ def _cmd_dim(args, command, t0) -> int:
     space, inputs = _space_inputs(args, line=args.method == "diversity_growth")
     if isinstance(space, list):
         from . import tridiagonal
-        from .sweeps import growth_estimate, growth_scales
+        from .sweeps import diversity_growth, growth_scales
 
         ts = growth_scales(args.tmin, args.tmax, args.samples)
-        est = growth_estimate(
-            ts, [tridiagonal.max_diversity(space, t).value for t in ts],
-            args.method)
+        est = diversity_growth(
+            ts, [tridiagonal.max_diversity(space, t) for t in ts])
         xs = sorted(space)
         finest = min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
     else:
@@ -756,7 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--exact", action="store_true",
                              help="support search also above 10 points, "
                                   "up to 15")
-            sub.add_argument("--max-iters", type=_count, default=100_000)
+            # --tol and --max-iters default to None, so that --exact,
+            # which never reads them, can refuse them
+            sub.add_argument("--max-iters", type=_count,
+                             help="default 100000; not with --exact")
         if name == "dim":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
@@ -767,9 +775,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("diversity", "dim"):
             # growth fits need a laxer optimizer gap than single solves
             sub.add_argument("--tol", type=_positive_float,
-                             default=1e-9 if name == "diversity" else 1e-6,
+                             default=None if name == "diversity" else 1e-6,
                              help="Frank-Wolfe duality gap target "
-                                  "(spaces of more than 10 points)")
+                                  "(spaces of more than 10 points)" + (
+                                      "; default 1e-9, not with --exact"
+                                      if name == "diversity" else ""))
 
     sub = subs.add_parser("pixel", help="exact pixel-set and convex-body machinery")
     g = sub.add_mutually_exclusive_group(required=True)

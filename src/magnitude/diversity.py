@@ -7,10 +7,11 @@ over the probability simplex; for positive definite Z the optimum is
 unique and never exceeds the magnitude, with equality exactly when the
 weighting is nonnegative (subsets of the real line, for instance).
 
-A space of at most SEARCH_LIMIT points (supports) is searched exactly:
-every support is checked (supports.search), and the answer is the global
-maximum whether or not Z is positive semidefinite. max_diversity_exact
-runs the same search on up to EXACT_DIVERSITY_LIMIT points.
+A space of at most SEARCH_LIMIT points (supports) is searched exactly
+over the supports whose Z_S is positive definite (supports.search), and
+the answer is the global maximum whether or not Z is positive
+semidefinite. max_diversity_exact runs the same search on up to
+EXACT_DIVERSITY_LIMIT points.
 
 A larger space climbs a ladder of three rungs, each certified by the
 measured Frank-Wolfe duality gap 2 (mu' Z mu - min (Z mu)) <= tol on
@@ -45,7 +46,7 @@ the unmodified Z:
 
 No rung forms the n x n Z. Every answer is a DiversityResult: the value,
 the maximizing distribution mu as read-only weights, its support, the
-gap, iterations (supports checked, for the search) and the method, with
+gap, iterations (supports visited, for the search) and the method, with
 its certificate: "global" from the search and the active set, whose Z is
 positive definite; "stationary" from Frank-Wolfe, whose gap certifies a
 maximum only where Z is positive semidefinite, which nothing here proves
@@ -80,6 +81,7 @@ from .supports import SEARCH_LIMIT
 from .sweeps import (  # noqa: F401  (DimensionEstimate re-exported)
     DimensionEstimate,
     DiversityResult,
+    diversity_growth,
     growth_estimate,
     growth_scales,
 )
@@ -351,8 +353,10 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
                        tol: float = 1e-6, max_iters: int = 300_000) -> DimensionEstimate:
     """Least-squares slope of log(quantity) against log(scale).
 
-    diversity_growth uses maximum diversity at each t; covering_growth
-    uses the greedy covering number at radius 1/t. The scales are
+    diversity_growth uses maximum diversity at each t, and its
+    certificate is "global" only where every sample's is (else
+    "stationary"); covering_growth uses the greedy covering number at
+    radius 1/t, with no certificate. The scales are
     sweeps.growth_scales', which refuses a window that leaves fewer than
     4 distinct fitted log-scales as WindowTooNarrow before any quantity
     is computed; the first and last samples are dropped before fitting,
@@ -363,9 +367,10 @@ def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
     """
     ts = growth_scales(t_min, t_max, samples)
     if method == "diversity_growth":
-        vals = [max_diversity(space, t, tol, max_iters).value for t in ts]
-    elif method == "covering_growth":
-        vals = [greedy_covering_number(space, 1.0 / t) for t in ts]
-    else:
-        raise DiversityError(f"unknown method {method!r}")
-    return growth_estimate(ts, [float(v) for v in vals], method)
+        return diversity_growth(
+            ts, [max_diversity(space, t, tol, max_iters) for t in ts])
+    if method == "covering_growth":
+        return growth_estimate(
+            ts, [float(greedy_covering_number(space, 1.0 / t)) for t in ts],
+            method)
+    raise DiversityError(f"unknown method {method!r}")

@@ -47,8 +47,9 @@ class DiversityResult(NamedTuple):
     weights: np.ndarray | tuple
     support: tuple   # the indices it is positive on
     kkt_gap: float
-    # Frank-Wolfe iterations, active-set passes, supports checked, or the
-    # line rung's one solve
+    # Frank-Wolfe iterations, active-set passes, the supports the search
+    # visited (those whose Z_S is positive definite), or the line rung's
+    # one solve
     iterations: int
     # "frank_wolfe", "active_set", "support_enumeration" or "line"
     method: str
@@ -93,6 +94,9 @@ class DimensionEstimate(NamedTuple):
     window: tuple
     fit_residual: float
     method: str
+    # diversity_growth's: "global" where every sample is, else "stationary";
+    # None for covering_growth
+    certificate: str | None
 
 
 def growth_scales(t_min: float, t_max: float, samples: int) -> list[float]:
@@ -115,7 +119,8 @@ def growth_scales(t_min: float, t_max: float, samples: int) -> list[float]:
     return ts
 
 
-def growth_estimate(ts: list[float], vals: list[float], method: str) -> DimensionEstimate:
+def growth_estimate(ts: list[float], vals: list[float], method: str,
+                    certificate: str | None = None) -> DimensionEstimate:
     """The slope of log(vals) against log(ts), the first and last samples
     dropped, fitted in closed form (fit_line); DiversityError where a
     quantity is not positive."""
@@ -124,7 +129,16 @@ def growth_estimate(ts: list[float], vals: list[float], method: str) -> Dimensio
     slope, _, resid = fit_line([math.log(t) for t in ts[1:-1]],
                                [math.log(v) for v in vals[1:-1]])
     return DimensionEstimate(slope, (float(ts[0]), float(ts[-1])), resid,
-                             method)
+                             method, certificate)
+
+
+def diversity_growth(ts: list[float], results) -> DimensionEstimate:
+    """The diversity_growth fit through the DiversityResults at the scales
+    ts, certified "global" only where every sample is."""
+    certificate = ("global" if all(r.certificate == "global" for r in results)
+                   else "stationary")
+    return growth_estimate(ts, [float(r.value) for r in results],
+                           "diversity_growth", certificate)
 
 
 def fit_line(x, y) -> tuple[float, float, float]:

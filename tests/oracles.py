@@ -28,9 +28,11 @@ route, so a test can compare the two.
 * diversity: the Frank-Wolfe gap of a distribution on a held Z
   (kkt_gap), maximum diversity by solving the supports one at a time
   with numpy (max_diversity_support_loop), against which the support
-  search is checked, the Lawson-Hanson active set on a held n x n Z
-  (active_set_held_z), exact covering numbers by branch and bound, and
-  greedy packing numbers as their lower bound.
+  search is checked, with the positive definite supports among them
+  counted by numpy's eigenvalues (smallest_eigenvalues), the
+  Lawson-Hanson active set on a held n x n Z (active_set_held_z), exact
+  covering numbers by branch and bound, and greedy packing numbers as
+  their lower bound.
 
 Tests import it as `from oracles import ...`.
 """
@@ -437,19 +439,31 @@ def kkt_gap(z: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * (mu @ q - q.min()))
 
 
+def smallest_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of Z_S for every support S of the symmetric
+    z, in size-then-lexicographic order: one batched np.linalg.eigvalsh
+    for each size."""
+    n = z.shape[0]
+    out = []
+    for size in range(1, n + 1):
+        subs = np.array(list(combinations(range(n), size)))
+        out.append(np.linalg.eigvalsh(z[subs[:, :, None], subs[:, None, :]])[:, 0])
+    return np.concatenate(out)
+
+
 def max_diversity_support_loop(space: FiniteMetricSpace,
                                t: float = 1.0) -> DiversityResult:
     """The support search of supports.search, one np.linalg.solve per
-    support in size-then-lexicographic order: the same feasibility tests,
-    a singular support skipped but counted, and the first support whose
-    value lies within a relative TIE_TOL of the largest kept."""
+    support in size-then-lexicographic order: the same feasibility tests
+    on every support, a singular one skipped, and the first support whose
+    value lies within a relative TIE_TOL of the largest kept. Its
+    iterations count the supports whose Z_S numpy's eigenvalues find
+    positive definite, those the search visits."""
     n = space.n_points
     z = similarity_matrix(space, t)
     found = []
-    checked = 0
     for size in range(1, n + 1):
         for sub in combinations(range(n), size):
-            checked += 1
             idx = np.array(sub)
             zs = z[np.ix_(idx, idx)]
             try:
@@ -472,7 +486,8 @@ def max_diversity_support_loop(space: FiniteMetricSpace,
     top = max(total for total, _, _ in found)
     total, mu, sub = next(c for c in found if c[0] >= top - TIE_TOL * top)
     mu.setflags(write=False)  # read-only, as max_diversity_exact returns it
-    return DiversityResult(total, mu, sub, kkt_gap(z, mu), checked,
+    definite = int((smallest_eigenvalues(z) > 0.0).sum())
+    return DiversityResult(total, mu, sub, kkt_gap(z, mu), definite,
                            "support_enumeration", "global")
 
 

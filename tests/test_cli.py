@@ -268,6 +268,10 @@ def test_non_finite_flag_exits_two(capsys, argv):
     ("diversity", "--points-1d", "0,1,3", "--tol", "-1"),
     ("diversity", "--points-1d", "0,1,3", "--tol", "0"),
     ("dim", "--grid", "50", "--tmin", "1", "--tmax", "10", "--tol", "-1"),
+    # --exact runs no Frank-Wolfe, which alone reads --tol and --max-iters
+    ("diversity", "--graph", "k32", "--exact", "--tol", "1e-3", "--t", "0.5"),
+    ("diversity", "--graph", "k32", "--exact", "--max-iters", "5", "--t",
+     "0.5"),
     # --length is the Cantor set's alone
     ("oracle", "--points", "0,1", "--length", "5"),
     ("oracle", "--ball", "3,1", "--length", "5"),
@@ -835,7 +839,7 @@ def test_csv_scalar_format(capsys):
     (("diversity", "--points-1d", "0,1,3", "--exact"),
      "t method value support kkt_gap supports_checked certificate"),
     (("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
-     "slope window fit_residual method samples window_warning"),
+     "slope window fit_residual method certificate samples window_warning"),
     (("approx", "--grid-sizes", "3,5"),
      "level n_points magnitude status delta"),
     (("pixel", "--ascii", r"###\n#.#\n###", "--intrinsic", "--t", "2"),
@@ -986,6 +990,26 @@ def test_dim_overresolution_warning(capsys):
         "window may overresolve the space")
     assert err == ""  # the warning is the field alone
     assert rep["results"]["method"] == "diversity_growth"
+
+
+@pytest.mark.parametrize("argv, certificate", [
+    # Frank-Wolfe answers K_{6,6}, 12 vertices, and is only stationary;
+    # the search certifies every sample of C_5
+    (("--graph", "k6,6", "--tmin", "0.1", "--tmax", "2", "--samples", "6"),
+     "stationary"),
+    (("--graph", "c5", "--tmin", "0.1", "--tmax", "2", "--samples", "6"),
+     "global"),
+    # the line rung's every sample is the maximum
+    (("--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+     "global"),
+    (("--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6",
+      "--method", "covering_growth"), None),
+])
+def test_dim_prints_the_weakest_certificate_of_its_samples(capsys, argv,
+                                                           certificate):
+    code, rep, _ = run_json(capsys, "dim", *argv)
+    assert code == 0
+    assert rep["results"]["certificate"] == certificate
 
 
 def test_dim_narrow_window_exits_two(capsys):

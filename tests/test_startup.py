@@ -310,31 +310,36 @@ README_QUICK_START = (
 BENCHMARK_RECORDS = (("diversity", "backend_name"),)
 
 
-def _package_names(package):
-    """(defs, resolve, node) for the package's modules.
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
-    defs maps each module to its top-level functions and classes. resolve
-    takes (module, name) to the (module, name) of the top-level def or
-    assignment it denotes, following imports from within the package (at
-    any depth of the module) through re-exports; to (module, None) for an
-    imported module; to None for a name from outside the package. node
-    gives the syntax tree of a resolved (module, name)."""
-    defs, assigns, imports = {}, {}, {}
+
+def _package_names(package):
+    """(tops, resolve, node) for the package's modules.
+
+    tops maps each module to its top-level functions, classes and
+    assignments. resolve takes (module, name) to the (module, name) of
+    the top-level def or assignment it denotes, following imports from
+    within the package (at any depth of the module) through re-exports;
+    to (module, None) for an imported module; to None for a name from
+    outside the package. node gives the syntax tree of a resolved
+    (module, name)."""
+    tops, imports = {}, {}
     for path in sorted(package.glob("*.py")):
         mod, tree = path.stem, ast.parse(path.read_text())
-        defs[mod] = {n.name: n for n in tree.body if isinstance(
-            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-        assigns[mod] = {
+        tops[mod] = {
             t.id: n for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
             if isinstance(t, ast.Name)}
+        tops[mod].update({n.name: n for n in tree.body if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))})
         imports[mod] = {
             a.asname or a.name: (a.name, None) if n.module is None else (n.module, a.name)
             for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1
             for a in n.names}
 
     def resolve(mod, name):
-        if name in defs.get(mod, {}) or name in assigns.get(mod, {}):
+        if name in tops.get(mod, {}):
             return mod, name
         target = imports.get(mod, {}).get(name)
         if target is None or target[1] is None:
@@ -343,19 +348,23 @@ def _package_names(package):
 
     def node(key):
         mod, name = key
-        return defs[mod].get(name) or assigns[mod][name]
+        return tops[mod][name]
 
-    return defs, resolve, node
+    return tops, resolve, node
 
 
 def unreached_defs(package, roots):
-    """Module-level functions and classes that no root reaches by name.
+    """Module-level functions, classes and assignments that no root
+    reaches by name.
 
     Every name a reached def or assignment uses is resolved in its module;
     `module.attr` resolves attr in the imported module. Dunder hooks
-    (__getattr__, __dir__) are the interpreter's and count as reached."""
-    defs, resolve, node = _package_names(package)
-    seen, work = set(), [resolve(*root) for root in roots]
+    (__getattr__, __dir__) are the interpreter's: they are roots, and
+    every dunder name counts as reached."""
+    tops, resolve, node = _package_names(package)
+    hooks = [(mod, name) for mod, names in tops.items() for name in names
+             if _dunder(name)]
+    seen, work = set(), [resolve(*root) for root in (*roots, *hooks)]
     while work:
         key = work.pop()
         if key is None or key[1] is None or key in seen:
@@ -369,9 +378,8 @@ def unreached_defs(package, roots):
                 target = resolve(mod, sub.value.id)
                 if target is not None and target[1] is None:
                     work.append(resolve(target[0], sub.attr))
-    return sorted((mod, name) for mod, names in defs.items() for name in names
-                  if (mod, name) not in seen
-                  and not (name.startswith("__") and name.endswith("__")))
+    return sorted((mod, name) for mod, names in tops.items() for name in names
+                  if (mod, name) not in seen and not _dunder(name))
 
 
 def _roots():
@@ -390,5 +398,5 @@ def test_every_root_names_a_def():
 
 
 def test_every_def_in_the_package_is_reached():
-    # a def nothing reaches belongs in tests/oracles.py or nowhere
+    # a def or constant nothing reaches belongs in tests/oracles.py or nowhere
     assert unreached_defs(PACKAGE, _roots()) == []
