@@ -39,10 +39,11 @@ parse failure as a BadSpec; check instead reports an invalid metric in
 its envelope, with exit 2.
 
 Each command imports only the modules it computes with: the package
-modules that need numpy (spaces, engine, diversity, lines) are imported
-inside the handlers and branches that use them, so pixel and the
-Euclidean oracles run without numpy, and only pixel and oracle load
-fractions. A space of a line kind (points_1d, lp_grid with a one-entry
+modules that need numpy (spaces, engine, diversity) are imported inside
+the handlers and branches that use them, so pixel and oracle run without
+numpy, and only pixel and oracle load fractions. oracle --points prints
+the line rung's weights (tridiagonal), the bits weights --points-1d
+prints. A space of a line kind (points_1d, lp_grid with a one-entry
 shape, cantor_endpoints), named by its flag or by a --spec, runs without
 numpy too in mag, weights, magfn, diversity (with --exact as well: the
 magnitude, on every point), dim --method diversity_growth and approx
@@ -107,11 +108,6 @@ INPUT_ERRORS = (
     MetricError, BadSpec, MatrixParseError, NonpositiveScale, ResultOverflow,
     PixelError, LineError, EuclidError, TooLarge, WindowTooNarrow,
 )
-
-# oracle sources with line closed forms (numpy); the rest are Euclidean
-# (math only)
-_LINE_ORACLES = ("points", "interval", "compact", "cantor")
-
 
 def _rat(x) -> str:
     """An exact rational as "p/q"; only pixel and oracle print one, and
@@ -308,7 +304,7 @@ def _emit_csv(results) -> None:
 
         put("", results)
         for k, v in flat.items():
-            print(f"{k},{v}")
+            print(f"{k},{'' if v is None else v}")
         return
     print(results)
 
@@ -579,16 +575,15 @@ def _cmd_oracle(args, command, t0) -> int:
                  "sphere", "residual", "conjecture", "leading")
     if args.length is not None and src != "cantor":
         raise BadSpec(f"--{src} takes no --length")
-    if src in _LINE_ORACLES:
-        from . import lines
-    else:
-        from . import euclid
+    from . import euclid, lines
+
     if src == "points":
         pts = _parse_floats(args.points)
-        xs, w = lines.line_weighting(pts, args.t)
-        results = {"magnitude": lines.line_magnitude(pts, args.t),
-                   "weighting": [float(v) for v in w],
-                   "points": [float(v) for v in xs]}
+        t = positive_scale(args.t)  # a bad scale is named before bad points
+        xs = lines.sorted_points(pts)
+        res = _solve(xs, t)
+        results = {"magnitude": res.magnitude,
+                   "weighting": list(res.weighting), "points": xs}
         inputs = {"points": pts, "t": args.t}
     elif src == "interval":
         a, b = _parse_numbers(args.interval, "--interval", "a,b")

@@ -17,14 +17,18 @@ masses 1/2 at each endpoint plus uniform density t/2 inside, and each gap
 of width g between consecutive components contributes tanh(t g / 2). The
 middle-thirds set is the depth limit of such unions; its magnitude is the
 convergent series 1 + sum_{i>=1} 2^(i-1) tanh(t L / (2 * 3^i)).
+
+The line rung (tridiagonal) produces the weights of a finite set for every
+command, oracle --points included, which checks its points here first;
+line_weighting and line_magnitude are the independent reference that the
+tests and the benchmark check the rung against. Only line_weighting loads
+numpy, for the arrays it returns.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import count
-
-import numpy as np
 
 from .errors import LineError, finite, finite_result, positive_scale
 
@@ -52,54 +56,45 @@ class OverlappingGaps(LineError):
         )
 
 
-def _sorted_points(points) -> np.ndarray:
-    x = np.sort(np.asarray(list(points), dtype=float))
-    if x.size == 0:
+def sorted_points(points) -> list[float]:
+    """points as sorted floats: LineError if there are none or one is not
+    finite, DuplicatePoints if two are equal."""
+    x = sorted(finite(float(v), "coordinate", error=LineError) for v in points)
+    if not x:
         raise LineError("need at least one point")
-    eq = np.flatnonzero(_gaps(x) == 0)
-    if eq.size:
-        raise DuplicatePoints(float(x[eq[0]]))
+    for a, b in zip(x, x[1:]):
+        if a == b:
+            raise DuplicatePoints(a)
     return x
 
 
-def _gaps(x: np.ndarray) -> np.ndarray:
-    """Consecutive gaps of sorted points; one beyond the double range is
-    inf, where tanh(t gap / 2) is exactly 1."""
-    with np.errstate(over="ignore"):
-        return np.diff(x)
+def _half_tanh(t: float, gaps) -> list[float]:
+    """tanh(t gap / 2) per gap; a gap or t gap past the double range is
+    inf, where tanh is exactly 1."""
+    return [math.tanh(t * g / 2.0) for g in gaps]
 
 
-def _half_tanh(t: float, gaps) -> np.ndarray:
-    """tanh(t gap / 2) per gap; t gap may overflow to inf, where tanh is
-    exactly 1."""
-    with np.errstate(over="ignore"):
-        return np.tanh(t * np.asarray(gaps, dtype=float) / 2.0)
-
-
-def line_weighting(points, t: float) -> tuple[np.ndarray, np.ndarray]:
+def line_weighting(points, t: float):
     """Exact weighting of a finite subset of R at scale t.
 
-    Returns (sorted coordinates, weights). Weights are strictly positive.
+    Returns (sorted coordinates, weights) as numpy arrays. Weights are
+    strictly positive.
     """
+    import numpy as np
+
     t = positive_scale(t)
-    x = _sorted_points(points)
-    n = x.size
-    if n == 1:
-        return x, np.ones(1)
-    half = _half_tanh(t, _gaps(x))  # one term per gap
-    w = np.empty(n)
-    w[0] = (1.0 + half[0]) / 2.0
-    w[-1] = (1.0 + half[-1]) / 2.0
-    if n > 2:
-        w[1:-1] = (half[:-1] + half[1:]) / 2.0
-    return x, w
+    x = sorted_points(points)
+    # one term per gap, and 1 past each end
+    half = [1.0, *_half_tanh(t, [b - a for a, b in zip(x, x[1:])]), 1.0]
+    w = [(a + b) / 2.0 for a, b in zip(half, half[1:])]
+    return np.array(x), np.array(w)
 
 
 def line_magnitude(points, t: float) -> float:
     """1 + sum of tanh(t gap / 2) over consecutive gaps."""
     t = positive_scale(t)
-    x = _sorted_points(points)
-    return 1.0 + float(_half_tanh(t, _gaps(x)).sum())
+    x = sorted_points(points)
+    return 1.0 + math.fsum(_half_tanh(t, [b - a for a, b in zip(x, x[1:])]))
 
 
 @finite_result
@@ -144,7 +139,7 @@ def compact_magnitude(components, t: float) -> float:
     comp = _checked_components(components)
     vol = sum(b - a for a, b in comp)
     gaps = [a2 - b1 for (_, b1), (a2, _) in zip(comp, comp[1:])]
-    return 1.0 + t * vol / 2.0 + float(_half_tanh(t, gaps).sum())
+    return 1.0 + t * vol / 2.0 + math.fsum(_half_tanh(t, gaps))
 
 
 @finite_result

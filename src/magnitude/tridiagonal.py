@@ -30,10 +30,12 @@ each point, L_k = 1 + a_{k-1} L_{k-1} and R_k = 1 + a_k R_{k+1}), and
 ||Z^-1||_1 the largest absolute row sum of the tridiagonal entries; and
 the residual max |1 - Z w|, Z w formed by the same two sweeps over w.
 
-lines.py holds the tanh closed forms of the same weights, which this
-module does not call: the tests and the benchmark check the rung against
-them and against the dense solve, which the library still runs on any
-FiniteMetricSpace.
+This is the one producer of a finite line set's weights: mag, weights,
+magfn, diversity, dim and oracle --points print them from here. lines.py
+holds the tanh closed forms of the same weights, which this module does
+not call: they are the reference that the tests and the benchmark check
+the rung against, beside the dense solve, which the library still runs on
+any FiniteMetricSpace.
 """
 
 from __future__ import annotations

@@ -826,6 +826,20 @@ def test_csv_scalar_format(capsys):
     assert float(rows["magnitude"]) == pytest.approx(1.4621171572600098, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("mag", "--points-1d", "0,1e-310,1"), "condition_estimate"),
+    (("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6",
+      "--method", "covering_growth"), "certificate"),
+], ids=["condition", "certificate"])
+def test_csv_null_scalar_is_an_empty_field(capsys, argv, key):
+    # JSON writes these as null; a CSV row leaves the field empty, as a
+    # sweep row does
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert f"{key},\n" in out
+    assert "None" not in out
+
+
 @pytest.mark.parametrize("argv, keys", [
     (("mag", "--points-1d", "0,1,3"),
      "t magnitude status condition_estimate residual n_points"),
@@ -1340,6 +1354,33 @@ def test_scale_and_tolerance_flags_property(command, t, tol):
         assert out, argv
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert "Warning" not in err, argv
+
+
+def _weights_in_sorted_order(xs, weights):
+    return [w for _, w in sorted(zip(xs, weights))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(xs=st.lists(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                             st.sampled_from([1e-310, 5e-324, 1.0, 7.5])),
+                   min_size=1, max_size=12, unique=True),
+       t=st.sampled_from(["0.001", "1", "3", "1e3"]))
+@example(xs=[0.0, 1e-310, 1.0, 7.5, 7.50000001], t="3")
+@example(xs=[7.50000001, 1.0, 0.0, 7.5, 1e-310], t="3")
+def test_oracle_points_prints_the_line_rungs_weights(xs, t):
+    # one producer: the closed form of a finite line set prints the bits
+    # weights --points-1d prints, the weighting in sorted order
+    text = ",".join(map(repr, xs))
+    code, out, err, _ = _call(["oracle", f"--points={text}", "--t", t])
+    assert code == 0, err
+    oracle = strict_loads(out)["results"]
+    code, out, err, _ = _call(["weights", f"--points-1d={text}", "--t", t])
+    assert code == 0, err
+    weights = strict_loads(out)["results"]
+    assert oracle["points"] == sorted(xs)
+    assert oracle["magnitude"] == weights["magnitude"]
+    assert oracle["weighting"] == _weights_in_sorted_order(
+        xs, weights["weighting"])
 
 
 @pytest.mark.parametrize("log", [False, True])

@@ -81,6 +81,11 @@ def test_line_input_errors():
         line_magnitude([], 1.0)
     with pytest.raises(NonpositiveScale):
         line_magnitude([0.0, 1.0], 0.0)
+    for bad in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(LineError, match="finite"):
+            line_magnitude(bad, 1.0)
+    with pytest.raises(LineError, match="finite"):
+        line_weighting([math.nan, 0.0, 1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

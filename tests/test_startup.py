@@ -88,8 +88,13 @@ def box_file(tmp_path_factory):
     ("oracle", "--residual", "2,1"),
     ("oracle", "--conjecture", "3,1"),
     ("oracle", "--leading", "3,1"),
+    ("oracle", "--points", "0,1,3"),
+    ("oracle", "--interval", "0,2"),
+    ("oracle", "--compact", "0,1;2,3"),
+    ("oracle", "--cantor"),
 ], ids=["import", "intrinsic", "weights", "convexity", "bounds", "pixel-file",
-        "ball", "sphere", "residual", "conjecture", "leading"])
+        "ball", "sphere", "residual", "conjecture", "leading", "points",
+        "interval", "compact", "cantor"])
 def test_exact_command_does_not_import_numpy(argv, box_file):
     rep = probe(*(box_file if a is None else a for a in argv))
     assert rep["code"] in (None, 0)
@@ -305,9 +310,10 @@ README_QUICK_START = (
     ("pixels", "build_body"), ("pixels", "ConvexBodySpec"),
     ("pixels", "body_magnitude_bounds"),
 )
-# perfbench/run.py records magnitude.backend_name() with every run, so it
-# stays until the benchmark stops recording it
-BENCHMARK_RECORDS = (("diversity", "backend_name"),)
+# perfbench/run.py records magnitude.backend_name() with every run, and
+# perfbench/checks.py checks the line rung's weights against
+# lines.line_weighting, so both stay until the benchmark stops using them
+BENCHMARK_RECORDS = (("diversity", "backend_name"), ("lines", "line_weighting"))
 
 
 def _dunder(name: str) -> bool:
