@@ -1356,10 +1356,6 @@ def test_scale_and_tolerance_flags_property(command, t, tol):
     assert "Warning" not in err, argv
 
 
-def _weights_in_sorted_order(xs, weights):
-    return [w for _, w in sorted(zip(xs, weights))]
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(xs=st.lists(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
                              st.sampled_from([1e-310, 5e-324, 1.0, 7.5])),
@@ -1379,8 +1375,8 @@ def test_oracle_points_prints_the_line_rungs_weights(xs, t):
     weights = strict_loads(out)["results"]
     assert oracle["points"] == sorted(xs)
     assert oracle["magnitude"] == weights["magnitude"]
-    assert oracle["weighting"] == _weights_in_sorted_order(
-        xs, weights["weighting"])
+    assert oracle["weighting"] == [
+        w for _, w in sorted(zip(xs, weights["weighting"]))]
 
 
 @pytest.mark.parametrize("log", [False, True])
