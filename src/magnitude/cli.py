@@ -19,11 +19,11 @@ both. Float flags and number lists accept finite values only; count flags
 at most SCALE_LIMIT scales. A space source with its --p, --spacing,
 --length and --seed, and each level of an approx family, is a SpaceSpec
 that specs.KINDS checks as it checks a --spec: a flag its kind does not
-take is bad input. --tol, which must be positive, is the
-Frank-Wolfe gap target of diversity and dim; the other commands refuse
-it, since the dense solve refines to its own rounding floor (see
-engine), and diversity --exact, which runs no Frank-Wolfe, refuses it and
---max-iters. Results never hold NaN or Infinity, which are not JSON; a
+take is bad input. --tol, which must be positive, is the gap target of
+the active set and of Frank-Wolfe in diversity and dim; the other
+commands refuse it, since the dense solve refines to its own rounding
+floor (see engine), and diversity --exact, which runs neither, refuses
+it and --max-iters. Results never hold NaN or Infinity, which are not JSON; a
 diagnostic with no finite value, such as the condition estimate of a
 singular matrix, is written as null.
 
@@ -53,9 +53,10 @@ scales are those of sweeps, which the numpy routes share. diversity on a
 graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
 --exact), named or a --spec, runs without numpy as well: the support
 search takes the rows of its metric from specs.graph_rows. check, dim
---method covering_growth and every other space load numpy. No command
-loads scipy, numpy.random or OpenSSL: the dense solves run on numpy
-alone (see engine), ball samples draw from the standard library's
+--method covering_growth and every other space load numpy; a 1-D --ball
+sample is built with it, and the library answers it from the same rung.
+No command loads scipy, numpy.random or OpenSSL: the dense solves run on
+numpy alone (see engine), ball samples draw from the standard library's
 random.Random, and digests use CPython's builtin SHA-256, not hashlib's
 OpenSSL one.
 

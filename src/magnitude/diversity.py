@@ -7,51 +7,38 @@ over the probability simplex; for positive definite Z the optimum is
 unique and never exceeds the magnitude, with equality exactly when the
 weighting is nonnegative (subsets of the real line, for instance).
 
-A space of at most SEARCH_LIMIT points (supports) is searched exactly
-over the supports whose Z_S is positive definite (supports.search), and
-the answer is the global maximum whether or not Z is positive
-semidefinite. max_diversity_exact runs the same search on up to
-EXACT_DIVERSITY_LIMIT points.
+A space on the line gets the line rung (tridiagonal): every weight is
+positive there, so the maximum is the magnitude. Any other space of at
+most SEARCH_LIMIT points is searched exactly over the supports whose Z_S
+is positive definite (supports.search), for the global maximum whether
+or not Z is positive semidefinite; max_diversity_exact runs the search
+on up to EXACT_DIVERSITY_LIMIT points, on the line too.
 
-A larger space climbs a ladder of three rungs, each certified by the
-measured Frank-Wolfe duality gap 2 (mu' Z mu - min (Z mu)) <= tol on
-the unmodified Z:
+A larger space climbs two rungs, chosen by one Cholesky factor of Z and
+each certified by the Frank-Wolfe gap 2 (mu' Z mu - min (Z mu)) <= tol:
 
-1. Frank-Wolfe with away steps on min mu' Z mu (fw_away_qp) from the
-   uniform start, for at most n iterations: about the cost of one dense
-   factorisation, and enough on spaces whose optimum is near uniform.
-   It reads Z by rows formed from d's (engine.similarity_rows), so a
-   call that this rung certifies holds O(64 n) floats, never the n x n Z,
-   and no d where the space holds its points.
-   Toward and away steps are one exact line search along +-(e_v - mu).
-   fw_away_qp reports the gap it measured and max_diversity compares it
-   with tol; no separate status is kept.
-2. When numpy's Cholesky accepts Z, a Lawson-Hanson active set on
-   min (1/2) y' Z y - 1' y over y >= 0. Maximum diversity is the largest
-   magnitude of a subset carrying a nonnegative weighting, so the optimum
-   solves Z_S y = 1 on its support S and mu = y / sum(y). The set starts
-   from the weighting Z^-1 1 on the full support, drops nonpositive
-   entries until the solve is positive, then adds the most violated index
-   with the usual feasibility inner loop, for at most 3n passes. It reads
-   Z by the same rows: Z is factored from its rows on and right of the
-   diagonal, as engine.is_positive_definite factors it; Z mu and Z y
-   (the gap, the value and the gradient) are formed ROW_BLOCK rows at a
-   time into one buffer; and each support S is refactored from the rows
-   of the subspace on S, which copies S's points, or S's block of a held
-   d. So a pass holds half a factor and one block of rows, and the value
-   is 1 / (mu' (Z mu)).
-3. Otherwise (Z not positive definite, as K_{3,2} below t = log 2 / 2),
-   or when the active set does not certify, Frank-Wolfe up to max_iters
-   on the same rows, one formed row per iteration.
+1. When Cholesky accepts Z, a Lawson-Hanson active set on
+   min (1/2) y' Z y - 1' y over y >= 0, whose optimum solves Z_S y = 1
+   on its support S, with mu = y / sum(y). It starts from the factor's
+   weighting Z^-1 1, drops nonpositive entries until the solve is
+   positive, then adds the most violated index with the usual
+   feasibility inner loop, for at most 3n passes, and refactors each
+   support from the rows of the subspace on it (S's points, or a copy of
+   S's block of a held d). The value is 1 / (mu' (Z mu)).
+2. Otherwise, or when the active set gives up, Frank-Wolfe with away
+   steps on min mu' Z mu (fw_away_qp) from the uniform start, up to
+   max_iters, one exact line search along +-(e_v - mu) per step.
 
-No rung forms the n x n Z. Every answer is a DiversityResult: the value,
-the maximizing distribution mu as read-only weights, its support, the
-gap, iterations (supports visited, for the search) and the method, with
-its certificate: "global" from the search and the active set, whose Z is
-positive definite; "stationary" from Frank-Wolfe, whose gap certifies a
-maximum only where Z is positive semidefinite, which nothing here proves
-(K_{3,3} at t = 0.5 is a saddle at the uniform start, 1.6876 against the
-maximum 1.7284).
+Both read Z by rows formed from d's (engine.similarity_rows), ROW_BLOCK
+at a time, so a call holds half a factor and a block of rows, never the
+n x n Z. Every answer is a DiversityResult: the value, the maximizing
+distribution mu as read-only weights, its support, the gap, iterations
+(supports visited, for the search) and the method, with its
+certificate: "global" from the line rung, the search, and both rungs
+where Cholesky accepts Z, as the problem is then convex; "stationary"
+from Frank-Wolfe on a Z that Cholesky rejects, whose gap certifies only
+a stationary point there (K_{3,3} at t = 0.5 is a saddle at the uniform
+start, 1.6876 against the maximum 1.7284).
 
 Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
@@ -66,7 +53,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import cholesky_rows, cholesky_solver, similarity_rows
+from . import tridiagonal
+from .engine import cholesky_rows, cholesky_solver, frozen, similarity_rows
 from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
     DiversityError,
     NonConvergence,
@@ -179,16 +167,14 @@ def fw_away_qp(rows, n: int, tol: float, max_iters: int):
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
                   tol: float = 1e-9, max_iters: int = 100_000) -> DiversityResult:
-    """Maximum diversity at scale t.
-
-    A space of at most SEARCH_LIMIT points is searched exactly
-    (supports.search), for a global answer, and tol and max_iters play no
-    part. A larger one climbs the ladder, certified by its gap <= tol:
-    short Frank-Wolfe, then the active set when Z is positive definite,
-    then Frank-Wolfe up to max_iters (see the module docstring), each rung
-    reading Z by rows (engine.similarity_rows), so no n x n Z is formed.
-    Raises NonConvergence if the last Frank-Wolfe run still misses tol.
-    """
+    """Maximum diversity at scale t: from the line rung on the line
+    (tridiagonal.max_diversity, on the coordinates), else from the support
+    search up to SEARCH_LIMIT points, where tol and max_iters play no
+    part, else from the ladder of the module docstring, certified by its
+    gap <= tol; NonConvergence where Frank-Wolfe misses tol."""
+    if space.on_line:
+        res = tridiagonal.max_diversity(space.points[:, 0].tolist(), t)
+        return res._replace(weights=frozen(res.weights))
     if space.n_points <= SEARCH_LIMIT:
         return _searched(space, t)
     return _ladder(space, t, tol, max_iters)
@@ -196,22 +182,22 @@ def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
 
 def _ladder(space: FiniteMetricSpace, t: float, tol: float,
             max_iters: int) -> DiversityResult:
-    """The three rungs of the module docstring, on a space of any size: a
-    Frank-Wolfe answer is stationary, and global only where Z is positive
-    semidefinite, which nothing here proves; the active set's is global."""
+    """The two rungs of the module docstring, on a space of any size,
+    chosen by one Cholesky factor of Z: every answer is global where
+    Cholesky accepts Z, and Frank-Wolfe's is stationary where it does
+    not."""
     n = space.n_points
     z_rows = similarity_rows(space, t)
-    budget = min(n, max_iters)
-    mu, f, gap, iters = fw_away_qp(z_rows, n, tol, budget)
+    ys = _unit_solve(z_rows, n)  # the weighting, full support
+    found = None if ys is None else _active_set(space, t, z_rows, ys, tol)
+    if found is not None:
+        return found
+    mu, f, gap, iters = fw_away_qp(z_rows, n, tol, max_iters)
     if gap > tol:
-        found = _active_set(space, t, z_rows, tol)
-        if found is not None:
-            return found
-        if budget < max_iters:
-            mu, f, gap, iters = fw_away_qp(z_rows, n, tol, max_iters)
-        if gap > tol:
-            raise NonConvergence(iters, gap)
-    return _result(mu, 1.0 / f, gap, iters, "frank_wolfe", "stationary")
+        raise NonConvergence(iters, gap)
+    # on a positive definite Z the problem is convex: the gap certifies
+    return _result(mu, 1.0 / f, gap, iters, "frank_wolfe",
+                   "stationary" if ys is None else "global")
 
 
 def _result(mu, value, gap, iterations, method, certificate) -> DiversityResult:
@@ -223,36 +209,34 @@ def _result(mu, value, gap, iterations, method, certificate) -> DiversityResult:
                            int(iterations), method, certificate)
 
 
-def _unit_solve(rows, n: int) -> np.ndarray:
+def _unit_solve(rows, n: int) -> np.ndarray | None:
     """y with Z y = 1, for the n x n Z whose rows rows(lo, hi, col0) gives:
     its rows on and right of the diagonal are factored a block at a time,
-    and the factor is freed on return. Raises np.linalg.LinAlgError where
-    Cholesky rejects Z."""
-    factor = cholesky_rows(lambda lo, hi: rows(lo, hi, lo), n)
+    and the factor is freed on return; None where Cholesky rejects Z."""
+    try:
+        factor = cholesky_rows(lambda lo, hi: rows(lo, hi, lo), n)
+    except np.linalg.LinAlgError:
+        return None
     return cholesky_solver(factor)(np.ones(n))
 
 
-def _active_set(space: FiniteMetricSpace, t: float, z_rows,
+def _active_set(space: FiniteMetricSpace, t: float, z_rows, ys: np.ndarray,
                 tol: float) -> DiversityResult | None:
-    """Lawson-Hanson active set on min (1/2) y'Zy - 1'y, y >= 0.
+    """Lawson-Hanson active set on min (1/2) y'Zy - 1'y, y >= 0 (rung 1
+    of the module docstring), from ys = Z^-1 1, where z_rows is the
+    space's row source of Z at scale t.
 
-    z_rows is the space's row source of Z at scale t, and each support is
-    refactored from the rows of the subspace on it (rung 2 of the module
-    docstring), so a pass holds half a factor and one block of rows.
-
-    None when Cholesky rejects Z (or a principal block of it), when no
-    index violates optimality yet the gap exceeds tol, when an added index
-    stalls, or when the pass bound runs out; the caller then falls back to
-    Frank-Wolfe.
+    None when Cholesky rejects a principal block of Z, when no index
+    violates optimality yet the gap exceeds tol, when an added index
+    stalls, or when the pass bound runs out; the caller then falls back
+    to Frank-Wolfe.
     """
     n = space.n_points
-    try:
-        ys = _unit_solve(z_rows, n)  # the weighting, full support
-    except np.linalg.LinAlgError:
-        return None
     idx = np.arange(n)
     y = None                    # feasible iterate once a solve is positive
     for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
+        if ys is None:
+            return None         # Cholesky rejects Z on the support idx
         if ys.min() > 0:
             y = np.zeros(n)
             y[idx] = ys
@@ -282,13 +266,10 @@ def _active_set(space: FiniteMetricSpace, t: float, z_rows,
             y[idx] = cur + ratios[k] * (ys - cur)
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
-        try:
-            # the parent's diameter bounds the subspace's, which is then
-            # never scanned
-            ys = _unit_solve(similarity_rows(space.subspace(idx), t,
-                                             space.diameter), idx.size)
-        except np.linalg.LinAlgError:
-            return None
+        # the parent's diameter bounds the subspace's, which is then never
+        # scanned
+        ys = _unit_solve(similarity_rows(space.subspace(idx), t,
+                                         space.diameter), idx.size)
     return None
 
 
@@ -305,9 +286,7 @@ def _searched(space: FiniteMetricSpace, t: float) -> DiversityResult:
     """The support search on the rows of d, its weights as a read-only
     array."""
     res = supports.max_diversity(space.rows(0, space.n_points).tolist(), t)
-    weights = np.array(res.weights)
-    weights.setflags(write=False)
-    return res._replace(weights=weights)
+    return res._replace(weights=frozen(res.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ invertible the linear-algebra definition still applies; when Z is singular
 or numerically untrustworthy the magnitude is reported as undefined rather
 than guessed.
 
-Solver ladder: Cholesky first (success certifies positive definiteness and
-gives the cheapest solve), LU second, both followed by a reciprocal
-condition estimate and iterative refinement. The residual of an accurate
-solve is about eps ||Z|| ||w||, so refinement stops at that rounding
-floor, N eps ||Z||_inf ||w||_inf in the max norm, or after
-REFINE_MAX_PASSES passes; no caller tolerance decides when w is accurate
-enough. A solve whose refined residual still exceeds
-1e-9 max(1, ||Z|| ||w||) is demoted to undefined: the gate is relative to
-the same floor, never stricter than 1e-9 absolute, and never silently
-wrong.
+Solver ladder, for a space off the line (the line rung, tridiagonal,
+solves one on it in O(n)) or one that holds d: Cholesky first (success
+certifies positive definiteness and gives the cheapest solve), LU
+second, both followed by a reciprocal condition estimate and iterative
+refinement. The residual of an accurate solve is about eps ||Z|| ||w||,
+so refinement stops at that rounding floor, N eps ||Z||_inf ||w||_inf
+in the max norm, or after REFINE_MAX_PASSES passes; no caller tolerance
+decides when w is accurate enough. A solve whose refined residual still
+exceeds 1e-9 max(1, ||Z|| ||w||) is demoted to undefined: the gate is
+relative to the same floor, never stricter than 1e-9 absolute, and
+never silently wrong.
 
 Homogeneous spaces (all rows of Z share one sum) admit Speyer's shortcut
 N / (row sum). It is no production path here: tests/oracles.py holds it,
@@ -39,12 +40,12 @@ through the space's rows, ROW_BLOCK at a time, and a generated space
 holds its points, not d, so forms them as they are asked for
 (spaces.FiniteMetricSpace.rows). So no dense stage holds a square work
 array, nor d: the PD test forms Z's rows as it factors and holds half a
-factor; a solve keeps a copy of Z's rows on and right of the diagonal
-as it factors them, and multiplies by Z from those (symmetric_product),
-so it holds half of Z and half a factor, in one buffer of about one
-n x n array; and
-the negative-type proof of definiteness_report forms the rows of its
-shifted matrix from d's rows and row means and holds half a factor.
+factor; a solve keeps a copy of Z's rows on and right of the diagonal as
+it factors them, and multiplies by Z from those (symmetric_product), so
+it holds half of Z and half a factor, in one buffer of about one n x n
+array; and the negative-type proof of definiteness_report forms the rows
+of its shifted matrix from d's rows and row means and holds half a
+factor.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonpositiveScale, UndefinedMagnitude, positive_scale
+from . import tridiagonal
+from .errors import UndefinedMagnitude, finite_scale
 from .spaces import ROW_BLOCK, FiniteMetricSpace, SpaceSpec, generate_space
 from .sweeps import (  # noqa: F401  (re-exported: engine.STATUS_PD etc.)
     MONOTONE_SLACK,
@@ -119,9 +121,7 @@ def similarity_rows(space: FiniteMetricSpace, t, diameter: float | None = None):
     is any bound on the space's diameter, its own by default, which a
     scan of d finds: a subspace passes its parent's, as a larger bound
     only forms the products under np.errstate, bit for bit the same."""
-    t = positive_scale(t)
-    if t == math.inf:
-        raise NonpositiveScale(f"scale must be finite, got {t!r}")
+    t = finite_scale(t)
     overflows = t * (space.diameter if diameter is None else diameter) == math.inf
 
     def rows(lo, hi, col0=0, out=None):
@@ -273,10 +273,17 @@ def _inverse_norm_estimate(solve, n: int) -> float:
     return max(est, 2.0 * float(np.abs(solve(ramp)).sum()) / (3 * n))
 
 
-def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult:
-    """Solve Z w = 1 with condition screening and iterative refinement.
+def frozen(values) -> np.ndarray:
+    """values as a new read-only array."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
-    Refinement runs until max |Z w - 1| <= N eps ||Z||_inf ||w||_inf, the
+
+def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult:
+    """Solve Z w = 1: by the line rung (tridiagonal.solve) on the line,
+    its weights read-only; else densely, with condition screening and
+    refinement until max |Z w - 1| <= N eps ||Z||_inf ||w||_inf, the
     rounding floor of the residual, or for REFINE_MAX_PASSES passes.
 
     Status is UniquePD when Cholesky succeeds, UniqueInvertible when only
@@ -284,6 +291,9 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below RESIDUAL_GATE * max(1, ||Z||_inf ||w||_inf).
     """
+    if space.on_line:
+        res = tridiagonal.solve(space.points[:, 0].tolist(), t)
+        return res._replace(weighting=frozen(res.weighting))
     n, z_rows = space.n_points, similarity_rows(space, t)
     ones = np.ones(n)
     # Z's rows on and right of the diagonal are formed in held[0], which

@@ -1,13 +1,14 @@
 """The package's shared exception types and input guards.
 
-The guards are finite_result and positive_scale, and finite and integral,
-the rules that space parameters and flags meet; finite also checks the
-arguments of the closed forms and the pixel scale, raising their own
-error types. Every error the CLI catches by type lives here, and this
-module imports neither numpy nor any other package module, so the CLI
-can name its input errors without paying for the modules that compute.
-Each type is re-exported by its home module (spaces, lines, euclid,
-pixels, diversity, engine), so spaces.BadSpec is errors.BadSpec.
+The guards are finite_result, positive_scale and finite_scale, and
+finite and integral, the rules that space parameters and flags meet;
+finite also checks the arguments of the closed forms and the pixel
+scale, raising their own error types. Every error the CLI catches by
+type lives here, and this module imports neither numpy nor any other
+package module, so the CLI can name its input errors without paying for
+the modules that compute. Each type is re-exported by its home module
+(spaces, lines, euclid, pixels, diversity, engine), so spaces.BadSpec is
+errors.BadSpec.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def positive_scale(t) -> float:
     t = float(t)
     if not t > 0:
         raise NonpositiveScale(f"scale must be positive, got {t!r}")
+    return t
+
+
+def finite_scale(t) -> float:
+    """t as a float, or NonpositiveScale unless 0 < t < inf."""
+    t = positive_scale(t)
+    if t == math.inf:
+        raise NonpositiveScale(f"scale must be finite, got {t!r}")
     return t
 
 

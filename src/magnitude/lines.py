@@ -19,7 +19,7 @@ middle-thirds set is the depth limit of such unions; its magnitude is the
 convergent series 1 + sum_{i>=1} 2^(i-1) tanh(t L / (2 * 3^i)).
 
 The line rung (tridiagonal) produces the weights of a finite set for every
-command, oracle --points included, which checks its points here first;
+command and library call, and refuses the points that sorted_points does;
 line_weighting and line_magnitude are the independent reference that the
 tests and the benchmark check the rung against. Only line_weighting loads
 numpy, for the arrays it returns.
@@ -28,7 +28,7 @@ numpy, for the arrays it returns.
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import count, filterfalse
 
 from .errors import LineError, finite, finite_result, positive_scale
 
@@ -59,7 +59,10 @@ class OverlappingGaps(LineError):
 def sorted_points(points) -> list[float]:
     """points as sorted floats: LineError if there are none or one is not
     finite, DuplicatePoints if two are equal."""
-    x = sorted(finite(float(v), "coordinate", error=LineError) for v in points)
+    x = [float(v) for v in points]
+    for v in filterfalse(math.isfinite, x):  # the first that is not finite
+        finite(v, "coordinate", error=LineError)
+    x.sort()
     if not x:
         raise LineError("need at least one point")
     for a, b in zip(x, x[1:]):

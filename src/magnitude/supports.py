@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter, mul
 
-from .errors import DiversityError, NonpositiveScale, TooLarge, positive_scale
+from .errors import DiversityError, TooLarge, finite_scale
 from .sweeps import DiversityResult
 
 # most points whose maximum diversity max_diversity takes from the search:
@@ -72,9 +72,7 @@ TIE_TOL = 1e-12
 def similarity(d, t: float) -> list[list[float]]:
     """Z = exp(-t d) as rows of floats, from the rows of d, at a scale
     checked to be 0 < t < inf; t d past the double range gives 0."""
-    t = positive_scale(t)
-    if t == math.inf:
-        raise NonpositiveScale(f"scale must be finite, got {t!r}")
+    t = finite_scale(t)
     return [[math.exp(-t * x) for x in row] for row in d]
 
 

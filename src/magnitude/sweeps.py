@@ -54,9 +54,9 @@ class DiversityResult(NamedTuple):
     # "frank_wolfe", "active_set", "support_enumeration" or "line"
     method: str
     # "global" where the value is the maximum: the support search, the
-    # active set (on a Z that Cholesky accepts) and the line rung;
-    # "stationary" from Frank-Wolfe, whose gap certifies the maximum only
-    # on a positive semidefinite Z
+    # line rung, and the active set and Frank-Wolfe on a Z that Cholesky
+    # accepts, where the problem is convex; "stationary" from Frank-Wolfe
+    # on a Z that Cholesky rejects
     certificate: str
 
 

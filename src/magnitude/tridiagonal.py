@@ -31,30 +31,30 @@ each point, L_k = 1 + a_{k-1} L_{k-1} and R_k = 1 + a_k R_{k+1}), and
 the residual max |1 - Z w|, Z w formed by the same two sweeps over w.
 
 This is the one producer of a finite line set's weights: mag, weights,
-magfn, diversity, dim and oracle --points print them from here. lines.py
-holds the tanh closed forms of the same weights, which this module does
-not call: they are the reference that the tests and the benchmark check
-the rung against, beside the dense solve, which the library still runs on
-any FiniteMetricSpace.
+magfn, diversity, dim and oracle --points print them from here, and
+engine.solve_weighting and diversity.max_diversity answer a space on the
+line here, from its coordinates. The tanh closed forms of lines.py, and
+the dense solve, which runs on a line only where the space holds d, are
+the references that the tests and the benchmark check the rung against.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonpositiveScale, positive_scale
+from .errors import finite_scale
+from .lines import sorted_points
 from .sweeps import STATUS_PD, DiversityResult, WeightingResult
 
 
 def _solve(coordinates, t: float):
     """(w, Z w, ||Z||_1, ||Z^-1||_1), the vectors in the order of
-    coordinates, at a scale checked to be 0 < t < inf."""
-    t = positive_scale(t)
-    if t == math.inf:
-        raise NonpositiveScale(f"scale must be finite, got {t!r}")
+    coordinates, at a scale checked to be 0 < t < inf; LineError where
+    lines.sorted_points refuses the coordinates (DuplicatePoints too)."""
+    t = finite_scale(t)
     n = len(coordinates)
     order = sorted(range(n), key=coordinates.__getitem__)
-    xs = [coordinates[i] for i in order]
+    xs = sorted_points([coordinates[i] for i in order])
     tg = [t * (b - a) for a, b in zip(xs, xs[1:])]  # inf past the range
     a = [math.exp(-x) for x in tg]
     h = [e / (2.0 - e) for e in (-math.expm1(-x) for x in tg)]

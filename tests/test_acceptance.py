@@ -250,6 +250,18 @@ def test_support_search_runtime_caps():
     assert _fastest(lambda: diversity.max_diversity_exact(k78, 0.5)) < 0.06
 
 
+def test_diversity_ladder_runtime_cap():
+    """A 1500-point 3-D ball sample at t = 4, whose Z Cholesky accepts:
+    the active set answers in 7 passes, global, in under 0.25 s, the
+    fastest of three runs (0.16-0.17 s when the cap was set; 0.24 s
+    while a short Frank-Wolfe run came first and failed)."""
+    space = ball_sample(3, 1.0, 1500, seed=1)
+    res = diversity.max_diversity(space, 4.0)
+    assert (res.method, res.iterations, res.certificate) == (
+        "active_set", 7, "global")
+    assert _fastest(lambda: diversity.max_diversity(space, 4.0)) < 0.25
+
+
 def test_definiteness_report_runtime_cap():
     """A 1600-point 3-D ball sample is proven of negative type, and its
     report made, in under 0.3 s (the fastest of three runs)."""

@@ -683,7 +683,7 @@ def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, method", [
-    (("diversity", "--graph", "c24", "--t", "0.5"), "frank_wolfe"),
+    (("diversity", "--graph", "k6,6", "--t", "0.5"), "frank_wolfe"),
     (("diversity", "--ball", "3,1,300", "--seed", "3", "--t", "4"), "active_set"),
     (("diversity", "--graph", "k32", "--t", "1", "--exact"), "support_enumeration"),
     (("diversity", "--graph", "k32", "--t", "0.1"), "support_enumeration"),
@@ -692,7 +692,8 @@ def test_diversity_reports_its_method(capsys, argv, method):
     _, rep1, _ = run_json(capsys, *argv)
     _, rep2, _ = run_json(capsys, *argv)
     assert rep1["results"]["method"] == method
-    # only Frank-Wolfe's answer is no more than stationary
+    # only Frank-Wolfe's answer on a Z that Cholesky rejects (K_{6,6} at
+    # 0.5) is no more than stationary
     assert rep1["results"]["certificate"] == (
         "stationary" if method == "frank_wolfe" else "global")
     assert _strip_timing(rep1) == _strip_timing(rep2)
@@ -942,11 +943,12 @@ def test_ball_sample_underflow_names_its_cause(capsys):
     assert_bad_spec(code, out, err)
 
 
-@pytest.mark.parametrize("radius, status", [("1e-300", 3), ("1e200", 0)])
+@pytest.mark.parametrize("radius, status", [("1e-300", 0), ("1e200", 0)])
 def test_one_dimensional_ball_is_built_on_the_line(capsys, radius, status):
     # the squares of these radii underflow (1e-300) or overflow (1e200),
     # but on the line every p's distance is the l1 one, which is exact; at
-    # 1e-300 Z is all ones at t = 1, so the magnitude is undefined
+    # 1e-300 Z is all ones in floats at t = 1, and the line rung still
+    # gives the magnitude, 1.0
     ball = ("mag", "--ball", f"1,{radius},5", "--seed", "1")
     code, out, err = run(capsys, *ball)
     code1, out1, _ = run(capsys, *ball, "--p", "1")
@@ -1377,6 +1379,74 @@ def test_oracle_points_prints_the_line_rungs_weights(xs, t):
     assert oracle["magnitude"] == weights["magnitude"]
     assert oracle["weighting"] == [
         w for _, w in sorted(zip(xs, weights["weighting"]))]
+
+
+LINE_SETS = st.lists(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                               st.sampled_from([1e-310, 5e-324, 1.0, 7.5])),
+                     min_size=1, max_size=12, unique=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(xs=LINE_SETS, near=st.booleans(),
+       t=st.sampled_from(["0.001", "1", "3", "1e3"]))
+@example(xs=[7.50000001, 1.0, 0.0, 7.5, 1e-310], near=False, t="3")
+def test_library_answers_a_line_set_as_the_cli_does(xs, near, t):
+    # one producer for a space on the line: solve_weighting and
+    # max_diversity on points_on_line(xs) give the bits that weights and
+    # diversity --points-1d print, in the order given; near adds a point
+    # one ulp past the largest
+    from magnitude import tridiagonal
+    from magnitude.diversity import max_diversity
+    from magnitude.engine import solve_weighting
+    from magnitude.spaces import points_on_line
+
+    if near:
+        xs = xs + [math.nextafter(max(xs), math.inf)]
+    text = ",".join(map(repr, xs))
+    space = points_on_line(xs)
+    res = solve_weighting(space, float(t))
+    code, out, err, _ = _call(["weights", f"--points-1d={text}", "--t", t])
+    assert code == 0, err
+    printed = strict_loads(out)["results"]
+    assert not res.weighting.flags.writeable
+    assert res.weighting.tolist() == printed["weighting"]
+    assert (res.magnitude, res.status, res.residual) == (
+        printed["magnitude"], printed["status"], printed["residual"])
+    assert cli._finite_or_none(res.condition_estimate) == \
+        printed["condition_estimate"]
+    div = max_diversity(space, float(t))
+    code, out, err, _ = _call(["diversity", f"--points-1d={text}", "--t", t])
+    assert code == 0, err
+    printed = strict_loads(out)["results"]
+    assert not div.weights.flags.writeable
+    rung = tridiagonal.max_diversity(xs, float(t))
+    assert div.weights.tolist() == list(rung.weights)
+    assert [div.value, list(div.support), div.kkt_gap, div.iterations,
+            div.method, div.certificate] == [
+        printed[k] for k in ("value", "support", "kkt_gap", "iterations",
+                             "method", "certificate")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(radius=st.one_of(st.sampled_from(["1e-300", "2", "1e200"]),
+                        st.floats(1e-6, 1e6).map(repr)),
+       count=st.integers(1, 40), seed=st.integers(0, 10_000),
+       t=st.sampled_from(["0.01", "1", "3"]))
+@example(radius="1e-300", count=5, seed=1, t="1")
+@example(radius="2", count=40, seed=1, t="3")
+def test_one_dimensional_ball_prints_what_its_points_print(radius, count,
+                                                           seed, t):
+    # a 1-D --ball sample reaches the line rung through the library, so
+    # mag prints what --points-1d prints for the same points
+    from magnitude.spaces import ball_sample
+
+    pts = ball_sample(1, float(radius), count, seed=seed).points[:, 0]
+    text = ",".join(map(repr, pts.tolist()))
+    code, out, err, _ = _call(["mag", "--ball", f"1,{radius},{count}",
+                               "--seed", str(seed), "--t", t])
+    code1, out1, _, _ = _call(["mag", f"--points-1d={text}", "--t", t])
+    assert code == code1 == 0, err
+    assert strict_loads(out)["results"] == strict_loads(out1)["results"]
 
 
 @pytest.mark.parametrize("log", [False, True])

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnitude import backend_name
+from magnitude import backend_name, diversity
 from magnitude.diversity import (
     EXACT_DIVERSITY_LIMIT,
     DiversityError,
@@ -17,6 +17,7 @@ from magnitude.diversity import (
     WindowTooNarrow,
     _active_set,
     _ladder,
+    _unit_solve,
     dimension_estimate,
     fw_away_qp,
     greedy_covering_number,
@@ -54,6 +55,7 @@ from oracles import (
 
 C5 = graph_metric(named_graph_edges("c5"))
 K32 = graph_metric(named_graph_edges("k32"))
+K33 = graph_metric(named_graph_edges("k33"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +149,23 @@ def test_row_reader_rows_are_rows_of_z():
 
 
 def test_fw_certified_diversity_holds_no_n_by_n_array():
-    # the dim --grid 1001 shape at a scale whose short Frank-Wolfe run
-    # certifies: one 64-row block of Z (0.064 units) at a time, formed
-    # from the grid's points, and no d (0.066 measured)
+    # the dim --grid 1001 shape, and one four times larger: the line rung
+    # answers from the coordinates in O(n) memory, no block of Z and no d
+    # (473 and 482 bytes a point measured; one 64-row block of Z alone is
+    # 512 n bytes)
     import tracemalloc
 
-    grid = lp_grid([1001], spacing=1.0 / 1000)
-    assert max_diversity(grid, 100.0, 1e-6, 300_000).method == "frank_wolfe"
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        max_diversity(grid, 100.0, 1e-6, 300_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 0.08 * 1001 * 1001 * 8
+    for n in (1001, 4001):
+        grid = lp_grid([n], spacing=1.0 / (n - 1))
+        assert max_diversity(grid, 100.0, 1e-6, 300_000).method == "line"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            max_diversity(grid, 100.0, 1e-6, 300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 600 * n
 
 
 def test_active_set_on_a_held_d_copies_each_support_once():
@@ -329,8 +333,7 @@ def test_active_set_on_rows_is_the_held_z_active_set(dim, count, seed, t,
     if held:
         sp = validate_metric(sp.distances)  # a space that holds d
     rows = similarity_rows(sp, t)
-    assume(fw_away_qp(rows, count, 1e-9, count)[2] > 1e-9)
-    got = _active_set(sp, t, rows, 1e-9)
+    got = _active_set(sp, t, rows, _unit_solve(rows, count), 1e-9)
     want = active_set_held_z(similarity_matrix(sp, t), 1e-9)
     assert (got is None) == (want is None)
     if got is not None:
@@ -341,14 +344,33 @@ def test_active_set_on_rows_is_the_held_z_active_set(dim, count, seed, t,
         assert got.kkt_gap <= 1e-9
 
 
+def test_frank_wolfe_on_a_positive_definite_z_is_global(monkeypatch):
+    # where the active set gives up on a Z that Cholesky accepts, the
+    # problem is still convex, so Frank-Wolfe's gap certifies the maximum
+    sp = ball_sample(3, 1.0, 30, seed=1)
+    want = max_diversity(sp, 1.0)
+    assert (want.method, want.certificate) == ("active_set", "global")
+    monkeypatch.setattr(diversity, "_active_set", lambda *args: None)
+    res = max_diversity(sp, 1.0)
+    assert (res.method, res.certificate) == ("frank_wolfe", "global")
+    assert res.kkt_gap <= 1e-9
+    assert res.value == pytest.approx(want.value, rel=1e-9)
+
+
 def test_result_names_its_method():
     for res in (max_diversity_exact(C5, 1.0), max_diversity(C5, 1.0)):
         assert (res.method, res.certificate) == ("support_enumeration",
                                                  "global")
         assert res.iterations == 2**5 - 1
-    # the uniform optimum, stationary as far as Frank-Wolfe can tell
+    # Cholesky accepts C5's Z: the active set answers, global
     res = _ladder(C5, 1.0, 1e-9, 100_000)
+    assert (res.method, res.certificate) == ("active_set", "global")
+    # it rejects K_{3,3}'s at 0.5, where Frank-Wolfe stops at the saddle
+    # of its uniform start, stationary as far as it can tell
+    assert not is_positive_definite(K33, 0.5)
+    res = _ladder(K33, 0.5, 1e-9, 100_000)
     assert (res.method, res.certificate) == ("frank_wolfe", "stationary")
+    assert res.value == pytest.approx(1.687597155320145, rel=1e-12)
 
 
 def _oracle_cases():
@@ -649,19 +671,15 @@ def test_diversity_growth_slope_on_small_line():
 
 
 def test_criterion_12_rungs():
-    # the scales of acceptance criterion 12, counted rung by rung: the
-    # Cantor endpoints need the active set at every scale, the interval
-    # grid certifies within its first n Frank-Wolfe iterations
-    cant = cantor_endpoints(10)
-    for t in np.geomspace(10.0, 1000.0, 12):
-        res = max_diversity(cant, float(t), 1e-6, 300_000)
-        assert (res.method, res.iterations) == ("active_set", 1)
-        assert res.kkt_gap <= 1e-12
-    grid = lp_grid([2001], spacing=1.0 / 2000)
-    for t in np.geomspace(50.0, 1000.0, 12):
-        res = max_diversity(grid, float(t), 1e-6, 300_000)
-        assert res.method == "frank_wolfe"
-        assert res.iterations <= grid.n_points and res.kkt_gap <= 1e-6
+    # the scales of acceptance criterion 12: both spaces lie on the line,
+    # so the line rung answers each scale in one solve, global
+    for space, lo in ((cantor_endpoints(10), 10.0),
+                      (lp_grid([2001], spacing=1.0 / 2000), 50.0)):
+        for t in np.geomspace(lo, 1000.0, 12):
+            res = max_diversity(space, float(t), 1e-6, 300_000)
+            assert (res.method, res.iterations, res.certificate) == (
+                "line", 1, "global")
+            assert abs(res.kkt_gap) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -497,11 +497,13 @@ LADDER_SCALES = [0.05, 0.1, 0.3, POLE * (1 - 1e-9), POLE, POLE * (1 + 1e-9),
 LADDER_SPACES = {
     **{f"ball{n}": ball_sample(3, 1.0, n, seed=n + 7)
        for n in (1, 2, 5, 30, 64, 65, 130, 400)},
-    "grid600": lp_grid((600,), p=1, spacing=0.015),
+    # the line sets hold d, so that the dense solve, not the line rung,
+    # answers them
+    "grid600": validate_metric(lp_grid((600,), p=1, spacing=0.015).distances),
     "k32": K32,
     "k33": graph_metric(named_graph_edges("k33")),
     "c5": graph_metric(named_graph_edges("c5")),
-    "1e-300": points_on_line([0.0, 1e-300]),
+    "1e-300": validate_metric(points_on_line([0.0, 1e-300]).distances),
 }
 
 
@@ -816,7 +818,9 @@ def _mp_condition(z):
 MP_SPACES = {
     **{f"ball{n}": ball_sample(3, 1.0, n, seed=n) for n in (1, 2, 5, 12, 30)},
     "l1ball": ball_sample(2, 1.0, 20, seed=3, p=1),
-    "line": points_on_line([0.0, 0.1, 0.5, 2.0, 2.05, 7.0]),
+    # held as d, for the dense solve
+    "line": validate_metric(
+        points_on_line([0.0, 0.1, 0.5, 2.0, 2.05, 7.0]).distances),
     "k32": K32,
     "k33": graph_metric(named_graph_edges("k33")),
     "c5": graph_metric(named_graph_edges("c5")),
@@ -839,11 +843,12 @@ def test_magnitude_matches_fifty_digit_solve(name):
     (K32, POLE),
     (K32, math.nextafter(POLE, 0.0)),
     (K32, math.nextafter(POLE, 1.0)),
-    (points_on_line([0.0, 1e-300]), 1.0),
+    (validate_metric(points_on_line([0.0, 1e-300]).distances), 1.0),
 ])
 def test_undefined_where_fifty_digits_see_no_trustworthy_solve(space, t):
     # at the K_{3,2} pole the float Z is too ill-conditioned for the
-    # screen; with points 1e-300 apart it is exactly singular
+    # screen; with points 1e-300 apart, held as d so that the dense solve
+    # answers, it is exactly singular
     res = solve_weighting(space, t)
     assert res.status == STATUS_UNDEFINED
     cond = _mp_condition(similarity_matrix(space, t))
@@ -1085,8 +1090,8 @@ def test_triangle_scan_holds_no_square_array():
 
 
 def test_active_set_holds_half_a_factor():
-    # Frank-Wolfe misses tol in n iterations here, so the active set runs
-    # (4 passes): half a factor, a block of Z's rows and the kernel's
+    # Cholesky accepts Z here, so the active set runs (4 passes) on the
+    # factor it gives: half a factor, a block of Z's rows and the kernel's
     # update buffer, no n x n Z (0.83 measured; 2.23 while Z was held and
     # each support gathered from it)
     sp = ball_sample(3, 1.0, 300, seed=3)
@@ -1097,11 +1102,11 @@ def test_active_set_holds_half_a_factor():
 
 
 def test_dimension_estimate_holds_half_a_factor():
-    # the active set at each of 12 scales on 256 Cantor endpoints, and a
-    # line fit in closed form (0.90 measured; 1.90 while Z was held)
-    cantor = cantor_endpoints(7, 1.0)
-    assert cantor.n_points == 256
-    peak = _peak_units(lambda: dimension_estimate(cantor, 10.0, 1000.0), 256)
+    # the active set at each of 12 scales on a 256-point 2-D ball sample,
+    # and a line fit in closed form (0.98 measured)
+    ball = ball_sample(2, 1.0, 256, seed=1)
+    assert max_diversity(ball, 1.0).method == "active_set"
+    peak = _peak_units(lambda: dimension_estimate(ball, 1.0, 100.0), 256)
     assert peak <= 1.2
 
 

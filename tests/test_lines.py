@@ -23,6 +23,7 @@ from magnitude.spaces import (
     ResultOverflow,
     cantor_intervals,
     points_on_line,
+    validate_metric,
 )
 from oracles import NegativeGap, cantor_magnitude_tail_bound, gap_union_magnitude
 
@@ -61,7 +62,8 @@ def test_closed_form_matches_dense_solver():
     for _ in range(25):
         pts = np.unique(rng.random(int(rng.integers(2, 30))) * 6.0)
         t = float(rng.uniform(0.1, 5.0))
-        sp = points_on_line(pts)
+        # held as d, so that the dense solve, not the line rung, answers
+        sp = validate_metric(points_on_line(pts).distances)
         res = solve_weighting(sp, t)
         x, w = line_weighting(pts, t)
         assert res.magnitude == pytest.approx(line_magnitude(pts, t), abs=1e-10)

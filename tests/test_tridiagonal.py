@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitude import engine, lines, tridiagonal
-from magnitude.errors import NonpositiveScale
-from magnitude.spaces import points_on_line
+from magnitude.errors import LineError, NonpositiveScale
+from magnitude.lines import DuplicatePoints
+from magnitude.spaces import points_on_line, validate_metric
 from magnitude.sweeps import scales
 
 EPS = 2.0 ** -52
@@ -49,9 +50,11 @@ def test_rung_matches_the_closed_form_and_the_dense_solve(case):
     _, w = lines.line_weighting(xs, t)
     got = _sorted_weights(xs, res.weighting)
     assert max(abs(a - b) for a, b in zip(got, w)) <= 4 * EPS * max(w)
-    # the dense solve, where it is defined, within its residual gate:
-    # w_d - w = -Z^-1 r, so the magnitudes differ by at most sum w ||r||
-    dense = engine.solve_weighting(points_on_line(xs), t)
+    # the dense solve, on the set held as d, where it is defined, within
+    # its residual gate: w_d - w = -Z^-1 r, so the magnitudes differ by at
+    # most sum w ||r||
+    dense = engine.solve_weighting(
+        validate_metric(points_on_line(xs).distances), t)
     if dense.defined:
         gate = engine.RESIDUAL_GATE * max(
             1.0, len(xs) * float(np.abs(dense.weighting).max()))
@@ -99,6 +102,38 @@ def test_rung_reports_in_input_order_and_refuses_bad_scales():
     for t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NonpositiveScale):
             tridiagonal.solve(xs, t)
+
+
+@pytest.mark.parametrize("xs, error", [
+    ([0.0, 0.0], DuplicatePoints),
+    ([1.0, 0.0, 1.0], DuplicatePoints),
+    ([0.0, -0.0], DuplicatePoints),
+    ([0.0, math.nan], LineError),
+    ([math.inf, 0.0], LineError),
+    ([0.0, -math.inf, 1.0], LineError),
+    ([], LineError),
+])
+def test_rung_refuses_what_sorted_points_refuses(xs, error):
+    # as lines.sorted_points: the message names the first coordinate that
+    # is not finite, or the repeated one
+    with pytest.raises(error) as want:
+        lines.sorted_points(xs)
+    for rung in (tridiagonal.solve, tridiagonal.max_diversity):
+        with pytest.raises(error) as got:
+            rung(xs, 1.0)
+        assert str(got.value) == str(want.value)
+
+
+def test_library_refuses_a_repeated_point_on_the_line():
+    # a space built directly, unchecked, reaches the rung, which refuses
+    # it rather than weigh both copies
+    from magnitude.diversity import max_diversity
+    from magnitude.spaces import FiniteMetricSpace
+
+    space = FiniteMetricSpace(points=np.array([0.0, 0.0, 1.0]), p=1)
+    for solve in (engine.solve_weighting, max_diversity):
+        with pytest.raises(DuplicatePoints):
+            solve(space, 1.0)
 
 
 def test_rung_is_exact_where_floats_merge_rows_of_z():
