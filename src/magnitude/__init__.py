@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "backend_name": "diversity",
     **dict.fromkeys((
-        "DefinitenessReport", "MagnitudeFunctionSample", "UndefinedMagnitude",
+        "MagnitudeFunctionSample", "UndefinedMagnitude",
         "approximate_compact_magnitude",
         "definiteness_report", "magnitude", "magnitude_function",
         "similarity_matrix", "solve_weighting",
@@ -29,8 +29,8 @@ _EXPORTS = {
         "points_on_line", "validate_metric",
     ), "spaces"),
     "SpaceSpec": "specs",
-    **dict.fromkeys(("MonotonicityViolation", "RefinementSample",
-                     "WeightingResult"), "sweeps"),
+    **dict.fromkeys(("DefinitenessReport", "MonotonicityViolation",
+                     "RefinementSample", "WeightingResult"), "sweeps"),
 }
 
 

@@ -49,12 +49,15 @@ numpy too in mag, weights, magfn, diversity (with --exact as well: the
 magnitude, on every point), dim --method diversity_growth and approx
 --grid-sizes/--cantor-depths: the line rung (tridiagonal) solves it in
 O(n) from the coordinates that the spec layer (specs) gives, and the
-scales are those of sweeps, which the numpy routes share. diversity on a
+scales are those of sweeps, which the numpy routes share; check answers
+it from the theorem (sweeps.theorem_report), from n, t and the smallest
+gap of the sorted coordinates, as engine.definiteness_report answers
+every space of points. diversity on a
 graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
 --exact), named or a --spec, runs without numpy as well: the support
-search takes the rows of its metric from specs.graph_rows. check, dim
---method covering_growth and every other space load numpy; a 1-D --ball
-sample is built with it, and the library answers it from the same rung.
+search takes the rows of its metric from specs.graph_rows. dim --method
+covering_growth and every other space load numpy; a 1-D --ball sample
+is built with it, and the same rung answers it, with --exact too.
 No command loads scipy, numpy.random or OpenSSL: the dense solves run on
 numpy alone (see engine), ball samples draw from the standard library's
 random.Random, and digests use CPython's builtin SHA-256, not hashlib's
@@ -335,11 +338,14 @@ def _cmd_magfn(args, command, t0) -> int:
     space, inputs = _space_inputs(args, line=True)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
+    # Z is positive definite at every scale on a space of points, by
+    # theorem, also where the solve cannot give the magnitude
+    theorem = isinstance(space, list) or space.holds_points
     samples = []
     for t in scales(args.tmin, args.tmax, args.steps, args.log):
         res = _solve(space, t)
         samples.append({"t": t, "magnitude": res.magnitude,
-                        "positive_definite": res.status == STATUS_PD,
+                        "positive_definite": theorem or res.status == STATUS_PD,
                         "status": res.status})
     # a sweep reports failed scales inside the data, never via exit code
     results = {"samples": samples, "n_points": _n_points(space)}
@@ -368,18 +374,31 @@ def _cmd_weights(args, command, t0) -> int:
     return 0
 
 
-def _cmd_check(args, command, t0) -> int:
-    from . import engine
+def _smallest_gap(coordinates: list[float]) -> float:
+    """The smallest distance between two of the reals coordinates, inf
+    for one: that of two neighbours once sorted, as fl(y - x) grows with
+    y."""
+    xs = sorted(coordinates)
+    return min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
 
+
+def _cmd_check(args, command, t0) -> int:
     try:
-        space, inputs = _space_inputs(args)
+        space, inputs = _space_inputs(args, line=True)
     except MetricError as exc:
         results = {"valid": False, "error": type(exc).__name__, "detail": str(exc)}
         _emit(args, command, {"error": True}, results, t0)
         return 2
-    rep = engine.definiteness_report(space, args.t)
+    if isinstance(space, list):
+        from .sweeps import theorem_report
+
+        rep = theorem_report(len(space), args.t, _smallest_gap(space))
+    else:
+        from . import engine
+
+        rep = engine.definiteness_report(space, args.t)
     results = {
-        "valid": True, "n_points": space.n_points, "t": args.t,
+        "valid": True, "n_points": _n_points(space), "t": args.t,
         **rep._asdict(),
         "cnd_max_eigenvalue": _finite_or_none(rep.cnd_max_eigenvalue),
     }
@@ -396,6 +415,10 @@ def _cmd_diversity(args, command, t0) -> int:
     space, inputs = _space_inputs(
         args, line=True,
         graph_limit=EXACT_LIMIT if args.exact else SEARCH_LIMIT)
+    if not isinstance(space, (list, tuple)) and space.on_line:
+        # a 1-D ball sample: the line rung answers it as it answers the
+        # line kinds, --exact too
+        space = space.points[:, 0].tolist()
     if isinstance(space, list):
         from . import tridiagonal
 
@@ -450,8 +473,7 @@ def _cmd_dim(args, command, t0) -> int:
         ts = growth_scales(args.tmin, args.tmax, args.samples)
         est = diversity_growth(
             ts, [tridiagonal.max_diversity(space, t) for t in ts])
-        xs = sorted(space)
-        finest = min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
+        finest = _smallest_gap(space)
     else:
         from . import diversity as dv
 

@@ -32,7 +32,11 @@ rejects, multiplies by one explicit inverse. Both rungs estimate the
 condition number with the same Hager-Higham estimator that LAPACK's
 dpocon and dgecon run.
 
-Every positive definiteness decision factors with one kernel,
+Definiteness of a space of points (every generator's; the points of
+l1^k or l2^k) comes from theorems, with no matrix formed: Z(t) is
+positive definite at every scale and d of negative type
+(sweeps.theorem_report). On a space that holds d (an explicit matrix or
+a graph), every positive definiteness decision factors with one kernel,
 cholesky_rows: a blocked Cholesky that asks a row source for its input
 one block of rows at a time, right of the diagonal only, and keeps the
 factor as those block rows, half an n x n array. Every stage reads d
@@ -60,13 +64,22 @@ from .errors import UndefinedMagnitude, finite_scale
 from .spaces import ROW_BLOCK, FiniteMetricSpace, SpaceSpec, generate_space
 from .sweeps import (  # noqa: F401  (re-exported: engine.STATUS_PD etc.)
     MONOTONE_SLACK,
+    PROOF_CHOLESKY,
+    PROOF_EIGENVALUE_BAND,
+    PROOF_THEOREM,
     STATUS_INVERTIBLE,
     STATUS_PD,
     STATUS_UNDEFINED,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NEGATIVE_TYPE,
+    VERDICT_NOT,
+    DefinitenessReport,
     MonotonicityViolation,
     RefinementSample,
     WeightingResult,
     refine,
+    scattered_bound,
+    theorem_report,
 )
 
 # rcond below N * this factor means the solve cannot be trusted at all
@@ -84,27 +97,12 @@ ESTIMATOR_MAX_ITERS = 5
 # many power-iteration steps
 PERRON_MARGIN = 1e-8
 PERRON_MAX_ITERS = 100
-VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
-VERDICT_NOT = "CertifiedNot"
-VERDICT_INCONCLUSIVE = "Inconclusive"
-
-# which method decided a negative-type verdict
-PROOF_CHOLESKY = "cholesky"
-PROOF_EIGENVALUE_BAND = "eigenvalue_band"
 
 
 class MagnitudeFunctionSample(NamedTuple):
     t: float
     magnitude: float | None
     status: str
-
-
-class DefinitenessReport(NamedTuple):
-    is_positive_definite: bool
-    negative_type_verdict: str
-    cnd_max_eigenvalue: float
-    negative_type_proof: str
-    scattered_bound_holds: bool
 
 
 def similarity_rows(space: FiniteMetricSpace, t, diameter: float | None = None):
@@ -402,17 +400,18 @@ def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
 
 
 def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
-    """Whether Z(t) is positive definite. On a space of points on the
-    line it is, at every scale 0 < t < inf: distinct reals have a
-    positive definite Z (R is of strict negative type; Leinster, Doc.
-    Math. 18, 2013), also where gaps so small that Z's rows are equal in
-    floats stop a Cholesky. On any other space, whether Cholesky factors
-    Z(t). Z is formed from d's rows a block at a time, only its entries
-    on and right of the diagonal, so the test holds half a factor and no
-    n x n array, and takes half the exponentials."""
-    z_rows = similarity_rows(space, t)
-    if space.on_line:
+    """Whether Z(t) is positive definite. On a space of points it is, at
+    every scale 0 < t < inf, from the theorem (sweeps.theorem_report),
+    with no matrix formed: distinct points of l1^k or l2^k have a positive
+    definite Z, also where distances so small that Z's rows are equal in
+    floats stop a Cholesky. On a space that holds d, whether Cholesky
+    factors Z(t). Z is formed from d's rows a block at a time, only its
+    entries on and right of the diagonal, so the test holds half a factor
+    and no n x n array, and takes half the exponentials."""
+    if space.holds_points:
+        finite_scale(t)
         return True
+    z_rows = similarity_rows(space, t)
     try:
         cholesky_rows(lambda lo, hi: z_rows(lo, hi, lo), space.n_points)
         return True
@@ -423,10 +422,7 @@ def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
 def scattered_bound_holds(space: FiniteMetricSpace, t: float = 1.0) -> bool:
     """True when t * (min distance) > log(N - 1), which forces a positive
     weighting regardless of geometry."""
-    n = space.n_points
-    if n <= 2:
-        return True
-    return float(t) * space.min_distance > math.log(n - 1)
+    return scattered_bound(space.n_points, t, space.min_distance)
 
 
 def _negative_type_verdict(top: float, dnorm: float) -> str:
@@ -588,11 +584,20 @@ def _eigenvalue_band(d: np.ndarray) -> tuple[float, str]:
 def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> DefinitenessReport:
     """Definiteness of Z(t) plus a negative-type certificate for d itself.
 
-    Negative type is tested on the centered distance matrix P d P with
-    P = I - J/N: its spectrum must be nonpositive on the mean-zero
-    subspace. The verdict uses a two-sided band on its top eigenvalue,
-    relative to the spectral norm of d: CertifiedNegativeType at most
-    1e-10 ||d||, CertifiedNot at least 1e-6 ||d||, Inconclusive between.
+    A space of points takes the theorem (sweeps.theorem_report): Z(t) is
+    positive definite, d is of negative type (negative_type_proof
+    "theorem") and the top eigenvalue of P d P is 0.0, with no matrix
+    formed; only the scattered bound reads the space, its smallest
+    distance, which the generators' row scan has found. The Cholesky
+    proof and the band below stay for the points' d held as a matrix
+    (validate_metric(space.distances)), their reference.
+
+    On a space that holds d, negative type is tested on the centered
+    distance matrix P d P with P = I - J/N: its spectrum must be
+    nonpositive on the mean-zero subspace. The verdict uses a two-sided
+    band on its top eigenvalue, relative to the spectral norm of d:
+    CertifiedNegativeType at most 1e-10 ||d||, CertifiedNot at least
+    1e-6 ||d||, Inconclusive between.
 
     A proof decides first (negative_type_proof "cholesky"): a Cholesky of
     one shifted matrix that finishes bounds the top eigenvalue by at most
@@ -600,20 +605,23 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
     and that bound is reported as cnd_max_eigenvalue. Only where the
     proof fails does eigvalsh give the top eigenvalue, and the band the
     verdict (negative_type_proof "eigenvalue_band", _eigenvalue_band).
+    The PD test is then whether Cholesky factors Z(t).
 
     Near the double maximum the proof and the band read d scaled by a
     power of two, 2^-k d (_negative_type_bound), and the top eigenvalue
     is scaled back by 2^k; k is 0 wherever the proof's float terms are
     finite.
 
-    Memory: half an n x n array at a time on the proof path, and no d
-    where the space holds its points: the shifted matrix's rows are
-    formed from d's rows and row means a block at a time, and its factor
-    is freed before the PD test factors Z(t), whose rows are formed the
-    same way. A failed proof frees its factor before the band forms d
-    whole and its centred matrix (LAPACK's own working copy comes on top
-    in eigvalsh).
+    Memory: none beyond the space on a space of points; on held d, half
+    an n x n array at a time on the proof path: the shifted matrix's rows
+    are formed from d's rows and row means a block at a time, and its
+    factor is freed before the PD test factors Z(t), whose rows are
+    formed the same way. A failed proof frees its factor before the band
+    forms its centred matrix (LAPACK's own working copy comes on top in
+    eigvalsh).
     """
+    if space.holds_points:
+        return theorem_report(space.n_points, t, space.min_distance)
     top, k = _negative_type_bound(space)
     if top is not None:
         verdict, proof = VERDICT_NEGATIVE_TYPE, PROOF_CHOLESKY

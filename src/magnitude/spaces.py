@@ -65,6 +65,7 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     TriangleViolation,
     ZeroDistanceDistinctPoints,
     finite_result,
+    integral,
 )
 from .specs import (  # noqa: F401  (re-exported: spaces.SpaceSpec etc.)
     KINDS,
@@ -103,11 +104,11 @@ class FiniteMetricSpace:
     """Validated finite metric space, read by rows.
 
     A space holds its distance matrix d (explicit matrices and graphs), or
-    only its points and p, the lp distance of the generated kinds; either
-    way rows(lo, hi, col0) is d[lo:hi, col0:] and distances is the whole
-    of d, read-only. Build instances through validate_metric or a
-    generator, not directly, unless the matrix is already known to be a
-    metric.
+    only its points and p, 1 or 2, the lp distance of the generated kinds
+    (BadSpec for any other p); either way rows(lo, hi, col0) is
+    d[lo:hi, col0:] and distances is the whole of d, read-only. Build
+    instances through validate_metric or a generator, not directly, unless
+    the matrix is already known to be a metric or the points distinct.
     """
 
     __slots__ = ("_d", "_planes", "p", "n_points", "_extremes")
@@ -118,6 +119,8 @@ class FiniteMetricSpace:
             distances.setflags(write=False)
             n = distances.shape[0]
         else:
+            # _lp_rows forms the l1 and l2 distances only
+            p = integral(p, "p", 1, 2)
             # points one row each, or one number each (a 1-D array); one
             # contiguous plane per coordinate, as _lp_rows reads them
             pts = np.asarray(points, float)
@@ -186,15 +189,29 @@ class FiniteMetricSpace:
         return self._scan()[0]
 
     @property
+    def holds_points(self) -> bool:
+        """Whether the space holds points, distinct points of l1^k or l2^k
+        as every generator builds them, rather than d: then Z(t) is
+        positive definite at every scale and d is of negative type, by
+        theorem (sweeps.theorem_report)."""
+        return self._planes is not None
+
+    @property
     def on_line(self) -> bool:
         """Whether the space is a set of points of the real line: a space
         of points with one coordinate."""
-        return self._planes is not None and len(self._planes) == 1
+        return self.holds_points and len(self._planes) == 1
 
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         """The space on the points indices: their points, or their block
-        of a held d, which the fancy index copies."""
+        of a held d, which the fancy index copies. A repeated index would
+        put two points at distance 0: ZeroDistanceDistinctPoints, at
+        their places in the subspace."""
         idx = list(indices)
+        first = {}
+        for k, i in enumerate(idx):
+            if first.setdefault(i, k) != k:
+                raise ZeroDistanceDistinctPoints(first[i], k)
         if self._planes is not None:
             return FiniteMetricSpace(points=self.points[idx], p=self.p)
         return FiniteMetricSpace(self._d[np.ix_(idx, idx)])

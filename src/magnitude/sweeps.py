@@ -4,8 +4,11 @@ growth-rate fit of dim, and the refinement sequence of approx.
 The dense routes (engine, diversity) and the line rung (tridiagonal) both
 run these, so a command samples the same scales, fits its slope the same
 way and applies the same sequence rules whichever route solves it. The
-records that every route returns (WeightingResult, DiversityResult) and
-the solve outcomes it reports are defined here too.
+records that every route returns (WeightingResult, DiversityResult,
+DefinitenessReport) and the solve outcomes and verdicts it reports are
+defined here too, with the report that a theorem gives a space of points
+(theorem_report), which check prints for the line kinds without numpy
+and engine.definiteness_report returns for every space of points.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DiversityError, WindowTooNarrow
+from .errors import DiversityError, WindowTooNarrow, finite_scale
 
 if TYPE_CHECKING:  # the records' annotations only; nothing here runs numpy
     import numpy as np
@@ -24,6 +27,15 @@ STATUS_UNDEFINED = "Undefined"
 
 # a nested refinement may drop by at most this much between levels
 MONOTONE_SLACK = 1e-9
+
+VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
+VERDICT_NOT = "CertifiedNot"
+VERDICT_INCONCLUSIVE = "Inconclusive"
+
+# which method decided a negative-type verdict
+PROOF_THEOREM = "theorem"
+PROOF_CHOLESKY = "cholesky"
+PROOF_EIGENVALUE_BAND = "eigenvalue_band"
 
 
 class WeightingResult(NamedTuple):
@@ -58,6 +70,40 @@ class DiversityResult(NamedTuple):
     # accepts, where the problem is convex; "stationary" from Frank-Wolfe
     # on a Z that Cholesky rejects
     certificate: str
+
+
+class DefinitenessReport(NamedTuple):
+    # whether Z(t) is positive definite: from the theorem on a space of
+    # points, else whether a Cholesky of Z(t) finishes
+    is_positive_definite: bool
+    negative_type_verdict: str
+    # the top eigenvalue of P d P, P = I - J/n: 0.0 from the theorem, a
+    # proven bound from the Cholesky proof, eigvalsh's value from the band
+    cnd_max_eigenvalue: float
+    # PROOF_THEOREM, PROOF_CHOLESKY or PROOF_EIGENVALUE_BAND
+    negative_type_proof: str
+    scattered_bound_holds: bool
+
+
+def scattered_bound(n: int, t: float, min_distance: float) -> bool:
+    """True when n <= 2 or t * min_distance > log(n - 1), which forces a
+    positive weighting whatever the geometry."""
+    return n <= 2 or float(t) * min_distance > math.log(n - 1)
+
+
+def theorem_report(n: int, t: float, min_distance: float) -> DefinitenessReport:
+    """The definiteness report of n distinct points of l1^k or l2^k, the
+    smallest distance between two of them min_distance (inf for one), at
+    a scale checked to be 0 < t < inf, as the theorems give it, with no
+    matrix formed. Such a Z(t) is positive definite at every scale: the
+    Fourier transforms of exp(-t |x|_1) and exp(-t |x|_2) are positive
+    everywhere (Meckes, Positivity 17, 2013; on the line, R is of strict
+    negative type: Leinster, Doc. Math. 18, 2013). Both l1 and l2 are of
+    negative type (Schoenberg), so P d P <= 0 on the mean-zero vectors,
+    and P d P 1 = 0: its top eigenvalue is 0.0, exactly."""
+    t = finite_scale(t)
+    return DefinitenessReport(True, VERDICT_NEGATIVE_TYPE, 0.0, PROOF_THEOREM,
+                              scattered_bound(n, t, min_distance))
 
 
 def scales(lo: float, hi: float, count: int, log: bool = False) -> list[float]:

@@ -915,9 +915,19 @@ def test_digests_are_sha256(capsys, monkeypatch):
 def test_check_near_the_double_maximum_gives_a_verdict(monkeypatch, argv,
                                                        stdin, proof, norm):
     # a row sum or the proof's exact sums overflow at these distances, so
-    # the proof reads d scaled by a power of two; nothing reaches stderr
-    if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    # the proof reads d scaled by a power of two; nothing reaches stderr.
+    # Points take the theorem, and their d, held, the proof
+    if stdin is None:
+        code, out, err, caught = _call(argv)
+        assert (code, err, caught) == (0, "", [])
+        rep = strict_loads(out)["results"]
+        assert (rep["negative_type_proof"], rep["cnd_max_eigenvalue"]) == (
+            "theorem", 0.0)
+        xs = [float(x) for x in argv[2].split(",")]
+        stdin = "".join(",".join(repr(abs(x - y)) for y in xs) + "\n"
+                        for x in xs)
+        argv = ["check", "--stdin-matrix", *argv[3:]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err, caught = _call(argv)
     assert code == 0
     assert err == "" and not caught
@@ -964,7 +974,7 @@ def test_weights_command(capsys):
     assert sum(w) == pytest.approx(rep["results"]["magnitude"], abs=1e-12)
 
 
-def test_check_command_verdicts(capsys):
+def test_check_command_verdicts(capsys, monkeypatch):
     code, rep, _ = run_json(capsys, "check", "--graph", "k32", "--t", "0.1")
     assert code == 0
     r = rep["results"]
@@ -973,11 +983,40 @@ def test_check_command_verdicts(capsys):
     assert r["negative_type_verdict"] == "CertifiedNot"
     assert r["negative_type_proof"] == "eigenvalue_band"
 
+    # the points take the theorem, and their d, held, the proof
     code, rep, _ = run_json(capsys, "check", "--points-1d", "0,0.5,1.7", "--t", "1")
+    theorem = rep["results"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "0,0.5,1.7\n0.5,0,1.2\n1.7,1.2,0\n"))
+    code, rep, _ = run_json(capsys, "check", "--stdin-matrix", "--t", "1")
+    held = rep["results"]
+    for r, proof in ((theorem, "theorem"), (held, "cholesky")):
+        assert r["is_positive_definite"] is True
+        assert r["negative_type_verdict"] == "CertifiedNegativeType"
+        assert r["negative_type_proof"] == proof
+    assert theorem["cnd_max_eigenvalue"] == 0.0
+    assert 0.0 < held["cnd_max_eigenvalue"] <= 1e-10 * 3 * 1.7
+
+
+def test_check_on_points_takes_the_theorem(capsys):
+    # three points of a line in l1^2, 1e-300 apart: Z is all ones in
+    # floats, so no Cholesky finishes, but it is positive definite at every
+    # t; magfn says so beside the Undefined it cannot solve
+    grid = ("--grid", "3x1", "--spacing", "1e-300", "--p", "1")
+    _, rep, _ = run_json(capsys, "check", *grid)
     r = rep["results"]
-    assert r["is_positive_definite"] is True
-    assert r["negative_type_verdict"] == "CertifiedNegativeType"
-    assert r["negative_type_proof"] == "cholesky"
+    assert (r["is_positive_definite"], r["negative_type_verdict"],
+            r["negative_type_proof"], r["cnd_max_eigenvalue"]) == (
+        True, "CertifiedNegativeType", "theorem", 0.0)
+    _, rep, _ = run_json(capsys, "magfn", *grid, "--tmin", "0.5", "--tmax",
+                         "1", "--steps", "2")
+    assert [(s["positive_definite"], s["status"])
+            for s in rep["results"]["samples"]] == [(True, "Undefined")] * 2
+    # a graph holds d: its key is still whether Cholesky finished
+    _, rep, _ = run_json(capsys, "magfn", "--graph", "k32", "--tmin", "0.3",
+                         "--tmax", "0.4", "--steps", "2")
+    assert [s["positive_definite"] for s in rep["results"]["samples"]] == [
+        False, True]
 
 
 def test_check_invalid_matrix_exits_two(capsys, tmp_path):
@@ -1697,6 +1736,23 @@ def test_line_results_come_in_input_order(capsys):
         assert r["value"] == pytest.approx(lines.line_magnitude(pts, 0.8),
                                            rel=1e-15)
         assert abs(r["kkt_gap"]) <= 1e-15
+
+
+def test_one_dimensional_ball_takes_the_line_rung_also_exact(capsys):
+    # a 1-D ball sample and the same points given as coordinates: one
+    # producer, the line rung, with and without --exact
+    from magnitude.spaces import ball_sample
+
+    xs = ball_sample(1, 1.0, 8, seed=1).points[:, 0].tolist()
+    for exact in ((), ("--exact",)):
+        _, ball, _ = run_json(capsys, "diversity", "--ball", "1,1,8",
+                              "--seed", "1", *exact)
+        _, line, _ = run_json(capsys, "diversity",
+                              f"--points-1d={','.join(map(repr, xs))}", *exact)
+        assert ball["results"] == line["results"]
+        assert ball["results"]["method"] == "line"
+    assert ball["results"]["supports_checked"] == 1
+    assert ball["results"]["value"] == 1.708243317649662
 
 
 def test_line_diversity_takes_any_count_also_exact(capsys):

@@ -18,6 +18,7 @@ from magnitude.engine import (
     EPS,
     PROOF_CHOLESKY,
     PROOF_EIGENVALUE_BAND,
+    PROOF_THEOREM,
     REFINE_MAX_PASSES,
     STATUS_INVERTIBLE,
     STATUS_PD,
@@ -256,7 +257,8 @@ def test_scattered_bound_edge_cases():
 
 
 def test_pd_closed_under_subspaces():
-    sp = ball_sample(3, 1.0, 40, seed=17)
+    # on d held, where Cholesky decides: a space of points takes the theorem
+    sp = validate_metric(ball_sample(3, 1.0, 40, seed=17).distances)
     assert is_positive_definite(sp, 1.0)
     rng = np.random.default_rng(18)
     for _ in range(10):
@@ -268,7 +270,8 @@ def test_pd_closed_under_subspaces():
 def test_pd_closed_under_l1_products():
     a = points_on_line([0.0, 0.5, 1.7])
     b = points_on_line([0.0, 1.1])
-    assert is_positive_definite(a, 1.0) and is_positive_definite(b, 1.0)
+    assert all(is_positive_definite(validate_metric(sp.distances), 1.0)
+               for sp in (a, b))
     assert is_positive_definite(l1_product(a, b), 1.0)
 
 
@@ -308,8 +311,9 @@ def test_subset_monotonicity_fails_below_the_pole():
 
 
 def test_definiteness_report_euclidean_sample():
-    sp = ball_sample(3, 1.0, 30, seed=2)
+    sp = validate_metric(ball_sample(3, 1.0, 30, seed=2).distances)
     rep = definiteness_report(sp, 1.0)
+    assert rep.negative_type_proof == PROOF_CHOLESKY
     assert rep.is_positive_definite
     assert rep.negative_type_verdict == VERDICT_NEGATIVE_TYPE
     assert rep.cnd_max_eigenvalue <= 1e-10 * sp.diameter * sp.n_points
@@ -323,7 +327,8 @@ def test_definiteness_report_k32():
 
 
 @pytest.mark.parametrize("space", [
-    K32, ball_sample(3, 1.0, 40, seed=4), ball_sample(2, 1.0, 25, seed=5, p=1),
+    K32, validate_metric(ball_sample(3, 1.0, 40, seed=4).distances),
+    validate_metric(ball_sample(2, 1.0, 25, seed=5, p=1).distances),
     graph_metric(named_graph_edges("c7")),
 ])
 def test_definiteness_report_centres_like_p_d_p(space):
@@ -349,7 +354,8 @@ def test_definiteness_report_centres_like_p_d_p(space):
 @given(n=st.integers(2, 60), dim=st.integers(1, 4), p=st.sampled_from([1, 2]),
        seed=st.integers(0, 2**32 - 1))
 def test_ball_samples_take_the_proof(n, dim, p, seed):
-    space = ball_sample(dim, 1.0, n, seed=seed, p=p)
+    # the samples' d, held: the points themselves take the theorem
+    space = validate_metric(ball_sample(dim, 1.0, n, seed=seed, p=p).distances)
     d = space.distances
     rep = definiteness_report(space, 1.0)
     assert rep.negative_type_proof == PROOF_CHOLESKY
@@ -360,6 +366,31 @@ def test_ball_samples_take_the_proof(n, dim, p, seed):
     assert rep.cnd_max_eigenvalue <= 1e-10 * np.abs(np.linalg.eigvalsh(d)).max()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       count=st.one_of(st.none(), st.integers(2, 40)),
+       p=st.sampled_from([1, 2]), t=st.floats(0.05, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_theorem_agrees_with_the_held_proof(shape, count, p, t, seed):
+    # grids of shape, or count points of the ball of len(shape) dimensions:
+    # the theorem's report of the points, and the Cholesky proof and PD
+    # test on their d, held, wherever they finish
+    dim = len(shape)
+    space = (lp_grid(shape, p=p, spacing=0.7) if count is None
+             else ball_sample(dim, 1.0, count, seed=seed, p=p))
+    theorem = definiteness_report(space, t)
+    assert theorem == (True, VERDICT_NEGATIVE_TYPE, 0.0, PROOF_THEOREM,
+                       scattered_bound_holds(space, t))
+    held = definiteness_report(validate_metric(space.distances), t)
+    assert held.negative_type_verdict != VERDICT_NOT
+    if held.negative_type_proof == PROOF_CHOLESKY:
+        assert held.negative_type_verdict == VERDICT_NEGATIVE_TYPE
+        # a proven bound on the top eigenvalue, which is the theorem's 0
+        assert 0.0 <= held.cnd_max_eigenvalue
+    assert held.is_positive_definite
+    assert held.scattered_bound_holds == theorem.scattered_bound_holds
+
+
 def _gamma(k):
     """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53, exactly."""
     u = Fraction(1, 2**53)
@@ -367,8 +398,10 @@ def _gamma(k):
 
 
 @pytest.mark.parametrize("space", [
-    ball_sample(3, 1.0, 40, seed=4), ball_sample(2, 1.0, 25, seed=5, p=1),
-    graph_metric(named_graph_edges("c6")), lp_grid((5, 4), p=1),
+    validate_metric(ball_sample(3, 1.0, 40, seed=4).distances),
+    validate_metric(ball_sample(2, 1.0, 25, seed=5, p=1).distances),
+    graph_metric(named_graph_edges("c6")),
+    validate_metric(lp_grid((5, 4), p=1).distances),
 ])
 def test_negative_type_bound_holds_every_rounding_term(space):
     # a lower bound on what a sound proof must report, in exact arithmetic
@@ -1009,10 +1042,11 @@ def test_similarity_matrix_holds_one_array():
 
 
 def test_definiteness_report_holds_two_arrays():
-    # on a failed proof the centred matrix while eigvalsh runs, else half
-    # a factor at a time (LAPACK's working copies are untraced)
-    assert _peak_units(lambda: definiteness_report(BUDGET_SPACE, 2.0),
-                       300) <= 2.05
+    # on d held (the points take the theorem and hold nothing): on a
+    # failed proof the centred matrix while eigvalsh runs, else half a
+    # factor at a time (LAPACK's working copies are untraced)
+    held = FiniteMetricSpace(BUDGET_SPACE.distances)
+    assert _peak_units(lambda: definiteness_report(held, 2.0), 300) <= 2.05
 
 
 def test_solve_weighting_holds_z_and_its_factor():
@@ -1027,14 +1061,17 @@ def test_solve_weighting_holds_z_and_its_factor():
 
 
 # half a factor at n = 1000 is 0.532 units; the update buffer of a block
-# shrinks with it (0.55 measured for both tests)
+# shrinks with it (0.55 measured for both tests). The points take the
+# theorem, which forms no matrix, so the Cholesky stages are traced on
+# their d, held
 LARGE_BUDGET_SPACE = ball_sample(3, 1.0, 1000, seed=7)
+LARGE_BUDGET_HELD = FiniteMetricSpace(LARGE_BUDGET_SPACE.distances)
 
 
 def test_positive_definite_test_holds_half_a_factor():
     # Z's rows formed from d a block at a time: no n x n array
     assert _peak_units(
-        lambda: is_positive_definite(LARGE_BUDGET_SPACE, 2.0), 1000) <= 0.6
+        lambda: is_positive_definite(LARGE_BUDGET_HELD, 2.0), 1000) <= 0.6
 
 
 def test_definiteness_proof_holds_half_a_factor():
@@ -1044,17 +1081,22 @@ def test_definiteness_proof_holds_half_a_factor():
     definiteness_report(K32, 1.0)
     rep = []
     peak = _peak_units(
-        lambda: rep.append(definiteness_report(LARGE_BUDGET_SPACE, 2.0)), 1000)
+        lambda: rep.append(definiteness_report(LARGE_BUDGET_HELD, 2.0)), 1000)
     assert rep[0].negative_type_proof == PROOF_CHOLESKY
     assert peak <= 0.6
 
 
-def test_check_command_holds_d_and_half_a_factor(capsys):
-    # the whole `check` call: generating the points, the proof, the PD
-    # test and the output: half a factor at a time, and no d. 0.59
-    # measured; 1.58 while the space held d, 2.09 while each factor was an
-    # n x n array
+def test_check_command_holds_d_and_half_a_factor(capsys, monkeypatch):
+    # the `check` call on a held d, from the space on: the proof, the PD
+    # test and the output, half a factor at a time beyond d. 0.59
+    # measured while the points took the proof; 1.58 while the space held
+    # d, 2.09 while each factor was an n x n array. Reading d is traced
+    # apart (test_explicit_matrix_is_validated_without_a_copy)
     argv = ["check", "--ball", "3,1,1000", "--seed", "7", "--t", "2"]
+    args = cli.build_parser().parse_args(argv)
+    inputs = cli._space_inputs(args)[1]
+    monkeypatch.setattr(cli, "_space_inputs",
+                        lambda args, line: (LARGE_BUDGET_HELD, inputs))
     cli.main(argv)  # imports, so that only the call itself is traced
     peak = _peak_units(lambda: cli.main(argv), 1000)
     assert json.loads(capsys.readouterr().out.splitlines()[-1])[

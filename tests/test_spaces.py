@@ -371,6 +371,12 @@ def test_subspace_picks_rows_and_points():
     assert sub.n_points == 2
     assert sub.distances[0, 1] == 4.0
     assert sub.points.tolist() == [[0.0], [4.0]]
+    # a repeated index is two points at distance 0, whose Z no theorem
+    # makes positive definite: refused, from points or a held d
+    for space in (sp, validate_metric(sp.distances)):
+        with pytest.raises(ZeroDistanceDistinctPoints) as info:
+            space.subspace([2, 0, 1, 0])
+        assert info.value.witness == (1, 3)
 
 
 def test_min_distance_single_point():
@@ -779,6 +785,19 @@ def test_points_space_reads_its_points_by_rows():
     assert points_on_line([2.0, -1.0]).points.tolist() == [[2.0], [-1.0]]
     assert lp_grid((3,), spacing=0.5).points.tolist() == [[0.0], [0.5], [1.0]]
     assert lp_grid((1, 2)).points.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("p", [3, None, 0, 1.5, True])
+def test_points_space_takes_p_one_or_two(p):
+    # the rows are formed for l1 and l2 only: p = 3 once squared the
+    # differences and took no root, so (0, 0), (3, 4) lay 25 apart
+    with pytest.raises(BadSpec, match="p must be an integer"):
+        FiniteMetricSpace(points=np.array([[0.0, 0.0], [3.0, 4.0]]), p=p)
+    for q, want in ((1, 7.0), (2.0, 5.0)):
+        space = FiniteMetricSpace(points=np.array([[0.0, 0.0], [3.0, 4.0]]),
+                                  p=q)
+        assert (space.p, space.distances[0, 1]) == (q, want)
+        assert space.holds_points
 
 
 def test_points_space_holds_its_points_not_d():

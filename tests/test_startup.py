@@ -2,8 +2,9 @@
 
 The package import, the exact commands (pixel, the Euclidean oracles),
 the commands that the line rung solves (mag, weights, magfn, diversity,
-dim and approx on a space of a line kind) and diversity on a graph that
-the support search takes load no numpy, and
+dim and approx on a space of a line kind), check on such a space, which
+the theorem answers, and diversity on a graph that the support search
+takes load no numpy, and
 no command loads scipy or numpy.ma: the dense solves run on numpy alone.
 No command loads numpy.random or OpenSSL (hashlib's _hashlib) either:
 ball samples draw from the standard library's random.Random, and digests
@@ -132,6 +133,7 @@ LINE_COMMANDS = {
     "diversity": ("diversity",),
     "exact": ("diversity", "--exact"),
     "dim": ("dim", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
+    "check": ("check",),
 }
 
 
@@ -144,7 +146,7 @@ LINE_COMMANDS = {
         "approx-grid", "approx-cantor"])
 def test_line_command_does_not_import_numpy(argv):
     # a space of a line kind, from a flag or a --spec, is solved by the
-    # line rung, which is pure Python
+    # line rung, and check answers it from the theorem, both pure Python
     rep = probe(*argv)
     assert rep["code"] == 0
     assert rep["numpy"] is False
