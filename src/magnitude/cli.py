@@ -43,17 +43,17 @@ modules that need numpy (spaces, engine, diversity) are imported inside
 the handlers and branches that use them, so pixel and oracle run without
 numpy, and only pixel and oracle load fractions. oracle --points prints
 the line rung's weights (tridiagonal), the bits weights --points-1d
-prints. A space of a line kind (points_1d, lp_grid with a one-entry
-shape, cantor_endpoints), named by its flag or by a --spec, runs without
-numpy too in mag, weights, magfn, diversity (with --exact as well: the
-magnitude, on every point), dim --method diversity_growth and approx
---grid-sizes/--cantor-depths: the line rung (tridiagonal) solves it in
-O(n) from the coordinates that the spec layer (specs) gives, and the
-scales are those of sweeps, which the numpy routes share; check answers
-it from the theorem (sweeps.theorem_report), from n, t and the smallest
-gap of the sorted coordinates, as engine.definiteness_report answers
-every space of points. diversity on a
-graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
+prints. A space of a line kind (points_1d, lp_grid with at most one
+shape entry above 1, cantor_endpoints), named by its flag or by a
+--spec, runs without numpy too in mag, weights, magfn, diversity (with
+--exact as well: the magnitude, on every point), dim --method
+diversity_growth and approx --grid-sizes/--cantor-depths: the line rung
+(tridiagonal) solves it in O(n) from the coordinates that the spec layer
+(specs) gives, and the scales are those of sweeps, which the numpy
+routes share; check answers it from the theorem (sweeps.theorem_report),
+from n, t and the smallest gap of the sorted coordinates, as
+engine.definiteness_report answers every space of points. diversity on
+a graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
 --exact), named or a --spec, runs without numpy as well: the support
 search takes the rows of its metric from specs.graph_rows. dim --method
 covering_growth and every other space load numpy; a 1-D --ball sample
@@ -78,6 +78,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .errors import (
@@ -185,6 +186,14 @@ def _read_text(path: str) -> str:
         raise BadSpec(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _digested(lines, digest):
+    """lines as they are read, each one's UTF-8 bytes added to digest, which
+    so ends as the digest of their whole text."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
+
+
 def _parse_grid(text: str) -> list[int]:
     try:
         return [int(s) for s in text.lower().split("x")]
@@ -230,13 +239,23 @@ def _space_inputs(args, line: bool = False, graph_limit: int = 0):
     else:
         from .spaces import load_distance_csv, validate_metric
 
-        text = sys.stdin.read() if src == "stdin_matrix" else _read_text(args.matrix)
-        # digested first, so that the encoded copy of the text is gone
-        # before the matrix exists; the reader's array is new and nobody
+        # streamed: each line is digested and parsed as it is read, so the
+        # text is never held whole; the reader's array is new and nobody
         # else's, so it is validated without a copy
-        inputs = {"kind": "explicit_matrix",
-                  "sha256": sha256(text.encode()).hexdigest()}
-        return validate_metric(load_distance_csv(text), copy=False), inputs
+        stdin, digest = src == "stdin_matrix", sha256()
+        name = "stdin" if stdin else args.matrix
+        try:
+            with (nullcontext(sys.stdin) if stdin
+                  else open(name, encoding="utf-8")) as fh:
+                d = load_distance_csv(_digested(fh, digest))
+        except UnicodeError as exc:  # stdin decodes bad bytes to surrogates
+            if not stdin:  # read whole, the error names the byte's place
+                _read_text(name)  # in the file, not in the chunk decoded
+            raise BadSpec(f"{name} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise BadSpec(f"cannot read {name}: {exc.strerror or exc}") from None
+        inputs = {"kind": "explicit_matrix", "sha256": digest.hexdigest()}
+        return validate_metric(d, copy=False), inputs
     params = spec.effective()
     inputs = {"kind": spec.kind, "params": params}
     coordinates = line_coordinates(spec.kind, params) if line else None

@@ -44,12 +44,12 @@ through the space's rows, ROW_BLOCK at a time, and a generated space
 holds its points, not d, so forms them as they are asked for
 (spaces.FiniteMetricSpace.rows). So no dense stage holds a square work
 array, nor d: the PD test forms Z's rows as it factors and holds half a
-factor; a solve keeps a copy of Z's rows on and right of the diagonal as
-it factors them, and multiplies by Z from those (symmetric_product), so
-it holds half of Z and half a factor, in one buffer of about one n x n
-array; and the negative-type proof of definiteness_report forms the rows
-of its shifted matrix from d's rows and row means and holds half a
-factor.
+factor; a solve factors Z's rows on and right of the diagonal in one
+buffer, half an n x n array, and multiplies by Z for its residuals from
+rows it forms again, ROW_BLOCK at a time (symmetric_product), so it too
+holds half a factor; and the negative-type proof of definiteness_report
+forms the rows of its shifted matrix from d's rows and row means and
+holds half a factor.
 """
 
 from __future__ import annotations
@@ -220,17 +220,26 @@ def cholesky_solver(factor: list[np.ndarray]):
     return solve
 
 
-def symmetric_product(upper: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Z x for a symmetric n x n Z held as its block rows on and right of
-    the diagonal, in the layout of cholesky_rows: block k is Z[lo:hi, lo:],
-    lo = n - its width. Each block gives its rows' products with x[lo:]
-    and, through its transpose, the products of the rows below it with
-    x[lo:hi]."""
-    q = np.zeros(len(x))
-    for block in upper:
-        b, lo = block.shape[0], len(x) - block.shape[1]
-        q[lo:lo + b] += block @ x[lo:]
-        q[lo + b:] += x[lo:lo + b] @ block[:, b:]
+def _add_block_product(q: np.ndarray, block: np.ndarray, x: np.ndarray) -> None:
+    """q += the part of Z x that block, Z[lo:hi, lo:] with lo = n - its
+    width, gives: its rows' products with x[lo:] and, through its
+    transpose, the products of the rows below it with x[lo:hi]."""
+    b, lo = block.shape[0], len(x) - block.shape[1]
+    q[lo:lo + b] += block @ x[lo:]
+    q[lo + b:] += x[lo:lo + b] @ block[:, b:]
+
+
+def symmetric_product(rows, x: np.ndarray) -> np.ndarray:
+    """Z x for a symmetric n x n Z given by its row source rows(lo, hi,
+    col0, out) (similarity_rows), which forms Z's block rows on and right
+    of the diagonal, Z[lo:hi, lo:], ROW_BLOCK at a time, into one scratch
+    array of ROW_BLOCK n floats, in the layout of cholesky_rows."""
+    n = len(x)
+    q, scratch = np.zeros(n), np.empty(min(ROW_BLOCK, n) * n)
+    for lo in range(0, n, ROW_BLOCK):
+        shape = (min(lo + ROW_BLOCK, n) - lo, n - lo)
+        out = scratch[:shape[0] * shape[1]].reshape(shape)
+        _add_block_product(q, rows(lo, lo + shape[0], lo, out=out), x)
     return q
 
 
@@ -288,36 +297,44 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     LU does, Undefined when the matrix is singular, the condition estimate
     exceeds 1 / (N * 1e-14), or refinement cannot push the max-norm
     residual below RESIDUAL_GATE * max(1, ||Z||_inf ||w||_inf).
+
+    Memory, on the Cholesky rung: half a factor, n^2 / 2 + 32 n floats,
+    which cholesky_rows factors in place as Z's rows are formed; ||Z||_inf
+    comes from their sums, taken as each block is formed, and each
+    residual forms Z's rows again (symmetric_product). The LU rung holds
+    Z whole and its inverse.
     """
     if space.on_line:
         res = tridiagonal.solve(space.points[:, 0].tolist(), t)
         return res._replace(weighting=frozen(res.weighting))
     n, z_rows = space.n_points, similarity_rows(space, t)
     ones = np.ones(n)
-    # Z's rows on and right of the diagonal are formed in held[0], which
-    # cholesky_rows factors in place, and copied to held[1], kept as upper.
-    # One buffer: a sweep's solves take it from the heap again, where
-    # blocks allocated one by one came as fresh pages at every solve
-    held = np.empty((2, sum((min(lo + ROW_BLOCK, n) - lo) * (n - lo)
-                            for lo in range(0, n, ROW_BLOCK))))
-    upper = []
+    # Z's rows on and right of the diagonal are formed in one buffer, which
+    # cholesky_rows factors in place; their sums, Z 1, are taken as each
+    # block is formed, before the kernel overwrites it. One buffer: a
+    # sweep's solves take it from the heap again, where blocks allocated
+    # one by one came as fresh pages at every solve
+    held = np.empty(sum((min(lo + ROW_BLOCK, n) - lo) * (n - lo)
+                        for lo in range(0, n, ROW_BLOCK)))
+    row_sums, start = np.zeros(n), 0
 
     def rows(lo, hi):
-        start, shape = sum(u.size for u in upper), (hi - lo, n - lo)
-        part = held[:, start:start + shape[0] * shape[1]]
-        block = z_rows(lo, hi, lo, out=part[0].reshape(shape))
-        upper.append(part[1].reshape(shape))
-        upper[-1][...] = block
+        nonlocal start
+        shape = (hi - lo, n - lo)
+        block = z_rows(lo, hi, lo, out=held[start:start + shape[0] * shape[1]]
+                       .reshape(shape))
+        start += block.size
+        _add_block_product(row_sums, block, ones)
         return block
 
-    status, product = STATUS_PD, lambda x: symmetric_product(upper, x)
+    status, product = STATUS_PD, lambda x: symmetric_product(z_rows, x)
     try:
         solve = cholesky_solver(cholesky_rows(rows, n))
     except np.linalg.LinAlgError:
         solve = None
     if solve is None:
-        # LU on Z formed whole, once the partial rows and factor are freed
-        upper = held = None
+        # LU on Z formed whole, once the partial factor is freed
+        held = None
         z = similarity_matrix(space, t)
         try:
             inverse = np.linalg.inv(z)
@@ -326,6 +343,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
                                    float("inf"), None)
         status, product = STATUS_INVERTIBLE, z.__matmul__
         solve = lambda rhs: inverse @ rhs
+        row_sums = product(ones)
 
     # a nearly singular factor may overflow; a non-finite estimate counts
     # as singular, as dgecon's check for NaN and infinity does
@@ -333,7 +351,7 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
         ainvnm = _inverse_norm_estimate(solve, n)
     # Z > 0 entrywise, so its 1-norm is the largest column sum, Z 1 as Z
     # is symmetric, and that is also its inf-norm
-    znorm = float(product(ones).max())
+    znorm = float(row_sums.max())
     rcond = (1.0 / ainvnm) / znorm if 0.0 < ainvnm < math.inf else 0.0
     cond = float("inf") if rcond == 0.0 else 1.0 / rcond
     if rcond < n * CONDITION_RCOND_FACTOR:

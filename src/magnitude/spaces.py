@@ -17,11 +17,11 @@ The spec layer (SpaceSpec, the KINDS table of parameter rules,
 POINT_LIMIT, the coordinates of the line kinds with their checks, and a
 graph's edges and metric rows) lives in the numpy-free specs module and
 is re-exported here, so spaces.SpaceSpec is specs.SpaceSpec; the CLI
-solves a space of a line kind (points_1d, lp_grid with a one-entry
-shape, cantor_endpoints) from those coordinates with the line rung
-(tridiagonal), and the maximum diversity of a small graph from its rows
-with the support search (supports), without this module and without
-numpy, and builds every other space here. Ball samples draw
+solves a space of a line kind (points_1d, lp_grid with at most one
+shape entry above 1, cantor_endpoints) from those coordinates with the
+line rung (tridiagonal), and the maximum diversity of a small graph from
+its rows with the support search (supports), without this module and
+without numpy, and builds every other space here. Ball samples draw
 from the standard library's random.Random(seed), so a spec with a seed
 reproduces the same points bit for bit on any platform. A spec, and a
 direct call of a public builder, is checked against the KINDS table of
@@ -459,11 +459,12 @@ def lp_grid(shape, p: int | None = None,
             spacing: float | None = None) -> FiniteMetricSpace:
     """The points spacing * i of the integer lattice of shape, i_k below
     shape[k], in the lp distance: by default p = 2 and spacing 1.0. With
-    one entry in shape the distance is |x - y|, the lp distance of every
-    p on the line, formed as the l1 one, which is exact."""
-    if len(shape) == 1:
-        pts = np.array(grid_1d(shape[0], spacing))
-        return FiniteMetricSpace(points=pts[:, None], p=1)
+    at most one entry of shape above 1 the grid lies on the line, where
+    the distance is |x - y|, the lp distance of every p, formed as the l1
+    one, which is exact."""
+    xs = grid_1d(shape, spacing)
+    if xs is not None:
+        return FiniteMetricSpace(points=np.array(xs)[:, None], p=1)
     check_points(math.prod(shape), "lp_grid")
     pts = np.array(list(_iterproduct(*(range(s) for s in shape))), dtype=float)
     with np.errstate(over="ignore"):
@@ -561,35 +562,35 @@ def ball_sample(n: int, radius: float, count: int, seed: int,
 def load_distance_csv(source) -> np.ndarray:
     """Read an N x N matrix: N comma-separated numeric rows, no header.
 
-    Lines end at "\\n" only, and blank ones are skipped; each row is parsed
-    straight into one N x N float array, N being the first row's width.
-    An unparsable entry raises at its line; a ragged or non-square matrix
-    raises once every line has parsed.
+    source is text or UTF-8 bytes, whose lines end at "\\n" only, or a
+    file or any iterable of lines, read one at a time, so the whole text
+    is never held. Blank lines are skipped; each row is parsed straight
+    into one float array, N being the first row's width, which grows in
+    place by doubling from one row up to N rows: a first row too wide for
+    its input allocates one row. An unparsable entry raises at its line;
+    a ragged or non-square matrix raises once every line has parsed.
     """
-    if isinstance(source, (str, bytes)):
-        text = source if isinstance(source, str) else source.decode("utf-8")
-    else:
-        text = source.read()
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
     out = None
     rows = 0
     ragged = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = source.split("\n") if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            values = [float(tok) for tok in line.split(",")]
+            values = list(map(float, line.split(",")))
         except ValueError as exc:
             raise MatrixParseError(f"line {lineno}: {exc}") from None
         if out is None:
             width = len(values)
-            # a square matrix takes width lines of at least 2 width - 1
-            # characters, so a first row too wide for the text starts none
-            # and no array is allocated for it
-            fits = width * (2 * width - 1) <= len(text)
-            out = np.empty((width if fits else 0, width))
+            out = np.empty((1, width))
         ragged = ragged or len(values) != width
-        if not ragged and rows < len(out):
+        if not ragged and rows < width:
+            if rows == len(out):
+                out.resize((min(2 * rows, width), width), refcheck=False)
             out[rows] = values
         rows += 1
     if out is None:

@@ -7,13 +7,14 @@ and every spec, space flag and builder call is checked there. The spaces
 module builds each kind with numpy and re-exports this layer, so
 spaces.SpaceSpec is specs.SpaceSpec.
 
-The line kinds are points_1d, lp_grid with a one-entry shape and
-cantor_endpoints. line_coordinates gives their points as floats, in the
-order the built space lists them, with every BadSpec check that building
-them makes: POINT_LIMIT, distinct coordinates and distances inside the
-double range. The spaces builders take their points from it, and the CLI
-hands them to the line rung (tridiagonal), which solves them without
-numpy; on the line the distance is |x - y| for every p.
+The line kinds are points_1d, lp_grid with at most one shape entry
+above 1 and cantor_endpoints. line_coordinates gives their points as
+floats, in the order the built space lists them, with every BadSpec
+check that building them makes: POINT_LIMIT, distinct coordinates and
+distances inside the double range. The spaces builders take their
+points from it, and the CLI hands them to the line rung (tridiagonal),
+which solves them without numpy; on the line the distance is |x - y|
+for every p.
 
 A graph_shortest_path spec gives its edges and vertex count by
 graph_edges, named graphs by graph_name_edges, and graph_rows gives the
@@ -34,8 +35,8 @@ from typing import Callable, NamedTuple
 from .errors import BadSpec, DisconnectedGraph, finite, integral
 
 # most points a generator builds. Measured at n = 2000 in n x n float
-# arrays: a dense solve holds half of Z and half a factor, 1.10 (0.55 GiB
-# at this size), and 2.10 where the space holds d (graphs, 1.05 GiB); a
+# arrays: a dense solve holds half a factor, 0.59 (0.29 GiB at this
+# size), and 1.59 where the space holds d (graphs, 0.79 GiB); a
 # failed negative-type proof forms d, the centred matrix and eigvalsh's
 # copy of it, three (1.5 GiB)
 POINT_LIMIT = 2**13
@@ -125,9 +126,13 @@ def points_1d(coordinates) -> list[float]:
     return line_points(xs)
 
 
-def grid_1d(n: int, spacing: float) -> list[float]:
-    """The points i * spacing, i < n, of the lp_grid of shape [n], of
-    every p."""
+def grid_1d(shape, spacing: float) -> list[float] | None:
+    """The points i * spacing, i < n, of an lp_grid whose shape has at
+    most one entry above 1, n their product: such a grid lies on the
+    line, in this order, for every p. None for any other shape."""
+    if sum(s > 1 for s in shape) > 1:
+        return None
+    n = math.prod(shape)
     check_points(n, "lp_grid")
     return line_points([i * spacing for i in range(n)])
 
@@ -160,8 +165,8 @@ def line_coordinates(kind: str, params: dict) -> list[float] | None:
     in the order the space lists them; None for any other kind."""
     if kind == "points_1d":
         return points_1d(params["coordinates"])
-    if kind == "lp_grid" and len(params["shape"]) == 1:
-        return grid_1d(params["shape"][0], params["spacing"])
+    if kind == "lp_grid":
+        return grid_1d(params["shape"], params["spacing"])
     if kind == "cantor_endpoints":
         return cantor_points(params["depth"], params["length"])
     return None

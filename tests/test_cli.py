@@ -1,6 +1,7 @@
 """Command-line surface: envelopes, exit codes, pinned examples."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -884,11 +885,101 @@ def test_stdin_matrix(capsys, monkeypatch):
     assert rep["results"]["magnitude"] == pytest.approx(1.4621171572600098, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["mag", "check"])
+def test_stdin_that_is_not_utf8_is_bad_input(command):
+    # the process's stdin decodes bad bytes to surrogates, which the
+    # digest cannot encode: bad input, exit 2, as a --matrix file that is
+    # not UTF-8 is, in any locale
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    for locale in ({}, {"LC_ALL": "C.UTF-8"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "magnitude", command, "--stdin-matrix",
+             "--t", "1"], input=b"0,1\n1,\xff\n", capture_output=True,
+            env={**env, **locale}, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "BadSpec"
+        assert err["detail"].startswith("stdin is not UTF-8 text: ")
+
+
+def test_matrix_file_that_is_not_utf8_names_the_byte(capsys, tmp_path):
+    # the file is streamed in chunks, but the error names the bad byte's
+    # place in the file; a bad token in a chunk read before it comes first
+    path = tmp_path / "m.csv"
+    for head, error, detail in (
+            (b"", "BadSpec", f"{path} is not UTF-8 text: 'utf-8' codec can't "
+                             "decode byte 0xff in position 20002: invalid "
+                             "start byte"),
+            (b"0,x\n", "MatrixParseError",
+             "line 1: could not convert string to float: 'x'")):
+        path.write_bytes(head + b"0,1\n" * 5000 + b"1,\xff\n")
+        code, out, err = run(capsys, "mag", "--matrix", str(path))
+        assert (code, out, json.loads(err)) == (
+            2, "", {"error": error, "detail": detail})
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+       final=st.booleans(),
+       fault=st.sampled_from([None, "ragged", "token", "square"]),
+       at=st.integers(0, 5))
+def test_streamed_matrix_is_the_whole_text(csv_dir, xs, newline, blanks,
+                                           final, fault, at):
+    # --matrix and --stdin-matrix read, digest and parse one line at a
+    # time: the array and digest of the whole text, read as each reads it
+    # (the file with universal newlines, stdin as it comes), and the same
+    # message for every fault
+    from magnitude.errors import MatrixParseError
+    from magnitude.spaces import load_distance_csv
+
+    rows = [[repr(abs(x - y)) for y in xs] for x in xs]
+    at %= len(rows)
+    if fault == "ragged":
+        rows[at] = rows[at][:-1] or ["0", "0"]
+    elif fault == "token":
+        rows[at][-1] = "x"
+    elif fault == "square":
+        del rows[at]
+    lines = [",".join(r) for r in rows]
+    for k, blank in enumerate(blanks):
+        lines.insert((at + k) % (len(lines) + 1), blank)
+    raw = newline.join(lines) + (newline if final else "")
+    path = csv_dir / "m.csv"
+    path.write_bytes(raw.encode())
+    saved = sys.stdin
+    for argv, text in ((["--matrix", str(path)], raw.replace("\r\n", "\n")),
+                       (["--stdin-matrix"], raw)):
+        args = cli.build_parser().parse_args(["mag", *argv])
+        try:
+            want = load_distance_csv(text)
+        except MatrixParseError as exc:
+            want = exc
+        sys.stdin = io.TextIOWrapper(io.BytesIO(raw.encode()), encoding="utf-8",
+                                     errors="surrogateescape", newline="\n")
+        try:
+            space, inputs = cli._space_inputs(args)
+        except MatrixParseError as exc:
+            assert isinstance(want, MatrixParseError) and str(exc) == str(want)
+            continue
+        finally:
+            sys.stdin = saved
+        assert space.distances.tobytes() == want.tobytes()
+        assert inputs == {"kind": "explicit_matrix",
+                          "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def test_digests_are_sha256(capsys, monkeypatch):
     # the CLI hashes with CPython's builtin SHA-256, not hashlib's, which
     # maps OpenSSL into the process; hashlib's is the reference here
-    import hashlib
-
     def sha256(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -948,9 +1039,14 @@ def test_ball_sample_underflow_names_its_cause(capsys):
     # distances lose bits before they reach 0: a sum of squares reads
     # 1e-160 as 9.99994e-161, a magnitude of 1.924229936812735 for the
     # line's 1.9242343145200196
-    code, out, err = run(capsys, "mag", "--grid", "3x1", "--spacing", "1e-160",
+    code, out, err = run(capsys, "mag", "--grid", "3x2", "--spacing", "1e-160",
                          "--t", "1e160")
     assert_bad_spec(code, out, err)
+    # a grid with one entry above 1 lies on the line, where every p is
+    # |x - y|: it takes the line's distances and magnitude
+    _, rep, _ = run_json(capsys, "mag", "--grid", "3x1", "--spacing", "1e-160",
+                         "--t", "1e160")
+    assert rep["results"]["magnitude"] == 1.9242343145200196
 
 
 @pytest.mark.parametrize("radius, status", [("1e-300", 0), ("1e200", 0)])
@@ -998,11 +1094,27 @@ def test_check_command_verdicts(capsys, monkeypatch):
     assert 0.0 < held["cnd_max_eigenvalue"] <= 1e-10 * 3 * 1.7
 
 
+@pytest.mark.parametrize("grid, p", [("3x1", "1"), ("1x3", "2"),
+                                     ("1x3x1", "2")])
+def test_grid_with_one_axis_above_one_is_the_line(capsys, grid, p):
+    # its points are i * spacing, in order, and every p's distance is
+    # |x - y|: the line rung solves it as --grid 3, where the dense solve
+    # met Z of all ones in floats (Undefined) and p = 2 refused the
+    # underflowing squares
+    line = run_json(capsys, "mag", "--grid", "3", "--spacing", "1e-300",
+                    "--p", "1", "--t", "1")[1]["results"]
+    code, rep, _ = run_json(capsys, "mag", "--grid", grid, "--spacing",
+                            "1e-300", "--p", p, "--t", "1")
+    assert code == 0
+    assert rep["results"] == line
+    assert (line["magnitude"], line["status"]) == (1.0, "UniquePD")
+
+
 def test_check_on_points_takes_the_theorem(capsys):
-    # three points of a line in l1^2, 1e-300 apart: Z is all ones in
+    # four points of a square in l1^2, 1e-300 apart: Z is all ones in
     # floats, so no Cholesky finishes, but it is positive definite at every
     # t; magfn says so beside the Undefined it cannot solve
-    grid = ("--grid", "3x1", "--spacing", "1e-300", "--p", "1")
+    grid = ("--grid", "2x2", "--spacing", "1e-300", "--p", "1")
     _, rep, _ = run_json(capsys, "check", *grid)
     r = rep["results"]
     assert (r["is_positive_definite"], r["negative_type_verdict"],

@@ -1,5 +1,6 @@
 """Weighting solver, magnitude properties, and definiteness certificates."""
 
+import io
 import json
 import math
 import warnings
@@ -712,13 +713,11 @@ def test_symmetric_product_and_solve_across_block_edges(n):
         m = space.n_points
         z = similarity_matrix(space, t)
         rows = similarity_rows(space, t)
-        upper = [rows(lo, min(lo + ROW_BLOCK, m), lo)
-                 for lo in range(0, m, ROW_BLOCK)]
         znorm = float(z.sum(axis=0).max())
         for x in (np.ones(m), rng.standard_normal(m)):
             bound = m * u * znorm * float(np.abs(x).max())
-            assert np.abs(symmetric_product(upper, x) - z @ x).max() <= bound
-        assert abs(symmetric_product(upper, np.ones(m)).max() - znorm) \
+            assert np.abs(symmetric_product(rows, x) - z @ x).max() <= bound
+        assert abs(symmetric_product(rows, np.ones(m)).max() - znorm) \
             <= m * u * znorm
         # the dense reference: numpy's LU solve, and Cholesky for the status
         ref = np.linalg.solve(z, np.ones(m))
@@ -1049,15 +1048,16 @@ def test_definiteness_report_holds_two_arrays():
     assert _peak_units(lambda: definiteness_report(held, 2.0), 300) <= 2.05
 
 
-def test_solve_weighting_holds_z_and_its_factor():
-    # one buffer of Z's block rows on and right of the diagonal and those
-    # of its factor (0.5 + 32 / n each), held whole from the start, so one
-    # update buffer of the kernel, ROW_BLOCK n floats (0.21 at n = 300),
-    # adds to it; the inverses of the diagonal blocks come after it. No
-    # whole Z (1.44 measured; 1.64 while two update buffers overlapped,
-    # 1.84 while Z was held whole)
+def test_solve_weighting_holds_half_a_factor():
+    # one buffer of Z's block rows on and right of the diagonal, which the
+    # kernel factors in place (0.5 + 32 / n), held whole from the start,
+    # so one update buffer of the kernel, ROW_BLOCK n floats (0.21 at n =
+    # 300), adds to it; the inverses of the diagonal blocks and the
+    # product's scratch rows, which re-form Z's rows, come after it. 1.07
+    # measured; 1.44 while a copy of Z's rows was kept beside the factor,
+    # 1.64 while two update buffers overlapped, 1.84 while Z was held whole
     assert _peak_units(lambda: solve_weighting(BUDGET_SPACE, 2.0),
-                       300) <= 1.44
+                       300) <= 1.1
 
 
 # half a factor at n = 1000 is 0.532 units; the update buffer of a block
@@ -1066,6 +1066,13 @@ def test_solve_weighting_holds_z_and_its_factor():
 # their d, held
 LARGE_BUDGET_SPACE = ball_sample(3, 1.0, 1000, seed=7)
 LARGE_BUDGET_HELD = FiniteMetricSpace(LARGE_BUDGET_SPACE.distances)
+
+
+def test_large_solve_holds_half_a_factor():
+    # 0.67 measured, 1.13 while a copy of Z's rows was kept beside the
+    # factor
+    assert _peak_units(lambda: solve_weighting(LARGE_BUDGET_SPACE, 2.0),
+                       1000) <= 0.7
 
 
 def test_positive_definite_test_holds_half_a_factor():
@@ -1104,19 +1111,36 @@ def test_check_command_holds_d_and_half_a_factor(capsys, monkeypatch):
     assert peak <= 0.65
 
 
+LINE_CSV = "\n".join(",".join(str(abs(i - j)) for j in range(600))
+                     for i in range(600))
+
+
 def test_explicit_matrix_is_validated_without_a_copy(tmp_path):
-    # --matrix: the CSV text, the reader's array, which validate_metric
-    # now takes over, and the triangle scan's blocks (0.43 units at n =
-    # 600); 1.95 measured, 2.95 while the array was copied
+    # --matrix: the reader's array, grown in place as the file's lines are
+    # read and digested one at a time, which validate_metric then takes
+    # over, and the triangle scan's blocks (0.43 units at n = 600); 1.49
+    # measured, 1.95 while the text was read whole, 2.95 while the array
+    # was copied
     n = 600
     path = tmp_path / "line.csv"
-    path.write_text("\n".join(",".join(str(abs(i - j)) for j in range(n))
-                               for i in range(n)))
+    path.write_text(LINE_CSV)
     args = cli.build_parser().parse_args(["mag", "--matrix", str(path)])
     spaces = []
     peak = _peak_units(lambda: spaces.append(cli._space_inputs(args)), n)
     assert spaces[0][0].distances[0, -1] == n - 1
-    assert peak <= 2.4
+    assert peak <= 1.5
+
+
+def test_stdin_matrix_is_streamed_without_a_copy(monkeypatch):
+    # --stdin-matrix, the same: 1.49 measured, 1.95 while stdin was read
+    # whole
+    n = 600
+    monkeypatch.setattr("sys.stdin", io.StringIO(LINE_CSV))
+    args = cli.build_parser().parse_args(["mag", "--stdin-matrix"])
+    spaces = []
+    peak = _peak_units(lambda: spaces.append(cli._space_inputs(args)), n)
+    assert spaces[0][0].distances[0, -1] == n - 1
+    assert peak <= 1.5
 
 
 def test_min_distance_makes_no_square_copy():

@@ -743,9 +743,9 @@ def test_ball_sample_refuses_past_four_times_the_draw_limit(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda: ball_sample(3, 1e-300, 5, seed=1),
-    lambda: lp_grid([3, 1], spacing=1e-200),
+    lambda: lp_grid([3, 2], spacing=1e-200),
     lambda: lp_grid([2, 2], p=2, spacing=1e-170),
-    lambda: lp_grid([3, 1], spacing=1e-160),
+    lambda: lp_grid([3, 2], spacing=1e-160),
     lambda: lp_grid([2, 2], spacing=2.0**-512),
     lambda: ball_sample(2, 1e-156, 5, seed=1),
 ])
@@ -759,14 +759,16 @@ def test_underflowing_distances_are_refused(build):
     # from 2^-511 on the sum of squares is normal: the distance is exact
     assert lp_grid([2, 2], spacing=2.0**-511).min_distance == 2.0**-511
     # p = 1 sums the differences themselves, which never underflow to 0,
-    # and on the line every p is |x - y|, so a one-entry grid of p = 2
-    # holds the distances of p = 1
+    # and on the line every p is |x - y|, so a grid with at most one entry
+    # above 1 of p = 2 holds the distances of p = 1
     assert lp_grid([3], p=1, spacing=1e-300).min_distance == 1e-300
     for spacing in (1e-200, 1e-160, 1e160):
-        line = lp_grid([3], p=2, spacing=spacing)
-        assert line.distances.tobytes() == lp_grid(
-            [3], p=1, spacing=spacing).distances.tobytes()
-        assert line.min_distance == spacing
+        for shape in ([3], [3, 1], [1, 3], [1, 3, 1]):
+            line = lp_grid(shape, p=2, spacing=spacing)
+            assert line.on_line
+            assert line.distances.tobytes() == lp_grid(
+                [3], p=1, spacing=spacing).distances.tobytes()
+            assert line.min_distance == spacing
 
 
 @pytest.mark.parametrize("radius", [1e-300, 1e200, 2.0])
@@ -784,7 +786,10 @@ def test_points_space_reads_its_points_by_rows():
     # one row each, in one coordinate too, where the points were numbers
     assert points_on_line([2.0, -1.0]).points.tolist() == [[2.0], [-1.0]]
     assert lp_grid((3,), spacing=0.5).points.tolist() == [[0.0], [0.5], [1.0]]
-    assert lp_grid((1, 2)).points.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    assert lp_grid((2, 2)).points.tolist() == [
+        [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    # a grid with at most one entry above 1 lies on the line, in its order
+    assert lp_grid((1, 2)).points.tolist() == [[0.0], [1.0]]
 
 
 @pytest.mark.parametrize("p", [3, None, 0, 1.5, True])

@@ -142,8 +142,11 @@ LINE_COMMANDS = {
       for src in LINE_SOURCES.values()),
     ("approx", "--grid-sizes", "11,21"),
     ("approx", "--cantor-depths", "1,3"),
+    # a grid with one entry above 1 is a line too
+    ("mag", "--grid", "3x1", "--spacing", "1e-300", "--p", "1", "--t", "1"),
+    ("mag", "--grid", "1x3", "--spacing", "1e-300", "--p", "2", "--t", "1"),
 ], ids=[*(f"{c}-{s}" for c in LINE_COMMANDS for s in LINE_SOURCES),
-        "approx-grid", "approx-cantor"])
+        "approx-grid", "approx-cantor", "mag-grid-3x1", "mag-grid-1x3"])
 def test_line_command_does_not_import_numpy(argv):
     # a space of a line kind, from a flag or a --spec, is solved by the
     # line rung, and check answers it from the theorem, both pure Python
