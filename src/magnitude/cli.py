@@ -38,30 +38,26 @@ should be monotone but is not. Errors print one JSON object
 parse failure as a BadSpec; check instead reports an invalid metric in
 its envelope, with exit 2.
 
-Each command imports only the modules it computes with: the package
-modules that need numpy (spaces, engine, diversity) are imported inside
-the handlers and branches that use them, so pixel and oracle run without
-numpy, and only pixel and oracle load fractions. oracle --points prints
-the line rung's weights (tridiagonal), the bits weights --points-1d
-prints. A space of a line kind (points_1d, lp_grid with at most one
-shape entry above 1, cantor_endpoints), named by its flag or by a
---spec, runs without numpy too in mag, weights, magfn, diversity (with
---exact as well: the magnitude, on every point), dim --method
-diversity_growth and approx --grid-sizes/--cantor-depths: the line rung
-(tridiagonal) solves it in O(n) from the coordinates that the spec layer
-(specs) gives, and the scales are those of sweeps, which the numpy
-routes share; check answers it from the theorem (sweeps.theorem_report),
-from n, t and the smallest gap of the sorted coordinates, as
-engine.definiteness_report answers every space of points. diversity on
-a graph of at most supports.SEARCH_LIMIT vertices (EXACT_LIMIT with
---exact), named or a --spec, runs without numpy as well: the support
-search takes the rows of its metric from specs.graph_rows. dim --method
-covering_growth and every other space load numpy; a 1-D --ball sample
-is built with it, and the same rung answers it, with --exact too.
-No command loads scipy, numpy.random or OpenSSL: the dense solves run on
-numpy alone (see engine), ball samples draw from the standard library's
-random.Random, and digests use CPython's builtin SHA-256, not hashlib's
-OpenSSL one.
+Each command imports only the modules it computes with. What a space is
+(specs.Structure) chooses the rung that answers it, in one function per
+product, which the library's entries share (specs.weighting,
+maximum_diversity and definiteness):
+
+  space                   weighting   maximum diversity    check
+  line kind(1), 1-D ball  line rung   line rung            theorem
+  graph                   dense       search, else ladder  proofs on d
+  points off the line     dense       search, else ladder  theorem
+  --matrix                dense       search, else ladder  proofs on d
+
+(1) points_1d, lp_grid with at most one shape entry above 1, and
+cantor_endpoints. oracle --points prints the line rung's weights too.
+The search takes up to supports.SEARCH_LIMIT points (EXACT_LIMIT with
+--exact). The line rung, the theorem and the search on a graph's rows
+need no numpy, so neither does any command on a line kind but dim
+--method covering_growth, nor diversity on a graph within the search's
+limit, nor pixel and oracle, which alone load fractions. No command
+loads scipy, numpy.random or OpenSSL (see engine, spaces.ball_sample and
+the sha256 import below).
 
 Two entries: run() is the process entry (python -m magnitude and the
 magnitude console script). It flushes the output and ends the process
@@ -87,6 +83,7 @@ from .errors import (
     LineError,
     MatrixParseError,
     MetricError,
+    NonConvergence,
     NonpositiveScale,
     PixelError,
     ResultOverflow,
@@ -188,9 +185,25 @@ def _read_text(path: str) -> str:
 
 def _digested(lines, digest):
     """lines as they are read, each one's UTF-8 bytes added to digest, which
-    so ends as the digest of their whole text."""
+    so ends as the digest of their whole text. stdin reads a byte that is
+    not UTF-8 as a surrogate: UnicodeError naming the byte's place in the
+    whole text, as decoding it whole would."""
+    offset = 0
     for line in lines:
-        digest.update(line.encode())
+        try:
+            raw = line.encode()
+        except UnicodeEncodeError:
+            raw = line.encode(errors="surrogateescape")
+            try:
+                raw.decode()
+            except UnicodeDecodeError as exc:
+                lo, hi = offset + exc.start, offset + exc.end
+                where = (f"byte 0x{raw[exc.start]:02x} in position {lo}"
+                         if hi - lo == 1 else f"bytes in position {lo}-{hi - 1}")
+                raise UnicodeError(f"'utf-8' codec can't decode {where}: "
+                                   f"{exc.reason}") from None
+        digest.update(raw)
+        offset += len(raw)
         yield line
 
 
@@ -212,16 +225,11 @@ _SOURCES = {
 }
 
 
-def _space_inputs(args, line: bool = False, graph_limit: int = 0):
-    """Build the metric space selected by the input flags; also return a
-    plain dict describing the inputs for the digest: a generated space's
-    kind and effective parameters, one digest however it was named. With
-    line, a space of a line kind (specs.line_coordinates) comes back as
-    its coordinates, a list of floats for the line rung; a graph of at
-    most graph_limit vertices comes back as its distance rows
-    (specs.graph_rows), a tuple of lists of ints for the support search.
-    Neither imports numpy."""
-    from .specs import SpaceSpec, graph_edges, graph_rows, line_coordinates
+def _space_inputs(args):
+    """What the space selected by the input flags is (specs.Structure), and
+    a plain dict describing the inputs for the digest: a generated space's
+    kind and effective parameters, one digest however it was named."""
+    from .specs import SpaceSpec, structure
 
     src = _given(args, *_SOURCES, "stdin_matrix", "matrix", "spec")
     flags = {k: getattr(args, k) for k in ("p", "spacing", "length", "seed")
@@ -248,42 +256,16 @@ def _space_inputs(args, line: bool = False, graph_limit: int = 0):
             with (nullcontext(sys.stdin) if stdin
                   else open(name, encoding="utf-8")) as fh:
                 d = load_distance_csv(_digested(fh, digest))
-        except UnicodeError as exc:  # stdin decodes bad bytes to surrogates
+        except UnicodeError as exc:  # stdin's is _digested's
             if not stdin:  # read whole, the error names the byte's place
                 _read_text(name)  # in the file, not in the chunk decoded
             raise BadSpec(f"{name} is not UTF-8 text: {exc}") from None
         except OSError as exc:
             raise BadSpec(f"cannot read {name}: {exc.strerror or exc}") from None
         inputs = {"kind": "explicit_matrix", "sha256": digest.hexdigest()}
-        return validate_metric(d, copy=False), inputs
-    params = spec.effective()
-    inputs = {"kind": spec.kind, "params": params}
-    coordinates = line_coordinates(spec.kind, params) if line else None
-    if coordinates is not None:
-        return coordinates, inputs
-    if spec.kind == "graph_shortest_path":
-        edges, n = graph_edges(**params)
-        if n <= graph_limit:
-            return tuple(graph_rows(edges, n)), inputs
-    from .spaces import generate_space
-
-    return generate_space(spec), inputs
-
-
-def _n_points(space) -> int:
-    return len(space) if isinstance(space, list) else space.n_points
-
-
-def _solve(space, t: float):
-    """The weighting of a space at scale t: the line rung's for the
-    coordinates of a line kind, else the dense solve's."""
-    if isinstance(space, list):
-        from . import tridiagonal
-
-        return tridiagonal.solve(space, t)
-    from . import engine
-
-    return engine.solve_weighting(space, t)
+        return validate_metric(d, copy=False).structure, inputs
+    space, params = structure(spec)
+    return space, {"kind": spec.kind, "params": params}
 
 
 def _digest(obj) -> str:
@@ -337,37 +319,38 @@ def _emit_csv(results) -> None:
 
 
 def _cmd_mag(args, command, t0) -> int:
-    space, inputs = _space_inputs(args, line=True)
-    res = _solve(space, args.t)
+    from .specs import weighting
+
+    space, inputs = _space_inputs(args)
+    res = weighting(space, args.t)
     results = {
         "t": args.t,
         "magnitude": res.magnitude,
         "status": res.status,
         "condition_estimate": _finite_or_none(res.condition_estimate),
         "residual": res.residual,
-        "n_points": _n_points(space),
+        "n_points": space.n,
     }
     _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
     return 0 if res.defined else 3
 
 
 def _cmd_magfn(args, command, t0) -> int:
+    from .specs import weighting
     from .sweeps import STATUS_PD, scales
 
-    space, inputs = _space_inputs(args, line=True)
+    space, inputs = _space_inputs(args)
     if not (0 < args.tmin < args.tmax):
         raise BadSpec("need 0 < --tmin < --tmax")
-    # Z is positive definite at every scale on a space of points, by
-    # theorem, also where the solve cannot give the magnitude
-    theorem = isinstance(space, list) or space.holds_points
     samples = []
     for t in scales(args.tmin, args.tmax, args.steps, args.log):
-        res = _solve(space, t)
+        res = weighting(space, t)
+        # on points by theorem, also where the solve gives no magnitude
         samples.append({"t": t, "magnitude": res.magnitude,
-                        "positive_definite": theorem or res.status == STATUS_PD,
-                        "status": res.status})
+                        "positive_definite": space.of_points
+                        or res.status == STATUS_PD, "status": res.status})
     # a sweep reports failed scales inside the data, never via exit code
-    results = {"samples": samples, "n_points": _n_points(space)}
+    results = {"samples": samples, "n_points": space.n}
     _emit(args, command,
           {"space": inputs, "tmin": args.tmin, "tmax": args.tmax,
            "steps": args.steps, "log": args.log},
@@ -376,8 +359,10 @@ def _cmd_magfn(args, command, t0) -> int:
 
 
 def _cmd_weights(args, command, t0) -> int:
-    space, inputs = _space_inputs(args, line=True)
-    res = _solve(space, args.t)
+    from .specs import weighting
+
+    space, inputs = _space_inputs(args)
+    res = weighting(space, args.t)
     w = None if res.weighting is None else [float(x) for x in res.weighting]
     results = {
         "t": args.t,
@@ -393,31 +378,18 @@ def _cmd_weights(args, command, t0) -> int:
     return 0
 
 
-def _smallest_gap(coordinates: list[float]) -> float:
-    """The smallest distance between two of the reals coordinates, inf
-    for one: that of two neighbours once sorted, as fl(y - x) grows with
-    y."""
-    xs = sorted(coordinates)
-    return min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
-
-
 def _cmd_check(args, command, t0) -> int:
+    from .specs import definiteness
+
     try:
-        space, inputs = _space_inputs(args, line=True)
+        space, inputs = _space_inputs(args)
     except MetricError as exc:
         results = {"valid": False, "error": type(exc).__name__, "detail": str(exc)}
         _emit(args, command, {"error": True}, results, t0)
         return 2
-    if isinstance(space, list):
-        from .sweeps import theorem_report
-
-        rep = theorem_report(len(space), args.t, _smallest_gap(space))
-    else:
-        from . import engine
-
-        rep = engine.definiteness_report(space, args.t)
+    rep = definiteness(space, args.t)
     results = {
-        "valid": True, "n_points": _n_points(space), "t": args.t,
+        "valid": True, "n_points": space.n, "t": args.t,
         **rep._asdict(),
         "cnd_max_eigenvalue": _finite_or_none(rep.cnd_max_eigenvalue),
     }
@@ -426,79 +398,42 @@ def _cmd_check(args, command, t0) -> int:
 
 
 def _cmd_diversity(args, command, t0) -> int:
-    from .supports import EXACT_LIMIT, SEARCH_LIMIT
+    from .specs import maximum_diversity
 
     unread = _given(args, "tol", "max_iters") if args.exact else None
     if unread:
         raise BadSpec(f"--exact takes no --{unread.replace('_', '-')}")
-    space, inputs = _space_inputs(
-        args, line=True,
-        graph_limit=EXACT_LIMIT if args.exact else SEARCH_LIMIT)
-    if not isinstance(space, (list, tuple)) and space.on_line:
-        # a 1-D ball sample: the line rung answers it as it answers the
-        # line kinds, --exact too
-        space = space.points[:, 0].tolist()
-    if isinstance(space, list):
-        from . import tridiagonal
-
-        # every weight is positive: the magnitude, on every point
-        res = tridiagonal.max_diversity(space, args.t)
-    elif isinstance(space, tuple):
-        from . import supports
-
-        res = supports.max_diversity(space, args.t)
-    else:
-        from . import diversity as dv
-
-        if args.exact:
-            res = dv.max_diversity_exact(space, args.t)
-        else:
-            try:
-                res = dv.max_diversity(
-                    space, args.t, 1e-9 if args.tol is None else args.tol,
-                    100_000 if args.max_iters is None else args.max_iters)
-            except dv.NonConvergence as exc:
-                results = {"t": args.t, "method": "frank_wolfe",
-                           "converged": False, "kkt_gap": exc.gap,
-                           "iterations": exc.iterations}
-                _emit(args, command, {"space": inputs, "t": args.t}, results,
-                      t0)
-                return 0
-    if args.exact:
-        results = {
-            "t": args.t, "method": res.method,
-            "value": res.value, "support": list(res.support),
-            "kkt_gap": res.kkt_gap, "supports_checked": res.iterations,
-            "certificate": res.certificate,
-        }
-    else:
-        results = {
-            "t": args.t, "method": res.method, "converged": True,
-            "value": res.value, "support": list(res.support),
-            "kkt_gap": res.kkt_gap, "iterations": res.iterations,
-            "certificate": res.certificate,
-        }
+    space, inputs = _space_inputs(args)
+    try:
+        res = maximum_diversity(
+            space, args.t, 1e-9 if args.tol is None else args.tol,
+            100_000 if args.max_iters is None else args.max_iters, args.exact)
+    except NonConvergence as exc:
+        results = {"t": args.t, "method": "frank_wolfe", "converged": False,
+                   "kkt_gap": exc.gap, "iterations": exc.iterations}
+        _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
+        return 0
+    results = {
+        "t": args.t, "method": res.method,
+        **({} if args.exact else {"converged": True}),
+        "value": res.value, "support": list(res.support),
+        "kkt_gap": res.kkt_gap,
+        "supports_checked" if args.exact else "iterations": res.iterations,
+        "certificate": res.certificate,
+    }
     _emit(args, command, {"space": inputs, "t": args.t, "exact": args.exact},
           results, t0)
     return 0
 
 
 def _cmd_dim(args, command, t0) -> int:
-    space, inputs = _space_inputs(args, line=args.method == "diversity_growth")
-    if isinstance(space, list):
-        from . import tridiagonal
-        from .sweeps import diversity_growth, growth_scales
+    from .specs import min_distance
+    from .sweeps import growth_dimension
 
-        ts = growth_scales(args.tmin, args.tmax, args.samples)
-        est = diversity_growth(
-            ts, [tridiagonal.max_diversity(space, t) for t in ts])
-        finest = _smallest_gap(space)
-    else:
-        from . import diversity as dv
-
-        est = dv.dimension_estimate(space, args.tmin, args.tmax, args.method,
-                                    args.samples, args.tol, args.max_iters)
-        finest = space.min_distance
+    space, inputs = _space_inputs(args)
+    est = growth_dimension(space, args.tmin, args.tmax, args.method,
+                           args.samples, args.tol, args.max_iters)
+    finest = min_distance(space)
     results = {**est._asdict(), "window": list(est.window),
                "samples": args.samples}
     if args.tmax * finest > 1.0:
@@ -622,8 +557,10 @@ def _cmd_oracle(args, command, t0) -> int:
     if src == "points":
         pts = _parse_floats(args.points)
         t = positive_scale(args.t)  # a bad scale is named before bad points
+        from . import tridiagonal
+
         xs = lines.sorted_points(pts)
-        res = _solve(xs, t)
+        res = tridiagonal.solve(xs, t)
         results = {"magnitude": res.magnitude,
                    "weighting": list(res.weighting), "points": xs}
         inputs = {"points": pts, "t": args.t}
@@ -684,8 +621,8 @@ def _cmd_oracle(args, command, t0) -> int:
 
 
 def _cmd_approx(args, command, t0) -> int:
-    from .specs import SpaceSpec, line_coordinates
-    from .sweeps import refine
+    from .specs import SpaceSpec
+    from .sweeps import approximate_compact_magnitude
 
     src = _given(args, "grid_sizes", "cantor_depths", "ball_counts")
     levels = _parse_ints(getattr(args, src))
@@ -709,20 +646,10 @@ def _cmd_approx(args, command, t0) -> int:
         kind, params = "cantor_endpoints", [{"depth": d} for d in levels]
     else:
         kind, params = "ball_sample", [{"count": c} for c in levels]
-    effective = [SpaceSpec(kind, {**p, **flags}, args.seed).effective()
-                 for p in params]
-    inputs = {"kind": kind, "spaces": effective, "t": args.t}
-
-    def row(params):
-        space = line_coordinates(kind, params)
-        if space is None:  # a ball sample
-            from .spaces import BUILDERS
-
-            space = BUILDERS[kind](**params)
-        res = _solve(space, args.t)
-        return _n_points(space), res.magnitude, res.status
-
-    rows = refine(effective, row, levels, nested)
+    family = [SpaceSpec(kind, {**p, **flags}, args.seed) for p in params]
+    inputs = {"kind": kind, "spaces": [spec.effective() for spec in family],
+              "t": args.t}
+    rows = approximate_compact_magnitude(family, args.t, levels, nested)
     results = {"samples": [s._asdict() for s in rows], "nested": nested,
                "t": args.t}
     _emit(args, command, inputs, results, t0)

@@ -7,12 +7,13 @@ over the probability simplex; for positive definite Z the optimum is
 unique and never exceeds the magnitude, with equality exactly when the
 weighting is nonnegative (subsets of the real line, for instance).
 
-A space on the line gets the line rung (tridiagonal): every weight is
-positive there, so the maximum is the magnitude. Any other space of at
-most SEARCH_LIMIT points is searched exactly over the supports whose Z_S
+specs.maximum_diversity chooses the rung, for the commands and for
+max_diversity and max_diversity_exact alike. On the line the line rung
+(tridiagonal) answers: every weight is positive there, so the maximum is
+the magnitude. Any other space of at most SEARCH_LIMIT points
+(EXACT_DIVERSITY_LIMIT, exactly) is searched over the supports whose Z_S
 is positive definite (supports.search), for the global maximum whether
-or not Z is positive semidefinite; max_diversity_exact runs the search
-on up to EXACT_DIVERSITY_LIMIT points, on the line too.
+or not Z is positive semidefinite.
 
 A larger space climbs two rungs, chosen by one Cholesky factor of Z and
 each certified by the Frank-Wolfe gap 2 (mu' Z mu - min (Z mu)) <= tol:
@@ -44,18 +45,16 @@ Dimension estimates fit the growth rate of a quantity against scale on a
 log-log window: maximum diversity for diversity_growth, covering numbers
 at radius 1/t for covering_growth. The two extreme samples are dropped
 before the fit to blunt boundary effects, and the line is fitted in
-closed form from centred sums, with no least-squares solver; the scales
-and the fit are those of the sweeps module, which the line rung's dim
-shares.
+closed form from centred sums, with no least-squares solver
+(sweeps.growth_dimension, which dim runs too).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tridiagonal
 from .engine import cholesky_rows, cholesky_solver, frozen, similarity_rows
-from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
+from .errors import (  # noqa: F401  (TooLarge, WindowTooNarrow re-exported)
     DiversityError,
     NonConvergence,
     TooLarge,
@@ -63,15 +62,13 @@ from .errors import (  # noqa: F401  (WindowTooNarrow re-exported)
     finite,
 )
 from .spaces import ROW_BLOCK, FiniteMetricSpace
-from . import supports
-from .supports import EXACT_LIMIT as EXACT_DIVERSITY_LIMIT
-from .supports import SEARCH_LIMIT
+from .specs import maximum_diversity
+from .supports import EXACT_LIMIT as EXACT_DIVERSITY_LIMIT  # noqa: F401
+from .supports import SEARCH_LIMIT  # noqa: F401  (both re-exported)
 from .sweeps import (  # noqa: F401  (DimensionEstimate re-exported)
     DimensionEstimate,
     DiversityResult,
-    diversity_growth,
-    growth_estimate,
-    growth_scales,
+    growth_dimension,
 )
 
 # Lawson-Hanson pass bound per point, as in scipy's nnls
@@ -167,17 +164,13 @@ def fw_away_qp(rows, n: int, tol: float, max_iters: int):
 
 def max_diversity(space: FiniteMetricSpace, t: float = 1.0,
                   tol: float = 1e-9, max_iters: int = 100_000) -> DiversityResult:
-    """Maximum diversity at scale t: from the line rung on the line
-    (tridiagonal.max_diversity, on the coordinates), else from the support
-    search up to SEARCH_LIMIT points, where tol and max_iters play no
-    part, else from the ladder of the module docstring, certified by its
-    gap <= tol; NonConvergence where Frank-Wolfe misses tol."""
-    if space.on_line:
-        res = tridiagonal.max_diversity(space.points[:, 0].tolist(), t)
-        return res._replace(weights=frozen(res.weights))
-    if space.n_points <= SEARCH_LIMIT:
-        return _searched(space, t)
-    return _ladder(space, t, tol, max_iters)
+    """Maximum diversity at scale t, by specs.maximum_diversity's rung:
+    the line rung on the line, the search up to SEARCH_LIMIT points, where
+    tol and max_iters play no part, else the ladder of the module
+    docstring, to the gap tol (NonConvergence where Frank-Wolfe misses
+    it). The weights are read-only."""
+    return _frozen(maximum_diversity(space.structure, t, tol, max_iters,
+                                     dense=_ladder))
 
 
 def _ladder(space: FiniteMetricSpace, t: float, tol: float,
@@ -201,9 +194,7 @@ def _ladder(space: FiniteMetricSpace, t: float, tol: float,
 
 
 def _result(mu, value, gap, iterations, method, certificate) -> DiversityResult:
-    """The result at weights mu, which it makes read-only; the support is
-    where mu is positive."""
-    mu.setflags(write=False)
+    """The result at weights mu; the support is where mu is positive."""
     support = tuple(int(i) for i in np.flatnonzero(mu > 0))
     return DiversityResult(float(value), mu, support, float(gap),
                            int(iterations), method, certificate)
@@ -275,17 +266,14 @@ def _active_set(space: FiniteMetricSpace, t: float, z_rows, ys: np.ndarray,
 
 def max_diversity_exact(space: FiniteMetricSpace,
                         t: float = 1.0) -> DiversityResult:
-    """Maximum diversity by the support search (supports.search), for
-    spaces of at most EXACT_DIVERSITY_LIMIT points; TooLarge above."""
-    if space.n_points > EXACT_DIVERSITY_LIMIT:
-        raise TooLarge(space.n_points, EXACT_DIVERSITY_LIMIT)
-    return _searched(space, t)
+    """Maximum diversity as diversity --exact gives it: the line rung's on
+    the line, else the search's on at most EXACT_DIVERSITY_LIMIT points;
+    TooLarge above."""
+    return _frozen(maximum_diversity(space.structure, t, exact=True,
+                                     dense=_ladder))
 
 
-def _searched(space: FiniteMetricSpace, t: float) -> DiversityResult:
-    """The support search on the rows of d, its weights as a read-only
-    array."""
-    res = supports.max_diversity(space.rows(0, space.n_points).tolist(), t)
+def _frozen(res: DiversityResult) -> DiversityResult:
     return res._replace(weights=frozen(res.weights))
 
 
@@ -330,26 +318,13 @@ def greedy_covering_number(space: FiniteMetricSpace, eps: float) -> int:
 def dimension_estimate(space: FiniteMetricSpace, t_min: float, t_max: float,
                        method: str = "diversity_growth", samples: int = 12,
                        tol: float = 1e-6, max_iters: int = 300_000) -> DimensionEstimate:
-    """Least-squares slope of log(quantity) against log(scale).
-
-    diversity_growth uses maximum diversity at each t, and its
-    certificate is "global" only where every sample's is (else
-    "stationary"); covering_growth uses the greedy covering number at
-    radius 1/t, with no certificate. The scales are
-    sweeps.growth_scales', which refuses a window that leaves fewer than
-    4 distinct fitted log-scales as WindowTooNarrow before any quantity
-    is computed; the first and last samples are dropped before fitting,
-    and the line is fitted in closed form (sweeps.growth_estimate).
-    Estimates are meaningful only while the scale still resolves the
-    finest structure, roughly t_max * (smallest gap) <= 1; the caller is
-    expected to check that.
-    """
-    ts = growth_scales(t_min, t_max, samples)
-    if method == "diversity_growth":
-        return diversity_growth(
-            ts, [max_diversity(space, t, tol, max_iters) for t in ts])
-    if method == "covering_growth":
-        return growth_estimate(
-            ts, [float(greedy_covering_number(space, 1.0 / t)) for t in ts],
-            method)
-    raise DiversityError(f"unknown method {method!r}")
+    """Least-squares slope of log(quantity) against log(scale), as
+    sweeps.growth_dimension fits it: maximum diversity (diversity_growth)
+    or greedy covering numbers (covering_growth). growth_scales refuses a
+    window that leaves fewer than 4 distinct fitted log-scales as
+    WindowTooNarrow before any quantity is computed. Estimates are
+    meaningful only while the scale still resolves the finest structure,
+    roughly t_max * (smallest gap) <= 1; the caller is expected to check
+    that."""
+    return growth_dimension(space.structure, t_min, t_max, method, samples,
+                            tol, max_iters, greedy_covering_number)

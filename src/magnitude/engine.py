@@ -8,17 +8,18 @@ invertible the linear-algebra definition still applies; when Z is singular
 or numerically untrustworthy the magnitude is reported as undefined rather
 than guessed.
 
-Solver ladder, for a space off the line (the line rung, tridiagonal,
-solves one on it in O(n)) or one that holds d: Cholesky first (success
-certifies positive definiteness and gives the cheapest solve), LU
-second, both followed by a reciprocal condition estimate and iterative
-refinement. The residual of an accurate solve is about eps ||Z|| ||w||,
-so refinement stops at that rounding floor, N eps ||Z||_inf ||w||_inf
-in the max norm, or after REFINE_MAX_PASSES passes; no caller tolerance
-decides when w is accurate enough. A solve whose refined residual still
-exceeds 1e-9 max(1, ||Z|| ||w||) is demoted to undefined: the gate is
-relative to the same floor, never stricter than 1e-9 absolute, and
-never silently wrong.
+The public entries hand the space's structure to specs, which chooses
+their rung: the line rung (tridiagonal, O(n)) on the line, the theorem
+for the definiteness of points. Solver ladder, for any other space:
+Cholesky first (success certifies positive definiteness and gives the
+cheapest solve), LU second, both followed by a reciprocal condition
+estimate and iterative refinement. The residual of an accurate solve is
+about eps ||Z|| ||w||, so refinement stops at that rounding floor, N eps
+||Z||_inf ||w||_inf in the max norm, or after REFINE_MAX_PASSES passes;
+no caller tolerance decides when w is accurate enough. A solve whose
+refined residual still exceeds 1e-9 max(1, ||Z|| ||w||) is demoted to
+undefined: the gate is relative to the same floor, never stricter than
+1e-9 absolute, and never silently wrong.
 
 Homogeneous spaces (all rows of Z share one sum) admit Speyer's shortcut
 N / (row sum). It is no production path here: tests/oracles.py holds it,
@@ -32,24 +33,16 @@ rejects, multiplies by one explicit inverse. Both rungs estimate the
 condition number with the same Hager-Higham estimator that LAPACK's
 dpocon and dgecon run.
 
-Definiteness of a space of points (every generator's; the points of
-l1^k or l2^k) comes from theorems, with no matrix formed: Z(t) is
-positive definite at every scale and d of negative type
-(sweeps.theorem_report). On a space that holds d (an explicit matrix or
-a graph), every positive definiteness decision factors with one kernel,
-cholesky_rows: a blocked Cholesky that asks a row source for its input
-one block of rows at a time, right of the diagonal only, and keeps the
-factor as those block rows, half an n x n array. Every stage reads d
-through the space's rows, ROW_BLOCK at a time, and a generated space
-holds its points, not d, so forms them as they are asked for
-(spaces.FiniteMetricSpace.rows). So no dense stage holds a square work
-array, nor d: the PD test forms Z's rows as it factors and holds half a
-factor; a solve factors Z's rows on and right of the diagonal in one
-buffer, half an n x n array, and multiplies by Z for its residuals from
-rows it forms again, ROW_BLOCK at a time (symmetric_product), so it too
-holds half a factor; and the negative-type proof of definiteness_report
-forms the rows of its shifted matrix from d's rows and row means and
-holds half a factor.
+On a space that holds d (an explicit matrix or a graph), every positive
+definiteness decision factors with one kernel, cholesky_rows: a blocked
+Cholesky that asks a row source for its input one block of rows at a
+time, right of the diagonal only, and keeps the factor as those block
+rows, half an n x n array. Every stage reads d through the space's rows,
+ROW_BLOCK at a time, which a space of points forms as they are asked for
+(spaces.FiniteMetricSpace.rows), so no dense stage holds a square work
+array, nor d: the PD test, a solve (whose residuals form Z's rows again,
+symmetric_product) and the negative-type proof of definiteness_report
+each hold half a factor.
 """
 
 from __future__ import annotations
@@ -59,9 +52,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tridiagonal
 from .errors import UndefinedMagnitude, finite_scale
-from .spaces import ROW_BLOCK, FiniteMetricSpace, SpaceSpec, generate_space
+from .spaces import ROW_BLOCK, FiniteMetricSpace
+from .specs import definiteness, weighting
 from .sweeps import (  # noqa: F401  (re-exported: engine.STATUS_PD etc.)
     MONOTONE_SLACK,
     PROOF_CHOLESKY,
@@ -77,6 +70,7 @@ from .sweeps import (  # noqa: F401  (re-exported: engine.STATUS_PD etc.)
     MonotonicityViolation,
     RefinementSample,
     WeightingResult,
+    approximate_compact_magnitude,
     refine,
     scattered_bound,
     theorem_report,
@@ -281,17 +275,18 @@ def _inverse_norm_estimate(solve, n: int) -> float:
 
 
 def frozen(values) -> np.ndarray:
-    """values as a new read-only array."""
-    out = np.array(values, dtype=float)
+    """values as a read-only array: a sequence as a new one, an array of
+    floats as it is."""
+    out = np.asarray(values, dtype=float)
     out.setflags(write=False)
     return out
 
 
 def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult:
-    """Solve Z w = 1: by the line rung (tridiagonal.solve) on the line,
-    its weights read-only; else densely, with condition screening and
-    refinement until max |Z w - 1| <= N eps ||Z||_inf ||w||_inf, the
-    rounding floor of the residual, or for REFINE_MAX_PASSES passes.
+    """Solve Z w = 1 by specs.weighting's rung: the line rung on the line,
+    else densely, with condition screening and refinement to the rounding
+    floor N eps ||Z||_inf ||w||_inf of max |Z w - 1|, for at most
+    REFINE_MAX_PASSES passes. The weights are read-only.
 
     Status is UniquePD when Cholesky succeeds, UniqueInvertible when only
     LU does, Undefined when the matrix is singular, the condition estimate
@@ -304,9 +299,14 @@ def solve_weighting(space: FiniteMetricSpace, t: float = 1.0) -> WeightingResult
     residual forms Z's rows again (symmetric_product). The LU rung holds
     Z whole and its inverse.
     """
-    if space.on_line:
-        res = tridiagonal.solve(space.points[:, 0].tolist(), t)
-        return res._replace(weighting=frozen(res.weighting))
+    res = weighting(space.structure, t, _solved)
+    if res.weighting is None:
+        return res
+    return res._replace(weighting=frozen(res.weighting))
+
+
+def _solved(space: FiniteMetricSpace, t: float) -> WeightingResult:
+    """The dense solve of solve_weighting."""
     n, z_rows = space.n_points, similarity_rows(space, t)
     ones = np.ones(n)
     # Z's rows on and right of the diagonal are formed in one buffer, which
@@ -394,41 +394,10 @@ def magnitude_function(space: FiniteMetricSpace, ts) -> list[MagnitudeFunctionSa
     return out
 
 
-def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
-                                  nested: bool = False) -> list[RefinementSample]:
-    """Magnitude sequence of finite spaces refining a compact one.
-
-    specs holds SpaceSpec or FiniteMetricSpace entries in refinement
-    order; levels labels the rows (defaults to 1-based positions). The
-    compact limit's magnitude is the supremum over its finite subsets, so
-    these values approach it from below when the ambient is positive
-    definite. nested=True declares the family an inclusion chain inside
-    such an ambient: the sequence must then be nondecreasing, and a drop
-    beyond MONOTONE_SLACK raises MonotonicityViolation, flagging a
-    generator or solver bug rather than a fact about the limit. Scales
-    where the solve fails are reported with magnitude None, never raised.
-    The sequence rules are sweeps.refine's.
-    """
-    def solve(item):
-        space = generate_space(item) if isinstance(item, SpaceSpec) else item
-        res = solve_weighting(space, t)
-        return space.n_points, res.magnitude, res.status
-
-    return refine(specs, solve, levels, nested)
-
-
-def is_positive_definite(space: FiniteMetricSpace, t: float = 1.0) -> bool:
-    """Whether Z(t) is positive definite. On a space of points it is, at
-    every scale 0 < t < inf, from the theorem (sweeps.theorem_report),
-    with no matrix formed: distinct points of l1^k or l2^k have a positive
-    definite Z, also where distances so small that Z's rows are equal in
-    floats stop a Cholesky. On a space that holds d, whether Cholesky
-    factors Z(t). Z is formed from d's rows a block at a time, only its
-    entries on and right of the diagonal, so the test holds half a factor
-    and no n x n array, and takes half the exponentials."""
-    if space.holds_points:
-        finite_scale(t)
-        return True
+def _positive_definite(space: FiniteMetricSpace, t: float) -> bool:
+    """Whether Cholesky factors Z(t), formed from d's rows a block at a
+    time, on and right of the diagonal: half a factor, and half the
+    exponentials."""
     z_rows = similarity_rows(space, t)
     try:
         cholesky_rows(lambda lo, hi: z_rows(lo, hi, lo), space.n_points)
@@ -602,44 +571,37 @@ def _eigenvalue_band(d: np.ndarray) -> tuple[float, str]:
 def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> DefinitenessReport:
     """Definiteness of Z(t) plus a negative-type certificate for d itself.
 
-    A space of points takes the theorem (sweeps.theorem_report): Z(t) is
-    positive definite, d is of negative type (negative_type_proof
-    "theorem") and the top eigenvalue of P d P is 0.0, with no matrix
-    formed; only the scattered bound reads the space, its smallest
-    distance, which the generators' row scan has found. The Cholesky
-    proof and the band below stay for the points' d held as a matrix
-    (validate_metric(space.distances)), their reference.
+    specs.definiteness chooses the rung: a space of points takes the
+    theorem (sweeps.theorem_report), which forms no matrix, also where
+    distances so small that Z's rows are equal in floats stop a Cholesky.
+    The proofs below stay for the points' d held as a matrix, their
+    reference.
 
     On a space that holds d, negative type is tested on the centered
-    distance matrix P d P with P = I - J/N: its spectrum must be
-    nonpositive on the mean-zero subspace. The verdict uses a two-sided
-    band on its top eigenvalue, relative to the spectral norm of d:
-    CertifiedNegativeType at most 1e-10 ||d||, CertifiedNot at least
-    1e-6 ||d||, Inconclusive between.
+    distance matrix P d P with P = I - J/N, whose spectrum must be
+    nonpositive on the mean-zero subspace. A proof decides first
+    (negative_type_proof "cholesky"): a Cholesky of one shifted matrix
+    that finishes bounds its top eigenvalue by at most 1e-10 ||d||,
+    rounding included (_negative_type_bound), and that bound is
+    cnd_max_eigenvalue. Where it fails, eigvalsh gives the top eigenvalue
+    and a two-sided band relative to ||d|| the verdict ("eigenvalue_band",
+    _eigenvalue_band): CertifiedNegativeType at most 1e-10 ||d||,
+    CertifiedNot at least 1e-6 ||d||, Inconclusive between. Near the
+    double maximum both read d scaled by a power of two, 2^-k d, and the
+    top eigenvalue is scaled back by 2^k. The PD test is whether Cholesky
+    factors Z(t).
 
-    A proof decides first (negative_type_proof "cholesky"): a Cholesky of
-    one shifted matrix that finishes bounds the top eigenvalue by at most
-    1e-10 ||d||, including every rounding error (_negative_type_bound),
-    and that bound is reported as cnd_max_eigenvalue. Only where the
-    proof fails does eigvalsh give the top eigenvalue, and the band the
-    verdict (negative_type_proof "eigenvalue_band", _eigenvalue_band).
-    The PD test is then whether Cholesky factors Z(t).
-
-    Near the double maximum the proof and the band read d scaled by a
-    power of two, 2^-k d (_negative_type_bound), and the top eigenvalue
-    is scaled back by 2^k; k is 0 wherever the proof's float terms are
-    finite.
-
-    Memory: none beyond the space on a space of points; on held d, half
-    an n x n array at a time on the proof path: the shifted matrix's rows
-    are formed from d's rows and row means a block at a time, and its
-    factor is freed before the PD test factors Z(t), whose rows are
-    formed the same way. A failed proof frees its factor before the band
-    forms its centred matrix (LAPACK's own working copy comes on top in
-    eigvalsh).
+    Memory, on held d: half an n x n array at a time on the proof path,
+    the shifted matrix's rows formed from d's rows and row means a block
+    at a time, its factor freed before the PD test factors Z(t)'s rows
+    (_positive_definite). A failed proof frees its factor before the
+    band forms its centred matrix (eigvalsh adds LAPACK's working copy).
     """
-    if space.holds_points:
-        return theorem_report(space.n_points, t, space.min_distance)
+    return definiteness(space.structure, t, _held_report)
+
+
+def _held_report(space: FiniteMetricSpace, t: float) -> DefinitenessReport:
+    """The report of definiteness_report on a space that holds d."""
     top, k = _negative_type_bound(space)
     if top is not None:
         verdict, proof = VERDICT_NEGATIVE_TYPE, PROOF_CHOLESKY
@@ -647,10 +609,6 @@ def definiteness_report(space: FiniteMetricSpace, t: float = 1.0) -> Definitenes
         d = space.distances
         (top, verdict), proof = (_eigenvalue_band(np.ldexp(d, -k) if k else d),
                                  PROOF_EIGENVALUE_BAND)
-    return DefinitenessReport(
-        is_positive_definite(space, t),
-        verdict,
-        top * 2.0 ** k,
-        proof,
-        scattered_bound_holds(space, t),
-    )
+    return DefinitenessReport(_positive_definite(space, t), verdict,
+                              top * 2.0 ** k, proof,
+                              scattered_bound_holds(space, t))

@@ -10,27 +10,22 @@ check tolerates floating-point slack of 1e-12 times the largest entry so
 that computed metrics (for example l2 grids) are not rejected for rounding
 noise, while real violations are.
 
-Generators cover the standard test geometries: points on a line, unweighted
-graph metrics via all-pairs shortest paths, lp lattice grids, middle-thirds
-endpoint sets, seeded uniform samples of lp balls, and explicit matrices.
-The spec layer (SpaceSpec, the KINDS table of parameter rules,
-POINT_LIMIT, the coordinates of the line kinds with their checks, and a
-graph's edges and metric rows) lives in the numpy-free specs module and
-is re-exported here, so spaces.SpaceSpec is specs.SpaceSpec; the CLI
-solves a space of a line kind (points_1d, lp_grid with at most one
-shape entry above 1, cantor_endpoints) from those coordinates with the
-line rung (tridiagonal), and the maximum diversity of a small graph from
-its rows with the support search (supports), without this module and
-without numpy, and builds every other space here. Ball samples draw
-from the standard library's random.Random(seed), so a spec with a seed
-reproduces the same points bit for bit on any platform. A spec, and a
-direct call of a public builder, is checked against the KINDS table of
-parameter rules, which holds the defaults too, before anything is
-built; a builder checks only coincident points, distances outside the
-double range or, in l2, below 2^-511, the ball's draw limit and POINT_LIMIT,
-and the builders of the line kinds take their points, checked, from
-specs.line_coordinates. On the line the lp distance is |x - y| for
-every p, and a space of a line kind forms it so.
+Generators cover points on a line, unweighted graph metrics, lp lattice
+grids, middle-thirds endpoint sets, seeded uniform samples of lp balls,
+and explicit matrices. The spec layer (SpaceSpec, the KINDS table of
+parameter rules, POINT_LIMIT, the coordinates of the line kinds with
+their checks, and a graph's edges and metric rows) lives in the
+numpy-free specs module and is re-exported here, so spaces.SpaceSpec is
+specs.SpaceSpec, with specs.Structure, what a space is
+(FiniteMetricSpace.structure). Ball samples draw from the standard
+library's random.Random(seed), so a spec with a seed reproduces the same
+points bit for bit on any platform. A spec, and a direct call of a
+public builder, is checked against the KINDS table of parameter rules,
+which holds the defaults too, before anything is built; a builder checks
+only coincident points, distances outside the double range or, in l2,
+below 2^-511, the ball's draw limit and POINT_LIMIT. On the line the lp
+distance is |x - y| for every p, and a space of a line kind forms it so,
+from the points that specs checks.
 
 The metric and spec errors, NonpositiveScale, and ResultOverflow with its
 finite_result guard live in the numpy-free errors module, shared with the
@@ -68,9 +63,13 @@ from .errors import (  # noqa: F401  (re-exported: spaces.BadSpec etc.)
     integral,
 )
 from .specs import (  # noqa: F401  (re-exported: spaces.SpaceSpec etc.)
+    HELD,
     KINDS,
+    LINE,
     POINT_LIMIT,
+    POINTS,
     SpaceSpec,
+    Structure,
     cantor_intervals,
     cantor_points,
     check_points,
@@ -189,18 +188,16 @@ class FiniteMetricSpace:
         return self._scan()[0]
 
     @property
-    def holds_points(self) -> bool:
-        """Whether the space holds points, distinct points of l1^k or l2^k
-        as every generator builds them, rather than d: then Z(t) is
-        positive definite at every scale and d is of negative type, by
-        theorem (sweeps.theorem_report)."""
-        return self._planes is not None
-
-    @property
-    def on_line(self) -> bool:
-        """Whether the space is a set of points of the real line: a space
-        of points with one coordinate."""
-        return self.holds_points and len(self._planes) == 1
+    def structure(self) -> Structure:
+        """What the space is (specs.Structure): points with one coordinate
+        are a line, the others POINTS, and a held d is HELD."""
+        if self._planes is None:
+            kind, data = HELD, None
+        elif len(self._planes) == 1:
+            kind, data = LINE, self._planes[0].tolist()
+        else:
+            kind, data = POINTS, None
+        return Structure(kind, self.n_points, data, lambda: self)
 
     def subspace(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         """The space on the points indices: their points, or their block

@@ -1,5 +1,6 @@
 """Space specs, without numpy: SpaceSpec, the KINDS table, POINT_LIMIT, the
-coordinates of the line kinds and the rows of a graph's metric.
+line kinds' coordinates, a graph's metric rows, and what a space is
+(Structure), from which one function per product chooses its rung.
 
 A spec names a kind, its parameters and a seed; SpaceSpec.effective()
 checks them against the kind's rules in KINDS and fills in the defaults,
@@ -7,32 +8,28 @@ and every spec, space flag and builder call is checked there. The spaces
 module builds each kind with numpy and re-exports this layer, so
 spaces.SpaceSpec is specs.SpaceSpec.
 
-The line kinds are points_1d, lp_grid with at most one shape entry
-above 1 and cantor_endpoints. line_coordinates gives their points as
-floats, in the order the built space lists them, with every BadSpec
-check that building them makes: POINT_LIMIT, distinct coordinates and
-distances inside the double range. The spaces builders take their
-points from it, and the CLI hands them to the line rung (tridiagonal),
-which solves them without numpy; on the line the distance is |x - y|
-for every p.
+The line kinds (points_1d, lp_grid with at most one shape entry above
+1, cantor_endpoints) give their points by line_coordinates, and a graph
+its edges and metric rows by graph_edges and graph_rows, with every
+error that building them raises; the spaces builders take both here.
 
-A graph_shortest_path spec gives its edges and vertex count by
-graph_edges, named graphs by graph_name_edges, and graph_rows gives the
-rows of its hop-count metric one breadth-first search at a time, with
-every BadSpec and DisconnectedGraph that building it raises: the spaces
-builder writes them into its matrix, and the CLI hands those of a small
-graph to the support search (supports), which needs no numpy.
+A Structure says what a space is: a line, a graph, points of l1^k or
+l2^k off the line, or a held d. weighting, maximum_diversity and
+definiteness choose each product's rung from it for the commands (see
+cli) and the library's entries: a command hands the entries every space
+with no numpy-free rung, and they pass their dense rungs back.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import BadSpec, DisconnectedGraph, finite, integral
+from .errors import BadSpec, DisconnectedGraph, TooLarge, finite, integral
 
 # most points a generator builds. Measured at n = 2000 in n x n float
 # arrays: a dense solve holds half a factor, 0.59 (0.29 GiB at this
@@ -327,3 +324,119 @@ KINDS = {
     "explicit_matrix": {
         "matrix": ("list of equal-length rows of numbers", _matrix, REQUIRED)},
 }
+
+
+# ---------------------------------------------------------------------------
+# what a space is, and the rung that answers it
+
+LINE, GRAPH, POINTS, HELD = "line", "graph", "points", "held"
+
+
+class Structure(NamedTuple):
+    """What a space is: its kind, its number of points, the kind's data (a
+    line's coordinates in the space's order, a graph's edges, else None)
+    and metric(), the spaces.FiniteMetricSpace that the dense rungs read,
+    built on the first call for a spec's line or graph."""
+
+    kind: str
+    n: int
+    data: list | None
+    metric: Callable
+
+    @property
+    def of_points(self) -> bool:
+        """Whether Z(t) is positive definite by theorem (l1^k, l2^k points)."""
+        return self.kind in (LINE, POINTS)
+
+
+def structure(spec: SpaceSpec) -> tuple[Structure, dict]:
+    """The Structure of the space spec describes, and its effective params,
+    with every error that building it raises: a line's coordinates and a
+    graph's edges and first row of d are read without numpy."""
+    params = spec.effective()
+    xs = line_coordinates(spec.kind, params)
+
+    @functools.cache
+    def metric():
+        from . import spaces
+
+        return spaces.generate_space(spec)
+
+    if xs is not None:
+        return Structure(LINE, len(xs), xs, metric), params
+    if spec.kind == "graph_shortest_path":
+        edges, n = graph_edges(**params)
+        next(graph_rows(edges, n))  # a DisconnectedGraph, before any solve
+        return Structure(GRAPH, n, edges, metric), params
+    return metric().structure, params
+
+
+def min_distance(space: Structure) -> float:
+    """The smallest distance between two points of space, inf for one: on
+    the line that of two neighbours once sorted, as fl(y - x) grows with
+    y."""
+    if space.kind == LINE:
+        xs = sorted(space.data)
+        return min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
+    return space.metric().min_distance
+
+
+def weighting(space: Structure, t: float, dense: Callable | None = None):
+    """The weighting of space at scale t: the line rung's on a line, else
+    dense's, the dense solve that engine.solve_weighting passes, to which
+    a space goes without it."""
+    if space.kind == LINE:
+        from . import tridiagonal
+
+        return tridiagonal.solve(space.data, t)
+    if dense is None:
+        from . import engine
+
+        dense = engine.solve_weighting
+    return dense(space.metric(), t)
+
+
+def maximum_diversity(space: Structure, t: float, tol: float = 1e-9,
+                      max_iters: int = 100_000, exact: bool = False,
+                      dense: Callable | None = None):
+    """Maximum diversity of space at scale t: the line rung's on a line, the
+    search's on at most supports.SEARCH_LIMIT points (EXACT_LIMIT when
+    exact, TooLarge above), else dense's, the ladder to the gap tol. A
+    space with no numpy-free rung goes without dense to
+    diversity.max_diversity or max_diversity_exact, which pass _ladder."""
+    if space.kind == LINE:
+        from . import tridiagonal
+
+        return tridiagonal.max_diversity(space.data, t)
+    from . import supports
+
+    limit = supports.EXACT_LIMIT if exact else supports.SEARCH_LIMIT
+    if dense is None and not (space.kind == GRAPH and space.n <= limit):
+        from . import diversity
+
+        if exact:
+            return diversity.max_diversity_exact(space.metric(), t)
+        return diversity.max_diversity(space.metric(), t, tol, max_iters)
+    if space.n <= limit:
+        rows = (graph_rows(space.data, space.n) if space.kind == GRAPH
+                else space.metric().rows(0, space.n).tolist())
+        return supports.search(supports.similarity(rows, t))
+    if exact:
+        raise TooLarge(space.n, limit)
+    return dense(space.metric(), t, tol, max_iters)
+
+
+def definiteness(space: Structure, t: float, dense: Callable | None = None):
+    """The definiteness report of space at scale t: the theorem's on
+    points of l1^k or l2^k (sweeps.theorem_report), else dense's, the
+    proofs on a held d that engine.definiteness_report passes, to which
+    any space but a line goes without it."""
+    if space.kind == LINE or (dense is not None and space.kind == POINTS):
+        from .sweeps import theorem_report
+
+        return theorem_report(space.n, t, min_distance(space))
+    if dense is None:
+        from . import engine
+
+        dense = engine.definiteness_report
+    return dense(space.metric(), t)

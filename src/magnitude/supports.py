@@ -37,9 +37,9 @@ max |Z_S y - 1| at most RESIDUAL_TOL. The supports whose magnitudes lie within a
 of the largest kept are tied, and the smallest of them, then the
 lexicographically first, wins, whatever the rounding.
 
-Z is formed here with math.exp from the rows of d, so the package's
-numpy routes and the command line's numpy-free route give the same answer
-bit for bit. The result is a DiversityResult whose iterations count the
+Z is formed here with math.exp from the rows of d (similarity), so a
+held d and a graph's rows (specs.graph_rows) give the same answer bit
+for bit. The result is a DiversityResult whose iterations count the
 supports visited, those whose Z_S is positive definite (all 2^n - 1 where
 Z is), with the certificate "global".
 """
@@ -49,11 +49,11 @@ from __future__ import annotations
 import math
 from operator import itemgetter, mul
 
-from .errors import DiversityError, TooLarge, finite_scale
+from .errors import DiversityError, finite_scale
 from .sweeps import DiversityResult
 
-# most points whose maximum diversity max_diversity takes from the search:
-# the slowest search found at n = 10 took 7-13 ms in process, about a
+# most points whose maximum diversity specs.maximum_diversity searches
+# for: the slowest search found at n = 10 took 7-13 ms in process, about a
 # tenth of a command's start-up, and each point more about doubles it
 # (0.24-0.42 s at n = 15; see README)
 SEARCH_LIMIT = 10
@@ -74,15 +74,6 @@ def similarity(d, t: float) -> list[list[float]]:
     checked to be 0 < t < inf; t d past the double range gives 0."""
     t = finite_scale(t)
     return [[math.exp(-t * x) for x in row] for row in d]
-
-
-def max_diversity(d, t: float) -> DiversityResult:
-    """Maximum diversity at scale t of the space whose distance rows are
-    d (any sequence of rows of numbers), by search; TooLarge above
-    EXACT_LIMIT points."""
-    if len(d) > EXACT_LIMIT:
-        raise TooLarge(len(d), EXACT_LIMIT)
-    return search(similarity(d, t))
 
 
 def search(z) -> DiversityResult:

@@ -6,9 +6,8 @@ run these, so a command samples the same scales, fits its slope the same
 way and applies the same sequence rules whichever route solves it. The
 records that every route returns (WeightingResult, DiversityResult,
 DefinitenessReport) and the solve outcomes and verdicts it reports are
-defined here too, with the report that a theorem gives a space of points
-(theorem_report), which check prints for the line kinds without numpy
-and engine.definiteness_report returns for every space of points.
+defined here too, with the report that a theorem gives every space of
+points (theorem_report, which specs.definiteness chooses).
 """
 
 from __future__ import annotations
@@ -178,13 +177,33 @@ def growth_estimate(ts: list[float], vals: list[float], method: str,
                              method, certificate)
 
 
-def diversity_growth(ts: list[float], results) -> DimensionEstimate:
-    """The diversity_growth fit through the DiversityResults at the scales
-    ts, certified "global" only where every sample is."""
-    certificate = ("global" if all(r.certificate == "global" for r in results)
-                   else "stationary")
-    return growth_estimate(ts, [float(r.value) for r in results],
-                           "diversity_growth", certificate)
+def growth_dimension(space, t_min: float, t_max: float, method: str,
+                     samples: int, tol: float, max_iters: int,
+                     dense=None) -> DimensionEstimate:
+    """The growth dimension of a specs.Structure: the fit over
+    growth_scales of the maximum diversity at each scale, "global" only
+    where every sample is, else "stationary", or of dense's covering
+    number at radius 1/t. Without dense, all but a line's diversity_growth
+    goes to diversity.dimension_estimate, which passes dense back."""
+    from .specs import LINE, maximum_diversity
+
+    if dense is None and not (method == "diversity_growth"
+                              and space.kind == LINE):
+        from . import diversity
+
+        return diversity.dimension_estimate(space.metric(), t_min, t_max,
+                                            method, samples, tol, max_iters)
+    ts = growth_scales(t_min, t_max, samples)
+    if method == "diversity_growth":
+        results = [maximum_diversity(space, t, tol, max_iters) for t in ts]
+        certificate = ("global" if all(r.certificate == "global"
+                                       for r in results) else "stationary")
+        return growth_estimate(ts, [float(r.value) for r in results], method,
+                               certificate)
+    if method == "covering_growth":
+        return growth_estimate(ts, [float(dense(space.metric(), 1.0 / t))
+                                    for t in ts], method)
+    raise DiversityError(f"unknown method {method!r}")
 
 
 def fit_line(x, y) -> tuple[float, float, float]:
@@ -250,3 +269,22 @@ def refine(items, solve, levels=None, nested: bool = False) -> list[RefinementSa
             prev, prev_level = mag, lev
         out.append(RefinementSample(lev, n_points, mag, status, delta))
     return out
+
+
+def approximate_compact_magnitude(specs, t: float = 1.0, levels=None,
+                                  nested: bool = False) -> list[RefinementSample]:
+    """The magnitude sequence, as approx prints it, of finite spaces
+    refining a compact one (refine's rows, each magnitude at t from
+    specs.weighting): specs holds SpaceSpec or FiniteMetricSpace entries
+    in refinement order. The compact limit's magnitude is the supremum
+    over its finite subsets, so these values approach it from below when
+    the ambient is positive definite."""
+    from .specs import SpaceSpec, structure, weighting
+
+    def solve(item):
+        space = (structure(item)[0] if isinstance(item, SpaceSpec)
+                 else item.structure)
+        res = weighting(space, t)
+        return space.n, res.magnitude, res.status
+
+    return refine(specs, solve, levels, nested)

@@ -30,10 +30,10 @@ each point, L_k = 1 + a_{k-1} L_{k-1} and R_k = 1 + a_k R_{k+1}), and
 ||Z^-1||_1 the largest absolute row sum of the tridiagonal entries; and
 the residual max |1 - Z w|, Z w formed by the same two sweeps over w.
 
-This is the one producer of a finite line set's weights: mag, weights,
-magfn, diversity, dim and oracle --points print them from here, and
-engine.solve_weighting and diversity.max_diversity answer a space on the
-line here, from its coordinates. The tanh closed forms of lines.py, and
+This is the one producer of a finite line set's weights: specs.weighting
+and maximum_diversity choose it for every space on the line, for the
+commands and the library alike, and oracle --points prints its weights.
+The tanh closed forms of lines.py, and
 the dense solve, which runs on a line only where the space holds d, are
 the references that the tests and the benchmark check the rung against.
 """

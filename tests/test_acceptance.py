@@ -245,7 +245,9 @@ def test_support_search_runtime_caps():
     small = ball_sample(3, 1.0, diversity.SEARCH_LIMIT, seed=1)
     assert _fastest(lambda: diversity.max_diversity(small, 1.0)) < 0.04
     for dim, seed, t in ((2, 2, 1.0), (3, 1, 1.0), (1, 0, 0.01)):
-        space = ball_sample(dim, 1.0, diversity.EXACT_DIVERSITY_LIMIT, seed=seed)
+        # d held: on the line max_diversity_exact takes the line rung
+        space = FiniteMetricSpace(ball_sample(
+            dim, 1.0, diversity.EXACT_DIVERSITY_LIMIT, seed=seed).distances)
         assert _fastest(lambda: diversity.max_diversity_exact(space, t)) < 0.48
     k78 = graph_metric([(i, j) for i in range(7) for j in range(7, 15)])
     assert _fastest(lambda: diversity.max_diversity_exact(k78, 0.5)) < 0.06

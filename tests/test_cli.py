@@ -727,12 +727,16 @@ EDGE_LIST = json.dumps({"kind": "graph_shortest_path",
 ])
 def test_small_graph_diversity_is_the_numpy_routes(capsys, monkeypatch, argv):
     # a graph within the limits is solved from specs.graph_rows without
-    # numpy; the built space gives the same report, error or csv rows
+    # numpy; the built space, held d, gives the same report, error or csv
+    # rows
     code, out, err = run(capsys, "diversity", *argv)
-    built = cli._space_inputs
-    monkeypatch.setattr(cli, "_space_inputs",
-                        lambda args, line=False, graph_limit=0:
-                        built(args, line))
+    read = cli._space_inputs
+
+    def built(args):
+        space, inputs = read(args)
+        return space.metric().structure, inputs
+
+    monkeypatch.setattr(cli, "_space_inputs", built)
     want = run(capsys, "diversity", *argv)
     if code == 0 and "csv" not in argv:
         assert _strip_timing(json.loads(out)) == _strip_timing(
@@ -886,22 +890,33 @@ def test_stdin_matrix(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["mag", "check"])
-def test_stdin_that_is_not_utf8_is_bad_input(command):
+def test_stdin_that_is_not_utf8_is_bad_input(command, tmp_path):
     # the process's stdin decodes bad bytes to surrogates, which the
     # digest cannot encode: bad input, exit 2, as a --matrix file that is
-    # not UTF-8 is, in any locale
+    # not UTF-8 is, in any locale, and the error names the byte's place in
+    # the whole text, as the file's does (it once named its place in its
+    # line, position 4 of the first input)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
                  else [])))
-    for locale in ({}, {"LC_ALL": "C.UTF-8"}):
+    path = tmp_path / "m.csv"
+    for text, at in ((b"0,1,2\n1,0,1\n2,1,\xff\n", 16),
+                     (b"0,1\n" * 5000 + b"1,\xe2\x82\n", 20002)):
+        path.write_bytes(text)
         proc = subprocess.run(
-            [sys.executable, "-m", "magnitude", command, "--stdin-matrix",
-             "--t", "1"], input=b"0,1\n1,\xff\n", capture_output=True,
-            env={**env, **locale}, timeout=120)
-        assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
-        err = json.loads(proc.stderr)
-        assert err["error"] == "BadSpec"
-        assert err["detail"].startswith("stdin is not UTF-8 text: ")
+            [sys.executable, "-m", "magnitude", command, "--matrix", str(path),
+             "--t", "1"], capture_output=True, env=env, timeout=120)
+        detail = json.loads(proc.stderr)["detail"]
+        assert f" position {at}" in detail
+        for locale in ({}, {"LC_ALL": "C.UTF-8"}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "magnitude", command, "--stdin-matrix",
+                 "--t", "1"], input=text, capture_output=True,
+                env={**env, **locale}, timeout=120)
+            assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+            assert json.loads(proc.stderr) == {
+                "error": "BadSpec",
+                "detail": detail.replace(str(path), "stdin", 1)}
 
 
 def test_matrix_file_that_is_not_utf8_names_the_byte(capsys, tmp_path):
@@ -972,7 +987,7 @@ def test_streamed_matrix_is_the_whole_text(csv_dir, xs, newline, blanks,
             continue
         finally:
             sys.stdin = saved
-        assert space.distances.tobytes() == want.tobytes()
+        assert space.metric().distances.tobytes() == want.tobytes()
         assert inputs == {"kind": "explicit_matrix",
                           "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
@@ -1576,6 +1591,152 @@ def test_library_answers_a_line_set_as_the_cli_does(xs, near, t):
             div.method, div.certificate] == [
         printed[k] for k in ("value", "support", "kkt_gap", "iterations",
                              "method", "certificate")]
+
+
+def _graph_spec(edges, n):
+    return {"kind": "graph_shortest_path",
+            "params": {"edges": edges, "n_vertices": n}}
+
+
+# a --spec of every kind, or a --matrix file's distances: lines, grids on
+# and off the line in l1 and l2, balls on and off it, named and edge-list
+# graphs on both sides of supports.SEARCH_LIMIT (10) and EXACT_LIMIT (15)
+SPACE_SOURCES = st.one_of(
+    st.lists(st.floats(-10, 10), min_size=1, max_size=12, unique=True).map(
+        lambda xs: {"kind": "points_1d", "params": {"coordinates": xs}}),
+    st.builds(lambda shape, p, h: {"kind": "lp_grid", "params": {
+        "shape": shape, "p": p, "spacing": h}},
+        st.sampled_from([[5], [4, 1], [1, 3], [2, 3], [3, 3], [2, 2, 2]]),
+        st.sampled_from([1, 2]), st.sampled_from([0.5, 1.0, 1.7])),
+    st.builds(lambda depth, length: {"kind": "cantor_endpoints", "params": {
+        "depth": depth, "length": length}},
+        st.integers(0, 3), st.sampled_from([1.0, 3.5])),
+    st.builds(lambda n, count, seed, p: {
+        "kind": "ball_sample", "seed": seed, "params": {
+            "n": n, "radius": 1.0, "count": count, "p": p}},
+        st.sampled_from([1, 3]), st.integers(1, 13), st.integers(0, 1000),
+        st.sampled_from([1, 2])),
+    st.sampled_from(["k1", "k32", "c5", "k4", "p4", "p11", "c11", "k3,9",
+                     "p16"]).map(
+        lambda name: {"kind": "graph_shortest_path", "params": {"name": name}}),
+    # an edge list on n vertices, with or without the path through them
+    st.integers(2, 12).flatmap(lambda n: st.builds(
+        lambda edges, path: _graph_spec(
+            edges + [[i, i + 1] for i in range(n - 1)] * path, n),
+        st.lists(st.integers(1, n - 1).flatmap(
+            lambda j: st.tuples(st.integers(0, j - 1), st.just(j)).map(list)),
+            max_size=n),
+        st.booleans())),
+    st.tuples(st.integers(1, 12), st.integers(0, 1000)).map(
+        lambda c: {"matrix": c}),
+)
+
+
+def _library_results(command, space, t):
+    """The results that command prints for space at scale t, from the
+    library's entries."""
+    from magnitude.diversity import max_diversity, max_diversity_exact
+    from magnitude.engine import definiteness_report, solve_weighting
+    from magnitude.sweeps import scales
+
+    n = space.n_points
+    if command in ("mag", "weights"):
+        res = solve_weighting(space, t)
+        results = {"t": t, "magnitude": res.magnitude, "status": res.status,
+                   "condition_estimate": cli._finite_or_none(
+                       res.condition_estimate), "residual": res.residual}
+        if command == "mag":
+            return {**results, "n_points": n}
+        w = None if res.weighting is None else res.weighting.tolist()
+        return {**results, "weighting": w, "coweighting": w}
+    if command == "magfn":
+        return {"n_points": n, "samples": [
+            {"t": s, "magnitude": res.magnitude, "status": res.status,
+             "positive_definite": definiteness_report(
+                 space, s).is_positive_definite}
+            for s, res in ((s, solve_weighting(space, s))
+                           for s in scales(0.5, 2.0, 3))]}
+    if command == "check":
+        rep = definiteness_report(space, t)
+        return {"valid": True, "n_points": n, "t": t, **rep._asdict(),
+                "cnd_max_eigenvalue": cli._finite_or_none(
+                    rep.cnd_max_eigenvalue)}
+    exact = command == "exact"
+    res = (max_diversity_exact(space, t) if exact else max_diversity(space, t))
+    return {"t": t, "method": res.method, "value": res.value,
+            "support": list(res.support), "kkt_gap": res.kkt_gap,
+            "certificate": res.certificate,
+            **({"supports_checked": res.iterations} if exact else
+               {"converged": True, "iterations": res.iterations})}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(source=SPACE_SOURCES,
+       command=st.sampled_from(["mag", "weights", "magfn", "check",
+                                "diversity", "exact"]),
+       t=st.sampled_from([0.3, 1.0, 2.5]))
+def test_library_answers_every_spec_kind_as_the_cli_does(csv_dir, source,
+                                                         command, t):
+    # one dispatch from what a space is to its rung (specs.Structure): the
+    # library's entries on the built space print the command's bits, and
+    # raise the error it reports
+    from magnitude.errors import TooLarge
+    from magnitude.spaces import (ball_sample, generate_space,
+                                  load_distance_csv, validate_metric)
+
+    if "matrix" in source:
+        count, seed = source["matrix"]
+        text = "".join(",".join(map(repr, row)) + "\n" for row in
+                       ball_sample(2, 1.0, count, seed=seed).distances.tolist())
+        path = csv_dir / "property.csv"
+        path.write_text(text)
+        argv = ["--matrix", str(path)]
+        build = lambda: validate_metric(load_distance_csv(text))
+    else:
+        argv = ["--spec", json.dumps(source)]
+        build = lambda: generate_space(SpaceSpec.from_json(json.dumps(source)))
+    argv = ["diversity", *argv, "--exact"] if command == "exact" else [
+        command, *argv]
+    if command == "magfn":
+        argv += ["--tmin", "0.5", "--tmax", "2", "--steps", "3"]
+    else:
+        argv += ["--t", repr(t)]
+    code, out, err, _ = _call(argv)
+    try:
+        want = _library_results(command, build(), t)
+    except (ValueError, TooLarge) as exc:  # BadSpec, DisconnectedGraph
+        assert (code, out, json.loads(err)) == (2, "", {
+            "error": type(exc).__name__, "detail": str(exc)})
+        return
+    assert code in (0, 3), err
+    assert strict_loads(out)["results"] == want
+
+
+@pytest.mark.parametrize("space, argv, t, value", [
+    ("points", ["--points-1d", "0,0.5,1.7,2.0,3.1,4.0,4.2,5.5"], 1.0,
+     3.524610440175379),
+    ("ball", ["--ball", "1,1,6", "--seed", "3"], 2.0, None),
+])
+def test_library_exact_diversity_on_the_line_is_the_cli_s(space, argv, t,
+                                                          value):
+    # max_diversity_exact on a space on the line takes the line rung, as
+    # diversity --exact does: it once searched 255 supports of the eight
+    # points (3.5246104401753784) and 63 of the ball sample
+    from magnitude.diversity import max_diversity_exact
+    from magnitude.spaces import ball_sample, points_on_line
+
+    space = (points_on_line([0, 0.5, 1.7, 2.0, 3.1, 4.0, 4.2, 5.5])
+             if space == "points" else ball_sample(1, 1.0, 6, seed=3))
+    res = max_diversity_exact(space, t)
+    code, out, err, _ = _call(["diversity", *argv, "--t", repr(t), "--exact"])
+    assert code == 0, err
+    printed = strict_loads(out)["results"]
+    assert (res.method, res.iterations) == ("line", 1)
+    assert [res.value, list(res.support), res.kkt_gap, res.iterations,
+            res.method, res.certificate] == [
+        printed[k] for k in ("value", "support", "kkt_gap",
+                             "supports_checked", "method", "certificate")]
+    assert value is None or res.value == value
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

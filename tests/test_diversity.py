@@ -25,7 +25,7 @@ from magnitude.diversity import (
     max_diversity_exact,
 )
 from magnitude.engine import (
-    is_positive_definite,
+    definiteness_report,
     magnitude,
     similarity_matrix,
     similarity_rows,
@@ -241,7 +241,7 @@ def test_k32_diversity_exceeds_magnitude_below_the_pole():
     assert ex.support == (0, 1, 2)
     assert ex.value == pytest.approx(1.1374573592819663, abs=1e-12)
     assert ex.value > magnitude(K32, 0.1) + 0.03
-    assert not is_positive_definite(K32, 0.1)
+    assert not definiteness_report(K32, 0.1).is_positive_definite
 
 
 def test_diversity_equals_magnitude_on_line_subsets():
@@ -260,7 +260,7 @@ def test_diversity_at_most_magnitude_when_positive_definite():
     for seed in range(6):
         sp = ball_sample(3, 1.0, int(rng.integers(5, 25)), seed=seed + 100)
         t = float(rng.uniform(0.3, 3.0))
-        assert is_positive_definite(sp, t)
+        assert definiteness_report(sp, t).is_positive_definite
         assert max_diversity(sp, t).value <= magnitude(sp, t) + 1e-8
 
 
@@ -291,7 +291,7 @@ def test_kkt_gap_zero_at_optimum_positive_elsewhere():
 def test_nonconvergence_carries_iterations_and_gap():
     # Z of K_{3,2} is not positive definite at t = 0.1, so only
     # Frank-Wolfe runs; a positive definite Z would go to the active set
-    assert not is_positive_definite(K32, 0.1)
+    assert not definiteness_report(K32, 0.1).is_positive_definite
     with pytest.raises(NonConvergence) as err:
         _ladder(K32, 0.1, 1e-15, 3)
     assert err.value.iterations == 3
@@ -300,7 +300,7 @@ def test_nonconvergence_carries_iterations_and_gap():
 
 def test_non_positive_definite_k32_stays_on_frank_wolfe():
     for t in (0.05, 0.1, 0.2, 0.3):
-        assert not is_positive_definite(K32, t)
+        assert not definiteness_report(K32, t).is_positive_definite
         res = _ladder(K32, t, 1e-9, 100_000)
         assert (res.method, res.certificate) == ("frank_wolfe", "stationary")
         assert res.kkt_gap <= 1e-9
@@ -309,7 +309,7 @@ def test_non_positive_definite_k32_stays_on_frank_wolfe():
 def test_active_set_certifies_positive_definite_ball():
     # 300 Frank-Wolfe iterations miss tol here; the active set does not
     sp = ball_sample(3, 1.0, 300, seed=3)
-    assert is_positive_definite(sp, 4.0)
+    assert definiteness_report(sp, 4.0).is_positive_definite
     res = max_diversity(sp, 4.0)
     assert (res.method, res.certificate) == ("active_set", "global")
     assert res.kkt_gap <= 1e-12
@@ -367,7 +367,7 @@ def test_result_names_its_method():
     assert (res.method, res.certificate) == ("active_set", "global")
     # it rejects K_{3,3}'s at 0.5, where Frank-Wolfe stops at the saddle
     # of its uniform start, stationary as far as it can tell
-    assert not is_positive_definite(K33, 0.5)
+    assert not definiteness_report(K33, 0.5).is_positive_definite
     res = _ladder(K33, 0.5, 1e-9, 100_000)
     assert (res.method, res.certificate) == ("frank_wolfe", "stationary")
     assert res.value == pytest.approx(1.687597155320145, rel=1e-12)
@@ -394,13 +394,13 @@ def test_solver_matches_enumeration_oracle_property(case):
     # on a Z that is not positive semidefinite the gap certifies only a
     # stationary point: Frank-Wolfe finds the optimum of K_{3,2}, not of
     # K_{3,3} below its pole
-    if name == "k32" or is_positive_definite(sp, t):
+    if name == "k32" or definiteness_report(sp, t).is_positive_definite:
         assert value == pytest.approx(exact, abs=1e-7)
 
 
 @pytest.mark.parametrize("t", [0.05, 0.2, 0.3, 0.34])
 def test_solver_matches_oracle_on_non_positive_definite_k32(t):
-    assert not is_positive_definite(K32, t)
+    assert not definiteness_report(K32, t).is_positive_definite
     assert _ladder(K32, t, 1e-9, 100_000).value == pytest.approx(
         max_diversity_exact(K32, t).value, abs=1e-7)
 
@@ -417,7 +417,9 @@ def _same_search(sp, t):
     # the last bits): the value to rounding, the same support, and the
     # positive definite supports visited. The weights agree to
     # cond(Z_S) eps: 7e-11 apart for K_{3,3} a relative 1e-6 past its pole
-    # at t = log 2
+    # at t = log 2. The search runs on d held, as on a space on the line
+    # max_diversity_exact takes the line rung
+    sp = FiniteMetricSpace(sp.distances)
     got = max_diversity_exact(sp, t)
     loop = max_diversity_support_loop(sp, t)
     assert got.value == pytest.approx(loop.value, rel=1e-12, abs=0)

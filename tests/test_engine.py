@@ -33,7 +33,6 @@ from magnitude.engine import (
     cholesky_rows,
     cholesky_solver,
     definiteness_report,
-    is_positive_definite,
     magnitude,
     magnitude_function,
     scattered_bound_holds,
@@ -260,20 +259,22 @@ def test_scattered_bound_edge_cases():
 def test_pd_closed_under_subspaces():
     # on d held, where Cholesky decides: a space of points takes the theorem
     sp = validate_metric(ball_sample(3, 1.0, 40, seed=17).distances)
-    assert is_positive_definite(sp, 1.0)
+    assert definiteness_report(sp, 1.0).is_positive_definite
     rng = np.random.default_rng(18)
     for _ in range(10):
         k = int(rng.integers(2, 20))
         idx = rng.choice(sp.n_points, size=k, replace=False)
-        assert is_positive_definite(sp.subspace(idx), 1.0)
+        assert definiteness_report(sp.subspace(idx),
+                                   1.0).is_positive_definite
 
 
 def test_pd_closed_under_l1_products():
     a = points_on_line([0.0, 0.5, 1.7])
     b = points_on_line([0.0, 1.1])
-    assert all(is_positive_definite(validate_metric(sp.distances), 1.0)
+    assert all(definiteness_report(validate_metric(sp.distances),
+                                   1.0).is_positive_definite
                for sp in (a, b))
-    assert is_positive_definite(l1_product(a, b), 1.0)
+    assert definiteness_report(l1_product(a, b), 1.0).is_positive_definite
 
 
 def test_scale_sandwich_on_l1_grids():
@@ -1078,7 +1079,7 @@ def test_large_solve_holds_half_a_factor():
 def test_positive_definite_test_holds_half_a_factor():
     # Z's rows formed from d a block at a time: no n x n array
     assert _peak_units(
-        lambda: is_positive_definite(LARGE_BUDGET_HELD, 2.0), 1000) <= 0.6
+        lambda: engine._positive_definite(LARGE_BUDGET_HELD, 2.0), 1000) <= 0.6
 
 
 def test_definiteness_proof_holds_half_a_factor():
@@ -1103,7 +1104,7 @@ def test_check_command_holds_d_and_half_a_factor(capsys, monkeypatch):
     args = cli.build_parser().parse_args(argv)
     inputs = cli._space_inputs(args)[1]
     monkeypatch.setattr(cli, "_space_inputs",
-                        lambda args, line: (LARGE_BUDGET_HELD, inputs))
+                        lambda args: (LARGE_BUDGET_HELD.structure, inputs))
     cli.main(argv)  # imports, so that only the call itself is traced
     peak = _peak_units(lambda: cli.main(argv), 1000)
     assert json.loads(capsys.readouterr().out.splitlines()[-1])[
@@ -1127,7 +1128,7 @@ def test_explicit_matrix_is_validated_without_a_copy(tmp_path):
     args = cli.build_parser().parse_args(["mag", "--matrix", str(path)])
     spaces = []
     peak = _peak_units(lambda: spaces.append(cli._space_inputs(args)), n)
-    assert spaces[0][0].distances[0, -1] == n - 1
+    assert spaces[0][0].metric().distances[0, -1] == n - 1
     assert peak <= 1.5
 
 
@@ -1139,7 +1140,7 @@ def test_stdin_matrix_is_streamed_without_a_copy(monkeypatch):
     args = cli.build_parser().parse_args(["mag", "--stdin-matrix"])
     spaces = []
     peak = _peak_units(lambda: spaces.append(cli._space_inputs(args)), n)
-    assert spaces[0][0].distances[0, -1] == n - 1
+    assert spaces[0][0].metric().distances[0, -1] == n - 1
     assert peak <= 1.5
 
 

@@ -765,7 +765,7 @@ def test_underflowing_distances_are_refused(build):
     for spacing in (1e-200, 1e-160, 1e160):
         for shape in ([3], [3, 1], [1, 3], [1, 3, 1]):
             line = lp_grid(shape, p=2, spacing=spacing)
-            assert line.on_line
+            assert line.structure.kind == "line"
             assert line.distances.tobytes() == lp_grid(
                 [3], p=1, spacing=spacing).distances.tobytes()
             assert line.min_distance == spacing
@@ -802,7 +802,7 @@ def test_points_space_takes_p_one_or_two(p):
         space = FiniteMetricSpace(points=np.array([[0.0, 0.0], [3.0, 4.0]]),
                                   p=q)
         assert (space.p, space.distances[0, 1]) == (q, want)
-        assert space.holds_points
+        assert space.structure.kind == "points"
 
 
 def test_points_space_holds_its_points_not_d():

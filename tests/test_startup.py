@@ -393,6 +393,22 @@ def unreached_defs(package, roots):
                   if (mod, name) not in seen and not _dunder(name))
 
 
+def rung_choosers(module: Path) -> list[str]:
+    """The functions of module that choose a rung themselves: those that
+    read .on_line or .holds_points, or call isinstance on a space."""
+    def chooses(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("on_line", "holds_points")
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and bool(node.args)
+                and isinstance(node.args[0], ast.Name)
+                and "space" in node.args[0].id)
+
+    return sorted({fn.name for fn in ast.walk(ast.parse(module.read_text()))
+                   if isinstance(fn, ast.FunctionDef)
+                   and any(map(chooses, ast.walk(fn)))})
+
+
 def _roots():
     # run, the process entry, calls main, which dispatches every command
     # through _HANDLERS
@@ -411,3 +427,9 @@ def test_every_root_names_a_def():
 def test_every_def_in_the_package_is_reached():
     # a def or constant nothing reaches belongs in tests/oracles.py or nowhere
     assert unreached_defs(PACKAGE, _roots()) == []
+
+
+def test_the_cli_leaves_the_rung_to_the_dispatch():
+    # what a space is picks its rung in specs.weighting, maximum_diversity
+    # and definiteness alone; _emit_csv's checks on result types stay
+    assert rung_choosers(PACKAGE / "cli.py") == []
