@@ -15,17 +15,17 @@ Each command takes exactly one source (one mutually exclusive group), and
 pixel at most one mode: --bounds for a body, the others for art or a file;
 --dim goes with art alone and --scale not with a file, whose header sets
 both. Float flags and number lists accept finite values only; count flags
-(--steps, --samples, --max-iters) must be at least 1, and a sweep takes
-at most SCALE_LIMIT scales. A space source with its --p, --spacing,
---length and --seed, and each level of an approx family, is a SpaceSpec
-that specs.KINDS checks as it checks a --spec: a flag its kind does not
-take is bad input. --tol, which must be positive, is the gap target of
-the active set and of Frank-Wolfe in diversity and dim; the other
-commands refuse it, since the dense solve refines to its own rounding
-floor (see engine), and diversity --exact, which runs neither, refuses
-it and --max-iters. Results never hold NaN or Infinity, which are not JSON; a
-diagnostic with no finite value, such as the condition estimate of a
-singular matrix, is written as null.
+(--steps, --samples) must be at least 1, and a sweep takes at most
+SCALE_LIMIT scales. A space source with its --p, --spacing, --length and
+--seed, and each level of an approx family, is a SpaceSpec that
+specs.KINDS checks as it checks a --spec: a flag its kind does not take
+is bad input. --tol, which must be positive, is the gap target of the
+active set in diversity and dim; the other commands refuse it, since the
+dense solve refines to its own rounding floor (see engine), and
+diversity --exact, which runs no active set, refuses it too. Results
+never hold NaN or Infinity, which are not JSON; a diagnostic with no
+finite value, such as the condition estimate of a singular matrix, is
+written as null.
 
 Exit codes: 0 success (also --help and --version), 1 output closed by
 its reader (a broken pipe; the run ends quietly), 2 bad input (any parse
@@ -45,19 +45,20 @@ maximum_diversity and definiteness):
 
   space                   weighting   maximum diversity    check
   line kind(1), 1-D ball  line rung   line rung            theorem
-  graph                   dense       search, else ladder  proofs on d
-  points off the line     dense       search, else ladder  theorem
-  --matrix                dense       search, else ladder  proofs on d
+  graph                   dense       search, else active  proofs on d
+  points off the line     dense       search, else active  theorem
+  --matrix                dense       search, else active  proofs on d
 
 (1) points_1d, lp_grid with at most one shape entry above 1, and
 cantor_endpoints. oracle --points prints the line rung's weights too.
-The search takes up to supports.SEARCH_LIMIT points (EXACT_LIMIT with
---exact). The line rung, the theorem and the search on a graph's rows
-need no numpy, so neither does any command on a line kind but dim
---method covering_growth, nor diversity on a graph within the search's
-limit, nor pixel and oracle, which alone load fractions. No command
-loads scipy, numpy.random or OpenSSL (see engine, spaces.ball_sample and
-the sha256 import below).
+The search takes up to supports.SEARCH_LIMIT points, else the active set
+of diversity's docstring answers; diversity --exact searches up to
+EXACT_LIMIT and refuses more. The line rung, the theorem and the search
+on a graph's rows need no numpy, so neither does any command on a line
+kind but dim --method covering_growth, nor diversity and dim --method
+diversity_growth on a graph within the search's limit, nor pixel and
+oracle, which alone load fractions. No command loads scipy, numpy.random
+or OpenSSL (see engine, spaces.ball_sample and the sha256 import below).
 
 Two entries: run() is the process entry (python -m magnitude and the
 magnitude console script). It flushes the output and ends the process
@@ -83,7 +84,6 @@ from .errors import (
     LineError,
     MatrixParseError,
     MetricError,
-    NonConvergence,
     NonpositiveScale,
     PixelError,
     ResultOverflow,
@@ -132,7 +132,6 @@ def _flag_type(rule, parse=float, *bound):
 
 _finite_float = _flag_type(finite)  # every float flag
 _positive_float = _flag_type(finite, float, 0)  # --tol
-_count = _flag_type(integral, int, 1)  # --max-iters
 # most scales of one sweep (magfn --steps, dim --samples), 32 times magfn's
 # default: each scale is a solve or a diversity fit, so a sweep's time
 # grows with the count, and --steps 1e9 once asked linspace for 7.45 GiB
@@ -400,23 +399,14 @@ def _cmd_check(args, command, t0) -> int:
 def _cmd_diversity(args, command, t0) -> int:
     from .specs import maximum_diversity
 
-    unread = _given(args, "tol", "max_iters") if args.exact else None
-    if unread:
-        raise BadSpec(f"--exact takes no --{unread.replace('_', '-')}")
+    if args.exact and args.tol is not None:
+        raise BadSpec("--exact takes no --tol")
     space, inputs = _space_inputs(args)
-    try:
-        res = maximum_diversity(
-            space, args.t, 1e-9 if args.tol is None else args.tol,
-            100_000 if args.max_iters is None else args.max_iters, args.exact)
-    except NonConvergence as exc:
-        results = {"t": args.t, "method": "frank_wolfe", "converged": False,
-                   "kkt_gap": exc.gap, "iterations": exc.iterations}
-        _emit(args, command, {"space": inputs, "t": args.t}, results, t0)
-        return 0
+    res = maximum_diversity(space, args.t,
+                            1e-9 if args.tol is None else args.tol, args.exact)
     results = {
-        "t": args.t, "method": res.method,
-        **({} if args.exact else {"converged": True}),
-        "value": res.value, "support": list(res.support),
+        "t": args.t, "method": res.method, "value": res.value,
+        "support": list(res.support),
         "kkt_gap": res.kkt_gap,
         "supports_checked" if args.exact else "iterations": res.iterations,
         "certificate": res.certificate,
@@ -432,7 +422,7 @@ def _cmd_dim(args, command, t0) -> int:
 
     space, inputs = _space_inputs(args)
     est = growth_dimension(space, args.tmin, args.tmax, args.method,
-                           args.samples, args.tol, args.max_iters)
+                           args.samples, args.tol)
     finest = min_distance(space)
     results = {**est._asdict(), "window": list(est.window),
                "samples": args.samples}
@@ -549,7 +539,7 @@ def _parse_nr(text: str, flag: str) -> tuple[int, float]:
 
 def _cmd_oracle(args, command, t0) -> int:
     src = _given(args, "points", "interval", "compact", "cantor", "ball",
-                 "sphere", "residual", "conjecture", "leading")
+                 "sphere", "conjecture", "leading")
     if args.length is not None and src != "cantor":
         raise BadSpec(f"--{src} takes no --length")
     from . import euclid, lines
@@ -600,10 +590,6 @@ def _cmd_oracle(args, command, t0) -> int:
             "n": n, "R": r,
         }
         inputs = {"sphere": [n, r]}
-    elif src == "residual":
-        n, r = _parse_nr(args.residual, "--residual")
-        results = {"residual": euclid.sphere_residual(n, r), "n": n, "R": r}
-        inputs = {"residual": [n, r]}
     elif src == "conjecture":
         n, r = _parse_nr(args.conjecture, "--conjecture")
         exact, conj, diff = euclid.conjecture_compare(n, r)
@@ -725,22 +711,19 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--exact", action="store_true",
                              help="support search also above 10 points, "
                                   "up to 15")
-            # --tol and --max-iters default to None, so that --exact,
-            # which never reads them, can refuse them
-            sub.add_argument("--max-iters", type=_count,
-                             help="default 100000; not with --exact")
         if name == "dim":
             sub.add_argument("--tmin", type=_finite_float, required=True)
             sub.add_argument("--tmax", type=_finite_float, required=True)
             sub.add_argument("--samples", type=_scales, default=12)
             sub.add_argument("--method", default="diversity_growth",
                              choices=("diversity_growth", "covering_growth"))
-            sub.add_argument("--max-iters", type=_count, default=300_000)
         if name in ("diversity", "dim"):
-            # growth fits need a laxer optimizer gap than single solves
+            # growth fits need a laxer optimizer gap than single solves;
+            # diversity's defaults to None, so that --exact, which never
+            # reads it, can refuse it
             sub.add_argument("--tol", type=_positive_float,
                              default=None if name == "diversity" else 1e-6,
-                             help="Frank-Wolfe duality gap target "
+                             help="active-set gap target "
                                   "(spaces of more than 10 points)" + (
                                       "; default 1e-9, not with --exact"
                                       if name == "diversity" else ""))
@@ -778,8 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cantor", action="store_true",
                    help="middle-thirds limit set")
     g.add_argument("--ball", help="'n,R' Euclidean ball, n odd <= 15")
-    g.add_argument("--sphere", help="'n,R' Euclidean sphere, n even")
-    g.add_argument("--residual", help="'n,R' sphere minus polynomial part")
+    g.add_argument("--sphere", help="'n,R' Euclidean sphere, n even, with "
+                                    "its polynomial part and residual")
     g.add_argument("--conjecture", help="'n,R' intrinsic-volume comparison")
     g.add_argument("--leading", help="'n,p' large-scale coefficient")
     sub.add_argument("--length", type=_finite_float,

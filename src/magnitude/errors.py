@@ -189,6 +189,8 @@ class DiversityError(Exception):
     pass
 
 
+# no rung raises it since the active set stops by itself; perfbench/layers.py
+# tests for it on every traced max_diversity call
 class NonConvergence(DiversityError):
     def __init__(self, iterations: int, gap: float):
         self.iterations = iterations

@@ -82,7 +82,7 @@ from .specs import (  # noqa: F401  (re-exported: spaces.SpaceSpec etc.)
 TRIANGLE_TOL_FACTOR = 1e-12
 # rows of d, or of a matrix formed from it, that a dense stage forms or
 # reads at once: the blocks of engine.cholesky_rows and its substitutions,
-# of the Frank-Wolfe row reader and of every row scan of d
+# of engine.symmetric_product and of every row scan of d
 ROW_BLOCK = 64
 # rows of d that _lp_rows forms at once: its scratch plane is 8 n floats,
 # and it took no longer than planes of ROW_BLOCK rows

@@ -374,7 +374,9 @@ def structure(spec: SpaceSpec) -> tuple[Structure, dict]:
 def min_distance(space: Structure) -> float:
     """The smallest distance between two points of space, inf for one: on
     the line that of two neighbours once sorted, as fl(y - x) grows with
-    y."""
+    y; on a connected graph that of an edge, 1."""
+    if space.kind == GRAPH:
+        return 1.0 if space.n > 1 else math.inf
     if space.kind == LINE:
         xs = sorted(space.data)
         return min((b - a for a, b in zip(xs, xs[1:])), default=math.inf)
@@ -397,11 +399,10 @@ def weighting(space: Structure, t: float, dense: Callable | None = None):
 
 
 def maximum_diversity(space: Structure, t: float, tol: float = 1e-9,
-                      max_iters: int = 100_000, exact: bool = False,
-                      dense: Callable | None = None):
+                      exact: bool = False, dense: Callable | None = None):
     """Maximum diversity of space at scale t: the line rung's on a line, the
     search's on at most supports.SEARCH_LIMIT points (EXACT_LIMIT when
-    exact, TooLarge above), else dense's, the ladder to the gap tol. A
+    exact, TooLarge above), else dense's, the active set to the gap tol. A
     space with no numpy-free rung goes without dense to
     diversity.max_diversity or max_diversity_exact, which pass _ladder."""
     if space.kind == LINE:
@@ -416,14 +417,14 @@ def maximum_diversity(space: Structure, t: float, tol: float = 1e-9,
 
         if exact:
             return diversity.max_diversity_exact(space.metric(), t)
-        return diversity.max_diversity(space.metric(), t, tol, max_iters)
+        return diversity.max_diversity(space.metric(), t, tol)
     if space.n <= limit:
         rows = (graph_rows(space.data, space.n) if space.kind == GRAPH
                 else space.metric().rows(0, space.n).tolist())
         return supports.search(supports.similarity(rows, t))
     if exact:
         raise TooLarge(space.n, limit)
-    return dense(space.metric(), t, tol, max_iters)
+    return dense(space.metric(), t, tol)
 
 
 def definiteness(space: Structure, t: float, dense: Callable | None = None):

@@ -6,9 +6,10 @@ whose weighting y = Z_S^-1 1 is nonnegative and from which no other point
 gains (Leinster and Meckes, Entropy 18, 2016): with mu = y / sum(y), every
 point j must have (Z mu)_j >= mu' Z mu = 1 / sum(y). So on a space of a
 few points it is a finite search over supports, and the answer is the
-global maximum whether or not Z is positive semidefinite, where a
-first-order method certifies only a stationary point (K_{3,3} at t = 0.5,
-say).
+global maximum whether or not Z is positive semidefinite, where the
+active set that answers a larger space (diversity) certifies only a
+stationary point. That active set borders as the search does, and visits
+only the supports whose pivots are positive.
 
 Only supports whose Z_S is positive definite are searched. The answer is
 the smallest maximizer S, then the lexicographically first, and Z_S is

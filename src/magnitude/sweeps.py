@@ -3,7 +3,9 @@ growth-rate fit of dim, and the refinement sequence of approx.
 
 The dense routes (engine, diversity) and the line rung (tridiagonal) both
 run these, so a command samples the same scales, fits its slope the same
-way and applies the same sequence rules whichever route solves it. The
+way and applies the same sequence rules whichever route solves it; a
+diversity growth fit asks specs.maximum_diversity at each scale, so it
+loads numpy only where a sample does. The
 records that every route returns (WeightingResult, DiversityResult,
 DefinitenessReport) and the solve outcomes and verdicts it reports are
 defined here too, with the report that a theorem gives every space of
@@ -30,6 +32,9 @@ MONOTONE_SLACK = 1e-9
 VERDICT_NEGATIVE_TYPE = "CertifiedNegativeType"
 VERDICT_NOT = "CertifiedNot"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+
+# what a maximum diversity answer proves of its value, weakest first
+CERTIFICATES = ("lower_bound", "stationary", "global")
 
 # which method decided a negative-type verdict
 PROOF_THEOREM = "theorem"
@@ -58,16 +63,17 @@ class DiversityResult(NamedTuple):
     weights: np.ndarray | tuple
     support: tuple   # the indices it is positive on
     kkt_gap: float
-    # Frank-Wolfe iterations, active-set passes, the supports the search
-    # visited (those whose Z_S is positive definite), or the line rung's
-    # one solve
+    # active-set passes over every run, the supports the search visited
+    # (those whose Z_S is positive definite), or the line rung's one solve
     iterations: int
-    # "frank_wolfe", "active_set", "support_enumeration" or "line"
+    # "active_set", "support_enumeration" or "line"
     method: str
-    # "global" where the value is the maximum: the support search, the
-    # line rung, and the active set and Frank-Wolfe on a Z that Cholesky
-    # accepts, where the problem is convex; "stationary" from Frank-Wolfe
-    # on a Z that Cholesky rejects
+    # one of CERTIFICATES: "global" where the value is the maximum (the
+    # support search, the line rung, and the active set on a Z that
+    # Cholesky accepts, where the problem is convex); "stationary" where
+    # the active set's gap is within tol on a Z that Cholesky rejects;
+    # "lower_bound" where it is not, so the value is only the diversity of
+    # the weights
     certificate: str
 
 
@@ -139,8 +145,8 @@ class DimensionEstimate(NamedTuple):
     window: tuple
     fit_residual: float
     method: str
-    # diversity_growth's: "global" where every sample is, else "stationary";
-    # None for covering_growth
+    # diversity_growth's: the weakest of its samples' (CERTIFICATES); None
+    # for covering_growth
     certificate: str | None
 
 
@@ -178,26 +184,24 @@ def growth_estimate(ts: list[float], vals: list[float], method: str,
 
 
 def growth_dimension(space, t_min: float, t_max: float, method: str,
-                     samples: int, tol: float, max_iters: int,
-                     dense=None) -> DimensionEstimate:
+                     samples: int, tol: float, dense=None) -> DimensionEstimate:
     """The growth dimension of a specs.Structure: the fit over
-    growth_scales of the maximum diversity at each scale, "global" only
-    where every sample is, else "stationary", or of dense's covering
-    number at radius 1/t. Without dense, all but a line's diversity_growth
-    goes to diversity.dimension_estimate, which passes dense back."""
-    from .specs import LINE, maximum_diversity
+    growth_scales of specs.maximum_diversity at each scale, certified by
+    the weakest certificate of its samples, or of dense's covering number
+    at radius 1/t. Without dense, covering_growth goes to
+    diversity.dimension_estimate, which passes dense back."""
+    from .specs import maximum_diversity
 
-    if dense is None and not (method == "diversity_growth"
-                              and space.kind == LINE):
+    if dense is None and method == "covering_growth":
         from . import diversity
 
         return diversity.dimension_estimate(space.metric(), t_min, t_max,
-                                            method, samples, tol, max_iters)
+                                            method, samples, tol)
     ts = growth_scales(t_min, t_max, samples)
     if method == "diversity_growth":
-        results = [maximum_diversity(space, t, tol, max_iters) for t in ts]
-        certificate = ("global" if all(r.certificate == "global"
-                                       for r in results) else "stationary")
+        results = [maximum_diversity(space, t, tol) for t in ts]
+        certificate = min((r.certificate for r in results),
+                          key=CERTIFICATES.index)
         return growth_estimate(ts, [float(r.value) for r in results], method,
                                certificate)
     if method == "covering_growth":

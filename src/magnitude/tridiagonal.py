@@ -101,7 +101,7 @@ def solve(coordinates, t: float) -> WeightingResult:
 def max_diversity(coordinates, t: float) -> DiversityResult:
     """Maximum diversity of the distinct reals coordinates at scale t: the
     magnitude, at mu = w / sum w (a tuple, in the order given) on every
-    point, with the Frank-Wolfe gap of mu, 2 (mu' Z mu - min Z mu), which
+    point, with the KKT gap of mu, 2 (mu' Z mu - min Z mu), which
     is 0 but for rounding; one solve, method "line", certificate
     "global"."""
     w, zw, _, _ = _solve(coordinates, t)

@@ -492,56 +492,69 @@ def max_diversity_support_loop(space: FiniteMetricSpace,
 
 
 def active_set_held_z(z: np.ndarray, tol: float) -> DiversityResult | None:
-    """max_diversity's active set on the whole n x n Z, held: the same
-    passes, each product Z mu and Z y and each support's block of Z taken
-    from the held matrix; the value is 1 / ((mu Z) mu). None wherever the
-    package's run gives up."""
+    """max_diversity's run from Z^-1 1 on a Z that Cholesky accepts, on the
+    whole n x n Z, held: the same passes, each product Z mu and each
+    support's block of Z taken from the held matrix; the value is
+    1 / ((mu Z) mu). None where Cholesky rejects Z, or a support that
+    seeding keeps."""
     n = z.shape[0]
-    try:
-        chol = cholesky_rows(lambda lo, hi: z[lo:hi, lo:].copy(), n)
-    except np.linalg.LinAlgError:
-        return None
+
+    def solve(idx):
+        try:
+            chol = cholesky_rows(
+                lambda lo, hi: z[np.ix_(idx[lo:hi], idx[lo:])], idx.size)
+        except np.linalg.LinAlgError:
+            return None
+        return cholesky_solver(chol)(np.ones(idx.size))
+
+    def answer(y, passes):
+        mu = y / y.sum()
+        gap = kkt_gap(z, mu)
+        mu.setflags(write=False)
+        return DiversityResult(
+            float(1.0 / (mu @ z @ mu)), mu,
+            tuple(int(i) for i in np.flatnonzero(mu > 0)), gap, passes,
+            "active_set", "global" if gap <= tol else "lower_bound")
+
     idx = np.arange(n)
-    ys = cholesky_solver(chol)(np.ones(n))  # the weighting, full support
+    ys = solve(idx)             # the weighting, full support
+    if ys is None:
+        return None
     y = None                    # feasible iterate once a solve is positive
     for passes in range(1, ACTIVE_SET_PASSES_PER_POINT * n + 1):
         if ys.min() > 0:
             y = np.zeros(n)
             y[idx] = ys
-            mu = y / y.sum()
-            gap = kkt_gap(z, mu)
-            if gap <= tol:
-                mu.setflags(write=False)
-                return DiversityResult(
-                    float(1.0 / (mu @ z @ mu)), mu,
-                    tuple(int(i) for i in np.flatnonzero(mu > 0)), gap,
-                    passes, "active_set", "global")
-            w = 1.0 - z @ y     # negative gradient; positive = violated
+            res = answer(y, passes)
+            if res.kkt_gap <= tol:
+                return res
+            # negative gradient; positive = violated
+            w = 1.0 - y.sum() * (z @ (y / y.sum()))
             w[idx] = -np.inf
-            j = int(np.argmax(w))
-            if w[j] <= 0:
-                return None
-            idx = np.sort(np.append(idx, j))
-        elif y is None:
+            for j in np.argsort(-w, kind="stable"):
+                if w[j] <= 0:
+                    return res
+                grown = np.sort(np.append(idx, j))
+                ys = solve(grown)
+                if ys is not None and ys[np.searchsorted(grown, j)] > 0:
+                    idx = grown
+                    break
+            continue
+        if y is None:
             idx = idx[ys > 0]   # seeding: drop nonpositive weights
         else:
             # move from y toward ys until the first coordinate hits zero
             cur = y[idx]
             neg = ys <= 0
-            if not (cur[neg] > 0).all():
-                return None     # the index just added would leave at once
             ratios = cur[neg] / (cur[neg] - ys[neg])
             k = int(np.argmin(ratios))
             y[idx] = cur + ratios[k] * (ys - cur)
             y[idx[neg][k]] = 0.0
             idx = idx[y[idx] > 0]
-        try:
-            chol = cholesky_rows(
-                lambda lo, hi: z[np.ix_(idx[lo:hi], idx[lo:])], idx.size)
-            ys = cholesky_solver(chol)(np.ones(idx.size))
-        except np.linalg.LinAlgError:
-            return None
-    return None
+        ys = solve(idx)
+        if ys is None:
+            return None if y is None else answer(y, passes)
+    return answer(y, passes)
 
 
 # ---------------------------------------------------------------------------

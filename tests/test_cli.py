@@ -269,7 +269,8 @@ def test_non_finite_flag_exits_two(capsys, argv):
     ("diversity", "--points-1d", "0,1,3", "--tol", "-1"),
     ("diversity", "--points-1d", "0,1,3", "--tol", "0"),
     ("dim", "--grid", "50", "--tmin", "1", "--tmax", "10", "--tol", "-1"),
-    # --exact runs no Frank-Wolfe, which alone reads --tol and --max-iters
+    # --exact runs no active set, which alone reads --tol; --max-iters is
+    # no flag at all
     ("diversity", "--graph", "k32", "--exact", "--tol", "1e-3", "--t", "0.5"),
     ("diversity", "--graph", "k32", "--exact", "--max-iters", "5", "--t",
      "0.5"),
@@ -532,10 +533,22 @@ def test_leading_coefficient_below_the_double_range_exits_two(capsys, n):
 ])
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_nonpositive_max_iters_exits_two(capsys, argv, count):
+    # --max-iters is no flag: any count is bad input
     code, out, err = run(capsys, *argv, f"--max-iters={count}")
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "BadSpec"
+
+
+@pytest.mark.parametrize("argv", [
+    ("diversity", "--graph", "k6,6", "--t", "0.5"),
+    ("dim", "--graph", "c6", "--tmin", "1", "--tmax", "4"),
+])
+def test_max_iters_is_no_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-iters", "300")
+    assert code == 2
+    assert out == ""
+    assert "--max-iters" in json.loads(err)["detail"]
 
 
 def test_cantor_oracle_at_huge_scale_is_representable(capsys):
@@ -546,9 +559,13 @@ def test_cantor_oracle_at_huge_scale_is_representable(capsys):
 
 
 def test_residual_that_underflows_is_zero(capsys):
-    code, rep, _ = run_json(capsys, "oracle", "--residual", "4,1e150")
+    # e^(-pi R) underflows: --sphere prints the residual formed in logs,
+    # beside a magnitude that must stay finite (at R = 1e150 it overflows)
+    code, rep, _ = run_json(capsys, "oracle", "--sphere", "4,1e50")
     assert code == 0
     assert rep["results"]["residual"] == 0.0
+    code, _, err = run(capsys, "oracle", "--sphere", "4,1e150")
+    assert code == 2 and json.loads(err)["error"] == "ResultOverflow"
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -684,7 +701,7 @@ def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, method", [
-    (("diversity", "--graph", "k6,6", "--t", "0.5"), "frank_wolfe"),
+    (("diversity", "--graph", "k6,6", "--t", "0.5"), "active_set"),
     (("diversity", "--ball", "3,1,300", "--seed", "3", "--t", "4"), "active_set"),
     (("diversity", "--graph", "k32", "--t", "1", "--exact"), "support_enumeration"),
     (("diversity", "--graph", "k32", "--t", "0.1"), "support_enumeration"),
@@ -693,10 +710,10 @@ def test_diversity_reports_its_method(capsys, argv, method):
     _, rep1, _ = run_json(capsys, *argv)
     _, rep2, _ = run_json(capsys, *argv)
     assert rep1["results"]["method"] == method
-    # only Frank-Wolfe's answer on a Z that Cholesky rejects (K_{6,6} at
-    # 0.5) is no more than stationary
+    # only the answer on a Z that Cholesky rejects (K_{6,6} at 0.5) is no
+    # more than stationary
     assert rep1["results"]["certificate"] == (
-        "stationary" if method == "frank_wolfe" else "global")
+        "stationary" if "k6,6" in argv else "global")
     assert _strip_timing(rep1) == _strip_timing(rep2)
 
 
@@ -753,21 +770,30 @@ def test_small_graph_diversity_is_the_numpy_routes(capsys, monkeypatch, argv):
     ("k5,5", 0.5, 2.023048375958448),
 ])
 def test_bipartite_diversity_is_certified_global(capsys, name, t, value):
-    # Frank-Wolfe's uniform start is a saddle of these Z, which are not
-    # positive semidefinite, and it once printed the saddle as converged
-    # (1.6876 for K_{3,3} at t = 0.5); the search finds the maximum. The
-    # values are --exact's at the parent of the search, to rounding
-    from magnitude import diversity
-    from magnitude.spaces import graph_metric
-
+    # these Z are not positive semidefinite, and the uniform distribution
+    # is a saddle of each (1.6876 for K_{3,3} at t = 0.5); the search finds
+    # the maximum. The values are --exact's at the parent of the search,
+    # to rounding
     code, rep, _ = run_json(capsys, "diversity", "--graph", name, "--t", str(t))
     assert code == 0
     r = rep["results"]
     assert (r["method"], r["certificate"]) == ("support_enumeration", "global")
     assert r["value"] == pytest.approx(value, rel=2e-15)
-    saddle = diversity._ladder(graph_metric(name=name), t, 1e-9, 100_000)
-    assert saddle.certificate == "stationary"
-    assert saddle.value < value - 0.04
+
+
+@pytest.mark.parametrize("a, t", [(6, 0.5), (10, 0.5), (20, 1.0)])
+def test_bipartite_closed_form_is_the_active_set(capsys, a, t):
+    # above the search limit, where Cholesky rejects Z, the uniform
+    # distribution is a saddle (1.8523, 1.9275 and 3.6600 here); the
+    # active set finds one part, a / (1 + (a - 1) q^2) with q = e^-t
+    code, rep, _ = run_json(capsys, "diversity", "--graph", f"k{a},{a}",
+                            "--t", str(t))
+    assert code == 0
+    r = rep["results"]
+    assert (r["method"], r["certificate"]) == ("active_set", "stationary")
+    q = math.exp(-t)
+    assert r["value"] == pytest.approx(a / (1 + (a - 1) * q * q), rel=1e-14)
+    assert len(r["support"]) == a and r["kkt_gap"] <= 1e-9
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -855,7 +881,7 @@ def test_csv_null_scalar_is_an_empty_field(capsys, argv, key):
      "valid n_points t is_positive_definite negative_type_verdict "
      "cnd_max_eigenvalue negative_type_proof scattered_bound_holds"),
     (("diversity", "--points-1d", "0,1,3"),
-     "t method converged value support kkt_gap iterations certificate"),
+     "t method value support kkt_gap iterations certificate"),
     (("diversity", "--points-1d", "0,1,3", "--exact"),
      "t method value support kkt_gap supports_checked certificate"),
     (("dim", "--grid", "11", "--tmin", "0.5", "--tmax", "2", "--samples", "6"),
@@ -1175,8 +1201,9 @@ def test_dim_overresolution_warning(capsys):
 
 
 @pytest.mark.parametrize("argv, certificate", [
-    # Frank-Wolfe answers K_{6,6}, 12 vertices, and is only stationary;
-    # the search certifies every sample of C_5
+    # the active set answers K_{6,6}, 12 vertices, whose Z is not
+    # positive definite below t = log 5, and is only stationary; the
+    # search certifies every sample of C_5
     (("--graph", "k6,6", "--tmin", "0.1", "--tmax", "2", "--samples", "6"),
      "stationary"),
     (("--graph", "c5", "--tmin", "0.1", "--tmax", "2", "--samples", "6"),
@@ -1502,7 +1529,7 @@ def _call(argv):
     command=st.sampled_from([
         ["mag", "--points-1d", "0,1,3"],
         ["weights", "--graph", "k32"],
-        ["diversity", "--points-1d", "0,1,3", "--max-iters", "300"],
+        ["diversity", "--points-1d", "0,1,3"],
         ["oracle", "--interval", "0,4"],
         ["oracle", "--points", "0,1,3"],
         ["oracle", "--compact", "0,1;2,3"],
@@ -1667,7 +1694,7 @@ def _library_results(command, space, t):
             "support": list(res.support), "kkt_gap": res.kkt_gap,
             "certificate": res.certificate,
             **({"supports_checked": res.iterations} if exact else
-               {"converged": True, "iterations": res.iterations})}
+               {"iterations": res.iterations})}
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

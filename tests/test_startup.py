@@ -3,8 +3,8 @@
 The package import, the exact commands (pixel, the Euclidean oracles),
 the commands that the line rung solves (mag, weights, magfn, diversity,
 dim and approx on a space of a line kind), check on such a space, which
-the theorem answers, and diversity on a graph that the support search
-takes load no numpy, and
+the theorem answers, and diversity and dim --method diversity_growth
+on a graph that the support search takes load no numpy, and
 no command loads scipy or numpy.ma: the dense solves run on numpy alone.
 No command loads numpy.random or OpenSSL (hashlib's _hashlib) either:
 ball samples draw from the standard library's random.Random, and digests
@@ -86,7 +86,8 @@ def box_file(tmp_path_factory):
     ("pixel", "--pixel-file", None),
     ("oracle", "--ball", "5,1"),
     ("oracle", "--sphere", "2,1"),
-    ("oracle", "--residual", "2,1"),
+    # the residual where e^(-pi R) underflows, formed in logs
+    ("oracle", "--sphere", "4,1e50"),
     ("oracle", "--conjecture", "3,1"),
     ("oracle", "--leading", "3,1"),
     ("oracle", "--points", "0,1,3"),
@@ -161,10 +162,12 @@ def test_line_command_does_not_import_numpy(argv):
     ("diversity", "--graph", "k7,8", "--exact", "--t", "0.3"),
     ("diversity", "--spec", '{"kind": "graph_shortest_path", "params": '
                             '{"edges": [[0, 1], [1, 2], [2, 0], [2, 3]]}}'),
-], ids=["graph", "exact", "exact-15", "spec"])
+    ("dim", "--graph", "c6", "--tmin", "1", "--tmax", "100", "--samples", "6"),
+], ids=["graph", "exact", "exact-15", "spec", "dim"])
 def test_small_graph_diversity_does_not_import_numpy(argv):
     # a graph within supports.SEARCH_LIMIT, or EXACT_LIMIT with --exact,
-    # is searched from specs.graph_rows, in pure Python
+    # is searched from specs.graph_rows, in pure Python, at each scale of
+    # a growth fit too
     rep = probe(*argv)
     assert rep["code"] == 0
     assert rep["numpy"] is False
@@ -213,8 +216,9 @@ def test_command_without_a_solve_does_not_import_scipy(argv):
     ("check", "--graph", "k32", "--t", "0.1"),
     ("approx", "--ball", "3,1", "--ball-counts", "5,10", "--seed", "2"),
     ("mag", "--graph", "c6"),
+    # covering numbers are counted with numpy, on any space
     ("dim", "--graph", "c6", "--tmin", "1", "--tmax", "100",
-     "--samples", "6"),
+     "--samples", "6", "--method", "covering_growth"),
 ], ids=["mag", "magfn", "weights", "check", "approx", "cantor", "dim-cantor"])
 def test_solving_command_loads_numpy_not_scipy(argv):
     # numpy shows up, so the probe sees imports and the check is not vacuous;
@@ -315,10 +319,13 @@ README_QUICK_START = (
     ("pixels", "build_body"), ("pixels", "ConvexBodySpec"),
     ("pixels", "body_magnitude_bounds"),
 )
-# perfbench/run.py records magnitude.backend_name() with every run, and
+# perfbench/run.py records magnitude.backend_name() with every run,
 # perfbench/checks.py checks the line rung's weights against
-# lines.line_weighting, so both stay until the benchmark stops using them
-BENCHMARK_RECORDS = (("diversity", "backend_name"), ("lines", "line_weighting"))
+# lines.line_weighting, and perfbench/layers.py's hook on max_diversity
+# tests for diversity.NonConvergence, which no rung raises, so all three
+# stay until the benchmark stops using them
+BENCHMARK_RECORDS = (("diversity", "backend_name"), ("lines", "line_weighting"),
+                     ("diversity", "NonConvergence"))
 
 
 def _dunder(name: str) -> bool:
